@@ -15,7 +15,6 @@ from .functions import (
     apply_operator,
     check_smoothness,
     check_strong_convexity,
-    conjugate_of_indicator,
     dual_function,
     eval_f,
     grad_f,
@@ -84,7 +83,6 @@ __all__ = [
     "check_smoothness",
     "check_strong_convexity",
     "classify_tightness",
-    "conjugate_of_indicator",
     "default_dual_instance",
     "default_primal_instance",
     "dr_step",

@@ -202,6 +202,8 @@ def load_config_file(path: str) -> dict:
     return entries
 
 
+#: config-file key -> (SweepConfig field, parser). Each flag has the key's
+#: name, except that the grids are given by --alpha and --gamma.
 _CONFIG_PARSERS = {
     "sigma": ("sigma", float),
     "beta": ("beta", float),
@@ -218,46 +220,33 @@ _CONFIG_PARSERS = {
     "start": ("start", str),
     "pairing": ("pairing", str),
 }
+_GRID_FLAGS = {"alpha_grid": "alpha", "gamma_grid": "gamma"}
 
 
-def _config_from_file(path: str | None) -> SweepConfig:
+def _set_key(cfg: SweepConfig, key: str, raw) -> None:
+    attr, conv = _CONFIG_PARSERS[key]
+    try:
+        setattr(cfg, attr, conv(raw))
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"bad value for {key!r}: {exc}") from exc
+
+
+def _config_from_args(args, grid_flags: bool) -> SweepConfig:
+    """Defaults, overridden by the ``--config`` file, overridden by flags.
+    ``grid_flags`` says whether --alpha/--gamma are grids (sweep) or a
+    single point that the caller reads itself (run)."""
     cfg = SweepConfig()
-    if path is None:
-        return cfg
-    for key, raw in load_config_file(path).items():
-        if key not in _CONFIG_PARSERS:
-            raise ConfigError(f"unknown config key {key!r}")
-        attr, conv = _CONFIG_PARSERS[key]
-        try:
-            setattr(cfg, attr, conv(raw))
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"bad value for {key!r}: {exc}") from exc
-    return cfg
-
-
-def _apply_flag_overrides(cfg: SweepConfig, args, grid_flags: bool) -> SweepConfig:
-    for flag, attr, conv in [
-        ("sigma", "sigma", float),
-        ("beta", "beta", float),
-        ("theta", "theta", float),
-        ("zeta", "zeta", float),
-        ("K", "dim", int),
-        ("idx_sigma", "idx_sigma", _parse_indices),
-        ("mode", "mode", str),
-        ("iters", "iters", int),
-        ("tol", "tol", float),
-        ("seed", "seed", int),
-        ("start", "start", str),
-        ("pairing", "pairing", str),
-    ]:
-        value = getattr(args, flag, None)
+    if args.config is not None:
+        for key, raw in load_config_file(args.config).items():
+            if key not in _CONFIG_PARSERS:
+                raise ConfigError(f"unknown config key {key!r}")
+            _set_key(cfg, key, raw)
+    for key in _CONFIG_PARSERS:
+        if key in _GRID_FLAGS and not grid_flags:
+            continue
+        value = getattr(args, _GRID_FLAGS.get(key, key), None)
         if value is not None:
-            setattr(cfg, attr, conv(value))
-    if grid_flags:
-        if getattr(args, "alpha", None) is not None:
-            cfg.alpha_grid = parse_grid(args.alpha)
-        if getattr(args, "gamma", None) is not None:
-            cfg.gamma_grid = parse_grid(args.gamma)
+            _set_key(cfg, key, value)
     return cfg
 
 
@@ -416,8 +405,7 @@ def cmd_rate(args) -> int:
 
 
 def _single_point_config(args) -> tuple:
-    cfg = _config_from_file(args.config)
-    cfg = _apply_flag_overrides(cfg, args, grid_flags=False)
+    cfg = _config_from_args(args, grid_flags=False)
     alpha = args.alpha if args.alpha is not None else (cfg.alpha_grid[0] if cfg.alpha_grid else None)
     gamma = args.gamma if args.gamma is not None else (cfg.gamma_grid[0] if cfg.gamma_grid else None)
     if alpha is None or gamma is None:
@@ -457,8 +445,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _config_from_file(args.config)
-    cfg = _apply_flag_overrides(cfg, args, grid_flags=True)
+    cfg = _config_from_args(args, grid_flags=True)
     if not cfg.alpha_grid:
         cfg.alpha_grid = parse_grid("linear:0.1:1.9:20")
     if not cfg.gamma_grid:

@@ -30,7 +30,6 @@ __all__ = [
     "check_smoothness",
     "apply_operator",
     "dual_function",
-    "conjugate_of_indicator",
 ]
 
 
@@ -245,8 +244,3 @@ def dual_function(problem: CompositeProblem) -> DiagQuadratic:
     if problem.a is None:
         raise ValueError("dual function requires an explicit diagonal coupling operator")
     return DiagQuadratic(problem.a.weights**2 / problem.f.weights)
-
-
-def conjugate_of_indicator(mu: Vec) -> float:
-    """Convex conjugate of the indicator of {0}: identically zero."""
-    return 0.0

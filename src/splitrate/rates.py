@@ -115,25 +115,22 @@ def dual_rate_constants(sigma: float, beta: float, theta: float, zeta: float) ->
 
 
 class TightnessCase(enum.Enum):
-    """Label for a parameter point: one of the four regions where the bound is
+    """Label for a parameter point: one of the regions where the bound is
     attained exactly, the feasible remainder, or infeasible.
 
-    The fourth region (gamma = 1/sqrt(sigma*beta), any feasible alpha) is
-    contained in the union of the first three, so first-match ordering never
-    actually emits it; the member exists so reports can name the region.
+    The paper's fourth region (gamma = 1/sqrt(sigma*beta), any feasible alpha)
+    is the union of its parts in the first three: alpha = 1 is Case I,
+    alpha < 1 is Case II and 1 < alpha < alpha_upper_bound is Case III.
     """
 
     CASE_I = "CaseI"
     CASE_II = "CaseII"
     CASE_III = "CaseIII"
-    CASE_IV = "CaseIV"
     FEASIBLE_NOT_CLASSIFIED = "FeasibleNotClassified"
     INFEASIBLE = "Infeasible"
 
 
-TIGHT_CASES = frozenset(
-    {TightnessCase.CASE_I, TightnessCase.CASE_II, TightnessCase.CASE_III, TightnessCase.CASE_IV}
-)
+TIGHT_CASES = frozenset({TightnessCase.CASE_I, TightnessCase.CASE_II, TightnessCase.CASE_III})
 
 
 def classify_tightness(alpha: float, gamma: float, sigma: float, beta: float) -> TightnessCase:
@@ -142,7 +139,6 @@ def classify_tightness(alpha: float, gamma: float, sigma: float, beta: float) ->
     I.   alpha = 1, any gamma > 0
     II.  alpha in (0, 1], gamma in (0, 1/sqrt(sigma*beta)]
     III. alpha in [1, alpha_upper_bound), gamma in [1/sqrt(sigma*beta), inf)
-    IV.  gamma = 1/sqrt(sigma*beta), alpha in (0, alpha_upper_bound)
 
     Boundary equalities are matched to 1e-12 relative tolerance.
     """
@@ -158,8 +154,6 @@ def classify_tightness(alpha: float, gamma: float, sigma: float, beta: float) ->
         return TightnessCase.CASE_II
     if 1.0 < alpha < upper and (gamma >= gamma_star or at_star):
         return TightnessCase.CASE_III
-    if at_star and alpha < upper:
-        return TightnessCase.CASE_IV
     if alpha < upper:
         return TightnessCase.FEASIBLE_NOT_CLASSIFIED
     return TightnessCase.INFEASIBLE

@@ -5,13 +5,13 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .functions import CompositeProblem, GFunction, dual_function
-from .hilbert import Vec, norm, zeros
-from .prox import refl_prox_diag, refl_prox_g
+from .hilbert import Vec, zeros
 
 __all__ = [
     "SplitParams",
@@ -74,10 +74,11 @@ class SplitParams:
 class IterateTrace:
     """Iterate history with distances to the fixed point and per-step ratios.
 
-    ``step_ratios[k]`` is ``distances[k+1] / distances[k]``, or NaN once
-    ``distances[k]`` drops below :data:`RATIO_FLOOR`. For the ADMM engine the
-    iterates are the scaled dual sequence and ``final_x`` holds the last
-    primal iterate; it is None for the other engines.
+    The fixed point is the origin for every engine. ``step_ratios[k]`` is
+    ``distances[k+1] / distances[k]``, or NaN once ``distances[k]`` drops
+    below :data:`RATIO_FLOOR`. For the ADMM engine the iterates are the scaled
+    dual sequence and ``final_x`` holds the last primal iterate; it is None
+    for the other engines.
     """
 
     iterates: list[Vec]
@@ -92,31 +93,96 @@ class IterateTrace:
         return len(self.iterates) - 1
 
 
-def _build_trace(iterates, fixed_point, converged, final_x=None) -> IterateTrace:
-    dists = np.array([norm(z - fixed_point) for z in iterates])
-    ratios = np.full(max(len(iterates) - 1, 0), np.nan)
-    for k in range(ratios.size):
-        if dists[k] >= RATIO_FLOOR:
-            ratios[k] = dists[k + 1] / dists[k]
-    return IterateTrace(list(iterates), fixed_point, dists, ratios, converged, final_x)
+def _norm(z: np.ndarray) -> float:
+    return math.sqrt(float(np.dot(z, z)))
 
 
-def dr_step(problem: CompositeProblem, params: SplitParams, z: Vec, g_first: bool = False) -> Vec:
+def _check_dim(name: str, v: Vec, dim: int) -> None:
+    if v.dim != dim:
+        raise ValueError(f"{name} dimension {v.dim} != problem dimension {dim}")
+
+
+def _iterate(
+    step: Callable[[tuple], tuple],
+    state: tuple,
+    start: Vec,
+    max_iter: int,
+    tol: float,
+    params: str,
+    final_x: Callable[[tuple], np.ndarray] | None = None,
+) -> IterateTrace:
+    """Run ``step`` from ``state`` and build the trace: the loop of every engine.
+
+    ``state`` is a tuple of float arrays whose recorded vector is ``start``;
+    ``step(state)`` returns ``(next_state, recorded, step_norm)``. Stopping,
+    the fixed-point check and the divergence guard are as described for
+    :func:`run_dr`. ``final_x(state)``, if given, becomes the trace's
+    ``final_x``; ``params`` describes the run in the divergence message. Each
+    kept iterate becomes a :class:`Vec` once, when it is appended.
+    """
+    if max_iter < 0:
+        raise ValueError("max_iter must be non-negative")
+    iterates = [start]
+    dists = [_norm(start.coeffs)]
+    converged = diverged = False
+    for k in range(max_iter):
+        next_state, recorded, step_norm = step(state)
+        if k == 0 and all(map(np.array_equal, next_state, state)):
+            state, converged = next_state, True
+            break
+        state = next_state
+        iterates.append(Vec(recorded))
+        dists.append(_norm(recorded))
+        if dists[0] > 0.0 and dists[-1] > DIVERGENCE_FACTOR * dists[0]:
+            diverged = True
+            break
+        if step_norm <= tol:
+            converged = True
+            break
+    distances = np.array(dists)
+    ratios = np.full(distances.size - 1, np.nan)
+    measured = distances[:-1] >= RATIO_FLOOR
+    ratios[measured] = distances[1:][measured] / distances[:-1][measured]
+    last_x = None if final_x is None else Vec(final_x(state))
+    trace = IterateTrace(iterates, zeros(start.dim), distances, ratios, converged, last_x)
+    if diverged:
+        raise DivergenceError(
+            f"diverged after {trace.n_steps} steps: distance grew past {DIVERGENCE_FACTOR:g}x "
+            f"its starting value ({params})",
+            trace,
+        )
+    return trace
+
+
+def _dr_map(problem: CompositeProblem, params: SplitParams) -> Callable[[np.ndarray], np.ndarray]:
+    """One relaxed splitting step on plain arrays.
+
+    Both reflected proximal maps are diagonal: ``R_f`` scales coordinate i by
+    ``(1 - gamma*w_i) / (1 + gamma*w_i)`` and ``R_g`` is the identity or a
+    negation. So ``R_g(R_f(z))`` is one per-coordinate reflection factor,
+    computed here once, and the step is ``(1 - alpha) z + alpha * refl * z``.
+    """
+    if problem.a is not None:
+        raise ValueError("dr_step requires the identity coupling (problem.a must be None)")
+    gw = params.gamma * problem.f.weights
+    refl = (1.0 - gw) / (1.0 + gw)
+    if problem.g is GFunction.ZERO_INDICATOR:
+        refl = -refl
+    elif problem.g is not GFunction.ZERO:
+        raise ValueError(f"unsupported nonsmooth term: {problem.g!r}")
+    alpha = params.alpha
+    return lambda z: z * (1.0 - alpha) + refl * z * alpha
+
+
+def dr_step(problem: CompositeProblem, params: SplitParams, z: Vec) -> Vec:
     """One relaxed splitting step ``(1 - alpha) z + alpha R_g(R_f(z))``.
 
     Requires the identity coupling (``problem.a is None``); problems with an
     explicit coupling are handled on the dual side by :func:`run_dual_dr`.
-    ``g_first=True`` swaps the composition to ``R_f(R_g(z))``; on this problem
-    class both orders contract at the same rate.
     """
-    if problem.a is not None:
-        raise ValueError("dr_step requires the identity coupling (problem.a must be None)")
-    alpha, gamma = params.alpha, params.gamma
-    if g_first:
-        reflected = refl_prox_diag(problem.f, gamma, refl_prox_g(problem.g, gamma, z))
-    else:
-        reflected = refl_prox_g(problem.g, gamma, refl_prox_diag(problem.f, gamma, z))
-    return (1.0 - alpha) * z + alpha * reflected
+    step = _dr_map(problem, params)
+    _check_dim("z", z, problem.dim)
+    return Vec(step(z.coeffs))
 
 
 def run_dr(
@@ -125,19 +191,15 @@ def run_dr(
     z0: Vec,
     max_iter: int = 200,
     tol: float = 1e-13,
-    fixed_point: Vec | None = None,
-    g_first: bool = False,
 ) -> IterateTrace:
     """Iterate :func:`dr_step` from ``z0`` and record the contraction trace.
 
     Stops when the step norm ``|z_{k+1} - z_k|`` drops to ``tol`` or after
     ``max_iter`` steps. If the very first step leaves ``z0`` exactly
-    unchanged the trace has length 1 (already at a fixed point).
-
-    ``fixed_point`` defaults to the origin, which is exact for every problem
-    this package can represent: the smooth part is minimized at 0 and both
-    supported nonsmooth terms vanish there. Pass the converged iterate of an
-    earlier run to measure against something else.
+    unchanged the trace has length 1 (already at a fixed point). Distances
+    are measured from the origin, which is exact for every problem this
+    package can represent: the smooth part is minimized at 0 and both
+    supported nonsmooth terms vanish there.
 
     Raises
     ------
@@ -145,33 +207,16 @@ def run_dr(
         When the distance to the fixed point exceeds 10x its starting value,
         which is how an infeasible relaxation fails.
     """
-    if max_iter < 0:
-        raise ValueError("max_iter must be non-negative")
-    zbar = zeros(z0.dim) if fixed_point is None else fixed_point
-    if zbar.dim != z0.dim:
-        raise ValueError(f"dimension mismatch: {zbar.dim} vs {z0.dim}")
-    base = norm(z0 - zbar)
-    iterates = [z0]
-    z = z0
-    converged = False
-    for k in range(max_iter):
-        z_next = dr_step(problem, params, z, g_first=g_first)
-        if k == 0 and np.array_equal(z_next.coeffs, z.coeffs):
-            return _build_trace(iterates, zbar, converged=True)
-        iterates.append(z_next)
-        if base > 0.0 and norm(z_next - zbar) > DIVERGENCE_FACTOR * base:
-            trace = _build_trace(iterates, zbar, converged=False)
-            raise DivergenceError(
-                f"diverged after {k + 1} steps: distance grew past {DIVERGENCE_FACTOR:g}x "
-                f"its starting value (alpha={params.alpha:g}, gamma={params.gamma:g})",
-                trace,
-            )
-        step = norm(z_next - z)
-        z = z_next
-        if step <= tol:
-            converged = True
-            break
-    return _build_trace(iterates, zbar, converged=converged)
+    dr = _dr_map(problem, params)
+    _check_dim("z0", z0, problem.dim)
+
+    def step(state):
+        (z,) = state
+        z_next = dr(z)
+        return (z_next,), z_next, _norm(z_next - z)
+
+    described = f"alpha={params.alpha:g}, gamma={params.gamma:g}"
+    return _iterate(step, (z0.coeffs,), z0, max_iter, tol, described)
 
 
 def run_dual_dr(
@@ -180,7 +225,6 @@ def run_dual_dr(
     mu0: Vec,
     max_iter: int = 200,
     tol: float = 1e-13,
-    g_first: bool = False,
 ) -> IterateTrace:
     """Run the splitting iteration on the dual of ``min f(x) + g(A x)``.
 
@@ -195,7 +239,7 @@ def run_dual_dr(
             "dual iteration needs g = indicator of the origin and an explicit diagonal coupling"
         )
     dual_problem = CompositeProblem(f=dual_function(problem), g=GFunction.ZERO, a=None)
-    return run_dr(dual_problem, params, mu0, max_iter=max_iter, tol=tol, g_first=g_first)
+    return run_dr(dual_problem, params, mu0, max_iter=max_iter, tol=tol)
 
 
 def run_admm(
@@ -223,7 +267,8 @@ def run_admm(
     ``mu_k = rho * u_k`` contracts with exactly the factor of the dual
     splitting iterate run at step size ``gamma = rho`` and the same alpha
     (``alpha = 1/2`` recovers the classic unrelaxed method). The trace records
-    ``mu_k``; the final primal iterate is kept on ``final_x``.
+    ``mu_k``; the final primal iterate is kept on ``final_x``. The step norm
+    compared with ``tol`` is ``rho * |u_{k+1} - u_k|``.
 
     ``z0`` is the starting value of the second block variable ``w``. ``x0``
     only seeds the recorded primal state; the first x-update overwrites it.
@@ -236,53 +281,28 @@ def run_admm(
         raise ValueError(f"rho must be positive and finite, got {rho!r}")
     if not (alpha > 0.0 and math.isfinite(alpha)):
         raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
-    if max_iter < 0:
-        raise ValueError("max_iter must be non-negative")
     dim = problem.dim
     for name, v in (("x0", x0), ("z0", z0), ("u0", u0)):
-        if v is not None and v.dim != dim:
-            raise ValueError(f"{name} dimension {v.dim} != problem dimension {dim}")
-    lam = problem.f.weights
+        if v is not None:
+            _check_dim(name, v, dim)
     nu = problem.a.weights
-    denom = lam + rho * nu**2
+    scale = rho * nu
+    denom = problem.f.weights + rho * nu**2
     relax = 2.0 * alpha
+    w_zero = np.zeros(dim)  # prox of the origin indicator
+
+    def step(state):
+        x, w, u = state
+        x_new = scale * (w - u) / denom
+        v = relax * (nu * x_new) + (1.0 - relax) * w
+        u_new = u + v - w_zero
+        return (x_new, w_zero, u_new), rho * u_new, rho * float(np.linalg.norm(u_new - u))
 
     x = np.zeros(dim) if x0 is None else x0.coeffs
     w = np.zeros(dim) if z0 is None else z0.coeffs
     u = np.zeros(dim) if u0 is None else u0.coeffs
-
-    mubar = zeros(dim)
-    mu_list = [Vec(rho * u)]
-    base = norm(mu_list[0])
-    converged = False
-    final_x = Vec(x)
-    for k in range(max_iter):
-        x_new = rho * nu * (w - u) / denom
-        v = relax * (nu * x_new) + (1.0 - relax) * w
-        w_new = np.zeros(dim)  # prox of the origin indicator
-        u_new = u + v - w_new
-        final_x = Vec(x_new)
-        if (
-            k == 0
-            and np.array_equal(x_new, x)
-            and np.array_equal(w_new, w)
-            and np.array_equal(u_new, u)
-        ):
-            return _build_trace(mu_list, mubar, converged=True, final_x=final_x)
-        mu_list.append(Vec(rho * u_new))
-        if base > 0.0 and norm(mu_list[-1]) > DIVERGENCE_FACTOR * base:
-            trace = _build_trace(mu_list, mubar, converged=False, final_x=final_x)
-            raise DivergenceError(
-                f"diverged after {k + 1} steps: dual distance grew past "
-                f"{DIVERGENCE_FACTOR:g}x its starting value (alpha={alpha:g}, rho={rho:g})",
-                trace,
-            )
-        step = rho * float(np.linalg.norm(u_new - u))
-        x, w, u = x_new, w_new, u_new
-        if step <= tol:
-            converged = True
-            break
-    return _build_trace(mu_list, mubar, converged=converged, final_x=final_x)
+    described = f"alpha={alpha:g}, rho={rho:g}"
+    return _iterate(step, (x, w, u), Vec(rho * u), max_iter, tol, described, final_x=lambda s: s[0])
 
 
 def fit_rate(trace: IterateTrace) -> float:

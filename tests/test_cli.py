@@ -1,4 +1,7 @@
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -166,6 +169,34 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "key, flag, value",
+    [
+        ("sigma", "--sigma", "0.5"),
+        ("beta", "--beta", "4"),
+        ("theta", "--theta", "0.5"),
+        ("zeta", "--zeta", "2"),
+        ("K", "--K", "6"),
+        ("idx_sigma", "--idx-sigma", "0,1"),
+        ("mode", "--mode", "admm"),
+        ("iters", "--iters", "30"),
+        ("tol", "--tol", "1e-10"),
+        ("seed", "--seed", "3"),
+        ("start", "--start", "random"),
+        ("pairing", "--pairing", "aligned"),
+        ("alpha_grid", "--alpha", "0.5,1.0"),
+        ("gamma_grid", "--gamma", "log:0.1:1:3"),
+    ],
+)
+def test_config_key_and_flag_give_the_same_config(tmp_path, key, flag, value):
+    conf = tmp_path / "conf.txt"
+    conf.write_text(f"{key} = {value}\n")
+    parser = cli.build_parser()
+    from_file = cli._config_from_args(parser.parse_args(["sweep", "--config", str(conf)]), grid_flags=True)
+    from_flag = cli._config_from_args(parser.parse_args(["sweep", flag, value]), grid_flags=True)
+    assert from_file == from_flag != cli.SweepConfig()
+
+
 # -- sweep --------------------------------------------------------------------
 
 
@@ -261,7 +292,7 @@ def test_sweep_dual_mode_matches_hatted_constants(tmp_path, capsys):
     for row in rows:
         alpha, gamma = float(row[0]), float(row[1])
         case, verdict = row[4], row[6]
-        if case in {"CaseI", "CaseII", "CaseIII", "CaseIV"}:
+        if case in {"CaseI", "CaseII", "CaseIII"}:
             assert verdict == "tight", row
     # spot-check one theoretical value against the hatted formula
     from splitrate.rates import theoretical_rate
@@ -281,7 +312,7 @@ def test_sweep_admm_mode_tight(tmp_path, capsys):
     assert code == 0
     rows = _sweep_rows(out_path.read_text())
     for row in rows:
-        if row[4] in {"CaseI", "CaseII", "CaseIII", "CaseIV"}:
+        if row[4] in {"CaseI", "CaseII", "CaseIII"}:
             assert row[6] == "tight", row
 
 
@@ -296,7 +327,7 @@ def test_sweep_default_grid_structure(tmp_path, capsys):
     seen_tight = seen_fnc = False
     for row in rows:
         case, verdict = row[4], row[6]
-        if case in {"CaseI", "CaseII", "CaseIII", "CaseIV"}:
+        if case in {"CaseI", "CaseII", "CaseIII"}:
             assert verdict == "tight", row
             seen_tight = True
         elif case == "FeasibleNotClassified":
@@ -345,3 +376,12 @@ def test_report_float_format_is_full_precision():
     assert "0.31622776601683794" in row
     assert "0.30000000000000004" in row
     assert row.split(",")[3] == "nan"
+
+
+def test_default_worst_start_sweeps_match_the_reference_digests(tmp_path, capsys):
+    reference = json.loads((Path(__file__).parents[1] / "perfbench" / "reference.json").read_text())
+    for mode, digest in reference["sweep_worst_sha256"].items():
+        out_path = tmp_path / f"{mode}.csv"
+        code, _ = run_cli(["sweep", "--mode", mode, "--start", "worst", "--out", str(out_path)], capsys)
+        assert code == 0
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest, mode

@@ -11,7 +11,6 @@ from splitrate.functions import (
     apply_operator,
     check_smoothness,
     check_strong_convexity,
-    conjugate_of_indicator,
     dual_function,
     eval_f,
     grad_f,
@@ -247,11 +246,3 @@ def test_dual_envelope_constants_bound_dual_weights():
         assert d.beta <= 9.0 / 1.0 + 1e-15
         assert check_strong_convexity(d, 1.0 / 10.0)
         assert check_smoothness(d, 9.0)
-
-
-def test_conjugate_of_indicator_is_zero():
-    rng = np.random.default_rng(10)
-    assert conjugate_of_indicator(Vec([0.0, 0.0])) == 0.0
-    assert conjugate_of_indicator(basis_vector(3, 0)) == 0.0
-    for _ in range(10):
-        assert conjugate_of_indicator(Vec(rng.uniform(-9, 9, 4))) == 0.0

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitrate.rates import (
     TIGHT_CASES,
@@ -192,6 +194,25 @@ def test_classify_emits_a_tight_label_everywhere_in_the_regions():
         else:
             assert label is TightnessCase.FEASIBLE_NOT_CLASSIFIED
 
+
+
+@settings(deadline=None)
+@given(
+    sigma_exp=st.floats(-3.0, 3.0),
+    cond_exp=st.floats(0.0, 8.0),
+    frac=st.floats(1e-6, 1.0, exclude_max=True),
+)
+def test_classify_covers_the_gamma_star_line_with_cases_i_to_iii(sigma_exp, cond_exp, frac):
+    # the paper's fourth region (gamma = 1/sqrt(sigma*beta), any feasible
+    # alpha) lies inside the first three, so every feasible point on it is
+    # labelled Case I, II or III
+    sigma = 10.0**sigma_exp
+    beta = sigma * 10.0**cond_exp
+    gamma = 1.0 / math.sqrt(sigma * beta)
+    alpha = frac * alpha_upper_bound(gamma, sigma, beta)
+    label = classify_tightness(alpha, gamma, sigma, beta)
+    assert label in {TightnessCase.CASE_I, TightnessCase.CASE_II, TightnessCase.CASE_III}
+    assert classify_tightness(1.0, gamma, sigma, beta) is TightnessCase.CASE_I
 
 def test_classify_validation():
     with pytest.raises(ValueError):

@@ -3,8 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from splitrate.functions import apply_operator, dual_function, grad_f
+from splitrate.functions import CompositeProblem, GFunction, apply_operator, dual_function, grad_f
 from splitrate.hilbert import BasisMap, Vec, basis_vector, change_basis, norm, random_basis_map, zeros
 from splitrate.prox import refl_prox_diag, refl_prox_g
 from splitrate.rates import alpha_upper_bound, optimal_params, theoretical_rate
@@ -160,21 +162,60 @@ def test_run_dr_stops_on_tolerance(primal):
     assert len(trace.iterates) < 60
 
 
-def test_run_dr_order_switch_same_rate(primal):
-    params = SplitParams(0.8, 0.7)
-    z0 = Vec(np.array([1.0, -0.5, 0.2, 0.0, 0.3, -0.7, 0.1, 0.9]))
-    a = fit_rate(run_dr(primal, params, z0, max_iter=30, tol=0.0, g_first=False))
-    b = fit_rate(run_dr(primal, params, z0, max_iter=30, tol=0.0, g_first=True))
-    assert abs(a - b) <= 1e-12
+@st.composite
+def dr_cases(draw):
+    """A two-band instance with sigma <= beta (condition number up to 1e8),
+    dim 2..64, a random band split, either nonsmooth term, a step size around
+    1/sqrt(sigma*beta), a relaxation below alpha_upper_bound and a start."""
+    sigma = 10.0 ** draw(st.floats(-3.0, 3.0))
+    beta = sigma * 10.0 ** draw(st.floats(0.0, 8.0))
+    dim = draw(st.integers(2, 64))
+    idx_sigma = draw(st.sets(st.integers(0, dim - 1), min_size=1, max_size=dim - 1))
+    g = draw(st.sampled_from([GFunction.ZERO, GFunction.ZERO_INDICATOR]))
+    gamma = 10.0 ** draw(st.floats(-2.0, 2.0)) / math.sqrt(sigma * beta)
+    alpha = draw(st.floats(0.01, 0.99)) * alpha_upper_bound(gamma, sigma, beta)
+    f = make_primal_instance(sigma, beta, dim, idx_sigma).f
+    z0 = Vec(np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-1.0, 1.0, dim))
+    return CompositeProblem(f=f, g=g), SplitParams(alpha, gamma), z0
 
 
-def test_run_dr_explicit_fixed_point(primal):
-    params = SplitParams(0.9, 0.4)
-    z0 = Vec(np.ones(8))
-    settled = run_dr(primal, params, z0, max_iter=2000, tol=1e-15)
-    zbar = settled.iterates[-1]
-    trace = run_dr(primal, params, z0, max_iter=30, tol=0.0, fixed_point=zbar)
-    assert abs(trace.distances[0] - norm(z0 - zbar)) <= 1e-15
+def _bits(v):
+    return v.coeffs.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:alpha = .* is above 1")
+@settings(deadline=None, max_examples=60)
+@given(dr_cases())
+def test_run_dr_iterates_bitwise_equal_prox_composition(case):
+    problem, params, z0 = case
+    alpha, gamma = params.alpha, params.gamma
+    trace = run_dr(problem, params, z0, max_iter=30, tol=0.0)
+    assert trace.n_steps == 30 or trace.converged
+    z = z0
+    for kept in trace.iterates:
+        assert _bits(kept) == _bits(z)
+        reflected = refl_prox_g(problem.g, gamma, refl_prox_diag(problem.f, gamma, z))
+        z = (1 - alpha) * z + alpha * reflected
+
+
+@pytest.mark.filterwarnings("ignore:alpha = .* is above 1")
+@settings(deadline=None, max_examples=60)
+@given(dr_cases())
+def test_reflections_commute_bitwise(case):
+    # both reflected maps are diagonal and R_g is the identity or a negation,
+    # so the order of composition cannot change a single bit
+    problem, params, z = case
+    gamma = params.gamma
+    f_then_g = refl_prox_g(problem.g, gamma, refl_prox_diag(problem.f, gamma, z))
+    g_then_f = refl_prox_diag(problem.f, gamma, refl_prox_g(problem.g, gamma, z))
+    assert _bits(f_then_g) == _bits(g_then_f)
+
+
+def test_run_dr_rejects_start_of_wrong_dimension(primal):
+    with pytest.raises(ValueError, match="dimension"):
+        run_dr(primal, SplitParams(1.0, 1.0), Vec([1.0]))
+    with pytest.raises(ValueError, match="dimension"):
+        dr_step(primal, SplitParams(1.0, 1.0), Vec([1.0]))
 
 
 def test_run_dr_basis_invariance(primal):
