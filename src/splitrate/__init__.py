@@ -43,12 +43,15 @@ from .rates import (
 from .splitting import (
     DivergenceError,
     IterateTrace,
+    RowRuns,
     SplitParams,
     dr_step,
     fit_rate,
+    fit_rates,
     run_admm,
     run_dr,
     run_dual_dr,
+    run_rows,
 )
 from .worstcase import (
     default_dual_instance,
@@ -72,6 +75,7 @@ __all__ = [
     "GFunction",
     "IterateTrace",
     "RateConstants",
+    "RowRuns",
     "SpectrumSpec",
     "SplitParams",
     "TightnessCase",
@@ -90,6 +94,7 @@ __all__ = [
     "dual_rate_constants",
     "eval_f",
     "fit_rate",
+    "fit_rates",
     "grad_f",
     "inner",
     "make_dual_instance",
@@ -107,6 +112,7 @@ __all__ = [
     "run_admm",
     "run_dr",
     "run_dual_dr",
+    "run_rows",
     "step_multiplier",
     "theoretical_rate",
     "worst_direction",

@@ -25,7 +25,7 @@ from .functions import (
 from .hilbert import Vec, basis_vector, change_basis, inner, norm, random_basis_map
 from .prox import prox_diag, prox_g, prox_oracle, refl_prox_diag, refl_prox_g
 from .rates import alpha_upper_bound, dual_rate_constants, psi, theoretical_rate
-from .splitting import SplitParams, fit_rate, run_admm, run_dr, run_dual_dr
+from .splitting import SplitParams, fit_rate, fit_rates, run_admm, run_dr, run_dual_dr, run_rows
 from .worstcase import (
     DEFAULT_BETA,
     DEFAULT_SIGMA,
@@ -163,32 +163,38 @@ def _contraction_bound_grid():
     gamma_star = 1.0 / math.sqrt(sigma * beta)
     gammas = np.geomspace(gamma_star / 20.0, gamma_star * 20.0, 20)
     alphas = np.linspace(0.05, 1.9, 20)
+    points = [
+        (alpha, gamma) for alpha in alphas for gamma in gammas if alpha < alpha_upper_bound(gamma, sigma, beta)
+    ]
+    starts_per_point = 50
+    row_alphas, row_gammas = np.repeat(np.array(points), starts_per_point, axis=0).T
+    bounds = np.repeat([theoretical_rate(a, g, sigma, beta) for a, g in points], starts_per_point)
     rng = np.random.default_rng(1234)
-    worst_excess = -math.inf
-    n_points = n_runs = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for alpha in alphas:
-            for gamma in gammas:
-                if alpha >= alpha_upper_bound(gamma, sigma, beta):
-                    continue
-                n_points += 1
-                bound = theoretical_rate(alpha, gamma, sigma, beta)
-                params = SplitParams(float(alpha), float(gamma))
-                for _ in range(50):
-                    z0 = Vec(rng.uniform(-1.0, 1.0, problem.dim))
-                    trace = run_dr(problem, params, z0, max_iter=22, tol=0.0)
-                    excess = fit_rate(trace) - bound
-                    worst_excess = max(worst_excess, excess)
-                    n_runs += 1
-                    if excess > 1e-9:
-                        return False, (
-                            f"empirical exceeded the bound by {excess:.3e} at "
-                            f"(alpha={alpha:g}, gamma={gamma:g})"
-                        )
+    runs = run_rows(
+        problem,
+        "primal-dr",
+        row_alphas,
+        row_gammas,
+        lambda rows: rng.uniform(-1.0, 1.0, (rows.stop - rows.start, problem.dim)),
+        max_iter=22,
+        tol=0.0,
+    )
+    excess = fit_rates(runs.step_ratios) - bounds
+    unmeasured = runs.diverged | np.isnan(excess)
+    if unmeasured.any():
+        alpha, gamma = points[int(np.argmax(unmeasured)) // starts_per_point]
+        return False, f"a run diverged or was too short to fit at (alpha={alpha:g}, gamma={gamma:g})"
+    over = excess > 1e-9
+    if over.any():
+        row = int(np.argmax(over))
+        alpha, gamma = points[row // starts_per_point]
+        return False, (
+            f"empirical exceeded the bound by {excess[row]:.3e} at "
+            f"(alpha={alpha:g}, gamma={gamma:g})"
+        )
     return True, (
-        f"{n_runs} runs over {n_points} feasible grid points, "
-        f"max(empirical - bound) = {worst_excess:.3e} <= 1e-9"
+        f"{excess.size} runs over {len(points)} feasible grid points, "
+        f"max(empirical - bound) = {excess.max():.3e} <= 1e-9"
     )
 
 
@@ -447,19 +453,17 @@ def _sweep_determinism():
         "--start", "random",
     ]
     outputs = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for _ in range(2):
-            fd, path = tempfile.mkstemp(suffix=".csv")
-            os.close(fd)
-            try:
-                code = cli.main(flags + ["--out", path])
-                if code != 0:
-                    return False, f"sweep exited with code {code}"
-                with open(path, "rb") as fh:
-                    outputs.append(fh.read())
-            finally:
-                os.unlink(path)
+    for _ in range(2):
+        fd, path = tempfile.mkstemp(suffix=".csv")
+        os.close(fd)
+        try:
+            code = cli.main(flags + ["--out", path])
+            if code != 0:
+                return False, f"sweep exited with code {code}"
+            with open(path, "rb") as fh:
+                outputs.append(fh.read())
+        finally:
+            os.unlink(path)
     if outputs[0] != outputs[1]:
         return False, "two seeded sweeps produced different bytes"
     return True, f"two seeded sweeps produced byte-identical CSVs ({len(outputs[0])} bytes)"

@@ -10,13 +10,11 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .functions import DiagQuadratic, dual_function
-from .hilbert import Vec, zeros
 from .rates import (
     TIGHT_CASES,
     TightnessCase,
@@ -26,7 +24,7 @@ from .rates import (
     optimal_params,
     theoretical_rate,
 )
-from .splitting import DivergenceError, IterateTrace, SplitParams, fit_rate, run_admm, run_dr, run_dual_dr
+from .splitting import MODES, fit_rates, run_rows
 from .worstcase import (
     DEFAULT_BETA,
     DEFAULT_DIM,
@@ -52,7 +50,6 @@ __all__ = [
     "main",
 ]
 
-MODES = ("primal-dr", "dual-dr", "admm")
 STARTS = ("worst", "zero", "random")
 
 REPORT_HEADER = "alpha,gamma,theoretical,empirical,case,gap,verdict"
@@ -101,10 +98,10 @@ class SweepConfig:
             raise ConfigError("alpha grid is empty")
         if not self.gamma_grid:
             raise ConfigError("gamma grid is empty")
-        if any(not (a > 0) for a in self.alpha_grid):
-            raise ConfigError("all alpha values must be positive")
-        if any(not (g > 0) for g in self.gamma_grid):
-            raise ConfigError("all gamma values must be positive")
+        if any(not (0 < a < math.inf) for a in self.alpha_grid):
+            raise ConfigError("all alpha values must be positive and finite")
+        if any(not (0 < g < math.inf) for g in self.gamma_grid):
+            raise ConfigError("all gamma values must be positive and finite")
         if not self.tol > 0:
             raise ConfigError(f"tol must be positive, got {self.tol!r}")
         if self.iters < 1:
@@ -263,54 +260,27 @@ def _instance_and_constants(cfg: SweepConfig):
     return problem, constants.sigma_hat, constants.beta_hat, dual_function(problem).weights
 
 
-def _start_vector(cfg: SweepConfig, quad: DiagQuadratic, alpha: float, gamma: float, rng) -> Vec:
-    if cfg.start == "zero":
-        return zeros(cfg.dim)
+def _start_rows(cfg: SweepConfig, weights: np.ndarray, points: list):
+    """Start rows for :func:`run_rows`, one per grid point: random rows come
+    from one generator seeded with ``cfg.seed``, drawn in grid order."""
     if cfg.start == "random":
-        return Vec(rng.uniform(-1.0, 1.0, cfg.dim))
-    return worst_start_vector(quad, alpha, gamma)
+        rng = np.random.default_rng(cfg.seed)
+        return lambda rows: rng.uniform(-1.0, 1.0, (rows.stop - rows.start, cfg.dim))
+    if cfg.start == "zero":
+        return lambda rows: np.zeros((rows.stop - rows.start, cfg.dim))
+    quad = DiagQuadratic(weights)
+    return lambda rows: np.array([worst_start_vector(quad, a, g).coeffs for a, g in points[rows]])
 
 
-def evaluate_point(
-    problem,
-    mode: str,
-    alpha: float,
-    gamma: float,
-    sigma: float,
-    beta: float,
-    start: Vec,
-    iters: int,
-    tol: float,
-):
-    """Run one engine at one parameter point and compare against the bound.
+def evaluate_point(alpha: float, gamma: float, sigma: float, beta: float, empirical: float, diverged: bool) -> RateReport:
+    """Compare the rate measured at one parameter point against the bound.
 
-    Returns (RateReport, trace); the trace is the partial one when the run
-    diverged.
+    ``empirical`` is NaN when the run was too short to fit a rate.
     """
     theoretical = theoretical_rate(alpha, gamma, sigma, beta)
     case = classify_tightness(alpha, gamma, sigma, beta)
-    diverged = False
-    trace: IterateTrace | None = None
-    try:
-        if mode == "primal-dr":
-            trace = run_dr(problem, SplitParams(alpha, gamma), start, max_iter=iters, tol=tol)
-        elif mode == "dual-dr":
-            trace = run_dual_dr(problem, SplitParams(alpha, gamma), start, max_iter=iters, tol=tol)
-        elif mode == "admm":
-            u0 = (1.0 / gamma) * start  # so the scaled dual sequence starts at `start`
-            trace = run_admm(problem, rho=gamma, alpha=alpha, u0=u0, max_iter=iters, tol=tol)
-        else:
-            raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    except DivergenceError as exc:
-        diverged = True
-        trace = exc.trace
     if diverged:
         empirical = math.nan
-    else:
-        try:
-            empirical = fit_rate(trace)
-        except ValueError:
-            empirical = math.nan
     gap = theoretical - empirical
     if diverged:
         verdict = "infeasible-diverged"
@@ -318,28 +288,29 @@ def evaluate_point(
         verdict = "tight"
     else:
         verdict = "bounded"
-    return RateReport(alpha, gamma, theoretical, empirical, case, gap, verdict), trace
+    return RateReport(alpha, gamma, theoretical, empirical, case, gap, verdict)
+
+
+def _sweep(cfg: SweepConfig) -> tuple:
+    """All grid points as one batch of engine runs: the reports, ordered by
+    (alpha, gamma), and the :class:`RowRuns` they were measured from."""
+    cfg.validate()
+    problem, sigma, beta, weights = _instance_and_constants(cfg)
+    points = [(alpha, gamma) for alpha in sorted(cfg.alpha_grid) for gamma in sorted(cfg.gamma_grid)]
+    alphas, gammas = np.array(points).T
+    starts = _start_rows(cfg, weights, points)
+    runs = run_rows(problem, cfg.mode, alphas, gammas, starts, max_iter=cfg.iters, tol=cfg.tol)
+    fits = fit_rates(runs.step_ratios)
+    reports = [
+        evaluate_point(alpha, gamma, sigma, beta, float(fit), bool(diverged))
+        for (alpha, gamma), fit, diverged in zip(points, fits, runs.diverged)
+    ]
+    return reports, runs
 
 
 def sweep_reports(cfg: SweepConfig) -> list:
     """One RateReport per grid point, ordered by (alpha, gamma)."""
-    cfg.validate()
-    problem, sigma, beta, weights = _instance_and_constants(cfg)
-    quad = DiagQuadratic(weights)
-    rng = np.random.default_rng(cfg.seed)
-    reports = []
-    with warnings.catch_warnings():
-        # grid points above relaxation 1 are deliberate here; the per-point
-        # divergence guard already reports the infeasible ones
-        warnings.simplefilter("ignore", UserWarning)
-        for alpha in sorted(cfg.alpha_grid):
-            for gamma in sorted(cfg.gamma_grid):
-                start = _start_vector(cfg, quad, alpha, gamma, rng)
-                report, _ = evaluate_point(
-                    problem, cfg.mode, alpha, gamma, sigma, beta, start, cfg.iters, cfg.tol
-                )
-                reports.append(report)
-    return reports
+    return _sweep(cfg)[0]
 
 
 def render_sweep_csv(reports: list) -> str:
@@ -361,11 +332,11 @@ def render_sweep_csv(reports: list) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_trace_csv(trace: IterateTrace) -> str:
-    """CSV of the distance trace: one row per iterate."""
+def render_trace_csv(distances: np.ndarray, step_ratios: np.ndarray) -> str:
+    """CSV of a distance trace: one row per iterate."""
     lines = [TRACE_HEADER]
-    for k, dist in enumerate(trace.distances):
-        ratio = trace.step_ratios[k] if k < trace.step_ratios.size else math.nan
+    for k, dist in enumerate(distances):
+        ratio = step_ratios[k] if k < step_ratios.size else math.nan
         lines.append(f"{k},{_fmt(dist)},{_fmt(ratio)}")
     return "\n".join(lines) + "\n"
 
@@ -404,7 +375,8 @@ def cmd_rate(args) -> int:
     return 0
 
 
-def _single_point_config(args) -> tuple:
+def _single_point_config(args) -> SweepConfig:
+    """The config of ``run``: a sweep whose grids hold the one point."""
     cfg = _config_from_args(args, grid_flags=False)
     alpha = args.alpha if args.alpha is not None else (cfg.alpha_grid[0] if cfg.alpha_grid else None)
     gamma = args.gamma if args.gamma is not None else (cfg.gamma_grid[0] if cfg.gamma_grid else None)
@@ -417,28 +389,20 @@ def _single_point_config(args) -> tuple:
             opt_alpha, opt_gamma, _ = constants.optimal_dual_params()
         alpha = alpha if alpha is not None else opt_alpha
         gamma = gamma if gamma is not None else opt_gamma
-    if not alpha > 0:
-        raise ConfigError(f"alpha must be positive, got {alpha!r}")
-    if not gamma > 0:
-        raise ConfigError(f"gamma must be positive, got {gamma!r}")
     cfg.alpha_grid = (float(alpha),)
     cfg.gamma_grid = (float(gamma),)
     cfg.validate()
-    return cfg, float(alpha), float(gamma)
+    return cfg
 
 
 def cmd_run(args) -> int:
-    cfg, alpha, gamma = _single_point_config(args)
-    problem, sigma, beta, weights = _instance_and_constants(cfg)
-    quad = DiagQuadratic(weights)
-    rng = np.random.default_rng(cfg.seed)
-    start = _start_vector(cfg, quad, alpha, gamma, rng)
-    report, trace = evaluate_point(
-        problem, cfg.mode, alpha, gamma, sigma, beta, start, cfg.iters, cfg.tol
-    )
+    cfg = _single_point_config(args)
+    (report,), runs = _sweep(cfg)
     report_text = REPORT_HEADER + "\n" + report.csv_row() + "\n"
     print(report_text, end="")
-    out_text = report_text + "\n" + (render_trace_csv(trace) if trace is not None else TRACE_HEADER + "\n")
+    steps = runs.steps[0]
+    trace_text = render_trace_csv(runs.distances[0, : steps + 1], runs.step_ratios[0, :steps])
+    out_text = report_text + "\n" + trace_text
     if args.out is not None:
         _write_text(args.out, out_text)
     return 3 if report.verdict == "infeasible-diverged" else 0

@@ -1,5 +1,6 @@
 """Relaxed Douglas-Rachford iteration, its dual-problem form, an ADMM engine
-matched to it, and contraction-trace capture."""
+matched to it, and contraction-trace capture, for one run or for a batch of
+independent rows."""
 
 from __future__ import annotations
 
@@ -17,11 +18,15 @@ __all__ = [
     "SplitParams",
     "IterateTrace",
     "DivergenceError",
+    "RowRuns",
+    "MODES",
     "dr_step",
     "run_dr",
     "run_dual_dr",
     "run_admm",
+    "run_rows",
     "fit_rate",
+    "fit_rates",
     "RATIO_FLOOR",
 ]
 
@@ -32,6 +37,17 @@ RATIO_FLOOR = 1e-14
 #: a run is declared divergent once its distance to the fixed point exceeds
 #: this multiple of the starting distance
 DIVERGENCE_FACTOR = 10.0
+
+#: a rate fit needs at least this many valid step ratios
+MIN_FIT_RATIOS = 5
+
+#: engines of :func:`run_rows`: :func:`run_dr`, :func:`run_dual_dr` and
+#: :func:`run_admm`
+MODES = ("primal-dr", "dual-dr", "admm")
+
+#: most ``rows x dim`` state elements one block of :func:`run_rows` holds; a
+#: block always holds at least one row
+BLOCK_ELEMENTS = 1 << 18
 
 
 class DivergenceError(RuntimeError):
@@ -93,8 +109,33 @@ class IterateTrace:
         return len(self.iterates) - 1
 
 
-def _norm(z: np.ndarray) -> float:
-    return math.sqrt(float(np.dot(z, z)))
+@dataclass
+class RowRuns:
+    """Per-row outcome of :func:`run_rows`.
+
+    ``distances`` has one row per run and one column per iterate, NaN past
+    each row's last step; ``steps`` counts the steps each row took and
+    ``diverged`` marks the rows stopped by the divergence guard.
+    """
+
+    distances: np.ndarray
+    steps: np.ndarray
+    diverged: np.ndarray
+
+    @property
+    def step_ratios(self) -> np.ndarray:
+        """Per-row contraction ratios, as :attr:`IterateTrace.step_ratios`."""
+        return _step_ratios(self.distances)
+
+
+def _norms(z: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, bit for bit ``sqrt(np.dot(row, row))``."""
+    return np.sqrt(np.vecdot(z, z))
+
+
+def _step_ratios(distances: np.ndarray) -> np.ndarray:
+    before, after = distances[:, :-1], distances[:, 1:]
+    return np.divide(after, before, out=np.full(before.shape, np.nan), where=before >= RATIO_FLOOR)
 
 
 def _check_dim(name: str, v: Vec, dim: int) -> None:
@@ -102,76 +143,175 @@ def _check_dim(name: str, v: Vec, dim: int) -> None:
         raise ValueError(f"{name} dimension {v.dim} != problem dimension {dim}")
 
 
-def _iterate(
-    step: Callable[[tuple], tuple],
-    state: tuple,
-    start: Vec,
-    max_iter: int,
-    tol: float,
-    params: str,
-    final_x: Callable[[tuple], np.ndarray] | None = None,
-) -> IterateTrace:
-    """Run ``step`` from ``state`` and build the trace: the loop of every engine.
+def _check_positive(name: str, values: np.ndarray) -> None:
+    if not np.all((values > 0.0) & np.isfinite(values)):
+        raise ValueError(f"{name} must be positive and finite")
 
-    ``state`` is a tuple of float arrays whose recorded vector is ``start``;
-    ``step(state)`` returns ``(next_state, recorded, step_norm)``. Stopping,
-    the fixed-point check and the divergence guard are as described for
-    :func:`run_dr`. ``final_x(state)``, if given, becomes the trace's
-    ``final_x``; ``params`` describes the run in the divergence message. Each
-    kept iterate becomes a :class:`Vec` once, when it is appended.
+
+def _iterate(step: Callable, params: tuple, state: tuple, start: np.ndarray, max_iter: int, tol: float, keep: bool):
+    """Run ``step`` on a batch of rows: the loop of every engine.
+
+    ``state`` is a tuple of ``(rows, dim)`` float arrays whose recorded
+    vectors are the rows of ``start``; ``params`` holds the per-row
+    parameters, as ``(rows, ...)`` arrays or, for a single row, as scalars
+    and shared arrays. ``step(params, state)`` returns ``(next_state,
+    recorded, step_norms)``. A row stops when its first step leaves its
+    state exactly unchanged (it started at a fixed point), when its distance
+    to the origin exceeds ``DIVERGENCE_FACTOR`` times its starting distance
+    (diverged), or when its step norm drops to ``tol``. A stopped row leaves
+    the active set, with its state and parameters.
+
+    Returns ``(distances, steps, converged, diverged, kept, state)``:
+    ``distances`` as in :class:`RowRuns`; ``kept`` the recorded vectors after
+    the start as :class:`Vec` (only with ``keep``, for one row) and ``state``
+    the state the loop ended with.
     """
     if max_iter < 0:
         raise ValueError("max_iter must be non-negative")
-    iterates = [start]
-    dists = [_norm(start.coeffs)]
-    converged = diverged = False
+    rows = start.shape[0]
+    first = _norms(start)
+    distances = np.full((rows, min(max_iter, 63) + 1), np.nan)  # widened as needed
+    distances[:, 0] = first
+    # the guard needs a positive starting distance
+    limit = np.where(first > 0.0, DIVERGENCE_FACTOR * first, np.inf)
+    steps = np.full(rows, max_iter)
+    converged = np.zeros(rows, dtype=bool)
+    diverged = np.zeros(rows, dtype=bool)
+    kept = []
+    live = np.arange(rows)
     for k in range(max_iter):
-        next_state, recorded, step_norm = step(state)
-        if k == 0 and all(map(np.array_equal, next_state, state)):
-            state, converged = next_state, True
-            break
+        next_state, recorded, step_norm = step(params, state)
+        if k == 0:
+            # a row whose first step leaves its state exactly unchanged started
+            # at a fixed point: it stops there, after no step
+            fixed = np.logical_and.reduce([np.all(a == b, axis=1) for a, b in zip(next_state, state)])
         state = next_state
-        iterates.append(Vec(recorded))
-        dists.append(_norm(recorded))
-        if dists[0] > 0.0 and dists[-1] > DIVERGENCE_FACTOR * dists[0]:
-            diverged = True
+        if keep and not (k == 0 and fixed[0]):
+            kept.append(Vec(recorded[0]))
+        dist = _norms(recorded)
+        grew = dist > limit
+        done = grew | (step_norm <= tol)
+        if k == 0:
+            dist[fixed] = np.nan
+            grew &= ~fixed
+            done |= fixed
+        if k + 1 == distances.shape[1]:
+            distances = np.concatenate([distances, np.full(distances.shape, np.nan)], axis=1)
+        distances[live, k + 1] = dist
+        if not done.any():
+            continue
+        steps[live[done]] = k + 1
+        if k == 0:
+            steps[live[fixed]] = 0
+        diverged[live[grew]] = True
+        converged[live[done & ~grew]] = True
+        if done.all():
             break
-        if step_norm <= tol:
-            converged = True
-            break
-    distances = np.array(dists)
-    ratios = np.full(distances.size - 1, np.nan)
-    measured = distances[:-1] >= RATIO_FLOOR
-    ratios[measured] = distances[1:][measured] / distances[:-1][measured]
-    last_x = None if final_x is None else Vec(final_x(state))
-    trace = IterateTrace(iterates, zeros(start.dim), distances, ratios, converged, last_x)
-    if diverged:
+        going = ~done
+        live, limit = live[going], limit[going]
+        state = tuple(s[going] for s in state)
+        params = tuple(p[going] for p in params)
+    return distances[:, : steps.max(initial=0) + 1], steps, converged, diverged, kept, state
+
+
+def _run_one(engine: tuple, start: Vec, max_iter: int, tol: float, described: str, final_x: bool = False) -> IterateTrace:
+    """One row through :func:`_iterate`, as an :class:`IterateTrace` whose
+    first iterate is ``start``; ``engine`` is ``(step, params, state)``."""
+    distances, steps, converged, diverged, kept, state = _iterate(
+        *engine, start.coeffs[None], max_iter, tol, keep=True
+    )
+    distances = distances[:, : steps[0] + 1]
+    last_x = Vec(state[0][0]) if final_x else None
+    trace = IterateTrace(
+        [start, *kept], zeros(start.dim), distances[0], _step_ratios(distances)[0], bool(converged[0]), last_x
+    )
+    if diverged[0]:
         raise DivergenceError(
             f"diverged after {trace.n_steps} steps: distance grew past {DIVERGENCE_FACTOR:g}x "
-            f"its starting value ({params})",
+            f"its starting value ({described})",
             trace,
         )
     return trace
 
 
-def _dr_map(problem: CompositeProblem, params: SplitParams) -> Callable[[np.ndarray], np.ndarray]:
-    """One relaxed splitting step on plain arrays.
+def _reflection(weights: np.ndarray, g: GFunction, gamma) -> np.ndarray:
+    """Per-coordinate factor of ``R_g(R_f(z))`` at step size ``gamma`` (a
+    scalar, or one per row as a column).
 
     Both reflected proximal maps are diagonal: ``R_f`` scales coordinate i by
     ``(1 - gamma*w_i) / (1 + gamma*w_i)`` and ``R_g`` is the identity or a
-    negation. So ``R_g(R_f(z))`` is one per-coordinate reflection factor,
-    computed here once, and the step is ``(1 - alpha) z + alpha * refl * z``.
+    negation.
     """
+    gw = gamma * weights
+    refl = (1.0 - gw) / (1.0 + gw)
+    if g is GFunction.ZERO_INDICATOR:
+        return -refl
+    if g is not GFunction.ZERO:
+        raise ValueError(f"unsupported nonsmooth term: {g!r}")
+    return refl
+
+
+def _identity_coupled(problem: CompositeProblem) -> CompositeProblem:
     if problem.a is not None:
         raise ValueError("dr_step requires the identity coupling (problem.a must be None)")
-    gw = params.gamma * problem.f.weights
-    refl = (1.0 - gw) / (1.0 + gw)
-    if problem.g is GFunction.ZERO_INDICATOR:
-        refl = -refl
-    elif problem.g is not GFunction.ZERO:
-        raise ValueError(f"unsupported nonsmooth term: {problem.g!r}")
-    alpha = params.alpha
-    return lambda z: z * (1.0 - alpha) + refl * z * alpha
+    return problem
+
+
+def _dual_of(problem: CompositeProblem) -> CompositeProblem:
+    if problem.g is not GFunction.ZERO_INDICATOR or problem.a is None:
+        raise ValueError(
+            "dual iteration needs g = indicator of the origin and an explicit diagonal coupling"
+        )
+    return CompositeProblem(f=dual_function(problem), g=GFunction.ZERO, a=None)
+
+
+def _admm_coupled(problem: CompositeProblem) -> None:
+    if problem.g is not GFunction.ZERO_INDICATOR or problem.a is None:
+        raise ValueError(
+            "run_admm needs g = indicator of the origin and an explicit diagonal coupling"
+        )
+
+
+def _relaxed(alpha, refl: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """One relaxed splitting step ``(1 - alpha) z + alpha * refl * z``."""
+    return z * (1.0 - alpha) + refl * z * alpha
+
+
+def _dr_step(params: tuple, state: tuple) -> tuple:
+    alpha, refl = params
+    (z,) = state
+    z_next = _relaxed(alpha, refl, z)
+    return (z_next,), z_next, _norms(z_next - z)
+
+
+def _dr_engine(problem: CompositeProblem, alpha, gamma, z: np.ndarray) -> tuple:
+    """Step, parameters and state of relaxed DR from the rows ``z`` of an
+    identity-coupled problem; the recorded start is ``z``."""
+    refl = _reflection(problem.f.weights, problem.g, gamma)
+    return _dr_step, (alpha, refl), (z,)
+
+
+def _admm_engine(problem: CompositeProblem, alpha, rho, x: np.ndarray, w: np.ndarray, u: np.ndarray) -> tuple:
+    """Step, parameters and state of the scaled ADMM updates (see
+    :func:`run_admm`); ``alpha`` and ``rho`` are scalars or columns, and the
+    recorded start is ``rho * u``."""
+    nu = problem.a.weights
+    # prox of the origin indicator; rows only ever leave, so a prefix fits
+    w_zero = np.zeros(u.shape)
+
+    def step(params, state):
+        rho, relax, scale, denom = params
+        x, w, u = state
+        x_new = scale * (w - u) / denom
+        v = relax * (nu * x_new) + (1.0 - relax) * w
+        zero = w_zero[: u.shape[0]]
+        u_new = u + v - zero
+        return (x_new, zero, u_new), rho * u_new, np.ravel(rho) * _norms(u_new - u)
+
+    # 2-d like the state, so that numpy can reuse the step's temporaries
+    scale, denom = np.atleast_2d(rho * nu, problem.f.weights + rho * nu**2)
+    params = (rho, 2.0 * alpha, scale, denom)
+    return step, params, (x, w, u)
 
 
 def dr_step(problem: CompositeProblem, params: SplitParams, z: Vec) -> Vec:
@@ -180,9 +320,9 @@ def dr_step(problem: CompositeProblem, params: SplitParams, z: Vec) -> Vec:
     Requires the identity coupling (``problem.a is None``); problems with an
     explicit coupling are handled on the dual side by :func:`run_dual_dr`.
     """
-    step = _dr_map(problem, params)
+    refl = _reflection(_identity_coupled(problem).f.weights, problem.g, params.gamma)
     _check_dim("z", z, problem.dim)
-    return Vec(step(z.coeffs))
+    return Vec(_relaxed(params.alpha, refl, z.coeffs))
 
 
 def run_dr(
@@ -207,16 +347,10 @@ def run_dr(
         When the distance to the fixed point exceeds 10x its starting value,
         which is how an infeasible relaxation fails.
     """
-    dr = _dr_map(problem, params)
+    engine = _dr_engine(_identity_coupled(problem), params.alpha, params.gamma, z0.coeffs[None])
     _check_dim("z0", z0, problem.dim)
-
-    def step(state):
-        (z,) = state
-        z_next = dr(z)
-        return (z_next,), z_next, _norm(z_next - z)
-
     described = f"alpha={params.alpha:g}, gamma={params.gamma:g}"
-    return _iterate(step, (z0.coeffs,), z0, max_iter, tol, described)
+    return _run_one(engine, z0, max_iter, tol, described)
 
 
 def run_dual_dr(
@@ -234,12 +368,7 @@ def run_dual_dr(
     indicator vanishes, so the dual problem is again in the identity-coupling
     form handled by :func:`run_dr`.
     """
-    if problem.g is not GFunction.ZERO_INDICATOR or problem.a is None:
-        raise ValueError(
-            "dual iteration needs g = indicator of the origin and an explicit diagonal coupling"
-        )
-    dual_problem = CompositeProblem(f=dual_function(problem), g=GFunction.ZERO, a=None)
-    return run_dr(dual_problem, params, mu0, max_iter=max_iter, tol=tol)
+    return run_dr(_dual_of(problem), params, mu0, max_iter=max_iter, tol=tol)
 
 
 def run_admm(
@@ -273,10 +402,7 @@ def run_admm(
     ``z0`` is the starting value of the second block variable ``w``. ``x0``
     only seeds the recorded primal state; the first x-update overwrites it.
     """
-    if problem.g is not GFunction.ZERO_INDICATOR or problem.a is None:
-        raise ValueError(
-            "run_admm needs g = indicator of the origin and an explicit diagonal coupling"
-        )
+    _admm_coupled(problem)
     if not (rho > 0.0 and math.isfinite(rho)):
         raise ValueError(f"rho must be positive and finite, got {rho!r}")
     if not (alpha > 0.0 and math.isfinite(alpha)):
@@ -285,33 +411,98 @@ def run_admm(
     for name, v in (("x0", x0), ("z0", z0), ("u0", u0)):
         if v is not None:
             _check_dim(name, v, dim)
-    nu = problem.a.weights
-    scale = rho * nu
-    denom = problem.f.weights + rho * nu**2
-    relax = 2.0 * alpha
-    w_zero = np.zeros(dim)  # prox of the origin indicator
-
-    def step(state):
-        x, w, u = state
-        x_new = scale * (w - u) / denom
-        v = relax * (nu * x_new) + (1.0 - relax) * w
-        u_new = u + v - w_zero
-        return (x_new, w_zero, u_new), rho * u_new, rho * float(np.linalg.norm(u_new - u))
-
-    x = np.zeros(dim) if x0 is None else x0.coeffs
-    w = np.zeros(dim) if z0 is None else z0.coeffs
-    u = np.zeros(dim) if u0 is None else u0.coeffs
+    x, w, u = (np.zeros((1, dim)) if v is None else v.coeffs[None] for v in (x0, z0, u0))
+    engine = _admm_engine(problem, alpha, rho, x, w, u)
     described = f"alpha={alpha:g}, rho={rho:g}"
-    return _iterate(step, (x, w, u), Vec(rho * u), max_iter, tol, described, final_x=lambda s: s[0])
+    return _run_one(engine, Vec(rho * u[0]), max_iter, tol, described, final_x=True)
+
+
+def run_rows(
+    problem: CompositeProblem,
+    mode: str,
+    alphas,
+    gammas,
+    starts: Callable[[slice], np.ndarray],
+    max_iter: int = 200,
+    tol: float = 1e-13,
+) -> RowRuns:
+    """Many independent runs of one engine as rows of one array program.
+
+    Row i runs ``mode`` at relaxation ``alphas[i]`` and step size
+    ``gammas[i]``: :func:`run_dr` ("primal-dr"), :func:`run_dual_dr`
+    ("dual-dr") or :func:`run_admm` with ``rho = gammas[i]`` and ``u0 =
+    start / gammas[i]`` ("admm"). Its distances, step count and divergence
+    flag are bit for bit those of that single run; a diverged row is one
+    whose single run raises :class:`DivergenceError`. No iterate is kept.
+
+    ``starts(rows)`` returns the start rows for the row slice ``rows`` as a
+    ``(rows, dim)`` array. Rows run in blocks of at most
+    ``BLOCK_ELEMENTS // dim`` rows (at least one), and ``starts`` is called
+    once per block, in order, so starts can be drawn as they are needed.
+    """
+    if mode == "primal-dr":
+        dr_problem = _identity_coupled(problem)
+    elif mode == "dual-dr":
+        dr_problem = _dual_of(problem)
+    elif mode == "admm":
+        _admm_coupled(problem)
+    else:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    alphas = np.asarray(alphas, dtype=float)
+    gammas = np.asarray(gammas, dtype=float)
+    if alphas.ndim != 1 or alphas.shape != gammas.shape:
+        raise ValueError("alphas and gammas must be 1-d and of equal length")
+    _check_positive("alphas", alphas)
+    _check_positive("gammas", gammas)
+    rows, dim = alphas.size, problem.dim
+    block = max(1, BLOCK_ELEMENTS // dim)
+    steps = np.zeros(rows, dtype=int)
+    diverged = np.zeros(rows, dtype=bool)
+    blocks = []
+    for lo in range(0, rows, block):
+        part = slice(lo, min(lo + block, rows))
+        z = np.asarray(starts(part), dtype=float)
+        if z.shape != (part.stop - part.start, dim):
+            raise ValueError(f"start rows have shape {z.shape}, expected {(part.stop - part.start, dim)}")
+        alpha, gamma = alphas[part, None], gammas[part, None]
+        if mode == "admm":
+            empty, u = np.zeros(z.shape), z * (1.0 / gamma)
+            engine, start = _admm_engine(problem, alpha, gamma, empty, empty, u), gamma * u
+        else:
+            engine, start = _dr_engine(dr_problem, alpha, gamma, z), z
+        dist, steps[part], _, diverged[part], _, _ = _iterate(*engine, start, max_iter, tol, keep=False)
+        blocks.append(dist)
+    distances = np.full((rows, max((d.shape[1] for d in blocks), default=1)), np.nan)
+    for lo, dist in zip(range(0, rows, block), blocks):
+        distances[lo : lo + len(dist), : dist.shape[1]] = dist
+    return RowRuns(distances, steps, diverged)
+
+
+def fit_rates(step_ratios: np.ndarray) -> np.ndarray:
+    """Row form of :func:`fit_rate`: one fit per row of a ``(rows, steps)``
+    ratio array whose non-finite entries are not valid ratios, NaN for a row
+    with fewer than 5 valid ones.
+
+    Rows with the same number of valid ratios are fitted as one array, and a
+    fit is bit for bit what :func:`fit_rate` gives for that row alone.
+    """
+    step_ratios = np.asarray(step_ratios, dtype=float)
+    valid = np.isfinite(step_ratios)
+    counts = np.count_nonzero(valid, axis=1)
+    fits = np.full(step_ratios.shape[0], np.nan)
+    for n in np.unique(counts[counts >= MIN_FIT_RATIOS]):
+        group = np.flatnonzero(counts == n)
+        tail = step_ratios[group][valid[group]].reshape(group.size, n)[:, -math.ceil(n / 2) :]
+        with np.errstate(divide="ignore"):
+            fit = np.exp(np.mean(np.log(tail), axis=1))
+        fits[group] = np.where(np.any(tail == 0.0, axis=1), 0.0, fit)
+    return fits
 
 
 def fit_rate(trace: IterateTrace) -> float:
     """Asymptotic contraction factor: geometric mean of the last
     ``ceil(n/2)`` valid step ratios. Needs at least 5 valid ratios."""
-    valid = trace.step_ratios[np.isfinite(trace.step_ratios)]
-    if valid.size < 5:
-        raise ValueError(f"trace too short: {valid.size} valid step ratios, need at least 5")
-    tail = valid[-math.ceil(valid.size / 2) :]
-    if np.any(tail == 0.0):
-        return 0.0
-    return float(np.exp(np.mean(np.log(tail))))
+    valid = np.count_nonzero(np.isfinite(trace.step_ratios))
+    if valid < MIN_FIT_RATIOS:
+        raise ValueError(f"trace too short: {valid} valid step ratios, need at least {MIN_FIT_RATIOS}")
+    return float(fit_rates(trace.step_ratios[None])[0])

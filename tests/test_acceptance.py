@@ -15,3 +15,9 @@ def test_criterion(check):
     result = check()
     print(result.line())
     assert result.passed, result.detail
+
+
+def test_contraction_bound_grid_detail_is_unchanged():
+    passed, detail = acceptance._contraction_bound_grid()
+    assert passed
+    assert detail == "11200 runs over 224 feasible grid points, max(empirical - bound) = 1.110e-16 <= 1e-9"

@@ -124,6 +124,22 @@ def test_run_infeasible_exits_3(capsys):
     assert row[3] == "nan"
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sweep", "--alpha", "inf", "--gamma", "0.3"],
+        ["sweep", "--alpha", "1.0", "--gamma", "inf"],
+        ["sweep", "--alpha", "nan", "--gamma", "0.3"],
+        ["run", "--gamma", "inf"],
+        ["run", "--alpha", "inf"],
+        ["run", "--alpha", "1.0", "--gamma", "nan"],
+    ],
+)
+def test_non_finite_point_exits_2(args, capsys):
+    assert cli.main(args) == 2
+    assert "positive and finite" in capsys.readouterr().err
+
+
 def test_run_dual_and_admm_modes_tight(capsys):
     for mode in ("dual-dr", "admm"):
         code, out = run_cli(["run", "--mode", mode], capsys)
@@ -385,3 +401,21 @@ def test_default_worst_start_sweeps_match_the_reference_digests(tmp_path, capsys
         code, _ = run_cli(["sweep", "--mode", mode, "--start", "worst", "--out", str(out_path)], capsys)
         assert code == 0
         assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest, mode
+
+
+#: SHA-256 of the default ``sweep --start random --seed 7`` CSV in each mode
+RANDOM_SEED_7_SHA256 = {
+    "primal-dr": "da9537c41d639e5ba39ac1fd3f2069404d6f33a969b190afb37e95ffc04252ba",
+    "dual-dr": "7a9f7b5e815e34a462b06c36f4e0085ac775a4db89502778ee28e3678abb12e4",
+    "admm": "f2c1bdb2ed7145e52b62fa80b1d575fc37ecd46244f6feee7c5f731a5bd565d9",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(RANDOM_SEED_7_SHA256))
+def test_default_random_start_sweeps_keep_their_digests(tmp_path, capsys, mode):
+    out_path = tmp_path / f"{mode}.csv"
+    code, _ = run_cli(
+        ["sweep", "--mode", mode, "--start", "random", "--seed", "7", "--out", str(out_path)], capsys
+    )
+    assert code == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == RANDOM_SEED_7_SHA256[mode]

@@ -10,15 +10,18 @@ from splitrate.functions import CompositeProblem, GFunction, apply_operator, dua
 from splitrate.hilbert import BasisMap, Vec, basis_vector, change_basis, norm, random_basis_map, zeros
 from splitrate.prox import refl_prox_diag, refl_prox_g
 from splitrate.rates import alpha_upper_bound, optimal_params, theoretical_rate
+from splitrate import cli, splitting
 from splitrate.splitting import (
     DivergenceError,
     IterateTrace,
     SplitParams,
     dr_step,
     fit_rate,
+    fit_rates,
     run_admm,
     run_dr,
     run_dual_dr,
+    run_rows,
 )
 from splitrate.worstcase import (
     default_dual_instance,
@@ -403,3 +406,174 @@ def test_fit_rate_trace_too_short(primal):
         fit_rate(trace)
     with pytest.raises(ValueError, match="too short"):
         fit_rate(_trace_from_distances([1.0, 0.5, 0.25, 0.125]))
+
+
+def _reference_fit(ratios):
+    """The single-trace fit written out as a loop over one row."""
+    valid = ratios[np.isfinite(ratios)]
+    if valid.size < 5:
+        return math.nan
+    tail = valid[-math.ceil(valid.size / 2) :]
+    if np.any(tail == 0.0):
+        return 0.0
+    return float(np.exp(np.mean(np.log(tail))))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.lists(st.tuples(st.integers(0, 40), st.floats(0.0, 0.5), st.booleans()), min_size=1, max_size=12),
+    st.integers(0, 2**32 - 1),
+)
+def test_fit_rates_rows_equal_the_single_row_fit_bitwise(shapes, seed):
+    # rows of different lengths, with a share of invalid (NaN or inf)
+    # ratios and sometimes a zero ratio in them
+    rng = np.random.default_rng(seed)
+    rows = []
+    for size, invalid_share, with_zero in shapes:
+        row = rng.uniform(1e-3, 1.5, size)
+        row[rng.random(size) < invalid_share] = rng.choice([math.nan, math.inf])
+        if with_zero and size:
+            row[rng.integers(size)] = 0.0
+        rows.append(row)
+    ratios = np.full((len(rows), max(r.size for r in rows)), np.nan)
+    for i, row in enumerate(rows):
+        ratios[i, : row.size] = row
+    fits = fit_rates(ratios)
+    for i, row in enumerate(rows):
+        assert np.array_equal(fits[i], _reference_fit(row), equal_nan=True)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 64), st.floats(-200.0, 200.0), st.integers(0, 2**32 - 1))
+def test_row_norms_equal_the_dot_product_norm_bitwise(dim, log_scale, seed):
+    rows = np.random.default_rng(seed).uniform(-1.0, 1.0, (5, dim)) * 2.0**log_scale
+    norms = splitting._norms(rows)
+    for row, n in zip(rows, norms):
+        assert n == math.sqrt(float(np.dot(row, row))) == float(np.linalg.norm(row))
+
+
+#: kinds of rows mixed into one batch: a feasible relaxation, one above
+#: alpha_upper_bound (stopped by the 10x guard when it grows fast enough), and
+#: a zero start (stopped at the first step as a fixed point)
+ROW_KINDS = ("feasible", "above-bound", "zero-start")
+
+
+@st.composite
+def row_batches(draw):
+    """A two-band instance (condition number up to 1e8, dim 2..64, random band
+    split), an engine and its problem, and a batch of rows of mixed kinds."""
+    sigma = 10.0 ** draw(st.floats(-3.0, 3.0))
+    beta = sigma * 10.0 ** draw(st.floats(0.0, 8.0))
+    dim = draw(st.integers(2, 64))
+    idx_sigma = draw(st.sets(st.integers(0, dim - 1), min_size=1, max_size=dim - 1))
+    mode = draw(st.sampled_from(splitting.MODES))
+    if mode == "primal-dr":
+        g = draw(st.sampled_from([GFunction.ZERO, GFunction.ZERO_INDICATOR]))
+        problem = CompositeProblem(f=make_primal_instance(sigma, beta, dim, idx_sigma).f, g=g)
+        curvatures = problem.f
+    else:
+        theta = 10.0 ** draw(st.floats(-1.0, 1.0))
+        zeta = theta * 10.0 ** draw(st.floats(0.01, 1.0))
+        pairing = draw(st.sampled_from(["aligned", "crossed"]))
+        problem = make_dual_instance(sigma, beta, theta, zeta, dim, idx_sigma, pairing)
+        curvatures = dual_function(problem)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    alphas, gammas, starts = [], [], []
+    for kind in draw(st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=8)):
+        gamma = 10.0 ** draw(st.floats(-2.0, 2.0)) / math.sqrt(curvatures.sigma * curvatures.beta)
+        upper = alpha_upper_bound(gamma, curvatures.sigma, curvatures.beta)
+        if kind == "above-bound":
+            alpha = upper * draw(st.floats(1.05, 1.9))
+        else:
+            alpha = upper * draw(st.floats(0.01, 0.99))
+        alphas.append(alpha)
+        gammas.append(gamma)
+        starts.append(np.zeros(dim) if kind == "zero-start" else rng.uniform(-1.0, 1.0, dim))
+    max_iter = draw(st.integers(0, 80))
+    tol = draw(st.sampled_from([0.0, 1e-9, 1e-4, 1e-2, 0.3]))
+    return problem, mode, np.array(alphas), np.array(gammas), np.array(starts), max_iter, tol
+
+
+def _single_run(problem, mode, alpha, gamma, start, max_iter, tol):
+    """The one-row engine run for a batch row: (trace, diverged)."""
+    try:
+        if mode == "admm":
+            u0 = (1.0 / gamma) * Vec(start)
+            trace = run_admm(problem, rho=gamma, alpha=alpha, u0=u0, max_iter=max_iter, tol=tol)
+        else:
+            engine = run_dr if mode == "primal-dr" else run_dual_dr
+            trace = engine(problem, SplitParams(alpha, gamma), Vec(start), max_iter=max_iter, tol=tol)
+    except DivergenceError as exc:
+        return exc.trace, True
+    return trace, False
+
+
+@pytest.mark.filterwarnings("ignore:alpha = .* is above 1")
+@settings(deadline=None, max_examples=80)
+@given(row_batches())
+def test_batch_rows_equal_their_single_runs_bitwise(case):
+    problem, mode, alphas, gammas, starts, max_iter, tol = case
+    runs = run_rows(problem, mode, alphas, gammas, lambda rows: starts[rows], max_iter=max_iter, tol=tol)
+    fits = fit_rates(runs.step_ratios)
+    assert runs.distances.shape[0] == len(alphas)
+    for i in range(len(alphas)):
+        trace, diverged = _single_run(problem, mode, alphas[i], gammas[i], starts[i], max_iter, tol)
+        steps = trace.n_steps
+        assert runs.steps[i] == steps
+        assert runs.diverged[i] == diverged
+        assert runs.distances[i, : steps + 1].tobytes() == trace.distances.tobytes()
+        assert np.all(np.isnan(runs.distances[i, steps + 1 :]))
+        try:
+            single_fit = fit_rate(trace)
+        except ValueError:
+            single_fit = math.nan
+        assert np.array_equal(fits[i], single_fit, equal_nan=True)
+
+
+@pytest.mark.filterwarnings("ignore:alpha = .* is above 1")
+def test_batch_rows_stop_for_each_reason_in_one_batch(primal):
+    # one row per stop reason: tol, the 10x guard, a fixed-point start, and
+    # the iteration budget
+    gamma = GAMMA_STAR
+    upper = alpha_upper_bound(gamma, SIGMA, BETA)
+    alphas = np.array([1.0, 1.9 * upper, 0.5, 0.05])
+    starts = np.array([np.ones(8), np.ones(8), np.zeros(8), np.ones(8)])
+    runs = run_rows(primal, "primal-dr", alphas, np.full(4, gamma), lambda rows: starts[rows], max_iter=40, tol=1e-3)
+    assert list(runs.diverged) == [False, True, False, False]
+    assert runs.steps[2] == 0 and runs.steps[3] == 40
+    assert 0 < runs.steps[0] < 40 and 0 < runs.steps[1] < 40
+    for i in range(4):
+        trace, diverged = _single_run(primal, "primal-dr", alphas[i], gamma, starts[i], 40, 1e-3)
+        assert (trace.n_steps, diverged) == (runs.steps[i], runs.diverged[i])
+        assert runs.distances[i, : trace.n_steps + 1].tobytes() == trace.distances.tobytes()
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("which", ["alphas", "gammas"])
+def test_run_rows_rejects_bad_parameters(primal, which, bad):
+    values = {"alphas": np.array([1.0, 0.5]), "gammas": np.array([0.3, 0.3])}
+    values[which][1] = bad
+    with pytest.raises(ValueError, match="positive and finite"):
+        run_rows(primal, "primal-dr", values["alphas"], values["gammas"], lambda rows: np.ones((2, 8))[rows])
+
+
+def test_run_rows_rejects_bad_mode_and_start_shape(primal):
+    one = np.array([1.0])
+    with pytest.raises(ValueError, match="mode"):
+        run_rows(primal, "newton", one, one, lambda rows: np.ones((1, 8)))
+    with pytest.raises(ValueError, match="identity coupling"):
+        run_rows(default_dual_instance(), "primal-dr", one, one, lambda rows: np.ones((1, 8)))
+    with pytest.raises(ValueError, match="shape"):
+        run_rows(primal, "primal-dr", one, one, lambda rows: np.ones((1, 3)))
+
+
+@pytest.mark.parametrize("mode", splitting.MODES)
+@pytest.mark.parametrize("start", ["worst", "random"])
+def test_small_blocks_give_the_same_sweep_bytes(tmp_path, monkeypatch, mode, start):
+    flags = ["sweep", "--mode", mode, "--start", start, "--seed", "7", "--iters", "30"]
+    whole, blocked = tmp_path / "whole.csv", tmp_path / "blocked.csv"
+    assert cli.main(flags + ["--out", str(whole)]) == 0
+    # 3 rows of dim 8 per block: 134 blocks for the 400 grid points
+    monkeypatch.setattr(splitting, "BLOCK_ELEMENTS", 24)
+    assert cli.main(flags + ["--out", str(blocked)]) == 0
+    assert blocked.read_bytes() == whole.read_bytes()
