@@ -39,10 +39,19 @@ class Vec:
         arr = np.array(self.coeffs, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("coeffs must be a non-empty 1-d sequence")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("coeffs must be finite (no NaN or Inf)")
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray) -> "Vec":
+        """A Vec over ``arr`` itself, with no copy and no check: for a fresh,
+        non-empty, 1-d, finite float array that nothing else writes."""
+        arr.flags.writeable = False
+        vec = object.__new__(cls)
+        object.__setattr__(vec, "coeffs", arr)
+        return vec
 
     @property
     def dim(self) -> int:
@@ -129,7 +138,10 @@ def basis_vector(dim: int, i: int) -> Vec:
 
 def zeros(dim: int) -> Vec:
     """Zero vector of the given dimension."""
-    return Vec(np.zeros(dim))
+    if dim < 1:
+        raise ValueError("coeffs must be a non-empty 1-d sequence")
+    # finite by construction, so neither copied nor scanned
+    return Vec._adopt(np.zeros(dim))
 
 
 def random_basis_map(dim: int, rng: np.random.Generator | int | None = None) -> BasisMap:

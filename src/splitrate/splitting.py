@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,9 +95,14 @@ class IterateTrace:
     below :data:`RATIO_FLOOR`. For the ADMM engine the iterates are the scaled
     dual sequence and ``final_x`` holds the last primal iterate; it is None
     for the other engines.
+
+    The engines keep no iterate while they run: their ``iterates`` are
+    recomputed, bit for bit, when first read (see :class:`_Replay`), so a
+    run holds O(dim) memory, not O(steps x dim). ``len(iterates)`` and
+    :attr:`n_steps` recompute nothing.
     """
 
-    iterates: list[Vec]
+    iterates: Sequence[Vec]
     fixed_point: Vec
     distances: np.ndarray
     step_ratios: np.ndarray
@@ -214,16 +219,53 @@ def _iterate(step: Callable, params: tuple, state: tuple, start: np.ndarray, max
     return distances[:, : steps.max(initial=0) + 1], steps, converged, diverged, kept, state
 
 
-def _run_one(engine: tuple, start: Vec, max_iter: int, tol: float, described: str, final_x: bool = False) -> IterateTrace:
+class _Replay(Sequence):
+    """The iterates of a one-row run, recomputed when first read.
+
+    ``build()`` returns the run's engine ``(step, params, state)`` afresh.
+    Running it from ``start`` through :func:`_iterate` for the ``steps`` steps
+    the run took, with the run's ``tol``, gives the run's iterates bit for
+    bit: the step map is deterministic and never writes into its start state.
+    The length needs no replay.
+    """
+
+    def __init__(self, build: Callable[[], tuple], start: Vec, steps: int, tol: float):
+        self._build, self._start, self._steps, self._tol = build, start, steps, tol
+        self._vecs: list[Vec] | None = None
+
+    def __len__(self) -> int:
+        return self._steps + 1
+
+    def __getitem__(self, index):
+        return self._replayed()[index]
+
+    def __iter__(self):
+        return iter(self._replayed())
+
+    def _replayed(self) -> list[Vec]:
+        if self._vecs is None:
+            kept = _iterate(*self._build(), self._start.coeffs[None], self._steps, self._tol, keep=True)[4]
+            self._vecs, self._build = [self._start, *kept], None
+        return self._vecs
+
+
+def _run_one(
+    build: Callable[[], tuple], start: Vec, max_iter: int, tol: float, described: str, final_x: bool = False
+) -> IterateTrace:
     """One row through :func:`_iterate`, as an :class:`IterateTrace` whose
-    first iterate is ``start``; ``engine`` is ``(step, params, state)``."""
-    distances, steps, converged, diverged, kept, state = _iterate(
-        *engine, start.coeffs[None], max_iter, tol, keep=True
+    first iterate is ``start``; ``build()`` returns the engine ``(step,
+    params, state)`` and is called again when the iterates are first read."""
+    distances, steps, converged, diverged, _, state = _iterate(
+        *build(), start.coeffs[None], max_iter, tol, keep=False
     )
-    distances = distances[:, : steps[0] + 1]
     last_x = Vec(state[0][0]) if final_x else None
     trace = IterateTrace(
-        [start, *kept], zeros(start.dim), distances[0], _step_ratios(distances)[0], bool(converged[0]), last_x
+        _Replay(build, start, int(steps[0]), tol),
+        zeros(start.dim),
+        distances[0],
+        _step_ratios(distances)[0],
+        bool(converged[0]),
+        last_x,
     )
     if diverged[0]:
         raise DivergenceError(
@@ -296,20 +338,31 @@ def _admm_engine(problem: CompositeProblem, alpha, rho, x: np.ndarray, w: np.nda
     :func:`run_admm`); ``alpha`` and ``rho`` are scalars or columns, and the
     recorded start is ``rho * u``."""
     nu = problem.a.weights
-    # prox of the origin indicator; rows only ever leave, so a prefix fits
+    # per-engine scratch; rows only ever leave, so a prefix of each fits.
+    # w_zero is the prox of the origin indicator; v and u_new take turns in
+    # the pair, so that a step never writes into the u it reads
     w_zero = np.zeros(u.shape)
+    x_buf, tmp_buf, rec_buf = (np.empty(u.shape) for _ in range(3))
+    pair = (np.empty(u.shape), np.empty(u.shape))
 
     def step(params, state):
         rho, relax, scale, denom = params
-        x, w, u = state
-        x_new = scale * (w - u) / denom
-        v = relax * (nu * x_new) + (1.0 - relax) * w
-        zero = w_zero[: u.shape[0]]
-        u_new = u + v - zero
-        return (x_new, zero, u_new), rho * u_new, np.ravel(rho) * _norms(u_new - u)
+        _, w, u = state
+        rows = u.shape[0]
+        x_new = np.subtract(w, u, out=x_buf[:rows])
+        np.multiply(scale, x_new, out=x_new)
+        np.divide(x_new, denom, out=x_new)
+        v = np.multiply(nu, x_new, out=pair[u.base is pair[0]][:rows])
+        np.multiply(relax, v, out=v)
+        tmp = np.multiply(1.0 - relax, w, out=tmp_buf[:rows])
+        np.add(v, tmp, out=v)
+        # u + v - w_new with w_new = +0.0, and x - (+0.0) == x for every float
+        u_new = np.add(u, v, out=v)
+        recorded = np.multiply(rho, u_new, out=rec_buf[:rows])
+        step_norm = np.ravel(rho) * _norms(np.subtract(u_new, u, out=tmp))
+        return (x_new, w_zero[:rows], u_new), recorded, step_norm
 
-    # 2-d like the state, so that numpy can reuse the step's temporaries
-    scale, denom = np.atleast_2d(rho * nu, problem.f.weights + rho * nu**2)
+    scale, denom = rho * nu, problem.f.weights + rho * nu**2
     params = (rho, 2.0 * alpha, scale, denom)
     return step, params, (x, w, u)
 
@@ -347,10 +400,11 @@ def run_dr(
         When the distance to the fixed point exceeds 10x its starting value,
         which is how an infeasible relaxation fails.
     """
-    engine = _dr_engine(_identity_coupled(problem), params.alpha, params.gamma, z0.coeffs[None])
+    _identity_coupled(problem)
     _check_dim("z0", z0, problem.dim)
     described = f"alpha={params.alpha:g}, gamma={params.gamma:g}"
-    return _run_one(engine, z0, max_iter, tol, described)
+    build = lambda: _dr_engine(problem, params.alpha, params.gamma, z0.coeffs[None])
+    return _run_one(build, z0, max_iter, tol, described)
 
 
 def run_dual_dr(
@@ -412,9 +466,12 @@ def run_admm(
         if v is not None:
             _check_dim(name, v, dim)
     x, w, u = (np.zeros((1, dim)) if v is None else v.coeffs[None] for v in (x0, z0, u0))
-    engine = _admm_engine(problem, alpha, rho, x, w, u)
+    mu0 = rho * u[0]
+    # one scan and no copy, unless rho * u0 overflowed (Vec then raises)
+    start = Vec._adopt(mu0) if np.isfinite(mu0).all() else Vec(mu0)
     described = f"alpha={alpha:g}, rho={rho:g}"
-    return _run_one(engine, Vec(rho * u[0]), max_iter, tol, described, final_x=True)
+    build = lambda: _admm_engine(problem, alpha, rho, x, w, u)
+    return _run_one(build, start, max_iter, tol, described, final_x=True)
 
 
 def run_rows(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -166,14 +167,22 @@ def test_run_dr_stops_on_tolerance(primal):
 
 
 @st.composite
-def dr_cases(draw):
-    """A two-band instance with sigma <= beta (condition number up to 1e8),
-    dim 2..64, a random band split, either nonsmooth term, a step size around
-    1/sqrt(sigma*beta), a relaxation below alpha_upper_bound and a start."""
+def two_bands(draw):
+    """sigma <= beta (condition number up to 1e8), dim 2..64 and a random
+    band split."""
     sigma = 10.0 ** draw(st.floats(-3.0, 3.0))
     beta = sigma * 10.0 ** draw(st.floats(0.0, 8.0))
     dim = draw(st.integers(2, 64))
     idx_sigma = draw(st.sets(st.integers(0, dim - 1), min_size=1, max_size=dim - 1))
+    return sigma, beta, dim, idx_sigma
+
+
+@st.composite
+def dr_cases(draw):
+    """A two-band instance from :func:`two_bands`, either nonsmooth term, a
+    step size around 1/sqrt(sigma*beta), a relaxation below
+    alpha_upper_bound and a start."""
+    sigma, beta, dim, idx_sigma = draw(two_bands())
     g = draw(st.sampled_from([GFunction.ZERO, GFunction.ZERO_INDICATOR]))
     gamma = 10.0 ** draw(st.floats(-2.0, 2.0)) / math.sqrt(sigma * beta)
     alpha = draw(st.floats(0.01, 0.99)) * alpha_upper_bound(gamma, sigma, beta)
@@ -546,6 +555,192 @@ def test_batch_rows_stop_for_each_reason_in_one_batch(primal):
         trace, diverged = _single_run(primal, "primal-dr", alphas[i], gamma, starts[i], 40, 1e-3)
         assert (trace.n_steps, diverged) == (runs.steps[i], runs.diverged[i])
         assert runs.distances[i, : trace.n_steps + 1].tobytes() == trace.distances.tobytes()
+
+
+# -- replayed iterates ----------------------------------------------------------
+
+
+def _norm(v):
+    return math.sqrt(float(np.dot(v, v)))
+
+
+def _reference_dr(weights, negate, alpha, gamma, z, max_iter, tol):
+    """One relaxed DR run written out as a loop that keeps every iterate,
+    with the step's expressions before iterates were replayed: (iterates,
+    diverged)."""
+    gw = gamma * weights
+    refl = (1.0 - gw) / (1.0 + gw)
+    if negate:
+        refl = -refl
+    iterates, first = [z], _norm(z)
+    for k in range(max_iter):
+        z_next = z * (1.0 - alpha) + refl * z * alpha
+        if k == 0 and np.array_equal(z_next, z):
+            break
+        iterates.append(z_next)
+        if first > 0.0 and _norm(z_next) > 10.0 * first:
+            return iterates, True
+        if _norm(z_next - z) <= tol:
+            break
+        z = z_next
+    return iterates, False
+
+
+def _reference_admm(lam, nu, alpha, rho, x, w, u, max_iter, tol):
+    """One scaled ADMM run written out the same way, with the ``- w`` pass
+    that the engine drops as an identity: (iterates, diverged, final x)."""
+    relax, scale, denom = 2.0 * alpha, rho * nu, lam + rho * nu**2
+    iterates = [rho * u]
+    first = _norm(iterates[0])
+    for k in range(max_iter):
+        x_new = scale * (w - u) / denom
+        v = relax * (nu * x_new) + (1.0 - relax) * w
+        w_new = np.zeros(w.shape)
+        u_new = u + v - w_new
+        if k == 0 and all(map(np.array_equal, (x_new, w_new, u_new), (x, w, u))):
+            return iterates, False, x_new
+        x, w, u_prev, u = x_new, w_new, u, u_new
+        iterates.append(rho * u)
+        if first > 0.0 and _norm(iterates[-1]) > 10.0 * first:
+            return iterates, True, x
+        if rho * _norm(u - u_prev) <= tol:
+            break
+    return iterates, False, x
+
+
+def _check_replay(problem, mode, alpha, gamma, start, max_iter, tol, x0=None, w0=None):
+    """Run one engine, read its replayed iterates (and ADMM's ``final_x``) and
+    compare them bit for bit with the reference loop; returns (steps,
+    diverged)."""
+    dim = start.size
+    if mode == "admm":
+        u0 = start * (1.0 / gamma)
+        x, w = (np.zeros(dim) if v is None else v for v in (x0, w0))
+        reference = _reference_admm(problem.f.weights, problem.a.weights, alpha, gamma, x, w, u0, max_iter, tol)
+        vecs = {name: None if v is None else Vec(v) for name, v in (("x0", x0), ("z0", w0))}
+        run = lambda: run_admm(problem, gamma, alpha, u0=Vec(u0), max_iter=max_iter, tol=tol, **vecs)
+    else:
+        curvatures, negate = problem.f, problem.g is GFunction.ZERO_INDICATOR
+        if mode == "dual-dr":
+            curvatures, negate = dual_function(problem), False
+        reference = _reference_dr(curvatures.weights, negate, alpha, gamma, start, max_iter, tol) + (None,)
+        engine = run_dr if mode == "primal-dr" else run_dual_dr
+        run = lambda: engine(problem, SplitParams(alpha, gamma), Vec(start), max_iter=max_iter, tol=tol)
+    try:
+        trace, diverged = run(), False
+    except DivergenceError as exc:
+        trace, diverged = exc.trace, True
+    iterates, ref_diverged, ref_x = reference
+    assert diverged == ref_diverged
+    assert len(trace.iterates) == trace.n_steps + 1 == len(iterates)
+    assert [v.coeffs.tobytes() for v in trace.iterates] == [z.tobytes() for z in iterates]
+    assert trace.distances.tobytes() == np.array([_norm(z) for z in iterates]).tobytes()
+    if mode == "admm":
+        assert trace.final_x.coeffs.tobytes() == ref_x.tobytes()
+    return trace.n_steps, diverged
+
+
+def _signed_zeros(rng, dim, share):
+    """A uniform(-1, 1) vector with about ``share`` of its coordinates set to
+    +0.0 or -0.0."""
+    v = rng.uniform(-1.0, 1.0, dim)
+    hit = rng.random(dim) < share
+    v[hit] = np.copysign(0.0, rng.uniform(-1.0, 1.0, hit.sum()))
+    return v
+
+
+@st.composite
+def replay_cases(draw):
+    """An instance of the :func:`dr_cases` family run by one engine (the dual
+    side couples the same bands), a relaxation below or above
+    alpha_upper_bound, and starts with signed zeros in them, sometimes all
+    zero. The budgets and tols let runs stop for every reason."""
+    sigma, beta, dim, idx_sigma = draw(two_bands())
+    mode = draw(st.sampled_from(splitting.MODES))
+    if mode == "primal-dr":
+        g = draw(st.sampled_from([GFunction.ZERO, GFunction.ZERO_INDICATOR]))
+        problem = CompositeProblem(f=make_primal_instance(sigma, beta, dim, idx_sigma).f, g=g)
+        curvatures = problem.f
+    else:
+        theta = 10.0 ** draw(st.floats(-1.0, 1.0))
+        zeta = theta * 10.0 ** draw(st.floats(0.01, 1.0))
+        pairing = draw(st.sampled_from(["aligned", "crossed"]))
+        problem = make_dual_instance(sigma, beta, theta, zeta, dim, idx_sigma, pairing)
+        curvatures = dual_function(problem)
+    gamma = 10.0 ** draw(st.floats(-2.0, 2.0)) / math.sqrt(curvatures.sigma * curvatures.beta)
+    alpha = alpha_upper_bound(gamma, curvatures.sigma, curvatures.beta) * draw(
+        st.floats(0.01, 0.99) | st.floats(1.05, 1.9)
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    start = _signed_zeros(rng, dim, draw(st.sampled_from([0.0, 0.3, 1.0])))
+    x0, w0 = (_signed_zeros(rng, dim, 0.3) if draw(st.booleans()) else None for _ in range(2))
+    max_iter = draw(st.integers(0, 60))
+    tol = draw(st.sampled_from([0.0, 1e-9, 1e-4, 1e-2, 0.3]))
+    return problem, mode, alpha, gamma, start, max_iter, tol, x0, w0
+
+
+@pytest.mark.filterwarnings("ignore:alpha = .* is above 1")
+@settings(deadline=None, max_examples=120)
+@given(replay_cases())
+def test_replayed_iterates_equal_the_reference_loop_bitwise(case):
+    problem, mode, alpha, gamma, start, max_iter, tol, x0, w0 = case
+    if mode != "admm":
+        x0 = w0 = None
+    _check_replay(problem, mode, alpha, gamma, start, max_iter, tol, x0, w0)
+
+
+@pytest.mark.filterwarnings("ignore:alpha = .* is above 1")
+@pytest.mark.parametrize("mode", splitting.MODES)
+@pytest.mark.parametrize("reason", ["tol", "guard", "zero-start", "budget"])
+def test_replay_for_each_stop_reason(mode, reason):
+    problem = default_primal_instance() if mode == "primal-dr" else default_dual_instance("crossed")
+    curvatures = problem.f if mode == "primal-dr" else dual_function(problem)
+    gamma = 1.0 / math.sqrt(curvatures.sigma * curvatures.beta)
+    upper = alpha_upper_bound(gamma, curvatures.sigma, curvatures.beta)
+    alpha = 1.9 * upper if reason == "guard" else 0.5 * upper
+    start = _signed_zeros(np.random.default_rng(26), 8, 1.0 if reason == "zero-start" else 0.3)
+    max_iter, tol = (25, 0.0) if reason == "budget" else (500, 1e-6)
+    steps, diverged = _check_replay(problem, mode, alpha, gamma, start, max_iter, tol)
+    assert diverged == (reason == "guard")
+    if reason == "zero-start":
+        assert steps == 0
+    elif reason == "budget":
+        assert steps == 25
+    else:
+        assert 0 < steps < max_iter
+
+
+@pytest.mark.parametrize("mode", ["primal-dr", "admm"])
+def test_run_memory_does_not_grow_with_steps(mode):
+    # a kept iterate is dim * 8 bytes, so a run that kept them would peak
+    # 100 iterates higher at 120 steps than at 20
+    dim = 200_000
+    half = range(dim // 2)
+    rng = np.random.default_rng(27)
+    if mode == "admm":
+        problem = make_dual_instance(SIGMA, BETA, 1.0, 3.0, dim, half, pairing="crossed")
+        u0 = Vec(rng.uniform(-1.0, 1.0, dim))
+        run = lambda steps: run_admm(problem, rho=0.5, alpha=0.9, u0=u0, max_iter=steps, tol=0.0)
+    else:
+        problem = make_primal_instance(SIGMA, BETA, dim, half)
+        z0 = Vec(rng.uniform(-1.0, 1.0, dim))
+        run = lambda steps: run_dr(problem, SplitParams(0.9, GAMMA_STAR), z0, max_iter=steps, tol=0.0)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for steps in (20, 120):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            trace = run(steps)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            assert len(trace.iterates) == steps + 1 and trace.n_steps == steps
+            assert tracemalloc.get_traced_memory()[1] - held < dim
+            del trace
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] - peaks[0] < dim * 8 // 4
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
