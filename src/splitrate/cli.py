@@ -247,17 +247,25 @@ def _config_from_args(args, grid_flags: bool) -> SweepConfig:
     return cfg
 
 
+def _bound_constants(cfg: SweepConfig) -> tuple[float, float]:
+    """The curvature constants the mode's bound uses: the primal (sigma,
+    beta), or the dual (sigma_hat, beta_hat)."""
+    if cfg.mode == "primal-dr":
+        return cfg.sigma, cfg.beta
+    constants = dual_rate_constants(cfg.sigma, cfg.beta, cfg.theta, cfg.zeta)
+    return constants.sigma_hat, constants.beta_hat
+
+
 def _instance_and_constants(cfg: SweepConfig):
     """Build the instance for the configured mode and return it with the
     constants the bound should use and the curvatures that pick worst starts."""
     if cfg.mode == "primal-dr":
         problem = make_primal_instance(cfg.sigma, cfg.beta, cfg.dim, cfg.idx_sigma)
-        return problem, cfg.sigma, cfg.beta, problem.f.weights
+        return problem, *_bound_constants(cfg), problem.f.weights
     problem = make_dual_instance(
         cfg.sigma, cfg.beta, cfg.theta, cfg.zeta, cfg.dim, cfg.idx_sigma, pairing=cfg.pairing
     )
-    constants = dual_rate_constants(cfg.sigma, cfg.beta, cfg.theta, cfg.zeta)
-    return problem, constants.sigma_hat, constants.beta_hat, dual_function(problem).weights
+    return problem, *_bound_constants(cfg), dual_function(problem).weights
 
 
 def _start_rows(cfg: SweepConfig, weights: np.ndarray, points: list):
@@ -382,11 +390,7 @@ def _single_point_config(args) -> SweepConfig:
     gamma = args.gamma if args.gamma is not None else (cfg.gamma_grid[0] if cfg.gamma_grid else None)
     if alpha is None or gamma is None:
         # no point given: use the bound-minimizing parameters for the mode
-        if cfg.mode == "primal-dr":
-            opt_alpha, opt_gamma, _ = optimal_params(cfg.sigma, cfg.beta)
-        else:
-            constants = dual_rate_constants(cfg.sigma, cfg.beta, cfg.theta, cfg.zeta)
-            opt_alpha, opt_gamma, _ = constants.optimal_dual_params()
+        opt_alpha, opt_gamma, _ = optimal_params(*_bound_constants(cfg))
         alpha = alpha if alpha is not None else opt_alpha
         gamma = gamma if gamma is not None else opt_gamma
     cfg.alpha_grid = (float(alpha),)
@@ -414,12 +418,7 @@ def cmd_sweep(args) -> int:
         cfg.alpha_grid = parse_grid("linear:0.1:1.9:20")
     if not cfg.gamma_grid:
         # center the default grid on the bound-minimizing step size
-        if cfg.mode == "primal-dr":
-            _, gamma_star, _ = optimal_params(cfg.sigma, cfg.beta)
-        else:
-            _, gamma_star, _ = dual_rate_constants(
-                cfg.sigma, cfg.beta, cfg.theta, cfg.zeta
-            ).optimal_dual_params()
+        _, gamma_star, _ = optimal_params(*_bound_constants(cfg))
         cfg.gamma_grid = parse_grid(f"log:{gamma_star / 20!r}:{gamma_star * 20!r}:20")
     reports = sweep_reports(cfg)
     _write_text(args.out, render_sweep_csv(reports))

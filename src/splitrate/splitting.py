@@ -5,7 +5,6 @@ independent rows."""
 from __future__ import annotations
 
 import math
-import warnings
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
@@ -65,9 +64,9 @@ class DivergenceError(RuntimeError):
 class SplitParams:
     """Relaxation ``alpha`` and proximal step size ``gamma``.
 
-    Relaxations above 1 are accepted (they stay contractive up to an
-    instance-dependent limit, see :func:`splitrate.rates.alpha_upper_bound`)
-    but get a warning since that limit cannot be checked here.
+    Relaxations above 1 are accepted silently: the iteration stays
+    contractive up to the instance's limit
+    :func:`splitrate.rates.alpha_upper_bound`, which cannot be checked here.
     """
 
     alpha: float
@@ -78,12 +77,6 @@ class SplitParams:
             raise ValueError(f"gamma must be positive and finite, got {self.gamma!r}")
         if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
             raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
-        if self.alpha > 1.0:
-            warnings.warn(
-                f"alpha = {self.alpha} is above 1; whether the iteration still contracts "
-                "depends on the instance (see rates.alpha_upper_bound)",
-                stacklevel=2,
-            )
 
 
 @dataclass
@@ -153,7 +146,7 @@ def _check_positive(name: str, values: np.ndarray) -> None:
         raise ValueError(f"{name} must be positive and finite")
 
 
-def _iterate(step: Callable, params: tuple, state: tuple, start: np.ndarray, max_iter: int, tol: float, keep: bool):
+def _iterate(step: Callable, params: tuple, state: tuple, start: np.ndarray, max_iter: int, tol: float):
     """Run ``step`` on a batch of rows: the loop of every engine.
 
     ``state`` is a tuple of ``(rows, dim)`` float arrays whose recorded
@@ -166,10 +159,8 @@ def _iterate(step: Callable, params: tuple, state: tuple, start: np.ndarray, max
     (diverged), or when its step norm drops to ``tol``. A stopped row leaves
     the active set, with its state and parameters.
 
-    Returns ``(distances, steps, converged, diverged, kept, state)``:
-    ``distances`` as in :class:`RowRuns`; ``kept`` the recorded vectors after
-    the start as :class:`Vec` (only with ``keep``, for one row) and ``state``
-    the state the loop ended with.
+    Returns ``(distances, steps, converged, diverged, state)``: ``distances``
+    as in :class:`RowRuns` and ``state`` the state the loop ended with.
     """
     if max_iter < 0:
         raise ValueError("max_iter must be non-negative")
@@ -182,7 +173,6 @@ def _iterate(step: Callable, params: tuple, state: tuple, start: np.ndarray, max
     steps = np.full(rows, max_iter)
     converged = np.zeros(rows, dtype=bool)
     diverged = np.zeros(rows, dtype=bool)
-    kept = []
     live = np.arange(rows)
     for k in range(max_iter):
         next_state, recorded, step_norm = step(params, state)
@@ -191,8 +181,6 @@ def _iterate(step: Callable, params: tuple, state: tuple, start: np.ndarray, max
             # at a fixed point: it stops there, after no step
             fixed = np.logical_and.reduce([np.all(a == b, axis=1) for a, b in zip(next_state, state)])
         state = next_state
-        if keep and not (k == 0 and fixed[0]):
-            kept.append(Vec(recorded[0]))
         dist = _norms(recorded)
         grew = dist > limit
         done = grew | (step_norm <= tol)
@@ -216,21 +204,20 @@ def _iterate(step: Callable, params: tuple, state: tuple, start: np.ndarray, max
         live, limit = live[going], limit[going]
         state = tuple(s[going] for s in state)
         params = tuple(p[going] for p in params)
-    return distances[:, : steps.max(initial=0) + 1], steps, converged, diverged, kept, state
+    return distances[:, : steps.max(initial=0) + 1], steps, converged, diverged, state
 
 
 class _Replay(Sequence):
     """The iterates of a one-row run, recomputed when first read.
 
     ``build()`` returns the run's engine ``(step, params, state)`` afresh.
-    Running it from ``start`` through :func:`_iterate` for the ``steps`` steps
-    the run took, with the run's ``tol``, gives the run's iterates bit for
-    bit: the step map is deterministic and never writes into its start state.
-    The length needs no replay.
+    Applying its step map for the ``steps`` steps the run took gives the
+    run's iterates bit for bit: the step map is deterministic and never
+    writes into its start state. The length needs no replay.
     """
 
-    def __init__(self, build: Callable[[], tuple], start: Vec, steps: int, tol: float):
-        self._build, self._start, self._steps, self._tol = build, start, steps, tol
+    def __init__(self, build: Callable[[], tuple], start: Vec, steps: int):
+        self._build, self._start, self._steps = build, start, steps
         self._vecs: list[Vec] | None = None
 
     def __len__(self) -> int:
@@ -244,8 +231,12 @@ class _Replay(Sequence):
 
     def _replayed(self) -> list[Vec]:
         if self._vecs is None:
-            kept = _iterate(*self._build(), self._start.coeffs[None], self._steps, self._tol, keep=True)[4]
-            self._vecs, self._build = [self._start, *kept], None
+            step, params, state = self._build()
+            vecs = [self._start]
+            for _ in range(self._steps):
+                state, recorded, _ = step(params, state)
+                vecs.append(Vec(recorded[0]))
+            self._vecs, self._build = vecs, None
         return self._vecs
 
 
@@ -255,12 +246,10 @@ def _run_one(
     """One row through :func:`_iterate`, as an :class:`IterateTrace` whose
     first iterate is ``start``; ``build()`` returns the engine ``(step,
     params, state)`` and is called again when the iterates are first read."""
-    distances, steps, converged, diverged, _, state = _iterate(
-        *build(), start.coeffs[None], max_iter, tol, keep=False
-    )
+    distances, steps, converged, diverged, state = _iterate(*build(), start.coeffs[None], max_iter, tol)
     last_x = Vec(state[0][0]) if final_x else None
     trace = IterateTrace(
-        _Replay(build, start, int(steps[0]), tol),
+        _Replay(build, start, int(steps[0])),
         zeros(start.dim),
         distances[0],
         _step_ratios(distances)[0],
@@ -527,7 +516,7 @@ def run_rows(
             engine, start = _admm_engine(problem, alpha, gamma, empty, empty, u), gamma * u
         else:
             engine, start = _dr_engine(dr_problem, alpha, gamma, z), z
-        dist, steps[part], _, diverged[part], _, _ = _iterate(*engine, start, max_iter, tol, keep=False)
+        dist, steps[part], _, diverged[part], _ = _iterate(*engine, start, max_iter, tol)
         blocks.append(dist)
     distances = np.full((rows, max((d.shape[1] for d in blocks), default=1)), np.nan)
     for lo, dist in zip(range(0, rows, block), blocks):

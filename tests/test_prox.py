@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from splitrate.functions import DiagQuadratic, GFunction
-from splitrate.hilbert import Vec, basis_vector, inner, norm
+from splitrate.hilbert import Vec, basis_vector
 from splitrate.prox import prox_diag, prox_g, prox_oracle, refl_prox_diag, refl_prox_g
 from splitrate.worstcase import default_primal_instance
 
@@ -82,43 +82,6 @@ def test_prox_oracle_rejects_non_finite_objective():
 
     with pytest.raises(ValueError, match="not finite"):
         prox_oracle(bad, 1.0, Vec([0.0]))
-
-
-def test_prox_matches_oracle(quad):
-    # closed form vs search oracle, gamma log-uniform over six decades
-    rng = np.random.default_rng(12)
-    worst = 0.0
-    for _ in range(100):
-        gamma = 10.0 ** rng.uniform(-3, 3)
-        y = Vec(rng.uniform(-5, 5, 8))
-        closed = prox_diag(quad, gamma, y)
-        oracle = prox_oracle(lambda i, t: 0.5 * quad.weights[i] * t * t, gamma, y)
-        worst = max(worst, float(np.max(np.abs(closed.coeffs - oracle.coeffs))))
-    assert worst <= 1e-10, f"max coordinate error {worst:.3e}"
-
-
-def test_prox_firmly_nonexpansive(quad):
-    rng = np.random.default_rng(13)
-    for gamma in (1e-3, 0.1, 1.0, 10.0, 1e3):
-        for _ in range(200):
-            x = Vec(rng.uniform(-10, 10, 8))
-            y = Vec(rng.uniform(-10, 10, 8))
-            px, py = prox_diag(quad, gamma, x), prox_diag(quad, gamma, y)
-            assert norm(px - py) ** 2 <= inner(px - py, x - y) + 1e-12
-            for kind in (GFunction.ZERO, GFunction.ZERO_INDICATOR):
-                gx, gy = prox_g(kind, gamma, x), prox_g(kind, gamma, y)
-                assert norm(gx - gy) ** 2 <= inner(gx - gy, x - y) + 1e-12
-
-
-def test_reflected_prox_nonexpansive(quad):
-    rng = np.random.default_rng(14)
-    for gamma in (1e-3, 0.1, 1.0, 10.0, 1e3):
-        for _ in range(200):
-            x = Vec(rng.uniform(-10, 10, 8))
-            y = Vec(rng.uniform(-10, 10, 8))
-            assert norm(refl_prox_diag(quad, gamma, x) - refl_prox_diag(quad, gamma, y)) <= norm(x - y) + 1e-12
-            for kind in (GFunction.ZERO, GFunction.ZERO_INDICATOR):
-                assert norm(refl_prox_g(kind, gamma, x) - refl_prox_g(kind, gamma, y)) <= norm(x - y) + 1e-12
 
 
 def test_prox_acts_coordinatewise(quad):

@@ -30,27 +30,6 @@ def test_psi_domain():
         psi(-2.0)
 
 
-def test_psi_strictly_decreasing():
-    rng = np.random.default_rng(16)
-    xs = rng.uniform(-0.999, 50.0, 10_000)
-    ys = rng.uniform(-0.999, 50.0, 10_000)
-    lo, hi = np.minimum(xs, ys), np.maximum(xs, ys)
-    for a, b in zip(lo, hi):
-        if a < b:
-            assert psi(a) > psi(b)
-
-
-def test_psi_reciprocal_relation():
-    # psi(x) <= -psi(y) exactly when x*y >= 1, away from the boundary
-    rng = np.random.default_rng(17)
-    xs = 10.0 ** rng.uniform(-3.0, 1.7, 10_000)
-    ys = rng.uniform(-0.999, 60.0, 10_000)
-    for x, y in zip(xs, ys):
-        if abs(x * y - 1.0) <= 1e-12:
-            continue
-        assert (psi(x) <= -psi(y)) == (x * y >= 1.0)
-
-
 def test_theoretical_rate_examples():
     assert theoretical_rate(1.0, 0.5, 1.0, 4.0) == pytest.approx(1.0 / 3.0, abs=1e-15)
     assert theoretical_rate(1.0, 1.0, 1.0, 1.0) == 0.0

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -62,11 +61,6 @@ def test_split_params_validation():
         SplitParams(0.0, 1.0)
     with pytest.raises(ValueError):
         SplitParams(-0.5, 1.0)
-
-
-def test_split_params_warns_above_one():
-    with pytest.warns(UserWarning, match="above 1"):
-        SplitParams(1.5, 1.0)
 
 
 # -- dr_step ------------------------------------------------------------------
@@ -138,22 +132,18 @@ def test_run_dr_single_band_ratio_is_step_multiplier(primal, gamma, index, lam):
 
 def test_run_dr_distances_nonincreasing_when_feasible(primal):
     rng = np.random.default_rng(22)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for _ in range(30):
-            gamma = GAMMA_STAR * 10.0 ** rng.uniform(-1.5, 1.5)
-            alpha = rng.uniform(0.05, alpha_upper_bound(gamma, SIGMA, BETA) - 0.01)
-            z0 = Vec(rng.uniform(-1, 1, 8))
-            trace = run_dr(primal, SplitParams(alpha, gamma), z0, max_iter=30, tol=0.0)
-            assert np.all(np.diff(trace.distances) <= 1e-12)
+    for _ in range(30):
+        gamma = GAMMA_STAR * 10.0 ** rng.uniform(-1.5, 1.5)
+        alpha = rng.uniform(0.05, alpha_upper_bound(gamma, SIGMA, BETA) - 0.01)
+        z0 = Vec(rng.uniform(-1, 1, 8))
+        trace = run_dr(primal, SplitParams(alpha, gamma), z0, max_iter=30, tol=0.0)
+        assert np.all(np.diff(trace.distances) <= 1e-12)
 
 
 def test_run_dr_divergence_raises(primal):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        params = SplitParams(1.95, 2.0)  # far beyond the feasible relaxation limit
-        with pytest.raises(DivergenceError) as excinfo:
-            run_dr(primal, params, basis_vector(8, 7), max_iter=500, tol=0.0)
+    params = SplitParams(1.95, 2.0)  # far beyond the feasible relaxation limit
+    with pytest.raises(DivergenceError) as excinfo:
+        run_dr(primal, params, basis_vector(8, 7), max_iter=500, tol=0.0)
     assert excinfo.value.trace is not None
     assert excinfo.value.trace.distances[-1] > 10.0
 
@@ -195,7 +185,6 @@ def _bits(v):
     return v.coeffs.tobytes()
 
 
-@pytest.mark.filterwarnings("ignore:alpha = .* is above 1")
 @settings(deadline=None, max_examples=60)
 @given(dr_cases())
 def test_run_dr_iterates_bitwise_equal_prox_composition(case):
@@ -210,7 +199,6 @@ def test_run_dr_iterates_bitwise_equal_prox_composition(case):
         z = (1 - alpha) * z + alpha * reflected
 
 
-@pytest.mark.filterwarnings("ignore:alpha = .* is above 1")
 @settings(deadline=None, max_examples=60)
 @given(dr_cases())
 def test_reflections_commute_bitwise(case):
@@ -270,15 +258,13 @@ def test_rates_do_not_depend_on_dimension():
 
 def test_run_dr_bound_holds_from_random_starts(primal):
     rng = np.random.default_rng(24)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for _ in range(60):
-            gamma = GAMMA_STAR * 10.0 ** rng.uniform(-1.3, 1.3)
-            alpha = rng.uniform(0.05, alpha_upper_bound(gamma, SIGMA, BETA) - 0.01)
-            bound = theoretical_rate(alpha, gamma, SIGMA, BETA)
-            z0 = Vec(rng.uniform(-1, 1, 8))
-            trace = run_dr(primal, SplitParams(alpha, gamma), z0, max_iter=25, tol=0.0)
-            assert fit_rate(trace) <= bound + 1e-9
+    for _ in range(60):
+        gamma = GAMMA_STAR * 10.0 ** rng.uniform(-1.3, 1.3)
+        alpha = rng.uniform(0.05, alpha_upper_bound(gamma, SIGMA, BETA) - 0.01)
+        bound = theoretical_rate(alpha, gamma, SIGMA, BETA)
+        z0 = Vec(rng.uniform(-1, 1, 8))
+        trace = run_dr(primal, SplitParams(alpha, gamma), z0, max_iter=25, tol=0.0)
+        assert fit_rate(trace) <= bound + 1e-9
 
 
 # -- run_dual_dr --------------------------------------------------------------
@@ -388,11 +374,9 @@ def test_run_admm_divergence():
     p = default_dual_instance("crossed")
     d = dual_function(p)
     _, gamma_opt, _ = optimal_params(d.sigma, d.beta)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        upper = alpha_upper_bound(gamma_opt, d.sigma, d.beta)
-        with pytest.raises(DivergenceError):
-            run_admm(p, rho=gamma_opt, alpha=upper + 0.7, u0=Vec(np.ones(8)), max_iter=2000, tol=0.0)
+    upper = alpha_upper_bound(gamma_opt, d.sigma, d.beta)
+    with pytest.raises(DivergenceError):
+        run_admm(p, rho=gamma_opt, alpha=upper + 0.7, u0=Vec(np.ones(8)), max_iter=2000, tol=0.0)
 
 
 # -- fit_rate -----------------------------------------------------------------
@@ -517,7 +501,6 @@ def _single_run(problem, mode, alpha, gamma, start, max_iter, tol):
     return trace, False
 
 
-@pytest.mark.filterwarnings("ignore:alpha = .* is above 1")
 @settings(deadline=None, max_examples=80)
 @given(row_batches())
 def test_batch_rows_equal_their_single_runs_bitwise(case):
@@ -539,7 +522,6 @@ def test_batch_rows_equal_their_single_runs_bitwise(case):
         assert np.array_equal(fits[i], single_fit, equal_nan=True)
 
 
-@pytest.mark.filterwarnings("ignore:alpha = .* is above 1")
 def test_batch_rows_stop_for_each_reason_in_one_batch(primal):
     # one row per stop reason: tol, the 10x guard, a fixed-point start, and
     # the iteration budget
@@ -679,7 +661,6 @@ def replay_cases(draw):
     return problem, mode, alpha, gamma, start, max_iter, tol, x0, w0
 
 
-@pytest.mark.filterwarnings("ignore:alpha = .* is above 1")
 @settings(deadline=None, max_examples=120)
 @given(replay_cases())
 def test_replayed_iterates_equal_the_reference_loop_bitwise(case):
@@ -689,7 +670,6 @@ def test_replayed_iterates_equal_the_reference_loop_bitwise(case):
     _check_replay(problem, mode, alpha, gamma, start, max_iter, tol, x0, w0)
 
 
-@pytest.mark.filterwarnings("ignore:alpha = .* is above 1")
 @pytest.mark.parametrize("mode", splitting.MODES)
 @pytest.mark.parametrize("reason", ["tol", "guard", "zero-start", "budget"])
 def test_replay_for_each_stop_reason(mode, reason):

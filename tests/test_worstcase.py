@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -119,12 +118,10 @@ def test_exactness_oracle_in_attained_regions(alpha, gamma):
     # trajectories from the slowest band match the closed-form coefficient
     # power sequence coordinate-exactly, and the fitted rate matches the bound
     p = default_primal_instance()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        z0 = worst_start_vector(p.f, alpha, gamma)
-        index = int(np.argmax(z0.coeffs))
-        lam = float(p.f.weights[index])
-        trace = run_dr(p, SplitParams(alpha, gamma), z0, max_iter=30, tol=0.0)
+    z0 = worst_start_vector(p.f, alpha, gamma)
+    index = int(np.argmax(z0.coeffs))
+    lam = float(p.f.weights[index])
+    trace = run_dr(p, SplitParams(alpha, gamma), z0, max_iter=30, tol=0.0)
     for k, z in enumerate(trace.iterates):
         expected = np.zeros(8)
         expected[index] = predict_iterate(lam, alpha, gamma, k)
@@ -140,12 +137,10 @@ def test_dual_instance_crossed_pairing_attains_hatted_rates():
     p = make_dual_instance(sigma, beta, theta, zeta, 8, range(4), pairing="crossed")
     d = dual_function(p)
     gamma_star_hat = 1.0 / math.sqrt(s_hat * b_hat)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for alpha, gamma in [(1.0, gamma_star_hat), (1.0, 0.2 * gamma_star_hat), (0.6, 0.5 * gamma_star_hat)]:
-            mu0 = worst_start_vector(d, alpha, gamma)
-            trace = run_dual_dr(p, SplitParams(alpha, gamma), mu0, max_iter=35, tol=0.0)
-            assert abs(fit_rate(trace) - theoretical_rate(alpha, gamma, s_hat, b_hat)) <= 1e-10
+    for alpha, gamma in [(1.0, gamma_star_hat), (1.0, 0.2 * gamma_star_hat), (0.6, 0.5 * gamma_star_hat)]:
+        mu0 = worst_start_vector(d, alpha, gamma)
+        trace = run_dual_dr(p, SplitParams(alpha, gamma), mu0, max_iter=35, tol=0.0)
+        assert abs(fit_rate(trace) - theoretical_rate(alpha, gamma, s_hat, b_hat)) <= 1e-10
 
 
 def test_dual_instance_aligned_pairing_stays_below_bound():
