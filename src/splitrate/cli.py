@@ -2,7 +2,8 @@
 sweeps comparing empirical against theoretical contraction, and the built-in
 verification battery.
 
-Exit codes: 0 ok, 2 usage or configuration error, 3 divergence in ``run``.
+Exit codes: 0 ok, 2 usage or configuration error, 3 divergence in ``run``,
+4 a ``run`` too short to fit a rate (its CSV is still written).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .rates import (
     optimal_params,
     theoretical_rate,
 )
-from .splitting import MODES, fit_rates, run_rows
+from .splitting import MIN_FIT_RATIOS, MODES, fit_rates, run_rows
 from .worstcase import (
     DEFAULT_BETA,
     DEFAULT_DIM,
@@ -409,7 +410,12 @@ def cmd_run(args) -> int:
     out_text = report_text + "\n" + trace_text
     if args.out is not None:
         _write_text(args.out, out_text)
-    return 3 if report.verdict == "infeasible-diverged" else 0
+    if report.verdict == "infeasible-diverged":
+        return 3
+    if math.isnan(report.empirical):
+        print(f"note: too short to fit a rate ({steps} steps, need {MIN_FIT_RATIOS} valid ratios)", file=sys.stderr)
+        return 4
+    return 0
 
 
 def cmd_sweep(args) -> int:

@@ -13,6 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# numpy 2 loads numpy.random on first use; importing it here puts that cost
+# (about 12 ms) into the package import, not into the first seeded sweep
+from numpy.random import default_rng
+
 __all__ = [
     "Vec",
     "BasisMap",
@@ -146,7 +150,7 @@ def zeros(dim: int) -> Vec:
 
 def random_basis_map(dim: int, rng: np.random.Generator | int | None = None) -> BasisMap:
     """Random orthogonal map, deterministic for a given seed."""
-    gen = np.random.default_rng(rng)
+    gen = default_rng(rng)
     q, r = np.linalg.qr(gen.standard_normal((dim, dim)))
     # fix column signs so the draw is unique for a given seed
     q = q * np.sign(np.diag(r))

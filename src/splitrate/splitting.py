@@ -536,7 +536,9 @@ def fit_rates(step_ratios: np.ndarray) -> np.ndarray:
     valid = np.isfinite(step_ratios)
     counts = np.count_nonzero(valid, axis=1)
     fits = np.full(step_ratios.shape[0], np.nan)
-    for n in np.unique(counts[counts >= MIN_FIT_RATIOS]):
+    # a set, not np.unique: the first np.unique call in a process imports
+    # numpy.ma, about 13 ms that every CLI sweep would pay
+    for n in sorted(set(counts[counts >= MIN_FIT_RATIOS].tolist())):
         group = np.flatnonzero(counts == n)
         tail = step_ratios[group][valid[group]].reshape(group.size, n)[:, -math.ceil(n / 2) :]
         with np.errstate(divide="ignore"):

@@ -5,10 +5,16 @@ failure) and asserts the criterion. ``splitrate verify`` runs the same
 battery from the command line.
 """
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import splitrate
 from splitrate import acceptance
+from splitrate.functions import DiagQuadratic, dual_function
 
 #: each property sub-check also runs here on a stream of its own, apart from
 #: the one stream the battery shares between them
@@ -41,3 +47,37 @@ def test_contraction_bound_grid_detail_is_unchanged():
 def test_property_check(name):
     passed, note = acceptance._PROPERTY_CHECKS[name](np.random.default_rng(PROPERTY_SEEDS[name]))
     assert passed, note
+
+
+def test_battery_imports_no_scipy():
+    # the battery, the conjugate oracle included, runs on numpy alone
+    code = (
+        "import sys, splitrate, splitrate.acceptance as a\n"
+        "assert a.check_conjugate_oracle().passed\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+    )
+    src = str(Path(splitrate.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def _scaled_weights(p):
+    return DiagQuadratic(dual_function(p).weights * (1.0 + 1e-6))
+
+
+def _unsquared_gain(p):
+    return DiagQuadratic(p.a.weights / p.f.weights)
+
+
+def _swapped_bands(p):
+    w = dual_function(p).weights
+    return DiagQuadratic(np.where(w == w.min(), w.max(), w.min()))
+
+
+@pytest.mark.parametrize("wrong_dual", [_scaled_weights, _unsquared_gain, _swapped_bands])
+def test_conjugate_oracle_catches_a_wrong_dual(monkeypatch, wrong_dual):
+    # the oracle never reads the closed form it checks, so a wrong one fails
+    monkeypatch.setattr(acceptance, "dual_function", wrong_dual)
+    result = acceptance.check_conjugate_oracle()
+    assert not result.passed
+    assert "off the numeric conjugate" in result.detail

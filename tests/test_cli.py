@@ -104,9 +104,13 @@ def test_run_default_is_tight(tmp_path, capsys):
 
 
 def test_run_zero_start_is_bounded_with_length_one_trace(tmp_path, capsys):
+    # the start is the fixed point, so there is no rate to fit: the CSV is
+    # still written, but the run says so and does not exit 0
     out_path = tmp_path / "run.csv"
-    code, out = run_cli(["run", "--start", "zero", "--out", str(out_path)], capsys)
-    assert code == 0
+    code = cli.main(["run", "--start", "zero", "--out", str(out_path)])
+    out, err = capsys.readouterr()
+    assert code == 4
+    assert "too short to fit a rate" in err
     row = out.strip().splitlines()[1].split(",")
     assert row[3] == "nan"  # empirical undefined from a zero start
     assert row[-1] == "bounded"
@@ -114,6 +118,15 @@ def test_run_zero_start_is_bounded_with_length_one_trace(tmp_path, capsys):
     trace_rows = body[body.index(cli.TRACE_HEADER) + 1 :]
     assert len(trace_rows) == 1
     assert trace_rows[0].startswith("0,0,")
+
+
+def test_run_too_short_to_fit_exits_4(capsys):
+    code = cli.main(["run", "--mode", "admm", "--K", "2", "--idx-sigma", "0", "--iters", "3"])
+    out, err = capsys.readouterr()
+    assert code == 4
+    assert err.count("\n") == 1 and "too short to fit a rate" in err
+    row = out.strip().splitlines()[1].split(",")
+    assert row[3] == "nan"
 
 
 def test_run_infeasible_exits_3(capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitrate.acceptance import conjugate_oracle
 from splitrate.functions import (
@@ -16,7 +18,7 @@ from splitrate.functions import (
     grad_f,
 )
 from splitrate.hilbert import Vec, basis_vector, norm
-from splitrate.worstcase import make_dual_instance
+from splitrate.worstcase import PAIRINGS, make_dual_instance
 
 
 @pytest.fixture
@@ -222,6 +224,31 @@ def test_dual_function_matches_numeric_conjugate():
     for _ in range(100):
         mu = Vec(rng.uniform(-3, 3, 5))
         assert abs(eval_f(d, mu) - conjugate_oracle(p, mu)) <= 1e-8
+
+
+@st.composite
+def oracle_cases(draw):
+    """A dual instance from the whole family and one point mu in [-3, 3]^dim:
+    sigma <= beta up to condition 1e8, theta < zeta, dim 2..64, a random band
+    split and either pairing."""
+    sigma = 10.0 ** draw(st.floats(-3.0, 3.0))
+    beta = sigma * 10.0 ** draw(st.floats(0.0, 8.0))
+    theta = 10.0 ** draw(st.floats(-3.0, 3.0))
+    zeta = theta * 10.0 ** draw(st.floats(0.01, 4.0))
+    dim = draw(st.integers(2, 64))
+    n_sigma = draw(st.integers(1, dim - 1))
+    idx_sigma = draw(st.permutations(range(dim)))[:n_sigma]
+    pairing = draw(st.sampled_from(PAIRINGS))
+    mu = draw(st.lists(st.floats(-3.0, 3.0), min_size=dim, max_size=dim))
+    return make_dual_instance(sigma, beta, theta, zeta, dim, idx_sigma, pairing), Vec(np.array(mu))
+
+
+@settings(deadline=None, max_examples=100)
+@given(oracle_cases())
+def test_numeric_conjugate_matches_dual_over_the_family(case):
+    p, mu = case
+    value = eval_f(dual_function(p), mu)
+    assert abs(value - conjugate_oracle(p, mu)) <= 1e-8 * max(1.0, abs(value))
 
 
 def test_dual_envelope_constants_bound_dual_weights():
