@@ -20,10 +20,10 @@ from .functions import (
     dual_function,
     eval_f,
 )
-from .hilbert import Vec, basis_vector, change_basis, inner, norm, random_basis_map
+from .hilbert import Vec, basis_rows, basis_vector, change_basis, inner, norm, random_basis_map
 from .prox import prox_diag, prox_g, prox_oracle, refl_prox_diag, refl_prox_g
-from .rates import alpha_upper_bound, dual_rate_constants, psi, theoretical_rate
-from .splitting import SplitParams, fit_rate, fit_rates, run_admm, run_dr, run_dual_dr, run_rows
+from .rates import alpha_upper_bound, alpha_upper_bounds, dual_rate_constants, psi, theoretical_rates
+from .splitting import SplitParams, fit_rate, fit_rates, run_dr, run_dual_dr, run_rows
 from .worstcase import (
     DEFAULT_BETA,
     DEFAULT_SIGMA,
@@ -31,6 +31,7 @@ from .worstcase import (
     default_primal_instance,
     make_dual_instance,
     predict_iterate,
+    worst_coordinates,
     worst_start_vector,
 )
 
@@ -144,31 +145,36 @@ def _region_samples(sigma: float, beta: float):
         for a, f in zip(np.linspace(0.1, 1.0, 10), np.linspace(0.1, 1.0, 10))
     ]
     gammas_iii = np.geomspace(1.0, 40.0, 10) * gamma_star
-    fracs_iii = np.linspace(0.0, 0.9, 10)
-    samples["III"] = [
-        (1.0 + f * (alpha_upper_bound(g, sigma, beta) - 1.0), g)
-        for g, f in zip(gammas_iii, fracs_iii)
-    ]
+    alphas_iii = 1.0 + np.linspace(0.0, 0.9, 10) * (alpha_upper_bounds(gammas_iii, sigma, beta) - 1.0)
+    samples["III"] = list(zip(alphas_iii, gammas_iii))
     ub_star = alpha_upper_bound(gamma_star, sigma, beta)
     samples["IV"] = [(f * ub_star, gamma_star) for f in np.linspace(0.05, 0.95, 10)]
     return samples
 
 
+def _worst_start_runs(problem, mode: str, quad, alphas, gammas, max_iter: int):
+    """Fitted rates of ``mode`` runs from the worst start of ``quad`` at each
+    point, with ``tol=0``, as one batch; NaN where a run diverged or was too
+    short to fit."""
+    index = worst_coordinates(quad, alphas, gammas)
+    starts = lambda rows: basis_rows(problem.dim, index[rows])
+    runs = run_rows(problem, mode, alphas, gammas, starts, max_iter=max_iter, tol=0.0)
+    return np.where(runs.diverged, np.nan, fit_rates(runs.step_ratios))
+
+
 def _tightness_case_coverage():
     sigma, beta = DEFAULT_SIGMA, DEFAULT_BETA
     problem = default_primal_instance()
-    worst_err = 0.0
-    count = 0
-    for region, points in _region_samples(sigma, beta).items():
-        for alpha, gamma in points:
-            z0 = worst_start_vector(problem.f, alpha, gamma)
-            trace = run_dr(problem, SplitParams(alpha, gamma), z0, max_iter=30, tol=0.0)
-            err = abs(fit_rate(trace) - theoretical_rate(alpha, gamma, sigma, beta))
-            worst_err = max(worst_err, err)
-            count += 1
-            if err > 1e-9:
-                return False, f"region {region} point (alpha={alpha:g}, gamma={gamma:g}): gap {err:.3e} > 1e-9"
-    return True, f"{count} points over 4 regions, worst |empirical - bound| = {worst_err:.3e} <= 1e-9"
+    samples = _region_samples(sigma, beta)
+    regions = [region for region, points in samples.items() for _ in points]
+    alphas, gammas = np.array([point for points in samples.values() for point in points]).T
+    fits = _worst_start_runs(problem, "primal-dr", problem.f, alphas, gammas, max_iter=30)
+    errs = np.abs(fits - theoretical_rates(alphas, gammas, sigma, beta))
+    failed = ~(errs <= 1e-9)
+    if failed.any():
+        i = int(np.argmax(failed))
+        return False, f"region {regions[i]} point (alpha={alphas[i]:g}, gamma={gammas[i]:g}): gap {errs[i]:.3e} > 1e-9"
+    return True, f"{errs.size} points over 4 regions, worst |empirical - bound| = {errs.max():.3e} <= 1e-9"
 
 
 def check_tightness_case_coverage() -> CriterionResult:
@@ -182,20 +188,22 @@ def _contraction_bound_grid():
     sigma, beta = DEFAULT_SIGMA, DEFAULT_BETA
     problem = default_primal_instance()
     gamma_star = 1.0 / math.sqrt(sigma * beta)
-    gammas = np.geomspace(gamma_star / 20.0, gamma_star * 20.0, 20)
-    alphas = np.linspace(0.05, 1.9, 20)
-    points = [
-        (alpha, gamma) for alpha in alphas for gamma in gammas if alpha < alpha_upper_bound(gamma, sigma, beta)
-    ]
+    alphas, gammas = (
+        grid.ravel()
+        for grid in np.meshgrid(
+            np.linspace(0.05, 1.9, 20), np.geomspace(gamma_star / 20.0, gamma_star * 20.0, 20), indexing="ij"
+        )
+    )
+    feasible = alphas < alpha_upper_bounds(gammas, sigma, beta)
+    alphas, gammas = alphas[feasible], gammas[feasible]
     starts_per_point = 50
-    row_alphas, row_gammas = np.repeat(np.array(points), starts_per_point, axis=0).T
-    bounds = np.repeat([theoretical_rate(a, g, sigma, beta) for a, g in points], starts_per_point)
+    bounds = np.repeat(theoretical_rates(alphas, gammas, sigma, beta), starts_per_point)
     rng = np.random.default_rng(1234)
     runs = run_rows(
         problem,
         "primal-dr",
-        row_alphas,
-        row_gammas,
+        np.repeat(alphas, starts_per_point),
+        np.repeat(gammas, starts_per_point),
         lambda rows: rng.uniform(-1.0, 1.0, (rows.stop - rows.start, problem.dim)),
         max_iter=22,
         tol=0.0,
@@ -203,18 +211,18 @@ def _contraction_bound_grid():
     excess = fit_rates(runs.step_ratios) - bounds
     unmeasured = runs.diverged | np.isnan(excess)
     if unmeasured.any():
-        alpha, gamma = points[int(np.argmax(unmeasured)) // starts_per_point]
-        return False, f"a run diverged or was too short to fit at (alpha={alpha:g}, gamma={gamma:g})"
+        point = int(np.argmax(unmeasured)) // starts_per_point
+        return False, f"a run diverged or was too short to fit at (alpha={alphas[point]:g}, gamma={gammas[point]:g})"
     over = excess > 1e-9
     if over.any():
         row = int(np.argmax(over))
-        alpha, gamma = points[row // starts_per_point]
+        point = row // starts_per_point
         return False, (
             f"empirical exceeded the bound by {excess[row]:.3e} at "
-            f"(alpha={alpha:g}, gamma={gamma:g})"
+            f"(alpha={alphas[point]:g}, gamma={gammas[point]:g})"
         )
     return True, (
-        f"{excess.size} runs over {len(points)} feasible grid points, "
+        f"{excess.size} runs over {alphas.size} feasible grid points, "
         f"max(empirical - bound) = {excess.max():.3e} <= 1e-9"
     )
 
@@ -280,39 +288,41 @@ def _dual_admm_transfer():
     instance = default_dual_instance("crossed")
     dual_quad = dual_function(instance)
     upper_star = alpha_upper_bound(gamma_opt, s_hat, b_hat)
-    extra_points = [
-        (1.0, 0.3 * gamma_opt),
-        (1.0, 4.0 * gamma_opt),
-        (0.7, 0.5 * gamma_opt),
-        (1.0 + 0.5 * (alpha_upper_bound(2.0 * gamma_opt, s_hat, b_hat) - 1.0), 2.0 * gamma_opt),
-    ]
-    worst_gap = crossed_err
-    for alpha, gamma in extra_points:
-        mu0 = worst_start_vector(dual_quad, alpha, gamma)
-        trace = run_dual_dr(instance, SplitParams(alpha, gamma), mu0, max_iter=40, tol=0.0)
-        gap = abs(fit_rate(trace) - theoretical_rate(alpha, gamma, s_hat, b_hat))
-        worst_gap = max(worst_gap, gap)
-        if gap > 1e-10:
-            return False, f"crossed pairing gap {gap:.3e} > 1e-10 at (alpha={alpha:g}, gamma={gamma:g})"
+    extra_alphas, extra_gammas = np.array(
+        [
+            (1.0, 0.3 * gamma_opt),
+            (1.0, 4.0 * gamma_opt),
+            (0.7, 0.5 * gamma_opt),
+            (1.0 + 0.5 * (alpha_upper_bound(2.0 * gamma_opt, s_hat, b_hat) - 1.0), 2.0 * gamma_opt),
+        ]
+    ).T
+    fits_extra = _worst_start_runs(instance, "dual-dr", dual_quad, extra_alphas, extra_gammas, max_iter=40)
+    gaps = np.abs(fits_extra - theoretical_rates(extra_alphas, extra_gammas, s_hat, b_hat))
+    failed = ~(gaps <= 1e-10)
+    if failed.any():
+        i = int(np.argmax(failed))
+        return False, (
+            f"crossed pairing gap {gaps[i]:.3e} > 1e-10 at (alpha={extra_alphas[i]:g}, gamma={extra_gammas[i]:g})"
+        )
+    worst_gap = max(crossed_err, float(gaps.max()))
 
     # dual splitting vs ADMM: same relaxation, rho = gamma
-    points = [
-        (a, f * gamma_opt) for a in (0.5, 0.8, 1.0) for f in (0.4, 1.0, 2.5)
-    ] + [(0.5 * (1.0 + upper_star), gamma_opt)]
-    worst_mismatch = 0.0
-    for alpha, gamma in points:
-        mu0 = worst_start_vector(dual_quad, alpha, gamma)
-        dr_trace = run_dual_dr(instance, SplitParams(alpha, gamma), mu0, max_iter=40, tol=0.0)
-        admm_trace = run_admm(
-            instance, rho=gamma, alpha=alpha, u0=(1.0 / gamma) * mu0, max_iter=40, tol=0.0
+    alphas, gammas = np.array(
+        [(a, f * gamma_opt) for a in (0.5, 0.8, 1.0) for f in (0.4, 1.0, 2.5)]
+        + [(0.5 * (1.0 + upper_star), gamma_opt)]
+    ).T
+    mismatch = np.abs(
+        _worst_start_runs(instance, "dual-dr", dual_quad, alphas, gammas, max_iter=40)
+        - _worst_start_runs(instance, "admm", dual_quad, alphas, gammas, max_iter=40)
+    )
+    failed = ~(mismatch <= 1e-8)
+    if failed.any():
+        i = int(np.argmax(failed))
+        return False, (
+            f"ADMM vs dual splitting rate mismatch {mismatch[i]:.3e} > 1e-8 at "
+            f"(alpha={alphas[i]:g}, rho={gammas[i]:g})"
         )
-        mismatch = abs(fit_rate(dr_trace) - fit_rate(admm_trace))
-        worst_mismatch = max(worst_mismatch, mismatch)
-        if mismatch > 1e-8:
-            return False, (
-                f"ADMM vs dual splitting rate mismatch {mismatch:.3e} > 1e-8 at "
-                f"(alpha={alpha:g}, rho={gamma:g})"
-            )
+    worst_mismatch = float(mismatch.max())
     return True, (
         f"crossed pairing attains the dual bound (worst gap {worst_gap:.3e}); aligned measured "
         f"{fits['aligned']:.6f} vs bound {rate_opt:.6f}; ADMM matches dual splitting at 10 points "

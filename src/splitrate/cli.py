@@ -15,15 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functions import DiagQuadratic, dual_function
+from .functions import dual_function
+from .hilbert import basis_rows
 from .rates import (
     TIGHT_CASES,
     TightnessCase,
     alpha_upper_bound,
-    classify_tightness,
+    classify_tightness_rows,
     dual_rate_constants,
     optimal_params,
     theoretical_rate,
+    theoretical_rates,
 )
 from .splitting import MIN_FIT_RATIOS, MODES, fit_rates, run_rows
 from .worstcase import (
@@ -36,7 +38,7 @@ from .worstcase import (
     PAIRINGS,
     make_dual_instance,
     make_primal_instance,
-    worst_start_vector,
+    worst_coordinates,
 )
 
 __all__ = [
@@ -259,61 +261,58 @@ def _bound_constants(cfg: SweepConfig) -> tuple[float, float]:
 
 def _instance_and_constants(cfg: SweepConfig):
     """Build the instance for the configured mode and return it with the
-    constants the bound should use and the curvatures that pick worst starts."""
+    constants the bound should use and the quadratic whose curvatures pick
+    worst starts."""
     if cfg.mode == "primal-dr":
         problem = make_primal_instance(cfg.sigma, cfg.beta, cfg.dim, cfg.idx_sigma)
-        return problem, *_bound_constants(cfg), problem.f.weights
+        return problem, *_bound_constants(cfg), problem.f
     problem = make_dual_instance(
         cfg.sigma, cfg.beta, cfg.theta, cfg.zeta, cfg.dim, cfg.idx_sigma, pairing=cfg.pairing
     )
-    return problem, *_bound_constants(cfg), dual_function(problem).weights
+    return problem, *_bound_constants(cfg), dual_function(problem)
 
 
-def _start_rows(cfg: SweepConfig, weights: np.ndarray, points: list):
+def _start_rows(cfg: SweepConfig, quad, alphas: np.ndarray, gammas: np.ndarray):
     """Start rows for :func:`run_rows`, one per grid point: random rows come
-    from one generator seeded with ``cfg.seed``, drawn in grid order."""
+    from one generator seeded with ``cfg.seed``, drawn in grid order; worst
+    starts are unit rows along the coordinates that
+    :func:`worst_coordinates` picks for the whole grid at once."""
     if cfg.start == "random":
         rng = np.random.default_rng(cfg.seed)
         return lambda rows: rng.uniform(-1.0, 1.0, (rows.stop - rows.start, cfg.dim))
     if cfg.start == "zero":
         return lambda rows: np.zeros((rows.stop - rows.start, cfg.dim))
-    quad = DiagQuadratic(weights)
-    return lambda rows: np.array([worst_start_vector(quad, a, g).coeffs for a, g in points[rows]])
+    coordinates = worst_coordinates(quad, alphas, gammas)
+    return lambda rows: basis_rows(cfg.dim, coordinates[rows])
 
 
-def evaluate_point(alpha: float, gamma: float, sigma: float, beta: float, empirical: float, diverged: bool) -> RateReport:
-    """Compare the rate measured at one parameter point against the bound.
+def evaluate_points(alphas, gammas, sigma: float, beta: float, empirical, diverged) -> list:
+    """Compare the rates measured at parameter points against the bound, as
+    array work over all points: one :class:`RateReport` per point, in order.
 
-    ``empirical`` is NaN when the run was too short to fit a rate.
+    ``empirical`` is NaN where a run was too short to fit a rate.
     """
-    theoretical = theoretical_rate(alpha, gamma, sigma, beta)
-    case = classify_tightness(alpha, gamma, sigma, beta)
-    if diverged:
-        empirical = math.nan
+    theoretical = theoretical_rates(alphas, gammas, sigma, beta)
+    cases = classify_tightness_rows(alphas, gammas, sigma, beta)
+    empirical = np.where(diverged, math.nan, empirical)
     gap = theoretical - empirical
-    if diverged:
-        verdict = "infeasible-diverged"
-    elif case in TIGHT_CASES and abs(gap) <= TIGHT_GAP:
-        verdict = "tight"
-    else:
-        verdict = "bounded"
-    return RateReport(alpha, gamma, theoretical, empirical, case, gap, verdict)
+    tight = np.isin(cases, list(TIGHT_CASES)) & (np.abs(gap) <= TIGHT_GAP)
+    verdicts = np.where(diverged, "infeasible-diverged", np.where(tight, "tight", "bounded"))
+    columns = (alphas, gammas, theoretical, empirical, cases, gap, verdicts)
+    return [RateReport(*point) for point in zip(*(np.asarray(c).tolist() for c in columns))]
 
 
 def _sweep(cfg: SweepConfig) -> tuple:
     """All grid points as one batch of engine runs: the reports, ordered by
     (alpha, gamma), and the :class:`RowRuns` they were measured from."""
     cfg.validate()
-    problem, sigma, beta, weights = _instance_and_constants(cfg)
-    points = [(alpha, gamma) for alpha in sorted(cfg.alpha_grid) for gamma in sorted(cfg.gamma_grid)]
-    alphas, gammas = np.array(points).T
-    starts = _start_rows(cfg, weights, points)
+    problem, sigma, beta, quad = _instance_and_constants(cfg)
+    alphas, gammas = (
+        grid.ravel() for grid in np.meshgrid(sorted(cfg.alpha_grid), sorted(cfg.gamma_grid), indexing="ij")
+    )
+    starts = _start_rows(cfg, quad, alphas, gammas)
     runs = run_rows(problem, cfg.mode, alphas, gammas, starts, max_iter=cfg.iters, tol=cfg.tol)
-    fits = fit_rates(runs.step_ratios)
-    reports = [
-        evaluate_point(alpha, gamma, sigma, beta, float(fit), bool(diverged))
-        for (alpha, gamma), fit, diverged in zip(points, fits, runs.diverged)
-    ]
+    reports = evaluate_points(alphas, gammas, sigma, beta, fit_rates(runs.step_ratios), runs.diverged)
     return reports, runs
 
 

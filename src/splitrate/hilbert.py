@@ -24,6 +24,7 @@ __all__ = [
     "norm",
     "change_basis",
     "basis_vector",
+    "basis_rows",
     "zeros",
     "random_basis_map",
     "ORTHOGONALITY_TOL",
@@ -135,9 +136,18 @@ def basis_vector(dim: int, i: int) -> Vec:
     """Unit vector along coordinate i."""
     if not 0 <= i < dim:
         raise ValueError(f"index {i} out of range for dimension {dim}")
-    out = np.zeros(dim)
-    out[i] = 1.0
-    return Vec(out)
+    return Vec(basis_rows(dim, [i])[0])
+
+
+def basis_rows(dim: int, indices) -> np.ndarray:
+    """Row form of :func:`basis_vector`: a ``(len(indices), dim)`` array
+    whose row r is the unit vector along coordinate ``indices[r]``."""
+    indices = np.asarray(indices, dtype=int)
+    if not np.all((0 <= indices) & (indices < dim)):
+        raise ValueError(f"an index is out of range for dimension {dim}")
+    out = np.zeros((indices.size, dim))
+    out[np.arange(indices.size), indices] = 1.0
+    return out
 
 
 def zeros(dim: int) -> Vec:

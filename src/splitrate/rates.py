@@ -1,6 +1,10 @@
 """Contraction-rate formulas, feasible relaxation intervals, optimal
 parameters, dual constants, and the classifier for the parameter regions
-where the bound is attained exactly."""
+where the bound is attained exactly.
+
+The bound, the relaxation limit and the classifier each have a row form
+(``theoretical_rates``, ``alpha_upper_bounds``, ``classify_tightness_rows``)
+that takes arrays of points; each scalar function is its one-row case."""
 
 from __future__ import annotations
 
@@ -8,16 +12,21 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "psi",
     "theoretical_rate",
+    "theoretical_rates",
     "alpha_upper_bound",
+    "alpha_upper_bounds",
     "optimal_params",
     "RateConstants",
     "dual_rate_constants",
     "TightnessCase",
     "TIGHT_CASES",
     "classify_tightness",
+    "classify_tightness_rows",
 ]
 
 
@@ -26,6 +35,11 @@ def psi(x: float) -> float:
     psi(x) <= -psi(y) exactly when x * y >= 1 (for x > 0)."""
     if not x > -1.0:
         raise ValueError(f"psi requires x > -1, got {x!r}")
+    return _psi(x)
+
+
+def _psi(x):
+    """:func:`psi` without its domain check, for a float or an array."""
     return (1.0 - x) / (1.0 + x)
 
 
@@ -35,15 +49,37 @@ def _check_positive(**values: float) -> None:
             raise ValueError(f"{name} must be positive and finite, got {v!r}")
 
 
+def _positive_rows(**values) -> list[np.ndarray]:
+    """Each value as a float array, checked positive and finite."""
+    arrays = []
+    for name, v in values.items():
+        a = np.asarray(v, dtype=float)
+        if not np.all((a > 0.0) & np.isfinite(a)):
+            raise ValueError(f"{name} must be positive and finite")
+        arrays.append(a)
+    return arrays
+
+
 def _check_spectrum(sigma: float, beta: float) -> None:
     _check_positive(sigma=sigma)
     if not (sigma <= beta and math.isfinite(beta)):
         raise ValueError(f"need 0 < sigma <= beta, got sigma={sigma!r}, beta={beta!r}")
 
 
-def _max_term(gamma: float, sigma: float, beta: float) -> float:
-    """max((1 - g*sigma)/(1 + g*sigma), (g*beta - 1)/(g*beta + 1)); in [0, 1)."""
-    return max(psi(gamma * sigma), -psi(gamma * beta))
+def _max_terms(gammas: np.ndarray, sigma: float, beta: float) -> np.ndarray:
+    """max((1 - g*sigma)/(1 + g*sigma), (g*beta - 1)/(g*beta + 1)) per step
+    size; in [0, 1). Ties keep the first term, as Python's ``max`` does
+    (``np.maximum`` need not keep the same signed zero)."""
+    first, second = _psi(gammas * sigma), -_psi(gammas * beta)
+    return np.where(second > first, second, first)
+
+
+def theoretical_rates(alphas, gammas, sigma: float, beta: float) -> np.ndarray:
+    """Row form of :func:`theoretical_rate`: the bound at each point
+    ``(alphas[i], gammas[i])``, bit for bit the scalar's value."""
+    alphas, gammas = _positive_rows(alphas=alphas, gammas=gammas)
+    _check_spectrum(sigma, beta)
+    return np.abs(1.0 - alphas) + alphas * _max_terms(gammas, sigma, beta)
 
 
 def theoretical_rate(alpha: float, gamma: float, sigma: float, beta: float) -> float:
@@ -55,14 +91,21 @@ def theoretical_rate(alpha: float, gamma: float, sigma: float, beta: float) -> f
     """
     _check_positive(alpha=alpha, gamma=gamma)
     _check_spectrum(sigma, beta)
-    return abs(1.0 - alpha) + alpha * _max_term(gamma, sigma, beta)
+    return float(theoretical_rates([alpha], [gamma], sigma, beta)[0])
+
+
+def alpha_upper_bounds(gammas, sigma: float, beta: float) -> np.ndarray:
+    """Row form of :func:`alpha_upper_bound`, one limit per step size."""
+    (gammas,) = _positive_rows(gammas=gammas)
+    _check_spectrum(sigma, beta)
+    return 2.0 / (1.0 + _max_terms(gammas, sigma, beta))
 
 
 def alpha_upper_bound(gamma: float, sigma: float, beta: float) -> float:
     """Supremum of relaxations with contraction bound below 1; always in (1, 2]."""
     _check_positive(gamma=gamma)
     _check_spectrum(sigma, beta)
-    return 2.0 / (1.0 + _max_term(gamma, sigma, beta))
+    return float(alpha_upper_bounds([gamma], sigma, beta)[0])
 
 
 def optimal_params(sigma: float, beta: float) -> tuple[float, float, float]:
@@ -133,6 +176,37 @@ class TightnessCase(enum.Enum):
 TIGHT_CASES = frozenset({TightnessCase.CASE_I, TightnessCase.CASE_II, TightnessCase.CASE_III})
 
 
+#: the labels in definition order, which is the order in which
+#: :func:`classify_tightness` tries their regions
+_CASE_ORDER = np.array(list(TightnessCase), dtype=object)
+
+
+def _isclose(a, b) -> np.ndarray:
+    """``math.isclose(a, b, rel_tol=1e-12)`` elementwise, for finite a and b.
+    ``np.isclose`` differs: it adds an absolute tolerance of 1e-8."""
+    diff = np.abs(b - a)
+    return (diff <= np.abs(1e-12 * b)) | (diff <= np.abs(1e-12 * a))
+
+
+def classify_tightness_rows(alphas, gammas, sigma: float, beta: float) -> np.ndarray:
+    """Row form of :func:`classify_tightness`: the label of each point
+    ``(alphas[i], gammas[i])``, as an object array of :class:`TightnessCase`."""
+    alphas, gammas = _positive_rows(alphas=alphas, gammas=gammas)
+    _check_spectrum(sigma, beta)
+    gamma_star = 1.0 / math.sqrt(sigma * beta)
+    upper = alpha_upper_bounds(gammas, sigma, beta)
+    at_one = _isclose(alphas, 1.0)
+    at_star = _isclose(gammas, gamma_star)
+    feasible = alphas < upper
+    regions = [
+        at_one,
+        (alphas < 1.0) & ((gammas <= gamma_star) | at_star),
+        (1.0 < alphas) & feasible & ((gammas >= gamma_star) | at_star),
+        feasible,
+    ]
+    return _CASE_ORDER[np.select(regions, [0, 1, 2, 3], 4)]
+
+
 def classify_tightness(alpha: float, gamma: float, sigma: float, beta: float) -> TightnessCase:
     """First matching region, checked in order:
 
@@ -144,16 +218,4 @@ def classify_tightness(alpha: float, gamma: float, sigma: float, beta: float) ->
     """
     _check_positive(alpha=alpha, gamma=gamma)
     _check_spectrum(sigma, beta)
-    gamma_star = 1.0 / math.sqrt(sigma * beta)
-    upper = alpha_upper_bound(gamma, sigma, beta)
-    at_one = math.isclose(alpha, 1.0, rel_tol=1e-12)
-    at_star = math.isclose(gamma, gamma_star, rel_tol=1e-12)
-    if at_one:
-        return TightnessCase.CASE_I
-    if alpha < 1.0 and (gamma <= gamma_star or at_star):
-        return TightnessCase.CASE_II
-    if 1.0 < alpha < upper and (gamma >= gamma_star or at_star):
-        return TightnessCase.CASE_III
-    if alpha < upper:
-        return TightnessCase.FEASIBLE_NOT_CLASSIFIED
-    return TightnessCase.INFEASIBLE
+    return classify_tightness_rows([alpha], [gamma], sigma, beta)[0]

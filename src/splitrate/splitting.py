@@ -48,6 +48,9 @@ MODES = ("primal-dr", "dual-dr", "admm")
 #: block always holds at least one row
 BLOCK_ELEMENTS = 1 << 18
 
+#: rows longer than this are normed chunk by chunk (see :func:`_norms`)
+NORM_CHUNK = 8192
+
 
 class DivergenceError(RuntimeError):
     """Iterates moved away from the fixed point instead of contracting.
@@ -127,8 +130,25 @@ class RowRuns:
 
 
 def _norms(z: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row, bit for bit ``sqrt(np.dot(row, row))``."""
-    return np.sqrt(np.vecdot(z, z))
+    """Euclidean norm of each row of a ``(rows, dim)`` array.
+
+    Rows of up to :data:`NORM_CHUNK` elements give bit for bit
+    ``sqrt(np.dot(row, row))``. A longer row is the sum, in a fixed order, of
+    the dots of its consecutive ``NORM_CHUNK``-element chunks and of its
+    shorter tail: BLAS may split one dot that long over threads, and its
+    last bit would then depend on the thread count. The chunks are one
+    strided view of ``z``, not a copy.
+    """
+    rows, dim = z.shape
+    if dim <= NORM_CHUNK:
+        return np.sqrt(np.vecdot(z, z))
+    full = dim // NORM_CHUNK
+    row_stride, stride = z.strides
+    chunks = np.lib.stride_tricks.as_strided(
+        z, (rows, full, NORM_CHUNK), (row_stride, NORM_CHUNK * stride, stride), writeable=False
+    )
+    tail = z[:, full * NORM_CHUNK :]
+    return np.sqrt(np.vecdot(chunks, chunks).sum(axis=1) + np.vecdot(tail, tail))
 
 
 def _step_ratios(distances: np.ndarray) -> np.ndarray:
@@ -156,11 +176,19 @@ def _iterate(step: Callable, params: tuple, state: tuple, start: np.ndarray, max
     recorded, step_norms)``. A row stops when its first step leaves its
     state exactly unchanged (it started at a fixed point), when its distance
     to the origin exceeds ``DIVERGENCE_FACTOR`` times its starting distance
-    (diverged), or when its step norm drops to ``tol``. A stopped row leaves
-    the active set, with its state and parameters.
+    (diverged), or when its step norm drops to ``tol``.
+
+    A stopped row is stepped on with the others until at most half of the
+    array rows are live; only then are the state, the parameters and the
+    bookkeeping gathered down to the live rows. Until that point the
+    stopped row's row of the last state array is NaN. Each step map carries
+    that NaN into the row's recorded vector and step norm, so its distance
+    reads NaN and it meets no stop test again; NaN arithmetic raises no
+    floating-point warning.
 
     Returns ``(distances, steps, converged, diverged, state)``: ``distances``
-    as in :class:`RowRuns` and ``state`` the state the loop ended with.
+    as in :class:`RowRuns` and ``state`` the state the loop ended with (a
+    single row's final state).
     """
     if max_iter < 0:
         raise ValueError("max_iter must be non-negative")
@@ -173,7 +201,9 @@ def _iterate(step: Callable, params: tuple, state: tuple, start: np.ndarray, max
     steps = np.full(rows, max_iter)
     converged = np.zeros(rows, dtype=bool)
     diverged = np.zeros(rows, dtype=bool)
-    live = np.arange(rows)
+    # the batch row of each array row, and which array rows still run
+    index = np.arange(rows)
+    live = np.ones(rows, dtype=bool)
     for k in range(max_iter):
         next_state, recorded, step_norm = step(params, state)
         if k == 0:
@@ -190,20 +220,25 @@ def _iterate(step: Callable, params: tuple, state: tuple, start: np.ndarray, max
             done |= fixed
         if k + 1 == distances.shape[1]:
             distances = np.concatenate([distances, np.full(distances.shape, np.nan)], axis=1)
-        distances[live, k + 1] = dist
+        distances[index, k + 1] = dist
         if not done.any():
             continue
-        steps[live[done]] = k + 1
+        steps[index[done]] = k + 1
         if k == 0:
-            steps[live[fixed]] = 0
-        diverged[live[grew]] = True
-        converged[live[done & ~grew]] = True
-        if done.all():
+            steps[index[fixed]] = 0
+        diverged[index[grew]] = True
+        converged[index[done & ~grew]] = True
+        live &= ~done
+        left = np.count_nonzero(live)
+        if left == 0:
             break
-        going = ~done
-        live, limit = live[going], limit[going]
-        state = tuple(s[going] for s in state)
-        params = tuple(p[going] for p in params)
+        if 2 * left > live.size:
+            state[-1][done] = np.nan
+            continue
+        index, limit = index[live], limit[live]
+        state = tuple(s[live] for s in state)
+        params = tuple(p[live] for p in params)
+        live = np.ones(left, dtype=bool)
     return distances[:, : steps.max(initial=0) + 1], steps, converged, diverged, state
 
 

@@ -1,5 +1,6 @@
 """Generators for the instances whose contraction exactly attains the rate
-bound, and the closed-form iterate predictor used as the exactness oracle."""
+bound, the closed-form iterate predictor used as the exactness oracle, and the
+slowest-contracting start: per point, or as a row form over many points."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import numpy as np
 
 from .functions import CompositeProblem, DiagOperator, DiagQuadratic, GFunction, SpectrumSpec
 from .hilbert import Vec, basis_vector
-from .rates import psi
+from .rates import _positive_rows, _psi, psi
 
 __all__ = [
     "make_primal_instance",
@@ -17,7 +18,9 @@ __all__ = [
     "predict_iterate",
     "step_multiplier",
     "worst_direction",
+    "worst_directions",
     "worst_start_vector",
+    "worst_coordinates",
     "default_primal_instance",
     "default_dual_instance",
     "PAIRINGS",
@@ -84,12 +87,19 @@ def make_dual_instance(
     return CompositeProblem(f=DiagQuadratic.from_spectrum(spec), g=GFunction.ZERO_INDICATOR, a=op)
 
 
+def _relaxed_factor(alpha, reflection):
+    """``1 - alpha + alpha * reflection``: the factor of one relaxed step on a
+    coordinate whose reflected proximal maps scale it by ``reflection``; for
+    floats or arrays."""
+    return 1.0 - alpha + alpha * reflection
+
+
 def step_multiplier(lambda_i: float, alpha: float, gamma: float) -> float:
     """Per-coordinate factor of one splitting step on the worst-case class:
     ``1 - alpha + alpha * (1 - gamma*lambda) / (1 + gamma*lambda)``."""
     if not (gamma > 0.0 and math.isfinite(gamma)):
         raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
-    return 1.0 - alpha + alpha * psi(gamma * lambda_i)
+    return _relaxed_factor(alpha, psi(gamma * lambda_i))
 
 
 def predict_iterate(lambda_i: float, alpha: float, gamma: float, k: int) -> float:
@@ -101,23 +111,50 @@ def predict_iterate(lambda_i: float, alpha: float, gamma: float, k: int) -> floa
     return step_multiplier(lambda_i, alpha, gamma) ** k
 
 
+def _sigma_is_slowest(c_sigma, c_beta):
+    """The tie rule of :func:`worst_direction`, for floats or arrays."""
+    return abs(c_sigma) >= abs(c_beta) * (1.0 - 1e-12)
+
+
 def worst_direction(alpha: float, gamma: float, sigma: float, beta: float) -> str:
     """Which curvature band contracts slowest from a unit start: "sigma" or
     "beta". Ties (e.g. at gamma = 1/sqrt(sigma*beta), where the two factors
     agree up to rounding) go to "sigma"."""
     if not (alpha > 0.0 and math.isfinite(alpha)):
         raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
-    c_sigma = abs(step_multiplier(sigma, alpha, gamma))
-    c_beta = abs(step_multiplier(beta, alpha, gamma))
-    return "sigma" if c_sigma >= c_beta * (1.0 - 1e-12) else "beta"
+    c_sigma = step_multiplier(sigma, alpha, gamma)
+    c_beta = step_multiplier(beta, alpha, gamma)
+    return "sigma" if _sigma_is_slowest(c_sigma, c_beta) else "beta"
+
+
+def worst_directions(alphas, gammas, sigma: float, beta: float) -> np.ndarray:
+    """Row form of :func:`worst_direction`: True where the point
+    ``(alphas[i], gammas[i])`` picks "sigma", with the same tie rule."""
+    alphas, gammas = _positive_rows(alphas=alphas, gammas=gammas)
+    c_sigma = _relaxed_factor(alphas, _psi(gammas * sigma))
+    c_beta = _relaxed_factor(alphas, _psi(gammas * beta))
+    return _sigma_is_slowest(c_sigma, c_beta)
+
+
+def _band_coordinates(quad: DiagQuadratic) -> tuple[int, int]:
+    """The first coordinates of ``quad`` with curvature ``quad.sigma`` and
+    with curvature ``quad.beta``."""
+    weights = quad.weights
+    return tuple(int(np.argmin(np.abs(weights - target))) for target in (quad.sigma, quad.beta))
 
 
 def worst_start_vector(quad: DiagQuadratic, alpha: float, gamma: float) -> Vec:
     """Basis vector along the slowest-contracting coordinate of ``quad``."""
     label = worst_direction(alpha, gamma, quad.sigma, quad.beta)
-    target = quad.sigma if label == "sigma" else quad.beta
-    index = int(np.argmin(np.abs(quad.weights - target)))
-    return basis_vector(quad.dim, index)
+    return basis_vector(quad.dim, _band_coordinates(quad)[label == "beta"])
+
+
+def worst_coordinates(quad: DiagQuadratic, alphas, gammas) -> np.ndarray:
+    """Row form of :func:`worst_start_vector`: for each point ``(alphas[i],
+    gammas[i])``, the coordinate of its unit start (see
+    :func:`splitrate.hilbert.basis_rows`)."""
+    on_sigma, on_beta = _band_coordinates(quad)
+    return np.where(worst_directions(alphas, gammas, quad.sigma, quad.beta), on_sigma, on_beta)
 
 
 def default_primal_instance() -> CompositeProblem:

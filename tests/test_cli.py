@@ -1,10 +1,14 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import splitrate
 from splitrate import cli
 from splitrate.rates import TightnessCase
 
@@ -432,3 +436,35 @@ def test_default_random_start_sweeps_keep_their_digests(tmp_path, capsys, mode):
     )
     assert code == 0
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == RANDOM_SEED_7_SHA256[mode]
+
+
+def _cli_subprocess(args, **env):
+    """``python -m splitrate`` with ``args`` in a fresh interpreter that
+    imports this checkout's package, with extra environment variables."""
+    src = str(Path(splitrate.__file__).resolve().parents[1])
+    environ = {**os.environ, "PYTHONPATH": src, **env}
+    return subprocess.run(
+        [sys.executable, "-m", "splitrate", *args], env=environ, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = _cli_subprocess(["rate"])
+    assert proc.returncode == 0, proc.stderr
+    assert float(_parse_kv(proc.stdout)["optimal_rate"]) == pytest.approx(0.5194938532959157, abs=1e-15)
+
+
+def test_run_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # a dot of 20,000 elements may be split over BLAS threads; the row norms
+    # must not let that reach the output
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}.csv"
+        proc = _cli_subprocess(
+            ["run", "--K", "20000", "--start", "random", "--out", str(out)],
+            OPENBLAS_NUM_THREADS=threads,
+            OMP_NUM_THREADS=threads,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]

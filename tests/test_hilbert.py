@@ -6,6 +6,7 @@ import pytest
 from splitrate.hilbert import (
     BasisMap,
     Vec,
+    basis_rows,
     basis_vector,
     change_basis,
     inner,
@@ -115,3 +116,14 @@ def test_random_basis_map_deterministic():
     a = random_basis_map(6, 42)
     b = random_basis_map(6, 42)
     assert np.array_equal(a.matrix, b.matrix)
+
+
+def test_basis_rows_are_basis_vectors():
+    rows = basis_rows(4, [2, 0, 2, 3])
+    assert rows.shape == (4, 4)
+    for row, i in zip(rows, [2, 0, 2, 3]):
+        assert np.array_equal(row, basis_vector(4, i).coeffs)
+    assert basis_rows(3, []).shape == (0, 3)
+    for bad in ([4], [-1]):
+        with pytest.raises(ValueError, match="out of range"):
+            basis_rows(4, bad)

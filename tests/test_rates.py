@@ -9,12 +9,16 @@ from splitrate.rates import (
     TIGHT_CASES,
     TightnessCase,
     alpha_upper_bound,
+    alpha_upper_bounds,
     classify_tightness,
+    classify_tightness_rows,
     dual_rate_constants,
     optimal_params,
     psi,
     theoretical_rate,
+    theoretical_rates,
 )
+from splitrate.worstcase import worst_direction, worst_directions
 
 
 def test_psi_values():
@@ -198,3 +202,110 @@ def test_classify_validation():
         classify_tightness(0.0, 1.0, 1.0, 2.0)
     with pytest.raises(ValueError):
         classify_tightness(1.0, -1.0, 1.0, 2.0)
+
+
+# -- row forms ------------------------------------------------------------------
+
+
+def _reference_point(alpha, gamma, sigma, beta):
+    """The scalar formulas written out on Python floats, as they stood before
+    their row forms: (rate, upper bound, case, worst direction)."""
+
+    def p(x):
+        return (1.0 - x) / (1.0 + x)
+
+    max_term = max(p(gamma * sigma), -p(gamma * beta))
+    rate = abs(1.0 - alpha) + alpha * max_term
+    upper = 2.0 / (1.0 + max_term)
+    gamma_star = 1.0 / math.sqrt(sigma * beta)
+    at_one = math.isclose(alpha, 1.0, rel_tol=1e-12)
+    at_star = math.isclose(gamma, gamma_star, rel_tol=1e-12)
+    if at_one:
+        case = TightnessCase.CASE_I
+    elif alpha < 1.0 and (gamma <= gamma_star or at_star):
+        case = TightnessCase.CASE_II
+    elif 1.0 < alpha < upper and (gamma >= gamma_star or at_star):
+        case = TightnessCase.CASE_III
+    elif alpha < upper:
+        case = TightnessCase.FEASIBLE_NOT_CLASSIFIED
+    else:
+        case = TightnessCase.INFEASIBLE
+    c_sigma = abs(1.0 - alpha + alpha * p(gamma * sigma))
+    c_beta = abs(1.0 - alpha + alpha * p(gamma * beta))
+    direction = "sigma" if c_sigma >= c_beta * (1.0 - 1e-12) else "beta"
+    return rate, upper, case, direction
+
+
+def _nudged(x, ulps):
+    """x moved by ``ulps`` units in the last place."""
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.inf if ulps > 0 else 0.0)
+    return x
+
+
+@st.composite
+def rate_points(draw):
+    """A spectrum (sigma = beta included, condition number up to 1e8) and
+    points on its edges: alpha exactly 1 or near it, gamma exactly
+    1/sqrt(sigma*beta) or near it, alpha at or around alpha_upper_bound,
+    near-ties of the two bands' step factors, and generic points. "Near" is
+    a few ulps, or a relative offset on either side of the classifier's
+    1e-12 tolerance."""
+    sigma = 10.0 ** draw(st.floats(-3.0, 3.0))
+    beta = draw(st.just(sigma) | st.floats(0.0, 8.0).map(lambda e: sigma * 10.0**e))
+    gamma_star = 1.0 / math.sqrt(sigma * beta)
+    offsets = st.sampled_from([-1e-6, -1e-11, -1e-13, 1e-13, 1e-11, 1e-6])
+
+    def near(x):
+        return st.integers(-3, 3).map(lambda u: _nudged(x, u)) | offsets.map(lambda r: x * (1.0 + r))
+
+    points = []
+    for kind in draw(st.lists(st.sampled_from(["generic", "one", "upper", "tie"]), min_size=1, max_size=24)):
+        gamma = draw(near(gamma_star) | st.floats(-3.0, 3.0).map(lambda e: gamma_star * 10.0**e))
+        if kind == "one":
+            alpha = draw(near(1.0))
+        elif kind == "upper":
+            alpha = draw(near(alpha_upper_bound(gamma, sigma, beta)))
+        elif kind == "tie":
+            # |1 - a + a p_sigma| = |1 - a + a p_beta| with opposite signs
+            p_sigma, p_beta = psi(gamma * sigma), psi(gamma * beta)
+            alpha = draw(near(2.0 / (2.0 - p_sigma - p_beta)))
+        else:
+            alpha = draw(st.floats(0.01, 4.0))
+        points.append((alpha, gamma))
+    return sigma, beta, points
+
+
+@settings(deadline=None, max_examples=120)
+@given(rate_points())
+def test_row_forms_equal_the_scalar_reference_bitwise(case):
+    sigma, beta, points = case
+    alphas, gammas = np.array(points).T
+    reference = [_reference_point(a, g, sigma, beta) for a, g in points]
+    rates, uppers, cases, directions = zip(*reference)
+    assert theoretical_rates(alphas, gammas, sigma, beta).tobytes() == np.array(rates).tobytes()
+    assert alpha_upper_bounds(gammas, sigma, beta).tobytes() == np.array(uppers).tobytes()
+    assert list(classify_tightness_rows(alphas, gammas, sigma, beta)) == list(cases)
+    assert list(worst_directions(alphas, gammas, sigma, beta)) == [d == "sigma" for d in directions]
+    for (alpha, gamma), (rate, upper, label, direction) in zip(points, reference):
+        assert np.float64(theoretical_rate(alpha, gamma, sigma, beta)).tobytes() == np.float64(rate).tobytes()
+        assert np.float64(alpha_upper_bound(gamma, sigma, beta)).tobytes() == np.float64(upper).tobytes()
+        assert classify_tightness(alpha, gamma, sigma, beta) is label
+        assert worst_direction(alpha, gamma, sigma, beta) == direction
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+def test_row_forms_reject_bad_points(bad):
+    good = np.array([1.0, 0.5])
+    with_bad = np.array([1.0, bad])
+    for call in (
+        lambda: theoretical_rates(with_bad, good, 1.0, 2.0),
+        lambda: theoretical_rates(good, with_bad, 1.0, 2.0),
+        lambda: alpha_upper_bounds(with_bad, 1.0, 2.0),
+        lambda: classify_tightness_rows(with_bad, good, 1.0, 2.0),
+        lambda: worst_directions(good, with_bad, 1.0, 2.0),
+    ):
+        with pytest.raises(ValueError, match="positive and finite"):
+            call()
+    with pytest.raises(ValueError, match="sigma <= beta"):
+        theoretical_rates(good, good, 3.0, 2.0)

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitrate.functions import CompositeProblem, GFunction, apply_operator, dual_function, grad_f
-from splitrate.hilbert import BasisMap, Vec, basis_vector, change_basis, norm, random_basis_map, zeros
+from splitrate.hilbert import BasisMap, Vec, basis_rows, basis_vector, change_basis, norm, random_basis_map, zeros
 from splitrate.prox import refl_prox_diag, refl_prox_g
-from splitrate.rates import alpha_upper_bound, optimal_params, theoretical_rate
+from splitrate.rates import alpha_upper_bound, alpha_upper_bounds, optimal_params, theoretical_rate
 from splitrate import cli, splitting
 from splitrate.splitting import (
     DivergenceError,
@@ -29,6 +29,7 @@ from splitrate.worstcase import (
     make_dual_instance,
     make_primal_instance,
     predict_iterate,
+    worst_coordinates,
     worst_start_vector,
 )
 
@@ -445,6 +446,27 @@ def test_row_norms_equal_the_dot_product_norm_bitwise(dim, log_scale, seed):
         assert n == math.sqrt(float(np.dot(row, row))) == float(np.linalg.norm(row))
 
 
+def _reference_long_norm(row, chunk):
+    """The chunked norm written out as a loop over the chunks of one row."""
+    full = row.size // chunk
+    dots = np.array([np.dot(row[i : i + chunk], row[i : i + chunk]) for i in range(0, full * chunk, chunk)])
+    tail = row[full * chunk :]
+    return math.sqrt(float(dots.sum() + np.dot(tail, tail)))
+
+
+@pytest.mark.parametrize("dim", [8193, 16384, 20000, 3 * 8192 + 5])
+def test_long_row_norms_sum_fixed_chunks_in_order(dim):
+    rows = np.random.default_rng(dim).uniform(-1.0, 1.0, (3, dim))
+    norms = splitting._norms(rows)
+    for row, n in zip(rows, norms):
+        assert n == _reference_long_norm(row, splitting.NORM_CHUNK)
+    # the chunks are views, so a strided array is normed in place
+    wide = np.zeros((3, 2 * dim))
+    wide[:, ::2] = rows
+    for row, n in zip(wide[:, ::2], splitting._norms(wide[:, ::2])):
+        assert n == _reference_long_norm(row, splitting.NORM_CHUNK)
+
+
 #: kinds of rows mixed into one batch: a feasible relaxation, one above
 #: alpha_upper_bound (stopped by the 10x guard when it grows fast enough), and
 #: a zero start (stopped at the first step as a fixed point)
@@ -537,6 +559,49 @@ def test_batch_rows_stop_for_each_reason_in_one_batch(primal):
         trace, diverged = _single_run(primal, "primal-dr", alphas[i], gamma, starts[i], 40, 1e-3)
         assert (trace.n_steps, diverged) == (runs.steps[i], runs.diverged[i])
         assert runs.distances[i, : trace.n_steps + 1].tobytes() == trace.distances.tobytes()
+
+
+@pytest.mark.parametrize("mode", splitting.MODES)
+def test_batch_rows_stopping_at_many_steps_equal_their_single_runs(mode):
+    # 48 rows that stop by tol, by the guard, at a zero start, or at the
+    # budget, at many distinct steps: stopped rows are first stepped on as
+    # NaN rows and later gathered out, and no live row may notice either
+    problem = default_primal_instance() if mode == "primal-dr" else default_dual_instance("crossed")
+    curvatures = problem.f if mode == "primal-dr" else dual_function(problem)
+    rng = np.random.default_rng(29)
+    n, max_iter, tol = 48, 60, 1e-6
+    gammas = 10.0 ** rng.uniform(-1.5, 1.5, n) / math.sqrt(curvatures.sigma * curvatures.beta)
+    upper = alpha_upper_bounds(gammas, curvatures.sigma, curvatures.beta)
+    kinds = rng.choice(3, n, p=[0.7, 0.2, 0.1])
+    alphas = upper * np.where(kinds == 1, rng.uniform(1.05, 1.9, n), rng.uniform(0.05, 0.99, n))
+    starts = rng.uniform(-1.0, 1.0, (n, problem.dim))
+    starts[kinds == 2] = 0.0
+    runs = run_rows(problem, mode, alphas, gammas, lambda rows: starts[rows], max_iter=max_iter, tol=tol)
+    assert len(set(runs.steps.tolist())) >= 15
+    assert runs.diverged.any() and (runs.steps == 0).any() and (runs.steps == max_iter).any()
+    for i in range(n):
+        trace, diverged = _single_run(problem, mode, alphas[i], gammas[i], starts[i], max_iter, tol)
+        assert (trace.n_steps, diverged) == (runs.steps[i], runs.diverged[i])
+        assert runs.distances[i, : trace.n_steps + 1].tobytes() == trace.distances.tobytes()
+        assert np.all(np.isnan(runs.distances[i, trace.n_steps + 1 :]))
+
+
+@pytest.mark.parametrize("mode", splitting.MODES)
+def test_stopped_rows_stepped_on_raise_no_float_warnings(mode):
+    # one row trips the guard at once; the other three keep the batch more
+    # than half live for 3000 steps, so the stopped row is stepped on all
+    # that time. Left to grow, it would overflow, and pytest turns the
+    # overflow warning into an error.
+    problem = default_primal_instance() if mode == "primal-dr" else default_dual_instance("crossed")
+    curvatures = problem.f if mode == "primal-dr" else dual_function(problem)
+    gamma = 30.0 / math.sqrt(curvatures.sigma * curvatures.beta)
+    upper = alpha_upper_bound(gamma, curvatures.sigma, curvatures.beta)
+    alphas = np.array([4.0 * upper, 0.999 * upper, 0.998 * upper, 0.997 * upper])
+    starts = np.ones((4, problem.dim))
+    runs = run_rows(problem, mode, alphas, np.full(4, gamma), lambda rows: starts[rows], max_iter=3000, tol=0.0)
+    assert list(runs.diverged) == [True, False, False, False]
+    assert list(runs.steps[1:]) == [3000] * 3
+    assert np.all(np.isnan(runs.distances[0, runs.steps[0] + 1 :]))
 
 
 # -- replayed iterates ----------------------------------------------------------
@@ -688,6 +753,48 @@ def test_replay_for_each_stop_reason(mode, reason):
         assert steps == 25
     else:
         assert 0 < steps < max_iter
+
+
+@st.composite
+def admm_cases(draw):
+    """A coupled instance (condition number up to 1e8, theta < zeta, dim
+    2..32, random band split, either pairing) and a batch of feasible
+    points (alpha, rho) for its dual curvatures."""
+    sigma = 10.0 ** draw(st.floats(-3.0, 3.0))
+    beta = sigma * 10.0 ** draw(st.floats(0.0, 8.0))
+    theta = 10.0 ** draw(st.floats(-1.0, 1.0))
+    zeta = theta * 10.0 ** draw(st.floats(0.01, 1.0))
+    dim = draw(st.integers(2, 32))
+    idx_sigma = draw(st.sets(st.integers(0, dim - 1), min_size=1, max_size=dim - 1))
+    pairing = draw(st.sampled_from(["aligned", "crossed"]))
+    problem = make_dual_instance(sigma, beta, theta, zeta, dim, idx_sigma, pairing)
+    quad = dual_function(problem)
+    gamma_star = 1.0 / math.sqrt(quad.sigma * quad.beta)
+    rhos = np.array([gamma_star * 10.0 ** draw(st.floats(-2.0, 2.0)) for _ in range(draw(st.integers(1, 12)))])
+    alphas = alpha_upper_bounds(rhos, quad.sigma, quad.beta) * np.array(
+        [draw(st.floats(0.01, 0.99)) for _ in rhos]
+    )
+    return problem, quad, alphas, rhos
+
+
+@settings(deadline=None, max_examples=80)
+@given(admm_cases())
+def test_admm_rates_match_dual_dr_rates(case):
+    # the battery's 1e-8 tolerance, over the whole instance family, from the
+    # worst start of the dual curvatures
+    problem, quad, alphas, rhos = case
+    index = worst_coordinates(quad, alphas, rhos)
+    fits = {}
+    for mode in ("dual-dr", "admm"):
+        runs = run_rows(problem, mode, alphas, rhos, lambda rows: basis_rows(problem.dim, index[rows]), max_iter=40, tol=0.0)
+        assert not runs.diverged.any()
+        fits[mode] = fit_rates(runs.step_ratios)
+    dual, admm = fits["dual-dr"], fits["admm"]
+    both = ~np.isnan(dual) & ~np.isnan(admm)
+    assert np.all(np.abs(dual - admm)[both] <= 1e-8)
+    # one fit is missing only where the run contracts so fast that rounding
+    # decides whether a fifth distance clears the ratio floor
+    assert np.all(np.fmax(dual, admm)[~both] < 1e-2)
 
 
 @pytest.mark.parametrize("mode", ["primal-dr", "admm"])

@@ -2,10 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitrate.functions import GFunction, dual_function
-from splitrate.rates import alpha_upper_bound, theoretical_rate
-from splitrate.splitting import SplitParams, fit_rate, run_dr, run_dual_dr
+from splitrate.hilbert import basis_rows
+from splitrate.rates import (
+    TIGHT_CASES,
+    alpha_upper_bound,
+    alpha_upper_bounds,
+    classify_tightness_rows,
+    theoretical_rate,
+    theoretical_rates,
+)
+from splitrate.splitting import SplitParams, fit_rate, fit_rates, run_dr, run_dual_dr, run_rows
 from splitrate.worstcase import (
     default_dual_instance,
     default_primal_instance,
@@ -13,6 +23,7 @@ from splitrate.worstcase import (
     make_primal_instance,
     predict_iterate,
     step_multiplier,
+    worst_coordinates,
     worst_direction,
     worst_start_vector,
 )
@@ -103,6 +114,18 @@ def test_worst_start_vector_picks_the_band():
     assert p.f.weights[int(np.argmax(v.coeffs))] == BETA
 
 
+def test_worst_coordinates_pick_the_worst_start_vectors():
+    rng = np.random.default_rng(28)
+    gammas = GAMMA_STAR * 10.0 ** rng.uniform(-2.0, 2.0, 300)
+    gammas[:3] = GAMMA_STAR
+    alphas = rng.uniform(0.05, 2.5, 300)
+    alphas[:3] = 1.0
+    for quad in (default_primal_instance().f, dual_function(default_dual_instance("aligned"))):
+        starts = basis_rows(quad.dim, worst_coordinates(quad, alphas, gammas))
+        for alpha, gamma, row in zip(alphas, gammas, starts):
+            assert np.array_equal(row, worst_start_vector(quad, alpha, gamma).coeffs)
+
+
 def _region_points():
     ub_star = alpha_upper_bound(GAMMA_STAR, SIGMA, BETA)
     pts = [(1.0, g) for g in (0.02, 0.1, GAMMA_STAR, 2.0, 30.0)]
@@ -156,3 +179,53 @@ def test_dual_instance_aligned_pairing_stays_below_bound():
     assert fitted <= bound + 1e-9
     # strictly inside the bound: the aligned dual curvatures are interior
     assert fitted < bound - 0.1
+
+
+@st.composite
+def bound_cases(draw):
+    """A two-band instance (condition number up to 1e8, dim 2..32, random
+    band split), run as primal DR or as dual DR on the crossed pairing, whose
+    dual curvatures are the bound's constants; and a batch of points, some
+    at alpha exactly 1 or gamma exactly 1/sqrt(sigma*beta), some beyond
+    alpha_upper_bound."""
+    sigma = 10.0 ** draw(st.floats(-3.0, 3.0))
+    beta = sigma * 10.0 ** draw(st.floats(0.0, 8.0))
+    dim = draw(st.integers(2, 32))
+    idx_sigma = draw(st.sets(st.integers(0, dim - 1), min_size=1, max_size=dim - 1))
+    mode = draw(st.sampled_from(["primal-dr", "dual-dr"]))
+    if mode == "primal-dr":
+        problem = make_primal_instance(sigma, beta, dim, idx_sigma)
+        quad = problem.f
+    else:
+        theta = 10.0 ** draw(st.floats(-1.0, 1.0))
+        zeta = theta * 10.0 ** draw(st.floats(0.01, 1.0))
+        problem = make_dual_instance(sigma, beta, theta, zeta, dim, idx_sigma, pairing="crossed")
+        quad = dual_function(problem)
+    gamma_star = 1.0 / math.sqrt(quad.sigma * quad.beta)
+    points = []
+    for _ in range(draw(st.integers(1, 16))):
+        gamma = draw(st.just(gamma_star) | st.floats(-2.0, 2.0).map(lambda e: gamma_star * 10.0**e))
+        upper = alpha_upper_bound(gamma, quad.sigma, quad.beta)
+        alpha = draw(st.just(1.0) | st.floats(0.01, 1.3).map(lambda f: f * upper))
+        points.append((alpha, gamma))
+    alphas, gammas = np.array(points).T
+    return problem, mode, quad, alphas, gammas
+
+
+@settings(deadline=None, max_examples=80)
+@given(bound_cases())
+def test_worst_start_batches_meet_the_bound_and_attain_it_in_cases_i_to_iii(case):
+    problem, mode, quad, alphas, gammas = case
+    index = worst_coordinates(quad, alphas, gammas)
+    runs = run_rows(problem, mode, alphas, gammas, lambda rows: basis_rows(problem.dim, index[rows]), max_iter=40, tol=0.0)
+    fits = fit_rates(runs.step_ratios)
+    bounds = theoretical_rates(alphas, gammas, quad.sigma, quad.beta)
+    feasible = alphas < alpha_upper_bounds(gammas, quad.sigma, quad.beta)
+    tight = feasible & np.isin(classify_tightness_rows(alphas, gammas, quad.sigma, quad.beta), list(TIGHT_CASES))
+    measured = feasible & ~np.isnan(fits)
+    assert not runs.diverged[feasible].any()
+    assert np.all(fits[measured] <= bounds[measured] + 1e-9)
+    assert np.all(np.abs(fits - bounds)[tight & measured] <= 1e-9)
+    # a tight run goes unmeasured only when it contracts too fast to leave
+    # 5 distances above the ratio floor
+    assert np.all(bounds[tight & ~measured] < 1e-2)
