@@ -20,17 +20,15 @@ from .functions import (
     grad_f,
 )
 from .hilbert import (
-    BasisMap,
     Vec,
     basis_rows,
     basis_vector,
-    change_basis,
     inner,
     norm,
     random_basis_map,
     zeros,
 )
-from .prox import prox_diag, prox_g, prox_oracle, refl_prox_diag, refl_prox_g
+from .prox import prox_oracle
 from .rates import (
     RateConstants,
     TightnessCase,
@@ -49,7 +47,6 @@ from .splitting import (
     IterateTrace,
     RowRuns,
     SplitParams,
-    dr_step,
     fit_rate,
     fit_rates,
     run_admm,
@@ -73,7 +70,6 @@ from .worstcase import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisMap",
     "CompositeProblem",
     "DiagOperator",
     "DiagQuadratic",
@@ -91,14 +87,12 @@ __all__ = [
     "apply_operator",
     "basis_rows",
     "basis_vector",
-    "change_basis",
     "check_smoothness",
     "check_strong_convexity",
     "classify_tightness",
     "classify_tightness_rows",
     "default_dual_instance",
     "default_primal_instance",
-    "dr_step",
     "dual_function",
     "dual_rate_constants",
     "eval_f",
@@ -111,13 +105,9 @@ __all__ = [
     "norm",
     "optimal_params",
     "predict_iterate",
-    "prox_diag",
-    "prox_g",
     "prox_oracle",
     "psi",
     "random_basis_map",
-    "refl_prox_diag",
-    "refl_prox_g",
     "run_admm",
     "run_dr",
     "run_dual_dr",

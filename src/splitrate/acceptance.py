@@ -20,9 +20,17 @@ from .functions import (
     dual_function,
     eval_f,
 )
-from .hilbert import Vec, basis_rows, basis_vector, change_basis, inner, norm, random_basis_map
-from .prox import prox_diag, prox_g, prox_oracle, refl_prox_diag, refl_prox_g
-from .rates import alpha_upper_bound, alpha_upper_bounds, dual_rate_constants, psi, theoretical_rates
+from .hilbert import Vec, basis_rows, basis_vector, inner, norm, random_basis_map
+from .prox import prox_oracle
+from .rates import (
+    TIGHT_CASES,
+    alpha_upper_bound,
+    alpha_upper_bounds,
+    classify_tightness_rows,
+    dual_rate_constants,
+    psi,
+    theoretical_rates,
+)
 from .splitting import SplitParams, fit_rate, fit_rates, run_dr, run_dual_dr, run_rows
 from .worstcase import (
     DEFAULT_BETA,
@@ -30,6 +38,7 @@ from .worstcase import (
     default_dual_instance,
     default_primal_instance,
     make_dual_instance,
+    make_primal_instance,
     predict_iterate,
     worst_coordinates,
     worst_start_vector,
@@ -384,43 +393,19 @@ def _psi_reciprocal(rng):
     return all((psi(x) <= -psi(y)) == (x * y >= 1.0) for x, y in pairs), ""
 
 
-def _prox_diag_maps(rng):
-    """prox_diag is firmly nonexpansive, refl_prox_diag nonexpansive (1000 pairs each)."""
-    quad = default_primal_instance().f
-    holds = True
-    for gamma in (1e-3, 0.1, 1.0, 10.0, 1e3):
-        for _ in range(200):
-            x, y = (Vec(rng.uniform(-10.0, 10.0, quad.dim)) for _ in range(2))
-            px, py = prox_diag(quad, gamma, x), prox_diag(quad, gamma, y)
-            rx, ry = refl_prox_diag(quad, gamma, x), refl_prox_diag(quad, gamma, y)
-            holds &= norm(px - py) ** 2 <= inner(px - py, x - y) + 1e-12
-            holds &= norm(rx - ry) <= norm(x - y) + 1e-12
-    return holds, ""
-
-
-def _prox_g_maps(rng):
-    """prox_g is firmly nonexpansive, refl_prox_g nonexpansive, for each g (500 pairs each)."""
-    dim = default_primal_instance().dim
-    holds = True
-    for kind in (GFunction.ZERO, GFunction.ZERO_INDICATOR):
-        for _ in range(500):
-            x, y = (Vec(rng.uniform(-10.0, 10.0, dim)) for _ in range(2))
-            px, py = prox_g(kind, 1.0, x), prox_g(kind, 1.0, y)
-            rx, ry = refl_prox_g(kind, 1.0, x), refl_prox_g(kind, 1.0, y)
-            holds &= norm(px - py) ** 2 <= inner(px - py, x - y) + 1e-12
-            holds &= norm(rx - ry) <= norm(x - y) + 1e-12
-    return holds, ""
-
-
 def _prox_oracle_agreement(rng):
-    """The search oracle agrees with the closed-form prox (100 draws, gamma log-uniform)."""
-    quad = default_primal_instance().f
+    """One engine step at alpha 1/2 on the g = 0 problem, which is the prox
+    of gamma f, agrees with the search oracle (100 draws, gamma
+    log-uniform)."""
+    problem = default_primal_instance()
+    weights = problem.f.weights
     worst = 0.0
     for _ in range(100):
         gamma = 10.0 ** rng.uniform(-3.0, 3.0)
-        y = Vec(rng.uniform(-5.0, 5.0, quad.dim))
-        oracle = prox_oracle(lambda i, t: 0.5 * quad.weights[i] * t * t, gamma, y)
-        worst = max(worst, float(np.max(np.abs(prox_diag(quad, gamma, y).coeffs - oracle.coeffs))))
+        y = Vec(rng.uniform(-5.0, 5.0, problem.dim))
+        oracle = prox_oracle(lambda i, t: 0.5 * weights[i] * t * t, gamma, y)
+        half_step = run_dr(problem, SplitParams(0.5, gamma), y, max_iter=1, tol=0.0).iterates[1]
+        worst = max(worst, float(np.max(np.abs(half_step.coeffs - oracle.coeffs))))
     return worst <= 1e-10, f"max error {worst:.3e}"
 
 
@@ -445,28 +430,15 @@ def _coefficient_norm(rng):
     return all(abs(norm(Vec(c)) ** 2 - c @ c) <= 1e-12 * max(1.0, c @ c) for c in rows), ""
 
 
-def _isometry(rng):
-    """Orthogonal changes of basis preserve the norm (10 maps x 100 vectors)."""
-    holds = True
-    for qseed in range(10):
-        q = random_basis_map(8, qseed)
-        for v in map(Vec, rng.uniform(-10.0, 10.0, (100, 8))):
-            holds &= abs(norm(change_basis(v, q)) - norm(v)) <= 1e-12 * max(1.0, norm(v))
-    return holds, ""
-
-
 #: the property sub-checks, in the order the battery runs them on one stream.
 #: Each takes the generator and returns ``(passed, note)``, where the note is
 #: a measured error worth printing, or empty.
 _PROPERTY_CHECKS = {
     "psi-monotonicity": _psi_monotonicity,
     "psi-reciprocal": _psi_reciprocal,
-    "prox-diag": _prox_diag_maps,
-    "prox-g": _prox_g_maps,
     "prox-oracle": _prox_oracle_agreement,
     "coupling-operator": _coupling_operator,
     "coefficient-norm": _coefficient_norm,
-    "isometry": _isometry,
 }
 
 
@@ -518,6 +490,76 @@ def check_sweep_determinism() -> CriterionResult:
     return _run_criterion("sweep-determinism", _sweep_determinism)
 
 
+# -- criterion 9 -------------------------------------------------------------
+
+
+def _dense_dr(weights, g, q, alphas, gammas, starts, steps: int):
+    """Relaxed DR written out on the dense ``H = Q diag(weights) Q^T``, one
+    run per row, sharing no arithmetic with the diagonal engines.
+
+    ``prox_{gamma f}`` is a linear solve with ``I + gamma H``, ``R_g`` is the
+    identity (g zero) or its negation (g the origin indicator), and a step is
+    ``z <- (1 - alpha) z + alpha R_g (2 prox - I) z``. Returns the ``(rows,
+    steps + 1)`` distances to the origin and the last iterates.
+    """
+    dim = weights.size
+    systems = np.eye(dim) + gammas[:, None, None] * ((q * weights) @ q.T)
+    sign = {GFunction.ZERO: 1.0, GFunction.ZERO_INDICATOR: -1.0}[g]
+    alphas = alphas[:, None]
+    z = np.asarray(starts, dtype=float)
+    distances = [np.linalg.norm(z, axis=1)]
+    for _ in range(steps):
+        prox = np.linalg.solve(systems, z[..., None])[..., 0]
+        z = (1.0 - alphas) * z + alphas * sign * (2.0 * prox - z)
+        distances.append(np.linalg.norm(z, axis=1))
+    return np.stack(distances, axis=1), z
+
+
+def _rotated_basis_reference():
+    sigma, beta = DEFAULT_SIGMA, DEFAULT_BETA
+    gamma_star = 1.0 / math.sqrt(sigma * beta)
+    # the attained-region samples, and feasible points outside those regions
+    points = [point for points in _region_samples(sigma, beta).values() for point in points]
+    points += [(0.5, 3.0 * gamma_star), (0.8, 10.0 * gamma_star), (1.05, 0.3 * gamma_star), (1.1, 0.6 * gamma_star)]
+    alphas, gammas = np.array(points).T
+    bounds = theoretical_rates(alphas, gammas, sigma, beta)
+    tight = np.isin(classify_tightness_rows(alphas, gammas, sigma, beta), list(TIGHT_CASES))
+    steps, worst_bound, worst_engine = 30, 0.0, 0.0
+    for dim in (8, 24):
+        problem = make_primal_instance(sigma, beta, dim, range(dim // 2))
+        index = worst_coordinates(problem.f, alphas, gammas)
+        starts = lambda rows: basis_rows(dim, index[rows])
+        runs = run_rows(problem, "primal-dr", alphas, gammas, starts, max_iter=steps, tol=0.0)
+        diagonal = np.where(runs.diverged, np.nan, fit_rates(runs.step_ratios))
+        for seed in (1, 2):
+            q = random_basis_map(dim, seed)
+            # the worst start, rotated: column index[i] of Q
+            distances, _ = _dense_dr(problem.f.weights, problem.g, q, alphas, gammas, q[:, index].T, steps)
+            dense = fit_rates(distances[:, 1:] / distances[:, :-1])
+            bound_gaps = np.where(tight, np.abs(dense - bounds), 0.0)
+            engine_gaps = np.abs(dense - diagonal)
+            for label, gaps in (("bound", bound_gaps), ("diagonal engine", engine_gaps)):
+                failed = ~(gaps <= 1e-10)
+                if failed.any():
+                    i = int(np.argmax(failed))
+                    return False, (
+                        f"dim {dim}, rotation {seed}: |dense - {label}| = {gaps[i]:.3e} > 1e-10 "
+                        f"at (alpha={alphas[i]:g}, gamma={gammas[i]:g})"
+                    )
+            worst_bound = max(worst_bound, float(bound_gaps.max()))
+            worst_engine = max(worst_engine, float(engine_gaps.max()))
+    return True, (
+        f"{4 * alphas.size} dense runs at dims 8 and 24 x 2 rotations: "
+        f"worst |dense - bound| = {worst_bound:.3e} <= 1e-10 at {np.count_nonzero(tight)} Case I-III points, "
+        f"worst |dense - diagonal engine| = {worst_engine:.3e} <= 1e-10 at all {alphas.size} feasible points "
+        f"({np.count_nonzero(~tight)} not classified)"
+    )
+
+
+def check_rotated_basis_reference() -> CriterionResult:
+    return _run_criterion("rotated-basis-reference", _rotated_basis_reference)
+
+
 ALL_CHECKS = [
     check_optimal_rate_exactness,
     check_tightness_case_coverage,
@@ -527,6 +569,7 @@ ALL_CHECKS = [
     check_conjugate_oracle,
     check_property_suites,
     check_sweep_determinism,
+    check_rotated_basis_reference,
 ]
 
 

@@ -360,8 +360,9 @@ def _write_text(path: str | None, text: str) -> None:
 def cmd_rate(args) -> int:
     sigma = args.sigma if args.sigma is not None else DEFAULT_SIGMA
     beta = args.beta if args.beta is not None else DEFAULT_BETA
-    if args.alpha is not None and args.gamma is None:
-        raise ConfigError("--alpha requires --gamma")
+    for flag, needs in (("alpha", "gamma"), ("theta", "zeta"), ("zeta", "theta")):
+        if getattr(args, flag) is not None and getattr(args, needs) is None:
+            raise ConfigError(f"--{flag} requires --{needs}")
     lines = []
     if args.gamma is not None:
         if args.alpha is not None:
@@ -371,7 +372,7 @@ def cmd_rate(args) -> int:
     lines.append(f"optimal_alpha = {_fmt(opt_alpha)}")
     lines.append(f"optimal_gamma = {_fmt(opt_gamma)}")
     lines.append(f"optimal_rate = {_fmt(opt_rate)}")
-    if args.theta is not None and args.zeta is not None:
+    if args.theta is not None:
         constants = dual_rate_constants(sigma, beta, args.theta, args.zeta)
         _, dual_gamma, dual_rate = constants.optimal_dual_params()
         lines.append(f"sigma_hat = {_fmt(constants.sigma_hat)}")

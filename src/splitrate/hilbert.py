@@ -1,9 +1,10 @@
 """Real inner-product vectors in orthonormal-basis coordinates.
 
 Everything in this package is diagonal in one fixed orthonormal basis, so
-vectors are stored directly as their coefficient sequences. An orthogonal
-change of basis is provided so tests can confirm that no result depends on
-the particular representation.
+vectors are stored directly as their coefficient sequences. A seeded random
+orthogonal matrix lets the battery run the same problem in a rotated basis,
+where nothing is diagonal, and confirm that no rate depends on the
+representation.
 """
 
 from __future__ import annotations
@@ -19,19 +20,13 @@ from numpy.random import default_rng
 
 __all__ = [
     "Vec",
-    "BasisMap",
     "inner",
     "norm",
-    "change_basis",
     "basis_vector",
     "basis_rows",
     "zeros",
     "random_basis_map",
-    "ORTHOGONALITY_TOL",
 ]
-
-#: per-entry tolerance for orthogonality checks on change-of-basis matrices
-ORTHOGONALITY_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,40 +93,6 @@ def norm(x: Vec) -> float:
     return math.sqrt(inner(x, x))
 
 
-@dataclass(frozen=True, eq=False)
-class BasisMap:
-    """Orthogonal change-of-basis matrix (columns are the new basis vectors).
-
-    Construction rejects matrices whose Gram defect ``|Q^T Q - I|`` exceeds
-    :data:`ORTHOGONALITY_TOL` in any entry.
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        q = np.array(self.matrix, dtype=float)
-        if q.ndim != 2 or q.shape[0] != q.shape[1] or q.shape[0] == 0:
-            raise ValueError("matrix must be square and non-empty")
-        if not np.all(np.isfinite(q)):
-            raise ValueError("matrix must be finite")
-        defect = float(np.abs(q.T @ q - np.eye(q.shape[0])).max())
-        if defect > ORTHOGONALITY_TOL:
-            raise ValueError(f"matrix is not orthogonal: max |Q^T Q - I| = {defect:.3e}")
-        q.flags.writeable = False
-        object.__setattr__(self, "matrix", q)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-def change_basis(x: Vec, q: BasisMap) -> Vec:
-    """Apply the orthogonal map Q to x. Norms are preserved (isometry)."""
-    if x.dim != q.dim:
-        raise ValueError(f"dimension mismatch: vector {x.dim} vs map {q.dim}")
-    return Vec(q.matrix @ x.coeffs)
-
-
 def basis_vector(dim: int, i: int) -> Vec:
     """Unit vector along coordinate i."""
     if not 0 <= i < dim:
@@ -158,10 +119,12 @@ def zeros(dim: int) -> Vec:
     return Vec._adopt(np.zeros(dim))
 
 
-def random_basis_map(dim: int, rng: np.random.Generator | int | None = None) -> BasisMap:
-    """Random orthogonal map, deterministic for a given seed."""
+def random_basis_map(dim: int, rng: np.random.Generator | int | None = None) -> np.ndarray:
+    """Random orthogonal ``(dim, dim)`` matrix, read-only and deterministic
+    for a given seed; its columns are the rotated basis vectors."""
     gen = default_rng(rng)
     q, r = np.linalg.qr(gen.standard_normal((dim, dim)))
     # fix column signs so the draw is unique for a given seed
     q = q * np.sign(np.diag(r))
-    return BasisMap(q)
+    q.flags.writeable = False
+    return q

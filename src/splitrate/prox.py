@@ -1,5 +1,8 @@
-"""Closed-form proximal maps for the supported function classes, plus a
-search-based per-coordinate oracle used to cross-check them."""
+"""A search-based proximal oracle: the prox of a separable function by
+per-coordinate scalar search, which never sees a closed form. The battery
+checks one relaxed DR half-step of the engine against it (the engines' own
+proximal arithmetic is the reflection factor in :mod:`splitrate.splitting`).
+"""
 
 from __future__ import annotations
 
@@ -8,60 +11,12 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .functions import DiagQuadratic, GFunction
-from .hilbert import Vec, zeros
+from .hilbert import Vec
+from .rates import _check_positive
 
-__all__ = ["prox_diag", "refl_prox_diag", "prox_g", "refl_prox_g", "prox_oracle"]
+__all__ = ["prox_oracle"]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _check_gamma(gamma: float) -> float:
-    g = float(gamma)
-    if not (g > 0.0 and math.isfinite(g)):
-        raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
-    return g
-
-
-def prox_diag(f: DiagQuadratic, gamma: float, y: Vec) -> Vec:
-    """Proximal map of a separable quadratic: coordinate i shrinks by
-    1 / (1 + gamma * w_i). Minimizes ``f(x) + |x - y|^2 / (2 gamma)``."""
-    gamma = _check_gamma(gamma)
-    if f.dim != y.dim:
-        raise ValueError(f"dimension mismatch: {f.dim} vs {y.dim}")
-    return Vec(y.coeffs / (1.0 + gamma * f.weights))
-
-
-def refl_prox_diag(f: DiagQuadratic, gamma: float, y: Vec) -> Vec:
-    """Reflected proximal map ``2 prox - id``: coordinate i scales by
-    (1 - gamma * w_i) / (1 + gamma * w_i)."""
-    gamma = _check_gamma(gamma)
-    if f.dim != y.dim:
-        raise ValueError(f"dimension mismatch: {f.dim} vs {y.dim}")
-    gw = gamma * f.weights
-    return Vec((1.0 - gw) / (1.0 + gw) * y.coeffs)
-
-
-def prox_g(g: GFunction, gamma: float, y: Vec) -> Vec:
-    """Proximal map of the nonsmooth term: identity for the zero function,
-    the constant-zero map for the indicator of the origin."""
-    _check_gamma(gamma)
-    if g is GFunction.ZERO:
-        return y
-    if g is GFunction.ZERO_INDICATOR:
-        return zeros(y.dim)
-    raise ValueError(f"unsupported nonsmooth term: {g!r}")
-
-
-def refl_prox_g(g: GFunction, gamma: float, y: Vec) -> Vec:
-    """Reflected proximal map of the nonsmooth term: identity for the zero
-    function, negation for the indicator of the origin."""
-    _check_gamma(gamma)
-    if g is GFunction.ZERO:
-        return y
-    if g is GFunction.ZERO_INDICATOR:
-        return -y
-    raise ValueError(f"unsupported nonsmooth term: {g!r}")
 
 
 def prox_oracle(
@@ -80,11 +35,11 @@ def prox_oracle(
     central-difference slope (plain golden section stalls on the float
     plateau around the minimum once the objective's constant part dominates).
     The search never sees the closed-form shrinkage factors, so it is an
-    independent cross-check for :func:`prox_diag`.
+    independent cross-check for the engines' proximal step.
 
     Raises ValueError if the objective is not finite at the bracket ends.
     """
-    gamma = _check_gamma(gamma)
+    _check_positive(gamma=gamma)
     out = np.empty(y.dim)
     for i, b in enumerate(y.coeffs):
 

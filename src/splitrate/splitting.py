@@ -12,6 +12,7 @@ import numpy as np
 
 from .functions import CompositeProblem, GFunction, dual_function
 from .hilbert import Vec, zeros
+from .rates import _check_positive, _positive_rows
 
 __all__ = [
     "SplitParams",
@@ -19,7 +20,6 @@ __all__ = [
     "DivergenceError",
     "RowRuns",
     "MODES",
-    "dr_step",
     "run_dr",
     "run_dual_dr",
     "run_admm",
@@ -76,10 +76,7 @@ class SplitParams:
     gamma: float
 
     def __post_init__(self) -> None:
-        if not (self.gamma > 0.0 and math.isfinite(self.gamma)):
-            raise ValueError(f"gamma must be positive and finite, got {self.gamma!r}")
-        if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
+        _check_positive(gamma=self.gamma, alpha=self.alpha)
 
 
 @dataclass
@@ -159,11 +156,6 @@ def _step_ratios(distances: np.ndarray) -> np.ndarray:
 def _check_dim(name: str, v: Vec, dim: int) -> None:
     if v.dim != dim:
         raise ValueError(f"{name} dimension {v.dim} != problem dimension {dim}")
-
-
-def _check_positive(name: str, values: np.ndarray) -> None:
-    if not np.all((values > 0.0) & np.isfinite(values)):
-        raise ValueError(f"{name} must be positive and finite")
 
 
 def _iterate(step: Callable, params: tuple, state: tuple, start: np.ndarray, max_iter: int, tol: float):
@@ -319,7 +311,7 @@ def _reflection(weights: np.ndarray, g: GFunction, gamma) -> np.ndarray:
 
 def _identity_coupled(problem: CompositeProblem) -> CompositeProblem:
     if problem.a is not None:
-        raise ValueError("dr_step requires the identity coupling (problem.a must be None)")
+        raise ValueError("primal DR requires the identity coupling (problem.a must be None)")
     return problem
 
 
@@ -338,15 +330,12 @@ def _admm_coupled(problem: CompositeProblem) -> None:
         )
 
 
-def _relaxed(alpha, refl: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """One relaxed splitting step ``(1 - alpha) z + alpha * refl * z``."""
-    return z * (1.0 - alpha) + refl * z * alpha
-
-
-def _dr_step(params: tuple, state: tuple) -> tuple:
+def _relaxed_step(params: tuple, state: tuple) -> tuple:
+    """One relaxed DR step ``(1 - alpha) z + alpha * refl * z``, with
+    ``refl`` the factor of :func:`_reflection`."""
     alpha, refl = params
     (z,) = state
-    z_next = _relaxed(alpha, refl, z)
+    z_next = z * (1.0 - alpha) + refl * z * alpha
     return (z_next,), z_next, _norms(z_next - z)
 
 
@@ -354,7 +343,7 @@ def _dr_engine(problem: CompositeProblem, alpha, gamma, z: np.ndarray) -> tuple:
     """Step, parameters and state of relaxed DR from the rows ``z`` of an
     identity-coupled problem; the recorded start is ``z``."""
     refl = _reflection(problem.f.weights, problem.g, gamma)
-    return _dr_step, (alpha, refl), (z,)
+    return _relaxed_step, (alpha, refl), (z,)
 
 
 def _admm_engine(problem: CompositeProblem, alpha, rho, x: np.ndarray, w: np.ndarray, u: np.ndarray) -> tuple:
@@ -391,17 +380,6 @@ def _admm_engine(problem: CompositeProblem, alpha, rho, x: np.ndarray, w: np.nda
     return step, params, (x, w, u)
 
 
-def dr_step(problem: CompositeProblem, params: SplitParams, z: Vec) -> Vec:
-    """One relaxed splitting step ``(1 - alpha) z + alpha R_g(R_f(z))``.
-
-    Requires the identity coupling (``problem.a is None``); problems with an
-    explicit coupling are handled on the dual side by :func:`run_dual_dr`.
-    """
-    refl = _reflection(_identity_coupled(problem).f.weights, problem.g, params.gamma)
-    _check_dim("z", z, problem.dim)
-    return Vec(_relaxed(params.alpha, refl, z.coeffs))
-
-
 def run_dr(
     problem: CompositeProblem,
     params: SplitParams,
@@ -409,7 +387,15 @@ def run_dr(
     max_iter: int = 200,
     tol: float = 1e-13,
 ) -> IterateTrace:
-    """Iterate :func:`dr_step` from ``z0`` and record the contraction trace.
+    """Iterate the relaxed splitting step ``z <- (1 - alpha) z + alpha
+    R_g(R_f(z))`` from ``z0`` and record the contraction trace. Needs the
+    identity coupling (``problem.a is None``); problems with an explicit
+    coupling run on the dual side, through :func:`run_dual_dr`.
+
+    ``R_f = 2 prox_{gamma f} - id`` scales coordinate i by ``(1 -
+    gamma*w_i) / (1 + gamma*w_i)`` and ``R_g`` is the identity or a
+    negation, so one step at ``alpha = 1/2`` is ``prox_{gamma f}`` itself
+    when ``g`` is zero.
 
     Stops when the step norm ``|z_{k+1} - z_k|`` drops to ``tol`` or after
     ``max_iter`` steps. If the very first step leaves ``z0`` exactly
@@ -481,10 +467,7 @@ def run_admm(
     only seeds the recorded primal state; the first x-update overwrites it.
     """
     _admm_coupled(problem)
-    if not (rho > 0.0 and math.isfinite(rho)):
-        raise ValueError(f"rho must be positive and finite, got {rho!r}")
-    if not (alpha > 0.0 and math.isfinite(alpha)):
-        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
+    _check_positive(rho=rho, alpha=alpha)
     dim = problem.dim
     for name, v in (("x0", x0), ("z0", z0), ("u0", u0)):
         if v is not None:
@@ -529,12 +512,9 @@ def run_rows(
         _admm_coupled(problem)
     else:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    alphas = np.asarray(alphas, dtype=float)
-    gammas = np.asarray(gammas, dtype=float)
+    alphas, gammas = _positive_rows(alphas=alphas, gammas=gammas)
     if alphas.ndim != 1 or alphas.shape != gammas.shape:
         raise ValueError("alphas and gammas must be 1-d and of equal length")
-    _check_positive("alphas", alphas)
-    _check_positive("gammas", gammas)
     rows, dim = alphas.size, problem.dim
     block = max(1, BLOCK_ELEMENTS // dim)
     steps = np.zeros(rows, dtype=int)

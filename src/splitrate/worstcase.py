@@ -4,13 +4,11 @@ slowest-contracting start: per point, or as a row form over many points."""
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .functions import CompositeProblem, DiagOperator, DiagQuadratic, GFunction, SpectrumSpec
 from .hilbert import Vec, basis_vector
-from .rates import _positive_rows, _psi, psi
+from .rates import _check_positive, _positive_rows, _psi, psi
 
 __all__ = [
     "make_primal_instance",
@@ -97,8 +95,7 @@ def _relaxed_factor(alpha, reflection):
 def step_multiplier(lambda_i: float, alpha: float, gamma: float) -> float:
     """Per-coordinate factor of one splitting step on the worst-case class:
     ``1 - alpha + alpha * (1 - gamma*lambda) / (1 + gamma*lambda)``."""
-    if not (gamma > 0.0 and math.isfinite(gamma)):
-        raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
+    _check_positive(gamma=gamma)
     return _relaxed_factor(alpha, psi(gamma * lambda_i))
 
 
@@ -120,8 +117,7 @@ def worst_direction(alpha: float, gamma: float, sigma: float, beta: float) -> st
     """Which curvature band contracts slowest from a unit start: "sigma" or
     "beta". Ties (e.g. at gamma = 1/sqrt(sigma*beta), where the two factors
     agree up to rounding) go to "sigma"."""
-    if not (alpha > 0.0 and math.isfinite(alpha)):
-        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
+    _check_positive(alpha=alpha)
     c_sigma = step_multiplier(sigma, alpha, gamma)
     c_beta = step_multiplier(beta, alpha, gamma)
     return "sigma" if _sigma_is_slowest(c_sigma, c_beta) else "beta"

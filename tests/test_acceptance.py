@@ -5,6 +5,8 @@ failure) and asserts the criterion. ``splitrate verify`` runs the same
 battery from the command line.
 """
 
+import importlib
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 
 import splitrate
-from splitrate import acceptance
+from splitrate import acceptance, splitting
 from splitrate.functions import DiagQuadratic, dual_function
 
 #: each property sub-check also runs here on a stream of its own, apart from
@@ -21,12 +23,9 @@ from splitrate.functions import DiagQuadratic, dual_function
 PROPERTY_SEEDS = {
     "psi-monotonicity": 16,
     "psi-reciprocal": 17,
-    "prox-diag": 13,
-    "prox-g": 14,
     "prox-oracle": 12,
     "coupling-operator": 7,
     "coefficient-norm": 2,
-    "isometry": 3,
 }
 
 
@@ -47,6 +46,45 @@ def test_contraction_bound_grid_detail_is_unchanged():
 def test_property_check(name):
     passed, note = acceptance._PROPERTY_CHECKS[name](np.random.default_rng(PROPERTY_SEEDS[name]))
     assert passed, note
+
+
+def test_property_seeds_cover_the_property_checks():
+    assert PROPERTY_SEEDS.keys() == acceptance._PROPERTY_CHECKS.keys()
+
+
+@pytest.mark.parametrize(
+    "module", ["", ".functions", ".hilbert", ".prox", ".rates", ".splitting", ".worstcase", ".acceptance", ".cli"]
+)
+def test_every_public_name_resolves(module):
+    mod = importlib.import_module(f"splitrate{module}")
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert not missing, missing
+
+
+def test_rotated_basis_reference_detail_is_the_same_in_every_process():
+    # the benchmark digests the battery's detail text in each of its
+    # processes; a fresh interpreter on two BLAS threads must print the same
+    code = "import splitrate.acceptance as a; print(a._rotated_basis_reference())"
+    src = str(Path(splitrate.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=src, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    here = acceptance._rotated_basis_reference()
+    assert here[0]
+    assert proc.stdout.strip() == repr(here)
+
+
+def test_a_perturbed_reflection_fails_the_reference_checks(monkeypatch):
+    # the dense reference and the half-step prox check share no arithmetic
+    # with the engine's reflection factor, so a relative error of 1e-6 in
+    # gamma * w_i fails both
+    reflection = splitting._reflection
+    monkeypatch.setattr(splitting, "_reflection", lambda w, g, gamma: reflection(w * (1.0 + 1e-6), g, gamma))
+    result = acceptance.check_rotated_basis_reference()
+    assert not result.passed
+    assert "|dense - diagonal engine|" in result.detail
+    passed, note = acceptance._PROPERTY_CHECKS["prox-oracle"](np.random.default_rng(PROPERTY_SEEDS["prox-oracle"]))
+    assert not passed, note
 
 
 def test_battery_imports_no_scipy():

@@ -72,6 +72,15 @@ def test_rate_alpha_without_gamma_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag,needs", [("--theta", "--zeta"), ("--zeta", "--theta")])
+def test_rate_gain_without_its_pair_exits_2(capsys, flag, needs):
+    code = cli.main(["rate", "--sigma", "1", "--beta", "4", flag, "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"{flag} requires {needs}" in captured.err
+
+
 def test_bad_flag_usage_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["rate", "--sigma", "not-a-number"])

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from splitrate.hilbert import (
-    BasisMap,
     Vec,
     basis_rows,
     basis_vector,
-    change_basis,
     inner,
     norm,
     random_basis_map,
@@ -80,31 +78,6 @@ def test_vec_arithmetic():
         x + Vec([1.0, 2.0, 3.0])
 
 
-def test_basis_map_identity():
-    q = BasisMap(np.eye(3))
-    x = Vec([1.0, 2.0, 3.0])
-    assert np.array_equal(change_basis(x, q).coeffs, x.coeffs)
-
-
-def test_basis_map_rotation():
-    # 90 degree rotation sends e_0 to e_1
-    q = BasisMap(np.array([[0.0, -1.0], [1.0, 0.0]]))
-    out = change_basis(Vec([1.0, 0.0]), q)
-    assert np.allclose(out.coeffs, [0.0, 1.0], atol=1e-15)
-
-
-def test_basis_map_rejects_non_orthogonal():
-    with pytest.raises(ValueError, match="not orthogonal"):
-        BasisMap(np.array([[1.0, 0.0], [0.0, 2.0]]))
-    with pytest.raises(ValueError):
-        BasisMap(np.ones((2, 3)))
-
-
-def test_change_basis_dimension_mismatch():
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        change_basis(Vec([1.0, 2.0, 3.0]), BasisMap(np.eye(2)))
-
-
 def test_zeros_and_basis_vector():
     assert np.array_equal(zeros(3).coeffs, [0.0, 0.0, 0.0])
     assert np.array_equal(basis_vector(3, 1).coeffs, [0.0, 1.0, 0.0])
@@ -115,7 +88,18 @@ def test_zeros_and_basis_vector():
 def test_random_basis_map_deterministic():
     a = random_basis_map(6, 42)
     b = random_basis_map(6, 42)
-    assert np.array_equal(a.matrix, b.matrix)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, random_basis_map(6, 43))
+
+
+def test_random_basis_map_is_orthogonal_and_read_only():
+    q = random_basis_map(8, 5)
+    assert q.shape == (8, 8)
+    assert np.max(np.abs(q.T @ q - np.eye(8))) <= 1e-12
+    x = np.random.default_rng(3).uniform(-10.0, 10.0, 8)
+    assert abs(np.linalg.norm(q @ x) - np.linalg.norm(x)) <= 1e-12 * np.linalg.norm(x)
+    with pytest.raises(ValueError):
+        q[0, 0] = 1.0
 
 
 def test_basis_rows_are_basis_vectors():

@@ -1,67 +1,47 @@
 import numpy as np
 import pytest
 
-from splitrate.functions import DiagQuadratic, GFunction
-from splitrate.hilbert import Vec, basis_vector
-from splitrate.prox import prox_diag, prox_g, prox_oracle, refl_prox_diag, refl_prox_g
+from splitrate.functions import CompositeProblem, DiagQuadratic, GFunction
+from splitrate.hilbert import Vec
+from splitrate.prox import prox_oracle
+from splitrate.splitting import SplitParams, run_dr
 from splitrate.worstcase import default_primal_instance
 
 
-@pytest.fixture
-def quad():
-    return default_primal_instance().f  # weights [1,1,1,1,10,10,10,10]
-
-
-def test_prox_diag_examples(quad):
-    assert np.array_equal(prox_diag(quad, 1.0, Vec([0.0] * 8)).coeffs, [0.0] * 8)
-    one = DiagQuadratic(np.array([1.0, 2.0]))
-    out = prox_diag(one, 1.0, basis_vector(2, 0))
-    assert np.array_equal(out.coeffs, [0.5, 0.0])
-
-
-def test_prox_diag_rejects_nonpositive_gamma(quad):
-    y = Vec(np.ones(8))
-    for gamma in (0.0, -1.0, float("nan")):
-        with pytest.raises(ValueError):
-            prox_diag(quad, gamma, y)
-        with pytest.raises(ValueError):
-            refl_prox_diag(quad, gamma, y)
-        with pytest.raises(ValueError):
-            prox_g(GFunction.ZERO, gamma, y)
-        with pytest.raises(ValueError):
-            refl_prox_g(GFunction.ZERO, gamma, y)
+def _step(alpha, gamma, y):
+    """One engine step from ``y`` on the default instance, whose g is zero:
+    ``prox_{gamma f}(y)`` at alpha 1/2 and ``R_f(y)`` at alpha 1."""
+    return run_dr(default_primal_instance(), SplitParams(alpha, gamma), y, max_iter=1, tol=0.0).iterates[1].coeffs
 
 
 def test_refl_prox_examples():
-    one = DiagQuadratic(np.array([1.0]))
-    assert np.array_equal(refl_prox_diag(one, 1.0, Vec([1.0])).coeffs, [0.0])
-    sig = DiagQuadratic(np.array([2.5]))
-    # gamma * weight = 1 annihilates the coordinate
-    assert np.array_equal(refl_prox_diag(sig, 1.0 / 2.5, Vec([1.0])).coeffs, [0.0])
+    # one alpha 1 step on a g = 0 problem is R_f; gamma * weight = 1
+    # annihilates the coordinate
+    for weight in (1.0, 2.5):
+        p = CompositeProblem(f=DiagQuadratic(np.array([weight])), g=GFunction.ZERO)
+        out = run_dr(p, SplitParams(1.0, 1.0 / weight), Vec([1.0]), max_iter=1, tol=0.0).iterates[1].coeffs
+        assert np.array_equal(out, [0.0])
 
 
-def test_refl_is_two_prox_minus_identity(quad):
+def test_refl_is_two_prox_minus_identity():
     rng = np.random.default_rng(11)
     for gamma in (1e-3, 0.3, 1.0, 7.0, 1e3):
-        for _ in range(200):
+        for _ in range(40):
             y = Vec(rng.uniform(-10, 10, 8))
-            lhs = refl_prox_diag(quad, gamma, y)
-            rhs = 2.0 * prox_diag(quad, gamma, y) - y
-            assert np.max(np.abs(lhs.coeffs - rhs.coeffs)) <= 1e-12
+            assert np.max(np.abs(_step(1.0, gamma, y) - (2.0 * _step(0.5, gamma, y) - y.coeffs))) <= 1e-12
 
 
-def test_prox_g_both_kinds():
-    y = Vec([2.0, 3.0])
-    assert np.array_equal(prox_g(GFunction.ZERO, 1.0, y).coeffs, [2.0, 3.0])
-    assert np.array_equal(prox_g(GFunction.ZERO_INDICATOR, 1.0, y).coeffs, [0.0, 0.0])
-    assert np.array_equal(prox_g(GFunction.ZERO, 1.0, Vec([0.0, 0.0])).coeffs, [0.0, 0.0])
-
-
-def test_refl_prox_g_both_kinds():
-    y = Vec([1.0, 2.0])
-    assert np.array_equal(refl_prox_g(GFunction.ZERO, 1.0, y).coeffs, [1.0, 2.0])
-    assert np.array_equal(refl_prox_g(GFunction.ZERO_INDICATOR, 1.0, y).coeffs, [-1.0, -2.0])
-    assert np.array_equal(refl_prox_g(GFunction.ZERO_INDICATOR, 1.0, Vec([0.0, 0.0])).coeffs, [0.0, 0.0])
+def test_prox_acts_coordinatewise():
+    # perturbing one input coordinate only moves that output coordinate
+    rng = np.random.default_rng(15)
+    y = Vec(rng.uniform(-5, 5, 8))
+    for alpha in (0.5, 1.0):
+        base = _step(alpha, 0.7, y)
+        for j in range(8):
+            bumped = y.coeffs.copy()
+            bumped[j] += 1.0
+            changed = np.flatnonzero(_step(alpha, 0.7, Vec(bumped)) != base)
+            assert np.array_equal(changed, [j])
 
 
 def test_prox_oracle_scalar_cases():
@@ -76,23 +56,15 @@ def test_prox_oracle_scalar_cases():
     assert abs(out.coeffs[0] - 1.0) <= 1e-10
 
 
+def test_prox_oracle_rejects_nonpositive_gamma():
+    for gamma in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="gamma must be positive and finite"):
+            prox_oracle(lambda i, t: t * t, gamma, Vec([1.0]))
+
+
 def test_prox_oracle_rejects_non_finite_objective():
     def bad(i, t):
         return float("inf") if abs(t) > 5 else t * t
 
     with pytest.raises(ValueError, match="not finite"):
         prox_oracle(bad, 1.0, Vec([0.0]))
-
-
-def test_prox_acts_coordinatewise(quad):
-    # perturbing one input coordinate only moves that output coordinate
-    rng = np.random.default_rng(15)
-    y = Vec(rng.uniform(-5, 5, 8))
-    for op in (prox_diag, refl_prox_diag):
-        base = op(quad, 0.7, y).coeffs
-        for j in range(8):
-            bumped = y.coeffs.copy()
-            bumped[j] += 1.0
-            out = op(quad, 0.7, Vec(bumped)).coeffs
-            changed = np.flatnonzero(out != base)
-            assert np.array_equal(changed, [j])

@@ -18,7 +18,10 @@ from splitrate.rates import (
     theoretical_rate,
     theoretical_rates,
 )
-from splitrate.worstcase import worst_direction, worst_directions
+from splitrate.hilbert import Vec
+from splitrate.prox import prox_oracle
+from splitrate.splitting import SplitParams, run_admm
+from splitrate.worstcase import default_dual_instance, step_multiplier, worst_direction, worst_directions
 
 
 def test_psi_values():
@@ -309,3 +312,24 @@ def test_row_forms_reject_bad_points(bad):
             call()
     with pytest.raises(ValueError, match="sigma <= beta"):
         theoretical_rates(good, good, 3.0, 2.0)
+
+
+#: each caller of the shared positive-and-finite validator, with the name it
+#: reports, as a function of the bad value
+_SCALAR_VALIDATED = {
+    "SplitParams gamma": ("gamma", lambda bad: SplitParams(1.0, bad)),
+    "SplitParams alpha": ("alpha", lambda bad: SplitParams(bad, 1.0)),
+    "run_admm rho": ("rho", lambda bad: run_admm(default_dual_instance(), rho=bad, alpha=1.0)),
+    "run_admm alpha": ("alpha", lambda bad: run_admm(default_dual_instance(), rho=1.0, alpha=bad)),
+    "step_multiplier gamma": ("gamma", lambda bad: step_multiplier(1.0, 1.0, bad)),
+    "worst_direction alpha": ("alpha", lambda bad: worst_direction(bad, 1.0, 1.0, 2.0)),
+    "prox_oracle gamma": ("gamma", lambda bad: prox_oracle(lambda i, t: t * t, bad, Vec([1.0]))),
+}
+
+
+@pytest.mark.parametrize("caller", _SCALAR_VALIDATED)
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+def test_scalar_validators_share_one_message(caller, bad):
+    name, call = _SCALAR_VALIDATED[caller]
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got"):
+        call(bad)

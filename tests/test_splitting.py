@@ -6,16 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitrate.functions import CompositeProblem, GFunction, apply_operator, dual_function, grad_f
-from splitrate.hilbert import BasisMap, Vec, basis_rows, basis_vector, change_basis, norm, random_basis_map, zeros
-from splitrate.prox import refl_prox_diag, refl_prox_g
+from splitrate.functions import CompositeProblem, DiagQuadratic, GFunction, apply_operator, dual_function, grad_f
+from splitrate.hilbert import Vec, basis_rows, basis_vector, norm, random_basis_map, zeros
 from splitrate.rates import alpha_upper_bound, alpha_upper_bounds, optimal_params, theoretical_rate
-from splitrate import cli, splitting
+from splitrate import acceptance, cli, splitting
 from splitrate.splitting import (
     DivergenceError,
     IterateTrace,
     SplitParams,
-    dr_step,
     fit_rate,
     fit_rates,
     run_admm,
@@ -64,45 +62,64 @@ def test_split_params_validation():
         SplitParams(-0.5, 1.0)
 
 
-# -- dr_step ------------------------------------------------------------------
+# -- run_dr -------------------------------------------------------------------
 
 
-def test_dr_step_fixed_point_at_origin(primal):
-    out = dr_step(primal, SplitParams(1.0, 1.0), zeros(primal.dim))
-    assert np.array_equal(out.coeffs, np.zeros(primal.dim))
+def _one_step(problem, params, z0):
+    """The iterate after one :func:`run_dr` step from ``z0``."""
+    return run_dr(problem, params, z0, max_iter=1, tol=0.0).iterates[1].coeffs
 
 
 def test_dr_step_unit_weight_annihilates():
+    # gamma * weight = 1 makes the reflection factor 0, so at alpha 1 one
+    # step sends the coordinate to 0
     p = make_primal_instance(1.0, 1.0, 2, {0})
-    out = dr_step(p, SplitParams(1.0, 1.0), basis_vector(2, 0))
-    assert np.array_equal(out.coeffs, [0.0, 0.0])
+    assert np.array_equal(_one_step(p, SplitParams(1.0, 1.0), basis_vector(2, 0)), [0.0, 0.0])
+    p = make_primal_instance(2.5, 2.5, 2, {0})
+    assert np.array_equal(_one_step(p, SplitParams(1.0, 1.0 / 2.5), basis_vector(2, 1)), [0.0, 0.0])
 
 
-def test_dr_step_half_relaxation_coefficient():
+def test_run_dr_half_relaxation_coefficient():
     # alpha 1/2, gamma 1, weight 3: coefficient 1 - a + a*(1-3)/(1+3) = 0.25
     p = make_primal_instance(3.0, 3.0, 2, {0})
-    out = dr_step(p, SplitParams(0.5, 1.0), basis_vector(2, 0))
-    assert np.allclose(out.coeffs, [0.25, 0.0], atol=1e-15)
+    assert np.allclose(_one_step(p, SplitParams(0.5, 1.0), basis_vector(2, 0)), [0.25, 0.0], atol=1e-15)
 
 
-def test_dr_step_rejects_coupled_problem():
-    p = default_dual_instance()
-    with pytest.raises(ValueError, match="identity coupling"):
-        dr_step(p, SplitParams(1.0, 1.0), zeros(p.dim))
+def test_half_step_is_the_prox():
+    # at alpha 1/2 with g = 0 a step is (z + R_f z)/2 = prox_{gamma f}(z),
+    # which shrinks coordinate i by 1/(1 + gamma*w_i)
+    p = CompositeProblem(f=DiagQuadratic(np.array([1.0, 2.0])), g=GFunction.ZERO)
+    assert np.array_equal(_one_step(p, SplitParams(0.5, 1.0), basis_vector(2, 0)), [0.5, 0.0])
+    # weight 4, gamma 0.5, input 3 -> 3 / (1 + 2) = 1
+    p = CompositeProblem(f=DiagQuadratic(np.array([4.0])), g=GFunction.ZERO)
+    assert _one_step(p, SplitParams(0.5, 0.5), Vec([3.0]))[0] == pytest.approx(1.0, abs=1e-15)
+
+
+def _manual_step(problem, params, z):
+    """``(1 - alpha) z + alpha R_g(R_f(z))`` written out: ``R_f`` scales
+    coordinate i by ``(1 - gamma*w_i) / (1 + gamma*w_i)``, ``R_g`` is the
+    identity or a negation."""
+    gw = params.gamma * problem.f.weights
+    reflected = (1.0 - gw) / (1.0 + gw) * z
+    if problem.g is GFunction.ZERO_INDICATOR:
+        reflected = -reflected
+    return (1 - params.alpha) * z + params.alpha * reflected
 
 
 def test_dr_step_matches_manual_composition(primal):
     rng = np.random.default_rng(21)
     params = SplitParams(0.7, 0.9)
-    for _ in range(50):
-        z = Vec(rng.uniform(-5, 5, primal.dim))
-        manual = (1 - params.alpha) * z + params.alpha * refl_prox_g(
-            primal.g, params.gamma, refl_prox_diag(primal.f, params.gamma, z)
-        )
-        assert np.array_equal(dr_step(primal, params, z).coeffs, manual.coeffs)
+    for g in (GFunction.ZERO, GFunction.ZERO_INDICATOR):
+        problem = CompositeProblem(f=primal.f, g=g)
+        for _ in range(50):
+            z = rng.uniform(-5, 5, primal.dim)
+            assert np.array_equal(_one_step(problem, params, Vec(z)), _manual_step(problem, params, z))
 
 
-# -- run_dr -------------------------------------------------------------------
+def test_run_dr_rejects_coupled_problem():
+    p = default_dual_instance()
+    with pytest.raises(ValueError, match="identity coupling"):
+        run_dr(p, SplitParams(1.0, 1.0), zeros(p.dim))
 
 
 def test_run_dr_at_fixed_point_has_length_one(primal):
@@ -182,58 +199,58 @@ def dr_cases(draw):
     return CompositeProblem(f=f, g=g), SplitParams(alpha, gamma), z0
 
 
-def _bits(v):
-    return v.coeffs.tobytes()
+def _dense_run(problem, params, q, z0, steps):
+    """One run of the battery's dense reference in the basis ``q``, from
+    ``q @ z0``: its distances and its last iterate, rotated back."""
+    alphas, gammas = np.array([params.alpha]), np.array([params.gamma])
+    distances, last = acceptance._dense_dr(problem.f.weights, problem.g, q, alphas, gammas, (q @ z0)[None], steps)
+    return distances[0], q.T @ last[0]
+
+
+@settings(deadline=None, max_examples=60)
+@given(dr_cases(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_run_dr_matches_the_dense_reference(case, rotated, seed):
+    # the battery's dense reference, in the eigenbasis (Q = I) or a rotated
+    # one, against the diagonal engine: distances and the last iterate. In a
+    # rotated basis the dense solve with I + gamma H is accurate to eps times
+    # that matrix's condition number, not to eps, so the tolerance scales by it
+    problem, params, z0 = case
+    w = problem.f.weights
+    q = random_basis_map(problem.dim, seed) if rotated else np.eye(problem.dim)
+    trace = run_dr(problem, params, z0, max_iter=30, tol=0.0)
+    assert trace.n_steps == 30
+    distances, last = _dense_run(problem, params, q, z0.coeffs, 30)
+    condition = (1.0 + params.gamma * w.max()) / (1.0 + params.gamma * w.min()) if rotated else 1.0
+    tol = 1e-12 * condition * norm(z0)
+    assert np.max(np.abs(distances - trace.distances)) <= tol
+    assert np.max(np.abs(last - trace.iterates[-1].coeffs)) <= tol
 
 
 @settings(deadline=None, max_examples=60)
 @given(dr_cases())
 def test_run_dr_iterates_bitwise_equal_prox_composition(case):
     problem, params, z0 = case
-    alpha, gamma = params.alpha, params.gamma
     trace = run_dr(problem, params, z0, max_iter=30, tol=0.0)
     assert trace.n_steps == 30 or trace.converged
-    z = z0
+    z = z0.coeffs
     for kept in trace.iterates:
-        assert _bits(kept) == _bits(z)
-        reflected = refl_prox_g(problem.g, gamma, refl_prox_diag(problem.f, gamma, z))
-        z = (1 - alpha) * z + alpha * reflected
-
-
-@settings(deadline=None, max_examples=60)
-@given(dr_cases())
-def test_reflections_commute_bitwise(case):
-    # both reflected maps are diagonal and R_g is the identity or a negation,
-    # so the order of composition cannot change a single bit
-    problem, params, z = case
-    gamma = params.gamma
-    f_then_g = refl_prox_g(problem.g, gamma, refl_prox_diag(problem.f, gamma, z))
-    g_then_f = refl_prox_diag(problem.f, gamma, refl_prox_g(problem.g, gamma, z))
-    assert _bits(f_then_g) == _bits(g_then_f)
+        assert kept.coeffs.tobytes() == z.tobytes()
+        z = _manual_step(problem, params, z)
 
 
 def test_run_dr_rejects_start_of_wrong_dimension(primal):
     with pytest.raises(ValueError, match="dimension"):
         run_dr(primal, SplitParams(1.0, 1.0), Vec([1.0]))
-    with pytest.raises(ValueError, match="dimension"):
-        dr_step(primal, SplitParams(1.0, 1.0), Vec([1.0]))
 
 
 def test_run_dr_basis_invariance(primal):
-    # running the conjugated iteration in a rotated frame reproduces the
-    # distance sequence of the diagonal run
+    # the dense reference run in a rotated frame reproduces the distance
+    # sequence of the diagonal run
     params = SplitParams(0.8, 0.37)
-    rng = np.random.default_rng(23)
-    z0 = Vec(rng.uniform(-1, 1, 8))
-    trace = run_dr(primal, params, z0, max_iter=40, tol=0.0)
-    q = random_basis_map(8, 5)
-    q_inv = BasisMap(q.matrix.T)
-    w = change_basis(z0, q)
-    for dist in trace.distances:
-        assert abs(norm(w) - dist) <= 1e-10
-        back = change_basis(w, q_inv)
-        reflected = refl_prox_g(primal.g, params.gamma, refl_prox_diag(primal.f, params.gamma, back))
-        w = (1 - params.alpha) * w + params.alpha * change_basis(reflected, q)
+    z0 = np.random.default_rng(23).uniform(-1, 1, 8)
+    trace = run_dr(primal, params, Vec(z0), max_iter=40, tol=0.0)
+    distances, _ = _dense_run(primal, params, random_basis_map(8, 5), z0, 40)
+    assert np.max(np.abs(distances - trace.distances)) <= 1e-10
 
 
 def test_run_dr_mixed_start_evolves_coordinatewise(primal):
