@@ -2,6 +2,12 @@
 sweeps comparing empirical against theoretical contraction, and the built-in
 verification battery.
 
+Each config key is declared once, on its :class:`SweepConfig` field, with
+its parser and help; the ``run`` and ``sweep`` flags and the config-file
+reader are both built from that table. A sweep's report is seven columns,
+one entry per point (see :func:`evaluate_points`), from which the CSV rows
+are formatted.
+
 Exit codes: 0 ok, 2 usage or configuration error, 3 divergence in ``run``,
 4 a ``run`` too short to fit a rate (its CSV is still written).
 """
@@ -11,7 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -19,7 +25,6 @@ from .functions import dual_function
 from .hilbert import basis_rows
 from .rates import (
     TIGHT_CASES,
-    TightnessCase,
     alpha_upper_bound,
     classify_tightness_rows,
     dual_rate_constants,
@@ -44,10 +49,8 @@ from .worstcase import (
 __all__ = [
     "ConfigError",
     "SweepConfig",
-    "RateReport",
     "parse_grid",
     "load_config_file",
-    "sweep_reports",
     "render_sweep_csv",
     "render_trace_csv",
     "main",
@@ -56,6 +59,8 @@ __all__ = [
 STARTS = ("worst", "zero", "random")
 
 REPORT_HEADER = "alpha,gamma,theoretical,empirical,case,gap,verdict"
+#: every verdict a report row can carry, in the order the sweep footer counts them
+VERDICTS = ("tight", "bounded", "infeasible-diverged")
 TRACE_HEADER = "k,dist,ratio"
 
 #: a measured |theoretical - empirical| at or below this counts as tight
@@ -68,78 +73,6 @@ class ConfigError(Exception):
 
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
-
-
-@dataclass
-class SweepConfig:
-    """Instance, grid, and engine settings for a sweep (or a single run,
-    where the grids hold one value each)."""
-
-    sigma: float = DEFAULT_SIGMA
-    beta: float = DEFAULT_BETA
-    theta: float = DEFAULT_THETA
-    zeta: float = DEFAULT_ZETA
-    dim: int = DEFAULT_DIM
-    idx_sigma: tuple = tuple(sorted(DEFAULT_IDX_SIGMA))
-    alpha_grid: tuple = ()
-    gamma_grid: tuple = ()
-    mode: str = "primal-dr"
-    iters: int = 80
-    tol: float = 1e-14
-    seed: int = 0
-    start: str = "worst"
-    pairing: str = "crossed"
-
-    def validate(self) -> None:
-        if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.start not in STARTS:
-            raise ConfigError(f"start must be one of {STARTS}, got {self.start!r}")
-        if self.pairing not in PAIRINGS:
-            raise ConfigError(f"pairing must be one of {PAIRINGS}, got {self.pairing!r}")
-        if not self.alpha_grid:
-            raise ConfigError("alpha grid is empty")
-        if not self.gamma_grid:
-            raise ConfigError("gamma grid is empty")
-        if any(not (0 < a < math.inf) for a in self.alpha_grid):
-            raise ConfigError("all alpha values must be positive and finite")
-        if any(not (0 < g < math.inf) for g in self.gamma_grid):
-            raise ConfigError("all gamma values must be positive and finite")
-        if not self.tol > 0:
-            raise ConfigError(f"tol must be positive, got {self.tol!r}")
-        if self.iters < 1:
-            raise ConfigError(f"iters must be at least 1, got {self.iters!r}")
-
-
-@dataclass
-class RateReport:
-    """One (alpha, gamma) point: bound vs measurement and the verdict.
-
-    verdict is "tight" when the point lies in an exactly-attained region and
-    the measured gap is within TIGHT_GAP, "infeasible-diverged" when the run
-    tripped the divergence guard, and "bounded" otherwise.
-    """
-
-    alpha: float
-    gamma: float
-    theoretical: float
-    empirical: float
-    case_label: TightnessCase
-    gap: float
-    verdict: str
-
-    def csv_row(self) -> str:
-        return ",".join(
-            [
-                _fmt(self.alpha),
-                _fmt(self.gamma),
-                _fmt(self.theoretical),
-                _fmt(self.empirical),
-                self.case_label.value,
-                _fmt(self.gap),
-                self.verdict,
-            ]
-        )
 
 
 def parse_grid(text: str) -> tuple:
@@ -202,29 +135,87 @@ def load_config_file(path: str) -> dict:
     return entries
 
 
-#: config-file key -> (SweepConfig field, parser). Each flag has the key's
-#: name, except that the grids are given by --alpha and --gamma.
-_CONFIG_PARSERS = {
-    "sigma": ("sigma", float),
-    "beta": ("beta", float),
-    "theta": ("theta", float),
-    "zeta": ("zeta", float),
-    "K": ("dim", int),
-    "idx_sigma": ("idx_sigma", _parse_indices),
-    "alpha_grid": ("alpha_grid", parse_grid),
-    "gamma_grid": ("gamma_grid", parse_grid),
-    "mode": ("mode", str),
-    "iters": ("iters", int),
-    "tol": ("tol", float),
-    "seed": ("seed", int),
-    "start": ("start", str),
-    "pairing": ("pairing", str),
-}
-_GRID_FLAGS = {"alpha_grid": "alpha", "gamma_grid": "gamma"}
+def _checked(conv, ok, need: str, metavar: str | None = None):
+    """Parser of a key's text: ``conv(text)``, rejected as not ``need``
+    unless ``ok`` holds for it. ``metavar`` names the values in the help of
+    the key's flag."""
+
+    def parse(text: str):
+        value = conv(text)
+        if not ok(value):
+            raise ValueError(f"must be {need}, got {value!r}")
+        return value
+
+    parse.metavar = metavar
+    return parse
+
+
+def _choice(options: tuple):
+    """Parser of a key that takes one of ``options``, which its flag's help
+    lists as argparse lists choices."""
+    return _checked(str, options.__contains__, f"one of {options}", "{" + ",".join(options) + "}")
+
+
+def _key(name: str, default, parse, help_text: str):
+    """A :class:`SweepConfig` field set by the config key ``name``: its
+    default, the parser of the key's text (which carries the key's own
+    choice or range check) and the help of the key's flag."""
+    return field(default=default, metadata={"key": name, "parse": parse, "help": help_text})
+
+
+@dataclass
+class SweepConfig:
+    """Instance, grid, and engine settings for a sweep (or a single run,
+    where the grids hold one value each), one field per config key."""
+
+    sigma: float = _key("sigma", DEFAULT_SIGMA, float, "small curvature level (default 1)")
+    beta: float = _key("beta", DEFAULT_BETA, float, "large curvature level (default 10)")
+    theta: float = _key("theta", DEFAULT_THETA, float, "small coupling gain (default 1)")
+    zeta: float = _key("zeta", DEFAULT_ZETA, float, "large coupling gain (default 3)")
+    dim: int = _key("K", DEFAULT_DIM, int, "ambient dimension (default 8)")
+    idx_sigma: tuple = _key(
+        "idx_sigma", tuple(sorted(DEFAULT_IDX_SIGMA)), _parse_indices, "comma list of sigma-band indices"
+    )
+    alpha_grid: tuple = _key("alpha_grid", (), parse_grid, "alpha grid: comma list or linear/log:min:max:count")
+    gamma_grid: tuple = _key("gamma_grid", (), parse_grid, "gamma grid: comma list or linear/log:min:max:count")
+    mode: str = _key("mode", "primal-dr", _choice(MODES), "engine (default primal-dr)")
+    iters: int = _key("iters", 80, _checked(int, lambda n: n >= 1, "at least 1"), "iteration budget (default 80)")
+    tol: float = _key(
+        "tol", 1e-14, _checked(float, lambda x: x > 0, "positive"), "step-norm stopping tolerance (default 1e-14)"
+    )
+    seed: int = _key("seed", 0, int, "seed for random starts (default 0)")
+    start: str = _key("start", "worst", _choice(STARTS), "start vector policy (default worst)")
+    pairing: str = _key(
+        "pairing", "crossed", _choice(PAIRINGS), "gain pairing for coupled instances (default crossed)"
+    )
+
+    def validate(self) -> None:
+        """Each key's parser checks its own value, and the engine that the
+        grid values are positive and finite; this checks that a grid is
+        given."""
+        if not self.alpha_grid:
+            raise ConfigError("alpha grid is empty")
+        if not self.gamma_grid:
+            raise ConfigError("gamma grid is empty")
+
+
+#: config key -> (SweepConfig field, parser, help), in field order. The run
+#: and sweep flags are built from it: a key's flag is ``--`` and the key
+#: with "-" for "_", except that a grid key's flag drops the "_grid"
+#: (--alpha, --gamma).
+_CONFIG_KEYS = {f.metadata["key"]: (f.name, f.metadata["parse"], f.metadata["help"]) for f in fields(SweepConfig)}
+
+#: ``run``'s --alpha and --gamma: one point each, not a grid
+_POINT_HELP = {"alpha": "relaxation (default: bound-minimizing)", "gamma": "step size (default: bound-minimizing)"}
+
+
+def _dest(key: str) -> str:
+    """The attribute that a key's flag sets: the key, without a grid's "_grid"."""
+    return key.removesuffix("_grid")
 
 
 def _set_key(cfg: SweepConfig, key: str, raw) -> None:
-    attr, conv = _CONFIG_PARSERS[key]
+    attr, conv, _ = _CONFIG_KEYS[key]
     try:
         setattr(cfg, attr, conv(raw))
     except (ValueError, TypeError) as exc:
@@ -238,38 +229,30 @@ def _config_from_args(args, grid_flags: bool) -> SweepConfig:
     cfg = SweepConfig()
     if args.config is not None:
         for key, raw in load_config_file(args.config).items():
-            if key not in _CONFIG_PARSERS:
+            if key not in _CONFIG_KEYS:
                 raise ConfigError(f"unknown config key {key!r}")
             _set_key(cfg, key, raw)
-    for key in _CONFIG_PARSERS:
-        if key in _GRID_FLAGS and not grid_flags:
+    for key in _CONFIG_KEYS:
+        if _dest(key) != key and not grid_flags:
             continue
-        value = getattr(args, _GRID_FLAGS.get(key, key), None)
+        value = getattr(args, _dest(key))
         if value is not None:
             _set_key(cfg, key, value)
     return cfg
 
 
-def _bound_constants(cfg: SweepConfig) -> tuple[float, float]:
-    """The curvature constants the mode's bound uses: the primal (sigma,
-    beta), or the dual (sigma_hat, beta_hat)."""
-    if cfg.mode == "primal-dr":
-        return cfg.sigma, cfg.beta
-    constants = dual_rate_constants(cfg.sigma, cfg.beta, cfg.theta, cfg.zeta)
-    return constants.sigma_hat, constants.beta_hat
-
-
-def _instance_and_constants(cfg: SweepConfig):
-    """Build the instance for the configured mode and return it with the
-    constants the bound should use and the quadratic whose curvatures pick
-    worst starts."""
+def _instance(cfg: SweepConfig) -> tuple:
+    """The configured mode's instance, the curvature constants its bound
+    uses (the primal sigma and beta, or the dual sigma_hat and beta_hat) and
+    the quadratic whose curvatures pick worst starts."""
     if cfg.mode == "primal-dr":
         problem = make_primal_instance(cfg.sigma, cfg.beta, cfg.dim, cfg.idx_sigma)
-        return problem, *_bound_constants(cfg), problem.f
+        return problem, cfg.sigma, cfg.beta, problem.f
     problem = make_dual_instance(
         cfg.sigma, cfg.beta, cfg.theta, cfg.zeta, cfg.dim, cfg.idx_sigma, pairing=cfg.pairing
     )
-    return problem, *_bound_constants(cfg), dual_function(problem)
+    constants = dual_rate_constants(cfg.sigma, cfg.beta, cfg.theta, cfg.zeta)
+    return problem, constants.sigma_hat, constants.beta_hat, dual_function(problem)
 
 
 def _start_rows(cfg: SweepConfig, quad, alphas: np.ndarray, gammas: np.ndarray):
@@ -286,11 +269,17 @@ def _start_rows(cfg: SweepConfig, quad, alphas: np.ndarray, gammas: np.ndarray):
     return lambda rows: basis_rows(cfg.dim, coordinates[rows])
 
 
-def evaluate_points(alphas, gammas, sigma: float, beta: float, empirical, diverged) -> list:
+def evaluate_points(alphas, gammas, sigma: float, beta: float, empirical, diverged) -> tuple:
     """Compare the rates measured at parameter points against the bound, as
-    array work over all points: one :class:`RateReport` per point, in order.
+    array work over all points: the report columns ``(alpha, gamma,
+    theoretical, empirical, case, gap, verdict)``, one entry per point, in
+    order.
 
-    ``empirical`` is NaN where a run was too short to fit a rate.
+    ``empirical`` is NaN where a run was too short to fit a rate. The verdict
+    is "tight" when the point lies in an exactly-attained region and the
+    measured gap is within ``TIGHT_GAP``, "infeasible-diverged" when the run
+    tripped the divergence guard, and "bounded" otherwise; "bounded" is not
+    compared with the bound.
     """
     theoretical = theoretical_rates(alphas, gammas, sigma, beta)
     cases = classify_tightness_rows(alphas, gammas, sigma, beta)
@@ -298,46 +287,42 @@ def evaluate_points(alphas, gammas, sigma: float, beta: float, empirical, diverg
     gap = theoretical - empirical
     tight = np.isin(cases, list(TIGHT_CASES)) & (np.abs(gap) <= TIGHT_GAP)
     verdicts = np.where(diverged, "infeasible-diverged", np.where(tight, "tight", "bounded"))
-    columns = (alphas, gammas, theoretical, empirical, cases, gap, verdicts)
-    return [RateReport(*point) for point in zip(*(np.asarray(c).tolist() for c in columns))]
+    return alphas, gammas, theoretical, empirical, cases, gap, verdicts
 
 
-def _sweep(cfg: SweepConfig) -> tuple:
-    """All grid points as one batch of engine runs: the reports, ordered by
+def _sweep(cfg: SweepConfig, instance: tuple) -> tuple:
+    """All grid points as one batch of engine runs on the :func:`_instance`
+    of ``cfg``: the report columns (see :func:`evaluate_points`), ordered by
     (alpha, gamma), and the :class:`RowRuns` they were measured from."""
     cfg.validate()
-    problem, sigma, beta, quad = _instance_and_constants(cfg)
+    problem, sigma, beta, quad = instance
     alphas, gammas = (
         grid.ravel() for grid in np.meshgrid(sorted(cfg.alpha_grid), sorted(cfg.gamma_grid), indexing="ij")
     )
     starts = _start_rows(cfg, quad, alphas, gammas)
     runs = run_rows(problem, cfg.mode, alphas, gammas, starts, max_iter=cfg.iters, tol=cfg.tol)
-    reports = evaluate_points(alphas, gammas, sigma, beta, fit_rates(runs.step_ratios), runs.diverged)
-    return reports, runs
+    return evaluate_points(alphas, gammas, sigma, beta, fit_rates(runs.step_ratios), runs.diverged), runs
 
 
-def sweep_reports(cfg: SweepConfig) -> list:
-    """One RateReport per grid point, ordered by (alpha, gamma)."""
-    return _sweep(cfg)[0]
+def _report_lines(columns: tuple) -> list:
+    """The header and one CSV row per point of the report columns."""
+    rows = zip(*(np.asarray(c).tolist() for c in columns))
+    return [REPORT_HEADER] + [
+        f"{_fmt(a)},{_fmt(g)},{_fmt(t)},{_fmt(e)},{case.value},{_fmt(d)},{verdict}"
+        for a, g, t, e, case, d, verdict in rows
+    ]
 
 
-def render_sweep_csv(reports: list) -> str:
-    """CSV with one row per point plus a comment footer of verdict counts and
-    the worst measured gap among tight points."""
-    lines = [REPORT_HEADER]
-    lines.extend(r.csv_row() for r in reports)
-    counts = {"tight": 0, "bounded": 0, "infeasible-diverged": 0}
-    for r in reports:
-        counts[r.verdict] += 1
-    tight_gaps = [abs(r.gap) for r in reports if r.verdict == "tight"]
-    max_gap = max(tight_gaps) if tight_gaps else math.nan
-    lines.append(
-        "# verdicts: tight={tight} bounded={bounded} infeasible-diverged={diverged}".format(
-            tight=counts["tight"], bounded=counts["bounded"], diverged=counts["infeasible-diverged"]
-        )
-    )
-    lines.append(f"# max_abs_gap_tight = {_fmt(max_gap)}")
-    return "\n".join(lines) + "\n"
+def render_sweep_csv(columns: tuple) -> str:
+    """CSV with one row per point of the report columns (see
+    :func:`evaluate_points`) plus a comment footer of verdict counts and the
+    worst measured gap among tight points."""
+    gap, verdicts = np.asarray(columns[5]), np.asarray(columns[6])
+    tight = verdicts == "tight"
+    max_gap = np.abs(gap[tight]).max() if tight.any() else math.nan
+    counts = " ".join(f"{verdict}={np.count_nonzero(verdicts == verdict)}" for verdict in VERDICTS)
+    footer = [f"# verdicts: {counts}", f"# max_abs_gap_tight = {_fmt(max_gap)}"]
+    return "\n".join(_report_lines(columns) + footer) + "\n"
 
 
 def render_trace_csv(distances: np.ndarray, step_ratios: np.ndarray) -> str:
@@ -360,9 +345,9 @@ def _write_text(path: str | None, text: str) -> None:
 def cmd_rate(args) -> int:
     sigma = args.sigma if args.sigma is not None else DEFAULT_SIGMA
     beta = args.beta if args.beta is not None else DEFAULT_BETA
-    for flag, needs in (("alpha", "gamma"), ("theta", "zeta"), ("zeta", "theta")):
-        if getattr(args, flag) is not None and getattr(args, needs) is None:
-            raise ConfigError(f"--{flag} requires --{needs}")
+    for flag, needs in (("--alpha", "--gamma"), ("--theta", "--zeta"), ("--zeta", "--theta")):
+        if getattr(args, flag[2:]) is not None and getattr(args, needs[2:]) is None:
+            raise ConfigError(f"{flag} requires {needs}")
     lines = []
     if args.gamma is not None:
         if args.alpha is not None:
@@ -384,35 +369,28 @@ def cmd_rate(args) -> int:
     return 0
 
 
-def _single_point_config(args) -> SweepConfig:
-    """The config of ``run``: a sweep whose grids hold the one point."""
-    cfg = _config_from_args(args, grid_flags=False)
-    alpha = args.alpha if args.alpha is not None else (cfg.alpha_grid[0] if cfg.alpha_grid else None)
-    gamma = args.gamma if args.gamma is not None else (cfg.gamma_grid[0] if cfg.gamma_grid else None)
-    if alpha is None or gamma is None:
-        # no point given: use the bound-minimizing parameters for the mode
-        opt_alpha, opt_gamma, _ = optimal_params(*_bound_constants(cfg))
-        alpha = alpha if alpha is not None else opt_alpha
-        gamma = gamma if gamma is not None else opt_gamma
-    cfg.alpha_grid = (float(alpha),)
-    cfg.gamma_grid = (float(gamma),)
-    cfg.validate()
-    return cfg
-
-
 def cmd_run(args) -> int:
-    cfg = _single_point_config(args)
-    (report,), runs = _sweep(cfg)
-    report_text = REPORT_HEADER + "\n" + report.csv_row() + "\n"
+    # a sweep whose grids hold the one point: alpha and gamma each come from
+    # the flag, else from the config file's grid, else they are the mode's
+    # bound-minimizing values
+    cfg = _config_from_args(args, grid_flags=False)
+    instance = _instance(cfg)
+    opt_alpha, opt_gamma, _ = optimal_params(*instance[1:3])
+    alpha = args.alpha if args.alpha is not None else (cfg.alpha_grid or (opt_alpha,))[0]
+    gamma = args.gamma if args.gamma is not None else (cfg.gamma_grid or (opt_gamma,))[0]
+    cfg.alpha_grid, cfg.gamma_grid = (float(alpha),), (float(gamma),)
+    columns, runs = _sweep(cfg, instance)
+    report_text = "\n".join(_report_lines(columns)) + "\n"
     print(report_text, end="")
     steps = runs.steps[0]
     trace_text = render_trace_csv(runs.distances[0, : steps + 1], runs.step_ratios[0, :steps])
     out_text = report_text + "\n" + trace_text
     if args.out is not None:
         _write_text(args.out, out_text)
-    if report.verdict == "infeasible-diverged":
+    empirical, verdict = columns[3][0], columns[6][0]
+    if verdict == "infeasible-diverged":
         return 3
-    if math.isnan(report.empirical):
+    if math.isnan(empirical):
         print(f"note: too short to fit a rate ({steps} steps, need {MIN_FIT_RATIOS} valid ratios)", file=sys.stderr)
         return 4
     return 0
@@ -420,14 +398,14 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _config_from_args(args, grid_flags=True)
+    instance = _instance(cfg)
     if not cfg.alpha_grid:
         cfg.alpha_grid = parse_grid("linear:0.1:1.9:20")
     if not cfg.gamma_grid:
         # center the default grid on the bound-minimizing step size
-        _, gamma_star, _ = optimal_params(*_bound_constants(cfg))
+        _, gamma_star, _ = optimal_params(*instance[1:3])
         cfg.gamma_grid = parse_grid(f"log:{gamma_star / 20!r}:{gamma_star * 20!r}:20")
-    reports = sweep_reports(cfg)
-    _write_text(args.out, render_sweep_csv(reports))
+    _write_text(args.out, render_sweep_csv(_sweep(cfg, instance)[0]))
     return 0
 
 
@@ -436,26 +414,6 @@ def cmd_verify(args) -> int:
 
     results = acceptance.run_all(verbose=True)
     return 0 if all(r.passed for r in results) else 1
-
-
-def _add_instance_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--sigma", type=float, help="small curvature level (default 1)")
-    parser.add_argument("--beta", type=float, help="large curvature level (default 10)")
-    parser.add_argument("--theta", type=float, help="small coupling gain (default 1)")
-    parser.add_argument("--zeta", type=float, help="large coupling gain (default 3)")
-    parser.add_argument("--K", type=int, help="ambient dimension (default 8)")
-    parser.add_argument("--idx-sigma", dest="idx_sigma", help="comma list of sigma-band indices")
-
-
-def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--mode", choices=MODES, help="engine (default primal-dr)")
-    parser.add_argument("--iters", type=int, help="iteration budget (default 80)")
-    parser.add_argument("--tol", type=float, help="step-norm stopping tolerance (default 1e-14)")
-    parser.add_argument("--seed", type=int, help="seed for random starts (default 0)")
-    parser.add_argument("--start", choices=STARTS, help="start vector policy (default worst)")
-    parser.add_argument("--pairing", choices=PAIRINGS, help="gain pairing for coupled instances (default crossed)")
-    parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--out", help="output path (default stdout)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -475,18 +433,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_rate.set_defaults(func=cmd_rate)
 
     p_run = sub.add_parser("run", help="run one solve and report bound vs measurement")
-    _add_instance_flags(p_run)
-    p_run.add_argument("--alpha", type=float, help="relaxation (default: bound-minimizing)")
-    p_run.add_argument("--gamma", type=float, help="step size (default: bound-minimizing)")
-    _add_engine_flags(p_run)
     p_run.set_defaults(func=cmd_run)
-
     p_sweep = sub.add_parser("sweep", help="sweep an (alpha, gamma) grid and emit a CSV report")
-    _add_instance_flags(p_sweep)
-    p_sweep.add_argument("--alpha", help="alpha grid: comma list or linear/log:min:max:count")
-    p_sweep.add_argument("--gamma", help="gamma grid: comma list or linear/log:min:max:count")
-    _add_engine_flags(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
+    # every key's flag, as a string its table parser reads; run's --alpha
+    # and --gamma are one point each
+    for command, grids in ((p_run, False), (p_sweep, True)):
+        for key, (_, parse, help_text) in _CONFIG_KEYS.items():
+            dest = _dest(key)
+            if dest == key or grids:
+                metavar = getattr(parse, "metavar", None)
+                command.add_argument("--" + dest.replace("_", "-"), dest=dest, metavar=metavar, help=help_text)
+            else:
+                command.add_argument("--" + dest, type=float, help=_POINT_HELP[dest])
+        command.add_argument("--config", help="flat key = value config file")
+        command.add_argument("--out", help="output path (default stdout)")
 
     p_verify = sub.add_parser("verify", help="run the acceptance battery")
     p_verify.set_defaults(func=cmd_verify)

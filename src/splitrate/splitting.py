@@ -153,11 +153,6 @@ def _step_ratios(distances: np.ndarray) -> np.ndarray:
     return np.divide(after, before, out=np.full(before.shape, np.nan), where=before >= RATIO_FLOOR)
 
 
-def _check_dim(name: str, v: Vec, dim: int) -> None:
-    if v.dim != dim:
-        raise ValueError(f"{name} dimension {v.dim} != problem dimension {dim}")
-
-
 def _iterate(step: Callable, params: tuple, state: tuple, start: np.ndarray, max_iter: int, tol: float):
     """Run ``step`` on a batch of rows: the loop of every engine.
 
@@ -237,7 +232,7 @@ def _iterate(step: Callable, params: tuple, state: tuple, start: np.ndarray, max
 class _Replay(Sequence):
     """The iterates of a one-row run, recomputed when first read.
 
-    ``build()`` returns the run's engine ``(step, params, state)`` afresh.
+    ``build()`` returns the run's engine (see :func:`_engine`) afresh.
     Applying its step map for the ``steps`` steps the run took gives the
     run's iterates bit for bit: the step map is deterministic and never
     writes into its start state. The length needs no replay.
@@ -258,7 +253,7 @@ class _Replay(Sequence):
 
     def _replayed(self) -> list[Vec]:
         if self._vecs is None:
-            step, params, state = self._build()
+            step, params, state, _ = self._build()
             vecs = [self._start]
             for _ in range(self._steps):
                 state, recorded, _ = step(params, state)
@@ -268,16 +263,29 @@ class _Replay(Sequence):
 
 
 def _run_one(
-    build: Callable[[], tuple], start: Vec, max_iter: int, tol: float, described: str, final_x: bool = False
+    problem: CompositeProblem, mode: str, alpha, gamma, v: Vec, max_iter: int, tol: float,
+    step_name: str = "gamma", rows_are_u: bool = False,
 ) -> IterateTrace:
-    """One row through :func:`_iterate`, as an :class:`IterateTrace` whose
-    first iterate is ``start``; ``build()`` returns the engine ``(step,
-    params, state)`` and is called again when the iterates are first read."""
-    distances, steps, converged, diverged, state = _iterate(*build(), start.coeffs[None], max_iter, tol)
-    last_x = Vec(state[0][0]) if final_x else None
+    """One run of ``mode`` from ``v`` through :func:`_iterate`, as an
+    :class:`IterateTrace`: ``v`` is the one start row of :func:`_engine`
+    (``rows_are_u`` as there), and the engine is built again when the
+    iterates are first read. ``step_name`` names ``gamma`` in the message of
+    a :class:`DivergenceError`."""
+    rows = v.coeffs[None]
+    build = lambda: _engine(problem, mode, alpha, gamma, rows, rows_are_u)
+    step, params, state, start = build()
+    if v.dim != problem.dim:
+        raise ValueError(f"start dimension {v.dim} != problem dimension {problem.dim}")
+    if start is rows:  # DR records v itself
+        first = v
+    else:  # ADMM records rho * u0, which may overflow (Vec then raises)
+        first = Vec._adopt(start[0]) if np.isfinite(start).all() else Vec(start[0])
+    distances, steps, converged, diverged, state = _iterate(step, params, state, start, max_iter, tol)
+    # ADMM's state is (x, w, u): its trace keeps the last primal iterate
+    last_x = Vec(state[0][0]) if len(state) > 1 else None
     trace = IterateTrace(
-        _Replay(build, start, int(steps[0])),
-        zeros(start.dim),
+        _Replay(build, first, int(steps[0])),
+        zeros(problem.dim),
         distances[0],
         _step_ratios(distances)[0],
         bool(converged[0]),
@@ -286,7 +294,7 @@ def _run_one(
     if diverged[0]:
         raise DivergenceError(
             f"diverged after {trace.n_steps} steps: distance grew past {DIVERGENCE_FACTOR:g}x "
-            f"its starting value ({described})",
+            f"its starting value (alpha={alpha:g}, {step_name}={gamma:g})",
             trace,
         )
     return trace
@@ -302,32 +310,7 @@ def _reflection(weights: np.ndarray, g: GFunction, gamma) -> np.ndarray:
     """
     gw = gamma * weights
     refl = (1.0 - gw) / (1.0 + gw)
-    if g is GFunction.ZERO_INDICATOR:
-        return -refl
-    if g is not GFunction.ZERO:
-        raise ValueError(f"unsupported nonsmooth term: {g!r}")
-    return refl
-
-
-def _identity_coupled(problem: CompositeProblem) -> CompositeProblem:
-    if problem.a is not None:
-        raise ValueError("primal DR requires the identity coupling (problem.a must be None)")
-    return problem
-
-
-def _dual_of(problem: CompositeProblem) -> CompositeProblem:
-    if problem.g is not GFunction.ZERO_INDICATOR or problem.a is None:
-        raise ValueError(
-            "dual iteration needs g = indicator of the origin and an explicit diagonal coupling"
-        )
-    return CompositeProblem(f=dual_function(problem), g=GFunction.ZERO, a=None)
-
-
-def _admm_coupled(problem: CompositeProblem) -> None:
-    if problem.g is not GFunction.ZERO_INDICATOR or problem.a is None:
-        raise ValueError(
-            "run_admm needs g = indicator of the origin and an explicit diagonal coupling"
-        )
+    return -refl if g is GFunction.ZERO_INDICATOR else refl
 
 
 def _relaxed_step(params: tuple, state: tuple) -> tuple:
@@ -339,22 +322,15 @@ def _relaxed_step(params: tuple, state: tuple) -> tuple:
     return (z_next,), z_next, _norms(z_next - z)
 
 
-def _dr_engine(problem: CompositeProblem, alpha, gamma, z: np.ndarray) -> tuple:
-    """Step, parameters and state of relaxed DR from the rows ``z`` of an
-    identity-coupled problem; the recorded start is ``z``."""
-    refl = _reflection(problem.f.weights, problem.g, gamma)
-    return _relaxed_step, (alpha, refl), (z,)
-
-
-def _admm_engine(problem: CompositeProblem, alpha, rho, x: np.ndarray, w: np.ndarray, u: np.ndarray) -> tuple:
+def _admm_engine(f_weights: np.ndarray, nu: np.ndarray, alpha, rho, u: np.ndarray) -> tuple:
     """Step, parameters and state of the scaled ADMM updates (see
-    :func:`run_admm`); ``alpha`` and ``rho`` are scalars or columns, and the
-    recorded start is ``rho * u``."""
-    nu = problem.a.weights
+    :func:`run_admm`) from the rows ``u``, with ``x`` and ``w`` at the
+    origin; ``alpha`` and ``rho`` are scalars or columns."""
     # per-engine scratch; rows only ever leave, so a prefix of each fits.
-    # w_zero is the prox of the origin indicator; v and u_new take turns in
-    # the pair, so that a step never writes into the u it reads
-    w_zero = np.zeros(u.shape)
+    # zero is the start of x and w and the prox of the origin indicator (no
+    # step writes into it); v and u_new take turns in the pair, so that a
+    # step never writes into the u it reads
+    zero = np.zeros(u.shape)
     x_buf, tmp_buf, rec_buf = (np.empty(u.shape) for _ in range(3))
     pair = (np.empty(u.shape), np.empty(u.shape))
 
@@ -373,11 +349,40 @@ def _admm_engine(problem: CompositeProblem, alpha, rho, x: np.ndarray, w: np.nda
         u_new = np.add(u, v, out=v)
         recorded = np.multiply(rho, u_new, out=rec_buf[:rows])
         step_norm = np.ravel(rho) * _norms(np.subtract(u_new, u, out=tmp))
-        return (x_new, w_zero[:rows], u_new), recorded, step_norm
+        return (x_new, zero[:rows], u_new), recorded, step_norm
 
-    scale, denom = rho * nu, problem.f.weights + rho * nu**2
+    scale, denom = rho * nu, f_weights + rho * nu**2
     params = (rho, 2.0 * alpha, scale, denom)
-    return step, params, (x, w, u)
+    return step, params, (zero, zero, u)
+
+
+def _engine(problem: CompositeProblem, mode: str, alpha, gamma, rows: np.ndarray, rows_are_u: bool = False) -> tuple:
+    """The engine ``mode`` runs on ``problem`` from the start rows ``rows``:
+    ``(step, params, state, start)`` for :func:`_iterate`, with ``start`` the
+    recorded start rows. The one place that checks the mode and the problem
+    it needs.
+
+    ``alpha`` and ``gamma`` (``rho`` for ADMM) are scalars or ``(rows, 1)``
+    columns. Relaxed DR runs on ``problem`` itself ("primal-dr", identity
+    coupling only) or on its dual ("dual-dr") and records ``rows``. ADMM
+    starts from ``u = rows * (1 / gamma)``, or from ``u = rows`` with
+    ``rows_are_u``, and records ``gamma * u``. Dual DR and ADMM need ``g``
+    the indicator of the origin and an explicit diagonal coupling.
+    """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if mode == "primal-dr":
+        if problem.a is not None:
+            raise ValueError("primal DR requires the identity coupling (problem.a must be None)")
+        return _relaxed_step, (alpha, _reflection(problem.f.weights, problem.g, gamma)), (rows,), rows
+    if problem.g is not GFunction.ZERO_INDICATOR or problem.a is None:
+        raise ValueError(f"{mode} needs g = indicator of the origin and an explicit diagonal coupling")
+    if mode == "dual-dr":
+        # the conjugate of the origin indicator vanishes: the dual's g is zero
+        refl = _reflection(dual_function(problem).weights, GFunction.ZERO, gamma)
+        return _relaxed_step, (alpha, refl), (rows,), rows
+    u = rows if rows_are_u else rows * (1.0 / gamma)
+    return (*_admm_engine(problem.f.weights, problem.a.weights, alpha, gamma, u), gamma * u)
 
 
 def run_dr(
@@ -410,11 +415,7 @@ def run_dr(
         When the distance to the fixed point exceeds 10x its starting value,
         which is how an infeasible relaxation fails.
     """
-    _identity_coupled(problem)
-    _check_dim("z0", z0, problem.dim)
-    described = f"alpha={params.alpha:g}, gamma={params.gamma:g}"
-    build = lambda: _dr_engine(problem, params.alpha, params.gamma, z0.coeffs[None])
-    return _run_one(build, z0, max_iter, tol, described)
+    return _run_one(problem, "primal-dr", params.alpha, params.gamma, z0, max_iter, tol)
 
 
 def run_dual_dr(
@@ -432,15 +433,13 @@ def run_dual_dr(
     indicator vanishes, so the dual problem is again in the identity-coupling
     form handled by :func:`run_dr`.
     """
-    return run_dr(_dual_of(problem), params, mu0, max_iter=max_iter, tol=tol)
+    return _run_one(problem, "dual-dr", params.alpha, params.gamma, mu0, max_iter, tol)
 
 
 def run_admm(
     problem: CompositeProblem,
     rho: float,
     alpha: float,
-    x0: Vec | None = None,
-    z0: Vec | None = None,
     u0: Vec | None = None,
     max_iter: int = 200,
     tol: float = 1e-13,
@@ -463,22 +462,12 @@ def run_admm(
     ``mu_k``; the final primal iterate is kept on ``final_x``. The step norm
     compared with ``tol`` is ``rho * |u_{k+1} - u_k|``.
 
-    ``z0`` is the starting value of the second block variable ``w``. ``x0``
-    only seeds the recorded primal state; the first x-update overwrites it.
+    ``x`` and ``w`` start at the origin, and ``u`` at ``u0`` (the origin
+    when None); the trace starts at ``rho * u0``.
     """
-    _admm_coupled(problem)
     _check_positive(rho=rho, alpha=alpha)
-    dim = problem.dim
-    for name, v in (("x0", x0), ("z0", z0), ("u0", u0)):
-        if v is not None:
-            _check_dim(name, v, dim)
-    x, w, u = (np.zeros((1, dim)) if v is None else v.coeffs[None] for v in (x0, z0, u0))
-    mu0 = rho * u[0]
-    # one scan and no copy, unless rho * u0 overflowed (Vec then raises)
-    start = Vec._adopt(mu0) if np.isfinite(mu0).all() else Vec(mu0)
-    described = f"alpha={alpha:g}, rho={rho:g}"
-    build = lambda: _admm_engine(problem, alpha, rho, x, w, u)
-    return _run_one(build, start, max_iter, tol, described, final_x=True)
+    u0 = zeros(problem.dim) if u0 is None else u0
+    return _run_one(problem, "admm", alpha, rho, u0, max_iter, tol, step_name="rho", rows_are_u=True)
 
 
 def run_rows(
@@ -504,14 +493,8 @@ def run_rows(
     ``BLOCK_ELEMENTS // dim`` rows (at least one), and ``starts`` is called
     once per block, in order, so starts can be drawn as they are needed.
     """
-    if mode == "primal-dr":
-        dr_problem = _identity_coupled(problem)
-    elif mode == "dual-dr":
-        dr_problem = _dual_of(problem)
-    elif mode == "admm":
-        _admm_coupled(problem)
-    else:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    # a bad mode or problem fails here, even for a batch of no rows
+    _engine(problem, mode, 1.0, 1.0, np.empty((0, problem.dim)))
     alphas, gammas = _positive_rows(alphas=alphas, gammas=gammas)
     if alphas.ndim != 1 or alphas.shape != gammas.shape:
         raise ValueError("alphas and gammas must be 1-d and of equal length")
@@ -525,13 +508,9 @@ def run_rows(
         z = np.asarray(starts(part), dtype=float)
         if z.shape != (part.stop - part.start, dim):
             raise ValueError(f"start rows have shape {z.shape}, expected {(part.stop - part.start, dim)}")
-        alpha, gamma = alphas[part, None], gammas[part, None]
-        if mode == "admm":
-            empty, u = np.zeros(z.shape), z * (1.0 / gamma)
-            engine, start = _admm_engine(problem, alpha, gamma, empty, empty, u), gamma * u
-        else:
-            engine, start = _dr_engine(dr_problem, alpha, gamma, z), z
-        dist, steps[part], _, diverged[part], _ = _iterate(*engine, start, max_iter, tol)
+        dist, steps[part], _, diverged[part], _ = _iterate(
+            *_engine(problem, mode, alphas[part, None], gammas[part, None], z), max_iter, tol
+        )
         blocks.append(dist)
     distances = np.full((rows, max((d.shape[1] for d in blocks), default=1)), np.nan)
     for lo, dist in zip(range(0, rows, block), blocks):

@@ -405,16 +405,16 @@ def test_parse_grid_forms():
 
 
 def test_report_float_format_is_full_precision():
-    report = cli.RateReport(
-        alpha=1.0,
-        gamma=1.0 / math.sqrt(10.0),
-        theoretical=0.1 + 0.2,
-        empirical=float("nan"),
-        case_label=TightnessCase.CASE_I,
-        gap=float("nan"),
-        verdict="bounded",
+    columns = (
+        [1.0],
+        [1.0 / math.sqrt(10.0)],
+        [0.1 + 0.2],
+        [float("nan")],
+        [TightnessCase.CASE_I],
+        [float("nan")],
+        ["bounded"],
     )
-    row = report.csv_row()
+    row = cli.render_sweep_csv(columns).splitlines()[1]
     assert "0.31622776601683794" in row
     assert "0.30000000000000004" in row
     assert row.split(",")[3] == "nan"
@@ -445,6 +445,30 @@ def test_default_random_start_sweeps_keep_their_digests(tmp_path, capsys, mode):
     )
     assert code == 0
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == RANDOM_SEED_7_SHA256[mode]
+
+
+RANDOM_SEED_3 = ("--start", "random", "--seed", "3")
+
+#: SHA-256 of the ``run --out`` file (report row and distance trace) in each
+#: mode, at the defaults and from a seeded random start
+RUN_SHA256 = {
+    ("primal-dr", ()): "c1cd9912e8bdac458b14deaf83ba3ab7b73d354b4a7f304c7195df70a78295c0",
+    ("primal-dr", RANDOM_SEED_3): "5f5a96363b0d80a529a6e8a50797008e63b341fd8028719961575b2d020a263f",
+    ("dual-dr", ()): "42259764cfe94ae645b285373f472000d770a979861286a1beac510b001ca07c",
+    ("dual-dr", RANDOM_SEED_3): "276143bdcb8c019f1c85764c3b6bbe1a89c714b15c58ae9413b6c971ee1aed4a",
+    ("admm", ()): "aa5ff417e95b5c937b843c7bd9af7c6e35ba3eabbe2ed1bcaafd36913d77c97c",
+    ("admm", RANDOM_SEED_3): "31722d9c227de3ad1e0a718179ca1427329782affc3aece9e31140b29f8a9b0b",
+}
+
+
+@pytest.mark.parametrize("mode, flags", sorted(RUN_SHA256))
+def test_run_out_files_keep_their_digests(tmp_path, capsys, mode, flags):
+    out_path = tmp_path / "run.csv"
+    code, out = run_cli(["run", "--mode", mode, *flags, "--out", str(out_path)], capsys)
+    assert code == 0
+    text = out_path.read_text()
+    assert text.startswith(out)  # stdout is the report part of the file
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == RUN_SHA256[mode, flags]
 
 
 def _cli_subprocess(args, **env):

@@ -1,0 +1,20 @@
+"""The README's code and key list, run and read against the package."""
+
+import re
+from pathlib import Path
+
+from splitrate import cli
+
+README = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def test_library_tour_runs():
+    block = re.search(r"## Library tour\s+```python\n(.*?)```", README, re.S).group(1)
+    namespace = {}
+    exec(compile(block, "README.md (Library tour)", "exec"), namespace)
+    assert namespace["admm_trace"].n_steps == namespace["dual_trace"].n_steps == 50
+
+
+def test_readme_lists_every_config_key():
+    listed = re.search(r"can hold\s+any of `([^`]*)`", README).group(1).split()
+    assert listed == list(cli._CONFIG_KEYS)

@@ -650,10 +650,12 @@ def _reference_dr(weights, negate, alpha, gamma, z, max_iter, tol):
     return iterates, False
 
 
-def _reference_admm(lam, nu, alpha, rho, x, w, u, max_iter, tol):
-    """One scaled ADMM run written out the same way, with the ``- w`` pass
-    that the engine drops as an identity: (iterates, diverged, final x)."""
+def _reference_admm(lam, nu, alpha, rho, u, max_iter, tol):
+    """One scaled ADMM run written out the same way, from ``x = w = 0``, with
+    the ``- w`` pass that the engine drops as an identity: (iterates,
+    diverged, final x)."""
     relax, scale, denom = 2.0 * alpha, rho * nu, lam + rho * nu**2
+    x, w = np.zeros(u.shape), np.zeros(u.shape)
     iterates = [rho * u]
     first = _norm(iterates[0])
     for k in range(max_iter):
@@ -672,17 +674,14 @@ def _reference_admm(lam, nu, alpha, rho, x, w, u, max_iter, tol):
     return iterates, False, x
 
 
-def _check_replay(problem, mode, alpha, gamma, start, max_iter, tol, x0=None, w0=None):
+def _check_replay(problem, mode, alpha, gamma, start, max_iter, tol):
     """Run one engine, read its replayed iterates (and ADMM's ``final_x``) and
     compare them bit for bit with the reference loop; returns (steps,
     diverged)."""
-    dim = start.size
     if mode == "admm":
         u0 = start * (1.0 / gamma)
-        x, w = (np.zeros(dim) if v is None else v for v in (x0, w0))
-        reference = _reference_admm(problem.f.weights, problem.a.weights, alpha, gamma, x, w, u0, max_iter, tol)
-        vecs = {name: None if v is None else Vec(v) for name, v in (("x0", x0), ("z0", w0))}
-        run = lambda: run_admm(problem, gamma, alpha, u0=Vec(u0), max_iter=max_iter, tol=tol, **vecs)
+        reference = _reference_admm(problem.f.weights, problem.a.weights, alpha, gamma, u0, max_iter, tol)
+        run = lambda: run_admm(problem, gamma, alpha, u0=Vec(u0), max_iter=max_iter, tol=tol)
     else:
         curvatures, negate = problem.f, problem.g is GFunction.ZERO_INDICATOR
         if mode == "dual-dr":
@@ -737,19 +736,15 @@ def replay_cases(draw):
     )
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     start = _signed_zeros(rng, dim, draw(st.sampled_from([0.0, 0.3, 1.0])))
-    x0, w0 = (_signed_zeros(rng, dim, 0.3) if draw(st.booleans()) else None for _ in range(2))
     max_iter = draw(st.integers(0, 60))
     tol = draw(st.sampled_from([0.0, 1e-9, 1e-4, 1e-2, 0.3]))
-    return problem, mode, alpha, gamma, start, max_iter, tol, x0, w0
+    return problem, mode, alpha, gamma, start, max_iter, tol
 
 
 @settings(deadline=None, max_examples=120)
 @given(replay_cases())
 def test_replayed_iterates_equal_the_reference_loop_bitwise(case):
-    problem, mode, alpha, gamma, start, max_iter, tol, x0, w0 = case
-    if mode != "admm":
-        x0 = w0 = None
-    _check_replay(problem, mode, alpha, gamma, start, max_iter, tol, x0, w0)
+    _check_replay(*case)
 
 
 @pytest.mark.parametrize("mode", splitting.MODES)
@@ -857,13 +852,20 @@ def test_run_rows_rejects_bad_parameters(primal, which, bad):
 
 
 def test_run_rows_rejects_bad_mode_and_start_shape(primal):
-    one = np.array([1.0])
-    with pytest.raises(ValueError, match="mode"):
-        run_rows(primal, "newton", one, one, lambda rows: np.ones((1, 8)))
-    with pytest.raises(ValueError, match="identity coupling"):
-        run_rows(default_dual_instance(), "primal-dr", one, one, lambda rows: np.ones((1, 8)))
+    one, none = np.array([1.0]), np.array([])
+    # a batch of no rows runs no block, and is rejected all the same
+    for alphas in (one, none):
+        starts = lambda part: np.ones((alphas.size, 8))
+        with pytest.raises(ValueError, match="mode"):
+            run_rows(primal, "newton", alphas, alphas, starts)
+        with pytest.raises(ValueError, match="identity coupling"):
+            run_rows(default_dual_instance(), "primal-dr", alphas, alphas, starts)
+        with pytest.raises(ValueError, match="indicator of the origin"):
+            run_rows(primal, "admm", alphas, alphas, starts)
     with pytest.raises(ValueError, match="shape"):
-        run_rows(primal, "primal-dr", one, one, lambda rows: np.ones((1, 3)))
+        run_rows(primal, "primal-dr", one, one, lambda part: np.ones((1, 3)))
+    runs = run_rows(primal, "primal-dr", none, none, lambda part: np.ones((0, 8)))
+    assert runs.distances.shape == (0, 1) and runs.steps.size == runs.diverged.size == 0
 
 
 @pytest.mark.parametrize("mode", splitting.MODES)
