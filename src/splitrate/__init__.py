@@ -33,14 +33,11 @@ from .rates import (
     RateConstants,
     TightnessCase,
     alpha_upper_bound,
-    alpha_upper_bounds,
     classify_tightness,
-    classify_tightness_rows,
     dual_rate_constants,
     optimal_params,
     psi,
     theoretical_rate,
-    theoretical_rates,
 )
 from .splitting import (
     DivergenceError,
@@ -62,8 +59,6 @@ from .worstcase import (
     predict_iterate,
     step_multiplier,
     worst_coordinates,
-    worst_direction,
-    worst_directions,
     worst_start_vector,
 )
 
@@ -83,14 +78,12 @@ __all__ = [
     "TightnessCase",
     "Vec",
     "alpha_upper_bound",
-    "alpha_upper_bounds",
     "apply_operator",
     "basis_rows",
     "basis_vector",
     "check_smoothness",
     "check_strong_convexity",
     "classify_tightness",
-    "classify_tightness_rows",
     "default_dual_instance",
     "default_primal_instance",
     "dual_function",
@@ -114,10 +107,7 @@ __all__ = [
     "run_rows",
     "step_multiplier",
     "theoretical_rate",
-    "theoretical_rates",
     "worst_coordinates",
-    "worst_direction",
-    "worst_directions",
     "worst_start_vector",
     "zeros",
 ]

@@ -26,11 +26,10 @@ from .hilbert import basis_rows
 from .rates import (
     TIGHT_CASES,
     alpha_upper_bound,
-    classify_tightness_rows,
+    classify_tightness,
     dual_rate_constants,
     optimal_params,
     theoretical_rate,
-    theoretical_rates,
 )
 from .splitting import MIN_FIT_RATIOS, MODES, fit_rates, run_rows
 from .worstcase import (
@@ -183,20 +182,13 @@ class SweepConfig:
     tol: float = _key(
         "tol", 1e-14, _checked(float, lambda x: x > 0, "positive"), "step-norm stopping tolerance (default 1e-14)"
     )
-    seed: int = _key("seed", 0, int, "seed for random starts (default 0)")
+    seed: int = _key(
+        "seed", 0, _checked(int, lambda n: n >= 0, "non-negative"), "seed for random starts (default 0)"
+    )
     start: str = _key("start", "worst", _choice(STARTS), "start vector policy (default worst)")
     pairing: str = _key(
         "pairing", "crossed", _choice(PAIRINGS), "gain pairing for coupled instances (default crossed)"
     )
-
-    def validate(self) -> None:
-        """Each key's parser checks its own value, and the engine that the
-        grid values are positive and finite; this checks that a grid is
-        given."""
-        if not self.alpha_grid:
-            raise ConfigError("alpha grid is empty")
-        if not self.gamma_grid:
-            raise ConfigError("gamma grid is empty")
 
 
 #: config key -> (SweepConfig field, parser, help), in field order. The run
@@ -281,8 +273,8 @@ def evaluate_points(alphas, gammas, sigma: float, beta: float, empirical, diverg
     tripped the divergence guard, and "bounded" otherwise; "bounded" is not
     compared with the bound.
     """
-    theoretical = theoretical_rates(alphas, gammas, sigma, beta)
-    cases = classify_tightness_rows(alphas, gammas, sigma, beta)
+    theoretical = theoretical_rate(alphas, gammas, sigma, beta)
+    cases = classify_tightness(alphas, gammas, sigma, beta)
     empirical = np.where(diverged, math.nan, empirical)
     gap = theoretical - empirical
     tight = np.isin(cases, list(TIGHT_CASES)) & (np.abs(gap) <= TIGHT_GAP)
@@ -294,7 +286,6 @@ def _sweep(cfg: SweepConfig, instance: tuple) -> tuple:
     """All grid points as one batch of engine runs on the :func:`_instance`
     of ``cfg``: the report columns (see :func:`evaluate_points`), ordered by
     (alpha, gamma), and the :class:`RowRuns` they were measured from."""
-    cfg.validate()
     problem, sigma, beta, quad = instance
     alphas, gammas = (
         grid.ravel() for grid in np.meshgrid(sorted(cfg.alpha_grid), sorted(cfg.gamma_grid), indexing="ij")

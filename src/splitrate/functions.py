@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,15 +44,16 @@ class GFunction(enum.Enum):
 class SpectrumSpec:
     """Two-level curvature layout over 0-based coordinates.
 
-    ``idx_sigma`` carries the sigma level and its complement ``idx_beta``
-    carries the beta level; both bands must be non-empty.
+    ``idx_sigma`` carries the sigma level and its complement ``idx_beta``,
+    which is derived and not passed, carries the beta level; both bands must
+    be non-empty.
     """
 
     dim: int
     sigma: float
     beta: float
     idx_sigma: frozenset
-    idx_beta: frozenset | None = None
+    idx_beta: frozenset = field(init=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.dim, int) or self.dim < 1:
@@ -67,8 +68,6 @@ class SpectrumSpec:
         complement = frozenset(range(self.dim)) - idx_s
         if not complement:
             raise ValueError("idx_sigma must be a proper subset: the beta band must be non-empty")
-        if self.idx_beta is not None and frozenset(int(i) for i in self.idx_beta) != complement:
-            raise ValueError("idx_beta must be exactly the complement of idx_sigma")
         object.__setattr__(self, "idx_sigma", idx_s)
         object.__setattr__(self, "idx_beta", complement)
 

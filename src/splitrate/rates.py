@@ -2,9 +2,10 @@
 parameters, dual constants, and the classifier for the parameter regions
 where the bound is attained exactly.
 
-The bound, the relaxation limit and the classifier each have a row form
-(``theoretical_rates``, ``alpha_upper_bounds``, ``classify_tightness_rows``)
-that takes arrays of points; each scalar function is its one-row case."""
+The bound, the relaxation limit and the classifier take one point or many:
+floats, or equal-shape arrays of points, worked on elementwise as numpy
+functions are. One point gives a numpy float or a :class:`TightnessCase`,
+many give an array."""
 
 from __future__ import annotations
 
@@ -17,16 +18,13 @@ import numpy as np
 __all__ = [
     "psi",
     "theoretical_rate",
-    "theoretical_rates",
     "alpha_upper_bound",
-    "alpha_upper_bounds",
     "optimal_params",
     "RateConstants",
     "dual_rate_constants",
     "TightnessCase",
     "TIGHT_CASES",
     "classify_tightness",
-    "classify_tightness_rows",
 ]
 
 
@@ -66,46 +64,33 @@ def _check_spectrum(sigma: float, beta: float) -> None:
         raise ValueError(f"need 0 < sigma <= beta, got sigma={sigma!r}, beta={beta!r}")
 
 
-def _max_terms(gammas: np.ndarray, sigma: float, beta: float) -> np.ndarray:
+def _max_terms(gamma: np.ndarray, sigma: float, beta: float) -> np.ndarray:
     """max((1 - g*sigma)/(1 + g*sigma), (g*beta - 1)/(g*beta + 1)) per step
     size; in [0, 1). Ties keep the first term, as Python's ``max`` does
     (``np.maximum`` need not keep the same signed zero)."""
-    first, second = _psi(gammas * sigma), -_psi(gammas * beta)
+    first, second = _psi(gamma * sigma), -_psi(gamma * beta)
     return np.where(second > first, second, first)
 
 
-def theoretical_rates(alphas, gammas, sigma: float, beta: float) -> np.ndarray:
-    """Row form of :func:`theoretical_rate`: the bound at each point
-    ``(alphas[i], gammas[i])``, bit for bit the scalar's value."""
-    alphas, gammas = _positive_rows(alphas=alphas, gammas=gammas)
-    _check_spectrum(sigma, beta)
-    return np.abs(1.0 - alphas) + alphas * _max_terms(gammas, sigma, beta)
-
-
-def theoretical_rate(alpha: float, gamma: float, sigma: float, beta: float) -> float:
+def theoretical_rate(alpha, gamma, sigma: float, beta: float):
     """Per-step contraction bound
-    ``|1 - alpha| + alpha * max((1 - g*s)/(1 + g*s), (g*b - 1)/(g*b + 1))``.
+    ``|1 - alpha| + alpha * max((1 - g*s)/(1 + g*s), (g*b - 1)/(g*b + 1))``
+    at each point ``(alpha, gamma)``.
 
     Below 1 exactly when alpha lies inside the feasible interval
     ``(0, alpha_upper_bound(gamma, sigma, beta))``.
     """
-    _check_positive(alpha=alpha, gamma=gamma)
+    alpha, gamma = _positive_rows(alpha=alpha, gamma=gamma)
     _check_spectrum(sigma, beta)
-    return float(theoretical_rates([alpha], [gamma], sigma, beta)[0])
+    return (np.abs(1.0 - alpha) + alpha * _max_terms(gamma, sigma, beta))[()]
 
 
-def alpha_upper_bounds(gammas, sigma: float, beta: float) -> np.ndarray:
-    """Row form of :func:`alpha_upper_bound`, one limit per step size."""
-    (gammas,) = _positive_rows(gammas=gammas)
+def alpha_upper_bound(gamma, sigma: float, beta: float):
+    """Supremum of relaxations with contraction bound below 1, per step
+    size; always in (1, 2]."""
+    (gamma,) = _positive_rows(gamma=gamma)
     _check_spectrum(sigma, beta)
-    return 2.0 / (1.0 + _max_terms(gammas, sigma, beta))
-
-
-def alpha_upper_bound(gamma: float, sigma: float, beta: float) -> float:
-    """Supremum of relaxations with contraction bound below 1; always in (1, 2]."""
-    _check_positive(gamma=gamma)
-    _check_spectrum(sigma, beta)
-    return float(alpha_upper_bounds([gamma], sigma, beta)[0])
+    return (2.0 / (1.0 + _max_terms(gamma, sigma, beta)))[()]
 
 
 def optimal_params(sigma: float, beta: float) -> tuple[float, float, float]:
@@ -188,34 +173,27 @@ def _isclose(a, b) -> np.ndarray:
     return (diff <= np.abs(1e-12 * b)) | (diff <= np.abs(1e-12 * a))
 
 
-def classify_tightness_rows(alphas, gammas, sigma: float, beta: float) -> np.ndarray:
-    """Row form of :func:`classify_tightness`: the label of each point
-    ``(alphas[i], gammas[i])``, as an object array of :class:`TightnessCase`."""
-    alphas, gammas = _positive_rows(alphas=alphas, gammas=gammas)
-    _check_spectrum(sigma, beta)
-    gamma_star = 1.0 / math.sqrt(sigma * beta)
-    upper = alpha_upper_bounds(gammas, sigma, beta)
-    at_one = _isclose(alphas, 1.0)
-    at_star = _isclose(gammas, gamma_star)
-    feasible = alphas < upper
-    regions = [
-        at_one,
-        (alphas < 1.0) & ((gammas <= gamma_star) | at_star),
-        (1.0 < alphas) & feasible & ((gammas >= gamma_star) | at_star),
-        feasible,
-    ]
-    return _CASE_ORDER[np.select(regions, [0, 1, 2, 3], 4)]
-
-
-def classify_tightness(alpha: float, gamma: float, sigma: float, beta: float) -> TightnessCase:
-    """First matching region, checked in order:
+def classify_tightness(alpha, gamma, sigma: float, beta: float):
+    """Label of each point ``(alpha, gamma)``: the first matching region,
+    checked in order:
 
     I.   alpha = 1, any gamma > 0
     II.  alpha in (0, 1], gamma in (0, 1/sqrt(sigma*beta)]
     III. alpha in [1, alpha_upper_bound), gamma in [1/sqrt(sigma*beta), inf)
 
-    Boundary equalities are matched to 1e-12 relative tolerance.
+    Boundary equalities are matched to 1e-12 relative tolerance. Many points
+    give an object array of labels.
     """
-    _check_positive(alpha=alpha, gamma=gamma)
+    alpha, gamma = _positive_rows(alpha=alpha, gamma=gamma)
     _check_spectrum(sigma, beta)
-    return classify_tightness_rows([alpha], [gamma], sigma, beta)[0]
+    gamma_star = 1.0 / math.sqrt(sigma * beta)
+    at_one = _isclose(alpha, 1.0)
+    at_star = _isclose(gamma, gamma_star)
+    feasible = alpha < alpha_upper_bound(gamma, sigma, beta)
+    regions = [
+        at_one,
+        (alpha < 1.0) & ((gamma <= gamma_star) | at_star),
+        (1.0 < alpha) & feasible & ((gamma >= gamma_star) | at_star),
+        feasible,
+    ]
+    return _CASE_ORDER[np.select(regions, [0, 1, 2, 3], 4)]

@@ -1,6 +1,6 @@
 """Generators for the instances whose contraction exactly attains the rate
 bound, the closed-form iterate predictor used as the exactness oracle, and the
-slowest-contracting start: per point, or as a row form over many points."""
+slowest-contracting start, for one point or many."""
 
 from __future__ import annotations
 
@@ -15,8 +15,6 @@ __all__ = [
     "make_dual_instance",
     "predict_iterate",
     "step_multiplier",
-    "worst_direction",
-    "worst_directions",
     "worst_start_vector",
     "worst_coordinates",
     "default_primal_instance",
@@ -108,30 +106,6 @@ def predict_iterate(lambda_i: float, alpha: float, gamma: float, k: int) -> floa
     return step_multiplier(lambda_i, alpha, gamma) ** k
 
 
-def _sigma_is_slowest(c_sigma, c_beta):
-    """The tie rule of :func:`worst_direction`, for floats or arrays."""
-    return abs(c_sigma) >= abs(c_beta) * (1.0 - 1e-12)
-
-
-def worst_direction(alpha: float, gamma: float, sigma: float, beta: float) -> str:
-    """Which curvature band contracts slowest from a unit start: "sigma" or
-    "beta". Ties (e.g. at gamma = 1/sqrt(sigma*beta), where the two factors
-    agree up to rounding) go to "sigma"."""
-    _check_positive(alpha=alpha)
-    c_sigma = step_multiplier(sigma, alpha, gamma)
-    c_beta = step_multiplier(beta, alpha, gamma)
-    return "sigma" if _sigma_is_slowest(c_sigma, c_beta) else "beta"
-
-
-def worst_directions(alphas, gammas, sigma: float, beta: float) -> np.ndarray:
-    """Row form of :func:`worst_direction`: True where the point
-    ``(alphas[i], gammas[i])`` picks "sigma", with the same tie rule."""
-    alphas, gammas = _positive_rows(alphas=alphas, gammas=gammas)
-    c_sigma = _relaxed_factor(alphas, _psi(gammas * sigma))
-    c_beta = _relaxed_factor(alphas, _psi(gammas * beta))
-    return _sigma_is_slowest(c_sigma, c_beta)
-
-
 def _band_coordinates(quad: DiagQuadratic) -> tuple[int, int]:
     """The first coordinates of ``quad`` with curvature ``quad.sigma`` and
     with curvature ``quad.beta``."""
@@ -139,18 +113,24 @@ def _band_coordinates(quad: DiagQuadratic) -> tuple[int, int]:
     return tuple(int(np.argmin(np.abs(weights - target))) for target in (quad.sigma, quad.beta))
 
 
-def worst_start_vector(quad: DiagQuadratic, alpha: float, gamma: float) -> Vec:
-    """Basis vector along the slowest-contracting coordinate of ``quad``."""
-    label = worst_direction(alpha, gamma, quad.sigma, quad.beta)
-    return basis_vector(quad.dim, _band_coordinates(quad)[label == "beta"])
-
-
-def worst_coordinates(quad: DiagQuadratic, alphas, gammas) -> np.ndarray:
-    """Row form of :func:`worst_start_vector`: for each point ``(alphas[i],
-    gammas[i])``, the coordinate of its unit start (see
-    :func:`splitrate.hilbert.basis_rows`)."""
+def worst_coordinates(quad: DiagQuadratic, alpha, gamma):
+    """The coordinate of the slowest-contracting unit start of ``quad`` at
+    each point ``(alpha, gamma)``: the first coordinate of the curvature band
+    whose step factor is larger in magnitude. Ties (e.g. at gamma =
+    1/sqrt(sigma*beta), where the two factors agree up to rounding) go to the
+    sigma band. Many points give one coordinate each, for
+    :func:`splitrate.hilbert.basis_rows`."""
+    alpha, gamma = _positive_rows(alpha=alpha, gamma=gamma)
+    c_sigma = _relaxed_factor(alpha, _psi(gamma * quad.sigma))
+    c_beta = _relaxed_factor(alpha, _psi(gamma * quad.beta))
     on_sigma, on_beta = _band_coordinates(quad)
-    return np.where(worst_directions(alphas, gammas, quad.sigma, quad.beta), on_sigma, on_beta)
+    return np.where(np.abs(c_sigma) >= np.abs(c_beta) * (1.0 - 1e-12), on_sigma, on_beta)[()]
+
+
+def worst_start_vector(quad: DiagQuadratic, alpha: float, gamma: float) -> Vec:
+    """Basis vector along the slowest-contracting coordinate of ``quad`` (see
+    :func:`worst_coordinates`)."""
+    return basis_vector(quad.dim, int(worst_coordinates(quad, alpha, gamma)))
 
 
 def default_primal_instance() -> CompositeProblem:

@@ -29,11 +29,22 @@ PROPERTY_SEEDS = {
 }
 
 
-@pytest.mark.parametrize("check", acceptance.ALL_CHECKS, ids=lambda c: c.__name__.removeprefix("check_"))
-def test_criterion(check):
-    result = check()
+@pytest.mark.parametrize("name", acceptance.CRITERIA, ids=lambda name: name.replace("-", "_"))
+def test_criterion(name):
+    result = acceptance.run_criterion(name)
     print(result.line())
     assert result.passed, result.detail
+
+
+def test_a_crashed_or_slow_criterion_fails(monkeypatch):
+    def crash():
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(acceptance.CRITERIA, "crash", (crash, None))
+    monkeypatch.setitem(acceptance.CRITERIA, "slow", (lambda: (True, "ran"), 0.0))
+    crashed, slow = acceptance.run_criterion("crash"), acceptance.run_criterion("slow")
+    assert not crashed.passed and crashed.detail == "raised RuntimeError('boom')"
+    assert not slow.passed and "exceeded the 0s budget" in slow.detail
 
 
 def test_contraction_bound_grid_detail_is_unchanged():
@@ -80,7 +91,7 @@ def test_a_perturbed_reflection_fails_the_reference_checks(monkeypatch):
     # gamma * w_i fails both
     reflection = splitting._reflection
     monkeypatch.setattr(splitting, "_reflection", lambda w, g, gamma: reflection(w * (1.0 + 1e-6), g, gamma))
-    result = acceptance.check_rotated_basis_reference()
+    result = acceptance.run_criterion("rotated-basis-reference")
     assert not result.passed
     assert "|dense - diagonal engine|" in result.detail
     passed, note = acceptance._PROPERTY_CHECKS["prox-oracle"](np.random.default_rng(PROPERTY_SEEDS["prox-oracle"]))
@@ -91,7 +102,7 @@ def test_battery_imports_no_scipy():
     # the battery, the conjugate oracle included, runs on numpy alone
     code = (
         "import sys, splitrate, splitrate.acceptance as a\n"
-        "assert a.check_conjugate_oracle().passed\n"
+        "assert a.run_criterion('conjugate-oracle').passed\n"
         "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))\n"
     )
     src = str(Path(splitrate.__file__).resolve().parents[1])
@@ -116,6 +127,6 @@ def _swapped_bands(p):
 def test_conjugate_oracle_catches_a_wrong_dual(monkeypatch, wrong_dual):
     # the oracle never reads the closed form it checks, so a wrong one fails
     monkeypatch.setattr(acceptance, "dual_function", wrong_dual)
-    result = acceptance.check_conjugate_oracle()
+    result = acceptance.run_criterion("conjugate-oracle")
     assert not result.passed
     assert "off the numeric conjugate" in result.detail

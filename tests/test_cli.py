@@ -67,6 +67,46 @@ def test_rate_dual_constants(capsys):
     assert float(values["dual_optimal_rate"]) == pytest.approx(0.6, abs=1e-15)
 
 
+#: ``splitrate rate`` stdout, byte for byte: the README's two examples and a
+#: --gamma-only call on the default spectrum
+RATE_STDOUT = {
+    "point": (
+        ["--sigma", "1", "--beta", "4", "--alpha", "1", "--gamma", "0.5"],
+        "theoretical_rate = 0.33333333333333331\n"
+        "alpha_upper_bound = 1.5\n"
+        "optimal_alpha = 1\n"
+        "optimal_gamma = 0.5\n"
+        "optimal_rate = 0.33333333333333331\n",
+    ),
+    "dual": (
+        ["--sigma", "1", "--beta", "10", "--theta", "1", "--zeta", "3"],
+        "optimal_alpha = 1\n"
+        "optimal_gamma = 0.31622776601683794\n"
+        "optimal_rate = 0.51949385329591569\n"
+        "sigma_hat = 0.10000000000000001\n"
+        "beta_hat = 9\n"
+        "kappa = 90\n"
+        "dual_optimal_gamma = 1.0540925533894598\n"
+        "dual_optimal_rate = 0.80928465212348\n",
+    ),
+    "gamma-only": (
+        ["--gamma", "0.3"],
+        "alpha_upper_bound = 1.3\n"
+        "optimal_alpha = 1\n"
+        "optimal_gamma = 0.31622776601683794\n"
+        "optimal_rate = 0.51949385329591569\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RATE_STDOUT))
+def test_rate_stdout_bytes(capsys, case):
+    flags, expected = RATE_STDOUT[case]
+    code, out = run_cli(["rate", *flags], capsys)
+    assert code == 0
+    assert out == expected
+
+
 def test_rate_alpha_without_gamma_exits_2(capsys):
     code, _ = run_cli(["rate", "--sigma", "1", "--beta", "4", "--alpha", "1"], capsys)
     assert code == 2
@@ -164,6 +204,19 @@ def test_run_infeasible_exits_3(capsys):
 def test_non_finite_point_exits_2(args, capsys):
     assert cli.main(args) == 2
     assert "positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sweep", "--seed", "-1", "--alpha", "1", "--gamma", "0.3"],
+        ["sweep", "--seed", "-1", "--alpha", "1", "--gamma", "0.3", "--start", "random"],
+        ["run", "--seed", "-1", "--start", "random"],
+    ],
+)
+def test_negative_seed_exits_2_naming_the_key(args, capsys):
+    assert cli.main(args) == 2
+    assert "'seed'" in capsys.readouterr().err
 
 
 def test_run_dual_and_admm_modes_tight(capsys):

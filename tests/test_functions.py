@@ -53,12 +53,6 @@ def test_spectrum_requires_valid_levels():
         SpectrumSpec(dim=2, sigma=1.0, beta=2.0, idx_sigma=frozenset({5}))
 
 
-def test_spectrum_explicit_idx_beta_checked():
-    SpectrumSpec(dim=2, sigma=1.0, beta=2.0, idx_sigma=frozenset({0}), idx_beta=frozenset({1}))
-    with pytest.raises(ValueError, match="complement"):
-        SpectrumSpec(dim=2, sigma=1.0, beta=2.0, idx_sigma=frozenset({0}), idx_beta=frozenset({0}))
-
-
 def test_spectrum_equal_levels_allowed():
     spec = SpectrumSpec(dim=2, sigma=3.0, beta=3.0, idx_sigma=frozenset({0}))
     assert np.array_equal(spec.weights, [3.0, 3.0])

@@ -9,19 +9,16 @@ from splitrate.rates import (
     TIGHT_CASES,
     TightnessCase,
     alpha_upper_bound,
-    alpha_upper_bounds,
     classify_tightness,
-    classify_tightness_rows,
     dual_rate_constants,
     optimal_params,
     psi,
     theoretical_rate,
-    theoretical_rates,
 )
 from splitrate.hilbert import Vec
 from splitrate.prox import prox_oracle
 from splitrate.splitting import SplitParams, run_admm
-from splitrate.worstcase import default_dual_instance, step_multiplier, worst_direction, worst_directions
+from splitrate.worstcase import default_dual_instance, make_primal_instance, step_multiplier, worst_coordinates
 
 
 def test_psi_values():
@@ -207,12 +204,12 @@ def test_classify_validation():
         classify_tightness(1.0, -1.0, 1.0, 2.0)
 
 
-# -- row forms ------------------------------------------------------------------
+# -- one point or many --------------------------------------------------------
 
 
 def _reference_point(alpha, gamma, sigma, beta):
-    """The scalar formulas written out on Python floats, as they stood before
-    their row forms: (rate, upper bound, case, worst direction)."""
+    """The formulas written out on Python floats for one point: (rate, upper
+    bound, case, worst direction)."""
 
     def p(x):
         return (1.0 - x) / (1.0 + x)
@@ -282,36 +279,46 @@ def rate_points(draw):
 @settings(deadline=None, max_examples=120)
 @given(rate_points())
 def test_row_forms_equal_the_scalar_reference_bitwise(case):
+    # each formula, called on arrays of points and point by point, equals the
+    # Python-float reference bit for bit; one point gives a float or a label
     sigma, beta, points = case
     alphas, gammas = np.array(points).T
+    quad = make_primal_instance(sigma, beta, 2, {0}).f
     reference = [_reference_point(a, g, sigma, beta) for a, g in points]
     rates, uppers, cases, directions = zip(*reference)
-    assert theoretical_rates(alphas, gammas, sigma, beta).tobytes() == np.array(rates).tobytes()
-    assert alpha_upper_bounds(gammas, sigma, beta).tobytes() == np.array(uppers).tobytes()
-    assert list(classify_tightness_rows(alphas, gammas, sigma, beta)) == list(cases)
-    assert list(worst_directions(alphas, gammas, sigma, beta)) == [d == "sigma" for d in directions]
-    for (alpha, gamma), (rate, upper, label, direction) in zip(points, reference):
-        assert np.float64(theoretical_rate(alpha, gamma, sigma, beta)).tobytes() == np.float64(rate).tobytes()
-        assert np.float64(alpha_upper_bound(gamma, sigma, beta)).tobytes() == np.float64(upper).tobytes()
+    coordinates = [0 if d == "sigma" else 1 for d in directions]
+    assert theoretical_rate(alphas, gammas, sigma, beta).tobytes() == np.array(rates).tobytes()
+    assert alpha_upper_bound(gammas, sigma, beta).tobytes() == np.array(uppers).tobytes()
+    assert list(classify_tightness(alphas, gammas, sigma, beta)) == list(cases)
+    assert list(worst_coordinates(quad, alphas, gammas)) == coordinates
+    for (alpha, gamma), (rate, upper, label, _), coordinate in zip(points, reference, coordinates):
+        one_rate = theoretical_rate(alpha, gamma, sigma, beta)
+        one_upper = alpha_upper_bound(gamma, sigma, beta)
+        assert isinstance(one_rate, float) and isinstance(one_upper, float)
+        assert np.float64(one_rate).tobytes() == np.float64(rate).tobytes()
+        assert np.float64(one_upper).tobytes() == np.float64(upper).tobytes()
         assert classify_tightness(alpha, gamma, sigma, beta) is label
-        assert worst_direction(alpha, gamma, sigma, beta) == direction
+        assert worst_coordinates(quad, alpha, gamma) == coordinate
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
 def test_row_forms_reject_bad_points(bad):
     good = np.array([1.0, 0.5])
     with_bad = np.array([1.0, bad])
+    quad = make_primal_instance(1.0, 2.0, 2, {0}).f
     for call in (
-        lambda: theoretical_rates(with_bad, good, 1.0, 2.0),
-        lambda: theoretical_rates(good, with_bad, 1.0, 2.0),
-        lambda: alpha_upper_bounds(with_bad, 1.0, 2.0),
-        lambda: classify_tightness_rows(with_bad, good, 1.0, 2.0),
-        lambda: worst_directions(good, with_bad, 1.0, 2.0),
+        lambda: theoretical_rate(with_bad, good, 1.0, 2.0),
+        lambda: theoretical_rate(good, with_bad, 1.0, 2.0),
+        lambda: theoretical_rate(bad, 0.5, 1.0, 2.0),
+        lambda: alpha_upper_bound(with_bad, 1.0, 2.0),
+        lambda: classify_tightness(with_bad, good, 1.0, 2.0),
+        lambda: worst_coordinates(quad, good, with_bad),
+        lambda: worst_coordinates(quad, bad, 0.5),
     ):
         with pytest.raises(ValueError, match="positive and finite"):
             call()
     with pytest.raises(ValueError, match="sigma <= beta"):
-        theoretical_rates(good, good, 3.0, 2.0)
+        theoretical_rate(good, good, 3.0, 2.0)
 
 
 #: each caller of the shared positive-and-finite validator, with the name it
@@ -322,7 +329,6 @@ _SCALAR_VALIDATED = {
     "run_admm rho": ("rho", lambda bad: run_admm(default_dual_instance(), rho=bad, alpha=1.0)),
     "run_admm alpha": ("alpha", lambda bad: run_admm(default_dual_instance(), rho=1.0, alpha=bad)),
     "step_multiplier gamma": ("gamma", lambda bad: step_multiplier(1.0, 1.0, bad)),
-    "worst_direction alpha": ("alpha", lambda bad: worst_direction(bad, 1.0, 1.0, 2.0)),
     "prox_oracle gamma": ("gamma", lambda bad: prox_oracle(lambda i, t: t * t, bad, Vec([1.0]))),
 }
 

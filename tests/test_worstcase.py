@@ -10,10 +10,8 @@ from splitrate.hilbert import basis_rows
 from splitrate.rates import (
     TIGHT_CASES,
     alpha_upper_bound,
-    alpha_upper_bounds,
-    classify_tightness_rows,
+    classify_tightness,
     theoretical_rate,
-    theoretical_rates,
 )
 from splitrate.splitting import SplitParams, fit_rate, fit_rates, run_dr, run_dual_dr, run_rows
 from splitrate.worstcase import (
@@ -24,7 +22,6 @@ from splitrate.worstcase import (
     predict_iterate,
     step_multiplier,
     worst_coordinates,
-    worst_direction,
     worst_start_vector,
 )
 
@@ -88,19 +85,22 @@ def test_predict_iterate_examples():
 
 
 def test_worst_direction_examples():
-    assert worst_direction(1.0, 0.01, SIGMA, BETA) == "sigma"
-    assert worst_direction(1.0, 100.0, SIGMA, BETA) == "beta"
+    quad = default_primal_instance().f
+    on_sigma, on_beta = 0, 4  # the first coordinate of each band
+    assert worst_coordinates(quad, 1.0, 0.01) == on_sigma
+    assert worst_coordinates(quad, 1.0, 100.0) == on_beta
     # tie at the optimal step size goes to sigma
-    assert worst_direction(1.0, GAMMA_STAR, SIGMA, BETA) == "sigma"
+    assert worst_coordinates(quad, 1.0, GAMMA_STAR) == on_sigma
+    assert list(worst_coordinates(quad, [1.0, 1.0, 1.0], [0.01, 100.0, GAMMA_STAR])) == [on_sigma, on_beta, on_sigma]
 
 
 def test_worst_direction_achieves_the_max():
     rng = np.random.default_rng(26)
+    quad = default_primal_instance().f
     for _ in range(500):
         gamma = 10.0 ** rng.uniform(-2.5, 2.5)
         alpha = rng.uniform(0.05, 1.9)
-        label = worst_direction(alpha, gamma, SIGMA, BETA)
-        lam = SIGMA if label == "sigma" else BETA
+        lam = quad.weights[worst_coordinates(quad, alpha, gamma)]
         got = abs(step_multiplier(lam, alpha, gamma))
         other = abs(step_multiplier(BETA if lam == SIGMA else SIGMA, alpha, gamma))
         assert got >= other
@@ -219,9 +219,9 @@ def test_worst_start_batches_meet_the_bound_and_attain_it_in_cases_i_to_iii(case
     index = worst_coordinates(quad, alphas, gammas)
     runs = run_rows(problem, mode, alphas, gammas, lambda rows: basis_rows(problem.dim, index[rows]), max_iter=40, tol=0.0)
     fits = fit_rates(runs.step_ratios)
-    bounds = theoretical_rates(alphas, gammas, quad.sigma, quad.beta)
-    feasible = alphas < alpha_upper_bounds(gammas, quad.sigma, quad.beta)
-    tight = feasible & np.isin(classify_tightness_rows(alphas, gammas, quad.sigma, quad.beta), list(TIGHT_CASES))
+    bounds = theoretical_rate(alphas, gammas, quad.sigma, quad.beta)
+    feasible = alphas < alpha_upper_bound(gammas, quad.sigma, quad.beta)
+    tight = feasible & np.isin(classify_tightness(alphas, gammas, quad.sigma, quad.beta), list(TIGHT_CASES))
     measured = feasible & ~np.isnan(fits)
     assert not runs.diverged[feasible].any()
     assert np.all(fits[measured] <= bounds[measured] + 1e-9)
