@@ -11,13 +11,9 @@ from .functions import (
     DiagOperator,
     DiagQuadratic,
     GFunction,
-    SpectrumSpec,
     apply_operator,
-    check_smoothness,
-    check_strong_convexity,
     dual_function,
     eval_f,
-    grad_f,
 )
 from .hilbert import (
     Vec,
@@ -48,7 +44,6 @@ from .splitting import (
     fit_rates,
     run_admm,
     run_dr,
-    run_dual_dr,
     run_rows,
 )
 from .worstcase import (
@@ -57,7 +52,6 @@ from .worstcase import (
     make_dual_instance,
     make_primal_instance,
     predict_iterate,
-    step_multiplier,
     worst_coordinates,
     worst_start_vector,
 )
@@ -73,7 +67,6 @@ __all__ = [
     "IterateTrace",
     "RateConstants",
     "RowRuns",
-    "SpectrumSpec",
     "SplitParams",
     "TightnessCase",
     "Vec",
@@ -81,8 +74,6 @@ __all__ = [
     "apply_operator",
     "basis_rows",
     "basis_vector",
-    "check_smoothness",
-    "check_strong_convexity",
     "classify_tightness",
     "default_dual_instance",
     "default_primal_instance",
@@ -91,7 +82,6 @@ __all__ = [
     "eval_f",
     "fit_rate",
     "fit_rates",
-    "grad_f",
     "inner",
     "make_dual_instance",
     "make_primal_instance",
@@ -103,9 +93,7 @@ __all__ = [
     "random_basis_map",
     "run_admm",
     "run_dr",
-    "run_dual_dr",
     "run_rows",
-    "step_multiplier",
     "theoretical_rate",
     "worst_coordinates",
     "worst_start_vector",

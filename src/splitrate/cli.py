@@ -117,8 +117,8 @@ def _parse_indices(text: str) -> tuple:
 
 
 def load_config_file(path: str) -> dict:
-    """Flat 'key = value' lines; '#' starts a comment."""
-    entries = {}
+    """Flat 'key = value' lines; '#' starts a comment. A key may appear once."""
+    entries, lines = {}, {}
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
@@ -127,8 +127,10 @@ def load_config_file(path: str) -> dict:
                     continue
                 if "=" not in line:
                     raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-                key, value = line.split("=", 1)
-                entries[key.strip()] = value.strip()
+                key, value = (part.strip() for part in line.split("=", 1))
+                if key in lines:
+                    raise ConfigError(f"{path}:{lineno}: key {key!r} is already set on line {lines[key]}")
+                entries[key], lines[key] = value, lineno
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return entries
@@ -180,7 +182,10 @@ class SweepConfig:
     mode: str = _key("mode", "primal-dr", _choice(MODES), "engine (default primal-dr)")
     iters: int = _key("iters", 80, _checked(int, lambda n: n >= 1, "at least 1"), "iteration budget (default 80)")
     tol: float = _key(
-        "tol", 1e-14, _checked(float, lambda x: x > 0, "positive"), "step-norm stopping tolerance (default 1e-14)"
+        "tol",
+        1e-14,
+        _checked(float, lambda x: x > 0 and math.isfinite(x), "positive and finite"),
+        "step-norm stopping tolerance (default 1e-14)",
     )
     seed: int = _key(
         "seed", 0, _checked(int, lambda n: n >= 0, "non-negative"), "seed for random starts (default 0)"
@@ -360,6 +365,14 @@ def cmd_rate(args) -> int:
     return 0
 
 
+def _run_point(grid: tuple, key: str, default: float) -> float:
+    """The point ``run`` takes from a config-file grid: its one value, or
+    ``default`` when the grid is empty."""
+    if len(grid) > 1:
+        raise ConfigError(f"{key!r} holds {len(grid)} values, but run takes one point")
+    return (grid or (default,))[0]
+
+
 def cmd_run(args) -> int:
     # a sweep whose grids hold the one point: alpha and gamma each come from
     # the flag, else from the config file's grid, else they are the mode's
@@ -367,8 +380,8 @@ def cmd_run(args) -> int:
     cfg = _config_from_args(args, grid_flags=False)
     instance = _instance(cfg)
     opt_alpha, opt_gamma, _ = optimal_params(*instance[1:3])
-    alpha = args.alpha if args.alpha is not None else (cfg.alpha_grid or (opt_alpha,))[0]
-    gamma = args.gamma if args.gamma is not None else (cfg.gamma_grid or (opt_gamma,))[0]
+    alpha = args.alpha if args.alpha is not None else _run_point(cfg.alpha_grid, "alpha_grid", opt_alpha)
+    gamma = args.gamma if args.gamma is not None else _run_point(cfg.gamma_grid, "gamma_grid", opt_gamma)
     cfg.alpha_grid, cfg.gamma_grid = (float(alpha),), (float(gamma),)
     columns, runs = _sweep(cfg, instance)
     report_text = "\n".join(_report_lines(columns)) + "\n"

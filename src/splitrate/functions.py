@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,14 +20,10 @@ from .hilbert import Vec
 
 __all__ = [
     "GFunction",
-    "SpectrumSpec",
     "DiagQuadratic",
     "DiagOperator",
     "CompositeProblem",
     "eval_f",
-    "grad_f",
-    "check_strong_convexity",
-    "check_smoothness",
     "apply_operator",
     "dual_function",
 ]
@@ -38,44 +34,6 @@ class GFunction(enum.Enum):
 
     ZERO = "zero"
     ZERO_INDICATOR = "zero_indicator"
-
-
-@dataclass(frozen=True)
-class SpectrumSpec:
-    """Two-level curvature layout over 0-based coordinates.
-
-    ``idx_sigma`` carries the sigma level and its complement ``idx_beta``,
-    which is derived and not passed, carries the beta level; both bands must
-    be non-empty.
-    """
-
-    dim: int
-    sigma: float
-    beta: float
-    idx_sigma: frozenset
-    idx_beta: frozenset = field(init=False)
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.dim, int) or self.dim < 1:
-            raise ValueError(f"dim must be a positive integer, got {self.dim!r}")
-        if not (0.0 < self.sigma <= self.beta) or not math.isfinite(self.beta):
-            raise ValueError(f"need 0 < sigma <= beta, got sigma={self.sigma!r}, beta={self.beta!r}")
-        idx_s = frozenset(int(i) for i in self.idx_sigma)
-        if not idx_s:
-            raise ValueError("idx_sigma must be non-empty")
-        if not all(0 <= i < self.dim for i in idx_s):
-            raise ValueError(f"idx_sigma indices must lie in [0, {self.dim})")
-        complement = frozenset(range(self.dim)) - idx_s
-        if not complement:
-            raise ValueError("idx_sigma must be a proper subset: the beta band must be non-empty")
-        object.__setattr__(self, "idx_sigma", idx_s)
-        object.__setattr__(self, "idx_beta", complement)
-
-    @property
-    def weights(self) -> np.ndarray:
-        w = np.full(self.dim, float(self.beta))
-        w[sorted(self.idx_sigma)] = float(self.sigma)
-        return w
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,10 +54,6 @@ class DiagQuadratic:
             raise ValueError("weights must be finite and strictly positive")
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
-
-    @classmethod
-    def from_spectrum(cls, spec: SpectrumSpec) -> "DiagQuadratic":
-        return cls(spec.weights)
 
     @property
     def dim(self) -> int:
@@ -181,47 +135,6 @@ def eval_f(f: DiagQuadratic, x: Vec) -> float:
     """Value of the separable quadratic at x."""
     _check_dim(f.dim, x)
     return 0.5 * float(np.dot(f.weights, x.coeffs**2))
-
-
-def grad_f(f: DiagQuadratic, x: Vec) -> Vec:
-    """Gradient: coordinate i is weights_i * x_i."""
-    _check_dim(f.dim, x)
-    return Vec(f.weights * x.coeffs)
-
-
-def _sampled_envelope_gap(f: DiagQuadratic, constant: float, n_samples: int, seed: int) -> np.ndarray:
-    """For seeded random pairs (x, y), the values of
-    f(x) - f(y) - <grad f(y), x - y> - constant/2 * |x - y|^2."""
-    if n_samples < 1:
-        raise ValueError("need at least one sample pair")
-    rng = np.random.default_rng(seed)
-    xs = rng.uniform(-10.0, 10.0, size=(n_samples, f.dim))
-    ys = rng.uniform(-10.0, 10.0, size=(n_samples, f.dim))
-    w = f.weights
-    fx = 0.5 * (xs**2) @ w
-    fy = 0.5 * (ys**2) @ w
-    lin = np.einsum("ij,ij->i", ys * w, xs - ys)
-    quad = 0.5 * constant * ((xs - ys) ** 2).sum(axis=1)
-    return fx - fy - lin - quad
-
-
-def check_strong_convexity(
-    f: DiagQuadratic, sigma: float, n_samples: int = 1000, seed: int = 0, slack: float = 1e-10
-) -> bool:
-    """Sampled test of the lower quadratic envelope with modulus sigma.
-
-    True when ``f(x) >= f(y) + <grad f(y), x-y> + sigma/2 |x-y|^2`` holds up
-    to the additive slack on every seeded sample pair.
-    """
-    return bool(np.all(_sampled_envelope_gap(f, sigma, n_samples, seed) >= -slack))
-
-
-def check_smoothness(
-    f: DiagQuadratic, beta: float, n_samples: int = 1000, seed: int = 0, slack: float = 1e-10
-) -> bool:
-    """Sampled test of the upper quadratic envelope with modulus beta (the
-    reversed inequality of :func:`check_strong_convexity`)."""
-    return bool(np.all(_sampled_envelope_gap(f, beta, n_samples, seed) <= slack))
 
 
 def apply_operator(a: DiagOperator, x: Vec) -> Vec:

@@ -31,7 +31,7 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class Vec:
-    """Immutable vector of basis coefficients."""
+    """Immutable vector of basis coefficients; arithmetic is done on ``coeffs``."""
 
     coeffs: np.ndarray
 
@@ -57,34 +57,14 @@ class Vec:
     def dim(self) -> int:
         return self.coeffs.size
 
-    def __add__(self, other: "Vec") -> "Vec":
-        _check_same_dim(self, other)
-        return Vec(self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "Vec") -> "Vec":
-        _check_same_dim(self, other)
-        return Vec(self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar: float) -> "Vec":
-        return Vec(self.coeffs * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Vec":
-        return Vec(-self.coeffs)
-
     def __repr__(self) -> str:
         return f"Vec({self.coeffs.tolist()!r})"
 
 
-def _check_same_dim(x: Vec, y: Vec) -> None:
-    if x.dim != y.dim:
-        raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
-
-
 def inner(x: Vec, y: Vec) -> float:
     """Inner product: sum of coordinate products."""
-    _check_same_dim(x, y)
+    if x.dim != y.dim:
+        raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
     return float(np.dot(x.coeffs, y.coeffs))
 
 

@@ -1,6 +1,6 @@
-"""Relaxed Douglas-Rachford iteration, its dual-problem form, an ADMM engine
-matched to it, and contraction-trace capture, for one run or for a batch of
-independent rows."""
+"""Relaxed Douglas-Rachford iteration, on a problem or on its dual, an ADMM
+engine matched to it, and contraction-trace capture, for one run or for a
+batch of independent rows."""
 
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ __all__ = [
     "RowRuns",
     "MODES",
     "run_dr",
-    "run_dual_dr",
     "run_admm",
     "run_rows",
     "fit_rate",
@@ -40,8 +39,8 @@ DIVERGENCE_FACTOR = 10.0
 #: a rate fit needs at least this many valid step ratios
 MIN_FIT_RATIOS = 5
 
-#: engines of :func:`run_rows`: :func:`run_dr`, :func:`run_dual_dr` and
-#: :func:`run_admm`
+#: engines of :func:`run_rows`: relaxed DR on the problem (:func:`run_dr`)
+#: or on its dual, and :func:`run_admm`
 MODES = ("primal-dr", "dual-dr", "admm")
 
 #: most ``rows x dim`` state elements one block of :func:`run_rows` holds; a
@@ -394,8 +393,10 @@ def run_dr(
 ) -> IterateTrace:
     """Iterate the relaxed splitting step ``z <- (1 - alpha) z + alpha
     R_g(R_f(z))`` from ``z0`` and record the contraction trace. Needs the
-    identity coupling (``problem.a is None``); problems with an explicit
-    coupling run on the dual side, through :func:`run_dual_dr`.
+    identity coupling (``problem.a is None``). A problem with an explicit
+    coupling runs on the dual side: the dual of ``min f(x) + g(A x)`` with
+    ``g`` the origin indicator is ``CompositeProblem(dual_function(problem),
+    GFunction.ZERO)``, since the conjugate of the indicator vanishes.
 
     ``R_f = 2 prox_{gamma f} - id`` scales coordinate i by ``(1 -
     gamma*w_i) / (1 + gamma*w_i)`` and ``R_g`` is the identity or a
@@ -418,24 +419,6 @@ def run_dr(
     return _run_one(problem, "primal-dr", params.alpha, params.gamma, z0, max_iter, tol)
 
 
-def run_dual_dr(
-    problem: CompositeProblem,
-    params: SplitParams,
-    mu0: Vec,
-    max_iter: int = 200,
-    tol: float = 1e-13,
-) -> IterateTrace:
-    """Run the splitting iteration on the dual of ``min f(x) + g(A x)``.
-
-    Needs ``g`` equal to the indicator of the origin and an explicit diagonal
-    coupling. The dual objective is the separable quadratic from
-    :func:`splitrate.functions.dual_function` and the conjugate of the
-    indicator vanishes, so the dual problem is again in the identity-coupling
-    form handled by :func:`run_dr`.
-    """
-    return _run_one(problem, "dual-dr", params.alpha, params.gamma, mu0, max_iter, tol)
-
-
 def run_admm(
     problem: CompositeProblem,
     rho: float,
@@ -454,10 +437,10 @@ def run_admm(
         w  <- prox of g at (v + u), i.e. 0 for the origin indicator
         u  <- u + v - w
 
-    ``alpha`` means the same relaxation as in :func:`run_dual_dr`: with the
-    updates over-relaxed by ``2 * alpha`` the scaled dual sequence
-    ``mu_k = rho * u_k`` contracts with exactly the factor of the dual
-    splitting iterate run at step size ``gamma = rho`` and the same alpha
+    ``alpha`` means the same relaxation as in :func:`run_dr` on the dual
+    problem: with the updates over-relaxed by ``2 * alpha`` the scaled dual
+    sequence ``mu_k = rho * u_k`` contracts with exactly the factor of the
+    dual splitting iterate run at step size ``gamma = rho`` and the same alpha
     (``alpha = 1/2`` recovers the classic unrelaxed method). The trace records
     ``mu_k``; the final primal iterate is kept on ``final_x``. The step norm
     compared with ``tol`` is ``rho * |u_{k+1} - u_k|``.
@@ -482,8 +465,9 @@ def run_rows(
     """Many independent runs of one engine as rows of one array program.
 
     Row i runs ``mode`` at relaxation ``alphas[i]`` and step size
-    ``gammas[i]``: :func:`run_dr` ("primal-dr"), :func:`run_dual_dr`
-    ("dual-dr") or :func:`run_admm` with ``rho = gammas[i]`` and ``u0 =
+    ``gammas[i]``: :func:`run_dr` on ``problem`` ("primal-dr") or on its
+    dual ``CompositeProblem(dual_function(problem), GFunction.ZERO)``
+    ("dual-dr"), or :func:`run_admm` with ``rho = gammas[i]`` and ``u0 =
     start / gammas[i]`` ("admm"). Its distances, step count and divergence
     flag are bit for bit those of that single run; a diverged row is one
     whose single run raises :class:`DivergenceError`. No iterate is kept.

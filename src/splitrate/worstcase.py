@@ -4,9 +4,11 @@ slowest-contracting start, for one point or many."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .functions import CompositeProblem, DiagOperator, DiagQuadratic, GFunction, SpectrumSpec
+from .functions import CompositeProblem, DiagOperator, DiagQuadratic, GFunction
 from .hilbert import Vec, basis_vector
 from .rates import _check_positive, _positive_rows, _psi, psi
 
@@ -14,7 +16,6 @@ __all__ = [
     "make_primal_instance",
     "make_dual_instance",
     "predict_iterate",
-    "step_multiplier",
     "worst_start_vector",
     "worst_coordinates",
     "default_primal_instance",
@@ -39,14 +40,36 @@ DEFAULT_ZETA = 3.0
 PAIRINGS = ("aligned", "crossed")
 
 
+def _two_band(sigma: float, beta: float, dim: int, idx_sigma) -> tuple:
+    """``(weights, idx_beta)``: the curvature ``sigma`` on the 0-based
+    coordinates ``idx_sigma`` and ``beta`` on the others, which form
+    ``idx_beta``. Both bands must be non-empty."""
+    dim, sigma, beta = int(dim), float(sigma), float(beta)
+    if dim < 1:
+        raise ValueError(f"dim must be a positive integer, got {dim!r}")
+    if not (0.0 < sigma <= beta) or not math.isfinite(beta):
+        raise ValueError(f"need 0 < sigma <= beta, got sigma={sigma!r}, beta={beta!r}")
+    idx_s = frozenset(int(i) for i in idx_sigma)
+    if not idx_s:
+        raise ValueError("idx_sigma must be non-empty")
+    if not all(0 <= i < dim for i in idx_s):
+        raise ValueError(f"idx_sigma indices must lie in [0, {dim})")
+    idx_beta = frozenset(range(dim)) - idx_s
+    if not idx_beta:
+        raise ValueError("idx_sigma must be a proper subset: the beta band must be non-empty")
+    weights = np.full(dim, beta)
+    weights[sorted(idx_s)] = sigma
+    return weights, idx_beta
+
+
 def make_primal_instance(sigma: float, beta: float, dim: int, idx_sigma) -> CompositeProblem:
     """Two-band quadratic with zero nonsmooth term and identity coupling.
 
     Both index bands must be non-empty; sigma = beta is allowed (isotropic)
     as long as the partition still has two sides.
     """
-    spec = SpectrumSpec(dim=int(dim), sigma=float(sigma), beta=float(beta), idx_sigma=frozenset(idx_sigma))
-    return CompositeProblem(f=DiagQuadratic.from_spectrum(spec), g=GFunction.ZERO, a=None)
+    weights, _ = _two_band(sigma, beta, dim, idx_sigma)
+    return CompositeProblem(f=DiagQuadratic(weights), g=GFunction.ZERO, a=None)
 
 
 def make_dual_instance(
@@ -77,10 +100,11 @@ def make_dual_instance(
         raise ValueError(f"need theta < zeta strictly, got theta={theta!r}, zeta={zeta!r}")
     if pairing not in PAIRINGS:
         raise ValueError(f"pairing must be one of {PAIRINGS}, got {pairing!r}")
-    spec = SpectrumSpec(dim=int(dim), sigma=float(sigma), beta=float(beta), idx_sigma=frozenset(idx_sigma))
-    idx_theta = spec.idx_sigma if pairing == "aligned" else spec.idx_beta
-    op = DiagOperator.two_level(spec.dim, float(theta), float(zeta), idx_theta)
-    return CompositeProblem(f=DiagQuadratic.from_spectrum(spec), g=GFunction.ZERO_INDICATOR, a=op)
+    idx_sigma = frozenset(idx_sigma)
+    weights, idx_beta = _two_band(sigma, beta, dim, idx_sigma)
+    idx_theta = idx_sigma if pairing == "aligned" else idx_beta
+    op = DiagOperator.two_level(weights.size, float(theta), float(zeta), idx_theta)
+    return CompositeProblem(f=DiagQuadratic(weights), g=GFunction.ZERO_INDICATOR, a=op)
 
 
 def _relaxed_factor(alpha, reflection):
@@ -90,20 +114,14 @@ def _relaxed_factor(alpha, reflection):
     return 1.0 - alpha + alpha * reflection
 
 
-def step_multiplier(lambda_i: float, alpha: float, gamma: float) -> float:
-    """Per-coordinate factor of one splitting step on the worst-case class:
-    ``1 - alpha + alpha * (1 - gamma*lambda) / (1 + gamma*lambda)``."""
-    _check_positive(gamma=gamma)
-    return _relaxed_factor(alpha, psi(gamma * lambda_i))
-
-
 def predict_iterate(lambda_i: float, alpha: float, gamma: float, k: int) -> float:
     """Coefficient of the k-th iterate started from a unit vector on a
-    coordinate with curvature ``lambda_i``: the k-th power of
-    :func:`step_multiplier`."""
+    coordinate with curvature ``lambda_i``: the k-th power of the factor of
+    one step, ``1 - alpha + alpha * (1 - gamma*lambda) / (1 + gamma*lambda)``."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    return step_multiplier(lambda_i, alpha, gamma) ** k
+    _check_positive(gamma=gamma)
+    return _relaxed_factor(alpha, psi(gamma * lambda_i)) ** k
 
 
 def _band_coordinates(quad: DiagQuadratic) -> tuple[int, int]:

@@ -17,6 +17,7 @@ import pytest
 import splitrate
 from splitrate import acceptance, splitting
 from splitrate.functions import DiagQuadratic, dual_function
+from splitrate.worstcase import PAIRINGS, default_dual_instance
 
 #: each property sub-check also runs here on a stream of its own, apart from
 #: the one stream the battery shares between them
@@ -108,6 +109,25 @@ def test_battery_imports_no_scipy():
     src = str(Path(splitrate.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("pairing", PAIRINGS)
+def test_dual_admm_transfer_fails_when_a_dual_run_gives_nan(monkeypatch, pairing):
+    # a diverged or unfittable run fits as NaN, which fails both comparisons
+    # at the optimal dual parameters
+    runs, gains = acceptance._worst_start_runs, default_dual_instance(pairing).a.weights
+
+    def nan_for_pairing(problem, mode, *args, **kwargs):
+        fits = runs(problem, mode, *args, **kwargs)
+        if mode == "dual-dr" and np.array_equal(problem.a.weights, gains):
+            return np.full(fits.shape, np.nan)
+        return fits
+
+    monkeypatch.setattr(acceptance, "_worst_start_runs", nan_for_pairing)
+    result = acceptance.run_criterion("dual-admm-transfer")
+    assert not result.passed
+    missed = {"crossed": "missed the dual bound: gap nan", "aligned": "exceeded the dual bound: nan"}
+    assert result.detail.startswith(f"{pairing} pairing {missed[pairing]}"), result.detail
 
 
 def _scaled_weights(p):

@@ -199,11 +199,15 @@ def test_run_infeasible_exits_3(capsys):
         ["run", "--gamma", "inf"],
         ["run", "--alpha", "inf"],
         ["run", "--alpha", "1.0", "--gamma", "nan"],
+        ["sweep", "--tol", "inf", "--alpha", "0.5,1", "--gamma", "0.3"],
+        ["run", "--tol", "inf"],
     ],
 )
 def test_non_finite_point_exits_2(args, capsys):
     assert cli.main(args) == 2
-    assert "positive and finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "positive and finite" in err
+    assert "--tol" not in args or "'tol'" in err
 
 
 @pytest.mark.parametrize(
@@ -262,6 +266,27 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
     cfg.write_text("sigm = 1.0\n")
     code, _ = run_cli(["run", "--config", str(cfg)], capsys)
     assert code == 2
+
+
+def test_config_rejects_a_repeated_key(tmp_path, capsys):
+    cfg = tmp_path / "conf.txt"
+    cfg.write_text("seed = 1\n# the same key again\nseed = 2\n")
+    assert cli.main(["sweep", "--config", str(cfg), "--alpha", "1", "--gamma", "0.3"]) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}:3: key 'seed' is already set on line 1" in err
+
+
+@pytest.mark.parametrize("key, flag", [("alpha_grid", "--alpha"), ("gamma_grid", "--gamma")])
+def test_run_rejects_a_config_grid_of_many_values(tmp_path, capsys, key, flag):
+    cfg = tmp_path / "conf.txt"
+    cfg.write_text(f"{key} = 1.5, 0.5\n")
+    assert cli.main(["run", "--config", str(cfg)]) == 2
+    assert f"{key!r} holds 2 values" in capsys.readouterr().err
+    # the flag still overrides the file
+    code, out = run_cli(["run", "--config", str(cfg), flag, "0.5"], capsys)
+    assert code == 0
+    row = out.strip().splitlines()[1].split(",")
+    assert float(row[0 if key == "alpha_grid" else 1]) == 0.5
 
 
 @pytest.mark.parametrize(

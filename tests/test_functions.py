@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,53 +11,53 @@ from splitrate.functions import (
     DiagOperator,
     DiagQuadratic,
     GFunction,
-    SpectrumSpec,
     apply_operator,
-    check_smoothness,
-    check_strong_convexity,
     dual_function,
     eval_f,
-    grad_f,
 )
 from splitrate.hilbert import Vec, basis_vector, norm
-from splitrate.worstcase import PAIRINGS, make_dual_instance
+from splitrate.rates import dual_rate_constants
+from splitrate.worstcase import PAIRINGS, make_dual_instance, make_primal_instance
 
 
 @pytest.fixture
 def two_band():
     """dim 4 with weights [1, 1, 4, 4]."""
-    spec = SpectrumSpec(dim=4, sigma=1.0, beta=4.0, idx_sigma=frozenset({0, 1}))
-    return DiagQuadratic.from_spectrum(spec)
+    return make_primal_instance(1.0, 4.0, 4, {0, 1}).f
 
 
-# -- SpectrumSpec -------------------------------------------------------------
+# -- two-band layout ----------------------------------------------------------
 
 
 def test_spectrum_weight_layout():
-    spec = SpectrumSpec(dim=4, sigma=2.0, beta=5.0, idx_sigma=frozenset({1, 3}))
-    assert np.array_equal(spec.weights, [5.0, 2.0, 5.0, 2.0])
-    assert spec.idx_beta == frozenset({0, 2})
+    assert np.array_equal(make_primal_instance(2.0, 5.0, 4, {1, 3}).f.weights, [5.0, 2.0, 5.0, 2.0])
+    # the crossed pairing puts theta on the beta band {0, 2}
+    crossed = make_dual_instance(2.0, 5.0, 1.0, 3.0, 4, {1, 3}, pairing="crossed")
+    assert np.array_equal(crossed.f.weights, [5.0, 2.0, 5.0, 2.0])
+    assert np.array_equal(crossed.a.weights, [1.0, 3.0, 1.0, 3.0])
 
 
 def test_spectrum_requires_both_bands():
-    with pytest.raises(ValueError, match="non-empty"):
-        SpectrumSpec(dim=3, sigma=1.0, beta=2.0, idx_sigma=frozenset())
-    with pytest.raises(ValueError, match="proper subset"):
-        SpectrumSpec(dim=3, sigma=1.0, beta=2.0, idx_sigma=frozenset({0, 1, 2}))
+    dual = lambda sigma, beta, dim, idx_sigma: make_dual_instance(sigma, beta, 1.0, 2.0, dim, idx_sigma)
+    for make in (make_primal_instance, dual):
+        with pytest.raises(ValueError, match="idx_sigma must be non-empty"):
+            make(1.0, 2.0, 3, frozenset())
+        with pytest.raises(ValueError, match="proper subset: the beta band must be non-empty"):
+            make(1.0, 2.0, 3, {0, 1, 2})
 
 
 def test_spectrum_requires_valid_levels():
-    with pytest.raises(ValueError):
-        SpectrumSpec(dim=2, sigma=4.0, beta=1.0, idx_sigma=frozenset({0}))
-    with pytest.raises(ValueError):
-        SpectrumSpec(dim=2, sigma=0.0, beta=1.0, idx_sigma=frozenset({0}))
-    with pytest.raises(ValueError):
-        SpectrumSpec(dim=2, sigma=1.0, beta=2.0, idx_sigma=frozenset({5}))
+    with pytest.raises(ValueError, match="dim must be a positive integer, got 0"):
+        make_primal_instance(1.0, 2.0, 0, {0})
+    for sigma, beta in ((4.0, 1.0), (0.0, 1.0), (1.0, math.inf)):
+        with pytest.raises(ValueError, match=r"need 0 < sigma <= beta"):
+            make_primal_instance(sigma, beta, 2, {0})
+    with pytest.raises(ValueError, match=r"idx_sigma indices must lie in \[0, 2\)"):
+        make_primal_instance(1.0, 2.0, 2, {5})
 
 
 def test_spectrum_equal_levels_allowed():
-    spec = SpectrumSpec(dim=2, sigma=3.0, beta=3.0, idx_sigma=frozenset({0}))
-    assert np.array_equal(spec.weights, [3.0, 3.0])
+    assert np.array_equal(make_primal_instance(3.0, 3.0, 2, {0}).f.weights, [3.0, 3.0])
 
 
 # -- DiagQuadratic evaluation -------------------------------------------------
@@ -75,18 +77,12 @@ def test_eval_f_bounded_by_beta(two_band):
         assert 0.0 <= eval_f(two_band, x) <= two_band.beta / 2.0 * norm(x) ** 2 + 1e-12
 
 
-def test_grad_f_examples(two_band):
-    assert np.array_equal(grad_f(two_band, Vec([0.0] * 4)).coeffs, [0.0] * 4)
-    small = DiagQuadratic(np.array([1.0, 4.0]))
-    assert np.array_equal(grad_f(small, Vec([1.0, 1.0])).coeffs, [1.0, 4.0])
-
-
 def test_grad_f_matches_central_differences(two_band):
     rng = np.random.default_rng(5)
     h = 1e-5
     for _ in range(20):
         x = rng.uniform(-5, 5, 4)
-        g = grad_f(two_band, Vec(x)).coeffs
+        g = two_band.weights * x
         for i in range(4):
             xp, xm = x.copy(), x.copy()
             xp[i] += h
@@ -98,8 +94,6 @@ def test_grad_f_matches_central_differences(two_band):
 def test_eval_dimension_mismatch(two_band):
     with pytest.raises(ValueError, match="dimension mismatch"):
         eval_f(two_band, Vec([1.0, 2.0]))
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        grad_f(two_band, Vec([1.0, 2.0]))
 
 
 def test_diag_quadratic_rejects_bad_weights():
@@ -111,40 +105,22 @@ def test_diag_quadratic_rejects_bad_weights():
         DiagQuadratic(np.array([]))
 
 
-# -- convexity certificates ---------------------------------------------------
-
-
-def test_strong_convexity_certificates(two_band):
-    iso = DiagQuadratic(np.full(4, 2.0))
-    assert check_strong_convexity(iso, 2.0)
-    assert check_strong_convexity(two_band, two_band.sigma)
-    assert not check_strong_convexity(two_band, two_band.beta + 1.0)
-
-
-def test_smoothness_certificates(two_band):
-    iso = DiagQuadratic(np.full(4, 2.0))
-    assert check_smoothness(iso, 2.0)
-    assert check_smoothness(two_band, two_band.beta)
-    assert not check_smoothness(two_band, two_band.sigma / 2.0)
+# -- curvature envelope -------------------------------------------------------
 
 
 def test_certificates_hold_for_spectrum_instances():
+    # sigma and beta are the extreme weights, so the instance's own sigma and
+    # beta are its best strong-convexity and smoothness constants
     rng = np.random.default_rng(6)
     for _ in range(5):
         dim = int(rng.integers(2, 9))
         sigma = 10.0 ** rng.uniform(-1, 1)
         beta = sigma * 10.0 ** rng.uniform(0, 1.5)
         n_sigma = int(rng.integers(1, dim))
-        spec = SpectrumSpec(dim=dim, sigma=sigma, beta=beta, idx_sigma=frozenset(rng.choice(dim, n_sigma, replace=False).tolist()))
-        f = DiagQuadratic.from_spectrum(spec)
+        idx_sigma = rng.choice(dim, n_sigma, replace=False)
+        f = make_primal_instance(sigma, beta, dim, idx_sigma).f
         assert f.sigma == sigma and f.beta == beta
-        assert check_strong_convexity(f, sigma, n_samples=1000)
-        assert check_smoothness(f, beta, n_samples=1000)
-
-
-def test_certificates_require_samples(two_band):
-    with pytest.raises(ValueError):
-        check_strong_convexity(two_band, 1.0, n_samples=0)
+        assert np.array_equal(f.weights, np.where(np.isin(np.arange(dim), idx_sigma), sigma, beta))
 
 
 # -- DiagOperator -------------------------------------------------------------
@@ -249,8 +225,7 @@ def test_dual_envelope_constants_bound_dual_weights():
     # dual curvatures always sit within [theta^2/beta, zeta^2/sigma]
     for pairing in ("aligned", "crossed"):
         p = make_dual_instance(1.0, 10.0, 1.0, 3.0, 8, range(4), pairing=pairing)
-        d = dual_function(p)
-        assert d.sigma >= 1.0 / 10.0 - 1e-15
-        assert d.beta <= 9.0 / 1.0 + 1e-15
-        assert check_strong_convexity(d, 1.0 / 10.0)
-        assert check_smoothness(d, 9.0)
+        weights = dual_function(p).weights
+        constants = dual_rate_constants(1.0, 10.0, 1.0, 3.0)
+        assert constants.sigma_hat <= weights.min()
+        assert weights.max() <= constants.beta_hat

@@ -18,7 +18,7 @@ from splitrate.rates import (
 from splitrate.hilbert import Vec
 from splitrate.prox import prox_oracle
 from splitrate.splitting import SplitParams, run_admm
-from splitrate.worstcase import default_dual_instance, make_primal_instance, step_multiplier, worst_coordinates
+from splitrate.worstcase import default_dual_instance, make_primal_instance, predict_iterate, worst_coordinates
 
 
 def test_psi_values():
@@ -328,7 +328,8 @@ _SCALAR_VALIDATED = {
     "SplitParams alpha": ("alpha", lambda bad: SplitParams(bad, 1.0)),
     "run_admm rho": ("rho", lambda bad: run_admm(default_dual_instance(), rho=bad, alpha=1.0)),
     "run_admm alpha": ("alpha", lambda bad: run_admm(default_dual_instance(), rho=1.0, alpha=bad)),
-    "step_multiplier gamma": ("gamma", lambda bad: step_multiplier(1.0, 1.0, bad)),
+    # the step multiplier: the factor of one step, the first iterate's coefficient
+    "step_multiplier gamma": ("gamma", lambda bad: predict_iterate(1.0, 1.0, bad, 1)),
     "prox_oracle gamma": ("gamma", lambda bad: prox_oracle(lambda i, t: t * t, bad, Vec([1.0]))),
 }
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitrate.functions import CompositeProblem, DiagQuadratic, GFunction, apply_operator, dual_function, grad_f
+from splitrate.functions import CompositeProblem, DiagQuadratic, GFunction, apply_operator, dual_function
 from splitrate.hilbert import Vec, basis_rows, basis_vector, norm, random_basis_map, zeros
 from splitrate.rates import alpha_upper_bound, optimal_params, theoretical_rate
 from splitrate import acceptance, cli, splitting
@@ -18,7 +18,6 @@ from splitrate.splitting import (
     fit_rates,
     run_admm,
     run_dr,
-    run_dual_dr,
     run_rows,
 )
 from splitrate.worstcase import (
@@ -259,7 +258,7 @@ def test_run_dr_basis_invariance(primal):
 
 def test_run_dr_mixed_start_evolves_coordinatewise(primal):
     alpha, gamma = 0.9, 0.21
-    z0 = basis_vector(8, 0) + basis_vector(8, 7)
+    z0 = Vec(basis_rows(8, [0, 7]).sum(axis=0))
     trace = run_dr(primal, SplitParams(alpha, gamma), z0, max_iter=30, tol=0.0)
     for k, z in enumerate(trace.iterates):
         expected = np.zeros(8)
@@ -289,18 +288,24 @@ def test_run_dr_bound_holds_from_random_starts(primal):
         assert fit_rate(trace) <= bound + 1e-9
 
 
-# -- run_dual_dr --------------------------------------------------------------
+# -- dual DR ------------------------------------------------------------------
+
+
+def _dual_dr(problem, alphas, gammas, starts, max_iter=200, tol=1e-13):
+    """``run_rows`` in "dual-dr" mode over the rows of ``starts``."""
+    starts = np.asarray(starts, dtype=float)
+    return run_rows(problem, "dual-dr", alphas, gammas, lambda rows: starts[rows], max_iter=max_iter, tol=tol)
 
 
 def test_run_dual_dr_requires_coupled_indicator(primal):
-    with pytest.raises(ValueError):
-        run_dual_dr(primal, SplitParams(1.0, 1.0), zeros(8))
+    with pytest.raises(ValueError, match="indicator of the origin and an explicit diagonal coupling"):
+        _dual_dr(primal, [1.0], [1.0], np.zeros((1, 8)))
 
 
 def test_run_dual_dr_zero_start():
-    p = default_dual_instance()
-    trace = run_dual_dr(p, SplitParams(1.0, 1.0), zeros(8))
-    assert len(trace.iterates) == 1 and trace.converged
+    runs = _dual_dr(default_dual_instance(), [1.0], [1.0], np.zeros((1, 8)))
+    assert runs.steps[0] == 0 and not runs.diverged[0]
+    assert runs.distances.tolist() == [[0.0]]
 
 
 def test_run_dual_dr_isotropic_dual_ratio():
@@ -308,12 +313,12 @@ def test_run_dual_dr_isotropic_dual_ratio():
     # curvature 1: any unit start contracts by |(1-gamma)/(1+gamma)|
     p = make_dual_instance(1.0, 4.0, 1.0, 2.0, 2, {0}, pairing="aligned")
     assert np.array_equal(dual_function(p).weights, [1.0, 1.0])
-    for gamma in (0.25, 0.5, 2.0):
-        for i in range(2):
-            trace = run_dual_dr(p, SplitParams(1.0, gamma), basis_vector(2, i), max_iter=25, tol=0.0)
-            expected = abs((1.0 - gamma) / (1.0 + gamma))
-            valid = trace.step_ratios[np.isfinite(trace.step_ratios)]
-            assert np.max(np.abs(valid - expected)) <= 1e-12
+    gammas = np.repeat([0.25, 0.5, 2.0], 2)
+    runs = _dual_dr(p, np.ones(6), gammas, np.tile(np.eye(2), (3, 1)), max_iter=25, tol=0.0)
+    for gamma, ratios in zip(gammas, runs.step_ratios):
+        expected = abs((1.0 - gamma) / (1.0 + gamma))
+        valid = ratios[np.isfinite(ratios)]
+        assert valid.size and np.max(np.abs(valid - expected)) <= 1e-12
 
 
 def test_run_dual_dr_attains_dual_optimal_rate():
@@ -325,9 +330,8 @@ def test_run_dual_dr_attains_dual_optimal_rate():
     expected = (math.sqrt(kappa) - 1.0) / (math.sqrt(kappa) + 1.0)
     gamma = math.sqrt(beta * sigma) / (zeta * theta)
     p = make_dual_instance(sigma, beta, theta, zeta, 2, {0}, pairing="crossed")
-    for i in range(2):
-        trace = run_dual_dr(p, SplitParams(1.0, gamma), basis_vector(2, i), max_iter=25, tol=0.0)
-        assert abs(fit_rate(trace) - expected) <= 1e-10
+    runs = _dual_dr(p, np.ones(2), np.full(2, gamma), np.eye(2), max_iter=25, tol=0.0)
+    assert np.max(np.abs(fit_rates(runs.step_ratios) - expected)) <= 1e-10
 
 
 # -- run_admm -----------------------------------------------------------------
@@ -360,8 +364,8 @@ def test_run_admm_matches_dual_dr_rate(alpha, rho_scale):
     _, gamma_opt, _ = optimal_params(d.sigma, d.beta)
     rho = rho_scale * gamma_opt
     mu0 = worst_start_vector(d, alpha, rho)
-    dr = run_dual_dr(p, SplitParams(alpha, rho), mu0, max_iter=40, tol=0.0)
-    admm = run_admm(p, rho=rho, alpha=alpha, u0=(1.0 / rho) * mu0, max_iter=40, tol=0.0)
+    dr = run_dr(CompositeProblem(d, GFunction.ZERO), SplitParams(alpha, rho), mu0, max_iter=40, tol=0.0)
+    admm = run_admm(p, rho=rho, alpha=alpha, u0=Vec(mu0.coeffs * (1.0 / rho)), max_iter=40, tol=0.0)
     assert abs(fit_rate(dr) - fit_rate(admm)) <= 1e-8
 
 
@@ -373,7 +377,7 @@ def test_run_admm_classic_half_relaxation_contracts():
     d = dual_function(p)
     factors = 1.0 / (1.0 + rho * d.weights)
     mu0 = Vec(np.ones(8))
-    trace = run_admm(p, rho=rho, alpha=0.5, u0=(1.0 / rho) * mu0, max_iter=30, tol=0.0)
+    trace = run_admm(p, rho=rho, alpha=0.5, u0=Vec(mu0.coeffs * (1.0 / rho)), max_iter=30, tol=0.0)
     for k, mu in enumerate(trace.iterates):
         assert np.max(np.abs(mu.coeffs - factors**k)) <= 1e-12
 
@@ -387,7 +391,7 @@ def test_run_admm_kkt_residuals():
     assert trace.converged
     xbar = trace.final_x
     mubar = trace.iterates[-1]
-    stationarity = grad_f(p.f, xbar) + apply_operator(p.a, mubar)
+    stationarity = Vec(p.f.weights * xbar.coeffs + apply_operator(p.a, mubar).coeffs)
     assert norm(stationarity) <= 1e-8
     assert norm(apply_operator(p.a, xbar)) <= 1e-8
 
@@ -534,11 +538,12 @@ def _single_run(problem, mode, alpha, gamma, start, max_iter, tol):
     """The one-row engine run for a batch row: (trace, diverged)."""
     try:
         if mode == "admm":
-            u0 = (1.0 / gamma) * Vec(start)
+            u0 = Vec(start * (1.0 / gamma))
             trace = run_admm(problem, rho=gamma, alpha=alpha, u0=u0, max_iter=max_iter, tol=tol)
         else:
-            engine = run_dr if mode == "primal-dr" else run_dual_dr
-            trace = engine(problem, SplitParams(alpha, gamma), Vec(start), max_iter=max_iter, tol=tol)
+            if mode == "dual-dr":
+                problem = CompositeProblem(dual_function(problem), GFunction.ZERO)
+            trace = run_dr(problem, SplitParams(alpha, gamma), Vec(start), max_iter=max_iter, tol=tol)
     except DivergenceError as exc:
         return exc.trace, True
     return trace, False
@@ -687,12 +692,11 @@ def _check_replay(problem, mode, alpha, gamma, start, max_iter, tol):
         reference = _reference_admm(problem.f.weights, problem.a.weights, alpha, gamma, u0, max_iter, tol)
         run = lambda: run_admm(problem, gamma, alpha, u0=Vec(u0), max_iter=max_iter, tol=tol)
     else:
-        curvatures, negate = problem.f, problem.g is GFunction.ZERO_INDICATOR
         if mode == "dual-dr":
-            curvatures, negate = dual_function(problem), False
-        reference = _reference_dr(curvatures.weights, negate, alpha, gamma, start, max_iter, tol) + (None,)
-        engine = run_dr if mode == "primal-dr" else run_dual_dr
-        run = lambda: engine(problem, SplitParams(alpha, gamma), Vec(start), max_iter=max_iter, tol=tol)
+            problem = CompositeProblem(dual_function(problem), GFunction.ZERO)
+        negate = problem.g is GFunction.ZERO_INDICATOR
+        reference = _reference_dr(problem.f.weights, negate, alpha, gamma, start, max_iter, tol) + (None,)
+        run = lambda: run_dr(problem, SplitParams(alpha, gamma), Vec(start), max_iter=max_iter, tol=tol)
     try:
         trace, diverged = run(), False
     except DivergenceError as exc:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitrate.functions import GFunction, dual_function
+from splitrate.functions import CompositeProblem, GFunction, dual_function
 from splitrate.hilbert import basis_rows
 from splitrate.rates import (
     TIGHT_CASES,
@@ -13,14 +13,13 @@ from splitrate.rates import (
     classify_tightness,
     theoretical_rate,
 )
-from splitrate.splitting import SplitParams, fit_rate, fit_rates, run_dr, run_dual_dr, run_rows
+from splitrate.splitting import SplitParams, fit_rate, fit_rates, run_dr, run_rows
 from splitrate.worstcase import (
     default_dual_instance,
     default_primal_instance,
     make_dual_instance,
     make_primal_instance,
     predict_iterate,
-    step_multiplier,
     worst_coordinates,
     worst_start_vector,
 )
@@ -101,8 +100,8 @@ def test_worst_direction_achieves_the_max():
         gamma = 10.0 ** rng.uniform(-2.5, 2.5)
         alpha = rng.uniform(0.05, 1.9)
         lam = quad.weights[worst_coordinates(quad, alpha, gamma)]
-        got = abs(step_multiplier(lam, alpha, gamma))
-        other = abs(step_multiplier(BETA if lam == SIGMA else SIGMA, alpha, gamma))
+        got = abs(predict_iterate(lam, alpha, gamma, 1))
+        other = abs(predict_iterate(BETA if lam == SIGMA else SIGMA, alpha, gamma, 1))
         assert got >= other
 
 
@@ -162,7 +161,7 @@ def test_dual_instance_crossed_pairing_attains_hatted_rates():
     gamma_star_hat = 1.0 / math.sqrt(s_hat * b_hat)
     for alpha, gamma in [(1.0, gamma_star_hat), (1.0, 0.2 * gamma_star_hat), (0.6, 0.5 * gamma_star_hat)]:
         mu0 = worst_start_vector(d, alpha, gamma)
-        trace = run_dual_dr(p, SplitParams(alpha, gamma), mu0, max_iter=35, tol=0.0)
+        trace = run_dr(CompositeProblem(d, GFunction.ZERO), SplitParams(alpha, gamma), mu0, max_iter=35, tol=0.0)
         assert abs(fit_rate(trace) - theoretical_rate(alpha, gamma, s_hat, b_hat)) <= 1e-10
 
 
@@ -173,7 +172,7 @@ def test_dual_instance_aligned_pairing_stays_below_bound():
     d = dual_function(p)
     gamma_star_hat = 1.0 / math.sqrt(s_hat * b_hat)
     mu0 = worst_start_vector(d, 1.0, gamma_star_hat)
-    trace = run_dual_dr(p, SplitParams(1.0, gamma_star_hat), mu0, max_iter=35, tol=0.0)
+    trace = run_dr(CompositeProblem(d, GFunction.ZERO), SplitParams(1.0, gamma_star_hat), mu0, max_iter=35, tol=0.0)
     bound = theoretical_rate(1.0, gamma_star_hat, s_hat, b_hat)
     fitted = fit_rate(trace)
     assert fitted <= bound + 1e-9
