@@ -6,24 +6,8 @@ instances, contraction-rate formulas, and parameter-region classifier that
 make the linear convergence bounds checkable to machine precision.
 """
 
-from .functions import (
-    CompositeProblem,
-    DiagOperator,
-    DiagQuadratic,
-    GFunction,
-    apply_operator,
-    dual_function,
-    eval_f,
-)
-from .hilbert import (
-    Vec,
-    basis_rows,
-    basis_vector,
-    inner,
-    norm,
-    random_basis_map,
-    zeros,
-)
+from .functions import CompositeProblem, DiagOperator, DiagQuadratic, GFunction, dual_function
+from .hilbert import Vec, basis_rows, random_basis_map
 from .prox import prox_oracle
 from .rates import (
     RateConstants,
@@ -53,7 +37,6 @@ from .worstcase import (
     make_primal_instance,
     predict_iterate,
     worst_coordinates,
-    worst_start_vector,
 )
 
 __version__ = "0.1.0"
@@ -71,21 +54,16 @@ __all__ = [
     "TightnessCase",
     "Vec",
     "alpha_upper_bound",
-    "apply_operator",
     "basis_rows",
-    "basis_vector",
     "classify_tightness",
     "default_dual_instance",
     "default_primal_instance",
     "dual_function",
     "dual_rate_constants",
-    "eval_f",
     "fit_rate",
     "fit_rates",
-    "inner",
     "make_dual_instance",
     "make_primal_instance",
-    "norm",
     "optimal_params",
     "predict_iterate",
     "prox_oracle",
@@ -96,6 +74,4 @@ __all__ = [
     "run_rows",
     "theoretical_rate",
     "worst_coordinates",
-    "worst_start_vector",
-    "zeros",
 ]

@@ -13,14 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functions import (
-    CompositeProblem,
-    GFunction,
-    apply_operator,
-    dual_function,
-    eval_f,
-)
-from .hilbert import Vec, basis_rows, basis_vector, inner, norm, random_basis_map
+from .functions import CompositeProblem, GFunction, dual_function
+from .hilbert import Vec, basis_rows, random_basis_map
 from .prox import prox_oracle
 from .rates import (
     TIGHT_CASES,
@@ -30,7 +24,7 @@ from .rates import (
     psi,
     theoretical_rate,
 )
-from .splitting import SplitParams, fit_rate, fit_rates, run_dr, run_rows
+from .splitting import SplitParams, _norms, fit_rates, run_dr, run_rows
 from .worstcase import (
     DEFAULT_BETA,
     DEFAULT_SIGMA,
@@ -40,7 +34,6 @@ from .worstcase import (
     make_primal_instance,
     predict_iterate,
     worst_coordinates,
-    worst_start_vector,
 )
 
 __all__ = ["CriterionResult", "conjugate_oracle", "CRITERIA", "run_criterion", "run_all"]
@@ -65,7 +58,7 @@ _CG_RTOL = 1e-10
 _CG_MAX_STEPS = 50
 
 
-def conjugate_oracle(problem: CompositeProblem, mu: Vec) -> float:
+def conjugate_oracle(problem: CompositeProblem, mu: np.ndarray) -> float:
     """Numeric value of ``-inf_x { f(x) + <A mu, x> }`` by nonlinear conjugate
     gradients from the origin; never touches the closed-form dual curvatures.
 
@@ -77,7 +70,7 @@ def conjugate_oracle(problem: CompositeProblem, mu: Vec) -> float:
     positive curvature, or after ``_CG_MAX_STEPS`` steps. Only the primal
     ``fun`` and ``jac`` below are evaluated.
     """
-    amu = apply_operator(problem.a, mu).coeffs
+    amu = problem.a.weights * mu
     w = problem.f.weights
 
     def fun(x: np.ndarray) -> float:
@@ -86,7 +79,7 @@ def conjugate_oracle(problem: CompositeProblem, mu: Vec) -> float:
     def jac(x: np.ndarray) -> np.ndarray:
         return w * x + amu
 
-    x = np.zeros(mu.dim)
+    x = np.zeros(amu.size)
     g = jac(x)
     gg = float(np.dot(g, g))
     stop = _CG_RTOL**2 * gg
@@ -113,9 +106,9 @@ def _optimal_rate_exactness():
     ratio = math.sqrt(DEFAULT_BETA / DEFAULT_SIGMA)
     target = (ratio - 1.0) / (ratio + 1.0)
     alpha, gamma = 1.0, 1.0 / math.sqrt(DEFAULT_SIGMA * DEFAULT_BETA)
-    z0 = worst_start_vector(problem.f, alpha, gamma)
-    trace = run_dr(problem, SplitParams(alpha, gamma), z0, max_iter=50, tol=0.0)
-    err = abs(fit_rate(trace) - target)
+    (fit,) = _worst_start_runs(problem, "primal-dr", problem.f, [alpha], [gamma], max_iter=50)
+    # NaN (a diverged or unfittable run) fails
+    err = abs(fit - target)
     return err <= 1e-10, f"|empirical - bound| = {err:.3e} <= 1e-10 over 50 steps"
 
 
@@ -225,7 +218,8 @@ def _closed_form_evolution():
         alpha = rng.uniform(0.05, upper - 0.02)
         params = SplitParams(alpha, gamma)
         for index, lam in ((0, sigma), (problem.dim - 1, beta)):
-            trace = run_dr(problem, params, basis_vector(problem.dim, index), max_iter=30, tol=0.0)
+            start = Vec(basis_rows(problem.dim, [index])[0])
+            trace = run_dr(problem, params, start, max_iter=30, tol=0.0)
             for k, z in enumerate(trace.iterates):
                 expected = np.zeros(problem.dim)
                 expected[index] = predict_iterate(lam, alpha, gamma, k)
@@ -321,10 +315,11 @@ def _conjugate_oracle_agreement():
         idx_sigma = rng.choice(dim, size=n_sigma, replace=False)
         pairing = str(rng.choice(["aligned", "crossed"]))
         instance = make_dual_instance(sigma, beta, theta, zeta, dim, idx_sigma, pairing)
-        dual_quad = dual_function(instance)
+        dual_weights = dual_function(instance).weights
         for _ in range(100):
-            mu = Vec(rng.uniform(-3.0, 3.0, dim))
-            err = abs(eval_f(dual_quad, mu) - conjugate_oracle(instance, mu))
+            mu = rng.uniform(-3.0, 3.0, dim)
+            # the closed-form dual value, sum_i w_i mu_i^2 / 2
+            err = abs(0.5 * float(np.dot(dual_weights, mu**2)) - conjugate_oracle(instance, mu))
             worst = max(worst, err)
             if err > 1e-8:
                 return False, f"closed-form dual value off the numeric conjugate by {err:.3e} > 1e-8"
@@ -360,32 +355,34 @@ def _prox_oracle_agreement(rng):
     worst = 0.0
     for _ in range(100):
         gamma = 10.0 ** rng.uniform(-3.0, 3.0)
-        y = Vec(rng.uniform(-5.0, 5.0, problem.dim))
+        y = rng.uniform(-5.0, 5.0, problem.dim)
         oracle = prox_oracle(lambda i, t: 0.5 * weights[i] * t * t, gamma, y)
-        half_step = run_dr(problem, SplitParams(0.5, gamma), y, max_iter=1, tol=0.0).iterates[1]
-        worst = max(worst, float(np.max(np.abs(half_step.coeffs - oracle.coeffs))))
+        half_step = run_dr(problem, SplitParams(0.5, gamma), Vec(y), max_iter=1, tol=0.0).iterates[1]
+        worst = max(worst, float(np.max(np.abs(half_step.coeffs - oracle))))
     return worst <= 1e-10, f"max error {worst:.3e}"
 
 
 def _coupling_operator(rng):
     """The coupling operator is self-adjoint, with norm bounds attained on basis vectors."""
     op = default_dual_instance("aligned").a
+    w = op.weights
     holds = True
     for _ in range(1000):
-        x, y = (Vec(rng.uniform(-1.0, 1.0, op.dim)) for _ in range(2))
-        holds &= abs(inner(apply_operator(op, x), y) - inner(x, apply_operator(op, y))) <= 1e-12
-        nx, nax = norm(x), norm(apply_operator(op, x))
+        x, y = (rng.uniform(-1.0, 1.0, op.dim) for _ in range(2))
+        holds &= abs(np.dot(w * x, y) - np.dot(x, w * y)) <= 1e-12
+        nx, nax = math.sqrt(np.dot(x, x)), math.sqrt(np.dot(w * x, w * x))
         holds &= op.theta * nx - 1e-12 <= nax <= op.zeta * nx + 1e-12
-    low, high = (basis_vector(op.dim, int(j)) for j in (np.argmin(op.weights), np.argmax(op.weights)))
-    holds &= abs(norm(apply_operator(op, low)) - op.theta) <= 1e-12
-    holds &= abs(norm(apply_operator(op, high)) - op.zeta) <= 1e-12
-    return holds, ""
+    for unit, gain in zip(basis_rows(op.dim, [np.argmin(w), np.argmax(w)]), (op.theta, op.zeta)):
+        holds &= abs(math.sqrt(np.dot(w * unit, w * unit)) - gain) <= 1e-12
+    return bool(holds), ""
 
 
 def _coefficient_norm(rng):
-    """The squared norm equals the coefficient sum of squares (1000 vectors)."""
+    """The row norm behind every run's distances squares to the row's sum of
+    squares (1000 rows)."""
     rows = rng.uniform(-10.0, 10.0, (1000, 8))
-    return all(abs(norm(Vec(c)) ** 2 - c @ c) <= 1e-12 * max(1.0, c @ c) for c in rows), ""
+    squares = np.sum(rows**2, axis=1)
+    return bool(np.all(np.abs(_norms(rows) ** 2 - squares) <= 1e-12 * np.maximum(1.0, squares))), ""
 
 
 #: the property sub-checks, in the order the battery runs them on one stream.

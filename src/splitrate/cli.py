@@ -295,6 +295,9 @@ def _sweep(cfg: SweepConfig, instance: tuple) -> tuple:
     alphas, gammas = (
         grid.ravel() for grid in np.meshgrid(sorted(cfg.alpha_grid), sorted(cfg.gamma_grid), indexing="ij")
     )
+    # a bad point fails the bound here, before any worst start or run: a
+    # step size whose product with beta overflows would make those NaN
+    theoretical_rate(alphas, gammas, sigma, beta)
     starts = _start_rows(cfg, quad, alphas, gammas)
     runs = run_rows(problem, cfg.mode, alphas, gammas, starts, max_iter=cfg.iters, tol=cfg.tol)
     return evaluate_points(alphas, gammas, sigma, beta, fit_rates(runs.step_ratios), runs.diverged), runs

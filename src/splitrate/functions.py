@@ -16,15 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import Vec
-
 __all__ = [
     "GFunction",
     "DiagQuadratic",
     "DiagOperator",
     "CompositeProblem",
-    "eval_f",
-    "apply_operator",
     "dual_function",
 ]
 
@@ -124,23 +120,6 @@ class CompositeProblem:
     @property
     def dim(self) -> int:
         return self.f.dim
-
-
-def _check_dim(dim: int, x: Vec) -> None:
-    if dim != x.dim:
-        raise ValueError(f"dimension mismatch: {dim} vs {x.dim}")
-
-
-def eval_f(f: DiagQuadratic, x: Vec) -> float:
-    """Value of the separable quadratic at x."""
-    _check_dim(f.dim, x)
-    return 0.5 * float(np.dot(f.weights, x.coeffs**2))
-
-
-def apply_operator(a: DiagOperator, x: Vec) -> Vec:
-    """Apply the diagonal coupling: coordinate i is weights_i * x_i."""
-    _check_dim(a.dim, x)
-    return Vec(a.weights * x.coeffs)
 
 
 def dual_function(problem: CompositeProblem) -> DiagQuadratic:

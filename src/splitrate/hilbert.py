@@ -1,15 +1,17 @@
-"""Real inner-product vectors in orthonormal-basis coordinates.
+"""Vectors in orthonormal-basis coordinates.
 
-Everything in this package is diagonal in one fixed orthonormal basis, so
-vectors are stored directly as their coefficient sequences. A seeded random
-orthogonal matrix lets the battery run the same problem in a rotated basis,
-where nothing is diagonal, and confirm that no rate depends on the
-representation.
+Everything in this package is diagonal in one fixed orthonormal basis, so a
+vector is its array of coefficients. :class:`Vec` wraps one such array as
+the start and the iterates of the one-row runs (:func:`splitrate.run_dr`,
+:func:`splitrate.run_admm`); everything else works on plain arrays, with
+:func:`basis_rows` for unit starts. A seeded random orthogonal matrix
+(:func:`random_basis_map`) lets the battery run the same problem in a
+rotated basis, where nothing is diagonal, and confirm that no rate depends
+on the representation.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,15 +20,7 @@ import numpy as np
 # (about 12 ms) into the package import, not into the first seeded sweep
 from numpy.random import default_rng
 
-__all__ = [
-    "Vec",
-    "inner",
-    "norm",
-    "basis_vector",
-    "basis_rows",
-    "zeros",
-    "random_basis_map",
-]
+__all__ = ["Vec", "basis_rows", "random_basis_map"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,42 +55,15 @@ class Vec:
         return f"Vec({self.coeffs.tolist()!r})"
 
 
-def inner(x: Vec, y: Vec) -> float:
-    """Inner product: sum of coordinate products."""
-    if x.dim != y.dim:
-        raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
-    return float(np.dot(x.coeffs, y.coeffs))
-
-
-def norm(x: Vec) -> float:
-    """Norm induced by :func:`inner`; zero exactly when x is zero."""
-    return math.sqrt(inner(x, x))
-
-
-def basis_vector(dim: int, i: int) -> Vec:
-    """Unit vector along coordinate i."""
-    if not 0 <= i < dim:
-        raise ValueError(f"index {i} out of range for dimension {dim}")
-    return Vec(basis_rows(dim, [i])[0])
-
-
 def basis_rows(dim: int, indices) -> np.ndarray:
-    """Row form of :func:`basis_vector`: a ``(len(indices), dim)`` array
-    whose row r is the unit vector along coordinate ``indices[r]``."""
+    """Unit vectors as rows: a ``(len(indices), dim)`` array whose row r is
+    the unit vector along coordinate ``indices[r]``."""
     indices = np.asarray(indices, dtype=int)
     if not np.all((0 <= indices) & (indices < dim)):
         raise ValueError(f"an index is out of range for dimension {dim}")
     out = np.zeros((indices.size, dim))
     out[np.arange(indices.size), indices] = 1.0
     return out
-
-
-def zeros(dim: int) -> Vec:
-    """Zero vector of the given dimension."""
-    if dim < 1:
-        raise ValueError("coeffs must be a non-empty 1-d sequence")
-    # finite by construction, so neither copied nor scanned
-    return Vec._adopt(np.zeros(dim))
 
 
 def random_basis_map(dim: int, rng: np.random.Generator | int | None = None) -> np.ndarray:

@@ -11,7 +11,6 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .hilbert import Vec
 from .rates import _check_positive
 
 __all__ = ["prox_oracle"]
@@ -22,10 +21,10 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 def prox_oracle(
     coord_objective: Callable[[int, float], float],
     gamma: float,
-    y: Vec,
+    y: np.ndarray,
     halfwidth: float = 10.0,
     tol: float = 1e-12,
-) -> Vec:
+) -> np.ndarray:
     """Proximal map computed by per-coordinate scalar search.
 
     ``coord_objective(i, t)`` is coordinate i's share of the function; the
@@ -40,8 +39,8 @@ def prox_oracle(
     Raises ValueError if the objective is not finite at the bracket ends.
     """
     _check_positive(gamma=gamma)
-    out = np.empty(y.dim)
-    for i, b in enumerate(y.coeffs):
+    out = np.empty(y.size)
+    for i, b in enumerate(y):
 
         def h(t: float, _i: int = i, _b: float = b) -> float:
             return coord_objective(_i, t) + (t - _b) ** 2 / (2.0 * gamma)
@@ -51,7 +50,7 @@ def prox_oracle(
             raise ValueError(f"objective not finite on the search bracket for coordinate {i}")
         lo, hi = _golden_shrink(h, lo, hi, width=1e-4)
         out[i] = _slope_bisect(h, lo - 1e-3, hi + 1e-3, tol=tol)
-    return Vec(out)
+    return out
 
 
 def _golden_shrink(h, lo: float, hi: float, width: float) -> tuple[float, float]:

@@ -67,8 +67,13 @@ def _check_spectrum(sigma: float, beta: float) -> None:
 def _max_terms(gamma: np.ndarray, sigma: float, beta: float) -> np.ndarray:
     """max((1 - g*sigma)/(1 + g*sigma), (g*beta - 1)/(g*beta + 1)) per step
     size; in [0, 1). Ties keep the first term, as Python's ``max`` does
-    (``np.maximum`` need not keep the same signed zero)."""
-    first, second = _psi(gamma * sigma), -_psi(gamma * beta)
+    (``np.maximum`` need not keep the same signed zero). Raises ValueError
+    where ``g*beta`` overflows, which would make its term NaN."""
+    with np.errstate(over="ignore"):
+        scaled = gamma * beta
+    if not np.isfinite(scaled).all():
+        raise ValueError(f"gamma * beta must be finite, got an overflow at beta={beta!r}")
+    first, second = _psi(gamma * sigma), -_psi(scaled)
     return np.where(second > first, second, first)
 
 

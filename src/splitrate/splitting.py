@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functions import CompositeProblem, GFunction, dual_function
-from .hilbert import Vec, zeros
+from .hilbert import Vec
 from .rates import _check_positive, _positive_rows
 
 __all__ = [
@@ -284,7 +284,7 @@ def _run_one(
     last_x = Vec(state[0][0]) if len(state) > 1 else None
     trace = IterateTrace(
         _Replay(build, first, int(steps[0])),
-        zeros(problem.dim),
+        Vec._adopt(np.zeros(problem.dim)),
         distances[0],
         _step_ratios(distances)[0],
         bool(converged[0]),
@@ -449,7 +449,7 @@ def run_admm(
     when None); the trace starts at ``rho * u0``.
     """
     _check_positive(rho=rho, alpha=alpha)
-    u0 = zeros(problem.dim) if u0 is None else u0
+    u0 = Vec._adopt(np.zeros(problem.dim)) if u0 is None else u0
     return _run_one(problem, "admm", alpha, rho, u0, max_iter, tol, step_name="rho", rows_are_u=True)
 
 

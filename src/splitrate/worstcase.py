@@ -9,14 +9,12 @@ import math
 import numpy as np
 
 from .functions import CompositeProblem, DiagOperator, DiagQuadratic, GFunction
-from .hilbert import Vec, basis_vector
 from .rates import _check_positive, _positive_rows, _psi, psi
 
 __all__ = [
     "make_primal_instance",
     "make_dual_instance",
     "predict_iterate",
-    "worst_start_vector",
     "worst_coordinates",
     "default_primal_instance",
     "default_dual_instance",
@@ -143,12 +141,6 @@ def worst_coordinates(quad: DiagQuadratic, alpha, gamma):
     c_beta = _relaxed_factor(alpha, _psi(gamma * quad.beta))
     on_sigma, on_beta = _band_coordinates(quad)
     return np.where(np.abs(c_sigma) >= np.abs(c_beta) * (1.0 - 1e-12), on_sigma, on_beta)[()]
-
-
-def worst_start_vector(quad: DiagQuadratic, alpha: float, gamma: float) -> Vec:
-    """Basis vector along the slowest-contracting coordinate of ``quad`` (see
-    :func:`worst_coordinates`)."""
-    return basis_vector(quad.dim, int(worst_coordinates(quad, alpha, gamma)))
 
 
 def default_primal_instance() -> CompositeProblem:

@@ -60,6 +60,23 @@ def test_property_check(name):
     assert passed, note
 
 
+def test_coefficient_norm_fails_on_a_scaled_norm(monkeypatch):
+    norms = acceptance._norms
+    monkeypatch.setattr(acceptance, "_norms", lambda z: norms(z) * (1.0 + 1e-9))
+    passed, _ = acceptance._coefficient_norm(np.random.default_rng(PROPERTY_SEEDS["coefficient-norm"]))
+    assert not passed
+
+
+def test_coupling_operator_fails_on_a_corrupted_gain(monkeypatch):
+    instance = default_dual_instance("aligned")
+    gains = instance.a.weights.copy()
+    gains[-1] *= 1.0 + 1e-9
+    object.__setattr__(instance.a, "weights", gains)
+    monkeypatch.setattr(acceptance, "default_dual_instance", lambda pairing: instance)
+    passed, _ = acceptance._coupling_operator(np.random.default_rng(PROPERTY_SEEDS["coupling-operator"]))
+    assert not passed
+
+
 def test_property_seeds_cover_the_property_checks():
     assert PROPERTY_SEEDS.keys() == acceptance._PROPERTY_CHECKS.keys()
 

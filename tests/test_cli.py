@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -221,6 +222,27 @@ def test_non_finite_point_exits_2(args, capsys):
 def test_negative_seed_exits_2_naming_the_key(args, capsys):
     assert cli.main(args) == 2
     assert "'seed'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sweep", "--alpha", "1e308,1", "--gamma", "1e308"],
+        ["sweep", "--gamma", "1e308", "--start", "random"],
+        ["sweep", "--mode", "admm", "--alpha", "1", "--gamma", "1e308"],
+        ["run", "--alpha", "1", "--gamma", "1e308"],
+        ["rate", "--alpha", "1", "--gamma", "1e308"],
+    ],
+)
+def test_a_step_size_whose_product_with_beta_overflows_exits_2(args, capsys):
+    # rejected before any worst start or run computes the product, so no
+    # floating-point warning is raised on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "gamma * beta must be finite" in captured.err
 
 
 def test_run_dual_and_admm_modes_tight(capsys):

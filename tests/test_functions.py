@@ -11,11 +11,9 @@ from splitrate.functions import (
     DiagOperator,
     DiagQuadratic,
     GFunction,
-    apply_operator,
     dual_function,
-    eval_f,
 )
-from splitrate.hilbert import Vec, basis_vector, norm
+from splitrate.hilbert import basis_rows
 from splitrate.rates import dual_rate_constants
 from splitrate.worstcase import PAIRINGS, make_dual_instance, make_primal_instance
 
@@ -63,21 +61,8 @@ def test_spectrum_equal_levels_allowed():
 # -- DiagQuadratic evaluation -------------------------------------------------
 
 
-def test_eval_f_examples(two_band):
-    assert eval_f(two_band, Vec([0.0, 0.0, 0.0, 0.0])) == 0.0
-    small = DiagQuadratic(np.array([1.0, 4.0]))
-    assert eval_f(small, Vec([1.0, 1.0])) == 2.5
-    assert eval_f(two_band, basis_vector(4, 3)) == two_band.beta / 2.0
-
-
-def test_eval_f_bounded_by_beta(two_band):
-    rng = np.random.default_rng(4)
-    for _ in range(200):
-        x = Vec(rng.uniform(-10, 10, 4))
-        assert 0.0 <= eval_f(two_band, x) <= two_band.beta / 2.0 * norm(x) ** 2 + 1e-12
-
-
 def test_grad_f_matches_central_differences(two_band):
+    f = lambda x: 0.5 * np.dot(two_band.weights, x**2)
     rng = np.random.default_rng(5)
     h = 1e-5
     for _ in range(20):
@@ -87,13 +72,8 @@ def test_grad_f_matches_central_differences(two_band):
             xp, xm = x.copy(), x.copy()
             xp[i] += h
             xm[i] -= h
-            fd = (eval_f(two_band, Vec(xp)) - eval_f(two_band, Vec(xm))) / (2 * h)
+            fd = (f(xp) - f(xm)) / (2 * h)
             assert abs(g[i] - fd) <= 1e-6
-
-
-def test_eval_dimension_mismatch(two_band):
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        eval_f(two_band, Vec([1.0, 2.0]))
 
 
 def test_diag_quadratic_rejects_bad_weights():
@@ -128,9 +108,9 @@ def test_certificates_hold_for_spectrum_instances():
 
 def test_operator_basis_action():
     op = DiagOperator.two_level(4, theta=1.0, zeta=2.0, idx_theta={0, 1})
-    assert np.array_equal(apply_operator(op, basis_vector(4, 0)).coeffs, [1.0, 0.0, 0.0, 0.0])
-    assert np.array_equal(apply_operator(op, basis_vector(4, 3)).coeffs, [0.0, 0.0, 0.0, 2.0])
-    assert np.array_equal(apply_operator(op, Vec([0.0] * 4)).coeffs, [0.0] * 4)
+    low, high = op.weights * basis_rows(4, [0, 3])
+    assert np.array_equal(low, [1.0, 0.0, 0.0, 0.0])
+    assert np.array_equal(high, [0.0, 0.0, 0.0, 2.0])
 
 
 def test_operator_rejects_bad_gains():
@@ -192,8 +172,8 @@ def test_dual_function_matches_numeric_conjugate():
     d = dual_function(p)
     rng = np.random.default_rng(9)
     for _ in range(100):
-        mu = Vec(rng.uniform(-3, 3, 5))
-        assert abs(eval_f(d, mu) - conjugate_oracle(p, mu)) <= 1e-8
+        mu = rng.uniform(-3, 3, 5)
+        assert abs(0.5 * np.dot(d.weights, mu**2) - conjugate_oracle(p, mu)) <= 1e-8
 
 
 @st.composite
@@ -210,14 +190,14 @@ def oracle_cases(draw):
     idx_sigma = draw(st.permutations(range(dim)))[:n_sigma]
     pairing = draw(st.sampled_from(PAIRINGS))
     mu = draw(st.lists(st.floats(-3.0, 3.0), min_size=dim, max_size=dim))
-    return make_dual_instance(sigma, beta, theta, zeta, dim, idx_sigma, pairing), Vec(np.array(mu))
+    return make_dual_instance(sigma, beta, theta, zeta, dim, idx_sigma, pairing), np.array(mu)
 
 
 @settings(deadline=None, max_examples=100)
 @given(oracle_cases())
 def test_numeric_conjugate_matches_dual_over_the_family(case):
     p, mu = case
-    value = eval_f(dual_function(p), mu)
+    value = 0.5 * np.dot(dual_function(p).weights, mu**2)
     assert abs(value - conjugate_oracle(p, mu)) <= 1e-8 * max(1.0, abs(value))
 
 

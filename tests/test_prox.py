@@ -46,20 +46,20 @@ def test_prox_acts_coordinatewise():
 
 def test_prox_oracle_scalar_cases():
     # quadratic coordinate, weight 1, gamma 1, input 1 -> 0.5
-    out = prox_oracle(lambda i, t: 0.5 * t * t, 1.0, Vec([1.0]))
-    assert abs(out.coeffs[0] - 0.5) <= 1e-10
+    out = prox_oracle(lambda i, t: 0.5 * t * t, 1.0, np.array([1.0]))
+    assert abs(out[0] - 0.5) <= 1e-10
     # flat coordinate: prox is the identity
-    out = prox_oracle(lambda i, t: 0.0, 2.0, Vec([3.3]))
-    assert abs(out.coeffs[0] - 3.3) <= 1e-10
+    out = prox_oracle(lambda i, t: 0.0, 2.0, np.array([3.3]))
+    assert abs(out[0] - 3.3) <= 1e-10
     # weight 4, gamma 0.5, input 3 -> 3 / (1 + 2) = 1
-    out = prox_oracle(lambda i, t: 2.0 * t * t, 0.5, Vec([3.0]))
-    assert abs(out.coeffs[0] - 1.0) <= 1e-10
+    out = prox_oracle(lambda i, t: 2.0 * t * t, 0.5, np.array([3.0]))
+    assert abs(out[0] - 1.0) <= 1e-10
 
 
 def test_prox_oracle_rejects_nonpositive_gamma():
     for gamma in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="gamma must be positive and finite"):
-            prox_oracle(lambda i, t: t * t, gamma, Vec([1.0]))
+            prox_oracle(lambda i, t: t * t, gamma, np.array([1.0]))
 
 
 def test_prox_oracle_rejects_non_finite_objective():
@@ -67,4 +67,4 @@ def test_prox_oracle_rejects_non_finite_objective():
         return float("inf") if abs(t) > 5 else t * t
 
     with pytest.raises(ValueError, match="not finite"):
-        prox_oracle(bad, 1.0, Vec([0.0]))
+        prox_oracle(bad, 1.0, np.array([0.0]))

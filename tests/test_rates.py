@@ -15,7 +15,6 @@ from splitrate.rates import (
     psi,
     theoretical_rate,
 )
-from splitrate.hilbert import Vec
 from splitrate.prox import prox_oracle
 from splitrate.splitting import SplitParams, run_admm
 from splitrate.worstcase import default_dual_instance, make_primal_instance, predict_iterate, worst_coordinates
@@ -321,6 +320,23 @@ def test_row_forms_reject_bad_points(bad):
         theoretical_rate(good, good, 3.0, 2.0)
 
 
+def test_step_sizes_whose_product_with_beta_overflows_are_rejected():
+    # gamma * beta = inf makes the bound's second term NaN, which the max
+    # used to drop: a rate of -1, an infinite relaxation limit, and Case III
+    # at the infeasible alpha 5
+    for call in (
+        lambda: theoretical_rate(1.0, 1e308, 1.0, 10.0),
+        lambda: theoretical_rate(np.ones(2), np.array([1.0, 1e308]), 1.0, 10.0),
+        lambda: alpha_upper_bound(1e308, 1.0, 10.0),
+        lambda: classify_tightness(5.0, 1e308, 1.0, 10.0),
+    ):
+        with pytest.raises(ValueError, match=r"gamma \* beta must be finite"):
+            call()
+    # a product that stays finite is still a point
+    assert theoretical_rate(1.0, 1e307, 1.0, 10.0) == 1.0
+    assert classify_tightness(5.0, 1e307, 1.0, 10.0) is TightnessCase.INFEASIBLE
+
+
 #: each caller of the shared positive-and-finite validator, with the name it
 #: reports, as a function of the bad value
 _SCALAR_VALIDATED = {
@@ -330,7 +346,7 @@ _SCALAR_VALIDATED = {
     "run_admm alpha": ("alpha", lambda bad: run_admm(default_dual_instance(), rho=1.0, alpha=bad)),
     # the step multiplier: the factor of one step, the first iterate's coefficient
     "step_multiplier gamma": ("gamma", lambda bad: predict_iterate(1.0, 1.0, bad, 1)),
-    "prox_oracle gamma": ("gamma", lambda bad: prox_oracle(lambda i, t: t * t, bad, Vec([1.0]))),
+    "prox_oracle gamma": ("gamma", lambda bad: prox_oracle(lambda i, t: t * t, bad, np.array([1.0]))),
 }
 
 

@@ -12,7 +12,7 @@ def test_library_tour_runs():
     block = re.search(r"## Library tour\s+```python\n(.*?)```", README, re.S).group(1)
     namespace = {}
     exec(compile(block, "README.md (Library tour)", "exec"), namespace)
-    assert namespace["admm_trace"].n_steps == namespace["dual_trace"].n_steps == 50
+    assert namespace["admm_runs"].steps[0] == namespace["dual_runs"].steps[0] == 50
 
 
 def test_readme_lists_every_config_key():

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitrate.functions import CompositeProblem, DiagQuadratic, GFunction, apply_operator, dual_function
-from splitrate.hilbert import Vec, basis_rows, basis_vector, norm, random_basis_map, zeros
+from splitrate.functions import CompositeProblem, DiagQuadratic, GFunction, dual_function
+from splitrate.hilbert import Vec, basis_rows, random_basis_map
 from splitrate.rates import alpha_upper_bound, optimal_params, theoretical_rate
 from splitrate import acceptance, cli, splitting
 from splitrate.splitting import (
@@ -27,7 +27,6 @@ from splitrate.worstcase import (
     make_primal_instance,
     predict_iterate,
     worst_coordinates,
-    worst_start_vector,
 )
 
 SIGMA, BETA = 1.0, 10.0
@@ -39,12 +38,22 @@ def primal():
     return default_primal_instance()
 
 
+def _unit(dim, index):
+    """The one-row start along coordinate ``index``."""
+    return Vec(basis_rows(dim, [index])[0])
+
+
+def _worst(quad, alpha, gamma):
+    """The one-row worst start of ``quad`` at ``(alpha, gamma)``."""
+    return _unit(quad.dim, worst_coordinates(quad, alpha, gamma))
+
+
 def _trace_from_distances(dists):
     """Synthetic trace with prescribed distance sequence."""
     vecs = [Vec([d, 0.0]) for d in dists]
     dists = np.asarray(dists, dtype=float)
     ratios = dists[1:] / dists[:-1]
-    return IterateTrace(vecs, zeros(2), dists, ratios, converged=True)
+    return IterateTrace(vecs, Vec(np.zeros(2)), dists, ratios, converged=True)
 
 
 # -- SplitParams --------------------------------------------------------------
@@ -73,22 +82,22 @@ def test_dr_step_unit_weight_annihilates():
     # gamma * weight = 1 makes the reflection factor 0, so at alpha 1 one
     # step sends the coordinate to 0
     p = make_primal_instance(1.0, 1.0, 2, {0})
-    assert np.array_equal(_one_step(p, SplitParams(1.0, 1.0), basis_vector(2, 0)), [0.0, 0.0])
+    assert np.array_equal(_one_step(p, SplitParams(1.0, 1.0), _unit(2, 0)), [0.0, 0.0])
     p = make_primal_instance(2.5, 2.5, 2, {0})
-    assert np.array_equal(_one_step(p, SplitParams(1.0, 1.0 / 2.5), basis_vector(2, 1)), [0.0, 0.0])
+    assert np.array_equal(_one_step(p, SplitParams(1.0, 1.0 / 2.5), _unit(2, 1)), [0.0, 0.0])
 
 
 def test_run_dr_half_relaxation_coefficient():
     # alpha 1/2, gamma 1, weight 3: coefficient 1 - a + a*(1-3)/(1+3) = 0.25
     p = make_primal_instance(3.0, 3.0, 2, {0})
-    assert np.allclose(_one_step(p, SplitParams(0.5, 1.0), basis_vector(2, 0)), [0.25, 0.0], atol=1e-15)
+    assert np.allclose(_one_step(p, SplitParams(0.5, 1.0), _unit(2, 0)), [0.25, 0.0], atol=1e-15)
 
 
 def test_half_step_is_the_prox():
     # at alpha 1/2 with g = 0 a step is (z + R_f z)/2 = prox_{gamma f}(z),
     # which shrinks coordinate i by 1/(1 + gamma*w_i)
     p = CompositeProblem(f=DiagQuadratic(np.array([1.0, 2.0])), g=GFunction.ZERO)
-    assert np.array_equal(_one_step(p, SplitParams(0.5, 1.0), basis_vector(2, 0)), [0.5, 0.0])
+    assert np.array_equal(_one_step(p, SplitParams(0.5, 1.0), _unit(2, 0)), [0.5, 0.0])
     # weight 4, gamma 0.5, input 3 -> 3 / (1 + 2) = 1
     p = CompositeProblem(f=DiagQuadratic(np.array([4.0])), g=GFunction.ZERO)
     assert _one_step(p, SplitParams(0.5, 0.5), Vec([3.0]))[0] == pytest.approx(1.0, abs=1e-15)
@@ -118,11 +127,11 @@ def test_dr_step_matches_manual_composition(primal):
 def test_run_dr_rejects_coupled_problem():
     p = default_dual_instance()
     with pytest.raises(ValueError, match="identity coupling"):
-        run_dr(p, SplitParams(1.0, 1.0), zeros(p.dim))
+        run_dr(p, SplitParams(1.0, 1.0), Vec(np.zeros(p.dim)))
 
 
 def test_run_dr_at_fixed_point_has_length_one(primal):
-    trace = run_dr(primal, SplitParams(1.0, 1.0), zeros(primal.dim))
+    trace = run_dr(primal, SplitParams(1.0, 1.0), Vec(np.zeros(primal.dim)))
     assert len(trace.iterates) == 1
     assert trace.converged
     assert trace.distances[0] == 0.0
@@ -131,7 +140,7 @@ def test_run_dr_at_fixed_point_has_length_one(primal):
 
 def test_run_dr_optimal_params_constant_ratio(primal):
     alpha, gamma, rate = optimal_params(SIGMA, BETA)
-    z0 = worst_start_vector(primal.f, alpha, gamma)
+    z0 = _worst(primal.f, alpha, gamma)
     trace = run_dr(primal, SplitParams(alpha, gamma), z0, max_iter=40, tol=0.0)
     valid = trace.step_ratios[np.isfinite(trace.step_ratios)]
     assert valid.size >= 30
@@ -141,7 +150,7 @@ def test_run_dr_optimal_params_constant_ratio(primal):
 @pytest.mark.parametrize("gamma", [0.05, 0.4, 2.0])
 @pytest.mark.parametrize("index,lam", [(0, SIGMA), (7, BETA)])
 def test_run_dr_single_band_ratio_is_step_multiplier(primal, gamma, index, lam):
-    trace = run_dr(primal, SplitParams(1.0, gamma), basis_vector(8, index), max_iter=25, tol=0.0)
+    trace = run_dr(primal, SplitParams(1.0, gamma), _unit(8, index), max_iter=25, tol=0.0)
     expected = abs((1.0 - gamma * lam) / (1.0 + gamma * lam))
     valid = trace.step_ratios[np.isfinite(trace.step_ratios)]
     assert np.max(np.abs(valid - expected)) <= 1e-12
@@ -160,14 +169,14 @@ def test_run_dr_distances_nonincreasing_when_feasible(primal):
 def test_run_dr_divergence_raises(primal):
     params = SplitParams(1.95, 2.0)  # far beyond the feasible relaxation limit
     with pytest.raises(DivergenceError) as excinfo:
-        run_dr(primal, params, basis_vector(8, 7), max_iter=500, tol=0.0)
+        run_dr(primal, params, _unit(8, 7), max_iter=500, tol=0.0)
     assert excinfo.value.trace is not None
     assert excinfo.value.trace.distances[-1] > 10.0
 
 
 def test_run_dr_stops_on_tolerance(primal):
     alpha, gamma, _ = optimal_params(SIGMA, BETA)
-    z0 = worst_start_vector(primal.f, alpha, gamma)
+    z0 = _worst(primal.f, alpha, gamma)
     trace = run_dr(primal, SplitParams(alpha, gamma), z0, max_iter=500, tol=1e-8)
     assert trace.converged
     assert len(trace.iterates) < 60
@@ -221,7 +230,7 @@ def test_run_dr_matches_the_dense_reference(case, rotated, seed):
     assert steps == 30 or trace.converged
     distances, last = _dense_run(problem, params, q, z0.coeffs, 30)
     condition = (1.0 + params.gamma * w.max()) / (1.0 + params.gamma * w.min()) if rotated else 1.0
-    tol = 1e-12 * condition * norm(z0)
+    tol = 1e-12 * condition * np.linalg.norm(z0.coeffs)
     # a run that hit its fixed point exactly (a zero step, as at alpha = 1 and
     # gamma = 1/sigma = 1/beta) stopped there, and the dense run stays there
     engine = np.concatenate([trace.distances, np.full(30 - steps, trace.distances[-1])])
@@ -272,7 +281,7 @@ def test_rates_do_not_depend_on_dimension():
     fits = []
     for dim in (2, 8, 64):
         p = make_primal_instance(SIGMA, BETA, dim, range(dim // 2))
-        z0 = worst_start_vector(p.f, alpha, gamma)
+        z0 = _worst(p.f, alpha, gamma)
         fits.append(fit_rate(run_dr(p, SplitParams(alpha, gamma), z0, max_iter=30, tol=0.0)))
     assert max(fits) - min(fits) <= 1e-12
 
@@ -353,7 +362,7 @@ def test_run_admm_validation(primal):
     with pytest.raises(ValueError):
         run_admm(p, rho=1.0, alpha=0.0)
     with pytest.raises(ValueError):
-        run_admm(p, rho=1.0, alpha=1.0, u0=zeros(3))
+        run_admm(p, rho=1.0, alpha=1.0, u0=Vec(np.zeros(3)))
 
 
 @pytest.mark.parametrize("alpha", [0.5, 0.8, 1.0])
@@ -363,7 +372,7 @@ def test_run_admm_matches_dual_dr_rate(alpha, rho_scale):
     d = dual_function(p)
     _, gamma_opt, _ = optimal_params(d.sigma, d.beta)
     rho = rho_scale * gamma_opt
-    mu0 = worst_start_vector(d, alpha, rho)
+    mu0 = _worst(d, alpha, rho)
     dr = run_dr(CompositeProblem(d, GFunction.ZERO), SplitParams(alpha, rho), mu0, max_iter=40, tol=0.0)
     admm = run_admm(p, rho=rho, alpha=alpha, u0=Vec(mu0.coeffs * (1.0 / rho)), max_iter=40, tol=0.0)
     assert abs(fit_rate(dr) - fit_rate(admm)) <= 1e-8
@@ -391,9 +400,9 @@ def test_run_admm_kkt_residuals():
     assert trace.converged
     xbar = trace.final_x
     mubar = trace.iterates[-1]
-    stationarity = Vec(p.f.weights * xbar.coeffs + apply_operator(p.a, mubar).coeffs)
-    assert norm(stationarity) <= 1e-8
-    assert norm(apply_operator(p.a, xbar)) <= 1e-8
+    stationarity = p.f.weights * xbar.coeffs + p.a.weights * mubar.coeffs
+    assert np.linalg.norm(stationarity) <= 1e-8
+    assert np.linalg.norm(p.a.weights * xbar.coeffs) <= 1e-8
 
 
 def test_run_admm_divergence():
@@ -420,7 +429,7 @@ def test_fit_rate_uses_tail():
 
 
 def test_fit_rate_trace_too_short(primal):
-    trace = run_dr(primal, SplitParams(1.0, 1.0), zeros(8))
+    trace = run_dr(primal, SplitParams(1.0, 1.0), Vec(np.zeros(8)))
     with pytest.raises(ValueError, match="too short"):
         fit_rate(trace)
     with pytest.raises(ValueError, match="too short"):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitrate.functions import CompositeProblem, GFunction, dual_function
-from splitrate.hilbert import basis_rows
+from splitrate.hilbert import Vec, basis_rows
 from splitrate.rates import (
     TIGHT_CASES,
     alpha_upper_bound,
@@ -21,7 +21,6 @@ from splitrate.worstcase import (
     make_primal_instance,
     predict_iterate,
     worst_coordinates,
-    worst_start_vector,
 )
 
 SIGMA, BETA = 1.0, 10.0
@@ -107,10 +106,8 @@ def test_worst_direction_achieves_the_max():
 
 def test_worst_start_vector_picks_the_band():
     p = default_primal_instance()
-    v = worst_start_vector(p.f, 1.0, 0.01)
-    assert p.f.weights[int(np.argmax(v.coeffs))] == SIGMA
-    v = worst_start_vector(p.f, 1.0, 100.0)
-    assert p.f.weights[int(np.argmax(v.coeffs))] == BETA
+    assert p.f.weights[worst_coordinates(p.f, 1.0, 0.01)] == SIGMA
+    assert p.f.weights[worst_coordinates(p.f, 1.0, 100.0)] == BETA
 
 
 def test_worst_coordinates_pick_the_worst_start_vectors():
@@ -122,7 +119,7 @@ def test_worst_coordinates_pick_the_worst_start_vectors():
     for quad in (default_primal_instance().f, dual_function(default_dual_instance("aligned"))):
         starts = basis_rows(quad.dim, worst_coordinates(quad, alphas, gammas))
         for alpha, gamma, row in zip(alphas, gammas, starts):
-            assert np.array_equal(row, worst_start_vector(quad, alpha, gamma).coeffs)
+            assert np.array_equal(row, basis_rows(quad.dim, [worst_coordinates(quad, alpha, gamma)])[0])
 
 
 def _region_points():
@@ -140,10 +137,9 @@ def test_exactness_oracle_in_attained_regions(alpha, gamma):
     # trajectories from the slowest band match the closed-form coefficient
     # power sequence coordinate-exactly, and the fitted rate matches the bound
     p = default_primal_instance()
-    z0 = worst_start_vector(p.f, alpha, gamma)
-    index = int(np.argmax(z0.coeffs))
+    index = int(worst_coordinates(p.f, alpha, gamma))
     lam = float(p.f.weights[index])
-    trace = run_dr(p, SplitParams(alpha, gamma), z0, max_iter=30, tol=0.0)
+    trace = run_dr(p, SplitParams(alpha, gamma), Vec(basis_rows(8, [index])[0]), max_iter=30, tol=0.0)
     for k, z in enumerate(trace.iterates):
         expected = np.zeros(8)
         expected[index] = predict_iterate(lam, alpha, gamma, k)
@@ -160,7 +156,7 @@ def test_dual_instance_crossed_pairing_attains_hatted_rates():
     d = dual_function(p)
     gamma_star_hat = 1.0 / math.sqrt(s_hat * b_hat)
     for alpha, gamma in [(1.0, gamma_star_hat), (1.0, 0.2 * gamma_star_hat), (0.6, 0.5 * gamma_star_hat)]:
-        mu0 = worst_start_vector(d, alpha, gamma)
+        mu0 = Vec(basis_rows(d.dim, [worst_coordinates(d, alpha, gamma)])[0])
         trace = run_dr(CompositeProblem(d, GFunction.ZERO), SplitParams(alpha, gamma), mu0, max_iter=35, tol=0.0)
         assert abs(fit_rate(trace) - theoretical_rate(alpha, gamma, s_hat, b_hat)) <= 1e-10
 
@@ -171,7 +167,7 @@ def test_dual_instance_aligned_pairing_stays_below_bound():
     p = make_dual_instance(sigma, beta, theta, zeta, 8, range(4), pairing="aligned")
     d = dual_function(p)
     gamma_star_hat = 1.0 / math.sqrt(s_hat * b_hat)
-    mu0 = worst_start_vector(d, 1.0, gamma_star_hat)
+    mu0 = Vec(basis_rows(d.dim, [worst_coordinates(d, 1.0, gamma_star_hat)])[0])
     trace = run_dr(CompositeProblem(d, GFunction.ZERO), SplitParams(1.0, gamma_star_hat), mu0, max_iter=35, tol=0.0)
     bound = theoretical_rate(1.0, gamma_star_hat, s_hat, b_hat)
     fitted = fit_rate(trace)
