@@ -64,15 +64,23 @@ def _check_spectrum(sigma: float, beta: float) -> None:
         raise ValueError(f"need 0 < sigma <= beta, got sigma={sigma!r}, beta={beta!r}")
 
 
+def _finite_product(gamma, factor, name: str):
+    """``gamma * factor``, raising ValueError where it overflows; ``name``
+    names ``factor`` in the message. An overflowing product would turn a
+    reflection factor or a rate term into NaN."""
+    with np.errstate(over="ignore"):
+        product = gamma * factor
+    if not np.isfinite(product).all():
+        raise ValueError(f"gamma * {name} must be finite, got an overflow at {name}={float(np.max(factor))!r}")
+    return product
+
+
 def _max_terms(gamma: np.ndarray, sigma: float, beta: float) -> np.ndarray:
     """max((1 - g*sigma)/(1 + g*sigma), (g*beta - 1)/(g*beta + 1)) per step
     size; in [0, 1). Ties keep the first term, as Python's ``max`` does
     (``np.maximum`` need not keep the same signed zero). Raises ValueError
     where ``g*beta`` overflows, which would make its term NaN."""
-    with np.errstate(over="ignore"):
-        scaled = gamma * beta
-    if not np.isfinite(scaled).all():
-        raise ValueError(f"gamma * beta must be finite, got an overflow at beta={beta!r}")
+    scaled = _finite_product(gamma, beta, "beta")
     first, second = _psi(gamma * sigma), -_psi(scaled)
     return np.where(second > first, second, first)
 

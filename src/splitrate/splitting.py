@@ -12,7 +12,7 @@ import numpy as np
 
 from .functions import CompositeProblem, GFunction, dual_function
 from .hilbert import Vec
-from .rates import _check_positive, _positive_rows
+from .rates import _check_positive, _finite_product, _positive_rows
 
 __all__ = [
     "SplitParams",
@@ -49,6 +49,10 @@ BLOCK_ELEMENTS = 1 << 18
 
 #: rows longer than this are normed chunk by chunk (see :func:`_norms`)
 NORM_CHUNK = 8192
+
+#: a step walks rows longer than this in blocks of this many columns (see
+#: :class:`_ColumnBlocks`), so that the arrays of one block stay in cache
+COLUMN_BLOCK = 4 * NORM_CHUNK
 
 
 class DivergenceError(RuntimeError):
@@ -125,26 +129,86 @@ class RowRuns:
         return _step_ratios(self.distances)
 
 
+def _chunked(z: np.ndarray) -> tuple:
+    """Views of the consecutive ``NORM_CHUNK``-element chunks of each row of
+    a ``(rows, dim)`` array, as ``(rows, chunks, NORM_CHUNK)``, and of their
+    shorter tails; no copy."""
+    rows, dim = z.shape
+    full = dim - dim % NORM_CHUNK
+    return z[:, :full].reshape(rows, dim // NORM_CHUNK, NORM_CHUNK), z[:, full:]
+
+
 def _norms(z: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of a ``(rows, dim)`` array.
 
     Rows of up to :data:`NORM_CHUNK` elements give bit for bit
     ``sqrt(np.dot(row, row))``. A longer row is the sum, in a fixed order, of
     the dots of its consecutive ``NORM_CHUNK``-element chunks and of its
-    shorter tail: BLAS may split one dot that long over threads, and its
-    last bit would then depend on the thread count. The chunks are one
-    strided view of ``z``, not a copy.
+    shorter tail (see :func:`_chunked`): BLAS may split one dot that long
+    over threads, and its last bit would then depend on the thread count.
     """
-    rows, dim = z.shape
-    if dim <= NORM_CHUNK:
+    if z.shape[1] <= NORM_CHUNK:
         return np.sqrt(np.vecdot(z, z))
-    full = dim // NORM_CHUNK
-    row_stride, stride = z.strides
-    chunks = np.lib.stride_tricks.as_strided(
-        z, (rows, full, NORM_CHUNK), (row_stride, NORM_CHUNK * stride, stride), writeable=False
-    )
-    tail = z[:, full * NORM_CHUNK :]
+    chunks, tail = _chunked(z)
     return np.sqrt(np.vecdot(chunks, chunks).sum(axis=1) + np.vecdot(tail, tail))
+
+
+class _ColumnBlocks:
+    """Runs the update of one engine step on whole rows, or over column
+    blocks for long rows, and norms what it made; both engines share it.
+
+    ``run(update, columns, state)`` calls ``update(*columns, *outputs,
+    *temps)``. ``columns`` are the arrays the update reads whose last axis
+    runs over the coordinates, the state arrays it reads among them;
+    ``outputs`` receive the next state, one per array of ``state``, and
+    ``temps`` hold the update's temporaries.
+    ``update`` returns ``(next_state, recorded, step)``, and ``run`` returns
+    the next state with the row norms of ``recorded`` and of ``step``, bit
+    for bit what :func:`_norms` gives for the whole rows.
+
+    Rows of at most ``COLUMN_BLOCK`` elements are updated whole, with every
+    output and temporary None, so that numpy allocates them, as for any
+    small array. Longer rows are walked in blocks of ``COLUMN_BLOCK``
+    columns, and the temporaries are one block of per-engine buffers, so
+    that they stay in cache. Each output then is a per-engine buffer; one
+    whose state array the update reads (``reads``) takes turns in a pair,
+    so that a step never writes into the state it reads. The blocks start
+    on chunk boundaries, so the chunk dots of the blocks, in order, are the
+    chunk dots of the rows, and the last block holds the rows' tails; they
+    are summed as in :func:`_norms`.
+    """
+
+    def __init__(self, shape: tuple, reads: tuple, temps: int):
+        rows, self.dim = shape
+        self.none = (None,) * (len(reads) + temps)
+        if self.dim > COLUMN_BLOCK:
+            # rows only ever leave, so a prefix of each buffer fits; an
+            # output whose state is not read has one buffer, named twice
+            self.outputs = []
+            for read in reads:
+                first = np.empty(shape)
+                self.outputs.append((first, np.empty(shape) if read else first))
+            self.temps = [np.empty((rows, COLUMN_BLOCK)) for _ in range(temps)]
+
+    def run(self, update: Callable, columns: tuple, state: tuple) -> tuple:
+        if self.dim <= COLUMN_BLOCK:
+            next_state, recorded, step = update(*columns, *self.none)
+            return next_state, _norms(recorded), _norms(step)
+        rows = state[0].shape[0]
+        outputs = tuple(pair[a.base is pair[0]][:rows] for pair, a in zip(self.outputs, state))
+        temps = [t[:rows] for t in self.temps]
+        dots = ([], [])
+        for lo in range(0, self.dim, COLUMN_BLOCK):
+            cols, width = slice(lo, lo + COLUMN_BLOCK), min(COLUMN_BLOCK, self.dim - lo)
+            _, *blocks = update(
+                *[a[..., cols] for a in columns], *[a[:, cols] for a in outputs], *[t[:, :width] for t in temps]
+            )
+            for block_dots, block in zip(dots, blocks):
+                chunks, _ = _chunked(block)
+                block_dots.append(np.vecdot(chunks, chunks))
+        tails = (_chunked(block)[1] for block in blocks)
+        norms = [np.sqrt(np.concatenate(d, axis=1).sum(axis=1) + np.vecdot(t, t)) for d, t in zip(dots, tails)]
+        return outputs, *norms
 
 
 def _step_ratios(distances: np.ndarray) -> np.ndarray:
@@ -159,18 +223,18 @@ def _iterate(step: Callable, params: tuple, state: tuple, start: np.ndarray, max
     vectors are the rows of ``start``; ``params`` holds the per-row
     parameters, as ``(rows, ...)`` arrays or, for a single row, as scalars
     and shared arrays. ``step(params, state)`` returns ``(next_state,
-    recorded, step_norms)``. A row stops when its first step leaves its
-    state exactly unchanged (it started at a fixed point), when its distance
-    to the origin exceeds ``DIVERGENCE_FACTOR`` times its starting distance
-    (diverged), or when its step norm drops to ``tol``.
+    distances, step_norms)``: each row's distance from its recorded vector
+    to the origin and its step norm. A row stops when its first step leaves
+    its state exactly unchanged (it started at a fixed point), when its
+    distance to the origin exceeds ``DIVERGENCE_FACTOR`` times its starting
+    distance (diverged), or when its step norm drops to ``tol``.
 
     A stopped row is stepped on with the others until at most half of the
     array rows are live; only then are the state, the parameters and the
     bookkeeping gathered down to the live rows. Until that point the
     stopped row's row of the last state array is NaN. Each step map carries
-    that NaN into the row's recorded vector and step norm, so its distance
-    reads NaN and it meets no stop test again; NaN arithmetic raises no
-    floating-point warning.
+    that NaN into the row's distance and step norm, so it meets no stop test
+    again; NaN arithmetic raises no floating-point warning.
 
     Returns ``(distances, steps, converged, diverged, state)``: ``distances``
     as in :class:`RowRuns` and ``state`` the state the loop ended with (a
@@ -191,13 +255,12 @@ def _iterate(step: Callable, params: tuple, state: tuple, start: np.ndarray, max
     index = np.arange(rows)
     live = np.ones(rows, dtype=bool)
     for k in range(max_iter):
-        next_state, recorded, step_norm = step(params, state)
+        next_state, dist, step_norm = step(params, state)
         if k == 0:
             # a row whose first step leaves its state exactly unchanged started
             # at a fixed point: it stops there, after no step
             fixed = np.logical_and.reduce([np.all(a == b, axis=1) for a, b in zip(next_state, state)])
         state = next_state
-        dist = _norms(recorded)
         grew = dist > limit
         done = grew | (step_norm <= tol)
         if k == 0:
@@ -207,7 +270,9 @@ def _iterate(step: Callable, params: tuple, state: tuple, start: np.ndarray, max
         if k + 1 == distances.shape[1]:
             distances = np.concatenate([distances, np.full(distances.shape, np.nan)], axis=1)
         distances[index, k + 1] = dist
-        if not done.any():
+        # count_nonzero, not any(): this test runs every step, and for the
+        # few rows of a small batch any() costs about twice as much
+        if not np.count_nonzero(done):
             continue
         steps[index[done]] = k + 1
         if k == 0:
@@ -232,9 +297,10 @@ class _Replay(Sequence):
     """The iterates of a one-row run, recomputed when first read.
 
     ``build()`` returns the run's engine (see :func:`_engine`) afresh.
-    Applying its step map for the ``steps`` steps the run took gives the
-    run's iterates bit for bit: the step map is deterministic and never
-    writes into its start state. The length needs no replay.
+    Applying its step map for the ``steps`` steps the run took, and its
+    record map after each, gives the run's iterates bit for bit: both maps
+    are deterministic and the step never writes into its start state. The
+    length needs no replay.
     """
 
     def __init__(self, build: Callable[[], tuple], start: Vec, steps: int):
@@ -252,11 +318,11 @@ class _Replay(Sequence):
 
     def _replayed(self) -> list[Vec]:
         if self._vecs is None:
-            step, params, state, _ = self._build()
+            step, record, params, state = self._build()
             vecs = [self._start]
             for _ in range(self._steps):
-                state, recorded, _ = step(params, state)
-                vecs.append(Vec(recorded[0]))
+                state, _, _ = step(params, state)
+                vecs.append(Vec(record(params, state)[0]))
             self._vecs, self._build = vecs, None
         return self._vecs
 
@@ -272,15 +338,16 @@ def _run_one(
     a :class:`DivergenceError`."""
     rows = v.coeffs[None]
     build = lambda: _engine(problem, mode, alpha, gamma, rows, rows_are_u)
-    step, params, state, start = build()
+    step, record, params, state = build()
     if v.dim != problem.dim:
         raise ValueError(f"start dimension {v.dim} != problem dimension {problem.dim}")
+    start = record(params, state)
     if start is rows:  # DR records v itself
         first = v
     else:  # ADMM records rho * u0, which may overflow (Vec then raises)
         first = Vec._adopt(start[0]) if np.isfinite(start).all() else Vec(start[0])
     distances, steps, converged, diverged, state = _iterate(step, params, state, start, max_iter, tol)
-    # ADMM's state is (x, w, u): its trace keeps the last primal iterate
+    # ADMM's state is (x, u): its trace keeps the last primal iterate
     last_x = Vec(state[0][0]) if len(state) > 1 else None
     trace = IterateTrace(
         _Replay(build, first, int(steps[0])),
@@ -312,76 +379,94 @@ def _reflection(weights: np.ndarray, g: GFunction, gamma) -> np.ndarray:
     return -refl if g is GFunction.ZERO_INDICATOR else refl
 
 
-def _relaxed_step(params: tuple, state: tuple) -> tuple:
-    """One relaxed DR step ``(1 - alpha) z + alpha * refl * z``, with
-    ``refl`` the factor of :func:`_reflection`."""
-    alpha, refl = params
-    (z,) = state
-    z_next = z * (1.0 - alpha) + refl * z * alpha
-    return (z_next,), z_next, _norms(z_next - z)
+def _relaxed_engine(alpha, refl, z: np.ndarray) -> tuple:
+    """Step, record map, parameters and state of relaxed DR from the rows
+    ``z``: one step is ``(1 - alpha) z + alpha * refl * z``, with ``refl`` the
+    factor of :func:`_reflection`, and records ``z``."""
+    blocks = _ColumnBlocks(z.shape, reads=(True,), temps=1)
+
+    def step(params, state):
+        alpha, keep, refl = params
+
+        def update(z, refl, z_next, t):
+            z_next = np.multiply(z, keep, out=z_next)
+            t = np.multiply(refl, z, out=t)
+            t *= alpha
+            z_next += t
+            return (z_next,), z_next, np.subtract(z_next, z, out=t)
+
+        return blocks.run(update, (*state, refl), state)
+
+    return step, lambda params, state: state[0], (alpha, 1.0 - alpha, refl), (z,)
 
 
 def _admm_engine(f_weights: np.ndarray, nu: np.ndarray, alpha, rho, u: np.ndarray) -> tuple:
-    """Step, parameters and state of the scaled ADMM updates (see
-    :func:`run_admm`) from the rows ``u``, with ``x`` and ``w`` at the
-    origin; ``alpha`` and ``rho`` are scalars or columns."""
-    # per-engine scratch; rows only ever leave, so a prefix of each fits.
-    # zero is the start of x and w and the prox of the origin indicator (no
-    # step writes into it); v and u_new take turns in the pair, so that a
-    # step never writes into the u it reads
-    zero = np.zeros(u.shape)
-    x_buf, tmp_buf, rec_buf = (np.empty(u.shape) for _ in range(3))
-    pair = (np.empty(u.shape), np.empty(u.shape))
+    """Step, record map, parameters and state of the scaled ADMM updates (see
+    :func:`run_admm`) from the rows ``u``, with ``x`` at the origin; ``alpha``
+    and ``rho`` are scalars or columns. ``w`` is the prox of the origin
+    indicator, the origin at every step, so it is no state: ``w - u`` is
+    ``0.0 - u``, ``u + v - w`` is ``u + v``, and ``(1 - 2 alpha) w``, which
+    adds a signed zero to ``v``, is left out. That changes no bit of ``u``:
+    ``v`` is ``+0.0`` wherever ``u`` is zero, and elsewhere a zero added to
+    ``v`` cannot change ``u + v``."""
+    # the state is (x, u); no step reads x
+    blocks = _ColumnBlocks(u.shape, reads=(False, True), temps=2)
 
     def step(params, state):
         rho, relax, scale, denom = params
-        _, w, u = state
-        rows = u.shape[0]
-        x_new = np.subtract(w, u, out=x_buf[:rows])
-        np.multiply(scale, x_new, out=x_new)
-        np.divide(x_new, denom, out=x_new)
-        v = np.multiply(nu, x_new, out=pair[u.base is pair[0]][:rows])
-        np.multiply(relax, v, out=v)
-        tmp = np.multiply(1.0 - relax, w, out=tmp_buf[:rows])
-        np.add(v, tmp, out=v)
-        # u + v - w_new with w_new = +0.0, and x - (+0.0) == x for every float
-        u_new = np.add(u, v, out=v)
-        recorded = np.multiply(rho, u_new, out=rec_buf[:rows])
-        step_norm = np.ravel(rho) * _norms(np.subtract(u_new, u, out=tmp))
-        return (x_new, zero[:rows], u_new), recorded, step_norm
+        _, u = state
 
-    scale, denom = rho * nu, f_weights + rho * nu**2
+        def update(u, scale, denom, nu, x, u_new, v, diff):
+            x = np.subtract(0.0, u, out=x)
+            x *= scale
+            x /= denom
+            v = np.multiply(nu, x, out=v)
+            v *= relax
+            u_new = np.add(u, v, out=u_new)
+            return (x, u_new), np.multiply(rho, u_new, out=v), np.subtract(u_new, u, out=diff)
+
+        next_state, dist, step_norm = blocks.run(update, (u, scale, denom, nu), state)
+        return next_state, dist, np.ravel(rho) * step_norm
+
+    # the engine's own products may overflow where gamma * beta_hat does not
+    with np.errstate(over="ignore"):
+        square = nu**2
+    scale, denom = _finite_product(rho, nu, "nu"), f_weights + _finite_product(rho, square, "nu**2")
     params = (rho, 2.0 * alpha, scale, denom)
-    return step, params, (zero, zero, u)
+    return step, lambda params, state: params[0] * state[-1], params, (np.zeros(u.shape), u)
 
 
 def _engine(problem: CompositeProblem, mode: str, alpha, gamma, rows: np.ndarray, rows_are_u: bool = False) -> tuple:
     """The engine ``mode`` runs on ``problem`` from the start rows ``rows``:
-    ``(step, params, state, start)`` for :func:`_iterate`, with ``start`` the
-    recorded start rows. The one place that checks the mode and the problem
-    it needs.
+    ``(step, record, params, state)`` for :func:`_iterate`, where
+    ``record(params, state)`` gives the recorded rows of a state (the
+    start rows of :func:`_iterate` for the first state). The one place that
+    checks the mode and the problem it needs.
 
     ``alpha`` and ``gamma`` (``rho`` for ADMM) are scalars or ``(rows, 1)``
     columns. Relaxed DR runs on ``problem`` itself ("primal-dr", identity
     coupling only) or on its dual ("dual-dr") and records ``rows``. ADMM
     starts from ``u = rows * (1 / gamma)``, or from ``u = rows`` with
     ``rows_are_u``, and records ``gamma * u``. Dual DR and ADMM need ``g``
-    the indicator of the origin and an explicit diagonal coupling.
+    the indicator of the origin and an explicit diagonal coupling. A step
+    size whose product with a curvature or gain overflows raises ValueError.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if mode == "primal-dr":
         if problem.a is not None:
             raise ValueError("primal DR requires the identity coupling (problem.a must be None)")
-        return _relaxed_step, (alpha, _reflection(problem.f.weights, problem.g, gamma)), (rows,), rows
-    if problem.g is not GFunction.ZERO_INDICATOR or problem.a is None:
+        quad, g = problem.f, problem.g
+    elif problem.g is not GFunction.ZERO_INDICATOR or problem.a is None:
         raise ValueError(f"{mode} needs g = indicator of the origin and an explicit diagonal coupling")
-    if mode == "dual-dr":
+    elif mode == "dual-dr":
         # the conjugate of the origin indicator vanishes: the dual's g is zero
-        refl = _reflection(dual_function(problem).weights, GFunction.ZERO, gamma)
-        return _relaxed_step, (alpha, refl), (rows,), rows
-    u = rows if rows_are_u else rows * (1.0 / gamma)
-    return (*_admm_engine(problem.f.weights, problem.a.weights, alpha, gamma, u), gamma * u)
+        quad, g = dual_function(problem), GFunction.ZERO
+    else:
+        u = rows if rows_are_u else rows * (1.0 / gamma)
+        return _admm_engine(problem.f.weights, problem.a.weights, alpha, gamma, u)
+    _finite_product(gamma, quad.beta, "beta")
+    return _relaxed_engine(alpha, _reflection(quad.weights, g, gamma), rows)
 
 
 def run_dr(
@@ -477,11 +562,12 @@ def run_rows(
     ``BLOCK_ELEMENTS // dim`` rows (at least one), and ``starts`` is called
     once per block, in order, so starts can be drawn as they are needed.
     """
-    # a bad mode or problem fails here, even for a batch of no rows
-    _engine(problem, mode, 1.0, 1.0, np.empty((0, problem.dim)))
     alphas, gammas = _positive_rows(alphas=alphas, gammas=gammas)
     if alphas.ndim != 1 or alphas.shape != gammas.shape:
         raise ValueError("alphas and gammas must be 1-d and of equal length")
+    # a bad mode or problem, or a step size whose products overflow (they
+    # grow with it), fails here, before any block runs, even for no rows
+    _engine(problem, mode, 1.0, gammas.max(initial=1.0), np.empty((0, problem.dim)))
     rows, dim = alphas.size, problem.dim
     block = max(1, BLOCK_ELEMENTS // dim)
     steps = np.zeros(rows, dtype=int)
@@ -492,9 +578,8 @@ def run_rows(
         z = np.asarray(starts(part), dtype=float)
         if z.shape != (part.stop - part.start, dim):
             raise ValueError(f"start rows have shape {z.shape}, expected {(part.stop - part.start, dim)}")
-        dist, steps[part], _, diverged[part], _ = _iterate(
-            *_engine(problem, mode, alphas[part, None], gammas[part, None], z), max_iter, tol
-        )
+        step, record, params, state = _engine(problem, mode, alphas[part, None], gammas[part, None], z)
+        dist, steps[part], _, diverged[part], _ = _iterate(step, params, state, record(params, state), max_iter, tol)
         blocks.append(dist)
     distances = np.full((rows, max((d.shape[1] for d in blocks), default=1)), np.nan)
     for lo, dist in zip(range(0, rows, block), blocks):

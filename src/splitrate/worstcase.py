@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from .functions import CompositeProblem, DiagOperator, DiagQuadratic, GFunction
-from .rates import _check_positive, _positive_rows, _psi, psi
+from .rates import _check_positive, _finite_product, _positive_rows, _psi, psi
 
 __all__ = [
     "make_primal_instance",
@@ -135,10 +135,11 @@ def worst_coordinates(quad: DiagQuadratic, alpha, gamma):
     whose step factor is larger in magnitude. Ties (e.g. at gamma =
     1/sqrt(sigma*beta), where the two factors agree up to rounding) go to the
     sigma band. Many points give one coordinate each, for
-    :func:`splitrate.hilbert.basis_rows`."""
+    :func:`splitrate.hilbert.basis_rows`. Raises ValueError where
+    ``gamma * beta`` overflows, as the rate formulas do."""
     alpha, gamma = _positive_rows(alpha=alpha, gamma=gamma)
     c_sigma = _relaxed_factor(alpha, _psi(gamma * quad.sigma))
-    c_beta = _relaxed_factor(alpha, _psi(gamma * quad.beta))
+    c_beta = _relaxed_factor(alpha, _psi(_finite_product(gamma, quad.beta, "beta")))
     on_sigma, on_beta = _band_coordinates(quad)
     return np.where(np.abs(c_sigma) >= np.abs(c_beta) * (1.0 - 1e-12), on_sigma, on_beta)[()]
 

@@ -245,6 +245,21 @@ def test_a_step_size_whose_product_with_beta_overflows_exits_2(args, capsys):
     assert "gamma * beta must be finite" in captured.err
 
 
+@pytest.mark.parametrize("command", ["sweep", "run"])
+def test_an_admm_step_size_whose_engine_products_overflow_exits_2(command, capsys):
+    # the bound's gamma * beta_hat = 1e304 is finite, but the engine's
+    # gamma * nu**2 = 1e309 is not: this printed an overflow warning and a
+    # row "theoretical=1, empirical=nan, verdict=bounded", and exited 0
+    args = [command, "--mode", "admm", "--sigma", "1e5", "--beta", "1e6", "--zeta", "100"]
+    args += ["--alpha", "1", "--gamma", "1e305"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "gamma * nu**2 must be finite" in captured.err
+
+
 def test_run_dual_and_admm_modes_tight(capsys):
     for mode in ("dual-dr", "admm"):
         code, out = run_cli(["run", "--mode", mode], capsys)

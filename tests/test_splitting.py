@@ -646,36 +646,36 @@ def _norm(v):
     return math.sqrt(float(np.dot(v, v)))
 
 
-def _reference_dr(weights, negate, alpha, gamma, z, max_iter, tol):
+def _reference_dr(weights, negate, alpha, gamma, z, max_iter, tol, norm=_norm):
     """One relaxed DR run written out as a loop that keeps every iterate,
-    with the step's expressions before iterates were replayed: (iterates,
-    diverged)."""
+    with the step's expressions before iterates were replayed and before
+    steps ran in column blocks, normed by ``norm``: (iterates, diverged)."""
     gw = gamma * weights
     refl = (1.0 - gw) / (1.0 + gw)
     if negate:
         refl = -refl
-    iterates, first = [z], _norm(z)
+    iterates, first = [z], norm(z)
     for k in range(max_iter):
         z_next = z * (1.0 - alpha) + refl * z * alpha
         if k == 0 and np.array_equal(z_next, z):
             break
         iterates.append(z_next)
-        if first > 0.0 and _norm(z_next) > 10.0 * first:
+        if first > 0.0 and norm(z_next) > 10.0 * first:
             return iterates, True
-        if _norm(z_next - z) <= tol:
+        if norm(z_next - z) <= tol:
             break
         z = z_next
     return iterates, False
 
 
-def _reference_admm(lam, nu, alpha, rho, u, max_iter, tol):
+def _reference_admm(lam, nu, alpha, rho, u, max_iter, tol, norm=_norm):
     """One scaled ADMM run written out the same way, from ``x = w = 0``, with
-    the ``- w`` pass that the engine drops as an identity: (iterates,
+    the passes over ``w`` that the engine drops as identities: (iterates,
     diverged, final x)."""
     relax, scale, denom = 2.0 * alpha, rho * nu, lam + rho * nu**2
     x, w = np.zeros(u.shape), np.zeros(u.shape)
     iterates = [rho * u]
-    first = _norm(iterates[0])
+    first = norm(iterates[0])
     for k in range(max_iter):
         x_new = scale * (w - u) / denom
         v = relax * (nu * x_new) + (1.0 - relax) * w
@@ -685,9 +685,9 @@ def _reference_admm(lam, nu, alpha, rho, u, max_iter, tol):
             return iterates, False, x_new
         x, w, u_prev, u = x_new, w_new, u, u_new
         iterates.append(rho * u)
-        if first > 0.0 and _norm(iterates[-1]) > 10.0 * first:
+        if first > 0.0 and norm(iterates[-1]) > 10.0 * first:
             return iterates, True, x
-        if rho * _norm(u - u_prev) <= tol:
+        if rho * norm(u - u_prev) <= tol:
             break
     return iterates, False, x
 
@@ -718,6 +718,83 @@ def _check_replay(problem, mode, alpha, gamma, start, max_iter, tol):
     if mode == "admm":
         assert trace.final_x.coeffs.tobytes() == ref_x.tobytes()
     return trace.n_steps, diverged
+
+
+def _chunked_norm(v):
+    return float(splitting._norms(v[None])[0])
+
+
+@pytest.mark.parametrize("mode", splitting.MODES)
+@pytest.mark.parametrize("extra", [-1, 0, 1, 2 * splitting.NORM_CHUNK + 5])
+def test_column_blocks_equal_the_unblocked_steps_bitwise(monkeypatch, mode, extra):
+    # one chunk per column block keeps the dims small: a row of NORM_CHUNK
+    # + extra elements is one block (extra <= 0), two blocks the last of
+    # width 1, or four blocks the last of width 5. The rows stop by tol, by
+    # the guard, at a zero start and at the budget, so stopped rows are
+    # stepped on as NaN rows and then gathered out mid-batch.
+    monkeypatch.setattr(splitting, "COLUMN_BLOCK", splitting.NORM_CHUNK)
+    dim = splitting.NORM_CHUNK + extra
+    half = range(dim // 2)
+    if mode == "primal-dr":
+        problem = make_primal_instance(SIGMA, BETA, dim, half)
+        curvatures = problem.f
+    else:
+        problem = make_dual_instance(SIGMA, BETA, 1.0, 3.0, dim, half, pairing="crossed")
+        curvatures = dual_function(problem)
+    rng = np.random.default_rng(dim)
+    gammas = np.array([1.0, 1.0, 1.0, 0.5, 1.0]) / math.sqrt(curvatures.sigma * curvatures.beta)
+    upper = alpha_upper_bound(gammas, curvatures.sigma, curvatures.beta)
+    alphas = np.array([1.0, 1.9 * upper[1], 0.5 * upper[2], 0.6 * upper[3], 0.05 * upper[4]])
+    starts = rng.uniform(-1.0, 1.0, (5, dim))
+    starts[2] = 0.0
+    max_iter, tol = 60, 1e-2
+    runs = run_rows(problem, mode, alphas, gammas, lambda rows: starts[rows], max_iter=max_iter, tol=tol)
+    assert 0 < runs.steps[0] < max_iter and runs.diverged[1] and runs.steps[2] == 0 and runs.steps[4] == max_iter
+    for i in range(5):
+        if mode == "admm":
+            u0 = starts[i] * (1.0 / gammas[i])
+            iterates, diverged, ref_x = _reference_admm(
+                problem.f.weights, problem.a.weights, alphas[i], gammas[i], u0, max_iter, tol, _chunked_norm
+            )
+            try:
+                trace = run_admm(problem, gammas[i], alphas[i], u0=Vec(u0), max_iter=max_iter, tol=tol)
+            except DivergenceError as exc:
+                trace = exc.trace
+            assert trace.final_x.coeffs.tobytes() == ref_x.tobytes()
+        else:
+            weights = problem.f.weights if mode == "primal-dr" else curvatures.weights
+            iterates, diverged = _reference_dr(
+                weights, False, alphas[i], gammas[i], starts[i], max_iter, tol, _chunked_norm
+            )
+        distances = np.array([_chunked_norm(z) for z in iterates])
+        assert (runs.steps[i], runs.diverged[i]) == (len(iterates) - 1, diverged)
+        assert runs.distances[i, : len(iterates)].tobytes() == distances.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["primal-dr", "admm"])
+def test_a_step_holds_no_row_sized_temporary(mode):
+    # a step's temporaries are column blocks: from the engine's build to
+    # its twentieth step, the traced peak stays within a few blocks of the
+    # buffers the engine holds, where one row is 1.6 MB
+    dim = 200_000
+    half = range(dim // 2)
+    rows = np.random.default_rng(28).uniform(-1.0, 1.0, (1, dim))
+    if mode == "admm":
+        problem = make_dual_instance(SIGMA, BETA, 1.0, 3.0, dim, half, pairing="crossed")
+    else:
+        problem = make_primal_instance(SIGMA, BETA, dim, half)
+    tracemalloc.start()
+    try:
+        step, record, params, state = splitting._engine(problem, mode, 0.9, 0.5, rows)
+        start = record(params, state)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        _, steps, _, diverged, _ = splitting._iterate(step, params, state, start, 20, 0.0)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert steps[0] == 20 and not diverged[0]
+    assert peak < 2 * splitting.COLUMN_BLOCK * 8
 
 
 def _signed_zeros(rng, dim, share):
@@ -857,6 +934,31 @@ def test_run_memory_does_not_grow_with_steps(mode):
     finally:
         tracemalloc.stop()
     assert peaks[1] - peaks[0] < dim * 8 // 4
+
+
+def test_dr_rejects_a_step_size_whose_product_with_beta_overflows(primal):
+    # the rate formulas' check: gamma * beta = inf made the reflection factor
+    # NaN, with a warning, and the row read NaN distances with diverged=False
+    with pytest.raises(ValueError, match=r"gamma \* beta must be finite"):
+        run_rows(primal, "primal-dr", [1.0], [1e308], lambda rows: np.ones((1, 8)))
+    with pytest.raises(ValueError, match=r"gamma \* beta must be finite"):
+        run_dr(primal, SplitParams(1.0, 1e308), _unit(8, 0))
+    # a product that stays finite still runs
+    assert run_rows(primal, "primal-dr", [1.0], [1e307], lambda rows: np.ones((1, 8))).steps[0] > 0
+
+
+def test_admm_rejects_a_step_size_whose_own_products_overflow():
+    # beta_hat = zeta**2 / sigma = 0.1, so rho * beta_hat and the bound are
+    # finite at rho = 1e305, but the engine's rho * nu**2 = 1e309 is not
+    coupled = make_dual_instance(1e5, 1e6, 1.0, 100.0, 8, range(4), pairing="crossed")
+    starts = lambda rows: np.ones((2, 8))
+    for call in (
+        lambda: run_rows(coupled, "admm", [1.0, 1.0], [1.0, 1e305], starts),
+        lambda: run_admm(coupled, 1e305, 1.0),
+    ):
+        with pytest.raises(ValueError, match=r"gamma \* nu\*\*2 must be finite"):
+            call()
+    assert not run_rows(coupled, "dual-dr", [1.0, 1.0], [1.0, 1e305], starts).diverged.any()
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])

@@ -110,6 +110,17 @@ def test_worst_start_vector_picks_the_band():
     assert p.f.weights[worst_coordinates(p.f, 1.0, 100.0)] == BETA
 
 
+def test_worst_coordinates_reject_a_step_size_whose_product_with_beta_overflows():
+    # gamma * beta = inf made the beta band's factor NaN, with a warning,
+    # and the sigma band won by default
+    quad = default_primal_instance().f
+    for gamma in (1e308, np.array([1.0, 1e308])):
+        with pytest.raises(ValueError, match=r"gamma \* beta must be finite"):
+            worst_coordinates(quad, 1.0, gamma)
+    # a product that stays finite is still a point
+    assert worst_coordinates(quad, 1.0, 1e307) in (0, 4)
+
+
 def test_worst_coordinates_pick_the_worst_start_vectors():
     rng = np.random.default_rng(28)
     gammas = GAMMA_STAR * 10.0 ** rng.uniform(-2.0, 2.0, 300)
