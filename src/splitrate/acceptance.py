@@ -18,13 +18,13 @@ from .hilbert import Vec, basis_rows, random_basis_map
 from .prox import prox_oracle
 from .rates import (
     TIGHT_CASES,
+    _psi,
     alpha_upper_bound,
     classify_tightness,
     dual_rate_constants,
-    psi,
     theoretical_rate,
 )
-from .splitting import SplitParams, _norms, fit_rates, run_dr, run_rows
+from .splitting import SplitParams, _engine, _norms, _stepped, fit_rates, run_dr, run_rows
 from .worstcase import (
     DEFAULT_BETA,
     DEFAULT_SIGMA,
@@ -211,24 +211,41 @@ def _closed_form_evolution():
     sigma, beta = DEFAULT_SIGMA, DEFAULT_BETA
     gamma_star = 1.0 / math.sqrt(sigma * beta)
     rng = np.random.default_rng(99)
-    worst = 0.0
+    # one run per (draw, band), draw by draw, as Python floats: the
+    # expectations are scalar predict_iterate calls
+    runs = []
     for _ in range(25):
         gamma = gamma_star * 10.0 ** rng.uniform(-1.2, 1.2)
         upper = alpha_upper_bound(gamma, sigma, beta)
         alpha = rng.uniform(0.05, upper - 0.02)
-        params = SplitParams(alpha, gamma)
-        for index, lam in ((0, sigma), (problem.dim - 1, beta)):
-            start = Vec(basis_rows(problem.dim, [index])[0])
-            trace = run_dr(problem, params, start, max_iter=30, tol=0.0)
-            for k, z in enumerate(trace.iterates):
-                expected = np.zeros(problem.dim)
-                expected[index] = predict_iterate(lam, alpha, gamma, k)
-                worst = max(worst, float(np.max(np.abs(z.coeffs - expected))))
-                if worst > 1e-12:
-                    return False, (
-                        f"iterate {k} off closed form by {worst:.3e} at "
-                        f"(alpha={alpha:g}, gamma={gamma:g}, curvature={lam:g})"
-                    )
+        runs += [(alpha, gamma, index, lam) for index, lam in ((0, sigma), (problem.dim - 1, beta))]
+    alphas, gammas, index, _ = (np.array(column) for column in zip(*runs))
+    starts = basis_rows(problem.dim, index)
+    outcome = run_rows(problem, "primal-dr", alphas, gammas, lambda rows: starts[rows], max_iter=30, tol=0.0)
+    steps = int(outcome.steps.max())
+    engine = _engine(problem, "primal-dr", float(gammas.max()))(alphas[:, None], gammas[:, None], starts)
+    iterates = np.stack([starts, *(z.copy() for z in _stepped(engine, steps))], axis=1)
+    expected = np.zeros(iterates.shape)
+    expected[np.arange(len(runs)), :, index] = [
+        [predict_iterate(lam, alpha, gamma, k) for k in range(steps + 1)] for alpha, gamma, _, lam in runs
+    ]
+    errors = np.max(np.abs(iterates - expected), axis=2)
+    # each run's iterates up to its last step; a diverged run fails before
+    # any of its iterates is compared, as its one-row run raises
+    compared = np.arange(steps + 1) <= outcome.steps[:, None]
+    failed = compared & ~(errors <= 1e-12)
+    failed[outcome.diverged] = False
+    failed[outcome.diverged, 0] = True
+    if failed.any():
+        row, k = np.unravel_index(np.argmax(failed), failed.shape)
+        alpha, gamma, _, lam = runs[row]
+        if outcome.diverged[row]:
+            run_dr(problem, SplitParams(alpha, gamma), Vec(starts[row]), max_iter=30, tol=0.0)  # raises
+        return False, (
+            f"iterate {k} off closed form by {errors[row, k]:.3e} at "
+            f"(alpha={alpha:g}, gamma={gamma:g}, curvature={lam:g})"
+        )
+    worst = float(errors[compared].max())
     return True, f"25 parameter draws x 2 curvature bands x 30 steps, max coordinate error {worst:.3e} <= 1e-12"
 
 
@@ -335,15 +352,16 @@ def _psi_monotonicity(rng):
     ys = rng.uniform(-0.999, 50.0, 10_000)
     lo, hi = np.minimum(xs, ys), np.maximum(xs, ys)
     keep = lo < hi
-    return all(psi(a) > psi(b) for a, b in zip(lo[keep], hi[keep])), ""
+    return bool(np.all(_psi(lo[keep]) > _psi(hi[keep]))), ""
 
 
 def _psi_reciprocal(rng):
     """psi(x) <= -psi(y) exactly when x*y >= 1 (10^4 pairs, 1e-12 boundary slack)."""
     xs = 10.0 ** rng.uniform(-3.0, 1.7, 10_000)
     ys = rng.uniform(-0.999, 60.0, 10_000)
-    pairs = ((x, y) for x, y in zip(xs, ys) if abs(x * y - 1.0) > 1e-12)
-    return all((psi(x) <= -psi(y)) == (x * y >= 1.0) for x, y in pairs), ""
+    keep = np.abs(xs * ys - 1.0) > 1e-12
+    xs, ys = xs[keep], ys[keep]
+    return bool(np.all((_psi(xs) <= -_psi(ys)) == (xs * ys >= 1.0))), ""
 
 
 def _prox_oracle_agreement(rng):
@@ -352,13 +370,14 @@ def _prox_oracle_agreement(rng):
     log-uniform)."""
     problem = default_primal_instance()
     weights = problem.f.weights
-    worst = 0.0
+    gammas, ys = [], []
     for _ in range(100):
-        gamma = 10.0 ** rng.uniform(-3.0, 3.0)
-        y = rng.uniform(-5.0, 5.0, problem.dim)
-        oracle = prox_oracle(lambda i, t: 0.5 * weights[i] * t * t, gamma, y)
-        half_step = run_dr(problem, SplitParams(0.5, gamma), Vec(y), max_iter=1, tol=0.0).iterates[1]
-        worst = max(worst, float(np.max(np.abs(half_step.coeffs - oracle))))
+        gammas.append(10.0 ** rng.uniform(-3.0, 3.0))
+        ys.append(rng.uniform(-5.0, 5.0, problem.dim))
+    gammas, ys = np.array(gammas)[:, None], np.array(ys)
+    oracle = prox_oracle(lambda i, t: 0.5 * weights[i] * t * t, gammas, ys)
+    (half_step,) = _stepped(_engine(problem, "primal-dr", float(gammas.max()))(0.5, gammas, ys), 1)
+    worst = float(np.max(np.abs(half_step - oracle)))
     return worst <= 1e-10, f"max error {worst:.3e}"
 
 
@@ -366,14 +385,13 @@ def _coupling_operator(rng):
     """The coupling operator is self-adjoint, with norm bounds attained on basis vectors."""
     op = default_dual_instance("aligned").a
     w = op.weights
-    holds = True
-    for _ in range(1000):
-        x, y = (rng.uniform(-1.0, 1.0, op.dim) for _ in range(2))
-        holds &= abs(np.dot(w * x, y) - np.dot(x, w * y)) <= 1e-12
-        nx, nax = math.sqrt(np.dot(x, x)), math.sqrt(np.dot(w * x, w * x))
-        holds &= op.theta * nx - 1e-12 <= nax <= op.zeta * nx + 1e-12
-    for unit, gain in zip(basis_rows(op.dim, [np.argmin(w), np.argmax(w)]), (op.theta, op.zeta)):
-        holds &= abs(math.sqrt(np.dot(w * unit, w * unit)) - gain) <= 1e-12
+    # the pairs (x, y) of 1000 draws of x, then y
+    x, y = np.moveaxis(rng.uniform(-1.0, 1.0, (1000, 2, op.dim)), 1, 0)
+    holds = np.all(np.abs(np.vecdot(w * x, y) - np.vecdot(x, w * y)) <= 1e-12)
+    nx, nax = np.sqrt(np.vecdot(x, x)), np.sqrt(np.vecdot(w * x, w * x))
+    holds &= np.all((op.theta * nx - 1e-12 <= nax) & (nax <= op.zeta * nx + 1e-12))
+    units = w * basis_rows(op.dim, [np.argmin(w), np.argmax(w)])
+    holds &= np.all(np.abs(np.sqrt(np.vecdot(units, units)) - [op.theta, op.zeta]) <= 1e-12)
     return bool(holds), ""
 
 

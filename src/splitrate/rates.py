@@ -64,15 +64,23 @@ def _check_spectrum(sigma: float, beta: float) -> None:
         raise ValueError(f"need 0 < sigma <= beta, got sigma={sigma!r}, beta={beta!r}")
 
 
+def _check_finite_product(gamma: float, factor: float, name: str) -> None:
+    """Raise ValueError where the float product ``gamma * factor``
+    overflows; ``name`` names ``factor`` in the message. An overflowing
+    product would turn a reflection factor or a rate term into NaN."""
+    factor = float(factor)
+    if not math.isfinite(float(gamma) * factor):
+        raise ValueError(f"gamma * {name} must be finite, got an overflow at {name}={factor!r}")
+
+
 def _finite_product(gamma, factor, name: str):
-    """``gamma * factor``, raising ValueError where it overflows; ``name``
-    names ``factor`` in the message. An overflowing product would turn a
-    reflection factor or a rate term into NaN."""
-    with np.errstate(over="ignore"):
-        product = gamma * factor
-    if not np.isfinite(product).all():
-        raise ValueError(f"gamma * {name} must be finite, got an overflow at {name}={float(np.max(factor))!r}")
-    return product
+    """``gamma * factor`` for positive ``gamma`` and ``factor``, raising
+    ValueError where it overflows (see :func:`_check_finite_product`).
+    Rounding is monotone, so the product of the largest of each is the
+    largest product, and checking it in Python floats needs no
+    floating-point error state."""
+    _check_finite_product(np.max(gamma, initial=0.0), np.max(factor, initial=0.0), name)
+    return gamma * factor
 
 
 def _max_terms(gamma: np.ndarray, sigma: float, beta: float) -> np.ndarray:

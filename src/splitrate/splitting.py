@@ -12,7 +12,7 @@ import numpy as np
 
 from .functions import CompositeProblem, GFunction, dual_function
 from .hilbert import Vec
-from .rates import _check_positive, _finite_product, _positive_rows
+from .rates import _check_finite_product, _check_positive, _positive_rows
 
 __all__ = [
     "SplitParams",
@@ -216,6 +216,21 @@ def _step_ratios(distances: np.ndarray) -> np.ndarray:
     return np.divide(after, before, out=np.full(before.shape, np.nan), where=before >= RATIO_FLOOR)
 
 
+def _unchanged(before: tuple, after: tuple) -> np.ndarray:
+    """Which rows of the state ``after`` are exactly the rows of the state
+    ``before``, compared ``COLUMN_BLOCK`` columns at a time, so that no
+    row-sized boolean array is made; the blocks stop once no row can be
+    unchanged."""
+    same = np.ones(before[0].shape[0], dtype=bool)
+    for a, b in zip(before, after):
+        for lo in range(0, a.shape[1], COLUMN_BLOCK):
+            if not np.count_nonzero(same):
+                return same
+            cols = slice(lo, lo + COLUMN_BLOCK)
+            same &= np.all(a[:, cols] == b[:, cols], axis=1)
+    return same
+
+
 def _iterate(step: Callable, params: tuple, state: tuple, start: np.ndarray, max_iter: int, tol: float):
     """Run ``step`` on a batch of rows: the loop of every engine.
 
@@ -259,7 +274,7 @@ def _iterate(step: Callable, params: tuple, state: tuple, start: np.ndarray, max
         if k == 0:
             # a row whose first step leaves its state exactly unchanged started
             # at a fixed point: it stops there, after no step
-            fixed = np.logical_and.reduce([np.all(a == b, axis=1) for a, b in zip(next_state, state)])
+            fixed = _unchanged(state, next_state)
         state = next_state
         grew = dist > limit
         done = grew | (step_norm <= tol)
@@ -293,14 +308,25 @@ def _iterate(step: Callable, params: tuple, state: tuple, start: np.ndarray, max
     return distances[:, : steps.max(initial=0) + 1], steps, converged, diverged, state
 
 
+def _stepped(engine: tuple, steps: int):
+    """The recorded rows of an engine (see :func:`_engine`) after each of
+    its first ``steps`` steps, one ``(rows, dim)`` array per step, with no
+    stop test: bit for bit the iterates of the runs of its rows, since both
+    maps are deterministic and a step never writes into the state it reads.
+    A later step may write into a yielded array (long rows take turns in a
+    pair of buffers), so copy one to keep it."""
+    step, record, params, state = engine
+    for _ in range(steps):
+        state, _, _ = step(params, state)
+        yield record(params, state)
+
+
 class _Replay(Sequence):
     """The iterates of a one-row run, recomputed when first read.
 
-    ``build()`` returns the run's engine (see :func:`_engine`) afresh.
-    Applying its step map for the ``steps`` steps the run took, and its
-    record map after each, gives the run's iterates bit for bit: both maps
-    are deterministic and the step never writes into its start state. The
-    length needs no replay.
+    ``build()`` returns the run's engine (see :func:`_engine`) afresh, and
+    :func:`_stepped` gives its iterates for the ``steps`` steps the run
+    took. The length needs no replay.
     """
 
     def __init__(self, build: Callable[[], tuple], start: Vec, steps: int):
@@ -318,12 +344,8 @@ class _Replay(Sequence):
 
     def _replayed(self) -> list[Vec]:
         if self._vecs is None:
-            step, record, params, state = self._build()
-            vecs = [self._start]
-            for _ in range(self._steps):
-                state, _, _ = step(params, state)
-                vecs.append(Vec(record(params, state)[0]))
-            self._vecs, self._build = vecs, None
+            stepped = _stepped(self._build(), self._steps)
+            self._vecs, self._build = [self._start, *(Vec(rows[0]) for rows in stepped)], None
         return self._vecs
 
 
@@ -332,12 +354,13 @@ def _run_one(
     step_name: str = "gamma", rows_are_u: bool = False,
 ) -> IterateTrace:
     """One run of ``mode`` from ``v`` through :func:`_iterate`, as an
-    :class:`IterateTrace`: ``v`` is the one start row of :func:`_engine`
-    (``rows_are_u`` as there), and the engine is built again when the
-    iterates are first read. ``step_name`` names ``gamma`` in the message of
-    a :class:`DivergenceError`."""
+    :class:`IterateTrace`: ``v`` is the one start row of the engine of
+    :func:`_engine` (``rows_are_u`` as there), and the engine is built again
+    when the iterates are first read. ``step_name`` names ``gamma`` in the
+    message of a :class:`DivergenceError`."""
     rows = v.coeffs[None]
-    build = lambda: _engine(problem, mode, alpha, gamma, rows, rows_are_u)
+    engine = _engine(problem, mode, gamma)
+    build = lambda: engine(alpha, gamma, rows, rows_are_u)
     step, record, params, state = build()
     if v.dim != problem.dim:
         raise ValueError(f"start dimension {v.dim} != problem dimension {problem.dim}")
@@ -400,15 +423,15 @@ def _relaxed_engine(alpha, refl, z: np.ndarray) -> tuple:
     return step, lambda params, state: state[0], (alpha, 1.0 - alpha, refl), (z,)
 
 
-def _admm_engine(f_weights: np.ndarray, nu: np.ndarray, alpha, rho, u: np.ndarray) -> tuple:
+def _admm_engine(f_weights: np.ndarray, nu: np.ndarray, square: np.ndarray, alpha, rho, u: np.ndarray) -> tuple:
     """Step, record map, parameters and state of the scaled ADMM updates (see
     :func:`run_admm`) from the rows ``u``, with ``x`` at the origin; ``alpha``
-    and ``rho`` are scalars or columns. ``w`` is the prox of the origin
-    indicator, the origin at every step, so it is no state: ``w - u`` is
-    ``0.0 - u``, ``u + v - w`` is ``u + v``, and ``(1 - 2 alpha) w``, which
-    adds a signed zero to ``v``, is left out. That changes no bit of ``u``:
-    ``v`` is ``+0.0`` wherever ``u`` is zero, and elsewhere a zero added to
-    ``v`` cannot change ``u + v``."""
+    and ``rho`` are scalars or columns, and ``square`` is ``nu * nu``. ``w``
+    is the prox of the origin indicator, the origin at every step, so it is
+    no state: ``w - u`` is ``0.0 - u``, ``u + v - w`` is ``u + v``, and
+    ``(1 - 2 alpha) w``, which adds a signed zero to ``v``, is left out.
+    That changes no bit of ``u``: ``v`` is ``+0.0`` wherever ``u`` is zero,
+    and elsewhere a zero added to ``v`` cannot change ``u + v``."""
     # the state is (x, u); no step reads x
     blocks = _ColumnBlocks(u.shape, reads=(False, True), temps=2)
 
@@ -428,28 +451,30 @@ def _admm_engine(f_weights: np.ndarray, nu: np.ndarray, alpha, rho, u: np.ndarra
         next_state, dist, step_norm = blocks.run(update, (u, scale, denom, nu), state)
         return next_state, dist, np.ravel(rho) * step_norm
 
-    # the engine's own products may overflow where gamma * beta_hat does not
-    with np.errstate(over="ignore"):
-        square = nu**2
-    scale, denom = _finite_product(rho, nu, "nu"), f_weights + _finite_product(rho, square, "nu**2")
-    params = (rho, 2.0 * alpha, scale, denom)
+    params = (rho, 2.0 * alpha, rho * nu, f_weights + rho * square)
     return step, lambda params, state: params[0] * state[-1], params, (np.zeros(u.shape), u)
 
 
-def _engine(problem: CompositeProblem, mode: str, alpha, gamma, rows: np.ndarray, rows_are_u: bool = False) -> tuple:
-    """The engine ``mode`` runs on ``problem`` from the start rows ``rows``:
-    ``(step, record, params, state)`` for :func:`_iterate`, where
-    ``record(params, state)`` gives the recorded rows of a state (the
-    start rows of :func:`_iterate` for the first state). The one place that
-    checks the mode and the problem it needs.
+def _engine(problem: CompositeProblem, mode: str, gamma: float) -> Callable:
+    """The engine ``mode`` runs on ``problem``, at step sizes up to ``gamma``,
+    as a builder: ``build(alpha, gamma, rows, rows_are_u=False)`` returns
+    ``(step, record, params, state)`` for :func:`_iterate` from the start
+    rows ``rows``, where ``record(params, state)`` gives the recorded rows of
+    a state (the start rows of :func:`_iterate` for the first state).
 
-    ``alpha`` and ``gamma`` (``rho`` for ADMM) are scalars or ``(rows, 1)``
-    columns. Relaxed DR runs on ``problem`` itself ("primal-dr", identity
-    coupling only) or on its dual ("dual-dr") and records ``rows``. ADMM
-    starts from ``u = rows * (1 / gamma)``, or from ``u = rows`` with
-    ``rows_are_u``, and records ``gamma * u``. Dual DR and ADMM need ``g``
-    the indicator of the origin and an explicit diagonal coupling. A step
-    size whose product with a curvature or gain overflows raises ValueError.
+    The one place that checks the mode and the problem it needs, once for
+    every engine it builds; the work over every coordinate that does not
+    depend on the step size (the dual curvatures, ADMM's squared gains) is
+    done here once too. ``alpha`` and ``gamma`` (``rho`` for ADMM) of a
+    build are scalars or ``(rows, 1)`` columns, with ``gamma`` no larger
+    than the ``gamma`` checked here. Relaxed DR runs on ``problem`` itself
+    ("primal-dr", identity coupling only) or on its dual ("dual-dr") and
+    records ``rows``. ADMM starts from ``u = rows * (1 / gamma)``, or from
+    ``u = rows`` with ``rows_are_u``, and records ``gamma * u``. Dual DR and
+    ADMM need ``g`` the indicator of the origin and an explicit diagonal
+    coupling. A step size whose product with a curvature or gain overflows
+    raises ValueError: rounding is monotone, so the product of ``gamma`` and
+    the largest curvature or gain, in Python floats, is the largest one.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -463,10 +488,21 @@ def _engine(problem: CompositeProblem, mode: str, alpha, gamma, rows: np.ndarray
         # the conjugate of the origin indicator vanishes: the dual's g is zero
         quad, g = dual_function(problem), GFunction.ZERO
     else:
-        u = rows if rows_are_u else rows * (1.0 / gamma)
-        return _admm_engine(problem.f.weights, problem.a.weights, alpha, gamma, u)
-    _finite_product(gamma, quad.beta, "beta")
-    return _relaxed_engine(alpha, _reflection(quad.weights, g, gamma), rows)
+        f_weights, nu = problem.f.weights, problem.a.weights
+        # the engine's own products may overflow where gamma * beta_hat does not
+        top = float(nu.max())
+        _check_finite_product(gamma, top, "nu")
+        _check_finite_product(gamma, top * top, "nu**2")
+        square = nu * nu
+
+        def build(alpha, gamma, rows: np.ndarray, rows_are_u: bool = False) -> tuple:
+            u = rows if rows_are_u else rows * (1.0 / gamma)
+            return _admm_engine(f_weights, nu, square, alpha, gamma, u)
+
+        return build
+    _check_finite_product(gamma, quad.beta, "beta")
+    weights = quad.weights
+    return lambda alpha, gamma, rows, rows_are_u=False: _relaxed_engine(alpha, _reflection(weights, g, gamma), rows)
 
 
 def run_dr(
@@ -567,7 +603,7 @@ def run_rows(
         raise ValueError("alphas and gammas must be 1-d and of equal length")
     # a bad mode or problem, or a step size whose products overflow (they
     # grow with it), fails here, before any block runs, even for no rows
-    _engine(problem, mode, 1.0, gammas.max(initial=1.0), np.empty((0, problem.dim)))
+    engine = _engine(problem, mode, float(gammas.max(initial=1.0)))
     rows, dim = alphas.size, problem.dim
     block = max(1, BLOCK_ELEMENTS // dim)
     steps = np.zeros(rows, dtype=int)
@@ -578,7 +614,7 @@ def run_rows(
         z = np.asarray(starts(part), dtype=float)
         if z.shape != (part.stop - part.start, dim):
             raise ValueError(f"start rows have shape {z.shape}, expected {(part.stop - part.start, dim)}")
-        step, record, params, state = _engine(problem, mode, alphas[part, None], gammas[part, None], z)
+        step, record, params, state = engine(alphas[part, None], gammas[part, None], z)
         dist, steps[part], _, diverged[part], _ = _iterate(step, params, state, record(params, state), max_iter, tol)
         blocks.append(dist)
     distances = np.full((rows, max((d.shape[1] for d in blocks), default=1)), np.nan)

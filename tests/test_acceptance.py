@@ -54,6 +54,18 @@ def test_contraction_bound_grid_detail_is_unchanged():
     assert detail == "11200 runs over 224 feasible grid points, max(empirical - bound) = 1.110e-16 <= 1e-9"
 
 
+def test_closed_form_evolution_detail_is_unchanged():
+    passed, detail = acceptance._closed_form_evolution()
+    assert passed
+    assert detail == "25 parameter draws x 2 curvature bands x 30 steps, max coordinate error 9.992e-16 <= 1e-12"
+
+
+def test_property_suites_detail_is_unchanged():
+    passed, detail = acceptance._property_suites()
+    assert passed
+    assert detail == "all property suites passed (prox-oracle max error 3.038e-12)"
+
+
 @pytest.mark.parametrize("name", acceptance._PROPERTY_CHECKS)
 def test_property_check(name):
     passed, note = acceptance._PROPERTY_CHECKS[name](np.random.default_rng(PROPERTY_SEEDS[name]))
@@ -64,6 +76,16 @@ def test_coefficient_norm_fails_on_a_scaled_norm(monkeypatch):
     norms = acceptance._norms
     monkeypatch.setattr(acceptance, "_norms", lambda z: norms(z) * (1.0 + 1e-9))
     passed, _ = acceptance._coefficient_norm(np.random.default_rng(PROPERTY_SEEDS["coefficient-norm"]))
+    assert not passed
+
+
+@pytest.mark.parametrize("name", ["psi-monotonicity", "psi-reciprocal"])
+def test_psi_checks_fail_on_a_wrong_psi(monkeypatch, name):
+    # psi of |x| rises on (-1, 0), where psi falls, and makes psi(y) for
+    # y in (-1, 0) negative where x * y >= 1 is false
+    psi = acceptance._psi
+    monkeypatch.setattr(acceptance, "_psi", lambda x: psi(np.abs(x)))
+    passed, _ = acceptance._PROPERTY_CHECKS[name](np.random.default_rng(PROPERTY_SEEDS[name]))
     assert not passed
 
 
@@ -90,16 +112,17 @@ def test_every_public_name_resolves(module):
     assert not missing, missing
 
 
-def test_rotated_basis_reference_detail_is_the_same_in_every_process():
+def test_battery_details_are_the_same_in_every_process():
     # the benchmark digests the battery's detail text in each of its
     # processes; a fresh interpreter on two BLAS threads must print the same
-    code = "import splitrate.acceptance as a; print(a._rotated_basis_reference())"
+    # line for every criterion
+    code = "import splitrate.acceptance as a; print([check() for check, _ in a.CRITERIA.values()])"
     src = str(Path(splitrate.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
     proc = subprocess.run([sys.executable, "-c", code], cwd=src, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    here = acceptance._rotated_basis_reference()
-    assert here[0]
+    here = [check() for check, _ in acceptance.CRITERIA.values()]
+    assert all(passed for passed, _ in here)
     assert proc.stdout.strip() == repr(here)
 
 
@@ -114,6 +137,32 @@ def test_a_perturbed_reflection_fails_the_reference_checks(monkeypatch):
     assert "|dense - diagonal engine|" in result.detail
     passed, note = acceptance._PROPERTY_CHECKS["prox-oracle"](np.random.default_rng(PROPERTY_SEEDS["prox-oracle"]))
     assert not passed, note
+
+
+def test_closed_form_evolution_fails_on_a_perturbed_reflection(monkeypatch):
+    # the first iterate already moves off the closed form, in the first run
+    reflection = splitting._reflection
+    monkeypatch.setattr(splitting, "_reflection", lambda w, g, gamma: reflection(w * (1.0 + 1e-6), g, gamma))
+    result = acceptance.run_criterion("closed-form-evolution")
+    assert not result.passed
+    assert result.detail == "iterate 1 off closed form by 2.779e-07 at (alpha=0.748376, gamma=0.326944, curvature=1)"
+
+
+@pytest.mark.parametrize(
+    "widen, detail",
+    [
+        (1.2, "diverged after 9 steps: distance grew past 10x its starting value (alpha=1.49398, gamma=0.337752)"),
+        (2.0, "diverged after 10 steps: distance grew past 10x its starting value (alpha=1.48631, gamma=0.326944)"),
+    ],
+)
+def test_closed_form_evolution_fails_on_a_diverging_run(monkeypatch, widen, detail):
+    # relaxations drawn past the limit: the first run in draw order that
+    # trips the 10x guard fails the criterion, as its one-row run raises
+    upper = acceptance.alpha_upper_bound
+    monkeypatch.setattr(acceptance, "alpha_upper_bound", lambda gamma, sigma, beta: widen * upper(gamma, sigma, beta))
+    result = acceptance.run_criterion("closed-form-evolution")
+    assert not result.passed
+    assert result.detail == f"raised DivergenceError({detail!r})"
 
 
 def test_battery_imports_no_scipy():

@@ -785,7 +785,7 @@ def test_a_step_holds_no_row_sized_temporary(mode):
         problem = make_primal_instance(SIGMA, BETA, dim, half)
     tracemalloc.start()
     try:
-        step, record, params, state = splitting._engine(problem, mode, 0.9, 0.5, rows)
+        step, record, params, state = splitting._engine(problem, mode, 0.5)(0.9, 0.5, rows)
         start = record(params, state)
         held = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
@@ -794,7 +794,9 @@ def test_a_step_holds_no_row_sized_temporary(mode):
     finally:
         tracemalloc.stop()
     assert steps[0] == 20 and not diverged[0]
-    assert peak < 2 * splitting.COLUMN_BLOCK * 8
+    # two column blocks of booleans: the first step's fixed-point test
+    # compares one block of columns at a time
+    assert peak < 2 * splitting.COLUMN_BLOCK
 
 
 def _signed_zeros(rng, dim, share):
@@ -959,6 +961,37 @@ def test_admm_rejects_a_step_size_whose_own_products_overflow():
         with pytest.raises(ValueError, match=r"gamma \* nu\*\*2 must be finite"):
             call()
     assert not run_rows(coupled, "dual-dr", [1.0, 1.0], [1.0, 1e305], starts).diverged.any()
+
+
+def test_the_fixed_point_test_reads_every_column_block(monkeypatch):
+    # rows of 11 columns in blocks of 4: a row that moves only in its last
+    # column, or only in the second state array, did move
+    monkeypatch.setattr(splitting, "COLUMN_BLOCK", 4)
+    before = np.arange(33.0).reshape(3, 11)
+    moved_last, moved_second = before.copy(), before.copy()
+    moved_last[1, -1] = -0.5
+    moved_second[2, 5] = -0.5
+    assert splitting._unchanged((before, before), (moved_last, moved_second)).tolist() == [True, False, False]
+    assert splitting._unchanged((before,), (before.copy(),)).tolist() == [True, True, True]
+
+
+@pytest.mark.parametrize("mode", ["primal-dr", "dual-dr"])
+def test_one_block_builds_its_factors_once(monkeypatch, mode):
+    # the check before any block runs builds no engine: one block forms the
+    # reflection factor, and the dual curvatures, once
+    calls = {"_reflection": 0, "dual_function": 0}
+    for name in calls:
+        original = getattr(splitting, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(splitting, name, counted)
+    problem = default_primal_instance() if mode == "primal-dr" else default_dual_instance("crossed")
+    runs = run_rows(problem, mode, [1.0, 0.5], [0.3, 0.3], lambda rows: np.ones((2, 8)), max_iter=5, tol=0.0)
+    assert runs.steps.tolist() == [5, 5]
+    assert calls == {"_reflection": 1, "dual_function": int(mode == "dual-dr")}
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
