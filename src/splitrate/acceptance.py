@@ -58,44 +58,60 @@ _CG_RTOL = 1e-10
 _CG_MAX_STEPS = 50
 
 
-def conjugate_oracle(problem: CompositeProblem, mu: np.ndarray) -> float:
+def conjugate_oracle(problem: CompositeProblem, mu: np.ndarray) -> float | np.ndarray:
     """Numeric value of ``-inf_x { f(x) + <A mu, x> }`` by nonlinear conjugate
     gradients from the origin; never touches the closed-form dual curvatures.
+
+    ``mu`` is one point of shape ``(dim,)``, which gives a float, or many as
+    the rows of a ``(rows, dim)`` array, which gives one value per row.
 
     Each direction ``d`` (Fletcher-Reeves) gets the secant step
     ``t = -<g, d> / <H d, d>``, with the curvature ``<H d, d>`` read from the
     gradient at a probe point ``x + s d``, ``s`` large enough that the probe
-    is not lost in the rounding of ``x``. It stops when the gradient norm is
-    below ``_CG_RTOL`` times its value at the origin, when a probe shows no
-    positive curvature, or after ``_CG_MAX_STEPS`` steps. Only the primal
-    ``fun`` and ``jac`` below are evaluated.
+    is not lost in the rounding of ``x``. A row stops, and keeps its ``x``,
+    when its gradient norm is below ``_CG_RTOL`` times its value at the
+    origin, when a probe shows no positive curvature, or after
+    ``_CG_MAX_STEPS`` steps. Only the primal ``f`` and its gradient are
+    evaluated, and a row's value is bit for bit its value alone.
     """
-    amu = problem.a.weights * mu
+    if problem.a is None:
+        raise ValueError("the conjugate oracle needs an explicit coupling operator, got problem.a = None")
+    mu = np.asarray(mu, dtype=float)
+    if mu.ndim not in (1, 2) or mu.shape[-1] != problem.dim:
+        raise ValueError(
+            f"mu must have shape ({problem.dim},) or (rows, {problem.dim}) for a problem of dimension "
+            f"{problem.dim}, got shape {mu.shape}"
+        )
+    amu = problem.a.weights * np.atleast_2d(mu)
     w = problem.f.weights
-
-    def fun(x: np.ndarray) -> float:
-        return 0.5 * float(np.dot(w, x**2)) + float(np.dot(amu, x))
 
     def jac(x: np.ndarray) -> np.ndarray:
         return w * x + amu
 
-    x = np.zeros(amu.size)
+    x = np.zeros(amu.shape)
     g = jac(x)
-    gg = float(np.dot(g, g))
+    gg = np.vecdot(g, g)
     stop = _CG_RTOL**2 * gg
     d = -g
-    for _ in range(_CG_MAX_STEPS):
-        if gg <= stop:
-            break
-        s = max(1.0, math.sqrt(float(np.dot(x, x)) / float(np.dot(d, d))))
-        curv = float(np.dot(jac(x + s * d) - g, d)) / s
-        if not curv > 0.0:
-            break
-        x = x - (float(np.dot(g, d)) / curv) * d
-        g = jac(x)
-        gg, gg_old = float(np.dot(g, g)), gg
-        d = -g + (gg / gg_old) * d
-    return -fun(x)
+    live = np.ones(gg.shape, dtype=bool)
+    # a stopped row keeps stepping in the arithmetic below, and its results
+    # are thrown away, so its divisions by zero are not reported
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_CG_MAX_STEPS):
+            live &= ~(gg <= stop)
+            if not live.any():
+                break
+            # fmax, as Python's max, keeps 1 over a NaN
+            s = np.fmax(1.0, np.sqrt(np.vecdot(x, x) / np.vecdot(d, d)))
+            curv = np.vecdot(jac(x + s[:, None] * d) - g, d) / s
+            live &= curv > 0.0
+            x = np.where(live[:, None], x - (np.vecdot(g, d) / curv)[:, None] * d, x)
+            # a stopped row's x is unchanged, and so are its g and gg
+            g = jac(x)
+            gg, gg_old = np.vecdot(g, g), gg
+            d = np.where(live[:, None], -g + (gg / gg_old)[:, None] * d, d)
+    values = -(0.5 * np.vecdot(w, x**2) + np.vecdot(amu, x))
+    return float(values[0]) if mu.ndim == 1 else values
 
 
 # -- criterion 1 -------------------------------------------------------------
@@ -332,14 +348,14 @@ def _conjugate_oracle_agreement():
         idx_sigma = rng.choice(dim, size=n_sigma, replace=False)
         pairing = str(rng.choice(["aligned", "crossed"]))
         instance = make_dual_instance(sigma, beta, theta, zeta, dim, idx_sigma, pairing)
-        dual_weights = dual_function(instance).weights
-        for _ in range(100):
-            mu = rng.uniform(-3.0, 3.0, dim)
-            # the closed-form dual value, sum_i w_i mu_i^2 / 2
-            err = abs(0.5 * float(np.dot(dual_weights, mu**2)) - conjugate_oracle(instance, mu))
-            worst = max(worst, err)
-            if err > 1e-8:
-                return False, f"closed-form dual value off the numeric conjugate by {err:.3e} > 1e-8"
+        # the instance's 100 draws, in draw order
+        mu = rng.uniform(-3.0, 3.0, (100, dim))
+        # the closed-form dual value, sum_i w_i mu_i^2 / 2
+        errs = np.abs(0.5 * np.vecdot(dual_function(instance).weights, mu**2) - conjugate_oracle(instance, mu))
+        failed = ~(errs <= 1e-8)
+        if failed.any():
+            return False, f"closed-form dual value off the numeric conjugate by {errs[np.argmax(failed)]:.3e} > 1e-8"
+        worst = max(worst, float(errs.max()))
     return True, f"5 instances x 100 points, max |closed form - numeric conjugate| = {worst:.3e} <= 1e-8"
 
 
@@ -462,19 +478,20 @@ def _dense_dr(weights, g, q, alphas, gammas, starts, steps: int):
     """Relaxed DR written out on the dense ``H = Q diag(weights) Q^T``, one
     run per row, sharing no arithmetic with the diagonal engines.
 
-    ``prox_{gamma f}`` is a linear solve with ``I + gamma H``, ``R_g`` is the
-    identity (g zero) or its negation (g the origin indicator), and a step is
-    ``z <- (1 - alpha) z + alpha R_g (2 prox - I) z``. Returns the ``(rows,
-    steps + 1)`` distances to the origin and the last iterates.
+    ``prox_{gamma f}`` applies ``(I + gamma H)^-1``, formed once per row,
+    ``R_g`` is the identity (g zero) or its negation (g the origin
+    indicator), and a step is ``z <- (1 - alpha) z + alpha R_g (2 prox - I)
+    z``. Returns the ``(rows, steps + 1)`` distances to the origin and the
+    last iterates.
     """
     dim = weights.size
-    systems = np.eye(dim) + gammas[:, None, None] * ((q * weights) @ q.T)
+    resolvents = np.linalg.inv(np.eye(dim) + gammas[:, None, None] * ((q * weights) @ q.T))
     sign = {GFunction.ZERO: 1.0, GFunction.ZERO_INDICATOR: -1.0}[g]
     alphas = alphas[:, None]
     z = np.asarray(starts, dtype=float)
     distances = [np.linalg.norm(z, axis=1)]
     for _ in range(steps):
-        prox = np.linalg.solve(systems, z[..., None])[..., 0]
+        prox = (resolvents @ z[..., None])[..., 0]
         z = (1.0 - alphas) * z + alphas * sign * (2.0 * prox - z)
         distances.append(np.linalg.norm(z, axis=1))
     return np.stack(distances, axis=1), z

@@ -306,8 +306,9 @@ def _sweep(cfg: SweepConfig, instance: tuple) -> tuple:
 def _report_lines(columns: tuple) -> list:
     """The header and one CSV row per point of the report columns."""
     rows = zip(*(np.asarray(c).tolist() for c in columns))
+    # one format per row: "%.17g" % x writes what _fmt(x) writes
     return [REPORT_HEADER] + [
-        f"{_fmt(a)},{_fmt(g)},{_fmt(t)},{_fmt(e)},{case.value},{_fmt(d)},{verdict}"
+        "%.17g,%.17g,%.17g,%.17g,%s,%.17g,%s" % (a, g, t, e, case.value, d, verdict)
         for a, g, t, e, case, d, verdict in rows
     ]
 

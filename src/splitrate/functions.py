@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,11 +56,12 @@ class DiagQuadratic:
     def dim(self) -> int:
         return self.weights.size
 
-    @property
+    # the weights are read-only, so each extreme is one pass, on first read
+    @cached_property
     def sigma(self) -> float:
         return float(self.weights.min())
 
-    @property
+    @cached_property
     def beta(self) -> float:
         return float(self.weights.max())
 

@@ -4,7 +4,6 @@ batch of independent rows."""
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
@@ -628,18 +627,22 @@ def fit_rates(step_ratios: np.ndarray) -> np.ndarray:
     ratio array whose non-finite entries are not valid ratios, NaN for a row
     with fewer than 5 valid ones.
 
-    Rows with the same number of valid ratios are fitted as one array, and a
-    fit is bit for bit what :func:`fit_rate` gives for that row alone.
+    Rows with the same tail length are fitted as one array, and a fit is bit
+    for bit what :func:`fit_rate` gives for that row alone.
     """
     step_ratios = np.asarray(step_ratios, dtype=float)
     valid = np.isfinite(step_ratios)
     counts = np.count_nonzero(valid, axis=1)
+    lengths = (counts + 1) // 2
+    # a row's tail: its last ceil(n/2) valid ratios, in order
+    in_tail = valid & (np.cumsum(valid, axis=1) > (counts - lengths)[:, None])
+    fitted = counts >= MIN_FIT_RATIOS
     fits = np.full(step_ratios.shape[0], np.nan)
     # a set, not np.unique: the first np.unique call in a process imports
     # numpy.ma, about 13 ms that every CLI sweep would pay
-    for n in sorted(set(counts[counts >= MIN_FIT_RATIOS].tolist())):
-        group = np.flatnonzero(counts == n)
-        tail = step_ratios[group][valid[group]].reshape(group.size, n)[:, -math.ceil(n / 2) :]
+    for m in sorted(set(lengths[fitted].tolist())):
+        group = np.flatnonzero(fitted & (lengths == m))
+        tail = step_ratios[group][in_tail[group]].reshape(group.size, m)
         with np.errstate(divide="ignore"):
             fit = np.exp(np.mean(np.log(tail), axis=1))
         fits[group] = np.where(np.any(tail == 0.0, axis=1), 0.0, fit)

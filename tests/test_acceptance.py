@@ -66,6 +66,22 @@ def test_property_suites_detail_is_unchanged():
     assert detail == "all property suites passed (prox-oracle max error 3.038e-12)"
 
 
+def test_conjugate_oracle_detail_is_unchanged():
+    passed, detail = acceptance._conjugate_oracle_agreement()
+    assert passed
+    assert detail == "5 instances x 100 points, max |closed form - numeric conjugate| = 2.842e-14 <= 1e-8"
+
+
+def test_rotated_basis_reference_detail_is_unchanged():
+    passed, detail = acceptance._rotated_basis_reference()
+    assert passed
+    assert detail == (
+        "176 dense runs at dims 8 and 24 x 2 rotations: worst |dense - bound| = 4.441e-16 <= 1e-10 at 40 "
+        "Case I-III points, worst |dense - diagonal engine| = 4.441e-16 <= 1e-10 at all 44 feasible points "
+        "(4 not classified)"
+    )
+
+
 @pytest.mark.parametrize("name", acceptance._PROPERTY_CHECKS)
 def test_property_check(name):
     passed, note = acceptance._PROPERTY_CHECKS[name](np.random.default_rng(PROPERTY_SEEDS[name]))
@@ -134,7 +150,9 @@ def test_a_perturbed_reflection_fails_the_reference_checks(monkeypatch):
     monkeypatch.setattr(splitting, "_reflection", lambda w, g, gamma: reflection(w * (1.0 + 1e-6), g, gamma))
     result = acceptance.run_criterion("rotated-basis-reference")
     assert not result.passed
-    assert "|dense - diagonal engine|" in result.detail
+    assert result.detail == (
+        "dim 8, rotation 1: |dense - diagonal engine| = 1.249e-08 > 1e-10 at (alpha=1, gamma=0.00632456)"
+    )
     passed, note = acceptance._PROPERTY_CHECKS["prox-oracle"](np.random.default_rng(PROPERTY_SEEDS["prox-oracle"]))
     assert not passed, note
 
@@ -209,10 +227,24 @@ def _swapped_bands(p):
     return DiagQuadratic(np.where(w == w.min(), w.max(), w.min()))
 
 
-@pytest.mark.parametrize("wrong_dual", [_scaled_weights, _unsquared_gain, _swapped_bands])
+#: each wrong dual's error at the first draw that it fails, in draw order
+WRONG_DUAL_ERRORS = {_scaled_weights: "5.727e-05", _unsquared_gain: "4.596e+01", _swapped_bands: "4.107e+01"}
+
+
+@pytest.mark.parametrize("wrong_dual", WRONG_DUAL_ERRORS)
 def test_conjugate_oracle_catches_a_wrong_dual(monkeypatch, wrong_dual):
     # the oracle never reads the closed form it checks, so a wrong one fails
     monkeypatch.setattr(acceptance, "dual_function", wrong_dual)
     result = acceptance.run_criterion("conjugate-oracle")
     assert not result.passed
-    assert "off the numeric conjugate" in result.detail
+    err = WRONG_DUAL_ERRORS[wrong_dual]
+    assert result.detail == f"closed-form dual value off the numeric conjugate by {err} > 1e-8"
+
+
+def test_conjugate_oracle_fails_on_a_nan_value(monkeypatch):
+    # a NaN from the oracle is not agreement
+    oracle = acceptance.conjugate_oracle
+    monkeypatch.setattr(acceptance, "conjugate_oracle", lambda p, mu: np.where(mu[:, 0] > 2.9, np.nan, oracle(p, mu)))
+    result = acceptance.run_criterion("conjugate-oracle")
+    assert not result.passed
+    assert result.detail == "closed-form dual value off the numeric conjugate by nan > 1e-8"

@@ -61,6 +61,18 @@ def test_spectrum_equal_levels_allowed():
 # -- DiagQuadratic evaluation -------------------------------------------------
 
 
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.floats(1e-300, 1e300), min_size=1, max_size=40))
+def test_extreme_curvatures_are_the_weight_extremes(weights):
+    q = DiagQuadratic(weights)
+    for _ in range(2):
+        assert q.sigma == q.weights.min() and q.beta == q.weights.max()
+        assert type(q.sigma) is float and type(q.beta) is float
+    assert not q.weights.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        q.weights[0] = 2.0 * q.beta
+
+
 def test_grad_f_matches_central_differences(two_band):
     f = lambda x: 0.5 * np.dot(two_band.weights, x**2)
     rng = np.random.default_rng(5)
@@ -199,6 +211,58 @@ def test_numeric_conjugate_matches_dual_over_the_family(case):
     p, mu = case
     value = 0.5 * np.dot(dual_function(p).weights, mu**2)
     assert abs(value - conjugate_oracle(p, mu)) <= 1e-8 * max(1.0, abs(value))
+
+
+def _scalar_conjugate(p, mu):
+    """The conjugate oracle for one point, in Python floats: nonlinear
+    conjugate gradients from the origin with the oracle's secant step, probe
+    scale and three stop tests, one ``np.dot`` per inner product."""
+    amu = p.a.weights * mu
+    w = p.f.weights
+    jac = lambda x: w * x + amu
+    x = np.zeros(amu.size)
+    g = jac(x)
+    gg = float(np.dot(g, g))
+    stop = 1e-10**2 * gg
+    d = -g
+    for _ in range(50):
+        if gg <= stop:
+            break
+        s = max(1.0, math.sqrt(float(np.dot(x, x)) / float(np.dot(d, d))))
+        curv = float(np.dot(jac(x + s * d) - g, d)) / s
+        if not curv > 0.0:
+            break
+        x = x - (float(np.dot(g, d)) / curv) * d
+        g = jac(x)
+        gg, gg_old = float(np.dot(g, g)), gg
+        d = -g + (gg / gg_old) * d
+    return -(0.5 * float(np.dot(w, x**2)) + float(np.dot(amu, x)))
+
+
+@settings(deadline=None, max_examples=100)
+@given(oracle_cases(), st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_batched_conjugate_oracle_equals_its_one_row_calls_bitwise(case, rows, seed):
+    # many points in one call: each row is its own one-row call, and that is
+    # the oracle's loop written out in Python floats
+    p, mu = case
+    many = np.vstack([mu, np.random.default_rng(seed).uniform(-3.0, 3.0, (rows - 1, p.dim))])
+    values = conjugate_oracle(p, many)
+    assert values.shape == (rows,)
+    one_row = np.array([conjugate_oracle(p, row) for row in many])
+    assert values.tobytes() == one_row.tobytes()
+    assert one_row.tobytes() == np.array([_scalar_conjugate(p, row) for row in many]).tobytes()
+
+
+def test_conjugate_oracle_needs_a_coupling(two_band):
+    with pytest.raises(ValueError, match="coupling"):
+        conjugate_oracle(CompositeProblem(f=two_band, g=GFunction.ZERO_INDICATOR), np.ones(4))
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (5,), (2, 3), (2, 5), (1, 2, 4)])
+def test_conjugate_oracle_names_the_dimension(shape):
+    p = make_dual_instance(1.0, 4.0, 1.0, 2.0, 4, {0, 1})
+    with pytest.raises(ValueError, match="dimension 4"):
+        conjugate_oracle(p, np.ones(shape))
 
 
 def test_dual_envelope_constants_bound_dual_weights():

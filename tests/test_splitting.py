@@ -449,19 +449,20 @@ def _reference_fit(ratios):
 
 @settings(deadline=None, max_examples=60)
 @given(
-    st.lists(st.tuples(st.integers(0, 40), st.floats(0.0, 0.5), st.booleans()), min_size=1, max_size=12),
+    st.lists(st.tuples(st.integers(0, 40), st.floats(0.0, 0.5), st.floats(0.0, 0.2)), min_size=1, max_size=24),
     st.integers(0, 2**32 - 1),
 )
 def test_fit_rates_rows_equal_the_single_row_fit_bitwise(shapes, seed):
-    # rows of different lengths, with a share of invalid (NaN or inf)
-    # ratios and sometimes a zero ratio in them
+    # rows of different lengths with holes (NaN, inf or -inf ratios) and
+    # zero ratios anywhere in them, so that rows with n and n + 1 valid
+    # ratios share a tail length and a fit group
     rng = np.random.default_rng(seed)
     rows = []
-    for size, invalid_share, with_zero in shapes:
+    for size, hole_share, zero_share in shapes:
         row = rng.uniform(1e-3, 1.5, size)
-        row[rng.random(size) < invalid_share] = rng.choice([math.nan, math.inf])
-        if with_zero and size:
-            row[rng.integers(size)] = 0.0
+        row[rng.random(size) < zero_share] = 0.0
+        holes = rng.random(size) < hole_share
+        row[holes] = rng.choice([math.nan, math.inf, -math.inf], np.count_nonzero(holes))
         rows.append(row)
     ratios = np.full((len(rows), max(r.size for r in rows)), np.nan)
     for i, row in enumerate(rows):
