@@ -4,6 +4,7 @@ batch of independent rows."""
 
 from __future__ import annotations
 
+import os
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
@@ -52,6 +53,20 @@ NORM_CHUNK = 8192
 #: a step walks rows longer than this in blocks of this many columns (see
 #: :class:`_ColumnBlocks`), so that the arrays of one block stay in cache
 COLUMN_BLOCK = 4 * NORM_CHUNK
+
+#: most threads that step one batch of long rows (see :class:`_ColumnBlocks`):
+#: the cores this process may run on
+WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+#: fewest ``rows x columns`` state elements per thread of a step: a run of
+#: 3 one-row blocks or fewer saved nothing on a 2-core host, where the
+#: hand-offs and the waits for the GIL between numpy calls cost as much as
+#: a thread's share of the step
+RUN_ELEMENTS = 4 * COLUMN_BLOCK
+
+# (pid, threads, executor) of the pool that steps long rows, made when the
+# first engine for them is built (see _executor)
+_pool: tuple | None = None
 
 
 class DivergenceError(RuntimeError):
@@ -152,62 +167,107 @@ def _norms(z: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(chunks, chunks).sum(axis=1) + np.vecdot(tail, tail))
 
 
+def _executor(threads: int):
+    """The module's thread pool, with at least ``threads`` threads; made on
+    first use (with the import of ``concurrent.futures``), again when it is
+    too small, and again in a forked child, which has none of its threads.
+
+    Two threads may each make a pool here at once; the one not kept is
+    collected once its work is done, and its threads exit, so no lock is
+    needed."""
+    global _pool
+    pool = _pool
+    if pool is None or pool[0] != os.getpid() or pool[1] < threads:
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = _pool = (os.getpid(), threads, ThreadPoolExecutor(threads, thread_name_prefix="splitrate-blocks"))
+    return pool[2]
+
+
 class _ColumnBlocks:
     """Runs the update of one engine step on whole rows, or over column
     blocks for long rows, and norms what it made; both engines share it.
 
-    ``run(update, columns, state)`` calls ``update(*columns, *outputs,
+    ``run(update, columns, state)`` calls ``update(*columns, out,
     *temps)``. ``columns`` are the arrays the update reads whose last axis
-    runs over the coordinates, the state arrays it reads among them;
-    ``outputs`` receive the next state, one per array of ``state``, and
-    ``temps`` hold the update's temporaries.
-    ``update`` returns ``(next_state, recorded, step)``, and ``run`` returns
-    the next state with the row norms of ``recorded`` and of ``step``, bit
-    for bit what :func:`_norms` gives for the whole rows.
+    runs over the coordinates, the one array of ``state`` among them;
+    ``out`` receives the next state and ``temps`` hold the update's
+    temporaries. ``update`` returns ``(next_state, recorded, step)``, and
+    ``run`` returns the next state with the row norms of ``recorded`` and
+    of ``step``, bit for bit what :func:`_norms` gives for the whole rows.
 
-    Rows of at most ``COLUMN_BLOCK`` elements are updated whole, with every
-    output and temporary None, so that numpy allocates them, as for any
-    small array. Longer rows are walked in blocks of ``COLUMN_BLOCK``
-    columns, and the temporaries are one block of per-engine buffers, so
-    that they stay in cache. Each output then is a per-engine buffer; one
-    whose state array the update reads (``reads``) takes turns in a pair,
+    Rows of at most ``COLUMN_BLOCK`` elements are updated whole, with
+    ``out`` and every temporary None, so that numpy allocates them, as for
+    any small array. Longer rows are walked in blocks of ``COLUMN_BLOCK``
+    columns, so that the arrays of a block stay in cache. The blocks are
+    split into runs of consecutive blocks, at most ``WORKERS`` runs and at
+    most one per ``RUN_ELEMENTS`` elements of the rows: the calling thread
+    walks the first run and the threads of a module-level pool the others,
+    at once, since numpy releases the GIL in its loops. Each run has its
+    own block of per-engine temporaries, and each block writes only its own
+    columns of ``out``, so the results do not depend on how many runs there
+    are. ``out`` is one of a pair of per-engine buffers, which take turns,
     so that a step never writes into the state it reads. The blocks start
     on chunk boundaries, so the chunk dots of the blocks, in order, are the
     chunk dots of the rows, and the last block holds the rows' tails; they
     are summed as in :func:`_norms`.
     """
 
-    def __init__(self, shape: tuple, reads: tuple, temps: int):
+    def __init__(self, shape: tuple, temps: int):
         rows, self.dim = shape
-        self.none = (None,) * (len(reads) + temps)
+        self.none = (None,) * (1 + temps)
         if self.dim > COLUMN_BLOCK:
-            # rows only ever leave, so a prefix of each buffer fits; an
-            # output whose state is not read has one buffer, named twice
-            self.outputs = []
-            for read in reads:
-                first = np.empty(shape)
-                self.outputs.append((first, np.empty(shape) if read else first))
-            self.temps = [np.empty((rows, COLUMN_BLOCK)) for _ in range(temps)]
+            # rows only ever leave, so a prefix of each buffer fits
+            self.pair = (np.empty(shape), np.empty(shape))
+            blocks = -(-self.dim // COLUMN_BLOCK)
+            runs = max(1, min(WORKERS, blocks, rows * self.dim // RUN_ELEMENTS))
+            edges = [COLUMN_BLOCK * (blocks * i // runs) for i in range(runs)] + [self.dim]
+            self.runs = list(zip(edges, edges[1:]))
+            self.temps = [[np.empty((rows, COLUMN_BLOCK)) for _ in range(temps)] for _ in self.runs]
+            self.pool = _executor(runs - 1) if runs > 1 else None
 
     def run(self, update: Callable, columns: tuple, state: tuple) -> tuple:
         if self.dim <= COLUMN_BLOCK:
             next_state, recorded, step = update(*columns, *self.none)
             return next_state, _norms(recorded), _norms(step)
-        rows = state[0].shape[0]
-        outputs = tuple(pair[a.base is pair[0]][:rows] for pair, a in zip(self.outputs, state))
-        temps = [t[:rows] for t in self.temps]
-        dots = ([], [])
-        for lo in range(0, self.dim, COLUMN_BLOCK):
-            cols, width = slice(lo, lo + COLUMN_BLOCK), min(COLUMN_BLOCK, self.dim - lo)
-            _, *blocks = update(
-                *[a[..., cols] for a in columns], *[a[:, cols] for a in outputs], *[t[:, :width] for t in temps]
-            )
-            for block_dots, block in zip(dots, blocks):
-                chunks, _ = _chunked(block)
-                block_dots.append(np.vecdot(chunks, chunks))
-        tails = (_chunked(block)[1] for block in blocks)
-        norms = [np.sqrt(np.concatenate(d, axis=1).sum(axis=1) + np.vecdot(t, t)) for d, t in zip(dots, tails)]
-        return outputs, *norms
+        (z,) = state
+        rows = z.shape[0]
+        out = self.pair[z.base is self.pair[0]][:rows]
+
+        # numpy keeps its floating-point error handling per thread: every
+        # run takes the caller's
+        err = np.geterr()
+
+        def walk(lo: int, hi: int, temps: list) -> tuple:
+            # the chunk dots of recorded and step, block by block, and the
+            # last block's recorded and step, which hold the tails of a run
+            # that ends the rows
+            temps = [t[:rows] for t in temps]
+            dots = ([], [])
+            with np.errstate(**err):
+                for start in range(lo, hi, COLUMN_BLOCK):
+                    cols = slice(start, min(start + COLUMN_BLOCK, hi))
+                    block_temps = [t[:, : cols.stop - start] for t in temps]
+                    _, *blocks = update(*[a[..., cols] for a in columns], out[:, cols], *block_temps)
+                    for block_dots, block in zip(dots, blocks):
+                        chunks, _ = _chunked(block)
+                        block_dots.append(np.vecdot(chunks, chunks))
+            return dots, blocks
+
+        futures = [self.pool.submit(walk, *run, temps) for run, temps in zip(self.runs[1:], self.temps[1:])]
+        try:
+            parts = [walk(*self.runs[0], self.temps[0])]
+        finally:
+            # every run ends before its buffers are read or written again
+            for future in futures:
+                future.exception()
+        parts += [future.result() for future in futures]
+        norms = []
+        for i, block in enumerate(parts[-1][1]):
+            dots = np.concatenate([d for part_dots, _ in parts for d in part_dots[i]], axis=1)
+            tail = _chunked(block)[1]
+            norms.append(np.sqrt(dots.sum(axis=1) + np.vecdot(tail, tail)))
+        return (out,), *norms
 
 
 def _step_ratios(distances: np.ndarray) -> np.ndarray:
@@ -230,18 +290,20 @@ def _unchanged(before: tuple, after: tuple) -> np.ndarray:
     return same
 
 
-def _iterate(step: Callable, params: tuple, state: tuple, start: np.ndarray, max_iter: int, tol: float):
-    """Run ``step`` on a batch of rows: the loop of every engine.
+def _iterate(engine: tuple, start: np.ndarray, max_iter: int, tol: float):
+    """Run an engine (see :func:`_engine`) on its batch of rows: the loop of
+    every engine.
 
-    ``state`` is a tuple of ``(rows, dim)`` float arrays whose recorded
-    vectors are the rows of ``start``; ``params`` holds the per-row
-    parameters, as ``(rows, ...)`` arrays or, for a single row, as scalars
-    and shared arrays. ``step(params, state)`` returns ``(next_state,
-    distances, step_norms)``: each row's distance from its recorded vector
-    to the origin and its step norm. A row stops when its first step leaves
-    its state exactly unchanged (it started at a fixed point), when its
-    distance to the origin exceeds ``DIVERGENCE_FACTOR`` times its starting
-    distance (diverged), or when its step norm drops to ``tol``.
+    The engine's ``state`` is a tuple of ``(rows, dim)`` float arrays whose
+    recorded vectors are the rows of ``start``; its ``params`` hold the
+    per-row parameters, as ``(rows, ...)`` arrays or, for a single row, as
+    scalars and shared arrays. ``step(params, state)`` returns
+    ``(next_state, distances, step_norms)``: each row's distance from its
+    recorded vector to the origin and its step norm. A row stops when its
+    first step leaves it exactly where it was (it started at a fixed point;
+    the engine's ``still(state, next_state)`` tells which rows did), when
+    its distance to the origin exceeds ``DIVERGENCE_FACTOR`` times its
+    starting distance (diverged), or when its step norm drops to ``tol``.
 
     A stopped row is stepped on with the others until at most half of the
     array rows are live; only then are the state, the parameters and the
@@ -250,9 +312,9 @@ def _iterate(step: Callable, params: tuple, state: tuple, start: np.ndarray, max
     that NaN into the row's distance and step norm, so it meets no stop test
     again; NaN arithmetic raises no floating-point warning.
 
-    Returns ``(distances, steps, converged, diverged, state)``: ``distances``
-    as in :class:`RowRuns` and ``state`` the state the loop ended with (a
-    single row's final state).
+    Returns ``(distances, steps, converged, diverged, last)``: ``distances``
+    as in :class:`RowRuns` and ``last`` the state that the last step read,
+    None if no step ran (for a single row, the state before its last step).
     """
     if max_iter < 0:
         raise ValueError("max_iter must be non-negative")
@@ -268,12 +330,15 @@ def _iterate(step: Callable, params: tuple, state: tuple, start: np.ndarray, max
     # the batch row of each array row, and which array rows still run
     index = np.arange(rows)
     live = np.ones(rows, dtype=bool)
+    step, _, params, state, still = engine
+    last = None
     for k in range(max_iter):
+        last = state
         next_state, dist, step_norm = step(params, state)
         if k == 0:
-            # a row whose first step leaves its state exactly unchanged started
+            # a row that the first step leaves exactly where it was started
             # at a fixed point: it stops there, after no step
-            fixed = _unchanged(state, next_state)
+            fixed = still(state, next_state)
         state = next_state
         grew = dist > limit
         done = grew | (step_norm <= tol)
@@ -304,7 +369,7 @@ def _iterate(step: Callable, params: tuple, state: tuple, start: np.ndarray, max
         state = tuple(s[live] for s in state)
         params = tuple(p[live] for p in params)
         live = np.ones(left, dtype=bool)
-    return distances[:, : steps.max(initial=0) + 1], steps, converged, diverged, state
+    return distances[:, : steps.max(initial=0) + 1], steps, converged, diverged, last
 
 
 def _stepped(engine: tuple, steps: int):
@@ -314,7 +379,7 @@ def _stepped(engine: tuple, steps: int):
     maps are deterministic and a step never writes into the state it reads.
     A later step may write into a yielded array (long rows take turns in a
     pair of buffers), so copy one to keep it."""
-    step, record, params, state = engine
+    step, record, params, state, _ = engine
     for _ in range(steps):
         state, _, _ = step(params, state)
         yield record(params, state)
@@ -358,9 +423,10 @@ def _run_one(
     when the iterates are first read. ``step_name`` names ``gamma`` in the
     message of a :class:`DivergenceError`."""
     rows = v.coeffs[None]
-    engine = _engine(problem, mode, gamma)
-    build = lambda: engine(alpha, gamma, rows, rows_are_u)
-    step, record, params, state = build()
+    builder = _engine(problem, mode, gamma)
+    build = lambda: builder(alpha, gamma, rows, rows_are_u)
+    engine = build()
+    _, record, params, state, _ = engine
     if v.dim != problem.dim:
         raise ValueError(f"start dimension {v.dim} != problem dimension {problem.dim}")
     start = record(params, state)
@@ -368,9 +434,14 @@ def _run_one(
         first = v
     else:  # ADMM records rho * u0, which may overflow (Vec then raises)
         first = Vec._adopt(start[0]) if np.isfinite(start).all() else Vec(start[0])
-    distances, steps, converged, diverged, state = _iterate(step, params, state, start, max_iter, tol)
-    # ADMM's state is (x, u): its trace keeps the last primal iterate
-    last_x = Vec(state[0][0]) if len(state) > 1 else None
+    distances, steps, converged, diverged, last = _iterate(engine, start, max_iter, tol)
+    last_x = None
+    if mode == "admm":
+        # the trace keeps the last primal iterate: the x-update of the u
+        # that the last step read, or the origin if no step ran
+        _, _, scale, denom = params
+        x = np.zeros(problem.dim) if last is None else _admm_x(last[0][0], scale, denom)
+        last_x = Vec._adopt(x) if np.isfinite(x).all() else Vec(x)
     trace = IterateTrace(
         _Replay(build, first, int(steps[0])),
         Vec._adopt(np.zeros(problem.dim)),
@@ -402,10 +473,10 @@ def _reflection(weights: np.ndarray, g: GFunction, gamma) -> np.ndarray:
 
 
 def _relaxed_engine(alpha, refl, z: np.ndarray) -> tuple:
-    """Step, record map, parameters and state of relaxed DR from the rows
-    ``z``: one step is ``(1 - alpha) z + alpha * refl * z``, with ``refl`` the
-    factor of :func:`_reflection`, and records ``z``."""
-    blocks = _ColumnBlocks(z.shape, reads=(True,), temps=1)
+    """Engine (see :func:`_engine`) of relaxed DR from the rows ``z``: one
+    step is ``(1 - alpha) z + alpha * refl * z``, with ``refl`` the factor of
+    :func:`_reflection`, and records ``z``."""
+    blocks = _ColumnBlocks(z.shape, temps=1)
 
     def step(params, state):
         alpha, keep, refl = params
@@ -419,47 +490,73 @@ def _relaxed_engine(alpha, refl, z: np.ndarray) -> tuple:
 
         return blocks.run(update, (*state, refl), state)
 
-    return step, lambda params, state: state[0], (alpha, 1.0 - alpha, refl), (z,)
+    return step, lambda params, state: state[0], (alpha, 1.0 - alpha, refl), (z,), _unchanged
+
+
+def _admm_x(u: np.ndarray, scale, denom, x: np.ndarray | None = None) -> np.ndarray:
+    """The x-update of :func:`run_admm` from ``u`` with ``w`` at the origin,
+    ``(w - u) * scale / denom`` (see :func:`_admm_engine`), into ``x`` if
+    given."""
+    x = np.subtract(0.0, u, out=x)
+    x *= scale
+    x /= denom
+    return x
 
 
 def _admm_engine(f_weights: np.ndarray, nu: np.ndarray, square: np.ndarray, alpha, rho, u: np.ndarray) -> tuple:
-    """Step, record map, parameters and state of the scaled ADMM updates (see
-    :func:`run_admm`) from the rows ``u``, with ``x`` at the origin; ``alpha``
-    and ``rho`` are scalars or columns, and ``square`` is ``nu * nu``. ``w``
-    is the prox of the origin indicator, the origin at every step, so it is
-    no state: ``w - u`` is ``0.0 - u``, ``u + v - w`` is ``u + v``, and
-    ``(1 - 2 alpha) w``, which adds a signed zero to ``v``, is left out.
-    That changes no bit of ``u``: ``v`` is ``+0.0`` wherever ``u`` is zero,
-    and elsewhere a zero added to ``v`` cannot change ``u + v``."""
-    # the state is (x, u); no step reads x
-    blocks = _ColumnBlocks(u.shape, reads=(False, True), temps=2)
+    """Engine (see :func:`_engine`) of the scaled ADMM updates (see
+    :func:`run_admm`) from the rows ``u``, with ``x`` at the origin;
+    ``alpha`` and ``rho`` are scalars or columns, and ``square`` is ``nu *
+    nu``. ``w`` is the prox of the origin indicator, the origin at every
+    step, so it is no state: ``w - u`` is ``0.0 - u``, ``u + v - w`` is ``u +
+    v``, and ``(1 - 2 alpha) w``, which adds a signed zero to ``v``, is left
+    out. That changes no bit of ``u``: ``v`` is ``+0.0`` wherever ``u`` is
+    zero, and elsewhere a zero added to ``v`` cannot change ``u + v``. No
+    step reads ``x`` either, so the state is ``(u,)`` and each step makes
+    ``x`` in a temporary (see :func:`_admm_x`)."""
+    blocks = _ColumnBlocks(u.shape, temps=2)
 
     def step(params, state):
         rho, relax, scale, denom = params
-        _, u = state
 
-        def update(u, scale, denom, nu, x, u_new, v, diff):
-            x = np.subtract(0.0, u, out=x)
-            x *= scale
-            x /= denom
-            v = np.multiply(nu, x, out=v)
-            v *= relax
-            u_new = np.add(u, v, out=u_new)
-            return (x, u_new), np.multiply(rho, u_new, out=v), np.subtract(u_new, u, out=diff)
+        def update(u, scale, denom, nu, u_new, t, diff):
+            # t holds x, then v = relax * (nu * x), then the recorded rho * u
+            t = _admm_x(u, scale, denom, t)
+            t *= nu
+            t *= relax
+            u_new = np.add(u, t, out=u_new)
+            return (u_new,), np.multiply(rho, u_new, out=t), np.subtract(u_new, u, out=diff)
 
-        next_state, dist, step_norm = blocks.run(update, (u, scale, denom, nu), state)
+        next_state, dist, step_norm = blocks.run(update, (*state, scale, denom, nu), state)
         return next_state, dist, np.ravel(rho) * step_norm
 
     params = (rho, 2.0 * alpha, rho * nu, f_weights + rho * square)
-    return step, lambda params, state: params[0] * state[-1], params, (np.zeros(u.shape), u)
+
+    def still(before: tuple, after: tuple) -> np.ndarray:
+        # a row stays where it was only if the first step leaves u unchanged
+        # and x at the origin, where it started: u can stay put under a
+        # nonzero x when relax * nu * x is lost in the rounding of u
+        same = _unchanged(before, after)
+        (u,) = before
+        _, _, scale, denom = params
+        for lo in range(0, u.shape[1], COLUMN_BLOCK):
+            if not np.count_nonzero(same):
+                break
+            cols = slice(lo, lo + COLUMN_BLOCK)
+            same &= ~np.any(_admm_x(u[:, cols], scale[..., cols], denom[..., cols]), axis=1)
+        return same
+
+    return step, lambda params, state: params[0] * state[-1], params, (u,), still
 
 
 def _engine(problem: CompositeProblem, mode: str, gamma: float) -> Callable:
     """The engine ``mode`` runs on ``problem``, at step sizes up to ``gamma``,
     as a builder: ``build(alpha, gamma, rows, rows_are_u=False)`` returns
-    ``(step, record, params, state)`` for :func:`_iterate` from the start
-    rows ``rows``, where ``record(params, state)`` gives the recorded rows of
-    a state (the start rows of :func:`_iterate` for the first state).
+    the engine ``(step, record, params, state, still)`` for :func:`_iterate`
+    from the start rows ``rows``, where ``record(params, state)`` gives the
+    recorded rows of a state (the start rows of :func:`_iterate` for the
+    first state) and ``still(state, next_state)`` which rows the first step
+    left exactly where they were.
 
     The one place that checks the mode and the problem it needs, once for
     every engine it builds; the work over every coordinate that does not
@@ -602,7 +699,7 @@ def run_rows(
         raise ValueError("alphas and gammas must be 1-d and of equal length")
     # a bad mode or problem, or a step size whose products overflow (they
     # grow with it), fails here, before any block runs, even for no rows
-    engine = _engine(problem, mode, float(gammas.max(initial=1.0)))
+    build = _engine(problem, mode, float(gammas.max(initial=1.0)))
     rows, dim = alphas.size, problem.dim
     block = max(1, BLOCK_ELEMENTS // dim)
     steps = np.zeros(rows, dtype=int)
@@ -613,8 +710,9 @@ def run_rows(
         z = np.asarray(starts(part), dtype=float)
         if z.shape != (part.stop - part.start, dim):
             raise ValueError(f"start rows have shape {z.shape}, expected {(part.stop - part.start, dim)}")
-        step, record, params, state = engine(alphas[part, None], gammas[part, None], z)
-        dist, steps[part], _, diverged[part], _ = _iterate(step, params, state, record(params, state), max_iter, tol)
+        engine = build(alphas[part, None], gammas[part, None], z)
+        _, record, params, state, _ = engine
+        dist, steps[part], _, diverged[part], _ = _iterate(engine, record(params, state), max_iter, tol)
         blocks.append(dist)
     distances = np.full((rows, max((d.shape[1] for d in blocks), default=1)), np.nan)
     for lo, dist in zip(range(0, rows, block), blocks):

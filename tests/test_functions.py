@@ -253,6 +253,20 @@ def test_batched_conjugate_oracle_equals_its_one_row_calls_bitwise(case, rows, s
     assert one_row.tobytes() == np.array([_scalar_conjugate(p, row) for row in many]).tobytes()
 
 
+def test_conjugate_oracle_stops_where_the_probe_shows_no_curvature():
+    # at mu = 2**-537 along a curvature-1/2 coordinate, <g, g> = 2**-1074 is
+    # the smallest subnormal, but the probe's curvature <w d, d> = 2**-1075
+    # rounds to 0: the row stops at the origin rather than divide by it,
+    # while a row of normal scale in the same call runs as it does alone
+    assert (2.0**-537) ** 2 > 0.0 and 0.5 * 2.0**-537 * 2.0**-537 == 0.0
+    p = CompositeProblem(DiagQuadratic([0.5, 2.0]), GFunction.ZERO_INDICATOR, DiagOperator([1.0, 3.0], 1.0, 3.0))
+    mu = np.array([[2.0**-537, 0.0], [1.0, -1.0]])
+    values = conjugate_oracle(p, mu)
+    assert values[0] == 0.0
+    assert values[1] == conjugate_oracle(p, mu[1]) == pytest.approx(0.5 * np.dot(dual_function(p).weights, mu[1] ** 2))
+    assert values.tobytes() == np.array([_scalar_conjugate(p, row) for row in mu]).tobytes()
+
+
 def test_conjugate_oracle_needs_a_coupling(two_band):
     with pytest.raises(ValueError, match="coupling"):
         conjugate_oracle(CompositeProblem(f=two_band, g=GFunction.ZERO_INDICATOR), np.ones(4))

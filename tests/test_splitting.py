@@ -1,5 +1,8 @@
 import math
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -351,6 +354,28 @@ def test_run_admm_fixed_at_optimum():
     trace = run_admm(p, rho=1.0, alpha=1.0)
     assert len(trace.iterates) == 1 and trace.converged
     assert np.array_equal(trace.final_x.coeffs, np.zeros(8))
+
+
+@pytest.mark.parametrize("dim", [8, 2 * splitting.NORM_CHUNK + 3])
+def test_run_admm_first_step_that_moves_only_x_is_a_step(monkeypatch, dim):
+    # gains so small that relax * nu * x is lost in the rounding of u: the
+    # first step leaves u where it was but moves x off the origin, so the
+    # start is no fixed point; the run takes one step and stops by tol. A
+    # zero start in the same batch is a fixed point. The long rows run in
+    # three column blocks
+    monkeypatch.setattr(splitting, "COLUMN_BLOCK", splitting.NORM_CHUNK)
+    problem = make_dual_instance(SIGMA, BETA, 1e-9, 2e-9, dim, range(dim // 2), pairing="crossed")
+    start = np.random.default_rng(29).uniform(-1.0, 1.0, dim)
+    trace = run_admm(problem, rho=1.0, alpha=0.5, u0=Vec(start), max_iter=50, tol=1e-13)
+    assert trace.n_steps == 1 and trace.converged
+    assert trace.distances[1] == trace.distances[0]
+    assert trace.iterates[1].coeffs.tobytes() == start.tobytes()
+    nu, lam = problem.a.weights, problem.f.weights
+    x = ((0.0 - start) * nu) / (lam + nu * nu)
+    assert np.all(x != 0.0) and trace.final_x.coeffs.tobytes() == x.tobytes()
+    starts = np.stack([start, np.zeros(dim)])
+    runs = run_rows(problem, "admm", [0.5, 0.5], [1.0, 1.0], lambda rows: starts[rows], max_iter=50, tol=1e-13)
+    assert runs.steps.tolist() == [1, 0] and not runs.diverged.any()
 
 
 def test_run_admm_validation(primal):
@@ -726,13 +751,16 @@ def _chunked_norm(v):
 
 
 @pytest.mark.parametrize("mode", splitting.MODES)
-@pytest.mark.parametrize("extra", [-1, 0, 1, 2 * splitting.NORM_CHUNK + 5])
+@pytest.mark.parametrize("extra", [-1, 0, 1, splitting.NORM_CHUNK + 3, 2 * splitting.NORM_CHUNK + 5])
 def test_column_blocks_equal_the_unblocked_steps_bitwise(monkeypatch, mode, extra):
     # one chunk per column block keeps the dims small: a row of NORM_CHUNK
-    # + extra elements is one block (extra <= 0), two blocks the last of
-    # width 1, or four blocks the last of width 5. The rows stop by tol, by
-    # the guard, at a zero start and at the budget, so stopped rows are
-    # stepped on as NaN rows and then gathered out mid-batch.
+    # + extra elements is one block (extra <= 0), or two, three or four
+    # blocks, the last of width 1, 3 or 5. The rows stop by tol, by the
+    # guard, at a zero start and at the budget, so stopped rows are stepped
+    # on as NaN rows and then gathered out mid-batch. The blocks run on 1, 2
+    # and 3 threads, in uneven runs (4 blocks on 3 threads run 1, 1 and 2),
+    # with the interpreter switching threads as often as it can, and every
+    # worker count gives the same bits.
     monkeypatch.setattr(splitting, "COLUMN_BLOCK", splitting.NORM_CHUNK)
     dim = splitting.NORM_CHUNK + extra
     half = range(dim // 2)
@@ -749,34 +777,89 @@ def test_column_blocks_equal_the_unblocked_steps_bitwise(monkeypatch, mode, extr
     starts = rng.uniform(-1.0, 1.0, (5, dim))
     starts[2] = 0.0
     max_iter, tol = 60, 1e-2
-    runs = run_rows(problem, mode, alphas, gammas, lambda rows: starts[rows], max_iter=max_iter, tol=tol)
-    assert 0 < runs.steps[0] < max_iter and runs.diverged[1] and runs.steps[2] == 0 and runs.steps[4] == max_iter
+    references = []
     for i in range(5):
         if mode == "admm":
             u0 = starts[i] * (1.0 / gammas[i])
             iterates, diverged, ref_x = _reference_admm(
                 problem.f.weights, problem.a.weights, alphas[i], gammas[i], u0, max_iter, tol, _chunked_norm
             )
-            try:
-                trace = run_admm(problem, gammas[i], alphas[i], u0=Vec(u0), max_iter=max_iter, tol=tol)
-            except DivergenceError as exc:
-                trace = exc.trace
-            assert trace.final_x.coeffs.tobytes() == ref_x.tobytes()
         else:
             weights = problem.f.weights if mode == "primal-dr" else curvatures.weights
             iterates, diverged = _reference_dr(
                 weights, False, alphas[i], gammas[i], starts[i], max_iter, tol, _chunked_norm
             )
-        distances = np.array([_chunked_norm(z) for z in iterates])
-        assert (runs.steps[i], runs.diverged[i]) == (len(iterates) - 1, diverged)
-        assert runs.distances[i, : len(iterates)].tobytes() == distances.tobytes()
+            ref_x = None
+        distances = np.array([_chunked_norm(z) for z in iterates]).tobytes()
+        references.append((len(iterates) - 1, diverged, distances, ref_x))
+    monkeypatch.setattr(splitting, "RUN_ELEMENTS", 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(splitting, "WORKERS", workers)
+            runs = run_rows(problem, mode, alphas, gammas, lambda rows: starts[rows], max_iter=max_iter, tol=tol)
+            assert 0 < runs.steps[0] < max_iter and runs.diverged[1] and runs.steps[2] == 0
+            assert runs.steps[4] == max_iter
+            for i, (steps, diverged, distances, ref_x) in enumerate(references):
+                assert (runs.steps[i], runs.diverged[i]) == (steps, diverged)
+                assert runs.distances[i, : steps + 1].tobytes() == distances
+                if mode == "admm":
+                    u0 = Vec(starts[i] * (1.0 / gammas[i]))
+                    try:
+                        trace = run_admm(problem, gammas[i], alphas[i], u0=u0, max_iter=max_iter, tol=tol)
+                    except DivergenceError as exc:
+                        trace = exc.trace
+                    assert trace.final_x.coeffs.tobytes() == ref_x.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_worker_raises_in_the_caller(monkeypatch):
+    # numpy's error handling is per thread: a worker steps under the
+    # caller's, and what it raises reaches the caller. Only the last of the
+    # three blocks holds an infinity, which the step turns into inf - inf
+    monkeypatch.setattr(splitting, "COLUMN_BLOCK", splitting.NORM_CHUNK)
+    monkeypatch.setattr(splitting, "WORKERS", 2)
+    monkeypatch.setattr(splitting, "RUN_ELEMENTS", 1)
+    dim = 2 * splitting.NORM_CHUNK + 3
+    problem = make_primal_instance(SIGMA, BETA, dim, range(dim // 2))
+    start = np.ones((1, dim))
+    start[0, -1] = math.inf
+    # the last coordinate has curvature BETA, so gamma * BETA > 1 makes its
+    # reflection factor negative: z * keep + (alpha * refl) * z is inf - inf
+    runs = lambda: run_rows(problem, "primal-dr", [0.5], [1.0], lambda rows: start, max_iter=2, tol=0.0)
+    with np.errstate(all="raise"), pytest.raises(FloatingPointError, match="invalid value"):
+        runs()
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(runs().distances[0, 1])
+
+
+def test_short_rows_import_no_thread_pool():
+    # the pool, and concurrent.futures, are for rows longer than
+    # COLUMN_BLOCK: the package, the battery's module and default sweeps
+    # never load them
+    code = (
+        "import contextlib, io, sys, splitrate, splitrate.acceptance\n"
+        "from splitrate import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(['sweep', '--mode', mode]) for mode in ('primal-dr', 'dual-dr', 'admm')]\n"
+        "assert codes == [0, 0, 0], codes\n"
+        "assert 'concurrent.futures' not in sys.modules\n"
+    )
+    src = str(Path(splitting.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("mode", ["primal-dr", "admm"])
-def test_a_step_holds_no_row_sized_temporary(mode):
+def test_a_step_holds_no_row_sized_temporary(monkeypatch, mode):
     # a step's temporaries are column blocks: from the engine's build to
     # its twentieth step, the traced peak stays within a few blocks of the
-    # buffers the engine holds, where one row is 1.6 MB
+    # buffers the engine holds, where one row is 1.6 MB. The blocks run on
+    # two threads, each with its own block of temporaries
+    monkeypatch.setattr(splitting, "WORKERS", 2)
+    monkeypatch.setattr(splitting, "RUN_ELEMENTS", splitting.COLUMN_BLOCK)
     dim = 200_000
     half = range(dim // 2)
     rows = np.random.default_rng(28).uniform(-1.0, 1.0, (1, dim))
@@ -786,11 +869,12 @@ def test_a_step_holds_no_row_sized_temporary(mode):
         problem = make_primal_instance(SIGMA, BETA, dim, half)
     tracemalloc.start()
     try:
-        step, record, params, state = splitting._engine(problem, mode, 0.5)(0.9, 0.5, rows)
+        engine = splitting._engine(problem, mode, 0.5)(0.9, 0.5, rows)
+        _, record, params, state, _ = engine
         start = record(params, state)
         held = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        _, steps, _, diverged, _ = splitting._iterate(step, params, state, start, 20, 0.0)
+        _, steps, _, diverged, _ = splitting._iterate(engine, start, 20, 0.0)
         peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
