@@ -503,17 +503,17 @@ def _admm_x(u: np.ndarray, scale, denom, x: np.ndarray | None = None) -> np.ndar
     return x
 
 
-def _admm_engine(f_weights: np.ndarray, nu: np.ndarray, square: np.ndarray, alpha, rho, u: np.ndarray) -> tuple:
+def _admm_engine(f_weights: np.ndarray, nu: np.ndarray, alpha, rho, u: np.ndarray) -> tuple:
     """Engine (see :func:`_engine`) of the scaled ADMM updates (see
     :func:`run_admm`) from the rows ``u``, with ``x`` at the origin;
-    ``alpha`` and ``rho`` are scalars or columns, and ``square`` is ``nu *
-    nu``. ``w`` is the prox of the origin indicator, the origin at every
-    step, so it is no state: ``w - u`` is ``0.0 - u``, ``u + v - w`` is ``u +
-    v``, and ``(1 - 2 alpha) w``, which adds a signed zero to ``v``, is left
-    out. That changes no bit of ``u``: ``v`` is ``+0.0`` wherever ``u`` is
-    zero, and elsewhere a zero added to ``v`` cannot change ``u + v``. No
-    step reads ``x`` either, so the state is ``(u,)`` and each step makes
-    ``x`` in a temporary (see :func:`_admm_x`)."""
+    ``alpha`` and ``rho`` are scalars or columns. ``w`` is the prox of the
+    origin indicator, the origin at every step, so it is no state: ``w - u``
+    is ``0.0 - u``, ``u + v - w`` is ``u + v``, and ``(1 - 2 alpha) w``,
+    which adds a signed zero to ``v``, is left out. That changes no bit of
+    ``u``: ``v`` is ``+0.0`` wherever ``u`` is zero, and elsewhere a zero
+    added to ``v`` cannot change ``u + v``. No step reads ``x`` either, so
+    the state is ``(u,)`` and each step makes ``x`` in a temporary (see
+    :func:`_admm_x`)."""
     blocks = _ColumnBlocks(u.shape, temps=2)
 
     def step(params, state):
@@ -530,7 +530,10 @@ def _admm_engine(f_weights: np.ndarray, nu: np.ndarray, square: np.ndarray, alph
         next_state, dist, step_norm = blocks.run(update, (*state, scale, denom, nu), state)
         return next_state, dist, np.ravel(rho) * step_norm
 
-    params = (rho, 2.0 * alpha, rho * nu, f_weights + rho * square)
+    # the x-update's denominator f_weights + rho * nu**2, formed in place
+    denom = rho * (nu * nu)
+    denom += f_weights
+    params = (rho, 2.0 * alpha, rho * nu, denom)
 
     def still(before: tuple, after: tuple) -> np.ndarray:
         # a row stays where it was only if the first step leaves u unchanged
@@ -559,18 +562,18 @@ def _engine(problem: CompositeProblem, mode: str, gamma: float) -> Callable:
     left exactly where they were.
 
     The one place that checks the mode and the problem it needs, once for
-    every engine it builds; the work over every coordinate that does not
-    depend on the step size (the dual curvatures, ADMM's squared gains) is
-    done here once too. ``alpha`` and ``gamma`` (``rho`` for ADMM) of a
-    build are scalars or ``(rows, 1)`` columns, with ``gamma`` no larger
-    than the ``gamma`` checked here. Relaxed DR runs on ``problem`` itself
-    ("primal-dr", identity coupling only) or on its dual ("dual-dr") and
-    records ``rows``. ADMM starts from ``u = rows * (1 / gamma)``, or from
-    ``u = rows`` with ``rows_are_u``, and records ``gamma * u``. Dual DR and
-    ADMM need ``g`` the indicator of the origin and an explicit diagonal
-    coupling. A step size whose product with a curvature or gain overflows
-    raises ValueError: rounding is monotone, so the product of ``gamma`` and
-    the largest curvature or gain, in Python floats, is the largest one.
+    every engine it builds; the dual curvatures, which do not depend on the
+    step size, are formed here once too. ``alpha`` and ``gamma`` (``rho``
+    for ADMM) of a build are scalars or ``(rows, 1)`` columns, with
+    ``gamma`` no larger than the ``gamma`` checked here. Relaxed DR runs on
+    ``problem`` itself ("primal-dr", identity coupling only) or on its dual
+    ("dual-dr") and records ``rows``. ADMM starts from ``u = rows * (1 /
+    gamma)``, or from ``u = rows`` with ``rows_are_u``, and records ``gamma
+    * u``. Dual DR and ADMM need ``g`` the indicator of the origin and an
+    explicit diagonal coupling. A step size whose product with a curvature
+    or gain overflows raises ValueError: rounding is monotone, so the
+    product of ``gamma`` and the largest curvature or gain, in Python
+    floats, is the largest one.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -589,11 +592,10 @@ def _engine(problem: CompositeProblem, mode: str, gamma: float) -> Callable:
         top = float(nu.max())
         _check_finite_product(gamma, top, "nu")
         _check_finite_product(gamma, top * top, "nu**2")
-        square = nu * nu
 
         def build(alpha, gamma, rows: np.ndarray, rows_are_u: bool = False) -> tuple:
             u = rows if rows_are_u else rows * (1.0 / gamma)
-            return _admm_engine(f_weights, nu, square, alpha, gamma, u)
+            return _admm_engine(f_weights, nu, alpha, gamma, u)
 
         return build
     _check_finite_product(gamma, quad.beta, "beta")

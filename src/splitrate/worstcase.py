@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from .functions import CompositeProblem, DiagOperator, DiagQuadratic, GFunction
+from .functions import CompositeProblem, DiagOperator, DiagQuadratic, GFunction, _index_mask
 from .rates import _check_positive, _finite_product, _positive_rows, _psi, psi
 
 __all__ = [
@@ -39,35 +39,32 @@ PAIRINGS = ("aligned", "crossed")
 
 
 def _two_band(sigma: float, beta: float, dim: int, idx_sigma) -> tuple:
-    """``(weights, idx_beta)``: the curvature ``sigma`` on the 0-based
-    coordinates ``idx_sigma`` and ``beta`` on the others, which form
-    ``idx_beta``. Both bands must be non-empty."""
+    """``(quad, on_sigma)``: the quadratic with curvature ``sigma`` on the
+    0-based coordinates ``idx_sigma`` and ``beta`` on the others, and the
+    mask of the sigma band. Both bands must be non-empty."""
     dim, sigma, beta = int(dim), float(sigma), float(beta)
     if dim < 1:
         raise ValueError(f"dim must be a positive integer, got {dim!r}")
     if not (0.0 < sigma <= beta) or not math.isfinite(beta):
         raise ValueError(f"need 0 < sigma <= beta, got sigma={sigma!r}, beta={beta!r}")
-    idx_s = frozenset(int(i) for i in idx_sigma)
-    if not idx_s:
+    on_sigma = _index_mask(dim, idx_sigma, "idx_sigma")
+    if not on_sigma.any():
         raise ValueError("idx_sigma must be non-empty")
-    if not all(0 <= i < dim for i in idx_s):
-        raise ValueError(f"idx_sigma indices must lie in [0, {dim})")
-    idx_beta = frozenset(range(dim)) - idx_s
-    if not idx_beta:
+    if on_sigma.all():
         raise ValueError("idx_sigma must be a proper subset: the beta band must be non-empty")
-    weights = np.full(dim, beta)
-    weights[sorted(idx_s)] = sigma
-    return weights, idx_beta
+    return DiagQuadratic(np.where(on_sigma, sigma, beta)), on_sigma
 
 
 def make_primal_instance(sigma: float, beta: float, dim: int, idx_sigma) -> CompositeProblem:
     """Two-band quadratic with zero nonsmooth term and identity coupling.
 
-    Both index bands must be non-empty; sigma = beta is allowed (isotropic)
-    as long as the partition still has two sides.
+    ``idx_sigma`` takes the indices as :meth:`DiagOperator.two_level` does
+    (any iterable of integers, read once). Both index bands must be
+    non-empty; sigma = beta is allowed (isotropic) as long as the partition
+    still has two sides.
     """
-    weights, _ = _two_band(sigma, beta, dim, idx_sigma)
-    return CompositeProblem(f=DiagQuadratic(weights), g=GFunction.ZERO, a=None)
+    quad, _ = _two_band(sigma, beta, dim, idx_sigma)
+    return CompositeProblem(f=quad, g=GFunction.ZERO, a=None)
 
 
 def make_dual_instance(
@@ -80,7 +77,8 @@ def make_dual_instance(
     pairing: str = "aligned",
 ) -> CompositeProblem:
     """Two-band quadratic with the origin-indicator nonsmooth term and a
-    two-level diagonal coupling (theta < zeta strictly).
+    two-level diagonal coupling (theta < zeta strictly). ``idx_sigma`` is
+    read as by :func:`make_primal_instance`.
 
     ``pairing`` fixes which curvature band carries which coupling gain:
 
@@ -98,11 +96,11 @@ def make_dual_instance(
         raise ValueError(f"need theta < zeta strictly, got theta={theta!r}, zeta={zeta!r}")
     if pairing not in PAIRINGS:
         raise ValueError(f"pairing must be one of {PAIRINGS}, got {pairing!r}")
-    idx_sigma = frozenset(idx_sigma)
-    weights, idx_beta = _two_band(sigma, beta, dim, idx_sigma)
-    idx_theta = idx_sigma if pairing == "aligned" else idx_beta
-    op = DiagOperator.two_level(weights.size, float(theta), float(zeta), idx_theta)
-    return CompositeProblem(f=DiagQuadratic(weights), g=GFunction.ZERO_INDICATOR, a=op)
+    quad, on_sigma = _two_band(sigma, beta, dim, idx_sigma)
+    on_theta = on_sigma if pairing == "aligned" else ~on_sigma
+    theta, zeta = float(theta), float(zeta)
+    op = DiagOperator(np.where(on_theta, theta, zeta), theta, zeta)
+    return CompositeProblem(f=quad, g=GFunction.ZERO_INDICATOR, a=op)
 
 
 def _relaxed_factor(alpha, reflection):

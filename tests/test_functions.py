@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -56,6 +58,97 @@ def test_spectrum_requires_valid_levels():
 
 def test_spectrum_equal_levels_allowed():
     assert np.array_equal(make_primal_instance(3.0, 3.0, 2, {0}).f.weights, [3.0, 3.0])
+
+
+# each index input kind, as a factory (a generator is read once), on dim 10
+INDEX_DIM = 10
+INDEX_INPUTS = {
+    "set": lambda: {1, 4, 7},
+    "tuple": lambda: (1, 4, 7),
+    "range": lambda: range(2, 9, 3),
+    "descending range": lambda: range(9, -1, -4),
+    "list with repeats": lambda: [7, 1, 4, 4, 1],
+    "int32 array": lambda: np.array([0, 9, 3], dtype=np.int32),
+    "int64 array": lambda: np.array([5, 6], dtype=np.int64),
+    "rng.choice": lambda: np.random.default_rng(8).choice(INDEX_DIM, size=4, replace=False),
+    "generator": lambda: (i for i in (3, 2, 3)),
+}
+
+
+def _two_levels(indices, low: float, high: float) -> np.ndarray:
+    """The reference layout: ``low`` on ``indices`` and ``high`` elsewhere."""
+    return np.where(np.isin(np.arange(INDEX_DIM), list(indices)), low, high)
+
+
+@pytest.mark.parametrize("kind", INDEX_INPUTS)
+def test_every_index_input_lays_out_the_bands_bitwise(kind):
+    make = INDEX_INPUTS[kind]
+    sigma, beta, theta, zeta = 0.3, 7.1, 1.7, 2.9
+    weights = _two_levels(make(), sigma, beta)
+    assert np.array_equal(make_primal_instance(sigma, beta, INDEX_DIM, make()).f.weights, weights)
+    for pairing, gains in (("aligned", (theta, zeta)), ("crossed", (zeta, theta))):
+        dual = make_dual_instance(sigma, beta, theta, zeta, INDEX_DIM, make(), pairing)
+        assert np.array_equal(dual.f.weights, weights)
+        assert np.array_equal(dual.a.weights, _two_levels(make(), *gains))
+    op = DiagOperator.two_level(INDEX_DIM, theta, zeta, make())
+    assert np.array_equal(op.weights, _two_levels(make(), theta, zeta))
+
+
+@pytest.mark.parametrize(
+    "indices, message",
+    [
+        (set(), "idx_sigma must be non-empty"),
+        (range(8, -1, 2), "idx_sigma must be non-empty"),
+        (iter(()), "idx_sigma must be non-empty"),
+        ([3, 10], "idx_sigma indices must lie in [0, 10)"),
+        (range(5, 11), "idx_sigma indices must lie in [0, 10)"),
+        (np.array([10], dtype=np.int32), "idx_sigma indices must lie in [0, 10)"),
+        ([2**70], "idx_sigma indices must lie in [0, 10)"),
+        ((0, -1), "idx_sigma indices must lie in [0, 10)"),
+        (range(-1, 3), "idx_sigma indices must lie in [0, 10)"),
+        (np.array([-2, 4]), "idx_sigma indices must lie in [0, 10)"),
+        (range(10), "idx_sigma must be a proper subset: the beta band must be non-empty"),
+        ([*range(10), 0], "idx_sigma must be a proper subset: the beta band must be non-empty"),
+    ],
+)
+def test_every_rejected_index_input_keeps_its_message(indices, message):
+    makers = (
+        lambda idx: make_primal_instance(1.0, 2.0, INDEX_DIM, idx),
+        lambda idx: make_dual_instance(1.0, 2.0, 1.0, 3.0, INDEX_DIM, idx, "aligned"),
+        lambda idx: make_dual_instance(1.0, 2.0, 1.0, 3.0, INDEX_DIM, idx, "crossed"),
+    )
+    for make in makers:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make(indices)
+    if "lie in" in message:
+        with pytest.raises(ValueError, match=re.escape(message.replace("idx_sigma", "idx_theta"))):
+            DiagOperator.two_level(INDEX_DIM, 1.0, 3.0, indices)
+
+
+def test_two_level_takes_no_index_or_every_index():
+    assert np.array_equal(DiagOperator.two_level(3, 1.0, 2.0, set()).weights, [2.0, 2.0, 2.0])
+    assert np.array_equal(DiagOperator.two_level(3, 1.0, 2.0, range(3)).weights, [1.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("kind", ["primal", "crossed"])
+def test_building_an_instance_takes_a_few_rows(kind):
+    # one float row is 8 * dim bytes: an instance holds one weight row (two
+    # with its gains) and its build peaks at no more than four, with no
+    # Python int per index
+    dim = 2**18
+    if kind == "primal":
+        build = lambda: make_primal_instance(1.0, 10.0, dim, range(dim // 2))
+    else:
+        build = lambda: make_dual_instance(1.0, 10.0, 1.0, 3.0, dim, range(dim // 2), pairing="crossed")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        problem = build()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert problem.dim == dim
+    assert peak <= 4 * 8 * dim
 
 
 # -- DiagQuadratic evaluation -------------------------------------------------

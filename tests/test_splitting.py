@@ -990,6 +990,26 @@ def test_admm_rates_match_dual_dr_rates(case):
     assert np.all(np.fmax(dual, admm)[~both] < 1e-2)
 
 
+def test_a_finished_admm_trace_holds_three_rows():
+    # once run_admm returns, its trace holds the first recorded row, the
+    # final x and the fixed point's zeros, one row of 8 * dim bytes each;
+    # the replay rebuilds the rest of its engine when the iterates are read
+    dim = 2**18
+    problem = make_dual_instance(SIGMA, BETA, 1.0, 3.0, dim, range(dim // 2), pairing="crossed")
+    u0 = Vec(np.random.default_rng(29).uniform(-1.0, 1.0, dim))
+    run = lambda: run_admm(problem, rho=0.5, alpha=0.9, u0=u0, max_iter=30, tol=0.0)
+    run()  # the first run's lazy imports stay for the process
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = run()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert trace.n_steps == 30
+    assert held <= 3 * 8 * dim + 65536  # and a few small objects
+
+
 @pytest.mark.parametrize("mode", ["primal-dr", "admm"])
 def test_run_memory_does_not_grow_with_steps(mode):
     # a kept iterate is dim * 8 bytes, so a run that kept them would peak
