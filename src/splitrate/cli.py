@@ -463,9 +463,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the parser of main, built on its first call: building it takes about 1 ms,
+# and a process may call main many times (the battery's sweep-determinism
+# check does)
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, ValueError, OSError) as exc:

@@ -54,6 +54,10 @@ NORM_CHUNK = 8192
 #: :class:`_ColumnBlocks`), so that the arrays of one block stay in cache
 COLUMN_BLOCK = 4 * NORM_CHUNK
 
+#: most steps one walk over long rows takes (see :func:`_iterate`): each
+#: column block takes them all while it is in cache
+PASS_STEPS = 4
+
 #: most threads that step one batch of long rows (see :class:`_ColumnBlocks`):
 #: the cores this process may run on
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -185,32 +189,39 @@ def _executor(threads: int):
 
 
 class _ColumnBlocks:
-    """Runs the update of one engine step on whole rows, or over column
-    blocks for long rows, and norms what it made; both engines share it.
+    """Runs the update of one or more engine steps on whole rows, or over
+    column blocks for long rows, and norms what each step made; both
+    engines share it.
 
-    ``run(update, columns, state)`` calls ``update(*columns, out,
-    *temps)``. ``columns`` are the arrays the update reads whose last axis
-    runs over the coordinates, the one array of ``state`` among them;
-    ``out`` receives the next state and ``temps`` hold the update's
-    temporaries. ``update`` returns ``(next_state, recorded, step)``, and
-    ``run`` returns the next state with the row norms of ``recorded`` and
-    of ``step``, bit for bit what :func:`_norms` gives for the whole rows.
+    ``run(update, state, columns, steps)`` calls ``update(z, *columns, out,
+    *temps)`` once per step, where ``z`` is the one array of ``state`` or
+    what the step before made of it, ``columns`` are the other arrays the
+    update reads whose last axis runs over the coordinates, ``out``
+    receives the next state and ``temps`` hold the update's temporaries.
+    ``update`` returns ``(next_state, recorded, step)``, and ``run`` returns
+    the state after the last step with the row norms of each step's
+    ``recorded`` and ``step``, bit for bit what :func:`_norms` gives for the
+    whole rows: ``(rows,)`` arrays for one step, ``(steps, rows)`` for more.
 
-    Rows of at most ``COLUMN_BLOCK`` elements are updated whole, with
-    ``out`` and every temporary None, so that numpy allocates them, as for
-    any small array. Longer rows are walked in blocks of ``COLUMN_BLOCK``
-    columns, so that the arrays of a block stay in cache. The blocks are
-    split into runs of consecutive blocks, at most ``WORKERS`` runs and at
-    most one per ``RUN_ELEMENTS`` elements of the rows: the calling thread
-    walks the first run and the threads of a module-level pool the others,
-    at once, since numpy releases the GIL in its loops. Each run has its
-    own block of per-engine temporaries, and each block writes only its own
-    columns of ``out``, so the results do not depend on how many runs there
-    are. ``out`` is one of a pair of per-engine buffers, which take turns,
-    so that a step never writes into the state it reads. The blocks start
-    on chunk boundaries, so the chunk dots of the blocks, in order, are the
-    chunk dots of the rows, and the last block holds the rows' tails; they
-    are summed as in :func:`_norms`.
+    Rows of at most ``COLUMN_BLOCK`` elements take one step per call and
+    are updated whole, with ``out`` and every temporary None, so that numpy
+    allocates them, as for any small array. Longer rows are walked in blocks
+    of ``COLUMN_BLOCK`` columns, so that the arrays of a block stay in
+    cache, and a block takes all its steps before the walk moves on: the
+    map is diagonal, so no block's step needs another block. The steps of a
+    block take turns between its columns of ``out`` and a spare block, so
+    that the last step writes ``out``. The blocks are split into runs of
+    consecutive blocks, at most ``WORKERS`` runs and at most one per
+    ``RUN_ELEMENTS`` elements of the rows: the calling thread walks the
+    first run and the threads of a module-level pool the others, at once,
+    since numpy releases the GIL in its loops. Each run has its own spare
+    block and block of per-engine temporaries, and each block writes only
+    its own columns of ``out``, so the results do not depend on how many
+    runs there are. ``out`` is one of a pair of per-engine buffers, which
+    take turns, so that a call never writes into the state it reads. The
+    blocks start on chunk boundaries, so each step's chunk dots of the
+    blocks, in order, are the chunk dots of the rows, and the last block
+    holds the rows' tails; they are summed as in :func:`_norms`.
     """
 
     def __init__(self, shape: tuple, temps: int):
@@ -223,36 +234,44 @@ class _ColumnBlocks:
             runs = max(1, min(WORKERS, blocks, rows * self.dim // RUN_ELEMENTS))
             edges = [COLUMN_BLOCK * (blocks * i // runs) for i in range(runs)] + [self.dim]
             self.runs = list(zip(edges, edges[1:]))
-            self.temps = [[np.empty((rows, COLUMN_BLOCK)) for _ in range(temps)] for _ in self.runs]
+            # each run's spare block, then its temporaries
+            self.temps = [[np.empty((rows, COLUMN_BLOCK)) for _ in self.none] for _ in self.runs]
             self.pool = _executor(runs - 1) if runs > 1 else None
 
-    def run(self, update: Callable, columns: tuple, state: tuple) -> tuple:
+    def run(self, update: Callable, state: tuple, columns: tuple, steps: int = 1) -> tuple:
         if self.dim <= COLUMN_BLOCK:
-            next_state, recorded, step = update(*columns, *self.none)
+            next_state, recorded, step = update(*state, *columns, *self.none)
             return next_state, _norms(recorded), _norms(step)
         (z,) = state
         rows = z.shape[0]
         out = self.pair[z.base is self.pair[0]][:rows]
+        # each step's tail dots of recorded and step, from the run that ends
+        # the rows
+        tails = [[None, None] for _ in range(steps)]
 
         # numpy keeps its floating-point error handling per thread: every
         # run takes the caller's
         err = np.geterr()
 
-        def walk(lo: int, hi: int, temps: list) -> tuple:
-            # the chunk dots of recorded and step, block by block, and the
-            # last block's recorded and step, which hold the tails of a run
-            # that ends the rows
+        def walk(lo: int, hi: int, temps: list) -> list:
+            # each step's chunk dots of recorded and step, block by block
             temps = [t[:rows] for t in temps]
-            dots = ([], [])
+            dots = [([], []) for _ in range(steps)]
             with np.errstate(**err):
                 for start in range(lo, hi, COLUMN_BLOCK):
                     cols = slice(start, min(start + COLUMN_BLOCK, hi))
-                    block_temps = [t[:, : cols.stop - start] for t in temps]
-                    _, *blocks = update(*[a[..., cols] for a in columns], out[:, cols], *block_temps)
-                    for block_dots, block in zip(dots, blocks):
-                        chunks, _ = _chunked(block)
-                        block_dots.append(np.vecdot(chunks, chunks))
-            return dots, blocks
+                    spare, *block_temps = [t[:, : cols.stop - start] for t in temps]
+                    fixed = [a[..., cols] for a in columns]
+                    block = z[:, cols]
+                    for s, step_dots in enumerate(dots):
+                        target = out[:, cols] if (steps - s) % 2 else spare
+                        (block,), *made = update(block, *fixed, target, *block_temps)
+                        for i, (block_dots, array) in enumerate(zip(step_dots, made)):
+                            chunks, tail = _chunked(array)
+                            block_dots.append(np.vecdot(chunks, chunks))
+                            if cols.stop == self.dim:
+                                tails[s][i] = np.vecdot(tail, tail)
+            return dots
 
         futures = [self.pool.submit(walk, *run, temps) for run, temps in zip(self.runs[1:], self.temps[1:])]
         try:
@@ -262,12 +281,12 @@ class _ColumnBlocks:
             for future in futures:
                 future.exception()
         parts += [future.result() for future in futures]
-        norms = []
-        for i, block in enumerate(parts[-1][1]):
-            dots = np.concatenate([d for part_dots, _ in parts for d in part_dots[i]], axis=1)
-            tail = _chunked(block)[1]
-            norms.append(np.sqrt(dots.sum(axis=1) + np.vecdot(tail, tail)))
-        return (out,), *norms
+        norms = np.empty((2, steps, rows))
+        for s, step_tails in enumerate(tails):
+            for i, tail in enumerate(step_tails):
+                dots = np.concatenate([d for part in parts for d in part[s][i]], axis=1)
+                np.sqrt(dots.sum(axis=1) + tail, out=norms[i, s])
+        return (out,), *(norms if steps > 1 else norms[:, 0])
 
 
 def _step_ratios(distances: np.ndarray) -> np.ndarray:
@@ -297,24 +316,40 @@ def _iterate(engine: tuple, start: np.ndarray, max_iter: int, tol: float):
     The engine's ``state`` is a tuple of ``(rows, dim)`` float arrays whose
     recorded vectors are the rows of ``start``; its ``params`` hold the
     per-row parameters, as ``(rows, ...)`` arrays or, for a single row, as
-    scalars and shared arrays. ``step(params, state)`` returns
-    ``(next_state, distances, step_norms)``: each row's distance from its
-    recorded vector to the origin and its step norm. A row stops when its
-    first step leaves it exactly where it was (it started at a fixed point;
-    the engine's ``still(state, next_state)`` tells which rows did), when
-    its distance to the origin exceeds ``DIVERGENCE_FACTOR`` times its
-    starting distance (diverged), or when its step norm drops to ``tol``.
+    scalars and shared arrays. ``step(params, state, steps=1)`` takes
+    ``steps`` steps and returns ``(next_state, distances, step_norms)``: for
+    each step, each row's distance from its recorded vector to the origin
+    and its step norm, as ``(rows,)`` arrays for one step and ``(steps,
+    rows)`` for more. A row stops when its first step leaves it exactly
+    where it was (it started at a fixed point; the engine's
+    ``still(state, next_state)`` tells which rows did), when its distance to
+    the origin exceeds ``DIVERGENCE_FACTOR`` times its starting distance
+    (diverged), or when its step norm drops to ``tol``.
+
+    Rows longer than ``COLUMN_BLOCK`` are stepped in passes of up to
+    ``PASS_STEPS`` steps, one walk over the rows each (see
+    :class:`_ColumnBlocks`); the first step, which the fixed-point test
+    needs alone, and the last step of the budget run alone. The stop tests
+    then run step by step over the pass's results. A row that stops inside
+    a pass was stepped on past its stop: its results for the later steps
+    of the pass are set to NaN. A pass runs with every floating-point error
+    that the caller would see raised; if one is, a step past some row's stop
+    may have made it, so the pass runs again one step at a time, under the
+    caller's error handling, and reports exactly what those steps do.
+    Shorter rows take one step at a time.
 
     A stopped row is stepped on with the others until at most half of the
     array rows are live; only then are the state, the parameters and the
     bookkeeping gathered down to the live rows. Until that point the
     stopped row's row of the last state array is NaN. Each step map carries
     that NaN into the row's distance and step norm, so it meets no stop test
-    again; NaN arithmetic raises no floating-point warning.
+    again; NaN arithmetic raises no floating-point error.
 
     Returns ``(distances, steps, converged, diverged, last)``: ``distances``
-    as in :class:`RowRuns` and ``last`` the state that the last step read,
-    None if no step ran (for a single row, the state before its last step).
+    as in :class:`RowRuns`, and ``last`` None if no step ran, else
+    ``(state, ahead)``, where for a single row the state that its last step
+    read is ``state`` stepped ``ahead`` more times (nonzero only when the
+    row stopped inside a pass).
     """
     if max_iter < 0:
         raise ValueError("max_iter must be non-negative")
@@ -331,15 +366,36 @@ def _iterate(engine: tuple, start: np.ndarray, max_iter: int, tol: float):
     index = np.arange(rows)
     live = np.ones(rows, dtype=bool)
     step, _, params, state, still = engine
-    last = None
+    # steps before `alone` run one at a time; `ready` steps have run
+    alone = 1 if start.shape[1] > COLUMN_BLOCK and PASS_STEPS > 1 else max_iter
+    ready, last = 0, None
     for k in range(max_iter):
-        last = state
-        next_state, dist, step_norm = step(params, state)
-        if k == 0:
-            # a row that the first step leaves exactly where it was started
-            # at a fixed point: it stops there, after no step
-            fixed = still(state, next_state)
-        state = next_state
+        if k < ready:
+            # a later step of the pass: its results are in hand
+            ahead += 1
+            dist, step_norm = dists[ahead], norms[ahead]
+        else:
+            last, ahead, n = state, 0, 1
+            if alone <= k < max_iter - 2:
+                # a pass that stops short of the budget's last step
+                n = min(PASS_STEPS, max_iter - 1 - k)
+                raising = {kind: "raise" for kind, how in np.geterr().items() if how != "ignore"}
+                try:
+                    with np.errstate(**raising):
+                        state, dists, norms = step(params, state, n)
+                    dist, step_norm = dists[0], norms[0]
+                except FloatingPointError:
+                    # maybe a step past some row's stop: step from the same
+                    # state one step at a time, under the caller's handling
+                    alone, n = k + n, 1
+            if n == 1:
+                next_state, dist, step_norm = step(params, state)
+                if k == 0:
+                    # a row that the first step leaves exactly where it was
+                    # started at a fixed point: it stops there, after no step
+                    fixed = still(state, next_state)
+                state = next_state
+            ready = k + n
         grew = dist > limit
         done = grew | (step_norm <= tol)
         if k == 0:
@@ -364,11 +420,18 @@ def _iterate(engine: tuple, start: np.ndarray, max_iter: int, tol: float):
             break
         if 2 * left > live.size:
             state[-1][done] = np.nan
+            if k + 1 < ready:
+                # the rest of the pass stepped the stopped rows on
+                dists[ahead + 1 :, done] = np.nan
+                norms[ahead + 1 :, done] = np.nan
             continue
         index, limit = index[live], limit[live]
         state = tuple(s[live] for s in state)
         params = tuple(p[live] for p in params)
+        if k + 1 < ready:
+            dists, norms = dists[:, live], norms[:, live]
         live = np.ones(left, dtype=bool)
+    last = None if last is None else (last, ahead)
     return distances[:, : steps.max(initial=0) + 1], steps, converged, diverged, last
 
 
@@ -440,7 +503,15 @@ def _run_one(
         # the trace keeps the last primal iterate: the x-update of the u
         # that the last step read, or the origin if no step ran
         _, _, scale, denom = params
-        x = np.zeros(problem.dim) if last is None else _admm_x(last[0][0], scale, denom)
+        if last is None:
+            x = np.zeros(problem.dim)
+        else:
+            u, ahead = last
+            if ahead:
+                # the run stopped inside a pass: step the pass's input,
+                # which no later step wrote, on to the u its last step read
+                u = engine[0](params, u, ahead)[0]
+            x = _admm_x(u[0][0], scale, denom)
         last_x = Vec._adopt(x) if np.isfinite(x).all() else Vec(x)
     trace = IterateTrace(
         _Replay(build, first, int(steps[0])),
@@ -465,11 +536,14 @@ def _reflection(weights: np.ndarray, g: GFunction, gamma) -> np.ndarray:
 
     Both reflected proximal maps are diagonal: ``R_f`` scales coordinate i by
     ``(1 - gamma*w_i) / (1 + gamma*w_i)`` and ``R_g`` is the identity or a
-    negation.
+    negation. The factor is formed in two arrays, the second in place of
+    ``1 + gamma*w_i``: at dim 1e6 each new array costs its page faults.
     """
     gw = gamma * weights
-    refl = (1.0 - gw) / (1.0 + gw)
-    return -refl if g is GFunction.ZERO_INDICATOR else refl
+    refl = 1.0 - gw
+    gw += 1.0
+    refl /= gw
+    return np.negative(refl, out=refl) if g is GFunction.ZERO_INDICATOR else refl
 
 
 def _relaxed_engine(alpha, refl, z: np.ndarray) -> tuple:
@@ -478,7 +552,7 @@ def _relaxed_engine(alpha, refl, z: np.ndarray) -> tuple:
     :func:`_reflection`, and records ``z``."""
     blocks = _ColumnBlocks(z.shape, temps=1)
 
-    def step(params, state):
+    def step(params, state, steps=1):
         alpha, keep, refl = params
 
         def update(z, refl, z_next, t):
@@ -488,7 +562,7 @@ def _relaxed_engine(alpha, refl, z: np.ndarray) -> tuple:
             z_next += t
             return (z_next,), z_next, np.subtract(z_next, z, out=t)
 
-        return blocks.run(update, (*state, refl), state)
+        return blocks.run(update, state, (refl,), steps)
 
     return step, lambda params, state: state[0], (alpha, 1.0 - alpha, refl), (z,), _unchanged
 
@@ -516,7 +590,7 @@ def _admm_engine(f_weights: np.ndarray, nu: np.ndarray, alpha, rho, u: np.ndarra
     :func:`_admm_x`)."""
     blocks = _ColumnBlocks(u.shape, temps=2)
 
-    def step(params, state):
+    def step(params, state, steps=1):
         rho, relax, scale, denom = params
 
         def update(u, scale, denom, nu, u_new, t, diff):
@@ -527,7 +601,7 @@ def _admm_engine(f_weights: np.ndarray, nu: np.ndarray, alpha, rho, u: np.ndarra
             u_new = np.add(u, t, out=u_new)
             return (u_new,), np.multiply(rho, u_new, out=t), np.subtract(u_new, u, out=diff)
 
-        next_state, dist, step_norm = blocks.run(update, (*state, scale, denom, nu), state)
+        next_state, dist, step_norm = blocks.run(update, state, (scale, denom, nu), steps)
         return next_state, dist, np.ravel(rho) * step_norm
 
     # the x-update's denominator f_weights + rho * nu**2, formed in place

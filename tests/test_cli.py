@@ -354,6 +354,22 @@ def test_config_key_and_flag_give_the_same_config(tmp_path, key, flag, value):
     assert from_file == from_flag != cli.SweepConfig()
 
 
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    # main keeps the parser it built on its first call; the second call, of
+    # another command, parses with it and prints what a fresh parser's
+    # command prints
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    argvs = (["rate", "--sigma", "1", "--beta", "4"], ["sweep", "--alpha", "0.5,1.0", "--gamma", "0.1,0.3"])
+    outs = [run_cli(argv, capsys) for argv in argvs]
+    assert len(built) == 1
+    for argv, out in zip(argvs, outs):
+        args = build().parse_args(argv)
+        assert (args.func(args), capsys.readouterr().out) == out
+
+
 # -- sweep --------------------------------------------------------------------
 
 

@@ -1,7 +1,9 @@
+import itertools
 import math
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -759,8 +761,9 @@ def test_column_blocks_equal_the_unblocked_steps_bitwise(monkeypatch, mode, extr
     # guard, at a zero start and at the budget, so stopped rows are stepped
     # on as NaN rows and then gathered out mid-batch. The blocks run on 1, 2
     # and 3 threads, in uneven runs (4 blocks on 3 threads run 1, 1 and 2),
-    # with the interpreter switching threads as often as it can, and every
-    # worker count gives the same bits.
+    # with the interpreter switching threads as often as it can, in passes
+    # of 1 to 4 steps, so that rows stop at every offset within a pass, and
+    # every worker count and pass length gives the same bits.
     monkeypatch.setattr(splitting, "COLUMN_BLOCK", splitting.NORM_CHUNK)
     dim = splitting.NORM_CHUNK + extra
     half = range(dim // 2)
@@ -796,7 +799,8 @@ def test_column_blocks_equal_the_unblocked_steps_bitwise(monkeypatch, mode, extr
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for workers in (1, 2, 3):
+        for pass_steps, workers in itertools.product((1, 2, 3, 4), (1, 2, 3)):
+            monkeypatch.setattr(splitting, "PASS_STEPS", pass_steps)
             monkeypatch.setattr(splitting, "WORKERS", workers)
             runs = run_rows(problem, mode, alphas, gammas, lambda rows: starts[rows], max_iter=max_iter, tol=tol)
             assert 0 < runs.steps[0] < max_iter and runs.diverged[1] and runs.steps[2] == 0
@@ -833,6 +837,112 @@ def test_a_worker_raises_in_the_caller(monkeypatch):
         runs()
     with np.errstate(invalid="ignore"):
         assert np.isnan(runs().distances[0, 1])
+
+
+@pytest.mark.parametrize("pass_steps, walks", [(4, 9), (1, 30)])
+def test_a_long_row_run_walks_its_row_once_per_pass(monkeypatch, pass_steps, walks):
+    # 30 steps in passes of 4: the first step and the last alone, and 7
+    # passes of 4 between them
+    monkeypatch.setattr(splitting, "COLUMN_BLOCK", splitting.NORM_CHUNK)
+    monkeypatch.setattr(splitting, "PASS_STEPS", pass_steps)
+    passes = []
+    run = splitting._ColumnBlocks.run
+    monkeypatch.setattr(splitting._ColumnBlocks, "run", lambda self, *a: passes.append(a[3]) or run(self, *a))
+    dim = 2 * splitting.NORM_CHUNK + 3
+    problem = make_primal_instance(SIGMA, BETA, dim, range(dim // 2))
+    alpha, gamma, _ = optimal_params(SIGMA, BETA)
+    z0 = Vec(np.random.default_rng(30).uniform(-1.0, 1.0, dim))
+    trace = run_dr(problem, SplitParams(alpha, gamma), z0, max_iter=30, tol=0.0)
+    assert trace.n_steps == 30
+    assert (len(passes), sum(passes)) == (walks, 30)
+
+
+def test_a_row_stopping_inside_a_pass_stops_there(monkeypatch):
+    # row 0 stops by tol inside a pass while the two slow rows run on, so it
+    # is stepped on as a NaN row: the later steps of its pass were not its
+    # own, and its steps and distances stay those of its single run
+    monkeypatch.setattr(splitting, "COLUMN_BLOCK", splitting.NORM_CHUNK)
+    dim = 2 * splitting.NORM_CHUNK + 3
+    problem = make_primal_instance(SIGMA, BETA, dim, range(dim // 2))
+    alpha, gamma, _ = optimal_params(SIGMA, BETA)
+    slow = 0.05 * alpha_upper_bound(gamma, SIGMA, BETA)
+    alphas, gammas = np.array([alpha, slow, slow]), np.full(3, gamma)
+    starts = np.random.default_rng(11).uniform(-1.0, 1.0, (3, dim))
+    offsets = set()
+    for tol in 10.0 ** -np.arange(1.0, 9.0):
+        runs = run_rows(problem, "primal-dr", alphas, gammas, lambda rows: starts[rows], max_iter=40, tol=tol)
+        trace = run_dr(problem, SplitParams(alpha, gamma), Vec(starts[0]), max_iter=40, tol=tol)
+        assert list(runs.steps) == [trace.n_steps, 40, 40]
+        assert runs.distances[0, : trace.n_steps + 1].tobytes() == trace.distances.tobytes()
+        assert np.all(np.isnan(runs.distances[0, trace.n_steps + 1 :]))
+        offsets.add((trace.n_steps - 2) % splitting.PASS_STEPS)
+    assert offsets == set(range(splitting.PASS_STEPS))
+
+
+def test_an_admm_run_stopping_inside_a_pass_keeps_its_last_x(monkeypatch):
+    # a one-row run that stops by tol inside a pass rebuilds, from the
+    # pass's input, the state its last step read: at every offset within a
+    # pass, its distances and final x are the reference loop's
+    monkeypatch.setattr(splitting, "COLUMN_BLOCK", splitting.NORM_CHUNK)
+    dim = 2 * splitting.NORM_CHUNK + 5
+    problem = make_dual_instance(SIGMA, BETA, 1.0, 3.0, dim, range(dim // 2), pairing="crossed")
+    curvatures = dual_function(problem)
+    rho = 0.5 / math.sqrt(curvatures.sigma * curvatures.beta)
+    alpha = 0.6 * alpha_upper_bound(rho, curvatures.sigma, curvatures.beta)
+    lam, nu = problem.f.weights, problem.a.weights
+    u0 = np.random.default_rng(5).uniform(-1.0, 1.0, dim) * (1.0 / rho)
+    # the norms the reference takes: the start's, then each step's distance
+    # and step norm
+    seen = []
+    _reference_admm(lam, nu, alpha, rho, u0, 12, 0.0, lambda v: seen.append(_chunked_norm(v)) or seen[-1])
+    offsets = set()
+    for step_norm in seen[2::2]:
+        tol = rho * step_norm
+        iterates, _, ref_x = _reference_admm(lam, nu, alpha, rho, u0, 40, tol, _chunked_norm)
+        trace = run_admm(problem, rho, alpha, u0=Vec(u0), max_iter=40, tol=tol)
+        assert trace.n_steps == len(iterates) - 1
+        assert trace.distances.tobytes() == np.array([_chunked_norm(z) for z in iterates]).tobytes()
+        assert trace.final_x.coeffs.tobytes() == ref_x.tobytes()
+        # steps 2 to 5 are the first pass
+        offsets.add((trace.n_steps - 2) % splitting.PASS_STEPS)
+    assert offsets == set(range(splitting.PASS_STEPS))
+
+
+def test_a_pass_reports_no_float_error_of_a_step_past_a_stop(monkeypatch):
+    # row 1 trips the guard at step 2, the first of a pass, from a start
+    # scaled so that the squares of the pass's later steps overflow. Only
+    # the steps the runs take may raise: none here, and the batch is the
+    # batch of one step per walk. Scaled 8x more, the row's norm overflows
+    # at step 2 itself, which raises as it does one step per walk
+    monkeypatch.setattr(splitting, "COLUMN_BLOCK", splitting.NORM_CHUNK)
+    dim = 2 * splitting.NORM_CHUNK + 3
+    problem = make_primal_instance(SIGMA, BETA, dim, range(dim // 2))
+    upper = alpha_upper_bound(GAMMA_STAR, SIGMA, BETA)
+    alphas, gammas = np.array([0.3 * upper, 4.0, 0.7 * upper]), np.full(3, GAMMA_STAR)
+    starts = np.random.default_rng(7).uniform(-1.0, 1.0, (3, dim))
+    engine = splitting._engine(problem, "primal-dr", GAMMA_STAR)(4.0, GAMMA_STAR, starts[1:2])
+    norms = [splitting._norms(z)[0] for z in splitting._stepped(engine, 4)]
+    assert norms[1] > 10.0 * splitting._norms(starts[1:2])[0] >= norms[0]
+    starts[1] *= 2.0 ** math.floor(math.log2(4e153 / norms[1]))
+    engine = splitting._engine(problem, "primal-dr", GAMMA_STAR)(4.0, GAMMA_STAR, starts[1:2])
+    with np.errstate(over="ignore"):
+        norms = [splitting._norms(z)[0] for z in splitting._stepped(engine, 4)]
+    assert math.isfinite(norms[1]) and math.isinf(norms[3])
+    runs = lambda: run_rows(problem, "primal-dr", alphas, gammas, lambda rows: starts[rows], max_iter=12, tol=0.0)
+    results = set()
+    for pass_steps, how in itertools.product((1, 4), ("raise", "warn")):
+        monkeypatch.setattr(splitting, "PASS_STEPS", pass_steps)
+        with np.errstate(all=how), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = runs()
+        assert list(r.steps) == [12, 2, 12] and list(r.diverged) == [False, True, False]
+        results.add(r.distances.tobytes())
+    assert len(results) == 1
+    starts[1] *= 8.0
+    for pass_steps in (1, 4):
+        monkeypatch.setattr(splitting, "PASS_STEPS", pass_steps)
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            runs()
 
 
 def test_short_rows_import_no_thread_pool():
