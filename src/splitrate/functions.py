@@ -33,30 +33,6 @@ class GFunction(enum.Enum):
     ZERO_INDICATOR = "zero_indicator"
 
 
-def _index_mask(dim, indices, name: str) -> np.ndarray:
-    """Boolean mask of length ``dim`` that is True on the 0-based
-    ``indices``, an iterable of integers read once (see
-    :meth:`DiagOperator.two_level`). Raises ValueError, naming the indices
-    ``name``, if one does not lie in ``[0, dim)``."""
-    message = f"{name} indices must lie in [0, {dim})"
-    if isinstance(indices, range):
-        # a range sets the entries of its ascending form, as a slice
-        run = indices if indices.step > 0 else indices[::-1]
-        ends = (run[0], run[-1]) if run else None
-        idx = slice(run[0], run[-1] + 1, run.step) if run else slice(0)
-    else:
-        try:
-            idx = np.fromiter(map(int, indices), dtype=np.int64)
-        except OverflowError:  # past int64, so past any dim
-            raise ValueError(message) from None
-        ends = (idx.min(), idx.max()) if idx.size else None
-    if ends is not None and (ends[0] < 0 or ends[1] >= dim):
-        raise ValueError(message)
-    mask = np.zeros(int(dim), dtype=bool)
-    mask[idx] = True
-    return mask
-
-
 @dataclass(frozen=True, eq=False)
 class DiagQuadratic:
     """Separable quadratic ``x -> sum_i weights_i * x_i^2 / 2``.
@@ -113,18 +89,6 @@ class DiagOperator:
             raise ValueError("every gain must equal theta or zeta")
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
-
-    @classmethod
-    def two_level(cls, dim: int, theta: float, zeta: float, idx_theta) -> "DiagOperator":
-        """Gains zeta everywhere except theta on the given 0-based indices.
-
-        ``idx_theta`` is any iterable of integers, read once, each taken
-        with ``int``: a set, tuple, list (repeats allowed), range, integer
-        array or generator. It may be empty, and may cover every index.
-        """
-        on_theta = _index_mask(dim, idx_theta, "idx_theta")
-        theta, zeta = float(theta), float(zeta)
-        return cls(np.where(on_theta, theta, zeta), theta, zeta)
 
     @property
     def dim(self) -> int:

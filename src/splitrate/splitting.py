@@ -193,15 +193,15 @@ class _ColumnBlocks:
     column blocks for long rows, and norms what each step made; both
     engines share it.
 
-    ``run(update, state, columns, steps)`` calls ``update(z, *columns, out,
-    *temps)`` once per step, where ``z`` is the one array of ``state`` or
-    what the step before made of it, ``columns`` are the other arrays the
-    update reads whose last axis runs over the coordinates, ``out``
-    receives the next state and ``temps`` hold the update's temporaries.
-    ``update`` returns ``(next_state, recorded, step)``, and ``run`` returns
-    the state after the last step with the row norms of each step's
-    ``recorded`` and ``step``, bit for bit what :func:`_norms` gives for the
-    whole rows: ``(rows,)`` arrays for one step, ``(steps, rows)`` for more.
+    ``run(update, z, columns, steps)`` calls ``update(z, *columns, out,
+    *temps)`` once per step, where ``z`` is the engine's state or what the
+    step before made of it, ``columns`` are the other arrays the update
+    reads whose last axis runs over the coordinates, ``out`` receives the
+    next state and ``temps`` hold the update's temporaries. ``update``
+    returns ``(next_state, recorded, step)``, and ``run`` returns the state
+    after the last step with the row norms of each step's ``recorded`` and
+    ``step``, bit for bit what :func:`_norms` gives for the whole rows:
+    ``(rows,)`` arrays for one step, ``(steps, rows)`` for more.
 
     Rows of at most ``COLUMN_BLOCK`` elements take one step per call and
     are updated whole, with ``out`` and every temporary None, so that numpy
@@ -219,9 +219,10 @@ class _ColumnBlocks:
     its own columns of ``out``, so the results do not depend on how many
     runs there are. ``out`` is one of a pair of per-engine buffers, which
     take turns, so that a call never writes into the state it reads. The
-    blocks start on chunk boundaries, so each step's chunk dots of the
-    blocks, in order, are the chunk dots of the rows, and the last block
-    holds the rows' tails; they are summed as in :func:`_norms`.
+    blocks start on chunk boundaries, so each block writes the dots of its
+    own chunks into its own columns of one array of every step's chunk
+    dots, and the last block writes the rows' tail dots; they are summed as
+    in :func:`_norms`.
     """
 
     def __init__(self, shape: tuple, temps: int):
@@ -238,55 +239,49 @@ class _ColumnBlocks:
             self.temps = [[np.empty((rows, COLUMN_BLOCK)) for _ in self.none] for _ in self.runs]
             self.pool = _executor(runs - 1) if runs > 1 else None
 
-    def run(self, update: Callable, state: tuple, columns: tuple, steps: int = 1) -> tuple:
+    def run(self, update: Callable, z: np.ndarray, columns: tuple, steps: int = 1) -> tuple:
         if self.dim <= COLUMN_BLOCK:
-            next_state, recorded, step = update(*state, *columns, *self.none)
-            return next_state, _norms(recorded), _norms(step)
-        (z,) = state
+            next_z, recorded, step = update(z, *columns, *self.none)
+            return next_z, _norms(recorded), _norms(step)
         rows = z.shape[0]
         out = self.pair[z.base is self.pair[0]][:rows]
-        # each step's tail dots of recorded and step, from the run that ends
-        # the rows
-        tails = [[None, None] for _ in range(steps)]
+        # each step's chunk dots and tail dots of recorded and step
+        dots = np.empty((2, steps, rows, self.dim // NORM_CHUNK))
+        tails = np.empty((2, steps, rows))
 
         # numpy keeps its floating-point error handling per thread: every
         # run takes the caller's
         err = np.geterr()
 
-        def walk(lo: int, hi: int, temps: list) -> list:
-            # each step's chunk dots of recorded and step, block by block
+        def walk(lo: int, hi: int, temps: list) -> None:
             temps = [t[:rows] for t in temps]
-            dots = [([], []) for _ in range(steps)]
             with np.errstate(**err):
                 for start in range(lo, hi, COLUMN_BLOCK):
                     cols = slice(start, min(start + COLUMN_BLOCK, hi))
                     spare, *block_temps = [t[:, : cols.stop - start] for t in temps]
                     fixed = [a[..., cols] for a in columns]
                     block = z[:, cols]
-                    for s, step_dots in enumerate(dots):
+                    first = start // NORM_CHUNK
+                    for s in range(steps):
                         target = out[:, cols] if (steps - s) % 2 else spare
-                        (block,), *made = update(block, *fixed, target, *block_temps)
-                        for i, (block_dots, array) in enumerate(zip(step_dots, made)):
+                        block, *made = update(block, *fixed, target, *block_temps)
+                        for i, array in enumerate(made):
                             chunks, tail = _chunked(array)
-                            block_dots.append(np.vecdot(chunks, chunks))
+                            np.vecdot(chunks, chunks, out=dots[i, s, :, first : first + chunks.shape[1]])
                             if cols.stop == self.dim:
-                                tails[s][i] = np.vecdot(tail, tail)
-            return dots
+                                np.vecdot(tail, tail, out=tails[i, s])
 
         futures = [self.pool.submit(walk, *run, temps) for run, temps in zip(self.runs[1:], self.temps[1:])]
         try:
-            parts = [walk(*self.runs[0], self.temps[0])]
+            walk(*self.runs[0], self.temps[0])
         finally:
             # every run ends before its buffers are read or written again
             for future in futures:
                 future.exception()
-        parts += [future.result() for future in futures]
-        norms = np.empty((2, steps, rows))
-        for s, step_tails in enumerate(tails):
-            for i, tail in enumerate(step_tails):
-                dots = np.concatenate([d for part in parts for d in part[s][i]], axis=1)
-                np.sqrt(dots.sum(axis=1) + tail, out=norms[i, s])
-        return (out,), *(norms if steps > 1 else norms[:, 0])
+        for future in futures:
+            future.result()
+        norms = np.sqrt(dots.sum(axis=3) + tails)
+        return out, *(norms if steps > 1 else norms[:, 0])
 
 
 def _step_ratios(distances: np.ndarray) -> np.ndarray:
@@ -294,18 +289,17 @@ def _step_ratios(distances: np.ndarray) -> np.ndarray:
     return np.divide(after, before, out=np.full(before.shape, np.nan), where=before >= RATIO_FLOOR)
 
 
-def _unchanged(before: tuple, after: tuple) -> np.ndarray:
+def _unchanged(before: np.ndarray, after: np.ndarray) -> np.ndarray:
     """Which rows of the state ``after`` are exactly the rows of the state
     ``before``, compared ``COLUMN_BLOCK`` columns at a time, so that no
     row-sized boolean array is made; the blocks stop once no row can be
     unchanged."""
-    same = np.ones(before[0].shape[0], dtype=bool)
-    for a, b in zip(before, after):
-        for lo in range(0, a.shape[1], COLUMN_BLOCK):
-            if not np.count_nonzero(same):
-                return same
-            cols = slice(lo, lo + COLUMN_BLOCK)
-            same &= np.all(a[:, cols] == b[:, cols], axis=1)
+    same = np.ones(before.shape[0], dtype=bool)
+    for lo in range(0, before.shape[1], COLUMN_BLOCK):
+        if not np.count_nonzero(same):
+            break
+        cols = slice(lo, lo + COLUMN_BLOCK)
+        same &= np.all(before[:, cols] == after[:, cols], axis=1)
     return same
 
 
@@ -313,43 +307,43 @@ def _iterate(engine: tuple, start: np.ndarray, max_iter: int, tol: float):
     """Run an engine (see :func:`_engine`) on its batch of rows: the loop of
     every engine.
 
-    The engine's ``state`` is a tuple of ``(rows, dim)`` float arrays whose
-    recorded vectors are the rows of ``start``; its ``params`` hold the
-    per-row parameters, as ``(rows, ...)`` arrays or, for a single row, as
-    scalars and shared arrays. ``step(params, state, steps=1)`` takes
-    ``steps`` steps and returns ``(next_state, distances, step_norms)``: for
-    each step, each row's distance from its recorded vector to the origin
-    and its step norm, as ``(rows,)`` arrays for one step and ``(steps,
-    rows)`` for more. A row stops when its first step leaves it exactly
-    where it was (it started at a fixed point; the engine's
-    ``still(state, next_state)`` tells which rows did), when its distance to
-    the origin exceeds ``DIVERGENCE_FACTOR`` times its starting distance
-    (diverged), or when its step norm drops to ``tol``.
+    The engine's ``state`` is a ``(rows, dim)`` float array whose recorded
+    vectors are the rows of ``start``; its ``params`` hold the per-row
+    parameters, as ``(rows, ...)`` arrays or, for a single row, as scalars
+    and shared arrays. ``step(params, state, steps=1)`` takes ``steps``
+    steps and returns ``(next_state, distances, step_norms)``: for each
+    step, each row's distance from its recorded vector to the origin and
+    its step norm, as ``(rows,)`` arrays for one step and ``(steps, rows)``
+    for more. A row stops when its first step leaves it exactly where it
+    was (it started at a fixed point; the engine's ``still(state,
+    next_state)`` tells which rows did), when its distance to the origin
+    exceeds ``DIVERGENCE_FACTOR`` times its starting distance (diverged),
+    or when its step norm drops to ``tol``.
 
     Rows longer than ``COLUMN_BLOCK`` are stepped in passes of up to
     ``PASS_STEPS`` steps, one walk over the rows each (see
     :class:`_ColumnBlocks`); the first step, which the fixed-point test
-    needs alone, and the last step of the budget run alone. The stop tests
-    then run step by step over the pass's results. A row that stops inside
-    a pass was stepped on past its stop: its results for the later steps
-    of the pass are set to NaN. A pass runs with every floating-point error
-    that the caller would see raised; if one is, a step past some row's stop
-    may have made it, so the pass runs again one step at a time, under the
-    caller's error handling, and reports exactly what those steps do.
+    needs alone, and the last step of the budget run alone. A pass is kept
+    only if no row stops at any of its steps, which one test over all of
+    its results tells, and if it raised no floating-point error: it runs
+    with every error that the caller would see raised, since a step past
+    some row's stop may have made one. Otherwise the pass is thrown away
+    and its steps run again one at a time from its input, which it did not
+    write, under the caller's error handling. So no row is ever stepped
+    past its stop, and only the steps the runs take can warn or raise.
     Shorter rows take one step at a time.
 
     A stopped row is stepped on with the others until at most half of the
     array rows are live; only then are the state, the parameters and the
     bookkeeping gathered down to the live rows. Until that point the
-    stopped row's row of the last state array is NaN. Each step map carries
-    that NaN into the row's distance and step norm, so it meets no stop test
-    again; NaN arithmetic raises no floating-point error.
+    stopped row's row of the state is NaN. Each step map carries that NaN
+    into the row's distance and step norm, so it meets no stop test again;
+    NaN arithmetic raises no floating-point error.
 
     Returns ``(distances, steps, converged, diverged, last)``: ``distances``
-    as in :class:`RowRuns`, and ``last`` None if no step ran, else
-    ``(state, ahead)``, where for a single row the state that its last step
-    read is ``state`` stepped ``ahead`` more times (nonzero only when the
-    row stopped inside a pass).
+    as in :class:`RowRuns`, and ``last`` the state that the final step of
+    the run read (a run's final step is never one of a kept pass), or None
+    if no step ran.
     """
     if max_iter < 0:
         raise ValueError("max_iter must be non-negative")
@@ -371,34 +365,34 @@ def _iterate(engine: tuple, start: np.ndarray, max_iter: int, tol: float):
     ready, last = 0, None
     for k in range(max_iter):
         if k < ready:
-            # a later step of the pass: its results are in hand
-            ahead += 1
-            dist, step_norm = dists[ahead], norms[ahead]
-        else:
-            last, ahead, n = state, 0, 1
-            if alone <= k < max_iter - 2:
-                # a pass that stops short of the budget's last step
-                n = min(PASS_STEPS, max_iter - 1 - k)
-                raising = {kind: "raise" for kind, how in np.geterr().items() if how != "ignore"}
-                try:
-                    with np.errstate(**raising):
-                        state, dists, norms = step(params, state, n)
-                    dist, step_norm = dists[0], norms[0]
-                except FloatingPointError:
-                    # maybe a step past some row's stop: step from the same
-                    # state one step at a time, under the caller's handling
-                    alone, n = k + n, 1
-            if n == 1:
-                next_state, dist, step_norm = step(params, state)
-                if k == 0:
-                    # a row that the first step leaves exactly where it was
-                    # started at a fixed point: it stops there, after no step
-                    fixed = still(state, next_state)
-                state = next_state
-            ready = k + n
+            # a later step of a kept pass
+            continue
+        if alone <= k < max_iter - 2:
+            # a pass that stops short of the budget's last step
+            n = min(PASS_STEPS, max_iter - 1 - k)
+            raising = {kind: "raise" for kind, how in np.geterr().items() if how != "ignore"}
+            try:
+                with np.errstate(**raising):
+                    passed, dists, norms = step(params, state, n)
+            except FloatingPointError:
+                passed = None
+            # a stopped row's NaN meets neither test
+            if passed is None or np.count_nonzero((dists > limit) | (norms <= tol)):
+                alone = k + n
+            else:
+                while k + n >= distances.shape[1]:
+                    distances = np.concatenate([distances, np.full(distances.shape, np.nan)], axis=1)
+                distances[index, k + 1 : k + n + 1] = dists.T
+                state, ready = passed, k + n
+                continue
+        last = state
+        state, dist, step_norm = step(params, last)
         grew = dist > limit
         done = grew | (step_norm <= tol)
         if k == 0:
+            # a row that the first step leaves exactly where it was
+            # started at a fixed point: it stops there, after no step
+            fixed = still(last, state)
             dist[fixed] = np.nan
             grew &= ~fixed
             done |= fixed
@@ -419,19 +413,12 @@ def _iterate(engine: tuple, start: np.ndarray, max_iter: int, tol: float):
         if left == 0:
             break
         if 2 * left > live.size:
-            state[-1][done] = np.nan
-            if k + 1 < ready:
-                # the rest of the pass stepped the stopped rows on
-                dists[ahead + 1 :, done] = np.nan
-                norms[ahead + 1 :, done] = np.nan
+            state[done] = np.nan
             continue
         index, limit = index[live], limit[live]
-        state = tuple(s[live] for s in state)
+        state = state[live]
         params = tuple(p[live] for p in params)
-        if k + 1 < ready:
-            dists, norms = dists[:, live], norms[:, live]
         live = np.ones(left, dtype=bool)
-    last = None if last is None else (last, ahead)
     return distances[:, : steps.max(initial=0) + 1], steps, converged, diverged, last
 
 
@@ -483,8 +470,10 @@ def _run_one(
     """One run of ``mode`` from ``v`` through :func:`_iterate`, as an
     :class:`IterateTrace`: ``v`` is the one start row of the engine of
     :func:`_engine` (``rows_are_u`` as there), and the engine is built again
-    when the iterates are first read. ``step_name`` names ``gamma`` in the
-    message of a :class:`DivergenceError`."""
+    when the iterates are first read. ADMM's ``final_x`` is the x-update of
+    the state that the run's final step read, which :func:`_iterate`
+    returns. ``step_name`` names ``gamma`` in the message of a
+    :class:`DivergenceError`."""
     rows = v.coeffs[None]
     builder = _engine(problem, mode, gamma)
     build = lambda: builder(alpha, gamma, rows, rows_are_u)
@@ -503,15 +492,7 @@ def _run_one(
         # the trace keeps the last primal iterate: the x-update of the u
         # that the last step read, or the origin if no step ran
         _, _, scale, denom = params
-        if last is None:
-            x = np.zeros(problem.dim)
-        else:
-            u, ahead = last
-            if ahead:
-                # the run stopped inside a pass: step the pass's input,
-                # which no later step wrote, on to the u its last step read
-                u = engine[0](params, u, ahead)[0]
-            x = _admm_x(u[0][0], scale, denom)
+        x = np.zeros(problem.dim) if last is None else _admm_x(last[0], scale, denom)
         last_x = Vec._adopt(x) if np.isfinite(x).all() else Vec(x)
     trace = IterateTrace(
         _Replay(build, first, int(steps[0])),
@@ -560,11 +541,11 @@ def _relaxed_engine(alpha, refl, z: np.ndarray) -> tuple:
             t = np.multiply(refl, z, out=t)
             t *= alpha
             z_next += t
-            return (z_next,), z_next, np.subtract(z_next, z, out=t)
+            return z_next, z_next, np.subtract(z_next, z, out=t)
 
         return blocks.run(update, state, (refl,), steps)
 
-    return step, lambda params, state: state[0], (alpha, 1.0 - alpha, refl), (z,), _unchanged
+    return step, lambda params, state: state, (alpha, 1.0 - alpha, refl), z, _unchanged
 
 
 def _admm_x(u: np.ndarray, scale, denom, x: np.ndarray | None = None) -> np.ndarray:
@@ -586,7 +567,7 @@ def _admm_engine(f_weights: np.ndarray, nu: np.ndarray, alpha, rho, u: np.ndarra
     which adds a signed zero to ``v``, is left out. That changes no bit of
     ``u``: ``v`` is ``+0.0`` wherever ``u`` is zero, and elsewhere a zero
     added to ``v`` cannot change ``u + v``. No step reads ``x`` either, so
-    the state is ``(u,)`` and each step makes ``x`` in a temporary (see
+    the state is ``u`` and each step makes ``x`` in a temporary (see
     :func:`_admm_x`)."""
     blocks = _ColumnBlocks(u.shape, temps=2)
 
@@ -599,7 +580,7 @@ def _admm_engine(f_weights: np.ndarray, nu: np.ndarray, alpha, rho, u: np.ndarra
             t *= nu
             t *= relax
             u_new = np.add(u, t, out=u_new)
-            return (u_new,), np.multiply(rho, u_new, out=t), np.subtract(u_new, u, out=diff)
+            return u_new, np.multiply(rho, u_new, out=t), np.subtract(u_new, u, out=diff)
 
         next_state, dist, step_norm = blocks.run(update, state, (scale, denom, nu), steps)
         return next_state, dist, np.ravel(rho) * step_norm
@@ -609,21 +590,20 @@ def _admm_engine(f_weights: np.ndarray, nu: np.ndarray, alpha, rho, u: np.ndarra
     denom += f_weights
     params = (rho, 2.0 * alpha, rho * nu, denom)
 
-    def still(before: tuple, after: tuple) -> np.ndarray:
+    def still(before: np.ndarray, after: np.ndarray) -> np.ndarray:
         # a row stays where it was only if the first step leaves u unchanged
         # and x at the origin, where it started: u can stay put under a
         # nonzero x when relax * nu * x is lost in the rounding of u
         same = _unchanged(before, after)
-        (u,) = before
         _, _, scale, denom = params
-        for lo in range(0, u.shape[1], COLUMN_BLOCK):
+        for lo in range(0, before.shape[1], COLUMN_BLOCK):
             if not np.count_nonzero(same):
                 break
             cols = slice(lo, lo + COLUMN_BLOCK)
-            same &= ~np.any(_admm_x(u[:, cols], scale[..., cols], denom[..., cols]), axis=1)
+            same &= ~np.any(_admm_x(before[:, cols], scale[..., cols], denom[..., cols]), axis=1)
         return same
 
-    return step, lambda params, state: params[0] * state[-1], params, (u,), still
+    return step, lambda params, state: params[0] * state, params, u, still
 
 
 def _engine(problem: CompositeProblem, mode: str, gamma: float) -> Callable:

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from .functions import CompositeProblem, DiagOperator, DiagQuadratic, GFunction, _index_mask
+from .functions import CompositeProblem, DiagOperator, DiagQuadratic, GFunction
 from .rates import _check_positive, _finite_product, _positive_rows, _psi, psi
 
 __all__ = [
@@ -38,6 +38,29 @@ DEFAULT_ZETA = 3.0
 PAIRINGS = ("aligned", "crossed")
 
 
+def _index_mask(dim: int, indices) -> np.ndarray:
+    """Boolean mask of length ``dim`` that is True on the 0-based
+    ``indices`` (see :func:`make_primal_instance`). Raises ValueError if one
+    does not lie in ``[0, dim)``."""
+    message = f"idx_sigma indices must lie in [0, {dim})"
+    if isinstance(indices, range):
+        # a range sets the entries of its ascending form, as a slice
+        run = indices if indices.step > 0 else indices[::-1]
+        ends = (run[0], run[-1]) if run else None
+        idx = slice(run[0], run[-1] + 1, run.step) if run else slice(0)
+    else:
+        try:
+            idx = np.fromiter(map(int, indices), dtype=np.int64)
+        except OverflowError:  # past int64, so past any dim
+            raise ValueError(message) from None
+        ends = (idx.min(), idx.max()) if idx.size else None
+    if ends is not None and (ends[0] < 0 or ends[1] >= dim):
+        raise ValueError(message)
+    mask = np.zeros(dim, dtype=bool)
+    mask[idx] = True
+    return mask
+
+
 def _two_band(sigma: float, beta: float, dim: int, idx_sigma) -> tuple:
     """``(quad, on_sigma)``: the quadratic with curvature ``sigma`` on the
     0-based coordinates ``idx_sigma`` and ``beta`` on the others, and the
@@ -47,7 +70,7 @@ def _two_band(sigma: float, beta: float, dim: int, idx_sigma) -> tuple:
         raise ValueError(f"dim must be a positive integer, got {dim!r}")
     if not (0.0 < sigma <= beta) or not math.isfinite(beta):
         raise ValueError(f"need 0 < sigma <= beta, got sigma={sigma!r}, beta={beta!r}")
-    on_sigma = _index_mask(dim, idx_sigma, "idx_sigma")
+    on_sigma = _index_mask(dim, idx_sigma)
     if not on_sigma.any():
         raise ValueError("idx_sigma must be non-empty")
     if on_sigma.all():
@@ -58,10 +81,10 @@ def _two_band(sigma: float, beta: float, dim: int, idx_sigma) -> tuple:
 def make_primal_instance(sigma: float, beta: float, dim: int, idx_sigma) -> CompositeProblem:
     """Two-band quadratic with zero nonsmooth term and identity coupling.
 
-    ``idx_sigma`` takes the indices as :meth:`DiagOperator.two_level` does
-    (any iterable of integers, read once). Both index bands must be
-    non-empty; sigma = beta is allowed (isotropic) as long as the partition
-    still has two sides.
+    ``idx_sigma`` is any iterable of integers, read once, each taken with
+    ``int``: a set, tuple, list (repeats allowed), range, integer array or
+    generator. Both index bands must be non-empty; sigma = beta is allowed
+    (isotropic) as long as the partition still has two sides.
     """
     quad, _ = _two_band(sigma, beta, dim, idx_sigma)
     return CompositeProblem(f=quad, g=GFunction.ZERO, a=None)

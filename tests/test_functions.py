@@ -90,8 +90,6 @@ def test_every_index_input_lays_out_the_bands_bitwise(kind):
         dual = make_dual_instance(sigma, beta, theta, zeta, INDEX_DIM, make(), pairing)
         assert np.array_equal(dual.f.weights, weights)
         assert np.array_equal(dual.a.weights, _two_levels(make(), *gains))
-    op = DiagOperator.two_level(INDEX_DIM, theta, zeta, make())
-    assert np.array_equal(op.weights, _two_levels(make(), theta, zeta))
 
 
 @pytest.mark.parametrize(
@@ -120,14 +118,6 @@ def test_every_rejected_index_input_keeps_its_message(indices, message):
     for make in makers:
         with pytest.raises(ValueError, match=re.escape(message)):
             make(indices)
-    if "lie in" in message:
-        with pytest.raises(ValueError, match=re.escape(message.replace("idx_sigma", "idx_theta"))):
-            DiagOperator.two_level(INDEX_DIM, 1.0, 3.0, indices)
-
-
-def test_two_level_takes_no_index_or_every_index():
-    assert np.array_equal(DiagOperator.two_level(3, 1.0, 2.0, set()).weights, [2.0, 2.0, 2.0])
-    assert np.array_equal(DiagOperator.two_level(3, 1.0, 2.0, range(3)).weights, [1.0, 1.0, 1.0])
 
 
 @pytest.mark.parametrize("kind", ["primal", "crossed"])
@@ -212,7 +202,7 @@ def test_certificates_hold_for_spectrum_instances():
 
 
 def test_operator_basis_action():
-    op = DiagOperator.two_level(4, theta=1.0, zeta=2.0, idx_theta={0, 1})
+    op = DiagOperator(np.array([1.0, 1.0, 2.0, 2.0]), theta=1.0, zeta=2.0)
     low, high = op.weights * basis_rows(4, [0, 3])
     assert np.array_equal(low, [1.0, 0.0, 0.0, 0.0])
     assert np.array_equal(high, [0.0, 0.0, 0.0, 2.0])
@@ -220,15 +210,15 @@ def test_operator_basis_action():
 
 def test_operator_rejects_bad_gains():
     with pytest.raises(ValueError):
-        DiagOperator.two_level(3, theta=0.0, zeta=1.0, idx_theta={0})
+        DiagOperator(np.array([0.0, 1.0, 1.0]), theta=0.0, zeta=1.0)
     with pytest.raises(ValueError):
-        DiagOperator.two_level(3, theta=2.0, zeta=1.0, idx_theta={0})
+        DiagOperator(np.array([2.0, 1.0, 1.0]), theta=2.0, zeta=1.0)
     with pytest.raises(ValueError):
         DiagOperator(np.array([1.0, 1.5]), theta=1.0, zeta=2.0)
 
 
 def test_composite_problem_dimension_check(two_band):
-    op = DiagOperator.two_level(3, theta=1.0, zeta=2.0, idx_theta={0})
+    op = DiagOperator(np.array([1.0, 2.0, 2.0]), theta=1.0, zeta=2.0)
     with pytest.raises(ValueError, match="dimension"):
         CompositeProblem(f=two_band, g=GFunction.ZERO_INDICATOR, a=op)
 

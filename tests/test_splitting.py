@@ -857,10 +857,30 @@ def test_a_long_row_run_walks_its_row_once_per_pass(monkeypatch, pass_steps, wal
     assert (len(passes), sum(passes)) == (walks, 30)
 
 
+def test_a_pass_in_which_a_row_stops_is_walked_again_step_by_step(monkeypatch):
+    # tol is the row's own step norm at step 7, inside the pass of steps 6
+    # to 9: that pass is walked once and thrown away, and steps 6 and 7 are
+    # then walked one at a time, after step 1 alone and the pass of 2 to 5
+    monkeypatch.setattr(splitting, "COLUMN_BLOCK", splitting.NORM_CHUNK)
+    dim = 2 * splitting.NORM_CHUNK + 3
+    problem = make_primal_instance(SIGMA, BETA, dim, range(dim // 2))
+    params = SplitParams(*optimal_params(SIGMA, BETA)[:2])
+    z0 = Vec(np.random.default_rng(31).uniform(-1.0, 1.0, dim))
+    iterates = run_dr(problem, params, z0, max_iter=7, tol=0.0).iterates
+    tol = _chunked_norm(iterates[7].coeffs - iterates[6].coeffs)
+    walks = []
+    run = splitting._ColumnBlocks.run
+    monkeypatch.setattr(splitting._ColumnBlocks, "run", lambda self, *a: walks.append(a[3]) or run(self, *a))
+    trace = run_dr(problem, params, z0, max_iter=30, tol=tol)
+    assert trace.n_steps == 7
+    assert walks == [1, 4, 4, 1, 1]
+
+
 def test_a_row_stopping_inside_a_pass_stops_there(monkeypatch):
-    # row 0 stops by tol inside a pass while the two slow rows run on, so it
-    # is stepped on as a NaN row: the later steps of its pass were not its
-    # own, and its steps and distances stay those of its single run
+    # row 0 stops by tol inside a pass while the two slow rows run on: the
+    # pass is walked again one step at a time, and row 0 is stepped on as a
+    # NaN row after its stop, so its steps and distances stay those of its
+    # single run
     monkeypatch.setattr(splitting, "COLUMN_BLOCK", splitting.NORM_CHUNK)
     dim = 2 * splitting.NORM_CHUNK + 3
     problem = make_primal_instance(SIGMA, BETA, dim, range(dim // 2))
@@ -880,9 +900,10 @@ def test_a_row_stopping_inside_a_pass_stops_there(monkeypatch):
 
 
 def test_an_admm_run_stopping_inside_a_pass_keeps_its_last_x(monkeypatch):
-    # a one-row run that stops by tol inside a pass rebuilds, from the
-    # pass's input, the state its last step read: at every offset within a
-    # pass, its distances and final x are the reference loop's
+    # a one-row run that stops by tol inside a pass walks that pass again
+    # one step at a time, so its final step reads the state its final x
+    # comes from: at every offset within a pass, its distances and final x
+    # are the reference loop's
     monkeypatch.setattr(splitting, "COLUMN_BLOCK", splitting.NORM_CHUNK)
     dim = 2 * splitting.NORM_CHUNK + 5
     problem = make_dual_instance(SIGMA, BETA, 1.0, 3.0, dim, range(dim // 2), pairing="crossed")
@@ -1180,14 +1201,14 @@ def test_admm_rejects_a_step_size_whose_own_products_overflow():
 
 def test_the_fixed_point_test_reads_every_column_block(monkeypatch):
     # rows of 11 columns in blocks of 4: a row that moves only in its last
-    # column, or only in the second state array, did move
+    # column, in the ragged last block, or only in the second block, did move
     monkeypatch.setattr(splitting, "COLUMN_BLOCK", 4)
-    before = np.arange(33.0).reshape(3, 11)
-    moved_last, moved_second = before.copy(), before.copy()
-    moved_last[1, -1] = -0.5
-    moved_second[2, 5] = -0.5
-    assert splitting._unchanged((before, before), (moved_last, moved_second)).tolist() == [True, False, False]
-    assert splitting._unchanged((before,), (before.copy(),)).tolist() == [True, True, True]
+    before = np.arange(44.0).reshape(4, 11)
+    moved = before.copy()
+    moved[1, -1] = -0.5
+    moved[2, 5] = -0.5
+    assert splitting._unchanged(before, moved).tolist() == [True, False, False, True]
+    assert splitting._unchanged(before, before.copy()).tolist() == [True] * 4
 
 
 @pytest.mark.parametrize("mode", ["primal-dr", "dual-dr"])
