@@ -7,6 +7,7 @@ from __future__ import annotations
 import os
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -217,19 +218,18 @@ class _ColumnBlocks:
     since numpy releases the GIL in its loops. Each run has its own spare
     block and block of per-engine temporaries, and each block writes only
     its own columns of ``out``, so the results do not depend on how many
-    runs there are. ``out`` is one of a pair of per-engine buffers, which
-    take turns, so that a call never writes into the state it reads. The
-    blocks start on chunk boundaries, so each block writes the dots of its
-    own chunks into its own columns of one array of every step's chunk
-    dots, and the last block writes the rows' tail dots; they are summed as
-    in :func:`_norms`.
+    runs there are. ``out`` is one of a pair of per-engine buffers of the
+    state's shape, which take turns: a call writes the one it does not
+    read. The blocks start on chunk boundaries, so each block writes the
+    dots of its own chunks into its own columns of one array of every
+    step's chunk dots, and the last block writes the rows' tail dots; they
+    are summed as in :func:`_norms`.
     """
 
     def __init__(self, shape: tuple, temps: int):
         rows, self.dim = shape
         self.none = (None,) * (1 + temps)
         if self.dim > COLUMN_BLOCK:
-            # rows only ever leave, so a prefix of each buffer fits
             self.pair = (np.empty(shape), np.empty(shape))
             blocks = -(-self.dim // COLUMN_BLOCK)
             runs = max(1, min(WORKERS, blocks, rows * self.dim // RUN_ELEMENTS))
@@ -243,18 +243,16 @@ class _ColumnBlocks:
         if self.dim <= COLUMN_BLOCK:
             next_z, recorded, step = update(z, *columns, *self.none)
             return next_z, _norms(recorded), _norms(step)
-        rows = z.shape[0]
-        out = self.pair[z.base is self.pair[0]][:rows]
+        out = self.pair[z is self.pair[0]]
         # each step's chunk dots and tail dots of recorded and step
-        dots = np.empty((2, steps, rows, self.dim // NORM_CHUNK))
-        tails = np.empty((2, steps, rows))
+        dots = np.empty((2, steps, len(z), self.dim // NORM_CHUNK))
+        tails = np.empty((2, steps, len(z)))
 
         # numpy keeps its floating-point error handling per thread: every
         # run takes the caller's
         err = np.geterr()
 
         def walk(lo: int, hi: int, temps: list) -> None:
-            temps = [t[:rows] for t in temps]
             with np.errstate(**err):
                 for start in range(lo, hi, COLUMN_BLOCK):
                     cols = slice(start, min(start + COLUMN_BLOCK, hi))
@@ -303,19 +301,31 @@ def _unchanged(before: np.ndarray, after: np.ndarray) -> np.ndarray:
     return same
 
 
-def _iterate(engine: tuple, start: np.ndarray, max_iter: int, tol: float):
+class _Engine(NamedTuple):
+    """An engine for :func:`_iterate`, as :func:`_engine` builds it, with its
+    parameters bound: ``step(state, steps=1)`` steps a state, ``record(state)``
+    gives its recorded rows, ``state`` is the first state, ``still(state,
+    next_state)`` tells which rows a step left exactly where they were, and
+    ADMM's ``x(u)`` is its x-update of the rows ``u``."""
+
+    step: Callable
+    record: Callable
+    state: np.ndarray
+    still: Callable
+    x: Callable | None = None
+
+
+def _iterate(engine: _Engine, start: np.ndarray, max_iter: int, tol: float):
     """Run an engine (see :func:`_engine`) on its batch of rows: the loop of
     every engine.
 
     The engine's ``state`` is a ``(rows, dim)`` float array whose recorded
-    vectors are the rows of ``start``; its ``params`` hold the per-row
-    parameters, as ``(rows, ...)`` arrays or, for a single row, as scalars
-    and shared arrays. ``step(params, state, steps=1)`` takes ``steps``
-    steps and returns ``(next_state, distances, step_norms)``: for each
-    step, each row's distance from its recorded vector to the origin and
-    its step norm, as ``(rows,)`` arrays for one step and ``(steps, rows)``
-    for more. A row stops when its first step leaves it exactly where it
-    was (it started at a fixed point; the engine's ``still(state,
+    vectors are the rows of ``start``. ``step(state, steps=1)`` takes
+    ``steps`` steps and returns ``(next_state, distances, step_norms)``: for
+    each step, each row's distance from its recorded vector to the origin
+    and its step norm, as ``(rows,)`` arrays for one step and ``(steps,
+    rows)`` for more. A row stops when its first step leaves it exactly
+    where it was (it started at a fixed point; the engine's ``still(state,
     next_state)`` tells which rows did), when its distance to the origin
     exceeds ``DIVERGENCE_FACTOR`` times its starting distance (diverged),
     or when its step norm drops to ``tol``.
@@ -333,12 +343,10 @@ def _iterate(engine: tuple, start: np.ndarray, max_iter: int, tol: float):
     past its stop, and only the steps the runs take can warn or raise.
     Shorter rows take one step at a time.
 
-    A stopped row is stepped on with the others until at most half of the
-    array rows are live; only then are the state, the parameters and the
-    bookkeeping gathered down to the live rows. Until that point the
-    stopped row's row of the state is NaN. Each step map carries that NaN
-    into the row's distance and step norm, so it meets no stop test again;
-    NaN arithmetic raises no floating-point error.
+    A stopped row stays in the batch until the run ends, as a row of NaN
+    in the state. Each step map carries that NaN into the row's distance
+    and step norm, so it meets no stop test again; NaN arithmetic raises no
+    floating-point error.
 
     Returns ``(distances, steps, converged, diverged, last)``: ``distances``
     as in :class:`RowRuns`, and ``last`` the state that the final step of
@@ -356,10 +364,8 @@ def _iterate(engine: tuple, start: np.ndarray, max_iter: int, tol: float):
     steps = np.full(rows, max_iter)
     converged = np.zeros(rows, dtype=bool)
     diverged = np.zeros(rows, dtype=bool)
-    # the batch row of each array row, and which array rows still run
-    index = np.arange(rows)
-    live = np.ones(rows, dtype=bool)
-    step, _, params, state, still = engine
+    live = rows  # how many rows still run
+    step, state = engine.step, engine.state
     # steps before `alone` run one at a time; `ready` steps have run
     alone = 1 if start.shape[1] > COLUMN_BLOCK and PASS_STEPS > 1 else max_iter
     ready, last = 0, None
@@ -373,7 +379,7 @@ def _iterate(engine: tuple, start: np.ndarray, max_iter: int, tol: float):
             raising = {kind: "raise" for kind, how in np.geterr().items() if how != "ignore"}
             try:
                 with np.errstate(**raising):
-                    passed, dists, norms = step(params, state, n)
+                    passed, dists, norms = step(state, n)
             except FloatingPointError:
                 passed = None
             # a stopped row's NaN meets neither test
@@ -382,57 +388,51 @@ def _iterate(engine: tuple, start: np.ndarray, max_iter: int, tol: float):
             else:
                 while k + n >= distances.shape[1]:
                     distances = np.concatenate([distances, np.full(distances.shape, np.nan)], axis=1)
-                distances[index, k + 1 : k + n + 1] = dists.T
+                distances[:, k + 1 : k + n + 1] = dists.T
                 state, ready = passed, k + n
                 continue
         last = state
-        state, dist, step_norm = step(params, last)
+        state, dist, step_norm = step(last)
         grew = dist > limit
         done = grew | (step_norm <= tol)
         if k == 0:
             # a row that the first step leaves exactly where it was
             # started at a fixed point: it stops there, after no step
-            fixed = still(last, state)
+            fixed = engine.still(last, state)
             dist[fixed] = np.nan
             grew &= ~fixed
             done |= fixed
         if k + 1 == distances.shape[1]:
             distances = np.concatenate([distances, np.full(distances.shape, np.nan)], axis=1)
-        distances[index, k + 1] = dist
+        distances[:, k + 1] = dist
         # count_nonzero, not any(): this test runs every step, and for the
         # few rows of a small batch any() costs about twice as much
-        if not np.count_nonzero(done):
+        stopped = np.count_nonzero(done)
+        if not stopped:
             continue
-        steps[index[done]] = k + 1
+        steps[done] = k + 1
         if k == 0:
-            steps[index[fixed]] = 0
-        diverged[index[grew]] = True
-        converged[index[done & ~grew]] = True
-        live &= ~done
-        left = np.count_nonzero(live)
-        if left == 0:
+            steps[fixed] = 0
+        diverged |= grew
+        converged |= done & ~grew
+        live -= stopped
+        if not live:
             break
-        if 2 * left > live.size:
-            state[done] = np.nan
-            continue
-        index, limit = index[live], limit[live]
-        state = state[live]
-        params = tuple(p[live] for p in params)
-        live = np.ones(left, dtype=bool)
+        state[done] = np.nan
     return distances[:, : steps.max(initial=0) + 1], steps, converged, diverged, last
 
 
-def _stepped(engine: tuple, steps: int):
+def _stepped(engine: _Engine, steps: int):
     """The recorded rows of an engine (see :func:`_engine`) after each of
     its first ``steps`` steps, one ``(rows, dim)`` array per step, with no
     stop test: bit for bit the iterates of the runs of its rows, since both
     maps are deterministic and a step never writes into the state it reads.
     A later step may write into a yielded array (long rows take turns in a
     pair of buffers), so copy one to keep it."""
-    step, record, params, state, _ = engine
+    state = engine.state
     for _ in range(steps):
-        state, _, _ = step(params, state)
-        yield record(params, state)
+        state = engine.step(state)[0]
+        yield engine.record(state)
 
 
 class _Replay(Sequence):
@@ -443,7 +443,7 @@ class _Replay(Sequence):
     took. The length needs no replay.
     """
 
-    def __init__(self, build: Callable[[], tuple], start: Vec, steps: int):
+    def __init__(self, build: Callable[[], _Engine], start: Vec, steps: int):
         self._build, self._start, self._steps = build, start, steps
         self._vecs: list[Vec] | None = None
 
@@ -469,19 +469,18 @@ def _run_one(
 ) -> IterateTrace:
     """One run of ``mode`` from ``v`` through :func:`_iterate`, as an
     :class:`IterateTrace`: ``v`` is the one start row of the engine of
-    :func:`_engine` (``rows_are_u`` as there), and the engine is built again
-    when the iterates are first read. ADMM's ``final_x`` is the x-update of
-    the state that the run's final step read, which :func:`_iterate`
-    returns. ``step_name`` names ``gamma`` in the message of a
-    :class:`DivergenceError`."""
+    :func:`_engine` (``rows_are_u`` as there), and the engine is built once
+    ``v``'s dimension is checked, and again when the iterates are first
+    read. ADMM's ``final_x`` is the engine's x-update of the state that the
+    run's final step read, which :func:`_iterate` returns. ``step_name``
+    names ``gamma`` in the message of a :class:`DivergenceError`."""
     rows = v.coeffs[None]
     builder = _engine(problem, mode, gamma)
-    build = lambda: builder(alpha, gamma, rows, rows_are_u)
-    engine = build()
-    _, record, params, state, _ = engine
     if v.dim != problem.dim:
         raise ValueError(f"start dimension {v.dim} != problem dimension {problem.dim}")
-    start = record(params, state)
+    build = lambda: builder(alpha, gamma, rows, rows_are_u)
+    engine = build()
+    start = engine.record(engine.state)
     if start is rows:  # DR records v itself
         first = v
     else:  # ADMM records rho * u0, which may overflow (Vec then raises)
@@ -491,8 +490,7 @@ def _run_one(
     if mode == "admm":
         # the trace keeps the last primal iterate: the x-update of the u
         # that the last step read, or the origin if no step ran
-        _, _, scale, denom = params
-        x = np.zeros(problem.dim) if last is None else _admm_x(last[0], scale, denom)
+        x = np.zeros(problem.dim) if last is None else engine.x(last[0])
         last_x = Vec._adopt(x) if np.isfinite(x).all() else Vec(x)
     trace = IterateTrace(
         _Replay(build, first, int(steps[0])),
@@ -527,25 +525,22 @@ def _reflection(weights: np.ndarray, g: GFunction, gamma) -> np.ndarray:
     return np.negative(refl, out=refl) if g is GFunction.ZERO_INDICATOR else refl
 
 
-def _relaxed_engine(alpha, refl, z: np.ndarray) -> tuple:
+def _relaxed_engine(alpha, refl, z: np.ndarray) -> _Engine:
     """Engine (see :func:`_engine`) of relaxed DR from the rows ``z``: one
     step is ``(1 - alpha) z + alpha * refl * z``, with ``refl`` the factor of
     :func:`_reflection`, and records ``z``."""
     blocks = _ColumnBlocks(z.shape, temps=1)
+    keep = 1.0 - alpha
 
-    def step(params, state, steps=1):
-        alpha, keep, refl = params
+    def update(z, refl, z_next, t):
+        z_next = np.multiply(z, keep, out=z_next)
+        t = np.multiply(refl, z, out=t)
+        t *= alpha
+        z_next += t
+        return z_next, z_next, np.subtract(z_next, z, out=t)
 
-        def update(z, refl, z_next, t):
-            z_next = np.multiply(z, keep, out=z_next)
-            t = np.multiply(refl, z, out=t)
-            t *= alpha
-            z_next += t
-            return z_next, z_next, np.subtract(z_next, z, out=t)
-
-        return blocks.run(update, state, (refl,), steps)
-
-    return step, lambda params, state: state, (alpha, 1.0 - alpha, refl), z, _unchanged
+    step = lambda state, steps=1: blocks.run(update, state, (refl,), steps)
+    return _Engine(step, lambda state: state, z, _unchanged)
 
 
 def _admm_x(u: np.ndarray, scale, denom, x: np.ndarray | None = None) -> np.ndarray:
@@ -558,7 +553,7 @@ def _admm_x(u: np.ndarray, scale, denom, x: np.ndarray | None = None) -> np.ndar
     return x
 
 
-def _admm_engine(f_weights: np.ndarray, nu: np.ndarray, alpha, rho, u: np.ndarray) -> tuple:
+def _admm_engine(f_weights: np.ndarray, nu: np.ndarray, alpha, rho, u: np.ndarray) -> _Engine:
     """Engine (see :func:`_engine`) of the scaled ADMM updates (see
     :func:`run_admm`) from the rows ``u``, with ``x`` at the origin;
     ``alpha`` and ``rho`` are scalars or columns. ``w`` is the prox of the
@@ -570,32 +565,28 @@ def _admm_engine(f_weights: np.ndarray, nu: np.ndarray, alpha, rho, u: np.ndarra
     the state is ``u`` and each step makes ``x`` in a temporary (see
     :func:`_admm_x`)."""
     blocks = _ColumnBlocks(u.shape, temps=2)
-
-    def step(params, state, steps=1):
-        rho, relax, scale, denom = params
-
-        def update(u, scale, denom, nu, u_new, t, diff):
-            # t holds x, then v = relax * (nu * x), then the recorded rho * u
-            t = _admm_x(u, scale, denom, t)
-            t *= nu
-            t *= relax
-            u_new = np.add(u, t, out=u_new)
-            return u_new, np.multiply(rho, u_new, out=t), np.subtract(u_new, u, out=diff)
-
-        next_state, dist, step_norm = blocks.run(update, state, (scale, denom, nu), steps)
-        return next_state, dist, np.ravel(rho) * step_norm
-
     # the x-update's denominator f_weights + rho * nu**2, formed in place
     denom = rho * (nu * nu)
     denom += f_weights
-    params = (rho, 2.0 * alpha, rho * nu, denom)
+    relax, scale, rho_rows = 2.0 * alpha, rho * nu, np.ravel(rho)
+
+    def update(u, scale, denom, nu, u_new, t, diff):
+        # t holds x, then v = relax * (nu * x), then the recorded rho * u
+        t = _admm_x(u, scale, denom, t)
+        t *= nu
+        t *= relax
+        u_new = np.add(u, t, out=u_new)
+        return u_new, np.multiply(rho, u_new, out=t), np.subtract(u_new, u, out=diff)
+
+    def step(state, steps=1):
+        next_state, dist, step_norm = blocks.run(update, state, (scale, denom, nu), steps)
+        return next_state, dist, rho_rows * step_norm
 
     def still(before: np.ndarray, after: np.ndarray) -> np.ndarray:
         # a row stays where it was only if the first step leaves u unchanged
         # and x at the origin, where it started: u can stay put under a
         # nonzero x when relax * nu * x is lost in the rounding of u
         same = _unchanged(before, after)
-        _, _, scale, denom = params
         for lo in range(0, before.shape[1], COLUMN_BLOCK):
             if not np.count_nonzero(same):
                 break
@@ -603,17 +594,15 @@ def _admm_engine(f_weights: np.ndarray, nu: np.ndarray, alpha, rho, u: np.ndarra
             same &= ~np.any(_admm_x(before[:, cols], scale[..., cols], denom[..., cols]), axis=1)
         return same
 
-    return step, lambda params, state: params[0] * state, params, u, still
+    return _Engine(step, lambda state: rho * state, u, still, lambda u: _admm_x(u, scale, denom))
 
 
 def _engine(problem: CompositeProblem, mode: str, gamma: float) -> Callable:
     """The engine ``mode`` runs on ``problem``, at step sizes up to ``gamma``,
     as a builder: ``build(alpha, gamma, rows, rows_are_u=False)`` returns
-    the engine ``(step, record, params, state, still)`` for :func:`_iterate`
-    from the start rows ``rows``, where ``record(params, state)`` gives the
-    recorded rows of a state (the start rows of :func:`_iterate` for the
-    first state) and ``still(state, next_state)`` which rows the first step
-    left exactly where they were.
+    the :class:`_Engine` for :func:`_iterate` from the start rows ``rows``,
+    with ``alpha`` and ``gamma`` bound into its maps; its ``record`` of the
+    first state gives the start rows of :func:`_iterate`.
 
     The one place that checks the mode and the problem it needs, once for
     every engine it builds; the dual curvatures, which do not depend on the
@@ -767,8 +756,7 @@ def run_rows(
         if z.shape != (part.stop - part.start, dim):
             raise ValueError(f"start rows have shape {z.shape}, expected {(part.stop - part.start, dim)}")
         engine = build(alphas[part, None], gammas[part, None], z)
-        _, record, params, state, _ = engine
-        dist, steps[part], _, diverged[part], _ = _iterate(engine, record(params, state), max_iter, tol)
+        dist, steps[part], _, diverged[part], _ = _iterate(engine, engine.record(engine.state), max_iter, tol)
         blocks.append(dist)
     distances = np.full((rows, max((d.shape[1] for d in blocks), default=1)), np.nan)
     for lo, dist in zip(range(0, rows, block), blocks):

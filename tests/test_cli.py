@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import splitrate
-from splitrate import cli
+from splitrate import cli, splitting
 from splitrate.rates import TightnessCase
 
 
@@ -576,6 +576,32 @@ def test_default_random_start_sweeps_keep_their_digests(tmp_path, capsys, mode):
     )
     assert code == 0
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == RANDOM_SEED_7_SHA256[mode]
+
+
+#: SHA-256 of ``sweep --K 40000 --alpha linear:0.1:1.9:4 --gamma
+#: log:0.02:6:4 --iters 60`` in each mode: its 16 rows of 40,000 elements run
+#: in blocks of 6, 6 and 4 rows, in some of which rows diverge while others
+#: run on or stop by tol
+LONG_ROW_SWEEP_SHA256 = {
+    "primal-dr": "82c758b4aeb08319085d9b6631f7c1ef62a0500d2de543fdc0d13d552ead92f9",
+    "dual-dr": "47825b9ab0884966af2fcbdc3c834c83a6a0df92d7bea64bc562c421baa71f5b",
+    "admm": "918f3c0042e11e11ca9d1cb1917c48cb5c6bc6518b35653d54959e5dc26d1b17",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(LONG_ROW_SWEEP_SHA256))
+def test_long_row_sweeps_keep_their_digests(tmp_path, capsys, monkeypatch, mode):
+    # the rows are walked in passes of 4 steps and of 1, by one thread and by
+    # two, each walking its own run of column blocks
+    flags = ["sweep", "--mode", mode, "--K", "40000", "--alpha", "linear:0.1:1.9:4", "--gamma", "log:0.02:6:4"]
+    monkeypatch.setattr(splitting, "RUN_ELEMENTS", splitting.COLUMN_BLOCK)
+    for pass_steps, workers in [(4, 1), (4, 2), (1, 1), (1, 2)]:
+        monkeypatch.setattr(splitting, "PASS_STEPS", pass_steps)
+        monkeypatch.setattr(splitting, "WORKERS", workers)
+        out_path = tmp_path / f"{pass_steps}-{workers}.csv"
+        code, _ = run_cli([*flags, "--iters", "60", "--out", str(out_path)], capsys)
+        assert code == 0
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == LONG_ROW_SWEEP_SHA256[mode], (pass_steps, workers)
 
 
 RANDOM_SEED_3 = ("--start", "random", "--seed", "3")

@@ -624,36 +624,88 @@ def test_batch_rows_stop_for_each_reason_in_one_batch(primal):
         assert runs.distances[i, : trace.n_steps + 1].tobytes() == trace.distances.tobytes()
 
 
+def _mostly_stopped(problem, curvatures):
+    """Four rows of which all but one stop within 3 steps, over a budget of
+    40 steps at tol 0: a zero start stops at step 0, two rows far above
+    alpha_upper_bound trip the guard at steps 1 and 2, and a feasible row
+    runs the budget. Returns (alphas, gammas, starts)."""
+    gamma = 30.0 / math.sqrt(curvatures.sigma * curvatures.beta)
+    upper = alpha_upper_bound(gamma, curvatures.sigma, curvatures.beta)
+    starts = np.random.default_rng(3).uniform(-1.0, 1.0, (4, problem.dim))
+    starts[0] = 0.0
+    return np.array([0.5, 8.0, 4.0, 0.9]) * upper, np.full(4, gamma), starts
+
+
 @pytest.mark.parametrize("mode", splitting.MODES)
 def test_batch_rows_stopping_at_many_steps_equal_their_single_runs(mode):
     # 48 rows that stop by tol, by the guard, at a zero start, or at the
-    # budget, at many distinct steps: stopped rows are first stepped on as
-    # NaN rows and later gathered out, and no live row may notice either
+    # budget, at many distinct steps, and a batch in which all rows but one
+    # stop within 3 steps: stopped rows are stepped on as NaN rows until the
+    # run ends, and no live row may notice
     problem = default_primal_instance() if mode == "primal-dr" else default_dual_instance("crossed")
     curvatures = problem.f if mode == "primal-dr" else dual_function(problem)
     rng = np.random.default_rng(29)
-    n, max_iter, tol = 48, 60, 1e-6
+    n = 48
     gammas = 10.0 ** rng.uniform(-1.5, 1.5, n) / math.sqrt(curvatures.sigma * curvatures.beta)
     upper = alpha_upper_bound(gammas, curvatures.sigma, curvatures.beta)
     kinds = rng.choice(3, n, p=[0.7, 0.2, 0.1])
     alphas = upper * np.where(kinds == 1, rng.uniform(1.05, 1.9, n), rng.uniform(0.05, 0.99, n))
     starts = rng.uniform(-1.0, 1.0, (n, problem.dim))
     starts[kinds == 2] = 0.0
-    runs = run_rows(problem, mode, alphas, gammas, lambda rows: starts[rows], max_iter=max_iter, tol=tol)
-    assert len(set(runs.steps.tolist())) >= 15
-    assert runs.diverged.any() and (runs.steps == 0).any() and (runs.steps == max_iter).any()
-    for i in range(n):
-        trace, diverged = _single_run(problem, mode, alphas[i], gammas[i], starts[i], max_iter, tol)
-        assert (trace.n_steps, diverged) == (runs.steps[i], runs.diverged[i])
-        assert runs.distances[i, : trace.n_steps + 1].tobytes() == trace.distances.tobytes()
-        assert np.all(np.isnan(runs.distances[i, trace.n_steps + 1 :]))
+    batches = [(alphas, gammas, starts, 60, 1e-6), (*_mostly_stopped(problem, curvatures), 40, 0.0)]
+    many, mostly = [
+        run_rows(problem, mode, a, g, lambda rows, s=s: s[rows], max_iter=m, tol=t) for a, g, s, m, t in batches
+    ]
+    assert len(set(many.steps.tolist())) >= 15
+    assert many.diverged.any() and (many.steps == 0).any() and (many.steps == 60).any()
+    assert mostly.steps.tolist() == [0, 1, 2, 40]
+    for runs, (alphas, gammas, starts, max_iter, tol) in zip((many, mostly), batches):
+        for i in range(len(alphas)):
+            trace, diverged = _single_run(problem, mode, alphas[i], gammas[i], starts[i], max_iter, tol)
+            assert (trace.n_steps, diverged) == (runs.steps[i], runs.diverged[i])
+            assert runs.distances[i, : trace.n_steps + 1].tobytes() == trace.distances.tobytes()
+            assert np.all(np.isnan(runs.distances[i, trace.n_steps + 1 :]))
+
+
+@pytest.mark.parametrize("mode", splitting.MODES)
+@pytest.mark.parametrize("dim", [8, 2 * splitting.NORM_CHUNK + 3])
+def test_a_batch_keeps_its_shape_while_its_rows_stop(monkeypatch, mode, dim):
+    # all rows but one stop within 3 steps; every step, and every pass over
+    # long rows, still reads the whole batch, with the stopped rows as NaN
+    monkeypatch.setattr(splitting, "COLUMN_BLOCK", splitting.NORM_CHUNK)
+    half = range(dim // 2)
+    if mode == "primal-dr":
+        problem = make_primal_instance(SIGMA, BETA, dim, half)
+        curvatures = problem.f
+    else:
+        problem = make_dual_instance(SIGMA, BETA, 1.0, 3.0, dim, half, pairing="crossed")
+        curvatures = dual_function(problem)
+    alphas, gammas, starts = _mostly_stopped(problem, curvatures)
+    calls = []
+    iterate = splitting._iterate
+
+    def watched(engine, start, max_iter, tol):
+        def step(state, steps=1):
+            calls.append((state.shape, steps, np.count_nonzero(np.isnan(state).all(axis=1))))
+            return engine.step(state, steps)
+
+        return iterate(engine._replace(step=step), start, max_iter, tol)
+
+    monkeypatch.setattr(splitting, "_iterate", watched)
+    runs = run_rows(problem, mode, alphas, gammas, lambda rows: starts[rows], max_iter=40, tol=0.0)
+    assert runs.steps.tolist() == [0, 1, 2, 40]
+    assert {shape for shape, _, _ in calls} == {(4, dim)}
+    # passes of several steps over long rows, one step at a time over short
+    assert max(steps for _, steps, _ in calls) == (splitting.PASS_STEPS if dim > splitting.COLUMN_BLOCK else 1)
+    # the first step stops rows 0 and 1, the second row 2
+    assert [nan_rows for nan_rows, _ in itertools.groupby(n for _, _, n in calls)] == [0, 2, 3]
 
 
 @pytest.mark.parametrize("mode", splitting.MODES)
 def test_stopped_rows_stepped_on_raise_no_float_warnings(mode):
-    # one row trips the guard at once; the other three keep the batch more
-    # than half live for 3000 steps, so the stopped row is stepped on all
-    # that time. Left to grow, it would overflow, and pytest turns the
+    # one row trips the guard at once; the other three keep the batch
+    # running for 3000 steps, so the stopped row is stepped on all that
+    # time. Left to grow, it would overflow, and pytest turns the
     # overflow warning into an error.
     problem = default_primal_instance() if mode == "primal-dr" else default_dual_instance("crossed")
     curvatures = problem.f if mode == "primal-dr" else dual_function(problem)
@@ -759,7 +811,7 @@ def test_column_blocks_equal_the_unblocked_steps_bitwise(monkeypatch, mode, extr
     # + extra elements is one block (extra <= 0), or two, three or four
     # blocks, the last of width 1, 3 or 5. The rows stop by tol, by the
     # guard, at a zero start and at the budget, so stopped rows are stepped
-    # on as NaN rows and then gathered out mid-batch. The blocks run on 1, 2
+    # on as NaN rows until the run ends. The blocks run on 1, 2
     # and 3 threads, in uneven runs (4 blocks on 3 threads run 1, 1 and 2),
     # with the interpreter switching threads as often as it can, in passes
     # of 1 to 4 steps, so that rows stop at every offset within a pass, and
@@ -966,6 +1018,32 @@ def test_a_pass_reports_no_float_error_of_a_step_past_a_stop(monkeypatch):
             runs()
 
 
+def test_a_wrong_sized_start_is_rejected_before_its_engine_is_built():
+    # the start's dimension is checked before the engine's buffers are made,
+    # so a start of rows long enough for two workers starts no thread pool
+    code = (
+        "import sys, tracemalloc, numpy as np\n"
+        "from splitrate import splitting\n"
+        "from splitrate.hilbert import Vec\n"
+        "from splitrate.worstcase import default_primal_instance\n"
+        "splitting.WORKERS = 2\n"
+        "problem, v = default_primal_instance(), Vec(np.ones(10**6))\n"
+        "tracemalloc.start()\n"
+        "try:\n"
+        "    splitting.run_dr(problem, splitting.SplitParams(1.0, 0.3), v)\n"
+        "except ValueError as exc:\n"
+        "    assert str(exc) == 'start dimension 1000000 != problem dimension 8', exc\n"
+        "else:\n"
+        "    raise AssertionError('a wrong-sized start ran')\n"
+        "assert tracemalloc.get_traced_memory()[1] < 1 << 20, tracemalloc.get_traced_memory()\n"
+        "assert splitting._pool is None\n"
+        "assert 'concurrent.futures' not in sys.modules\n"
+    )
+    src = str(Path(splitting.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_short_rows_import_no_thread_pool():
     # the pool, and concurrent.futures, are for rows longer than
     # COLUMN_BLOCK: the package, the battery's module and default sweeps
@@ -1001,8 +1079,7 @@ def test_a_step_holds_no_row_sized_temporary(monkeypatch, mode):
     tracemalloc.start()
     try:
         engine = splitting._engine(problem, mode, 0.5)(0.9, 0.5, rows)
-        _, record, params, state, _ = engine
-        start = record(params, state)
+        start = engine.record(engine.state)
         held = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         _, steps, _, diverged, _ = splitting._iterate(engine, start, 20, 0.0)
