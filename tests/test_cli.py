@@ -644,17 +644,31 @@ def test_python_dash_m_runs_the_cli():
     assert float(_parse_kv(proc.stdout)["optimal_rate"]) == pytest.approx(0.5194938532959157, abs=1e-15)
 
 
-def test_run_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # a dot of 20,000 elements may be split over BLAS threads; the row norms
-    # must not let that reach the output
+def _bytes_per_blas_thread_count(tmp_path, args):
+    """The ``--out`` bytes of ``args`` run in fresh interpreters with one
+    and with two BLAS threads."""
     outputs = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads-{threads}.csv"
-        proc = _cli_subprocess(
-            ["run", "--K", "20000", "--start", "random", "--out", str(out)],
-            OPENBLAS_NUM_THREADS=threads,
-            OMP_NUM_THREADS=threads,
-        )
+        proc = _cli_subprocess([*args, "--out", str(out)], OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         assert proc.returncode == 0, proc.stderr
         outputs.append(out.read_bytes())
+    return outputs
+
+
+def test_run_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # a dot of 20,000 elements may be split over BLAS threads; the row norms
+    # must not let that reach the output
+    outputs = _bytes_per_blas_thread_count(tmp_path, ["run", "--K", "20000", "--start", "random"])
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("mode", splitting.MODES)
+def test_sweep_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, mode):
+    # rows of 20,000 elements are short, so a block of them is stepped
+    # whole, but each row is normed in chunks
+    grid = ["--alpha", "linear:0.1:1.9:2", "--gamma", "log:0.02:6:2"]
+    outputs = _bytes_per_blas_thread_count(tmp_path, ["sweep", "--mode", mode, "--K", "20000", *grid])
+    assert outputs[0] == outputs[1]
+    # a header and the four points of the grid
+    assert sum(not line.startswith(b"#") for line in outputs[0].splitlines()) == 5

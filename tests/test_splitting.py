@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from splitrate.functions import CompositeProblem, DiagQuadratic, GFunction, dual_function
@@ -474,15 +475,33 @@ def _reference_fit(ratios):
     return float(np.exp(np.mean(np.log(tail))))
 
 
+def _ratio_rows(rows, pad=0):
+    """The rows as one ratio array, NaN past the end of each and in ``pad``
+    more columns."""
+    ratios = np.full((len(rows), max((len(r) for r in rows), default=0) + pad), np.nan)
+    for i, row in enumerate(rows):
+        ratios[i, : len(row)] = row
+    return ratios
+
+
 @settings(deadline=None, max_examples=60)
 @given(
-    st.lists(st.tuples(st.integers(0, 40), st.floats(0.0, 0.5), st.floats(0.0, 0.2)), min_size=1, max_size=24),
+    st.lists(
+        st.tuples(st.integers(0, 40) | st.integers(256, 300), st.floats(0.0, 0.5), st.floats(0.0, 0.2)),
+        max_size=24,
+    ),
+    st.integers(0, 3),
     st.integers(0, 2**32 - 1),
 )
-def test_fit_rates_rows_equal_the_single_row_fit_bitwise(shapes, seed):
+# no rows, rows of no ratios, and a batch with no row of 5 valid ratios
+@example(shapes=[], pad=7, seed=0)
+@example(shapes=[(0, 0.0, 0.0)] * 3, pad=0, seed=0)
+@example(shapes=[(4, 0.0, 0.1), (3, 0.0, 0.0), (0, 0.0, 0.0)], pad=2, seed=0)
+def test_fit_rates_rows_equal_the_single_row_fit_bitwise(shapes, pad, seed):
     # rows of different lengths with holes (NaN, inf or -inf ratios) and
     # zero ratios anywhere in them, so that rows with n and n + 1 valid
-    # ratios share a tail length and a fit group
+    # ratios share a tail length and a fit group; rows of up to 300 ratios
+    # have tails past 128, where numpy's pairwise sum splits
     rng = np.random.default_rng(seed)
     rows = []
     for size, hole_share, zero_share in shapes:
@@ -491,12 +510,31 @@ def test_fit_rates_rows_equal_the_single_row_fit_bitwise(shapes, seed):
         holes = rng.random(size) < hole_share
         row[holes] = rng.choice([math.nan, math.inf, -math.inf], np.count_nonzero(holes))
         rows.append(row)
-    ratios = np.full((len(rows), max(r.size for r in rows)), np.nan)
-    for i, row in enumerate(rows):
-        ratios[i, : row.size] = row
-    fits = fit_rates(ratios)
+    fits = fit_rates(_ratio_rows(rows, pad))
+    assert fits.shape == (len(rows),)
     for i, row in enumerate(rows):
         assert np.array_equal(fits[i], _reference_fit(row), equal_nan=True)
+
+
+def test_a_zero_ratio_decides_a_fit_only_inside_its_tail():
+    # a zero before the tail, one in it, one of each (in a short row and in
+    # a long one), and many before a long tail
+    rows = [
+        [0.0, 0.5, 0.6, 0.7, 0.4, 0.5],
+        [0.5, 0.6, 0.7, 0.4, 0.0, 0.5],
+        [0.0, 0.6, -math.inf, 0.7, 0.4, 0.5, 0.0],
+        [0.0] + [0.3] * 199 + [0.0] + [0.9] * 200,
+        [0.0] * 150 + [0.9] * 151,
+    ]
+    fits = fit_rates(_ratio_rows(rows))
+    assert fits.tolist() == [_reference_fit(np.array(row)) for row in rows]
+    assert fits[[0, 4]].min() > 0.0 and fits[1:4].tolist() == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("shape", [(), (6,), (2, 3, 6)])
+def test_fit_rates_rejects_an_array_that_is_not_rows_of_ratios(shape):
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+        fit_rates(np.full(shape, 0.5))
 
 
 @settings(deadline=None, max_examples=60)
@@ -1090,6 +1128,45 @@ def test_a_step_holds_no_row_sized_temporary(monkeypatch, mode):
     # two column blocks of booleans: the first step's fixed-point test
     # compares one block of columns at a time
     assert peak < 2 * splitting.COLUMN_BLOCK
+
+
+@pytest.mark.parametrize("mode", splitting.MODES)
+def test_only_short_rows_hold_their_parameters_at_the_state_shape(monkeypatch, mode):
+    # engines built as run_rows builds them, from (rows, 1) parameter
+    # columns. Every engine holds its own state-sized arrays: DR its
+    # reflection factor, ADMM its u, scale and denominator. Rows of at most
+    # 64 elements add one state-sized copy of each operand that the update
+    # broadcasts (DR: alpha and 1 - alpha; ADMM: 2 alpha, rho and nu); longer
+    # rows add no row-sized copy of a parameter, and long rows only their
+    # pair of state buffers and one run's blocks
+    monkeypatch.setattr(splitting, "WORKERS", 1)
+    own, broadcast, temps = (3, 3, 2) if mode == "admm" else (1, 2, 1)
+    for dim, count in ((64, 1024), (splitting.COLUMN_BLOCK, 2), (200_000, 2)):
+        half = range(dim // 2)
+        if mode == "primal-dr":
+            problem = make_primal_instance(SIGMA, BETA, dim, half)
+        else:
+            problem = make_dual_instance(SIGMA, BETA, 1.0, 3.0, dim, half, pairing="crossed")
+        build = splitting._engine(problem, mode, 0.5)
+        alphas, gammas = np.resize([[0.9], [1.1]], (count, 1)), np.resize([[0.5], [0.3]], (count, 1))
+        rows = np.random.default_rng(dim).uniform(-1.0, 1.0, (count, dim))
+        tracemalloc.start()
+        try:
+            engine = build(alphas, gammas, rows)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        state = rows.nbytes
+        if dim > splitting.COLUMN_BLOCK:
+            # the pair of state buffers, and the one run's spare block and
+            # the update's temporaries
+            least, added = own * state, 2 * state + (1 + temps) * count * splitting.COLUMN_BLOCK * 8
+        elif dim > 64:
+            least, added = own * state, 0
+        else:
+            least, added = (own + broadcast) * state, 0
+        assert least <= held < least + added + (1 << 16), (dim, held / state)
+        assert engine.state.shape == rows.shape
 
 
 def _signed_zeros(rng, dim, share):
