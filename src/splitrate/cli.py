@@ -177,8 +177,12 @@ class SweepConfig:
     idx_sigma: tuple = _key(
         "idx_sigma", tuple(sorted(DEFAULT_IDX_SIGMA)), _parse_indices, "comma list of sigma-band indices"
     )
-    alpha_grid: tuple = _key("alpha_grid", (), parse_grid, "alpha grid: comma list or linear/log:min:max:count")
-    gamma_grid: tuple = _key("gamma_grid", (), parse_grid, "gamma grid: comma list or linear/log:min:max:count")
+    alpha_grid: tuple = _key(
+        "alpha_grid", (), parse_grid, "alpha grid: comma list or linear/log:min:max:count (run takes one value)"
+    )
+    gamma_grid: tuple = _key(
+        "gamma_grid", (), parse_grid, "gamma grid: comma list or linear/log:min:max:count (run takes one value)"
+    )
     mode: str = _key("mode", "primal-dr", _choice(MODES), "engine (default primal-dr)")
     iters: int = _key("iters", 80, _checked(int, lambda n: n >= 1, "at least 1"), "iteration budget (default 80)")
     tol: float = _key(
@@ -202,9 +206,6 @@ class SweepConfig:
 #: (--alpha, --gamma).
 _CONFIG_KEYS = {f.metadata["key"]: (f.name, f.metadata["parse"], f.metadata["help"]) for f in fields(SweepConfig)}
 
-#: ``run``'s --alpha and --gamma: one point each, not a grid
-_POINT_HELP = {"alpha": "relaxation (default: bound-minimizing)", "gamma": "step size (default: bound-minimizing)"}
-
 
 def _dest(key: str) -> str:
     """The attribute that a key's flag sets: the key, without a grid's "_grid"."""
@@ -219,10 +220,8 @@ def _set_key(cfg: SweepConfig, key: str, raw) -> None:
         raise ConfigError(f"bad value for {key!r}: {exc}") from exc
 
 
-def _config_from_args(args, grid_flags: bool) -> SweepConfig:
-    """Defaults, overridden by the ``--config`` file, overridden by flags.
-    ``grid_flags`` says whether --alpha/--gamma are grids (sweep) or a
-    single point that the caller reads itself (run)."""
+def _config_from_args(args) -> SweepConfig:
+    """Defaults, overridden by the ``--config`` file, overridden by flags."""
     cfg = SweepConfig()
     if args.config is not None:
         for key, raw in load_config_file(args.config).items():
@@ -230,8 +229,6 @@ def _config_from_args(args, grid_flags: bool) -> SweepConfig:
                 raise ConfigError(f"unknown config key {key!r}")
             _set_key(cfg, key, raw)
     for key in _CONFIG_KEYS:
-        if _dest(key) != key and not grid_flags:
-            continue
         value = getattr(args, _dest(key))
         if value is not None:
             _set_key(cfg, key, value)
@@ -370,8 +367,8 @@ def cmd_rate(args) -> int:
 
 
 def _run_point(grid: tuple, key: str, default: float) -> float:
-    """The point ``run`` takes from a config-file grid: its one value, or
-    ``default`` when the grid is empty."""
+    """The point ``run`` takes from a grid key, set by its flag or the
+    config file: its one value, or ``default`` when the grid is empty."""
     if len(grid) > 1:
         raise ConfigError(f"{key!r} holds {len(grid)} values, but run takes one point")
     return (grid or (default,))[0]
@@ -379,14 +376,13 @@ def _run_point(grid: tuple, key: str, default: float) -> float:
 
 def cmd_run(args) -> int:
     # a sweep whose grids hold the one point: alpha and gamma each come from
-    # the flag, else from the config file's grid, else they are the mode's
+    # the flag, else from the config file, else they are the mode's
     # bound-minimizing values
-    cfg = _config_from_args(args, grid_flags=False)
+    cfg = _config_from_args(args)
     instance = _instance(cfg)
     opt_alpha, opt_gamma, _ = optimal_params(*instance[1:3])
-    alpha = args.alpha if args.alpha is not None else _run_point(cfg.alpha_grid, "alpha_grid", opt_alpha)
-    gamma = args.gamma if args.gamma is not None else _run_point(cfg.gamma_grid, "gamma_grid", opt_gamma)
-    cfg.alpha_grid, cfg.gamma_grid = (float(alpha),), (float(gamma),)
+    cfg.alpha_grid = (_run_point(cfg.alpha_grid, "alpha_grid", opt_alpha),)
+    cfg.gamma_grid = (_run_point(cfg.gamma_grid, "gamma_grid", opt_gamma),)
     columns, runs = _sweep(cfg, instance)
     report_text = "\n".join(_report_lines(columns)) + "\n"
     print(report_text, end="")
@@ -405,7 +401,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _config_from_args(args, grid_flags=True)
+    cfg = _config_from_args(args)
     instance = _instance(cfg)
     if not cfg.alpha_grid:
         cfg.alpha_grid = parse_grid("linear:0.1:1.9:20")
@@ -444,16 +440,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
     p_sweep = sub.add_parser("sweep", help="sweep an (alpha, gamma) grid and emit a CSV report")
     p_sweep.set_defaults(func=cmd_sweep)
-    # every key's flag, as a string its table parser reads; run's --alpha
-    # and --gamma are one point each
-    for command, grids in ((p_run, False), (p_sweep, True)):
+    # every key's flag, as a string its table parser reads
+    for command in (p_run, p_sweep):
         for key, (_, parse, help_text) in _CONFIG_KEYS.items():
             dest = _dest(key)
-            if dest == key or grids:
-                metavar = getattr(parse, "metavar", None)
-                command.add_argument("--" + dest.replace("_", "-"), dest=dest, metavar=metavar, help=help_text)
-            else:
-                command.add_argument("--" + dest, type=float, help=_POINT_HELP[dest])
+            metavar = getattr(parse, "metavar", None)
+            command.add_argument("--" + dest.replace("_", "-"), dest=dest, metavar=metavar, help=help_text)
         command.add_argument("--config", help="flat key = value config file")
         command.add_argument("--out", help="output path (default stdout)")
 
