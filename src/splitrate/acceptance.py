@@ -125,7 +125,7 @@ def _optimal_rate_exactness():
     (fit,) = _worst_start_runs(problem, "primal-dr", problem.f, [alpha], [gamma], max_iter=50)
     # NaN (a diverged or unfittable run) fails
     err = abs(fit - target)
-    return err <= 1e-10, f"|empirical - bound| = {err:.3e} <= 1e-10 over 50 steps"
+    return bool(err <= 1e-10), f"|empirical - bound| = {err:.3e} <= 1e-10 over 50 steps"
 
 
 # -- criterion 2 -------------------------------------------------------------

@@ -263,11 +263,11 @@ def _start_rows(cfg: SweepConfig, quad, alphas: np.ndarray, gammas: np.ndarray):
     return lambda rows: basis_rows(cfg.dim, coordinates[rows])
 
 
-def evaluate_points(alphas, gammas, sigma: float, beta: float, empirical, diverged) -> tuple:
-    """Compare the rates measured at parameter points against the bound, as
-    array work over all points: the report columns ``(alpha, gamma,
-    theoretical, empirical, case, gap, verdict)``, one entry per point, in
-    order.
+def evaluate_points(alphas, gammas, sigma: float, beta: float, theoretical, empirical, diverged) -> tuple:
+    """Compare the rates measured at parameter points against the bound
+    ``theoretical`` (:func:`theoretical_rate` at each point), as array work
+    over all points: the report columns ``(alpha, gamma, theoretical,
+    empirical, case, gap, verdict)``, one entry per point, in order.
 
     ``empirical`` is NaN where a run was too short to fit a rate. The verdict
     is "tight" when the point lies in an exactly-attained region and the
@@ -275,7 +275,6 @@ def evaluate_points(alphas, gammas, sigma: float, beta: float, empirical, diverg
     tripped the divergence guard, and "bounded" otherwise; "bounded" is not
     compared with the bound.
     """
-    theoretical = theoretical_rate(alphas, gammas, sigma, beta)
     cases = classify_tightness(alphas, gammas, sigma, beta)
     empirical = np.where(diverged, math.nan, empirical)
     gap = theoretical - empirical
@@ -294,10 +293,11 @@ def _sweep(cfg: SweepConfig, instance: tuple) -> tuple:
     )
     # a bad point fails the bound here, before any worst start or run: a
     # step size whose product with beta overflows would make those NaN
-    theoretical_rate(alphas, gammas, sigma, beta)
+    theoretical = theoretical_rate(alphas, gammas, sigma, beta)
     starts = _start_rows(cfg, quad, alphas, gammas)
     runs = run_rows(problem, cfg.mode, alphas, gammas, starts, max_iter=cfg.iters, tol=cfg.tol)
-    return evaluate_points(alphas, gammas, sigma, beta, fit_rates(runs.step_ratios), runs.diverged), runs
+    empirical = fit_rates(runs.step_ratios)
+    return evaluate_points(alphas, gammas, sigma, beta, theoretical, empirical, runs.diverged), runs
 
 
 def _report_lines(columns: tuple) -> list:

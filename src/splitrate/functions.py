@@ -44,13 +44,24 @@ class DiagQuadratic:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        w = np.array(self.weights, dtype=float)
+        self._own(np.array(self.weights, dtype=float))
+
+    def _own(self, w: np.ndarray) -> None:
+        """Check the weights ``w`` and make them, read-only, this instance's."""
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a non-empty 1-d sequence")
         if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
             raise ValueError("weights must be finite and strictly positive")
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
+
+    @classmethod
+    def _adopt(cls, weights: np.ndarray) -> "DiagQuadratic":
+        """A DiagQuadratic over ``weights`` itself, checked but not copied:
+        for a fresh float array that nothing else writes."""
+        quad = object.__new__(cls)
+        quad._own(weights)
+        return quad
 
     @property
     def dim(self) -> int:
@@ -80,7 +91,11 @@ class DiagOperator:
     zeta: float
 
     def __post_init__(self) -> None:
-        w = np.array(self.weights, dtype=float)
+        self._own(np.array(self.weights, dtype=float))
+
+    def _own(self, w: np.ndarray) -> None:
+        """Check the gains ``w`` against theta and zeta and make them,
+        read-only, this instance's."""
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a non-empty 1-d sequence")
         if not (0.0 < self.theta <= self.zeta) or not math.isfinite(self.zeta):
@@ -89,6 +104,16 @@ class DiagOperator:
             raise ValueError("every gain must equal theta or zeta")
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
+
+    @classmethod
+    def _adopt(cls, weights: np.ndarray, theta: float, zeta: float) -> "DiagOperator":
+        """A DiagOperator over ``weights`` itself, checked but not copied:
+        for a fresh float array that nothing else writes."""
+        op = object.__new__(cls)
+        object.__setattr__(op, "theta", theta)
+        object.__setattr__(op, "zeta", zeta)
+        op._own(weights)
+        return op
 
     @property
     def dim(self) -> int:
@@ -126,4 +151,4 @@ def dual_function(problem: CompositeProblem) -> DiagQuadratic:
         raise ValueError("dual function requires g to be the indicator of the origin")
     if problem.a is None:
         raise ValueError("dual function requires an explicit diagonal coupling operator")
-    return DiagQuadratic(problem.a.weights**2 / problem.f.weights)
+    return DiagQuadratic._adopt(problem.a.weights**2 / problem.f.weights)

@@ -105,16 +105,19 @@ class SplitParams:
 class IterateTrace:
     """Iterate history with distances to the fixed point and per-step ratios.
 
-    The fixed point is the origin for every engine. ``step_ratios[k]`` is
+    The fixed point is the origin for every engine, held as a read-only
+    view of a single zero, with no row of its own. ``step_ratios[k]`` is
     ``distances[k+1] / distances[k]``, or NaN once ``distances[k]`` drops
-    below :data:`RATIO_FLOOR`. For the ADMM engine the iterates are the scaled
-    dual sequence and ``final_x`` holds the last primal iterate; it is None
-    for the other engines.
+    below :data:`RATIO_FLOOR`. For the ADMM engine the iterates are the
+    scaled dual sequence and ``final_x`` holds the last primal iterate; it
+    is None for the other engines.
 
-    The engines keep no iterate while they run: their ``iterates`` are
-    recomputed, bit for bit, when first read (see :class:`_Replay`), so a
-    run holds O(dim) memory, not O(steps x dim). ``len(iterates)`` and
-    :attr:`n_steps` recompute nothing.
+    The engines keep no iterate while they run, not even the first: their
+    ``iterates``, the first one included, are rebuilt, bit for bit, when
+    first read (see :class:`_Replay`), so a run holds O(dim) memory, not
+    O(steps x dim). ``len(iterates)`` and :attr:`n_steps` recompute
+    nothing. ADMM's ``final_x`` may be a view of the run's last state
+    buffer, which it then keeps in place of an array of its own.
     """
 
     iterates: Sequence[Vec]
@@ -322,7 +325,8 @@ class _Engine(NamedTuple):
     parameters bound: ``step(state, steps=1)`` steps a state, ``record(state)``
     gives its recorded rows, ``state`` is the first state, ``still(state,
     next_state)`` tells which rows a step left exactly where they were, and
-    ADMM's ``x(u)`` is its x-update of the rows ``u``."""
+    ADMM's ``x(u, x=None)`` is its x-update of the rows ``u``, into ``x``
+    if given."""
 
     step: Callable
     record: Callable
@@ -331,20 +335,22 @@ class _Engine(NamedTuple):
     x: Callable | None = None
 
 
-def _iterate(engine: _Engine, start: np.ndarray, max_iter: int, tol: float):
+def _iterate(engine: _Engine, first: np.ndarray, max_iter: int, tol: float):
     """Run an engine (see :func:`_engine`) on its batch of rows: the loop of
     every engine.
 
-    The engine's ``state`` is a ``(rows, dim)`` float array whose recorded
-    vectors are the rows of ``start``. ``step(state, steps=1)`` takes
-    ``steps`` steps and returns ``(next_state, distances, step_norms)``: for
-    each step, each row's distance from its recorded vector to the origin
-    and its step norm, as ``(rows,)`` arrays for one step and ``(steps,
-    rows)`` for more. A row stops when its first step leaves it exactly
-    where it was (it started at a fixed point; the engine's ``still(state,
-    next_state)`` tells which rows did), when its distance to the origin
-    exceeds ``DIVERGENCE_FACTOR`` times its starting distance (diverged),
-    or when its step norm drops to ``tol``.
+    The engine's ``state`` is a ``(rows, dim)`` float array, and ``first``
+    holds the norms of its recorded rows, the ``(rows,)`` starting
+    distances, so that no recorded row need be kept while the rows step.
+    ``step(state, steps=1)`` takes ``steps`` steps and returns
+    ``(next_state, distances, step_norms)``: for each step, each row's
+    distance from its recorded vector to the origin and its step norm, as
+    ``(rows,)`` arrays for one step and ``(steps, rows)`` for more. A row
+    stops when its first step leaves it exactly where it was (it started
+    at a fixed point; the engine's ``still(state, next_state)`` tells which
+    rows did), when its distance to the origin exceeds
+    ``DIVERGENCE_FACTOR`` times its starting distance (diverged), or when
+    its step norm drops to ``tol``.
 
     Rows longer than ``COLUMN_BLOCK`` are stepped in passes of up to
     ``PASS_STEPS`` steps, one walk over the rows each (see
@@ -364,15 +370,15 @@ def _iterate(engine: _Engine, start: np.ndarray, max_iter: int, tol: float):
     and step norm, so it meets no stop test again; NaN arithmetic raises no
     floating-point error.
 
-    Returns ``(distances, steps, converged, diverged, last)``: ``distances``
-    as in :class:`RowRuns`, and ``last`` the state that the final step of
-    the run read (a run's final step is never one of a kept pass), or None
-    if no step ran.
+    Returns ``(distances, steps, converged, diverged, last, final)``:
+    ``distances`` as in :class:`RowRuns`, ``last`` the state that the final
+    step of the run read (a run's final step is never one of a kept pass),
+    or None if no step ran, and ``final`` the state that step made (the
+    first state if no step ran), which the engine reads no more.
     """
     if max_iter < 0:
         raise ValueError("max_iter must be non-negative")
-    rows = start.shape[0]
-    first = _norms(start)
+    rows, dim = engine.state.shape
     distances = np.full((rows, min(max_iter, 63) + 1), np.nan)  # widened as needed
     distances[:, 0] = first
     # the guard needs a positive starting distance
@@ -383,7 +389,7 @@ def _iterate(engine: _Engine, start: np.ndarray, max_iter: int, tol: float):
     live = rows  # how many rows still run
     step, state = engine.step, engine.state
     # steps before `alone` run one at a time; `ready` steps have run
-    alone = 1 if start.shape[1] > COLUMN_BLOCK and PASS_STEPS > 1 else max_iter
+    alone = 1 if dim > COLUMN_BLOCK and PASS_STEPS > 1 else max_iter
     ready, last = 0, None
     for k in range(max_iter):
         if k < ready:
@@ -435,7 +441,7 @@ def _iterate(engine: _Engine, start: np.ndarray, max_iter: int, tol: float):
         if not live:
             break
         state[done] = np.nan
-    return distances[:, : steps.max(initial=0) + 1], steps, converged, diverged, last
+    return distances[:, : steps.max(initial=0) + 1], steps, converged, diverged, last, state
 
 
 def _stepped(engine: _Engine, steps: int):
@@ -454,13 +460,17 @@ def _stepped(engine: _Engine, steps: int):
 class _Replay(Sequence):
     """The iterates of a one-row run, recomputed when first read.
 
-    ``build()`` returns the run's engine (see :func:`_engine`) afresh, and
-    :func:`_stepped` gives its iterates for the ``steps`` steps the run
-    took. The length needs no replay.
+    ``build()`` returns the run's engine (see :func:`_engine`) afresh. The
+    first iterate is rebuilt too, as the engine's record of its first state
+    (for ADMM the same ``rho * u0`` product as in the run, so the same
+    bits), and :func:`_stepped` gives the iterates of the ``steps`` steps
+    the run took. The length needs no replay. The trace's ADMM ``final_x``
+    may share the run's last state buffer; the replay's engine has buffers
+    of its own.
     """
 
-    def __init__(self, build: Callable[[], _Engine], start: Vec, steps: int):
-        self._build, self._start, self._steps = build, start, steps
+    def __init__(self, build: Callable[[], _Engine], steps: int):
+        self._build, self._steps = build, steps
         self._vecs: list[Vec] | None = None
 
     def __len__(self) -> int:
@@ -474,8 +484,11 @@ class _Replay(Sequence):
 
     def _replayed(self) -> list[Vec]:
         if self._vecs is None:
-            stepped = _stepped(self._build(), self._steps)
-            self._vecs, self._build = [self._start, *(Vec(rows[0]) for rows in stepped)], None
+            engine = self._build()
+            # the run checked that the recorded start is finite
+            first = Vec._adopt(engine.record(engine.state)[0])
+            self._vecs = [first, *(Vec(rows[0]) for rows in _stepped(engine, self._steps))]
+            self._build = None
         return self._vecs
 
 
@@ -487,9 +500,12 @@ def _run_one(
     :class:`IterateTrace`: ``v`` is the one start row of the engine of
     :func:`_engine` (``rows_are_u`` as there), and the engine is built once
     ``v``'s dimension is checked, and again when the iterates are first
-    read. ADMM's ``final_x`` is the engine's x-update of the state that the
-    run's final step read, which :func:`_iterate` returns. ``step_name``
-    names ``gamma`` in the message of a :class:`DivergenceError`."""
+    read (see :class:`_Replay`). While the run steps it holds only the
+    engine's arrays: the recorded start goes once it is normed. ADMM's
+    ``final_x`` is the engine's x-update of the state that the run's final
+    step read, written into the state that step made, which nothing reads
+    after the run (see :func:`_iterate`). ``step_name`` names ``gamma`` in
+    the message of a :class:`DivergenceError`."""
     rows = v.coeffs[None]
     builder = _engine(problem, mode, gamma)
     if v.dim != problem.dim:
@@ -497,20 +513,23 @@ def _run_one(
     build = lambda: builder(alpha, gamma, rows, rows_are_u)
     engine = build()
     start = engine.record(engine.state)
-    if start is rows:  # DR records v itself
-        first = v
-    else:  # ADMM records rho * u0, which may overflow (Vec then raises)
-        first = Vec._adopt(start[0]) if np.isfinite(start).all() else Vec(start[0])
-    distances, steps, converged, diverged, last = _iterate(engine, start, max_iter, tol)
+    # DR records v itself; ADMM records rho * u0, which may overflow: it then
+    # raises as a Vec of it would. Its least and greatest entries tell, with
+    # no row-sized temporary
+    if start is not rows and not np.isfinite([start.min(), start.max()]).all():
+        raise ValueError("coeffs must be finite (no NaN or Inf)")
+    first = _norms(start)
+    del start
+    distances, steps, converged, diverged, last, final = _iterate(engine, first, max_iter, tol)
     last_x = None
     if mode == "admm":
         # the trace keeps the last primal iterate: the x-update of the u
         # that the last step read, or the origin if no step ran
-        x = np.zeros(problem.dim) if last is None else engine.x(last[0])
+        x = np.zeros(problem.dim) if last is None else engine.x(last[0], final[0])
         last_x = Vec._adopt(x) if np.isfinite(x).all() else Vec(x)
     trace = IterateTrace(
-        _Replay(build, first, int(steps[0])),
-        Vec._adopt(np.zeros(problem.dim)),
+        _Replay(build, int(steps[0])),
+        Vec._adopt(np.broadcast_to(0.0, problem.dim)),
         distances[0],
         _step_ratios(distances)[0],
         bool(converged[0]),
@@ -580,11 +599,14 @@ def _admm_engine(f_weights: np.ndarray, nu: np.ndarray, alpha, rho, u: np.ndarra
     added to ``v`` cannot change ``u + v``. No step reads ``x`` either, so
     the state is ``u`` and each step makes ``x`` in a temporary (see
     :func:`_admm_x`)."""
-    blocks = _ColumnBlocks(u.shape, temps=2)
-    # the x-update's denominator f_weights + rho * nu**2, formed in place
+    # the x-update's denominator f_weights + rho * nu**2, formed in place.
+    # The parameter rows are made before the state buffers, as DR's factor
+    # is: at dim 1e6 the other order left the allocator a one-row hole, and
+    # the large-dim benchmark's process peaked 6 MB higher
     denom = rho * (nu * nu)
     denom += f_weights
     scale, rho_rows = rho * nu, np.ravel(rho)
+    blocks = _ColumnBlocks(u.shape, temps=2)
     # still and x read scale and denom as they are: at the state's shape,
     # x of a one-row run's row would be a (1, dim) array
     relax, rho_step, *columns = blocks.shaped(2.0 * alpha, rho, scale, denom, nu)
@@ -613,15 +635,16 @@ def _admm_engine(f_weights: np.ndarray, nu: np.ndarray, alpha, rho, u: np.ndarra
             same &= ~np.any(_admm_x(before[:, cols], scale[..., cols], denom[..., cols]), axis=1)
         return same
 
-    return _Engine(step, lambda state: rho * state, u, still, lambda u: _admm_x(u, scale, denom))
+    return _Engine(step, lambda state: rho * state, u, still, lambda u, x=None: _admm_x(u, scale, denom, x))
 
 
 def _engine(problem: CompositeProblem, mode: str, gamma: float) -> Callable:
     """The engine ``mode`` runs on ``problem``, at step sizes up to ``gamma``,
     as a builder: ``build(alpha, gamma, rows, rows_are_u=False)`` returns
     the :class:`_Engine` for :func:`_iterate` from the start rows ``rows``,
-    with ``alpha`` and ``gamma`` bound into its maps; its ``record`` of the
-    first state gives the start rows of :func:`_iterate`.
+    with ``alpha`` and ``gamma`` bound into its maps; the norms of its
+    ``record`` of the first state are the starting distances of
+    :func:`_iterate`.
 
     The one place that checks the mode and the problem it needs, once for
     every engine it builds; the dual curvatures, which do not depend on the
@@ -775,7 +798,8 @@ def run_rows(
         if z.shape != (part.stop - part.start, dim):
             raise ValueError(f"start rows have shape {z.shape}, expected {(part.stop - part.start, dim)}")
         engine = build(alphas[part, None], gammas[part, None], z)
-        dist, steps[part], _, diverged[part], _ = _iterate(engine, engine.record(engine.state), max_iter, tol)
+        first = _norms(engine.record(engine.state))
+        dist, steps[part], _, diverged[part], _, _ = _iterate(engine, first, max_iter, tol)
         blocks.append(dist)
     distances = np.full((rows, max((d.shape[1] for d in blocks), default=1)), np.nan)
     for lo, dist in zip(range(0, rows, block), blocks):

@@ -75,7 +75,7 @@ def _two_band(sigma: float, beta: float, dim: int, idx_sigma) -> tuple:
         raise ValueError("idx_sigma must be non-empty")
     if on_sigma.all():
         raise ValueError("idx_sigma must be a proper subset: the beta band must be non-empty")
-    return DiagQuadratic(np.where(on_sigma, sigma, beta)), on_sigma
+    return DiagQuadratic._adopt(np.where(on_sigma, sigma, beta)), on_sigma
 
 
 def make_primal_instance(sigma: float, beta: float, dim: int, idx_sigma) -> CompositeProblem:
@@ -120,9 +120,10 @@ def make_dual_instance(
     if pairing not in PAIRINGS:
         raise ValueError(f"pairing must be one of {PAIRINGS}, got {pairing!r}")
     quad, on_sigma = _two_band(sigma, beta, dim, idx_sigma)
-    on_theta = on_sigma if pairing == "aligned" else ~on_sigma
     theta, zeta = float(theta), float(zeta)
-    op = DiagOperator(np.where(on_theta, theta, zeta), theta, zeta)
+    # the gains on the sigma band and on the beta band
+    gains = (theta, zeta) if pairing == "aligned" else (zeta, theta)
+    op = DiagOperator._adopt(np.where(on_sigma, *gains), theta, zeta)
     return CompositeProblem(f=quad, g=GFunction.ZERO_INDICATOR, a=op)
 
 

@@ -62,7 +62,7 @@ ENTRIES = [
             "11fff0232870b27a80ad08871453367b1806acb3b796b8bd41fc48c26f36165a",
             "8ecdebcab74639bcb9433e88185cd32aa1b2c6323c50fe81a07b7dc458c9acb4",
             "85cb908c4ef8347401084f517b70f811fb00f5b74619da1c4197d79ecb40c369"),
-    Entry("battery", "verify", 0, "5db8d8a6854b180260cf503b27ed1336bc7fec082295a3246bb5b4850338f220"),
+    Entry("battery", "verify", 0, "3272d6c13f54f03d8adfa806e22611fe1d22e6768f64f98d652652af726be9af"),
     *_modes("run-K1e6", "run --K 1000000 --start random --seed 1 --iters 30 --tol 1e-300",
             "5befe626c50b7d72394e3f9acd821ccdc608fd16544e80df5d850aab040eaf12",
             "d38045642c605c3124433b5afabc11c517a3919899c9de7f998fc651c5b1b61f",

@@ -141,6 +141,49 @@ def test_building_an_instance_takes_a_few_rows(kind):
     assert peak <= 4 * 8 * dim
 
 
+def test_large_instances_keep_their_weights_uncopied():
+    # the weights and gains of a crossed dim-1e6 build, and the dual
+    # curvatures, are made once and kept as they are: each build peaks at
+    # the float rows it keeps plus boolean temporaries of one byte per
+    # coordinate (the sigma-band mask and the checks' comparisons), where
+    # one copy of a row would add eight
+    dim = 10**6
+
+    def traced(build):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept = build()
+            held, peak = (m - before for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        return kept, held, peak
+
+    problem, held, peak = traced(lambda: make_dual_instance(1.0, 10.0, 1.0, 3.0, dim, range(dim // 2), "crossed"))
+    assert 2 * 8 * dim <= held < 2 * 8 * dim + (1 << 16)
+    assert peak <= held + 4 * dim, (held, peak)
+    quad, held, peak = traced(lambda: dual_function(problem))
+    assert 8 * dim <= held < 8 * dim + (1 << 16)
+    assert peak <= held + 2 * dim, (held, peak)
+    assert quad.weights.tobytes() == (problem.a.weights**2 / problem.f.weights).tobytes()
+
+
+def test_adopted_weights_are_checked_and_made_read_only():
+    for bad in (np.array([1.0, -1.0]), np.array([1.0, np.inf]), np.empty(0), np.ones((2, 2))):
+        with pytest.raises(ValueError):
+            DiagQuadratic._adopt(bad)
+    with pytest.raises(ValueError, match="theta or zeta"):
+        DiagOperator._adopt(np.array([1.0, 2.0]), 1.0, 3.0)
+    with pytest.raises(ValueError, match="theta <= zeta"):
+        DiagOperator._adopt(np.array([1.0, 3.0]), 3.0, 1.0)
+    gains = np.array([1.0, 3.0])
+    op = DiagOperator._adopt(gains, 1.0, 3.0)
+    assert op.weights is gains and not gains.flags.writeable
+    assert (op.theta, op.zeta, op.dim) == (1.0, 3.0, 2)
+    quad = DiagQuadratic._adopt(np.array([2.0, 5.0]))
+    assert (quad.sigma, quad.beta) == (2.0, 5.0) and not quad.weights.flags.writeable
+
+
 # -- DiagQuadratic evaluation -------------------------------------------------
 
 

@@ -1117,10 +1117,10 @@ def test_a_step_holds_no_row_sized_temporary(monkeypatch, mode):
     tracemalloc.start()
     try:
         engine = splitting._engine(problem, mode, 0.5)(0.9, 0.5, rows)
-        start = engine.record(engine.state)
+        first = splitting._norms(engine.record(engine.state))
         held = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        _, steps, _, diverged, _ = splitting._iterate(engine, start, 20, 0.0)
+        _, steps, _, diverged, _, _ = splitting._iterate(engine, first, 20, 0.0)
         peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
@@ -1276,8 +1276,8 @@ def test_admm_rates_match_dual_dr_rates(case):
 
 
 def test_a_finished_admm_trace_holds_three_rows():
-    # once run_admm returns, its trace holds the first recorded row, the
-    # final x and the fixed point's zeros, one row of 8 * dim bytes each;
+    # once run_admm returns, its trace holds no more than three rows of
+    # 8 * dim bytes (it holds one, the final x: see test_run_memory.py);
     # the replay rebuilds the rest of its engine when the iterates are read
     dim = 2**18
     problem = make_dual_instance(SIGMA, BETA, 1.0, 3.0, dim, range(dim // 2), pairing="crossed")
