@@ -7,6 +7,7 @@ from __future__ import annotations
 import os
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -109,15 +110,14 @@ class IterateTrace:
     view of a single zero, with no row of its own. ``step_ratios[k]`` is
     ``distances[k+1] / distances[k]``, or NaN once ``distances[k]`` drops
     below :data:`RATIO_FLOOR`. For the ADMM engine the iterates are the
-    scaled dual sequence and ``final_x`` holds the last primal iterate; it
+    scaled dual sequence and :attr:`final_x` is the last primal iterate; it
     is None for the other engines.
 
     The engines keep no iterate while they run, not even the first: their
-    ``iterates``, the first one included, are rebuilt, bit for bit, when
-    first read (see :class:`_Replay`), so a run holds O(dim) memory, not
-    O(steps x dim). ``len(iterates)`` and :attr:`n_steps` recompute
-    nothing. ADMM's ``final_x`` may be a view of the run's last state
-    buffer, which it then keeps in place of an array of its own.
+    ``iterates``, the first one included, and ADMM's ``final_x`` are
+    rebuilt, bit for bit, when first read (see :class:`_Replay`), so a run
+    holds O(dim) memory, not O(steps x dim), and a finished trace holds no
+    row. ``len(iterates)`` and :attr:`n_steps` recompute nothing.
     """
 
     iterates: Sequence[Vec]
@@ -125,11 +125,14 @@ class IterateTrace:
     distances: np.ndarray
     step_ratios: np.ndarray
     converged: bool
-    final_x: Vec | None = None
 
     @property
     def n_steps(self) -> int:
         return len(self.iterates) - 1
+
+    @property
+    def final_x(self) -> Vec | None:
+        return getattr(self.iterates, "final_x", None)
 
 
 @dataclass
@@ -137,18 +140,21 @@ class RowRuns:
     """Per-row outcome of :func:`run_rows`.
 
     ``distances`` has one row per run and one column per iterate, NaN past
-    each row's last step; ``steps`` counts the steps each row took and
-    ``diverged`` marks the rows stopped by the divergence guard.
+    each row's last step; ``steps`` counts the steps each row took,
+    ``converged`` marks the rows stopped by ``tol`` or at a start that is a
+    fixed point, and ``diverged`` the rows stopped by the divergence guard.
     """
 
     distances: np.ndarray
     steps: np.ndarray
+    converged: np.ndarray
     diverged: np.ndarray
 
     @property
     def step_ratios(self) -> np.ndarray:
         """Per-row contraction ratios, as :attr:`IterateTrace.step_ratios`."""
-        return _step_ratios(self.distances)
+        before, after = self.distances[:, :-1], self.distances[:, 1:]
+        return np.divide(after, before, out=np.full(before.shape, np.nan), where=before >= RATIO_FLOOR)
 
 
 def _chunked(z: np.ndarray) -> tuple:
@@ -252,8 +258,12 @@ class _ColumnBlocks:
         copied to the state's shape. Sweeps measured on a 2-core host gain
         5-15% up to dim 64, in every mode, and nothing from dim 128 on,
         where the copies add to the memory each step reads. Scalars and
-        longer or single rows are kept as they are."""
-        if self.shape[0] == 1 or self.dim > 64:
+        longer rows are kept as they are; a single row's ``(1, 1)`` columns
+        become scalars, which numpy pairs with an array with no broadcast
+        set up per call (3-5% of a one-row DR step at dim 1e6)."""
+        if self.shape[0] == 1:
+            return tuple(a.item() if np.shape(a) == (1, 1) else a for a in operands)
+        if self.dim > 64:
             return operands
         same = lambda a: np.ndim(a) == 0 or np.shape(a) == self.shape
         return tuple(a if same(a) else np.full(self.shape, a, dtype=float) for a in operands)
@@ -301,11 +311,6 @@ class _ColumnBlocks:
         return out, *(norms if steps > 1 else norms[:, 0])
 
 
-def _step_ratios(distances: np.ndarray) -> np.ndarray:
-    before, after = distances[:, :-1], distances[:, 1:]
-    return np.divide(after, before, out=np.full(before.shape, np.nan), where=before >= RATIO_FLOOR)
-
-
 def _unchanged(before: np.ndarray, after: np.ndarray) -> np.ndarray:
     """Which rows of the state ``after`` are exactly the rows of the state
     ``before``, compared ``COLUMN_BLOCK`` columns at a time, so that no
@@ -325,8 +330,7 @@ class _Engine(NamedTuple):
     parameters bound: ``step(state, steps=1)`` steps a state, ``record(state)``
     gives its recorded rows, ``state`` is the first state, ``still(state,
     next_state)`` tells which rows a step left exactly where they were, and
-    ADMM's ``x(u, x=None)`` is its x-update of the rows ``u``, into ``x``
-    if given."""
+    ADMM's ``x(u)`` is its x-update of the rows ``u``."""
 
     step: Callable
     record: Callable
@@ -355,26 +359,23 @@ def _iterate(engine: _Engine, first: np.ndarray, max_iter: int, tol: float):
     Rows longer than ``COLUMN_BLOCK`` are stepped in passes of up to
     ``PASS_STEPS`` steps, one walk over the rows each (see
     :class:`_ColumnBlocks`); the first step, which the fixed-point test
-    needs alone, and the last step of the budget run alone. A pass is kept
-    only if no row stops at any of its steps, which one test over all of
-    its results tells, and if it raised no floating-point error: it runs
-    with every error that the caller would see raised, since a step past
-    some row's stop may have made one. Otherwise the pass is thrown away
-    and its steps run again one at a time from its input, which it did not
-    write, under the caller's error handling. So no row is ever stepped
-    past its stop, and only the steps the runs take can warn or raise.
-    Shorter rows take one step at a time.
+    needs alone, and a single step left at the end of the budget run
+    alone. A pass is kept only if no row stops at any of its steps, which
+    one test over all of its results tells, and if it raised no
+    floating-point error: it runs with every error that the caller would
+    see raised, since a step past some row's stop may have made one.
+    Otherwise the pass is thrown away and its steps run again one at a
+    time from its input, which it did not write, under the caller's error
+    handling. So no row is ever stepped past its stop, and only the steps
+    the runs take can warn or raise. Shorter rows take one step at a time.
 
     A stopped row stays in the batch until the run ends, as a row of NaN
     in the state. Each step map carries that NaN into the row's distance
     and step norm, so it meets no stop test again; NaN arithmetic raises no
     floating-point error.
 
-    Returns ``(distances, steps, converged, diverged, last, final)``:
-    ``distances`` as in :class:`RowRuns`, ``last`` the state that the final
-    step of the run read (a run's final step is never one of a kept pass),
-    or None if no step ran, and ``final`` the state that step made (the
-    first state if no step ran), which the engine reads no more.
+    Returns ``(distances, steps, converged, diverged)``, the arrays of
+    :class:`RowRuns`.
     """
     if max_iter < 0:
         raise ValueError("max_iter must be non-negative")
@@ -390,14 +391,13 @@ def _iterate(engine: _Engine, first: np.ndarray, max_iter: int, tol: float):
     step, state = engine.step, engine.state
     # steps before `alone` run one at a time; `ready` steps have run
     alone = 1 if dim > COLUMN_BLOCK and PASS_STEPS > 1 else max_iter
-    ready, last = 0, None
+    ready = 0
     for k in range(max_iter):
         if k < ready:
             # a later step of a kept pass
             continue
-        if alone <= k < max_iter - 2:
-            # a pass that stops short of the budget's last step
-            n = min(PASS_STEPS, max_iter - 1 - k)
+        if alone <= k < max_iter - 1:
+            n = min(PASS_STEPS, max_iter - k)
             raising = {kind: "raise" for kind, how in np.geterr().items() if how != "ignore"}
             try:
                 with np.errstate(**raising):
@@ -413,14 +413,14 @@ def _iterate(engine: _Engine, first: np.ndarray, max_iter: int, tol: float):
                 distances[:, k + 1 : k + n + 1] = dists.T
                 state, ready = passed, k + n
                 continue
-        last = state
-        state, dist, step_norm = step(last)
+        before = state
+        state, dist, step_norm = step(before)
         grew = dist > limit
         done = grew | (step_norm <= tol)
         if k == 0:
             # a row that the first step leaves exactly where it was
             # started at a fixed point: it stops there, after no step
-            fixed = engine.still(last, state)
+            fixed = engine.still(before, state)
             dist[fixed] = np.nan
             grew &= ~fixed
             done |= fixed
@@ -441,7 +441,7 @@ def _iterate(engine: _Engine, first: np.ndarray, max_iter: int, tol: float):
         if not live:
             break
         state[done] = np.nan
-    return distances[:, : steps.max(initial=0) + 1], steps, converged, diverged, last, state
+    return distances[:, : steps.max(initial=0) + 1], steps, converged, diverged
 
 
 def _stepped(engine: _Engine, steps: int):
@@ -464,81 +464,60 @@ class _Replay(Sequence):
     first iterate is rebuilt too, as the engine's record of its first state
     (for ADMM the same ``rho * u0`` product as in the run, so the same
     bits), and :func:`_stepped` gives the iterates of the ``steps`` steps
-    the run took. The length needs no replay. The trace's ADMM ``final_x``
-    may share the run's last state buffer; the replay's engine has buffers
-    of its own.
+    the run took. The length needs no replay.
     """
 
     def __init__(self, build: Callable[[], _Engine], steps: int):
         self._build, self._steps = build, steps
-        self._vecs: list[Vec] | None = None
 
     def __len__(self) -> int:
         return self._steps + 1
 
     def __getitem__(self, index):
-        return self._replayed()[index]
+        return self._vecs[index]
 
-    def __iter__(self):
-        return iter(self._replayed())
+    @cached_property
+    def _vecs(self) -> list[Vec]:
+        engine = self._build()
+        # the run checked that the recorded start is finite
+        first = Vec._adopt(engine.record(engine.state)[0])
+        return [first, *(Vec(rows[0]) for rows in _stepped(engine, self._steps))]
 
-    def _replayed(self) -> list[Vec]:
-        if self._vecs is None:
-            engine = self._build()
-            # the run checked that the recorded start is finite
-            first = Vec._adopt(engine.record(engine.state)[0])
-            self._vecs = [first, *(Vec(rows[0]) for rows in _stepped(engine, self._steps))]
-            self._build = None
-        return self._vecs
+    @cached_property
+    def final_x(self) -> Vec | None:
+        """ADMM's x-update of the state that the run's last step read, or the
+        origin if no step ran, replayed with no state kept but the next
+        step's and no iterate recorded; None for the other engines."""
+        engine = self._build()
+        if engine.x is None:
+            return None
+        state = engine.state
+        for _ in range(self._steps - 1):
+            state = engine.step(state)[0]
+        x = engine.x(state)[0] if self._steps else np.zeros(state.shape[1])
+        # checked by its least and greatest entries: no row-sized temporary
+        return Vec._adopt(x) if np.isfinite([x.min(), x.max()]).all() else Vec(x)
 
 
-def _run_one(
-    problem: CompositeProblem, mode: str, alpha, gamma, v: Vec, max_iter: int, tol: float,
-    step_name: str = "gamma", rows_are_u: bool = False,
-) -> IterateTrace:
-    """One run of ``mode`` from ``v`` through :func:`_iterate`, as an
-    :class:`IterateTrace`: ``v`` is the one start row of the engine of
-    :func:`_engine` (``rows_are_u`` as there), and the engine is built once
-    ``v``'s dimension is checked, and again when the iterates are first
-    read (see :class:`_Replay`). While the run steps it holds only the
-    engine's arrays: the recorded start goes once it is normed. ADMM's
-    ``final_x`` is the engine's x-update of the state that the run's final
-    step read, written into the state that step made, which nothing reads
-    after the run (see :func:`_iterate`). ``step_name`` names ``gamma`` in
-    the message of a :class:`DivergenceError`."""
-    rows = v.coeffs[None]
+def _run_one(problem: CompositeProblem, mode: str, alpha, gamma, v: Vec, max_iter: int, tol: float) -> IterateTrace:
+    """One run of ``mode`` from ``v`` (ADMM's ``u0``), as an
+    :class:`IterateTrace`: a one-row batch of :func:`_run_blocks`, whose
+    engine :class:`_Replay` builds again when the trace is read."""
     builder = _engine(problem, mode, gamma)
-    if v.dim != problem.dim:
-        raise ValueError(f"start dimension {v.dim} != problem dimension {problem.dim}")
-    build = lambda: builder(alpha, gamma, rows, rows_are_u)
-    engine = build()
-    start = engine.record(engine.state)
-    # DR records v itself; ADMM records rho * u0, which may overflow: it then
-    # raises as a Vec of it would. Its least and greatest entries tell, with
-    # no row-sized temporary
-    if start is not rows and not np.isfinite([start.min(), start.max()]).all():
-        raise ValueError("coeffs must be finite (no NaN or Inf)")
-    first = _norms(start)
-    del start
-    distances, steps, converged, diverged, last, final = _iterate(engine, first, max_iter, tol)
-    last_x = None
-    if mode == "admm":
-        # the trace keeps the last primal iterate: the x-update of the u
-        # that the last step read, or the origin if no step ran
-        x = np.zeros(problem.dim) if last is None else engine.x(last[0], final[0])
-        last_x = Vec._adopt(x) if np.isfinite(x).all() else Vec(x)
+    build = lambda alphas, gammas, rows: builder(alphas, gammas, rows, mode == "admm")
+    alphas, gammas, rows = np.array([alpha], dtype=float), np.array([gamma], dtype=float), v.coeffs[None]
+    runs = _run_blocks(build, problem.dim, alphas, gammas, lambda part: rows, max_iter, tol)
     trace = IterateTrace(
-        _Replay(build, int(steps[0])),
+        _Replay(lambda: build(alphas[:, None], gammas[:, None], rows), int(runs.steps[0])),
         Vec._adopt(np.broadcast_to(0.0, problem.dim)),
-        distances[0],
-        _step_ratios(distances)[0],
-        bool(converged[0]),
-        last_x,
+        runs.distances[0],
+        runs.step_ratios[0],
+        bool(runs.converged[0]),
     )
-    if diverged[0]:
+    if runs.diverged[0]:
         raise DivergenceError(
             f"diverged after {trace.n_steps} steps: distance grew past {DIVERGENCE_FACTOR:g}x "
-            f"its starting value (alpha={alpha:g}, {step_name}={gamma:g})",
+            f"its starting value (alpha={alpha:g}, {'rho' if mode == 'admm' else 'gamma'}={gamma:g})",
             trace,
         )
     return trace
@@ -635,7 +614,7 @@ def _admm_engine(f_weights: np.ndarray, nu: np.ndarray, alpha, rho, u: np.ndarra
             same &= ~np.any(_admm_x(before[:, cols], scale[..., cols], denom[..., cols]), axis=1)
         return same
 
-    return _Engine(step, lambda state: rho * state, u, still, lambda u, x=None: _admm_x(u, scale, denom, x))
+    return _Engine(step, lambda state: rho * state, u, still, lambda u: _admm_x(u, scale, denom))
 
 
 def _engine(problem: CompositeProblem, mode: str, gamma: float) -> Callable:
@@ -678,8 +657,10 @@ def _engine(problem: CompositeProblem, mode: str, gamma: float) -> Callable:
         _check_finite_product(gamma, top, "nu")
         _check_finite_product(gamma, top * top, "nu**2")
 
-        def build(alpha, gamma, rows: np.ndarray, rows_are_u: bool = False) -> tuple:
-            u = rows if rows_are_u else rows * (1.0 / gamma)
+        def build(alpha, gamma, rows: np.ndarray, rows_are_u: bool = False) -> _Engine:
+            # a u that 1 / gamma overflows is rejected by _run_blocks' check
+            with np.errstate(over="ignore", invalid="ignore"):
+                u = rows if rows_are_u else rows * (1.0 / gamma)
             return _admm_engine(f_weights, nu, alpha, gamma, u)
 
         return build
@@ -746,7 +727,7 @@ def run_admm(
     sequence ``mu_k = rho * u_k`` contracts with exactly the factor of the
     dual splitting iterate run at step size ``gamma = rho`` and the same alpha
     (``alpha = 1/2`` recovers the classic unrelaxed method). The trace records
-    ``mu_k``; the final primal iterate is kept on ``final_x``. The step norm
+    ``mu_k``; ``final_x`` rebuilds the final primal iterate. The step norm
     compared with ``tol`` is ``rho * |u_{k+1} - u_k|``.
 
     ``x`` and ``w`` start at the origin, and ``u`` at ``u0`` (the origin
@@ -754,7 +735,7 @@ def run_admm(
     """
     _check_positive(rho=rho, alpha=alpha)
     u0 = Vec._adopt(np.zeros(problem.dim)) if u0 is None else u0
-    return _run_one(problem, "admm", alpha, rho, u0, max_iter, tol, step_name="rho", rows_are_u=True)
+    return _run_one(problem, "admm", alpha, rho, u0, max_iter, tol)
 
 
 def run_rows(
@@ -772,14 +753,17 @@ def run_rows(
     ``gammas[i]``: :func:`run_dr` on ``problem`` ("primal-dr") or on its
     dual ``CompositeProblem(dual_function(problem), GFunction.ZERO)``
     ("dual-dr"), or :func:`run_admm` with ``rho = gammas[i]`` and ``u0 =
-    start / gammas[i]`` ("admm"). Its distances, step count and divergence
-    flag are bit for bit those of that single run; a diverged row is one
+    start / gammas[i]`` ("admm"); those are one-row batches of the same
+    block loop. Its distances, step count and ``converged`` and ``diverged``
+    flags are bit for bit those of that single run; a diverged row is one
     whose single run raises :class:`DivergenceError`. No iterate is kept.
 
     ``starts(rows)`` returns the start rows for the row slice ``rows`` as a
     ``(rows, dim)`` array. Rows run in blocks of at most
     ``BLOCK_ELEMENTS // dim`` rows (at least one), and ``starts`` is called
-    once per block, in order, so starts can be drawn as they are needed.
+    once per block, in order, so starts can be drawn as they are needed. A
+    block raises ValueError before any step if a recorded start row (ADMM's
+    ``gammas[i] * u0``) holds a NaN or an infinity.
     """
     alphas, gammas = _positive_rows(alphas=alphas, gammas=gammas)
     if alphas.ndim != 1 or alphas.shape != gammas.shape:
@@ -787,9 +771,17 @@ def run_rows(
     # a bad mode or problem, or a step size whose products overflow (they
     # grow with it), fails here, before any block runs, even for no rows
     build = _engine(problem, mode, float(gammas.max(initial=1.0)))
-    rows, dim = alphas.size, problem.dim
+    return _run_blocks(build, problem.dim, alphas, gammas, starts, max_iter, tol)
+
+
+def _run_blocks(build: Callable, dim: int, alphas, gammas, starts, max_iter: int, tol: float) -> RowRuns:
+    """The block loop of every run, as :func:`run_rows` describes it: each block
+    of rows is built by ``build(alphas, gammas, rows)`` (see
+    :func:`_engine`) and run through :func:`_iterate`."""
+    rows = alphas.size
     block = max(1, BLOCK_ELEMENTS // dim)
     steps = np.zeros(rows, dtype=int)
+    converged = np.zeros(rows, dtype=bool)
     diverged = np.zeros(rows, dtype=bool)
     blocks = []
     for lo in range(0, rows, block):
@@ -798,13 +790,20 @@ def run_rows(
         if z.shape != (part.stop - part.start, dim):
             raise ValueError(f"start rows have shape {z.shape}, expected {(part.stop - part.start, dim)}")
         engine = build(alphas[part, None], gammas[part, None], z)
-        first = _norms(engine.record(engine.state))
-        dist, steps[part], _, diverged[part], _, _ = _iterate(engine, first, max_iter, tol)
+        start = engine.record(engine.state)
+        first = _norms(start)
+        # only a row whose norm is not finite is read again, by its least and
+        # greatest entries: a finite row whose squares overflow runs
+        for r in np.flatnonzero(~np.isfinite(first)):
+            if not np.isfinite([start[r].min(), start[r].max()]).all():
+                raise ValueError(f"recorded start rows must be finite (no NaN or Inf): row {lo + r} is not")
+        del start  # it goes before the first step
+        dist, steps[part], converged[part], diverged[part] = _iterate(engine, first, max_iter, tol)
         blocks.append(dist)
     distances = np.full((rows, max((d.shape[1] for d in blocks), default=1)), np.nan)
     for lo, dist in zip(range(0, rows, block), blocks):
         distances[lo : lo + len(dist), : dist.shape[1]] = dist
-    return RowRuns(distances, steps, diverged)
+    return RowRuns(distances, steps, converged, diverged)
 
 
 def fit_rates(step_ratios: np.ndarray) -> np.ndarray:

@@ -551,6 +551,19 @@ def test_python_dash_m_runs_the_cli():
     assert float(_parse_kv(proc.stdout)["optimal_rate"]) == pytest.approx(0.5194938532959157, abs=1e-15)
 
 
+def test_an_admm_step_size_whose_inverse_overflows_exits_2():
+    # 1 / gamma overflows, so the worst start's u is inf (and 0 * inf = NaN
+    # off its coordinate): this printed numpy RuntimeWarnings and a row
+    # "empirical=nan, verdict=bounded", and exited 4. The start check
+    # rejects it before any step, with no warning
+    proc = _cli_subprocess(["run", "--mode", "admm", "--gamma", "1e-310"])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    assert "must be finite" in lines[0]
+
+
 def _bytes_per_blas_thread_count(tmp_path, args):
     """The ``--out`` bytes of ``args`` run in fresh interpreters with one
     and with two BLAS threads."""

@@ -175,6 +175,25 @@ def test_the_closed_form_check_catches_a_planted_defect(monkeypatch, defect, mod
         check_closed_form(mode, *default_case(mode, FIXED_DIM), 30, 0.0)
 
 
+def test_the_closed_form_check_pins_the_divergence_guard(monkeypatch):
+    # a relaxation 2% past its limit: the distance grows slowly, so it
+    # passes 9x, 10x and 11x its start at three different steps, and a
+    # guard at 9x or 11x stops the run at a step the closed form does not
+    on_sigma, _, gamma, start = default_case("primal-dr", 64)
+    alpha = 1.02 * alpha_upper_bound(gamma, SIGMA, BETA)
+    case = ("primal-dr", on_sigma, alpha, gamma, start, 200, 0.0)
+    distances, steps = predict(*case)
+    crossings = [int(np.argmax(distances > factor * distances[0])) for factor in (9.0, 10.0, 11.0)]
+    assert 0 < crossings[0] < crossings[1] == steps < crossings[2]
+    for factor in (9.0, 10.0, 11.0):
+        monkeypatch.setattr(splitting, "DIVERGENCE_FACTOR", factor)
+        if factor == 10.0:
+            assert check_closed_form(*case)[1] == steps
+        else:
+            with pytest.raises(AssertionError):
+                check_closed_form(*case)
+
+
 # -- power-of-two invariance ----------------------------------------------------
 
 

@@ -1,8 +1,8 @@
 """Memory of one-row runs, traced from call to return: a run holds its
 engine's arrays and column blocks and no other row-sized array but ADMM's
 recorded start, which goes before the first step, and its trace keeps no
-row but ADMM's final x. ``check_one_row_memory`` is also run at dim 1e6
-outside the test suite::
+row; reading ADMM's final x adds that row. ``check_one_row_memory`` is also
+run at dim 1e6 outside the test suite::
 
     python -c "import sys; sys.path.insert(0, 'tests'); import test_run_memory as t; \\
         print(t.check_one_row_memory('admm', 10**6))"
@@ -57,6 +57,13 @@ def _traced(call):
     return result, held - before, peak - before
 
 
+def _engine_bytes(mode, problem, start):
+    """The bytes one build of the engine of a one-row run holds, column
+    blocks included."""
+    build = splitting._engine(problem, mode, GAMMA)
+    return _traced(lambda: build(ALPHA, GAMMA, start.coeffs[None], rows_are_u=True))[1]
+
+
 def check_one_row_memory(mode, dim, steps=30):
     """Run ``mode`` ("primal-dr" or "admm") on one row of ``dim`` elements
     and assert that, from call to return, the run peaks at no more than the
@@ -65,8 +72,7 @@ def check_one_row_memory(mode, dim, steps=30):
     ``(peak, bound)`` in rows of ``8 * dim`` bytes."""
     problem, start = _case(mode, dim)
     _run(mode, problem, start, steps)  # the first long-row run makes the worker pool
-    build = splitting._engine(problem, mode, GAMMA)
-    _, engine_bytes, _ = _traced(lambda: build(ALPHA, GAMMA, start.coeffs[None], rows_are_u=True))
+    engine_bytes = _engine_bytes(mode, problem, start)
     trace, _, peak = _traced(lambda: _run(mode, problem, start, steps))
     assert trace.n_steps == steps
     row = 8 * dim
@@ -79,20 +85,19 @@ def check_one_row_memory(mode, dim, steps=30):
 def test_a_one_row_run_holds_only_its_engines_arrays(monkeypatch, mode):
     # rows of 1.6 MB in two runs of column blocks, each with its own blocks.
     # A run whose trace made a row of zeros for the fixed point, or an ADMM
-    # run that kept its recorded start while it stepped or made its final x
-    # in a fresh array, would peak a row higher
+    # run that kept its recorded start while it stepped, would peak a row
+    # higher
     monkeypatch.setattr(splitting, "WORKERS", 2)
     monkeypatch.setattr(splitting, "RUN_ELEMENTS", splitting.COLUMN_BLOCK)
     check_one_row_memory(mode, 200_000)
 
 
 @pytest.mark.parametrize("mode", ["primal-dr", "admm"])
-def test_a_finished_trace_holds_no_row_but_the_final_x(monkeypatch, mode):
-    # once a run returns, its trace holds ADMM's final x, written into the
-    # run's last state buffer, and no other row: the fixed point is a view
-    # of one zero, and the iterates, the first included, are rebuilt when
-    # read. ADMM's first iterate is then the same rho * u0 product as the
-    # run normed
+def test_a_finished_trace_holds_no_row(monkeypatch, mode):
+    # once a run returns, its trace holds no row: the fixed point is a view
+    # of one zero, and the iterates, the first included, and ADMM's final x
+    # are rebuilt when read. ADMM's first iterate is then the same rho * u0
+    # product as the run normed
     monkeypatch.setattr(splitting, "WORKERS", 2)
     monkeypatch.setattr(splitting, "RUN_ELEMENTS", splitting.COLUMN_BLOCK)
     dim = 200_000
@@ -100,16 +105,33 @@ def test_a_finished_trace_holds_no_row_but_the_final_x(monkeypatch, mode):
     _run(mode, problem, start, 30)
     trace, held, _ = _traced(lambda: _run(mode, problem, start, 30))
     assert trace.n_steps == 30
-    assert held <= (8 * dim if mode == "admm" else 0) + SMALL, held / (8 * dim)
+    assert held <= SMALL, held / (8 * dim)
     assert trace.fixed_point.coeffs.tobytes() == bytes(8 * dim)
     first = trace.iterates[0].coeffs
     assert first.tobytes() == (GAMMA * start.coeffs if mode == "admm" else start.coeffs).tobytes()
     assert trace.distances[0] == splitting._norms(first[None])[0]
 
 
+def test_reading_the_final_x_holds_one_row(monkeypatch):
+    # the replay of final_x keeps only the state that the next step reads:
+    # it peaks at one build of the engine and the x it returns, and leaves
+    # that x alone behind; it records no iterate
+    monkeypatch.setattr(splitting, "WORKERS", 2)
+    monkeypatch.setattr(splitting, "RUN_ELEMENTS", splitting.COLUMN_BLOCK)
+    dim = 200_000
+    problem, start = _case("admm", dim)
+    trace = _run("admm", problem, start, 30)
+    engine_bytes = _engine_bytes("admm", problem, start)
+    x, held, peak = _traced(lambda: trace.final_x)
+    assert trace.final_x is x and x.dim == dim
+    row = 8 * dim
+    assert row <= held <= row + SMALL, held / row
+    assert peak <= engine_bytes + row + SMALL, (peak / row, engine_bytes / row)
+
+
 def test_an_overflowing_recorded_start_raises_before_any_step(monkeypatch):
-    # rho * u0 overflows in one coordinate: the run raises as a Vec of it
-    # would, before its first step; a start whose norm alone overflows runs
+    # rho * u0 overflows in one coordinate: the run raises ValueError before
+    # its first step; a start whose norm alone overflows runs
     def stepped(*args):
         raise AssertionError("a step ran")
 

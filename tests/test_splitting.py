@@ -1,3 +1,11 @@
+"""The splitting engines, their one-row and batch runs, the replayed
+iterates and the rate fits. ``check_one_row_is_its_batch_row`` is also run
+at dim 1e6 outside the test suite::
+
+    python -c "import sys; sys.path.insert(0, 'tests'); import test_splitting as t; \\
+        print(t.check_one_row_is_its_batch_row('admm', 10**6))"
+"""
+
 import itertools
 import math
 import re
@@ -257,7 +265,7 @@ def test_run_dr_iterates_bitwise_equal_prox_composition(case):
 
 
 def test_run_dr_rejects_start_of_wrong_dimension(primal):
-    with pytest.raises(ValueError, match="dimension"):
+    with pytest.raises(ValueError, match=re.escape("start rows have shape (1, 1), expected (1, 8)")):
         run_dr(primal, SplitParams(1.0, 1.0), Vec([1.0]))
 
 
@@ -624,6 +632,36 @@ def _single_run(problem, mode, alpha, gamma, start, max_iter, tol):
     return trace, False
 
 
+def check_one_row_is_its_batch_row(mode, dim, steps=30):
+    """Run ``mode`` on one row of ``dim`` elements, on a two-band instance
+    from a seeded random start, through :func:`run_dr` or :func:`run_admm`
+    and through :func:`run_rows`, and assert that both take the same steps
+    with bit-equal distances; returns the steps. The ADMM run starts from
+    ``u0 = start * (1 / rho)``, as :func:`_single_run` does."""
+    half = range(dim // 2)
+    if mode == "primal-dr":
+        problem = make_primal_instance(SIGMA, BETA, dim, half)
+        curvatures = problem.f
+    else:
+        problem = make_dual_instance(SIGMA, BETA, 1.0, 3.0, dim, half, pairing="crossed")
+        curvatures = dual_function(problem)
+    alpha, gamma, _ = optimal_params(curvatures.sigma, curvatures.beta)
+    start = np.random.default_rng(dim).uniform(-1.0, 1.0, dim)
+    trace, diverged = _single_run(problem, mode, alpha, gamma, start, steps, 0.0)
+    runs = run_rows(problem, mode, [alpha], [gamma], lambda rows: start[None], max_iter=steps, tol=0.0)
+    assert (runs.steps[0], runs.diverged[0]) == (trace.n_steps, diverged)
+    assert runs.distances[0].tobytes() == trace.distances.tobytes()
+    return trace.n_steps
+
+
+@pytest.mark.parametrize("mode", splitting.MODES)
+def test_a_one_row_run_is_its_batch_row(monkeypatch, mode):
+    # rows of three column blocks, walked by two threads
+    monkeypatch.setattr(splitting, "WORKERS", 2)
+    monkeypatch.setattr(splitting, "RUN_ELEMENTS", splitting.COLUMN_BLOCK)
+    assert check_one_row_is_its_batch_row(mode, 2 * splitting.COLUMN_BLOCK + 3) == 30
+
+
 @settings(deadline=None, max_examples=80)
 @given(row_batches())
 def test_batch_rows_equal_their_single_runs_bitwise(case):
@@ -912,27 +950,32 @@ def test_column_blocks_equal_the_unblocked_steps_bitwise(monkeypatch, mode, extr
 def test_a_worker_raises_in_the_caller(monkeypatch):
     # numpy's error handling is per thread: a worker steps under the
     # caller's, and what it raises reaches the caller. Only the last of the
-    # three blocks holds an infinity, which the step turns into inf - inf
+    # three blocks, which a worker walks, holds an entry of 1e154, whose
+    # square is finite. The last coordinate has curvature BETA, so at
+    # alpha = gamma = 1 the step scales it by -9/11: the square of the
+    # step, 20/11 of it, overflows, and the distance's square does not
     monkeypatch.setattr(splitting, "COLUMN_BLOCK", splitting.NORM_CHUNK)
     monkeypatch.setattr(splitting, "WORKERS", 2)
     monkeypatch.setattr(splitting, "RUN_ELEMENTS", 1)
     dim = 2 * splitting.NORM_CHUNK + 3
     problem = make_primal_instance(SIGMA, BETA, dim, range(dim // 2))
     start = np.ones((1, dim))
-    start[0, -1] = math.inf
-    # the last coordinate has curvature BETA, so gamma * BETA > 1 makes its
-    # reflection factor negative: z * keep + (alpha * refl) * z is inf - inf
-    runs = lambda: run_rows(problem, "primal-dr", [0.5], [1.0], lambda rows: start, max_iter=2, tol=0.0)
-    with np.errstate(all="raise"), pytest.raises(FloatingPointError, match="invalid value"):
+    start[0, -1] = 1e154
+    runs = lambda: run_rows(problem, "primal-dr", [1.0], [1.0], lambda rows: start, max_iter=2, tol=0.0)
+    with np.errstate(all="raise"), pytest.raises(FloatingPointError, match="overflow"):
         runs()
-    with np.errstate(invalid="ignore"):
-        assert np.isnan(runs().distances[0, 1])
+    with np.errstate(over="ignore"):
+        ignored = runs()
+    assert ignored.steps[0] == 2 and np.isfinite(ignored.distances).all()
 
 
-@pytest.mark.parametrize("pass_steps, walks", [(4, 9), (1, 30)])
-def test_a_long_row_run_walks_its_row_once_per_pass(monkeypatch, pass_steps, walks):
-    # 30 steps in passes of 4: the first step and the last alone, and 7
-    # passes of 4 between them
+@pytest.mark.parametrize(
+    "pass_steps, walks, steps", [(4, 9, 30), (1, 30, 30), (4, 16, 60)], ids=["4-9", "1-30", "4-16-60"]
+)
+def test_a_long_row_run_walks_its_row_once_per_pass(monkeypatch, pass_steps, walks, steps):
+    # 30 steps in passes of 4: the first step alone, 7 passes of 4, and the
+    # one step left alone. 60 steps: the first alone, 14 passes of 4, and a
+    # pass of the 3 steps left, which ends at the budget
     monkeypatch.setattr(splitting, "COLUMN_BLOCK", splitting.NORM_CHUNK)
     monkeypatch.setattr(splitting, "PASS_STEPS", pass_steps)
     passes = []
@@ -942,9 +985,9 @@ def test_a_long_row_run_walks_its_row_once_per_pass(monkeypatch, pass_steps, wal
     problem = make_primal_instance(SIGMA, BETA, dim, range(dim // 2))
     alpha, gamma, _ = optimal_params(SIGMA, BETA)
     z0 = Vec(np.random.default_rng(30).uniform(-1.0, 1.0, dim))
-    trace = run_dr(problem, SplitParams(alpha, gamma), z0, max_iter=30, tol=0.0)
-    assert trace.n_steps == 30
-    assert (len(passes), sum(passes)) == (walks, 30)
+    trace = run_dr(problem, SplitParams(alpha, gamma), z0, max_iter=steps, tol=0.0)
+    assert trace.n_steps == steps
+    assert (len(passes), sum(passes)) == (walks, steps)
 
 
 def test_a_pass_in_which_a_row_stops_is_walked_again_step_by_step(monkeypatch):
@@ -1070,7 +1113,7 @@ def test_a_wrong_sized_start_is_rejected_before_its_engine_is_built():
         "try:\n"
         "    splitting.run_dr(problem, splitting.SplitParams(1.0, 0.3), v)\n"
         "except ValueError as exc:\n"
-        "    assert str(exc) == 'start dimension 1000000 != problem dimension 8', exc\n"
+        "    assert str(exc) == 'start rows have shape (1, 1000000), expected (1, 8)', exc\n"
         "else:\n"
         "    raise AssertionError('a wrong-sized start ran')\n"
         "assert tracemalloc.get_traced_memory()[1] < 1 << 20, tracemalloc.get_traced_memory()\n"
@@ -1120,7 +1163,7 @@ def test_a_step_holds_no_row_sized_temporary(monkeypatch, mode):
         first = splitting._norms(engine.record(engine.state))
         held = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        _, steps, _, diverged, _, _ = splitting._iterate(engine, first, 20, 0.0)
+        _, steps, _, diverged = splitting._iterate(engine, first, 20, 0.0)
         peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
@@ -1275,26 +1318,6 @@ def test_admm_rates_match_dual_dr_rates(case):
     assert np.all(np.fmax(dual, admm)[~both] < 1e-2)
 
 
-def test_a_finished_admm_trace_holds_three_rows():
-    # once run_admm returns, its trace holds no more than three rows of
-    # 8 * dim bytes (it holds one, the final x: see test_run_memory.py);
-    # the replay rebuilds the rest of its engine when the iterates are read
-    dim = 2**18
-    problem = make_dual_instance(SIGMA, BETA, 1.0, 3.0, dim, range(dim // 2), pairing="crossed")
-    u0 = Vec(np.random.default_rng(29).uniform(-1.0, 1.0, dim))
-    run = lambda: run_admm(problem, rho=0.5, alpha=0.9, u0=u0, max_iter=30, tol=0.0)
-    run()  # the first run's lazy imports stay for the process
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        trace = run()
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert trace.n_steps == 30
-    assert held <= 3 * 8 * dim + 65536  # and a few small objects
-
-
 @pytest.mark.parametrize("mode", ["primal-dr", "admm"])
 def test_run_memory_does_not_grow_with_steps(mode):
     # a kept iterate is dim * 8 bytes, so a run that kept them would peak
@@ -1408,6 +1431,22 @@ def test_run_rows_rejects_bad_mode_and_start_shape(primal):
         run_rows(primal, "primal-dr", one, one, lambda part: np.ones((1, 3)))
     runs = run_rows(primal, "primal-dr", none, none, lambda part: np.ones((0, 8)))
     assert runs.distances.shape == (0, 1) and runs.steps.size == runs.diverged.size == 0
+
+
+@pytest.mark.parametrize("mode", splitting.MODES)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_run_rows_rejects_a_start_that_is_not_finite(monkeypatch, mode, bad):
+    # one entry of the second of three rows is not finite: the batch raises
+    # before any step, in every mode
+    def stepped(*args):
+        raise AssertionError("a step ran")
+
+    problem = default_primal_instance() if mode == "primal-dr" else default_dual_instance("crossed")
+    starts = np.ones((3, 8))
+    starts[1, 5] = bad
+    monkeypatch.setattr(splitting, "_iterate", stepped)
+    with pytest.raises(ValueError, match="must be finite .*: row 1 is not"):
+        run_rows(problem, mode, [1.0] * 3, [0.3] * 3, lambda rows: starts[rows])
 
 
 @pytest.mark.parametrize("mode", splitting.MODES)
