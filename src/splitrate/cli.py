@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import operator
 import sys
 from dataclasses import dataclass, field, fields
 
@@ -65,6 +66,16 @@ TRACE_HEADER = "k,dist,ratio"
 #: a measured |theoretical - empirical| at or below this counts as tight
 TIGHT_GAP = 1e-9
 
+#: most points a sweep's grid, or one grid spec, may hold: a sweep holds
+#: about 2.3 KB per point at once (its engine rows, distances and report),
+#: so a grid at the cap needs about 2.3 GB
+MAX_GRID_POINTS = 10**6
+
+#: the report text of a tightness case: the member's plain ``_value_``
+#: attribute, read in C, where ``.value`` and a dict keyed by member each
+#: make a Python call per row
+_case_text = operator.attrgetter("_value_")
+
 
 class ConfigError(Exception):
     """Bad flag value or config-file entry; maps to exit code 2."""
@@ -88,6 +99,8 @@ def parse_grid(text: str) -> tuple:
             raise ConfigError(f"bad grid spec {text!r}: {exc}") from exc
         if count < 1:
             raise ConfigError(f"grid count must be at least 1, got {count}")
+        if count > MAX_GRID_POINTS:
+            raise ConfigError(f"grid count must be at most {MAX_GRID_POINTS}, got {count}")
         if count == 1:
             return (lo,)
         if kind == "linear":
@@ -300,14 +313,28 @@ def _sweep(cfg: SweepConfig, instance: tuple) -> tuple:
     return evaluate_points(alphas, gammas, sigma, beta, theoretical, empirical, runs.diverged), runs
 
 
+def _distinct_texts(values) -> list:
+    """``_fmt`` of each entry of a float array, each distinct value (by its
+    bits, so that 0.0 and -0.0 stay apart) formatted once: a sweep's alpha
+    and gamma columns repeat the values of their grids."""
+    distinct, where = np.unique(np.asarray(values, dtype=float).view(np.int64), return_inverse=True)
+    return np.array(["%.17g" % x for x in distinct.view(float).tolist()], dtype=object)[where].tolist()
+
+
 def _report_lines(columns: tuple) -> list:
     """The header and one CSV row per point of the report columns."""
-    rows = zip(*(np.asarray(c).tolist() for c in columns))
+    alphas, gammas, theoretical, empirical, cases, gap, verdicts = columns
+    rows = zip(
+        _distinct_texts(alphas),
+        _distinct_texts(gammas),
+        np.asarray(theoretical).tolist(),
+        np.asarray(empirical).tolist(),
+        map(_case_text, np.asarray(cases).tolist()),
+        np.asarray(gap).tolist(),
+        np.asarray(verdicts).tolist(),
+    )
     # one format per row: "%.17g" % x writes what _fmt(x) writes
-    return [REPORT_HEADER] + [
-        "%.17g,%.17g,%.17g,%.17g,%s,%.17g,%s" % (a, g, t, e, case.value, d, verdict)
-        for a, g, t, e, case, d, verdict in rows
-    ]
+    return [REPORT_HEADER] + ["%s,%s,%.17g,%.17g,%s,%.17g,%s" % row for row in rows]
 
 
 def render_sweep_csv(columns: tuple) -> str:
@@ -409,6 +436,9 @@ def cmd_sweep(args) -> int:
         # center the default grid on the bound-minimizing step size
         _, gamma_star, _ = optimal_params(*instance[1:3])
         cfg.gamma_grid = parse_grid(f"log:{gamma_star / 20!r}:{gamma_star * 20!r}:20")
+    points = len(cfg.alpha_grid) * len(cfg.gamma_grid)
+    if points > MAX_GRID_POINTS:
+        raise ConfigError(f"a sweep may hold at most {MAX_GRID_POINTS} grid points, got {points}")
     _write_text(args.out, render_sweep_csv(_sweep(cfg, instance)[0]))
     return 0
 

@@ -4,6 +4,7 @@ batch of independent rows."""
 
 from __future__ import annotations
 
+import math
 import os
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -203,20 +204,22 @@ class _ColumnBlocks:
     column blocks for long rows, and norms what each step made; both
     engines share it.
 
-    ``run(update, z, columns, steps)`` calls ``update(z, *columns, out,
-    *temps)`` once per step, where ``z`` is the engine's state or what the
-    step before made of it, ``columns`` are the other arrays the update
-    reads whose last axis runs over the coordinates, ``out`` receives the
-    next state and ``temps`` hold the update's temporaries. ``update``
-    returns ``(next_state, recorded, step)``, and ``run`` returns the state
-    after the last step with the row norms of each step's ``recorded`` and
-    ``step``, bit for bit what :func:`_norms` gives for the whole rows:
-    ``(rows,)`` arrays for one step, ``(steps, rows)`` for more.
+    ``bind(update, columns)`` gives the step ``step(z, steps=1)``, which
+    calls ``update(z, *columns, out, *temps)`` once per step, where ``z``
+    is the engine's state or what the step before made of it, ``columns``
+    are the other arrays the update reads whose last axis runs over the
+    coordinates, ``out`` receives the next state and ``temps`` hold the
+    update's temporaries. ``update`` returns ``(next_state, recorded,
+    step)``, and the step returns the state after the last step with the
+    row norms of each step's ``recorded`` and ``step``, bit for bit what
+    :func:`_norms` gives for the whole rows: ``(rows,)`` arrays for one
+    step, ``(steps, rows)`` for more.
 
     Rows of at most ``COLUMN_BLOCK`` elements take one step per call and
-    are updated whole, with ``out`` and every temporary None, so that numpy
-    allocates them, as for any small array (see :meth:`shaped` for their
-    parameters). Longer rows are walked in blocks
+    are updated whole by ``update(z, *columns)``, which leaves ``out`` and
+    every temporary None, so that numpy allocates them, as for any small
+    array (see :meth:`shaped` for their parameters). Longer rows are
+    walked by :meth:`run` in blocks
     of ``COLUMN_BLOCK`` columns, so that the arrays of a block stay in
     cache, and a block takes all its steps before the walk moves on: the
     map is diagonal, so no block's step needs another block. The steps of a
@@ -239,7 +242,6 @@ class _ColumnBlocks:
     def __init__(self, shape: tuple, temps: int):
         self.shape = shape
         rows, self.dim = shape
-        self.none = (None,) * (1 + temps)
         if self.dim > COLUMN_BLOCK:
             self.pair = (np.empty(shape), np.empty(shape))
             blocks = -(-self.dim // COLUMN_BLOCK)
@@ -247,7 +249,7 @@ class _ColumnBlocks:
             edges = [COLUMN_BLOCK * (blocks * i // runs) for i in range(runs)] + [self.dim]
             self.runs = list(zip(edges, edges[1:]))
             # each run's spare block, then its temporaries
-            self.temps = [[np.empty((rows, COLUMN_BLOCK)) for _ in self.none] for _ in self.runs]
+            self.temps = [[np.empty((rows, COLUMN_BLOCK)) for _ in range(1 + temps)] for _ in self.runs]
             self.pool = _executor(runs - 1) if runs > 1 else None
 
     def shaped(self, *operands) -> tuple:
@@ -268,10 +270,21 @@ class _ColumnBlocks:
         same = lambda a: np.ndim(a) == 0 or np.shape(a) == self.shape
         return tuple(a if same(a) else np.full(self.shape, a, dtype=float) for a in operands)
 
+    def bind(self, update: Callable, columns: tuple) -> Callable:
+        """The step of ``update`` over ``columns``, bound once per engine:
+        :meth:`run` for long rows; short rows call ``update`` with no layer
+        between, since a default sweep takes 80 steps of 400 rows of 8,
+        where Python calls cost a few percent of a step."""
+        if self.dim > COLUMN_BLOCK:
+            return lambda z, steps=1: self.run(update, z, columns, steps)
+
+        def step(z, steps=1):
+            z, recorded, diff = update(z, *columns)
+            return z, _norms(recorded), _norms(diff)
+
+        return step
+
     def run(self, update: Callable, z: np.ndarray, columns: tuple, steps: int = 1) -> tuple:
-        if self.dim <= COLUMN_BLOCK:
-            next_z, recorded, step = update(z, *columns, *self.none)
-            return next_z, _norms(recorded), _norms(step)
         out = self.pair[z is self.pair[0]]
         # each step's chunk dots and tail dots of recorded and step
         dots = np.empty((2, steps, len(z), self.dim // NORM_CHUNK))
@@ -372,7 +385,8 @@ def _iterate(engine: _Engine, first: np.ndarray, max_iter: int, tol: float):
     A stopped row stays in the batch until the run ends, as a row of NaN
     in the state. Each step map carries that NaN into the row's distance
     and step norm, so it meets no stop test again; NaN arithmetic raises no
-    floating-point error.
+    floating-point error. So a stopped row converged unless it diverged,
+    and the converged rows are found once, at the end.
 
     Returns ``(distances, steps, converged, diverged)``, the arrays of
     :class:`RowRuns`.
@@ -380,12 +394,15 @@ def _iterate(engine: _Engine, first: np.ndarray, max_iter: int, tol: float):
     if max_iter < 0:
         raise ValueError("max_iter must be non-negative")
     rows, dim = engine.state.shape
-    distances = np.full((rows, min(max_iter, 63) + 1), np.nan)  # widened as needed
-    distances[:, 0] = first
+    # step-major, so that each step writes one contiguous row; lengthened
+    # as needed, and transposed at the end
+    distances = np.full((min(max_iter, 63) + 1, rows), np.nan)
+    distances[0] = first
     # the guard needs a positive starting distance
     limit = np.where(first > 0.0, DIVERGENCE_FACTOR * first, np.inf)
     steps = np.full(rows, max_iter)
-    converged = np.zeros(rows, dtype=bool)
+    # the rows stopped so far, and those of them the guard stopped
+    stopped = np.zeros(rows, dtype=bool)
     diverged = np.zeros(rows, dtype=bool)
     live = rows  # how many rows still run
     step, state = engine.step, engine.state
@@ -408,9 +425,9 @@ def _iterate(engine: _Engine, first: np.ndarray, max_iter: int, tol: float):
             if passed is None or np.count_nonzero((dists > limit) | (norms <= tol)):
                 alone = k + n
             else:
-                while k + n >= distances.shape[1]:
-                    distances = np.concatenate([distances, np.full(distances.shape, np.nan)], axis=1)
-                distances[:, k + 1 : k + n + 1] = dists.T
+                while k + n >= len(distances):
+                    distances = np.concatenate([distances, np.full(distances.shape, np.nan)])
+                distances[k + 1 : k + n + 1] = dists
                 state, ready = passed, k + n
                 continue
         before = state
@@ -424,24 +441,24 @@ def _iterate(engine: _Engine, first: np.ndarray, max_iter: int, tol: float):
             dist[fixed] = np.nan
             grew &= ~fixed
             done |= fixed
-        if k + 1 == distances.shape[1]:
-            distances = np.concatenate([distances, np.full(distances.shape, np.nan)], axis=1)
-        distances[:, k + 1] = dist
+        if k + 1 == len(distances):
+            distances = np.concatenate([distances, np.full(distances.shape, np.nan)])
+        distances[k + 1] = dist
         # count_nonzero, not any(): this test runs every step, and for the
         # few rows of a small batch any() costs about twice as much
-        stopped = np.count_nonzero(done)
-        if not stopped:
+        count = np.count_nonzero(done)
+        if not count:
             continue
         steps[done] = k + 1
         if k == 0:
             steps[fixed] = 0
+        stopped |= done
         diverged |= grew
-        converged |= done & ~grew
-        live -= stopped
+        live -= count
         if not live:
             break
         state[done] = np.nan
-    return distances[:, : steps.max(initial=0) + 1], steps, converged, diverged
+    return distances[: steps.max(initial=0) + 1].T, steps, stopped & ~diverged, diverged
 
 
 def _stepped(engine: _Engine, steps: int):
@@ -546,22 +563,20 @@ def _relaxed_engine(alpha, refl, z: np.ndarray) -> _Engine:
     blocks = _ColumnBlocks(z.shape, temps=1)
     keep, alpha, refl = blocks.shaped(1.0 - alpha, alpha, refl)
 
-    def update(z, refl, z_next, t):
+    def update(z, refl, z_next=None, t=None):
         z_next = np.multiply(z, keep, out=z_next)
         t = np.multiply(refl, z, out=t)
         t *= alpha
         z_next += t
         return z_next, z_next, np.subtract(z_next, z, out=t)
 
-    step = lambda state, steps=1: blocks.run(update, state, (refl,), steps)
-    return _Engine(step, lambda state: state, z, _unchanged)
+    return _Engine(blocks.bind(update, (refl,)), lambda state: state, z, _unchanged)
 
 
-def _admm_x(u: np.ndarray, scale, denom, x: np.ndarray | None = None) -> np.ndarray:
+def _admm_x(u: np.ndarray, scale, denom) -> np.ndarray:
     """The x-update of :func:`run_admm` from ``u`` with ``w`` at the origin,
-    ``(w - u) * scale / denom`` (see :func:`_admm_engine`), into ``x`` if
-    given."""
-    x = np.subtract(0.0, u, out=x)
+    ``(w - u) * scale / denom`` (see :func:`_admm_engine`)."""
+    x = 0.0 - u
     x *= scale
     x /= denom
     return x
@@ -576,8 +591,13 @@ def _admm_engine(f_weights: np.ndarray, nu: np.ndarray, alpha, rho, u: np.ndarra
     which adds a signed zero to ``v``, is left out. That changes no bit of
     ``u``: ``v`` is ``+0.0`` wherever ``u`` is zero, and elsewhere a zero
     added to ``v`` cannot change ``u + v``. No step reads ``x`` either, so
-    the state is ``u`` and each step makes ``x`` in a temporary (see
-    :func:`_admm_x`)."""
+    the state is ``u``, and a step takes ``u - relax * (nu * (u * scale /
+    denom))``, with ``-x`` in a temporary: bit for bit ``u + relax * (nu *
+    x)`` with ``x`` from :func:`_admm_x`, since rounding commutes with
+    negation and IEEE defines ``a + (-b)`` as ``a - b`` (the parameters are
+    positive; a zero ``u`` or a product that underflows gives ``+0.0``
+    both ways); that is one pass over the rows fewer than forming ``0.0 -
+    u`` first."""
     # the x-update's denominator f_weights + rho * nu**2, formed in place.
     # The parameter rows are made before the state buffers, as DR's factor
     # is: at dim 1e6 the other order left the allocator a one-row hole, and
@@ -590,17 +610,21 @@ def _admm_engine(f_weights: np.ndarray, nu: np.ndarray, alpha, rho, u: np.ndarra
     # x of a one-row run's row would be a (1, dim) array
     relax, rho_step, *columns = blocks.shaped(2.0 * alpha, rho, scale, denom, nu)
 
-    def update(u, scale, denom, nu, u_new, t, diff):
-        # t holds x, then v = relax * (nu * x), then the recorded rho * u
-        t = _admm_x(u, scale, denom, t)
+    def update(u, scale, denom, nu, u_new=None, t=None, diff=None):
+        # t holds -x, then -v = relax * (nu * -x), then the recorded rho * u
+        t = np.multiply(u, scale, out=t)
+        t /= denom
         t *= nu
         t *= relax
-        u_new = np.add(u, t, out=u_new)
+        u_new = np.subtract(u, t, out=u_new)
         return u_new, np.multiply(rho_step, u_new, out=t), np.subtract(u_new, u, out=diff)
 
+    walk = blocks.bind(update, columns)
+
     def step(state, steps=1):
-        next_state, dist, step_norm = blocks.run(update, state, columns, steps)
-        return next_state, dist, rho_rows * step_norm
+        next_state, dist, step_norm = walk(state, steps)
+        step_norm *= rho_rows
+        return next_state, dist, step_norm
 
     def still(before: np.ndarray, after: np.ndarray) -> np.ndarray:
         # a row stays where it was only if the first step leaves u unchanged
@@ -617,13 +641,13 @@ def _admm_engine(f_weights: np.ndarray, nu: np.ndarray, alpha, rho, u: np.ndarra
     return _Engine(step, lambda state: rho * state, u, still, lambda u: _admm_x(u, scale, denom))
 
 
-def _engine(problem: CompositeProblem, mode: str, gamma: float) -> Callable:
-    """The engine ``mode`` runs on ``problem``, at step sizes up to ``gamma``,
-    as a builder: ``build(alpha, gamma, rows, rows_are_u=False)`` returns
-    the :class:`_Engine` for :func:`_iterate` from the start rows ``rows``,
-    with ``alpha`` and ``gamma`` bound into its maps; the norms of its
-    ``record`` of the first state are the starting distances of
-    :func:`_iterate`.
+def _engine(problem: CompositeProblem, mode: str, gamma: float, least: float | None = None) -> Callable:
+    """The engine ``mode`` runs on ``problem``, at step sizes from ``least``
+    (``gamma`` if None) up to ``gamma``, as a builder: ``build(alpha,
+    gamma, rows, rows_are_u=False)`` returns the :class:`_Engine` for
+    :func:`_iterate` from the start rows ``rows``, with ``alpha`` and
+    ``gamma`` bound into its maps; the norms of its ``record`` of the first
+    state are the starting distances of :func:`_iterate`.
 
     The one place that checks the mode and the problem it needs, once for
     every engine it builds; the dual curvatures, which do not depend on the
@@ -637,7 +661,8 @@ def _engine(problem: CompositeProblem, mode: str, gamma: float) -> Callable:
     explicit diagonal coupling. A step size whose product with a curvature
     or gain overflows raises ValueError: rounding is monotone, so the
     product of ``gamma`` and the largest curvature or gain, in Python
-    floats, is the largest one.
+    floats, is the largest one. So does an ADMM step size whose inverse
+    overflows, which ``least`` has if any has.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -656,9 +681,14 @@ def _engine(problem: CompositeProblem, mode: str, gamma: float) -> Callable:
         top = float(nu.max())
         _check_finite_product(gamma, top, "nu")
         _check_finite_product(gamma, top * top, "nu**2")
+        least = float(gamma if least is None else least)
+        if not math.isfinite(1.0 / least):
+            raise ValueError(
+                f"1 / gamma must be finite (ADMM's u is start / gamma), got an overflow at gamma={least!r}"
+            )
 
         def build(alpha, gamma, rows: np.ndarray, rows_are_u: bool = False) -> _Engine:
-            # a u that 1 / gamma overflows is rejected by _run_blocks' check
+            # a u that overflows is rejected by _run_blocks' check
             with np.errstate(over="ignore", invalid="ignore"):
                 u = rows if rows_are_u else rows * (1.0 / gamma)
             return _admm_engine(f_weights, nu, alpha, gamma, u)
@@ -768,9 +798,11 @@ def run_rows(
     alphas, gammas = _positive_rows(alphas=alphas, gammas=gammas)
     if alphas.ndim != 1 or alphas.shape != gammas.shape:
         raise ValueError("alphas and gammas must be 1-d and of equal length")
-    # a bad mode or problem, or a step size whose products overflow (they
-    # grow with it), fails here, before any block runs, even for no rows
-    build = _engine(problem, mode, float(gammas.max(initial=1.0)))
+    # a bad mode or problem, a step size whose products overflow (the
+    # largest's do if any do) or an ADMM step size whose inverse overflows
+    # (the least's does if any does) fails here, before any block runs,
+    # even for no rows
+    build = _engine(problem, mode, float(gammas.max(initial=1.0)), float(gammas.min(initial=1.0)))
     return _run_blocks(build, problem.dim, alphas, gammas, starts, max_iter, tol)
 
 
@@ -790,6 +822,9 @@ def _run_blocks(build: Callable, dim: int, alphas, gammas, starts, max_iter: int
         if z.shape != (part.stop - part.start, dim):
             raise ValueError(f"start rows have shape {z.shape}, expected {(part.stop - part.start, dim)}")
         engine = build(alphas[part, None], gammas[part, None], z)
+        # an ADMM engine steps its own u = z / gamma: the start rows go
+        # before the recorded ones are made
+        del z
         start = engine.record(engine.state)
         first = _norms(start)
         # only a row whose norm is not finite is read again, by its least and

@@ -5,7 +5,10 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import splitrate
 from splitrate import cli, splitting
@@ -506,6 +509,30 @@ def test_sweep_bad_grid_spec_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "alpha, gamma, message",
+    [
+        # one point past the cap, as the product of two grids that each fit
+        ("linear:0.1:1.9:101", "log:0.1:1:9901", "at most 1000000 grid points, got 1000001"),
+        ("linear:0.1:1.9:100000", "log:0.1:1:100000", "at most 1000000 grid points, got 10000000000"),
+        # one spec past the cap, rejected before its values are made
+        ("linear:0.1:1.9:1000001", "1.0", "grid count must be at most 1000000, got 1000001"),
+        ("1.0", "log:0.1:1:10000000000", "grid count must be at most 1000000, got 10000000000"),
+    ],
+)
+def test_a_grid_past_the_cap_exits_2_before_it_is_made(monkeypatch, capsys, alpha, gamma, message):
+    # the cap is checked before meshgrid, and a spec's count before
+    # linspace/geomspace: no run, bound or point array is made
+    def made(*args, **kwargs):
+        raise AssertionError("a grid past the cap was made")
+
+    monkeypatch.setattr(cli.np, "meshgrid", made)
+    monkeypatch.setattr(cli, "run_rows", made)
+    assert cli.main(["sweep", "--alpha", alpha, "--gamma", gamma]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
 def test_parse_grid_forms():
     assert cli.parse_grid("1,2,3") == (1.0, 2.0, 3.0)
     lin = cli.parse_grid("linear:0:1:5")
@@ -535,6 +562,41 @@ def test_report_float_format_is_full_precision():
     assert row.split(",")[3] == "nan"
 
 
+def _one_format_per_row(columns):
+    """The report lines as they were made before each grid value was
+    formatted once: every field of every row formatted in place."""
+    rows = zip(*(np.asarray(c).tolist() for c in columns))
+    return [cli.REPORT_HEADER] + [
+        "%.17g,%.17g,%.17g,%.17g,%s,%.17g,%s" % (a, g, t, e, case.value, d, verdict)
+        for a, g, t, e, case, d, verdict in rows
+    ]
+
+
+# grid values with repeats, both zeros, subnormals and values near overflow
+GRID_VALUES = st.sampled_from(
+    [0.1, 1 / 3, 1.0, 0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e300, 1.7976931348623157e308]
+)
+REPORT_FLOATS = st.floats() | st.sampled_from([math.nan, -0.0, 5e-324, 1e-300])
+
+
+@st.composite
+def report_columns(draw):
+    """Report columns over a drawn grid: axes of one value or several, each
+    with repeated values, and per-point floats, cases and verdicts."""
+    axes = [draw(st.lists(GRID_VALUES | st.floats(allow_nan=False), min_size=1, max_size=5)) for _ in range(2)]
+    alphas, gammas = (grid.ravel() for grid in np.meshgrid(sorted(axes[0]), sorted(axes[1]), indexing="ij"))
+    per_point = lambda values: draw(st.lists(values, min_size=alphas.size, max_size=alphas.size))
+    theoretical, empirical, gap = (np.array(per_point(REPORT_FLOATS)) for _ in range(3))
+    cases = np.array(per_point(st.sampled_from(list(TightnessCase))), dtype=object)
+    verdicts = np.array(per_point(st.sampled_from(cli.VERDICTS)))
+    return alphas, gammas, theoretical, empirical, cases, gap, verdicts
+
+
+@given(report_columns())
+def test_report_lines_format_each_grid_value_as_every_row_did(columns):
+    assert cli._report_lines(columns) == _one_format_per_row(columns)
+
+
 def _cli_subprocess(args, **env):
     """``python -m splitrate`` with ``args`` in a fresh interpreter that
     imports this checkout's package, with extra environment variables."""
@@ -552,16 +614,16 @@ def test_python_dash_m_runs_the_cli():
 
 
 def test_an_admm_step_size_whose_inverse_overflows_exits_2():
-    # 1 / gamma overflows, so the worst start's u is inf (and 0 * inf = NaN
-    # off its coordinate): this printed numpy RuntimeWarnings and a row
-    # "empirical=nan, verdict=bounded", and exited 4. The start check
-    # rejects it before any step, with no warning
+    # 1 / gamma overflows, so the worst start's u would be inf (and 0 * inf
+    # = NaN off its coordinate): this printed numpy RuntimeWarnings and a
+    # row "empirical=nan, verdict=bounded", and exited 4. The step size is
+    # rejected before any block runs, by a message that names it
     proc = _cli_subprocess(["run", "--mode", "admm", "--gamma", "1e-310"])
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
-    assert "must be finite" in lines[0]
+    assert "1 / gamma must be finite" in lines[0] and "gamma=1e-310" in lines[0]
 
 
 def _bytes_per_blas_thread_count(tmp_path, args):

@@ -129,6 +129,26 @@ def test_reading_the_final_x_holds_one_row(monkeypatch):
     assert peak <= engine_bytes + row + SMALL, (peak / row, engine_bytes / row)
 
 
+def test_an_admm_block_drops_its_start_rows_once_its_engine_is_built(monkeypatch):
+    # starts drawn fresh, as the command line's are: the engine steps its own
+    # u = start / rho, so the start row goes once the engine is built, and
+    # the run peaks at its engine's arrays, its u and one more row (the
+    # start while the engine is built, then the recorded start). A block
+    # that kept its start rows peaked a row higher
+    monkeypatch.setattr(splitting, "WORKERS", 2)
+    monkeypatch.setattr(splitting, "RUN_ELEMENTS", splitting.COLUMN_BLOCK)
+    dim = 200_000
+    problem, start = _case("admm", dim)
+    fresh = lambda rows: start.coeffs[None].copy()
+    run = lambda: splitting.run_rows(problem, "admm", [ALPHA], [GAMMA], fresh, max_iter=30, tol=0.0)
+    run()  # the first long-row run makes the worker pool
+    engine_bytes = _engine_bytes("admm", problem, start)
+    runs, _, peak = _traced(run)
+    assert runs.steps.tolist() == [30]
+    row = 8 * dim
+    assert peak <= engine_bytes + 2 * row + SMALL, (peak / row, engine_bytes / row)
+
+
 def test_an_overflowing_recorded_start_raises_before_any_step(monkeypatch):
     # rho * u0 overflows in one coordinate: the run raises ValueError before
     # its first step; a start whose norm alone overflows runs

@@ -1318,6 +1318,36 @@ def test_admm_rates_match_dual_dr_rates(case):
     assert np.all(np.fmax(dual, admm)[~both] < 1e-2)
 
 
+# entries of u: both zeros, subnormals, values near overflow and ordinary ones
+U_ENTRIES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1.7e308, -1e308]) | st.floats(-1e3, 1e3)
+
+
+@st.composite
+def admm_steps(draw):
+    """ADMM parameters and a batch of u rows, some of them rows of NaN, as
+    the engine leaves a stopped row."""
+    rows, dim = draw(st.integers(1, 5)), draw(st.integers(1, 12))
+    positive = lambda size: 10.0 ** np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=size, max_size=size)))
+    f_weights, nu, rho = positive(dim), positive(dim), positive(rows)[:, None]
+    alpha = np.array(draw(st.lists(st.floats(0.01, 1.99), min_size=rows, max_size=rows)))[:, None]
+    u = np.array(draw(st.lists(st.lists(U_ENTRIES, min_size=dim, max_size=dim), min_size=rows, max_size=rows)))
+    u[np.array(draw(st.lists(st.booleans(), min_size=rows, max_size=rows)))] = np.nan
+    return f_weights, nu, alpha, rho, u
+
+
+@given(admm_steps())
+def test_the_admm_step_is_the_textbook_update_bit_for_bit(case):
+    # the step forms -x = u * scale / denom and subtracts relax * nu * -x
+    # from u: rounding commutes with negation and u + (-t) is u - t, so it
+    # gives the bits of u + relax * (nu * x), signed zeros and NaN included
+    f_weights, nu, alpha, rho, u = case
+    with np.errstate(all="ignore"):
+        stepped = splitting._admm_engine(f_weights, nu, alpha, rho, u).step(u)[0]
+        scale, denom = rho * nu, rho * (nu * nu) + f_weights
+        textbook = u + 2.0 * alpha * (nu * ((0.0 - u) * scale / denom))
+    assert stepped.tobytes() == textbook.tobytes()
+
+
 @pytest.mark.parametrize("mode", ["primal-dr", "admm"])
 def test_run_memory_does_not_grow_with_steps(mode):
     # a kept iterate is dim * 8 bytes, so a run that kept them would peak
@@ -1447,6 +1477,16 @@ def test_run_rows_rejects_a_start_that_is_not_finite(monkeypatch, mode, bad):
     monkeypatch.setattr(splitting, "_iterate", stepped)
     with pytest.raises(ValueError, match="must be finite .*: row 1 is not"):
         run_rows(problem, mode, [1.0] * 3, [0.3] * 3, lambda rows: starts[rows])
+
+
+def test_run_rows_rejects_an_admm_step_size_whose_inverse_overflows():
+    # the least step size of the batch is checked, not only the greatest,
+    # before any block draws its starts
+    def starts(rows):
+        raise AssertionError("a block drew its starts")
+
+    with pytest.raises(ValueError, match=r"1 / gamma must be finite .*gamma=1e-310"):
+        run_rows(default_dual_instance("crossed"), "admm", [1.0, 1.0], [1.0, 1e-310], starts)
 
 
 @pytest.mark.parametrize("mode", splitting.MODES)
