@@ -5,14 +5,19 @@ of the contract. ``splitrate verify`` runs this; the test suite asserts it.
 
 from __future__ import annotations
 
+import io
+import marshal
 import math
 import os
+import sys
 import tempfile
+import threading
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import splitting
 from .functions import CompositeProblem, GFunction, dual_function
 from .hilbert import basis_rows, random_basis_map
 from .prox import prox_oracle
@@ -581,12 +586,122 @@ def check_dual_admm_transfer() -> CriterionResult:
     return run_criterion("dual-admm-transfer")
 
 
+def _workers(criteria: int) -> int:
+    """How many workers run a battery of ``criteria``: one per usable core
+    and at most one per criterion, or one where a fork is not safe: off
+    Linux (the multiprocessing docs call ``fork`` unsafe on macOS), while
+    other threads run (a child has none of them, and Python 3.12 warns of
+    deadlock), or past 256 criteria (an index is one byte of the queue)."""
+    if sys.platform != "linux" or threading.active_count() != 1 or criteria > 256:
+        return 1
+    return min(splitting.WORKERS, criteria)
+
+
+def _taken(queue: int):
+    """The criterion indices this worker takes from the pipe ``queue``, one
+    byte at a time until it is empty; a one-byte read is atomic, so no two
+    workers take the same index."""
+    while index := os.read(queue, 1):
+        yield index[0]
+
+
+def _child(queue: int, out: int, names: list) -> None:
+    """A forked worker: for each criterion it takes from ``queue``, write
+    ``(index, passed, detail, elapsed)`` to ``out`` once it has run. It
+    leaves through ``os._exit``, so no ``atexit`` hook runs and no stdio
+    buffer it inherited is flushed a second time: status 0 once the queue
+    is empty, 1 if anything escaped the loop."""
+    code = 1
+    try:
+        for index in _taken(queue):
+            result = run_criterion(names[index])
+            record = marshal.dumps((index, bool(result.passed), result.detail, result.elapsed))
+            while record:
+                record = record[os.write(out, record) :]
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _records(data: bytes):
+    """The ``(index, passed, detail, elapsed)`` records a child wrote, up to
+    the first that is cut short."""
+    stream = io.BytesIO(data)
+    while True:
+        try:
+            yield marshal.load(stream)
+        except (EOFError, ValueError):
+            return
+
+
+def _ended(status: int) -> str:
+    if os.WIFSIGNALED(status):
+        return f"was killed by signal {os.WTERMSIG(status)}"
+    return f"exited with status {os.WEXITSTATUS(status)}"
+
+
 def run_all(verbose: bool = True) -> list:
-    """Run every criterion, printing one PASS/FAIL line each when verbose."""
-    results = []
-    for name in CRITERIA:
-        result = run_criterion(name)
-        results.append(result)
-        if verbose:
+    """Run every criterion, and print one PASS/FAIL line each, in table
+    order, when verbose.
+
+    The criteria run on ``min(splitting.WORKERS, len(CRITERIA))`` workers:
+    this process and forked children. Each worker takes the next criterion
+    index from one queue, a pipe that holds one byte per criterion, so each
+    criterion runs once; a child writes its results back on a pipe of its
+    own. A criterion that no worker reports fails, with the wait status of
+    each child that did not exit cleanly. Each ``elapsed``, and the runtime
+    a budget is checked against, is measured in the process that ran the
+    criterion. On one usable core, off Linux, or while this process runs
+    other threads, the same loop runs here alone and forks nothing.
+    """
+    names = list(CRITERIA)
+    results = [None] * len(names)
+    workers = _workers(len(names))
+    queue = None
+    children = {}  # pid -> the read end of its pipe
+    statuses = []  # the wait status of each child reaped
+    try:
+        if workers > 1:
+            queue, fill = os.pipe()
+            os.write(fill, bytes(range(len(names))))
+            # closed before any fork, so that the queue ends once it is read
+            os.close(fill)
+            for _ in range(workers - 1):
+                read, write = os.pipe()
+                try:
+                    pid = os.fork()
+                except OSError:  # no more processes: the workers so far take the whole queue
+                    os.close(read)
+                    os.close(write)
+                    break
+                if pid == 0:
+                    _child(queue, write, names)
+                os.close(write)
+                children[pid] = open(read, "rb")
+        for index in range(len(names)) if queue is None else _taken(queue):
+            results[index] = run_criterion(names[index])
+        for pid, pipe in list(children.items()):
+            data = pipe.read()
+            pipe.close()
+            statuses.append(os.waitpid(pid, 0)[1])
+            del children[pid]
+            for index, *outcome in _records(data):
+                results[index] = CriterionResult(names[index], *outcome)
+    finally:
+        # after an exception or an interrupt here: no child outlives the call
+        for pid, pipe in children.items():
+            pipe.close()
+            os.kill(pid, 9)  # SIGKILL; the signal module is not loaded
+            os.waitpid(pid, 0)
+        if queue is not None:
+            os.close(queue)
+    # a criterion is unreported only when a child took it and ended first
+    ended = "; ".join(f"a worker {_ended(status)}" for status in statuses if status)
+    ended = ended or "every worker exited with status 0"
+    for index, result in enumerate(results):
+        if result is None:
+            results[index] = CriterionResult(names[index], False, f"not reported: {ended}", 0.0)
+    if verbose:
+        for result in results:
             print(result.line())
     return results

@@ -5,17 +5,21 @@ failure) and asserts the criterion. ``splitrate verify`` runs the same
 battery from the command line.
 """
 
+import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import splitrate
-from splitrate import acceptance, splitting
+from splitrate import acceptance, cli, splitting
 from splitrate.functions import DiagQuadratic, dual_function
 from splitrate.worstcase import PAIRINGS, default_dual_instance
 
@@ -131,15 +135,164 @@ def test_every_public_name_resolves(module):
 def test_battery_details_are_the_same_in_every_process():
     # the benchmark digests the battery's detail text in each of its
     # processes; a fresh interpreter on two BLAS threads must print the same
-    # line for every criterion
-    code = "import splitrate.acceptance as a; print([check() for check, _ in a.CRITERIA.values()])"
+    # line for every criterion, and running the criteria in reverse table
+    # order there shows that none leans on state an earlier one left
+    code = "import splitrate.acceptance as a; print({n: c() for n, (c, _) in reversed(list(a.CRITERIA.items()))})"
     src = str(Path(splitrate.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
     proc = subprocess.run([sys.executable, "-c", code], cwd=src, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    here = [check() for check, _ in acceptance.CRITERIA.values()]
-    assert all(passed for passed, _ in here)
-    assert proc.stdout.strip() == repr(here)
+    here = {name: check() for name, (check, _) in acceptance.CRITERIA.items()}
+    assert all(passed for passed, _ in here.values())
+    there = ast.literal_eval(proc.stdout)
+    assert list(there) == list(reversed(here))
+    assert there == here
+
+
+#: ``run_all`` forks only on Linux, and these tests read ``/proc/self/fd``
+linux_only = pytest.mark.skipif(sys.platform != "linux", reason="run_all forks only on Linux")
+
+
+@pytest.fixture
+def one_thread():
+    """This process with its main thread alone, as ``run_all`` needs to fork:
+    the long-row pool's threads, if an earlier test made them, are stopped,
+    and the next long-row step makes a new pool."""
+    if splitting._pool is not None:
+        splitting._pool[2].shutdown(wait=True)
+        splitting._pool = None
+    assert threading.active_count() == 1, threading.enumerate()
+
+
+#: three criteria that cost nothing, the middle one failing, and the lines
+#: that ``verify_lines`` gives for them
+STAND_INS = {
+    "a": (lambda: (True, "ran"), None),
+    "b": (lambda: (False, "planted"), None),
+    "c": (lambda: (True, "ran"), None),
+}
+STAND_IN_LINES = ["[PASS] a: ran ", "[FAIL] b: planted ", "[PASS] c: ran "]
+
+
+def verify_lines(capsys):
+    """``splitrate verify``'s exit code and lines, with the timing text
+    stripped."""
+    code = cli.main(["verify"])
+    lines = capsys.readouterr().out.splitlines()
+    return code, [re.sub(r"runtime [0-9.]+s|\([0-9.]+s\)$", "", line) for line in lines]
+
+
+@linux_only
+def test_verify_prints_the_one_worker_lines_on_every_worker(monkeypatch, capsys, one_thread):
+    forks = []  # the pids forked in this process
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(fork()) or forks[-1])
+    monkeypatch.setattr(splitting, "WORKERS", max(2, splitting.WORKERS))
+    code, lines = verify_lines(capsys)
+    assert code == 0
+    assert len(forks) == min(splitting.WORKERS, len(acceptance.CRITERIA)) - 1
+    assert [line.split(":")[0] for line in lines] == [f"[PASS] {name}" for name in acceptance.CRITERIA]
+    forked = len(forks)
+    monkeypatch.setattr(splitting, "WORKERS", 1)
+    assert verify_lines(capsys) == (0, lines)
+    assert len(forks) == forked
+
+
+def test_a_failed_check_fails_its_line_in_its_place(monkeypatch, capsys, one_thread):
+    monkeypatch.setattr(acceptance, "CRITERIA", STAND_INS)
+    monkeypatch.setattr(splitting, "WORKERS", 2)
+    assert verify_lines(capsys) == (1, STAND_IN_LINES)
+
+
+def open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+@linux_only
+def test_a_worker_that_exits_inside_a_check_is_reported(monkeypatch, capsys, one_thread):
+    parent = os.getpid()
+
+    def check():
+        if os.getpid() != parent:
+            os._exit(7)
+        time.sleep(0.05)  # time for the child to take a criterion
+        return True, "ran in the parent"
+
+    monkeypatch.setattr(acceptance, "CRITERIA", {name: (check, None) for name in "abcd"})
+    monkeypatch.setattr(splitting, "WORKERS", 2)
+    fds = open_fds()
+    code, lines = verify_lines(capsys)
+    assert code == 1
+    assert [line.split(" ")[1] for line in lines] == ["a:", "b:", "c:", "d:"]
+    # the child dies on the first criterion it takes, and this process runs the rest
+    failed = [line for line in lines if line.endswith(": not reported: a worker exited with status 7 ")]
+    passed = [line for line in lines if line.endswith(": ran in the parent ")]
+    assert len(failed) == 1 and len(passed) == 3
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert open_fds() == fds
+
+
+@linux_only
+def test_an_interrupt_kills_and_reaps_the_workers(monkeypatch, one_thread):
+    parent = os.getpid()
+
+    def check():
+        if os.getpid() != parent:
+            time.sleep(30.0)
+        time.sleep(0.05)  # time for the child to take a criterion
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(acceptance, "CRITERIA", {"a": (check, None), "b": (check, None)})
+    monkeypatch.setattr(splitting, "WORKERS", 2)
+    fds = open_fds()
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        acceptance.run_all(verbose=False)
+    assert time.perf_counter() - start < 10.0
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert open_fds() == fds
+
+
+def test_with_another_thread_verify_forks_nothing(monkeypatch, capsys):
+    def no_fork():
+        raise AssertionError("forked with another thread running")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(splitting, "WORKERS", 2)
+    monkeypatch.setattr(acceptance, "CRITERIA", STAND_INS)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert verify_lines(capsys) == (1, STAND_IN_LINES)
+    finally:
+        stop.set()
+        thread.join(timeout=10.0)
+    assert not thread.is_alive()
+
+
+@linux_only
+def test_more_workers_than_cores_run_each_criterion_once(monkeypatch, one_thread):
+    # each check writes its name to a pipe that every worker shares (a
+    # write of a few bytes to a pipe is atomic): a criterion taken twice
+    # would show up twice, and one taken by no worker not at all
+    log, note = os.pipe()
+
+    def check(name):
+        os.write(note, f"{name}\n".encode())
+        time.sleep(0.001)  # long enough that every worker takes some
+        return True, name
+
+    names = [f"c{i}" for i in range(60)]
+    monkeypatch.setattr(acceptance, "CRITERIA", {name: (lambda name=name: check(name), None) for name in names})
+    monkeypatch.setattr(splitting, "WORKERS", 8)
+    results = acceptance.run_all(verbose=False)
+    os.close(note)
+    with os.fdopen(log, "rb") as ran:
+        assert sorted(ran.read().decode().split()) == sorted(names)
+    assert [(r.name, r.passed, r.detail) for r in results] == [(name, True, name) for name in names]
 
 
 def test_a_perturbed_reflection_fails_the_reference_checks(monkeypatch):
