@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import io
 import marshal
-import math
 import os
 import sys
 import tempfile
@@ -27,12 +26,15 @@ from .rates import (
     alpha_upper_bound,
     classify_tightness,
     dual_rate_constants,
+    optimal_params,
     theoretical_rate,
 )
 from .splitting import _engine, _norms, _stepped, fit_rates, run_rows
 from .worstcase import (
     DEFAULT_BETA,
     DEFAULT_SIGMA,
+    DEFAULT_THETA,
+    DEFAULT_ZETA,
     default_dual_instance,
     default_primal_instance,
     make_dual_instance,
@@ -123,11 +125,8 @@ def conjugate_oracle(problem: CompositeProblem, mu: np.ndarray) -> float | np.nd
 
 
 def _optimal_rate_exactness():
-    problem = default_primal_instance()
-    ratio = math.sqrt(DEFAULT_BETA / DEFAULT_SIGMA)
-    target = (ratio - 1.0) / (ratio + 1.0)
-    alpha, gamma = 1.0, 1.0 / math.sqrt(DEFAULT_SIGMA * DEFAULT_BETA)
-    (fit,) = _worst_start_runs(problem, "primal-dr", problem.f, [alpha], [gamma], max_iter=50)
+    alpha, gamma, target = optimal_params(DEFAULT_SIGMA, DEFAULT_BETA)
+    (fit,) = _worst_start_runs(default_primal_instance(), "primal-dr", [alpha], [gamma], max_iter=50)
     # NaN (a diverged or unfittable run) fails
     err = abs(fit - target)
     return bool(err <= 1e-10), f"|empirical - bound| = {err:.3e} <= 1e-10 over 50 steps"
@@ -138,7 +137,7 @@ def _optimal_rate_exactness():
 
 def _region_samples(sigma: float, beta: float):
     """Ten parameter points inside each of the four exactly-attained regions."""
-    gamma_star = 1.0 / math.sqrt(sigma * beta)
+    _, gamma_star, _ = optimal_params(sigma, beta)
     samples = {}
     samples["I"] = [(1.0, g) for g in np.geomspace(0.02, 50.0, 10) * gamma_star]
     samples["II"] = [
@@ -153,10 +152,11 @@ def _region_samples(sigma: float, beta: float):
     return samples
 
 
-def _worst_start_runs(problem, mode: str, quad, alphas, gammas, max_iter: int):
-    """Fitted rates of ``mode`` runs from the worst start of ``quad`` at each
-    point, with ``tol=0``, as one batch; NaN where a run diverged or was too
-    short to fit."""
+def _worst_start_runs(problem, mode: str, alphas, gammas, max_iter: int):
+    """Fitted rates of ``mode`` runs at each point from the worst start of
+    the curvatures it runs on (``problem.f``, or the dual's), with ``tol=0``,
+    as one batch; NaN where a run diverged or was too short to fit."""
+    quad = problem.f if mode == "primal-dr" else dual_function(problem)
     index = worst_coordinates(quad, alphas, gammas)
     starts = lambda rows: basis_rows(problem.dim, index[rows])
     runs = run_rows(problem, mode, alphas, gammas, starts, max_iter=max_iter, tol=0.0)
@@ -169,7 +169,7 @@ def _tightness_case_coverage():
     samples = _region_samples(sigma, beta)
     regions = [region for region, points in samples.items() for _ in points]
     alphas, gammas = np.array([point for points in samples.values() for point in points]).T
-    fits = _worst_start_runs(problem, "primal-dr", problem.f, alphas, gammas, max_iter=30)
+    fits = _worst_start_runs(problem, "primal-dr", alphas, gammas, max_iter=30)
     errs = np.abs(fits - theoretical_rate(alphas, gammas, sigma, beta))
     failed = ~(errs <= 1e-9)
     if failed.any():
@@ -184,7 +184,7 @@ def _tightness_case_coverage():
 def _contraction_bound_grid():
     sigma, beta = DEFAULT_SIGMA, DEFAULT_BETA
     problem = default_primal_instance()
-    gamma_star = 1.0 / math.sqrt(sigma * beta)
+    _, gamma_star, _ = optimal_params(sigma, beta)
     alphas, gammas = (
         grid.ravel()
         for grid in np.meshgrid(
@@ -230,7 +230,7 @@ def _contraction_bound_grid():
 def _closed_form_evolution():
     problem = default_primal_instance()
     sigma, beta = DEFAULT_SIGMA, DEFAULT_BETA
-    gamma_star = 1.0 / math.sqrt(sigma * beta)
+    _, gamma_star, _ = optimal_params(sigma, beta)
     rng = np.random.default_rng(99)
     # one run per (draw, band), draw by draw, as Python floats: the
     # expectations are scalar predict_iterate calls
@@ -272,16 +272,14 @@ def _closed_form_evolution():
 
 
 def _dual_admm_transfer():
-    constants = dual_rate_constants(1.0, 10.0, 1.0, 3.0)
+    constants = dual_rate_constants(DEFAULT_SIGMA, DEFAULT_BETA, DEFAULT_THETA, DEFAULT_ZETA)
     alpha_opt, gamma_opt, rate_opt = constants.optimal_dual_params()
     s_hat, b_hat = constants.sigma_hat, constants.beta_hat
 
     fits = {}
     for pairing in ("aligned", "crossed"):
         instance = default_dual_instance(pairing)
-        (fits[pairing],) = _worst_start_runs(
-            instance, "dual-dr", dual_function(instance), [alpha_opt], [gamma_opt], max_iter=50
-        )
+        (fits[pairing],) = _worst_start_runs(instance, "dual-dr", [alpha_opt], [gamma_opt], max_iter=50)
     # NaN (a diverged or unfittable run) fails both tests
     crossed_err = abs(fits["crossed"] - rate_opt)
     if not crossed_err <= 1e-10:
@@ -291,7 +289,6 @@ def _dual_admm_transfer():
 
     # more crossed-pairing points across the attained regions
     instance = default_dual_instance("crossed")
-    dual_quad = dual_function(instance)
     upper_star = alpha_upper_bound(gamma_opt, s_hat, b_hat)
     extra_alphas, extra_gammas = np.array(
         [
@@ -301,7 +298,7 @@ def _dual_admm_transfer():
             (1.0 + 0.5 * (alpha_upper_bound(2.0 * gamma_opt, s_hat, b_hat) - 1.0), 2.0 * gamma_opt),
         ]
     ).T
-    fits_extra = _worst_start_runs(instance, "dual-dr", dual_quad, extra_alphas, extra_gammas, max_iter=40)
+    fits_extra = _worst_start_runs(instance, "dual-dr", extra_alphas, extra_gammas, max_iter=40)
     gaps = np.abs(fits_extra - theoretical_rate(extra_alphas, extra_gammas, s_hat, b_hat))
     failed = ~(gaps <= 1e-10)
     if failed.any():
@@ -317,8 +314,8 @@ def _dual_admm_transfer():
         + [(0.5 * (1.0 + upper_star), gamma_opt)]
     ).T
     mismatch = np.abs(
-        _worst_start_runs(instance, "dual-dr", dual_quad, alphas, gammas, max_iter=40)
-        - _worst_start_runs(instance, "admm", dual_quad, alphas, gammas, max_iter=40)
+        _worst_start_runs(instance, "dual-dr", alphas, gammas, max_iter=40)
+        - _worst_start_runs(instance, "admm", alphas, gammas, max_iter=40)
     )
     failed = ~(mismatch <= 1e-8)
     if failed.any():
@@ -458,17 +455,14 @@ def _sweep_determinism():
         "--start", "random",
     ]
     outputs = []
-    for _ in range(2):
-        fd, path = tempfile.mkstemp(suffix=".csv")
-        os.close(fd)
-        try:
+    with tempfile.TemporaryDirectory() as directory:
+        for run in range(2):
+            path = os.path.join(directory, f"sweep{run}.csv")
             code = cli.main(flags + ["--out", path])
             if code != 0:
                 return False, f"sweep exited with code {code}"
             with open(path, "rb") as fh:
                 outputs.append(fh.read())
-        finally:
-            os.unlink(path)
     if outputs[0] != outputs[1]:
         return False, "two seeded sweeps produced different bytes"
     return True, f"two seeded sweeps produced byte-identical CSVs ({len(outputs[0])} bytes)"
@@ -502,7 +496,7 @@ def _dense_dr(weights, g, q, alphas, gammas, starts, steps: int):
 
 def _rotated_basis_reference():
     sigma, beta = DEFAULT_SIGMA, DEFAULT_BETA
-    gamma_star = 1.0 / math.sqrt(sigma * beta)
+    _, gamma_star, _ = optimal_params(sigma, beta)
     # the attained-region samples, and feasible points outside those regions
     points = [point for points in _region_samples(sigma, beta).values() for point in points]
     points += [(0.5, 3.0 * gamma_star), (0.8, 10.0 * gamma_star), (1.05, 0.3 * gamma_star), (1.1, 0.6 * gamma_star)]
@@ -512,10 +506,8 @@ def _rotated_basis_reference():
     steps, worst_bound, worst_engine = 30, 0.0, 0.0
     for dim in (8, 24):
         problem = make_primal_instance(sigma, beta, dim, range(dim // 2))
+        diagonal = _worst_start_runs(problem, "primal-dr", alphas, gammas, max_iter=steps)
         index = worst_coordinates(problem.f, alphas, gammas)
-        starts = lambda rows: basis_rows(dim, index[rows])
-        runs = run_rows(problem, "primal-dr", alphas, gammas, starts, max_iter=steps, tol=0.0)
-        diagonal = np.where(runs.diverged, np.nan, fit_rates(runs.step_ratios))
         for seed in (1, 2):
             q = random_basis_map(dim, seed)
             # the worst start, rotated: column index[i] of Q

@@ -81,10 +81,6 @@ class ConfigError(Exception):
     """Bad flag value or config-file entry; maps to exit code 2."""
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
 def parse_grid(text: str) -> tuple:
     """Grid spec: a comma list of floats, or '<linear|log>:min:max:count'."""
     text = text.strip()
@@ -314,9 +310,9 @@ def _sweep(cfg: SweepConfig, instance: tuple) -> tuple:
 
 
 def _distinct_texts(values) -> list:
-    """``_fmt`` of each entry of a float array, each distinct value (by its
-    bits, so that 0.0 and -0.0 stay apart) formatted once: a sweep's alpha
-    and gamma columns repeat the values of their grids."""
+    """The ``.17g`` text of each entry of a float array, each distinct value
+    (by its bits, so that 0.0 and -0.0 stay apart) formatted once: a sweep's
+    alpha and gamma columns repeat the values of their grids."""
     distinct, where = np.unique(np.asarray(values, dtype=float).view(np.int64), return_inverse=True)
     return np.array(["%.17g" % x for x in distinct.view(float).tolist()], dtype=object)[where].tolist()
 
@@ -333,7 +329,7 @@ def _report_lines(columns: tuple) -> list:
         np.asarray(gap).tolist(),
         np.asarray(verdicts).tolist(),
     )
-    # one format per row: "%.17g" % x writes what _fmt(x) writes
+    # one format per row: "%.17g" % x writes what f"{x:.17g}" writes
     return [REPORT_HEADER] + ["%s,%s,%.17g,%.17g,%s,%.17g,%s" % row for row in rows]
 
 
@@ -345,7 +341,7 @@ def render_sweep_csv(columns: tuple) -> str:
     tight = verdicts == "tight"
     max_gap = np.abs(gap[tight]).max() if tight.any() else math.nan
     counts = " ".join(f"{verdict}={np.count_nonzero(verdicts == verdict)}" for verdict in VERDICTS)
-    footer = [f"# verdicts: {counts}", f"# max_abs_gap_tight = {_fmt(max_gap)}"]
+    footer = [f"# verdicts: {counts}", f"# max_abs_gap_tight = {max_gap:.17g}"]
     return "\n".join(_report_lines(columns) + footer) + "\n"
 
 
@@ -354,7 +350,7 @@ def render_trace_csv(distances: np.ndarray, step_ratios: np.ndarray) -> str:
     lines = [TRACE_HEADER]
     for k, dist in enumerate(distances):
         ratio = step_ratios[k] if k < step_ratios.size else math.nan
-        lines.append(f"{k},{_fmt(dist)},{_fmt(ratio)}")
+        lines.append(f"{k},{dist:.17g},{ratio:.17g}")
     return "\n".join(lines) + "\n"
 
 
@@ -375,20 +371,20 @@ def cmd_rate(args) -> int:
     lines = []
     if args.gamma is not None:
         if args.alpha is not None:
-            lines.append(f"theoretical_rate = {_fmt(theoretical_rate(args.alpha, args.gamma, sigma, beta))}")
-        lines.append(f"alpha_upper_bound = {_fmt(alpha_upper_bound(args.gamma, sigma, beta))}")
+            lines.append(f"theoretical_rate = {theoretical_rate(args.alpha, args.gamma, sigma, beta):.17g}")
+        lines.append(f"alpha_upper_bound = {alpha_upper_bound(args.gamma, sigma, beta):.17g}")
     opt_alpha, opt_gamma, opt_rate = optimal_params(sigma, beta)
-    lines.append(f"optimal_alpha = {_fmt(opt_alpha)}")
-    lines.append(f"optimal_gamma = {_fmt(opt_gamma)}")
-    lines.append(f"optimal_rate = {_fmt(opt_rate)}")
+    lines.append(f"optimal_alpha = {opt_alpha:.17g}")
+    lines.append(f"optimal_gamma = {opt_gamma:.17g}")
+    lines.append(f"optimal_rate = {opt_rate:.17g}")
     if args.theta is not None:
         constants = dual_rate_constants(sigma, beta, args.theta, args.zeta)
         _, dual_gamma, dual_rate = constants.optimal_dual_params()
-        lines.append(f"sigma_hat = {_fmt(constants.sigma_hat)}")
-        lines.append(f"beta_hat = {_fmt(constants.beta_hat)}")
-        lines.append(f"kappa = {_fmt(constants.kappa)}")
-        lines.append(f"dual_optimal_gamma = {_fmt(dual_gamma)}")
-        lines.append(f"dual_optimal_rate = {_fmt(dual_rate)}")
+        lines.append(f"sigma_hat = {constants.sigma_hat:.17g}")
+        lines.append(f"beta_hat = {constants.beta_hat:.17g}")
+        lines.append(f"kappa = {constants.kappa:.17g}")
+        lines.append(f"dual_optimal_gamma = {dual_gamma:.17g}")
+        lines.append(f"dual_optimal_rate = {dual_rate:.17g}")
     print("\n".join(lines))
     return 0
 
@@ -498,7 +494,7 @@ def main(argv=None) -> int:
     args = _parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -324,17 +324,20 @@ class _ColumnBlocks:
         return out, *(norms if steps > 1 else norms[:, 0])
 
 
-def _unchanged(before: np.ndarray, after: np.ndarray) -> np.ndarray:
+def _unchanged(before: np.ndarray, after: np.ndarray, moved: Callable | None = None) -> np.ndarray:
     """Which rows of the state ``after`` are exactly the rows of the state
     ``before``, compared ``COLUMN_BLOCK`` columns at a time, so that no
-    row-sized boolean array is made; the blocks stop once no row can be
-    unchanged."""
+    row-sized boolean array is made; ``moved(cols)``, if given, tests each
+    block of columns further: a row with a nonzero entry in what it gives
+    moved. The tests stop once no row can be unchanged."""
     same = np.ones(before.shape[0], dtype=bool)
     for lo in range(0, before.shape[1], COLUMN_BLOCK):
         if not np.count_nonzero(same):
             break
         cols = slice(lo, lo + COLUMN_BLOCK)
         same &= np.all(before[:, cols] == after[:, cols], axis=1)
+        if moved is not None and np.count_nonzero(same):
+            same &= ~np.any(moved(cols), axis=1)
     return same
 
 
@@ -394,10 +397,8 @@ def _iterate(engine: _Engine, first: np.ndarray, max_iter: int, tol: float):
     if max_iter < 0:
         raise ValueError("max_iter must be non-negative")
     rows, dim = engine.state.shape
-    # step-major, so that each step writes one contiguous row; lengthened
-    # as needed, and transposed at the end
-    distances = np.full((min(max_iter, 63) + 1, rows), np.nan)
-    distances[0] = first
+    # each step's (rows,) distances, stacked at the end
+    distances = [first]
     # the guard needs a positive starting distance
     limit = np.where(first > 0.0, DIVERGENCE_FACTOR * first, np.inf)
     steps = np.full(rows, max_iter)
@@ -425,9 +426,7 @@ def _iterate(engine: _Engine, first: np.ndarray, max_iter: int, tol: float):
             if passed is None or np.count_nonzero((dists > limit) | (norms <= tol)):
                 alone = k + n
             else:
-                while k + n >= len(distances):
-                    distances = np.concatenate([distances, np.full(distances.shape, np.nan)])
-                distances[k + 1 : k + n + 1] = dists
+                distances.extend(dists)
                 state, ready = passed, k + n
                 continue
         before = state
@@ -441,9 +440,7 @@ def _iterate(engine: _Engine, first: np.ndarray, max_iter: int, tol: float):
             dist[fixed] = np.nan
             grew &= ~fixed
             done |= fixed
-        if k + 1 == len(distances):
-            distances = np.concatenate([distances, np.full(distances.shape, np.nan)])
-        distances[k + 1] = dist
+        distances.append(dist)
         # count_nonzero, not any(): this test runs every step, and for the
         # few rows of a small batch any() costs about twice as much
         count = np.count_nonzero(done)
@@ -458,20 +455,20 @@ def _iterate(engine: _Engine, first: np.ndarray, max_iter: int, tol: float):
         if not live:
             break
         state[done] = np.nan
-    return distances[: steps.max(initial=0) + 1].T, steps, stopped & ~diverged, diverged
+    return np.stack(distances[: steps.max(initial=0) + 1], axis=1), steps, stopped & ~diverged, diverged
 
 
 def _stepped(engine: _Engine, steps: int):
-    """The recorded rows of an engine (see :func:`_engine`) after each of
-    its first ``steps`` steps, one ``(rows, dim)`` array per step, with no
-    stop test: bit for bit the iterates of the runs of its rows, since both
-    maps are deterministic and a step never writes into the state it reads.
-    A later step may write into a yielded array (long rows take turns in a
-    pair of buffers), so copy one to keep it."""
+    """The states of an engine (see :func:`_engine`) after each of its first
+    ``steps`` steps, one ``(rows, dim)`` array per step, with no stop test:
+    bit for bit those of the runs of its rows, whose ``record`` is their
+    iterates, since a step is deterministic and never writes into the state
+    it reads. A later step may write into a yielded array (long rows take
+    turns in a pair of buffers), so copy one to keep it."""
     state = engine.state
     for _ in range(steps):
         state = engine.step(state)[0]
-        yield engine.record(state)
+        yield state
 
 
 class _Replay(Sequence):
@@ -480,8 +477,8 @@ class _Replay(Sequence):
     ``build()`` returns the run's engine (see :func:`_engine`) afresh. The
     first iterate is rebuilt too, as the engine's record of its first state
     (for ADMM the same ``rho * u0`` product as in the run, so the same
-    bits), and :func:`_stepped` gives the iterates of the ``steps`` steps
-    the run took. The length needs no replay.
+    bits), and the records of the states :func:`_stepped` gives are those
+    of the ``steps`` steps the run took. The length needs no replay.
     """
 
     def __init__(self, build: Callable[[], _Engine], steps: int):
@@ -498,7 +495,7 @@ class _Replay(Sequence):
         engine = self._build()
         # the run checked that the recorded start is finite
         first = Vec._adopt(engine.record(engine.state)[0])
-        return [first, *(Vec(rows[0]) for rows in _stepped(engine, self._steps))]
+        return [first, *(Vec(engine.record(state)[0]) for state in _stepped(engine, self._steps))]
 
     @cached_property
     def final_x(self) -> Vec | None:
@@ -509,8 +506,8 @@ class _Replay(Sequence):
         if engine.x is None:
             return None
         state = engine.state
-        for _ in range(self._steps - 1):
-            state = engine.step(state)[0]
+        for state in _stepped(engine, self._steps - 1):
+            pass
         x = engine.x(state)[0] if self._steps else np.zeros(state.shape[1])
         # checked by its least and greatest entries: no row-sized temporary
         return Vec._adopt(x) if np.isfinite([x.min(), x.max()]).all() else Vec(x)
@@ -520,7 +517,7 @@ def _run_one(problem: CompositeProblem, mode: str, alpha, gamma, v: Vec, max_ite
     """One run of ``mode`` from ``v`` (ADMM's ``u0``), as an
     :class:`IterateTrace`: a one-row batch of :func:`_run_blocks`, whose
     engine :class:`_Replay` builds again when the trace is read."""
-    builder = _engine(problem, mode, gamma)
+    builder = _engine(problem, mode, gamma, alpha=alpha)
     build = lambda alphas, gammas, rows: builder(alphas, gammas, rows, mode == "admm")
     alphas, gammas, rows = np.array([alpha], dtype=float), np.array([gamma], dtype=float), v.coeffs[None]
     runs = _run_blocks(build, problem.dim, alphas, gammas, lambda part: rows, max_iter, tol)
@@ -630,18 +627,14 @@ def _admm_engine(f_weights: np.ndarray, nu: np.ndarray, alpha, rho, u: np.ndarra
         # a row stays where it was only if the first step leaves u unchanged
         # and x at the origin, where it started: u can stay put under a
         # nonzero x when relax * nu * x is lost in the rounding of u
-        same = _unchanged(before, after)
-        for lo in range(0, before.shape[1], COLUMN_BLOCK):
-            if not np.count_nonzero(same):
-                break
-            cols = slice(lo, lo + COLUMN_BLOCK)
-            same &= ~np.any(_admm_x(before[:, cols], scale[..., cols], denom[..., cols]), axis=1)
-        return same
+        return _unchanged(before, after, lambda cols: _admm_x(before[:, cols], scale[..., cols], denom[..., cols]))
 
     return _Engine(step, lambda state: rho * state, u, still, lambda u: _admm_x(u, scale, denom))
 
 
-def _engine(problem: CompositeProblem, mode: str, gamma: float, least: float | None = None) -> Callable:
+def _engine(
+    problem: CompositeProblem, mode: str, gamma: float, least: float | None = None, alpha: float = 1.0
+) -> Callable:
     """The engine ``mode`` runs on ``problem``, at step sizes from ``least``
     (``gamma`` if None) up to ``gamma``, as a builder: ``build(alpha,
     gamma, rows, rows_are_u=False)`` returns the :class:`_Engine` for
@@ -662,7 +655,8 @@ def _engine(problem: CompositeProblem, mode: str, gamma: float, least: float | N
     or gain overflows raises ValueError: rounding is monotone, so the
     product of ``gamma`` and the largest curvature or gain, in Python
     floats, is the largest one. So does an ADMM step size whose inverse
-    overflows, which ``least`` has if any has.
+    overflows, which ``least`` has if any has, and an ADMM relaxation
+    ``alpha`` (the largest) whose double, the over-relaxation, overflows.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -686,6 +680,8 @@ def _engine(problem: CompositeProblem, mode: str, gamma: float, least: float | N
             raise ValueError(
                 f"1 / gamma must be finite (ADMM's u is start / gamma), got an overflow at gamma={least!r}"
             )
+        if not math.isfinite(2.0 * alpha):
+            raise ValueError(f"2 * alpha must be finite (ADMM's over-relaxation), got an overflow at alpha={alpha!r}")
 
         def build(alpha, gamma, rows: np.ndarray, rows_are_u: bool = False) -> _Engine:
             # a u that overflows is rejected by _run_blocks' check
@@ -799,10 +795,11 @@ def run_rows(
     if alphas.ndim != 1 or alphas.shape != gammas.shape:
         raise ValueError("alphas and gammas must be 1-d and of equal length")
     # a bad mode or problem, a step size whose products overflow (the
-    # largest's do if any do) or an ADMM step size whose inverse overflows
-    # (the least's does if any does) fails here, before any block runs,
-    # even for no rows
-    build = _engine(problem, mode, float(gammas.max(initial=1.0)), float(gammas.min(initial=1.0)))
+    # largest's do if any do), an ADMM step size whose inverse overflows (the
+    # least's) or an ADMM relaxation whose double overflows (the largest's)
+    # fails here, before any block runs, even for no rows
+    top, least = float(gammas.max(initial=1.0)), float(gammas.min(initial=1.0))
+    build = _engine(problem, mode, top, least, float(alphas.max(initial=1.0)))
     return _run_blocks(build, problem.dim, alphas, gammas, starts, max_iter, tol)
 
 

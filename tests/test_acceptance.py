@@ -336,6 +336,16 @@ def test_closed_form_evolution_fails_on_a_diverging_run(monkeypatch, widen, deta
     assert result.detail == detail
 
 
+def test_optimal_rate_exactness_checks_the_optimal_params_it_is_given(monkeypatch):
+    # the criterion takes the optimal point and rate from rates.optimal_params
+    # when it runs, so a wrong rate there fails it
+    optimal = acceptance.optimal_params
+    monkeypatch.setattr(acceptance, "optimal_params", lambda s, b: (*optimal(s, b)[:2], optimal(s, b)[2] + 1e-9))
+    result = acceptance.run_criterion("optimal-rate-exactness")
+    assert not result.passed
+    assert result.detail.startswith("|empirical - bound| = 1.000e-09 <= 1e-10"), result.detail
+
+
 def test_battery_imports_no_scipy():
     # the battery, the conjugate oracle included, runs on numpy alone
     code = (

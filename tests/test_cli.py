@@ -626,6 +626,31 @@ def test_an_admm_step_size_whose_inverse_overflows_exits_2():
     assert "1 / gamma must be finite" in lines[0] and "gamma=1e-310" in lines[0]
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_an_admm_relaxation_whose_double_overflows_exits_2(command, capsys):
+    # 2 * alpha overflowed to inf: this printed three numpy RuntimeWarnings
+    # and a row "empirical=nan, verdict=bounded", and exited 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main([command, "--mode", "admm", "--alpha", "9e307", "--gamma", "0.3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: 2 * alpha must be finite"), captured.err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_a_dimension_past_memory_exits_2(command, capsys):
+    # 2**59 one-byte flags are 512 PiB, past every address space, so the
+    # allocation fails before it touches a page: this exited 1 with a
+    # MemoryError traceback
+    assert cli.main([command, "--K", str(2**59)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: Unable to allocate"), captured.err
+
+
 def _bytes_per_blas_thread_count(tmp_path, args):
     """The ``--out`` bytes of ``args`` run in fresh interpreters with one
     and with two BLAS threads."""

@@ -1298,8 +1298,14 @@ def admm_cases(draw):
     return problem, quad, alphas, rhos
 
 
+#: dual curvatures both 1: at alpha 1 and rho 1 both runs reach the origin
+#: in one step, and neither fits a rate
+_ONE_STEP = make_dual_instance(1.0, 10.0, 1.0, 10**0.5, 2, {0}, "aligned")
+
+
 @settings(deadline=None, max_examples=80)
 @given(admm_cases())
+@example((_ONE_STEP, dual_function(_ONE_STEP), np.array([1.0]), np.array([1.0])))
 def test_admm_rates_match_dual_dr_rates(case):
     # the battery's 1e-8 tolerance, over the whole instance family, from the
     # worst start of the dual curvatures
@@ -1314,8 +1320,10 @@ def test_admm_rates_match_dual_dr_rates(case):
     both = ~np.isnan(dual) & ~np.isnan(admm)
     assert np.all(np.abs(dual - admm)[both] <= 1e-8)
     # one fit is missing only where the run contracts so fast that rounding
-    # decides whether a fifth distance clears the ratio floor
-    assert np.all(np.fmax(dual, admm)[~both] < 1e-2)
+    # decides whether a fifth distance clears the ratio floor; both are
+    # missing where both runs reach the origin within a few steps
+    one = np.isnan(dual) != np.isnan(admm)
+    assert np.all(np.fmax(dual, admm)[one] < 1e-2)
 
 
 # entries of u: both zeros, subnormals, values near overflow and ordinary ones
@@ -1487,6 +1495,24 @@ def test_run_rows_rejects_an_admm_step_size_whose_inverse_overflows():
 
     with pytest.raises(ValueError, match=r"1 / gamma must be finite .*gamma=1e-310"):
         run_rows(default_dual_instance("crossed"), "admm", [1.0, 1.0], [1.0, 1e-310], starts)
+
+
+def test_run_rows_rejects_an_admm_relaxation_whose_double_overflows():
+    # 2 * alpha is ADMM's over-relaxation: at inf, the first step made every
+    # zero coordinate NaN (0 * inf), which no stop test meets. The largest
+    # relaxation of the batch is checked before any block draws its starts
+    def starts(rows):
+        raise AssertionError("a block drew its starts")
+
+    coupled = default_dual_instance("crossed")
+    with pytest.raises(ValueError, match=r"2 \* alpha must be finite .*alpha=9e\+307"):
+        run_rows(coupled, "admm", [1.0, 9e307], [0.3, 0.3], starts)
+    with pytest.raises(ValueError, match=r"2 \* alpha must be finite"):
+        run_admm(coupled, 0.3, 9e307)
+    # relaxed DR has no such product: the row diverges, past where its
+    # distance's square overflows
+    with np.errstate(over="ignore"):
+        assert run_rows(coupled, "dual-dr", [9e307], [0.3], lambda rows: np.ones((1, 8))).diverged.all()
 
 
 @pytest.mark.parametrize("mode", splitting.MODES)
