@@ -245,29 +245,31 @@ def _config_from_args(args) -> SweepConfig:
 
 
 def _instance(cfg: SweepConfig) -> tuple:
-    """The configured mode's instance, the curvature constants its bound
-    uses (the primal sigma and beta, or the dual sigma_hat and beta_hat) and
-    the quadratic whose curvatures pick worst starts."""
+    """The configured mode's instance and the curvature constants its bound
+    uses: the primal sigma and beta, or the dual sigma_hat and beta_hat."""
     if cfg.mode == "primal-dr":
-        problem = make_primal_instance(cfg.sigma, cfg.beta, cfg.dim, cfg.idx_sigma)
-        return problem, cfg.sigma, cfg.beta, problem.f
+        return make_primal_instance(cfg.sigma, cfg.beta, cfg.dim, cfg.idx_sigma), cfg.sigma, cfg.beta
     problem = make_dual_instance(
         cfg.sigma, cfg.beta, cfg.theta, cfg.zeta, cfg.dim, cfg.idx_sigma, pairing=cfg.pairing
     )
     constants = dual_rate_constants(cfg.sigma, cfg.beta, cfg.theta, cfg.zeta)
-    return problem, constants.sigma_hat, constants.beta_hat, dual_function(problem)
+    return problem, constants.sigma_hat, constants.beta_hat
 
 
-def _start_rows(cfg: SweepConfig, quad, alphas: np.ndarray, gammas: np.ndarray):
+def _start_rows(cfg: SweepConfig, problem, alphas: np.ndarray, gammas: np.ndarray):
     """Start rows for :func:`run_rows`, one per grid point: random rows come
     from one generator seeded with ``cfg.seed``, drawn in grid order; worst
     starts are unit rows along the coordinates that
-    :func:`worst_coordinates` picks for the whole grid at once."""
+    :func:`worst_coordinates` picks for the whole grid at once, from the
+    curvatures of ``problem``'s quadratic or, in the dual modes, of its
+    dual, which is made for that alone and goes once they are picked (the
+    engine makes its own)."""
     if cfg.start == "random":
         rng = np.random.default_rng(cfg.seed)
         return lambda rows: rng.uniform(-1.0, 1.0, (rows.stop - rows.start, cfg.dim))
     if cfg.start == "zero":
         return lambda rows: np.zeros((rows.stop - rows.start, cfg.dim))
+    quad = problem.f if cfg.mode == "primal-dr" else dual_function(problem)
     coordinates = worst_coordinates(quad, alphas, gammas)
     return lambda rows: basis_rows(cfg.dim, coordinates[rows])
 
@@ -296,15 +298,18 @@ def _sweep(cfg: SweepConfig, instance: tuple) -> tuple:
     """All grid points as one batch of engine runs on the :func:`_instance`
     of ``cfg``: the report columns (see :func:`evaluate_points`), ordered by
     (alpha, gamma), and the :class:`RowRuns` they were measured from."""
-    problem, sigma, beta, quad = instance
+    problem, sigma, beta = instance
     alphas, gammas = (
         grid.ravel() for grid in np.meshgrid(sorted(cfg.alpha_grid), sorted(cfg.gamma_grid), indexing="ij")
     )
     # a bad point fails the bound here, before any worst start or run: a
     # step size whose product with beta overflows would make those NaN
     theoretical = theoretical_rate(alphas, gammas, sigma, beta)
-    starts = _start_rows(cfg, quad, alphas, gammas)
-    runs = run_rows(problem, cfg.mode, alphas, gammas, starts, max_iter=cfg.iters, tol=cfg.tol)
+    starts = _start_rows(cfg, problem, alphas, gammas)
+    # a run whose distances overflow is reported by the divergence guard, so
+    # numpy's overflow warning would only repeat it; set once for all runs
+    with np.errstate(over="ignore"):
+        runs = run_rows(problem, cfg.mode, alphas, gammas, starts, max_iter=cfg.iters, tol=cfg.tol)
     empirical = fit_rates(runs.step_ratios)
     return evaluate_points(alphas, gammas, sigma, beta, theoretical, empirical, runs.diverged), runs
 

@@ -233,15 +233,18 @@ class _ColumnBlocks:
     its own columns of ``out``, so the results do not depend on how many
     runs there are. ``out`` is one of a pair of per-engine buffers of the
     state's shape, which take turns: a call writes the one it does not
-    read. The blocks start on chunk boundaries, so each block writes the
-    dots of its own chunks into its own columns of one array of every
-    step's chunk dots, and the last block writes the rows' tail dots; they
-    are summed as in :func:`_norms`.
+    read, so an engine may make its first state in ``pair[0]``. The blocks
+    start on chunk boundaries, so each block writes the dots of its own
+    chunks into its own columns of one array of every step's chunk dots,
+    and the last block writes the rows' tail dots; they are summed as in
+    :func:`_norms`.
     """
 
     def __init__(self, shape: tuple, temps: int):
         self.shape = shape
         rows, self.dim = shape
+        # short rows have no buffers: numpy allocates their states
+        self.pair = (None, None)
         if self.dim > COLUMN_BLOCK:
             self.pair = (np.empty(shape), np.empty(shape))
             blocks = -(-self.dim // COLUMN_BLOCK)
@@ -476,7 +479,7 @@ class _Replay(Sequence):
 
     ``build()`` returns the run's engine (see :func:`_engine`) afresh. The
     first iterate is rebuilt too, as the engine's record of its first state
-    (for ADMM the same ``rho * u0`` product as in the run, so the same
+    (for ADMM the same ``rho * u0`` products as the run normed, so the same
     bits), and the records of the states :func:`_stepped` gives are those
     of the ``steps`` steps the run took. The length needs no replay.
     """
@@ -579,11 +582,14 @@ def _admm_x(u: np.ndarray, scale, denom) -> np.ndarray:
     return x
 
 
-def _admm_engine(f_weights: np.ndarray, nu: np.ndarray, alpha, rho, u: np.ndarray) -> _Engine:
+def _admm_engine(f_weights: np.ndarray, nu: np.ndarray, alpha, rho, rows: np.ndarray, rows_are_u=True) -> _Engine:
     """Engine (see :func:`_engine`) of the scaled ADMM updates (see
-    :func:`run_admm`) from the rows ``u``, with ``x`` at the origin;
-    ``alpha`` and ``rho`` are scalars or columns. ``w`` is the prox of the
-    origin indicator, the origin at every step, so it is no state: ``w - u``
+    :func:`run_admm`) from ``u = rows``, or from ``u = rows * (1 / rho)``
+    if not ``rows_are_u``, with ``x`` at the origin; ``alpha`` and ``rho``
+    are scalars or columns. Long rows' ``u`` is written into the first of their
+    state buffers (see :class:`_ColumnBlocks`), not into an array of its
+    own. ``w`` is the prox of the origin indicator, the origin at every
+    step, so it is no state: ``w - u``
     is ``0.0 - u``, ``u + v - w`` is ``u + v``, and ``(1 - 2 alpha) w``,
     which adds a signed zero to ``v``, is left out. That changes no bit of
     ``u``: ``v`` is ``+0.0`` wherever ``u`` is zero, and elsewhere a zero
@@ -602,7 +608,13 @@ def _admm_engine(f_weights: np.ndarray, nu: np.ndarray, alpha, rho, u: np.ndarra
     denom = rho * (nu * nu)
     denom += f_weights
     scale, rho_rows = rho * nu, np.ravel(rho)
-    blocks = _ColumnBlocks(u.shape, temps=2)
+    blocks = _ColumnBlocks(rows.shape, temps=2)
+    if rows_are_u:
+        u = rows
+    else:
+        # a u that overflows is rejected by _run_blocks' check
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = np.multiply(rows, 1.0 / rho, out=blocks.pair[0])
     # still and x read scale and denom as they are: at the state's shape,
     # x of a one-row run's row would be a (1, dim) array
     relax, rho_step, *columns = blocks.shaped(2.0 * alpha, rho, scale, denom, nu)
@@ -683,13 +695,9 @@ def _engine(
         if not math.isfinite(2.0 * alpha):
             raise ValueError(f"2 * alpha must be finite (ADMM's over-relaxation), got an overflow at alpha={alpha!r}")
 
-        def build(alpha, gamma, rows: np.ndarray, rows_are_u: bool = False) -> _Engine:
-            # a u that overflows is rejected by _run_blocks' check
-            with np.errstate(over="ignore", invalid="ignore"):
-                u = rows if rows_are_u else rows * (1.0 / gamma)
-            return _admm_engine(f_weights, nu, alpha, gamma, u)
-
-        return build
+        return lambda alpha, gamma, rows, rows_are_u=False: _admm_engine(
+            f_weights, nu, alpha, gamma, rows, rows_are_u
+        )
     _check_finite_product(gamma, quad.beta, "beta")
     weights = quad.weights
     return lambda alpha, gamma, rows, rows_are_u=False: _relaxed_engine(alpha, _reflection(weights, g, gamma), rows)
@@ -803,6 +811,45 @@ def run_rows(
     return _run_blocks(build, problem.dim, alphas, gammas, starts, max_iter, tol)
 
 
+def _start_norms(engine: _Engine, lo: int) -> np.ndarray:
+    """The starting distances of a block of rows whose first row is row
+    ``lo`` of its batch: the norms of the engine's record of its first
+    state, bit for bit ``_norms(engine.record(engine.state))``.
+
+    Rows longer than ``COLUMN_BLOCK`` are recorded a block of
+    ``COLUMN_BLOCK`` columns at a time, with one block alive at once, and
+    their chunk dots are summed as :func:`_norms` sums them, so that no
+    row-sized record is made (ADMM's ``rho * u``). Raises ValueError if a
+    recorded row holds a NaN or an infinity: only a row whose norm is not
+    finite is read again, by its least and greatest entries, so a finite
+    row whose squares overflow runs.
+    """
+    state, record = engine.state, engine.record
+    rows, dim = state.shape
+    width = min(dim, COLUMN_BLOCK)
+    # the record of the columns from c on, made when it is read
+    block = lambda c: record(state[:, c : c + width])
+    if dim <= COLUMN_BLOCK:
+        norms = _norms(record(state))
+    else:
+        dots = np.empty((rows, dim // NORM_CHUNK))
+        # the blocks start on chunk boundaries: only the last has a tail
+        for c in range(0, dim, width):
+            chunks, tail = _chunked(block(c))
+            np.vecdot(chunks, chunks, out=dots[:, c // NORM_CHUNK : c // NORM_CHUNK + chunks.shape[1]])
+            tails = np.vecdot(tail, tail)
+            del chunks, tail  # the block goes before the next is made
+        norms = np.sqrt(dots.sum(axis=1) + tails)
+    bad = np.flatnonzero(~np.isfinite(norms))
+    if bad.size:
+        extremes = lambda b: [[b[r].min(), b[r].max()] for r in bad]
+        finite = np.isfinite([extremes(block(c)) for c in range(0, dim, width)]).all(axis=(0, 2))
+        if not finite.all():
+            row = lo + bad[np.argmin(finite)]
+            raise ValueError(f"recorded start rows must be finite (no NaN or Inf): row {row} is not")
+    return norms
+
+
 def _run_blocks(build: Callable, dim: int, alphas, gammas, starts, max_iter: int, tol: float) -> RowRuns:
     """The block loop of every run, as :func:`run_rows` describes it: each block
     of rows is built by ``build(alphas, gammas, rows)`` (see
@@ -820,16 +867,9 @@ def _run_blocks(build: Callable, dim: int, alphas, gammas, starts, max_iter: int
             raise ValueError(f"start rows have shape {z.shape}, expected {(part.stop - part.start, dim)}")
         engine = build(alphas[part, None], gammas[part, None], z)
         # an ADMM engine steps its own u = z / gamma: the start rows go
-        # before the recorded ones are made
+        # before the first step
         del z
-        start = engine.record(engine.state)
-        first = _norms(start)
-        # only a row whose norm is not finite is read again, by its least and
-        # greatest entries: a finite row whose squares overflow runs
-        for r in np.flatnonzero(~np.isfinite(first)):
-            if not np.isfinite([start[r].min(), start[r].max()]).all():
-                raise ValueError(f"recorded start rows must be finite (no NaN or Inf): row {lo + r} is not")
-        del start  # it goes before the first step
+        first = _start_norms(engine, lo)
         dist, steps[part], converged[part], diverged[part] = _iterate(engine, first, max_iter, tol)
         blocks.append(dist)
     distances = np.full((rows, max((d.shape[1] for d in blocks), default=1)), np.nan)

@@ -1,8 +1,10 @@
+import hashlib
 import math
 import os
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import splitrate
-from splitrate import cli, splitting
+from splitrate import cli, functions, splitting
 from splitrate.rates import TightnessCase
 
 
@@ -637,6 +639,52 @@ def test_an_admm_relaxation_whose_double_overflows_exits_2(command, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: 2 * alpha must be finite"), captured.err
+
+
+@pytest.mark.parametrize(
+    "args, sha256",
+    [
+        (["--alpha", "9e307", "--gamma", "0.3"], "ee8ef7846f0b226f9fb3be983842a8c3acc9a98655d8e4c24cbe61bf1ba0b845"),
+        (["--mode", "dual-dr", "--alpha", "1e300"], "223ba35e17da23a88bdff8ee335e25fff6ed6146ef9ab62c80ec043d2bbfbc90"),
+    ],
+)
+def test_a_run_whose_distances_overflow_is_reported_with_no_warning(tmp_path, capsys, args, sha256):
+    # the first step's squared distance overflows: this printed numpy's
+    # "overflow encountered in vecdot" before the same row and exit 3. The
+    # divergence guard reports the run, and the bytes are those pinned
+    # before the warning was silenced
+    out = tmp_path / "run.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", *args, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == ""
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+    assert out.read_text().splitlines()[1].endswith(",infeasible-diverged")
+
+
+@pytest.mark.parametrize("start", ["worst", "random"])
+@pytest.mark.parametrize("mode", ["dual-dr", "admm"])
+def test_the_command_line_keeps_no_dual_curvatures_while_it_runs(monkeypatch, capsys, mode, start):
+    # the command line makes the dual curvatures only to pick worst starts,
+    # and none is left once they are picked: dual DR's engine makes its own.
+    # They were made for every dual-mode run and kept until it ended, a row
+    # of 8 MB beside the engine's at --K 1000000
+    made = []
+
+    def dual_function(problem):
+        quad = functions.dual_function(problem)
+        made.append(weakref.ref(quad))
+        return quad
+
+    def run_rows(*args, **kwargs):
+        assert all(ref() is None for ref in made)
+        return splitting.run_rows(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "dual_function", dual_function)
+    monkeypatch.setattr(cli, "run_rows", run_rows)
+    assert cli.main(["run", "--mode", mode, "--start", start, "--K", "64"]) == 0
+    assert len(made) == (start == "worst")
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])

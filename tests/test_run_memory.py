@@ -1,8 +1,10 @@
 """Memory of one-row runs, traced from call to return: a run holds its
-engine's arrays and column blocks and no other row-sized array but ADMM's
-recorded start, which goes before the first step, and its trace keeps no
-row; reading ADMM's final x adds that row. ``check_one_row_memory`` is also
-run at dim 1e6 outside the test suite::
+engine's arrays and column blocks, one column block of its recorded start
+at a time and no other row-sized array (ADMM's recorded start ``rho *
+u0`` is normed a column block at a time, and a ``u`` that the engine makes
+from its start is written into its first state buffer), and its trace
+keeps no row; reading ADMM's final x adds that row.
+``check_one_row_memory`` is also run at dim 1e6 outside the test suite::
 
     python -c "import sys; sys.path.insert(0, 'tests'); import test_run_memory as t; \\
         print(t.check_one_row_memory('admm', 10**6))"
@@ -15,7 +17,7 @@ import pytest
 
 from splitrate import splitting
 from splitrate.hilbert import Vec
-from splitrate.splitting import SplitParams, run_admm, run_dr
+from splitrate.splitting import RowRuns, SplitParams, run_admm, run_dr, run_rows
 from splitrate.worstcase import default_dual_instance, make_dual_instance, make_primal_instance
 
 SIGMA, BETA, THETA, ZETA = 1.0, 10.0, 1.0, 3.0
@@ -30,17 +32,29 @@ def _case(mode, dim, seed=1):
     coordinates as the sigma band (crossed gains on the dual side), and a
     seeded uniform start."""
     half = range(dim // 2)
-    if mode == "admm":
-        problem = make_dual_instance(SIGMA, BETA, THETA, ZETA, dim, half, pairing="crossed")
-    else:
+    if mode == "primal-dr":
         problem = make_primal_instance(SIGMA, BETA, dim, half)
+    else:
+        problem = make_dual_instance(SIGMA, BETA, THETA, ZETA, dim, half, pairing="crossed")
     return problem, Vec(np.random.default_rng(seed).uniform(-1.0, 1.0, dim))
 
 
-def _run(mode, problem, start, steps):
+def _run(mode, problem, start, steps, batch=False):
+    """One run of ``mode`` from ``start``: through ``run_dr`` or ``run_admm``,
+    or, with ``batch`` and for dual DR, which has no one-row API, as a
+    one-row batch of ``run_rows`` whose start row is ``start`` itself, as
+    the command line runs it (ADMM's engine then makes its own ``u``)."""
+    if batch or mode == "dual-dr":
+        starts = lambda rows: start.coeffs[None]
+        return run_rows(problem, mode, [ALPHA], [GAMMA], starts, max_iter=steps, tol=0.0)
     if mode == "admm":
         return run_admm(problem, rho=GAMMA, alpha=ALPHA, u0=start, max_iter=steps, tol=0.0)
     return run_dr(problem, SplitParams(ALPHA, GAMMA), start, max_iter=steps, tol=0.0)
+
+
+def _steps(result) -> int:
+    """The steps a run of :func:`_run` took."""
+    return int(result.steps[0]) if isinstance(result, RowRuns) else result.n_steps
 
 
 def _traced(call):
@@ -59,37 +73,46 @@ def _traced(call):
 
 def _engine_bytes(mode, problem, start):
     """The bytes one build of the engine of a one-row run holds, column
-    blocks included."""
-    build = splitting._engine(problem, mode, GAMMA)
-    return _traced(lambda: build(ALPHA, GAMMA, start.coeffs[None], rows_are_u=True))[1]
+    blocks and its builder's arrays (dual DR's curvatures) included."""
+
+    def build():
+        builder = splitting._engine(problem, mode, GAMMA)
+        return builder, builder(ALPHA, GAMMA, start.coeffs[None], rows_are_u=True)
+
+    return _traced(build)[1]
 
 
-def check_one_row_memory(mode, dim, steps=30):
-    """Run ``mode`` ("primal-dr" or "admm") on one row of ``dim`` elements
-    and assert that, from call to return, the run peaks at no more than the
-    arrays of its engine (column blocks included, as one build of it holds
-    them) and, for ADMM, the row of its recorded start ``rho * u0``; returns
-    ``(peak, bound)`` in rows of ``8 * dim`` bytes."""
+def check_one_row_memory(mode, dim, steps=30, batch=False):
+    """Run ``mode`` on one row of ``dim`` elements (see :func:`_run`) and
+    assert that, from call to return, the run peaks at no more than the
+    arrays of its engine (column blocks and its builder's arrays included,
+    as one build of it holds them) and one column block of its recorded
+    start; returns ``(peak, bound)`` in rows of ``8 * dim`` bytes."""
     problem, start = _case(mode, dim)
-    _run(mode, problem, start, steps)  # the first long-row run makes the worker pool
+    _run(mode, problem, start, steps, batch)  # the first long-row run makes the worker pool
     engine_bytes = _engine_bytes(mode, problem, start)
-    trace, _, peak = _traced(lambda: _run(mode, problem, start, steps))
-    assert trace.n_steps == steps
+    result, _, peak = _traced(lambda: _run(mode, problem, start, steps, batch))
+    assert _steps(result) == steps
     row = 8 * dim
-    bound = engine_bytes + (row if mode == "admm" else 0) + SMALL
+    bound = engine_bytes + 8 * splitting.COLUMN_BLOCK + SMALL
     assert peak <= bound, (peak / row, bound / row)
     return round(peak / row, 3), round(bound / row, 3)
 
 
-@pytest.mark.parametrize("mode", ["primal-dr", "admm"])
-def test_a_one_row_run_holds_only_its_engines_arrays(monkeypatch, mode):
+@pytest.mark.parametrize(
+    "mode, batch",
+    [("primal-dr", False), ("primal-dr", True), ("dual-dr", True), ("admm", False), ("admm", True)],
+    ids=["primal-dr", "primal-dr-run_rows", "dual-dr", "admm", "admm-run_rows"],
+)
+def test_a_one_row_run_holds_only_its_engines_arrays(monkeypatch, mode, batch):
     # rows of 1.6 MB in two runs of column blocks, each with its own blocks.
-    # A run whose trace made a row of zeros for the fixed point, or an ADMM
-    # run that kept its recorded start while it stepped, would peak a row
-    # higher
+    # A run whose trace made a row of zeros for the fixed point, an ADMM run
+    # that made its recorded start rho * u0 as a row to norm it, or an ADMM
+    # batch whose engine made its u = start / rho as a row of its own (not
+    # in its first state buffer) would peak a row higher
     monkeypatch.setattr(splitting, "WORKERS", 2)
     monkeypatch.setattr(splitting, "RUN_ELEMENTS", splitting.COLUMN_BLOCK)
-    check_one_row_memory(mode, 200_000)
+    check_one_row_memory(mode, 200_000, batch=batch)
 
 
 @pytest.mark.parametrize("mode", ["primal-dr", "admm"])
@@ -130,23 +153,77 @@ def test_reading_the_final_x_holds_one_row(monkeypatch):
 
 
 def test_an_admm_block_drops_its_start_rows_once_its_engine_is_built(monkeypatch):
-    # starts drawn fresh, as the command line's are: the engine steps its own
-    # u = start / rho, so the start row goes once the engine is built, and
-    # the run peaks at its engine's arrays, its u and one more row (the
-    # start while the engine is built, then the recorded start). A block
-    # that kept its start rows peaked a row higher
+    # starts drawn fresh, as the command line's are: the engine writes its
+    # own u = start / rho into its first state buffer, so the start row goes
+    # once the engine is built, and the run peaks at its engine's arrays and
+    # the start row while the engine is built. A block that kept its start
+    # rows, or an engine that made u as a row of its own, peaked a row higher
     monkeypatch.setattr(splitting, "WORKERS", 2)
     monkeypatch.setattr(splitting, "RUN_ELEMENTS", splitting.COLUMN_BLOCK)
     dim = 200_000
     problem, start = _case("admm", dim)
     fresh = lambda rows: start.coeffs[None].copy()
-    run = lambda: splitting.run_rows(problem, "admm", [ALPHA], [GAMMA], fresh, max_iter=30, tol=0.0)
+    run = lambda: run_rows(problem, "admm", [ALPHA], [GAMMA], fresh, max_iter=30, tol=0.0)
     run()  # the first long-row run makes the worker pool
     engine_bytes = _engine_bytes("admm", problem, start)
     runs, _, peak = _traced(run)
     assert runs.steps.tolist() == [30]
     row = 8 * dim
-    assert peak <= engine_bytes + 2 * row + SMALL, (peak / row, engine_bytes / row)
+    assert peak <= engine_bytes + row + 8 * splitting.COLUMN_BLOCK + SMALL, (peak / row, engine_bytes / row)
+
+
+def _long_engines(dim, rows):
+    """Engines of every mode, each from ``rows`` seeded start rows of
+    ``dim`` elements whose magnitudes span many binades, at a relaxation and
+    a step size per row; ADMM makes its own ``u`` from them."""
+    rng = np.random.default_rng(dim + rows)
+    starts = rng.uniform(-1.0, 1.0, (rows, dim)) * np.exp2(rng.integers(-60, 60, (rows, dim)))
+    alphas, gammas = np.linspace(0.3, 1.4, rows)[:, None], np.geomspace(0.05, 3.0, rows)[:, None]
+    problem, _ = _case("admm", dim)
+    yield splitting._engine(make_primal_instance(SIGMA, BETA, dim, range(dim // 3)), "primal-dr", 3.0)(
+        alphas, gammas, starts
+    )
+    for mode in ("dual-dr", "admm"):
+        yield splitting._engine(problem, mode, 3.0)(alphas, gammas, starts)
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize(
+    "chunks, tail", [(1, -1), (1, 1), (2, 3), (3, 0), (17, 5)], ids=["N-1", "N+1", "2N+3", "3N", "17N+5"]
+)
+def test_start_norms_by_column_block_are_the_norms_of_the_whole_record(monkeypatch, rows, chunks, tail):
+    # one chunk per column block, so the record is normed over several
+    # blocks, the last with or without a tail of its own: the chunk dots
+    # are summed as _norms sums them, so every bit is the same. Past 8
+    # chunks numpy's sum is pairwise, not a running sum over the blocks
+    monkeypatch.setattr(splitting, "COLUMN_BLOCK", splitting.NORM_CHUNK)
+    dim = chunks * splitting.NORM_CHUNK + tail
+    for engine in _long_engines(dim, rows):
+        whole = splitting._norms(engine.record(engine.state))
+        assert splitting._start_norms(engine, 0).tobytes() == whole.tobytes()
+
+
+def test_a_long_recorded_start_that_is_not_finite_is_reported_by_its_row(monkeypatch):
+    # the lowest row that holds a NaN or an infinity is named, even where a
+    # higher row's lies in an earlier column block; a finite row whose
+    # squares overflow is no error
+    monkeypatch.setattr(splitting, "COLUMN_BLOCK", splitting.NORM_CHUNK)
+    dim = 3 * splitting.NORM_CHUNK + 5
+    problem, _ = _case("primal-dr", dim)
+    build = splitting._engine(problem, "primal-dr", GAMMA)
+    rows = np.ones((4, dim))
+    rows[0, 7] = 1e200
+    rows[1, dim - 1] = np.nan
+    rows[3, splitting.NORM_CHUNK + 1] = np.inf
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="row 6 is not"):
+            splitting._start_norms(build(ALPHA, GAMMA, rows), 5)
+        rows[1, dim - 1] = 1.0
+        with pytest.raises(ValueError, match="row 3 is not"):
+            splitting._start_norms(build(ALPHA, GAMMA, rows), 0)
+        rows[3, splitting.NORM_CHUNK + 1] = -1e300
+        norms = splitting._start_norms(build(ALPHA, GAMMA, rows), 0)
+    assert np.isinf(norms[[0, 3]]).all() and np.isfinite(norms[1:3]).all()
 
 
 def test_an_overflowing_recorded_start_raises_before_any_step(monkeypatch):
