@@ -17,8 +17,11 @@ from __future__ import annotations
 import argparse
 import math
 import operator
+import os
+import stat
 import sys
 from dataclasses import dataclass, field, fields
+from itertools import chain, islice
 
 import numpy as np
 
@@ -59,6 +62,12 @@ __all__ = [
 STARTS = ("worst", "zero", "random")
 
 REPORT_HEADER = "alpha,gamma,theoretical,empirical,case,gap,verdict"
+#: one report row: "%.17g" % x writes what f"{x:.17g}" writes, and the grid
+#: values come formatted (see :func:`_distinct_texts`)
+REPORT_ROW = "%s,%s,%.17g,%.17g,%s,%.17g,%s"
+#: most report rows formatted by one ``%`` call, so that a grid at the cap
+#: does not build one argument tuple of seven items a point
+REPORT_CHUNK = 4096
 #: every verdict a report row can carry, in the order the sweep footer counts them
 VERDICTS = ("tight", "bounded", "infeasible-diverged")
 TRACE_HEADER = "k,dist,ratio"
@@ -322,8 +331,9 @@ def _distinct_texts(values) -> list:
     return np.array(["%.17g" % x for x in distinct.view(float).tolist()], dtype=object)[where].tolist()
 
 
-def _report_lines(columns: tuple) -> list:
-    """The header and one CSV row per point of the report columns."""
+def _report_text(columns: tuple) -> str:
+    """The header and one CSV row per point of the report columns, joined by
+    newlines, with no newline at the end."""
     alphas, gammas, theoretical, empirical, cases, gap, verdicts = columns
     rows = zip(
         _distinct_texts(alphas),
@@ -334,8 +344,13 @@ def _report_lines(columns: tuple) -> list:
         np.asarray(gap).tolist(),
         np.asarray(verdicts).tolist(),
     )
-    # one format per row: "%.17g" % x writes what f"{x:.17g}" writes
-    return [REPORT_HEADER] + ["%s,%s,%.17g,%.17g,%s,%.17g,%s" % row for row in rows]
+    # one format call per chunk of rows, not per row: each field is
+    # formatted as before, with no per-row call around it
+    chunks = [REPORT_HEADER]
+    for lo in range(0, len(alphas), REPORT_CHUNK):
+        count = min(REPORT_CHUNK, len(alphas) - lo)
+        chunks.append("\n".join([REPORT_ROW] * count) % tuple(chain.from_iterable(islice(rows, count))))
+    return "\n".join(chunks)
 
 
 def render_sweep_csv(columns: tuple) -> str:
@@ -347,7 +362,7 @@ def render_sweep_csv(columns: tuple) -> str:
     max_gap = np.abs(gap[tight]).max() if tight.any() else math.nan
     counts = " ".join(f"{verdict}={np.count_nonzero(verdicts == verdict)}" for verdict in VERDICTS)
     footer = [f"# verdicts: {counts}", f"# max_abs_gap_tight = {max_gap:.17g}"]
-    return "\n".join(_report_lines(columns) + footer) + "\n"
+    return _report_text(columns) + "\n" + "\n".join(footer) + "\n"
 
 
 def render_trace_csv(distances: np.ndarray, step_ratios: np.ndarray) -> str:
@@ -360,11 +375,25 @@ def render_trace_csv(distances: np.ndarray, step_ratios: np.ndarray) -> str:
 
 
 def _write_text(path: str | None, text: str) -> None:
+    """Write ``text`` to stdout, or as UTF-8 to the file ``path``. A regular
+    file is rewritten in place and then cut at the end of what was written,
+    also when the write fails: truncating it first would make the filesystem
+    free its old blocks, which costs more than writing them again."""
     if path is None:
         sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        return
+    data = text.encode("utf-8")
+    view = memoryview(data)
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        while view:
+            view = view[os.write(fd, view) :]
+    finally:
+        try:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, len(data) - len(view))
+        finally:
+            os.close(fd)
 
 
 def cmd_rate(args) -> int:
@@ -412,7 +441,7 @@ def cmd_run(args) -> int:
     cfg.alpha_grid = (_run_point(cfg.alpha_grid, "alpha_grid", opt_alpha),)
     cfg.gamma_grid = (_run_point(cfg.gamma_grid, "gamma_grid", opt_gamma),)
     columns, runs = _sweep(cfg, instance)
-    report_text = "\n".join(_report_lines(columns)) + "\n"
+    report_text = _report_text(columns) + "\n"
     print(report_text, end="")
     steps = runs.steps[0]
     trace_text = render_trace_csv(runs.distances[0, : steps + 1], runs.step_ratios[0, :steps])

@@ -99,11 +99,19 @@ def theoretical_rate(alpha, gamma, sigma: float, beta: float):
     at each point ``(alpha, gamma)``.
 
     Below 1 exactly when alpha lies inside the feasible interval
-    ``(0, alpha_upper_bound(gamma, sigma, beta))``.
+    ``(0, alpha_upper_bound(gamma, sigma, beta))``. Raises ValueError where
+    the sum overflows, as it can for alpha near the largest float.
     """
     alpha, gamma = _positive_rows(alpha=alpha, gamma=gamma)
     _check_spectrum(sigma, beta)
-    return (np.abs(1.0 - alpha) + alpha * _max_terms(gamma, sigma, beta))[()]
+    # the max term lies in [0, 1), so only the sum can overflow
+    with np.errstate(over="ignore"):
+        rate = np.abs(1.0 - alpha) + alpha * _max_terms(gamma, sigma, beta)
+    if not np.isfinite(rate).all():
+        bad = np.argmin(np.isfinite(rate))
+        alpha, gamma = (float(np.broadcast_to(v, rate.shape).flat[bad]) for v in (alpha, gamma))
+        raise ValueError(f"the rate bound must be finite, got an overflow at alpha={alpha!r}, gamma={gamma!r}")
+    return rate[()]
 
 
 def alpha_upper_bound(gamma, sigma: float, beta: float):

@@ -141,7 +141,8 @@ class RowRuns:
     """Per-row outcome of :func:`run_rows`.
 
     ``distances`` has one row per run and one column per iterate, NaN past
-    each row's last step; ``steps`` counts the steps each row took,
+    each row's last step, in Fortran order (each iterate's column is
+    contiguous); ``steps`` counts the steps each row took,
     ``converged`` marks the rows stopped by ``tol`` or at a start that is a
     fixed point, and ``diverged`` the rows stopped by the divergence guard.
     """
@@ -400,7 +401,8 @@ def _iterate(engine: _Engine, first: np.ndarray, max_iter: int, tol: float):
     if max_iter < 0:
         raise ValueError("max_iter must be non-negative")
     rows, dim = engine.state.shape
-    # each step's (rows,) distances, stacked at the end
+    # each step's (rows,) distances, made one (steps + 1, rows) array at the
+    # end: max_iter has no upper bound, so no record is made at its length
     distances = [first]
     # the guard needs a positive starting distance
     limit = np.where(first > 0.0, DIVERGENCE_FACTOR * first, np.inf)
@@ -458,7 +460,9 @@ def _iterate(engine: _Engine, first: np.ndarray, max_iter: int, tol: float):
         if not live:
             break
         state[done] = np.nan
-    return np.stack(distances[: steps.max(initial=0) + 1], axis=1), steps, stopped & ~diverged, diverged
+    # np.array then a transposed view: one copy, where np.stack(axis=1)
+    # writes its rows one strided column at a time
+    return np.array(distances[: steps.max(initial=0) + 1]).T, steps, stopped & ~diverged, diverged
 
 
 def _stepped(engine: _Engine, steps: int):
@@ -872,7 +876,10 @@ def _run_blocks(build: Callable, dim: int, alphas, gammas, starts, max_iter: int
         first = _start_norms(engine, lo)
         dist, steps[part], converged[part], diverged[part] = _iterate(engine, first, max_iter, tol)
         blocks.append(dist)
-    distances = np.full((rows, max((d.shape[1] for d in blocks), default=1)), np.nan)
+    if len(blocks) == 1:
+        # a lone block's rows already end in NaN past their last steps
+        return RowRuns(blocks[0], steps, converged, diverged)
+    distances = np.full((rows, max((d.shape[1] for d in blocks), default=1)), np.nan, order="F")
     for lo, dist in zip(range(0, rows, block), blocks):
         distances[lo : lo + len(dist), : dist.shape[1]] = dist
     return RowRuns(distances, steps, converged, diverged)

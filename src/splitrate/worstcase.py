@@ -146,9 +146,10 @@ def predict_iterate(lambda_i: float, alpha: float, gamma: float, k: int) -> floa
 
 def _band_coordinates(quad: DiagQuadratic) -> tuple[int, int]:
     """The first coordinates of ``quad`` with curvature ``quad.sigma`` and
-    with curvature ``quad.beta``."""
+    with curvature ``quad.beta``: these are the least and greatest weights,
+    so each is matched exactly, one byte per weight."""
     weights = quad.weights
-    return tuple(int(np.argmin(np.abs(weights - target))) for target in (quad.sigma, quad.beta))
+    return tuple(int(np.argmax(weights == target)) for target in (quad.sigma, quad.beta))
 
 
 def worst_coordinates(quad: DiagQuadratic, alpha, gamma):

@@ -1,11 +1,14 @@
+import errno
 import hashlib
 import math
 import os
+import stat
 import subprocess
 import sys
 import warnings
 import weakref
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -246,6 +249,27 @@ def test_a_step_size_whose_product_with_beta_overflows_exits_2(args, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "gamma * beta must be finite" in captured.err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["run", "--alpha", "1e308", "--gamma", "1e-300"],
+        ["sweep", "--alpha", "1,1e308", "--gamma", "1e-300"],
+        ["rate", "--alpha", "1e308", "--gamma", "1e-300"],
+    ],
+)
+def test_a_point_whose_rate_bound_overflows_exits_2(args, capsys):
+    # |1 - alpha| + alpha * term overflowed to inf: this printed numpy's
+    # "overflow encountered in add" and then a row "theoretical=inf ...
+    # bounded" (run exited 4, sweep 0), or "theoretical_rate = inf" (exit 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines == ["error: the rate bound must be finite, got an overflow at alpha=1e+308, gamma=1e-300"]
 
 
 @pytest.mark.parametrize("command", ["sweep", "run"])
@@ -596,7 +620,15 @@ def report_columns(draw):
 
 @given(report_columns())
 def test_report_lines_format_each_grid_value_as_every_row_did(columns):
-    assert cli._report_lines(columns) == _one_format_per_row(columns)
+    assert cli._report_text(columns) == "\n".join(_one_format_per_row(columns))
+
+
+@given(report_columns(), st.integers(min_value=1, max_value=8))
+def test_a_report_of_many_chunks_is_the_text_of_one_row_at_a_time(columns, chunk):
+    # a drawn grid holds up to 25 points: with chunks of 1 to 8 rows, the
+    # body is formatted in several calls, the last one short or full
+    with mock.patch.object(cli, "REPORT_CHUNK", chunk):
+        assert cli._report_text(columns) == "\n".join(_one_format_per_row(columns))
 
 
 def _cli_subprocess(args, **env):
@@ -727,3 +759,69 @@ def test_sweep_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, mode):
     assert outputs[0] == outputs[1]
     # a header and the four points of the grid
     assert sum(not line.startswith(b"#") for line in outputs[0].splitlines()) == 5
+
+
+# -- --out --------------------------------------------------------------------
+
+
+def test_a_run_written_over_a_longer_sweep_is_a_fresh_runs_bytes(tmp_path, capsys):
+    fresh, rewritten = tmp_path / "fresh.csv", tmp_path / "rewritten.csv"
+    assert cli.main(["sweep", "--out", str(rewritten)]) == 0
+    assert cli.main(["sweep", "--out", str(rewritten)]) == 0
+    longer = rewritten.stat().st_size
+    assert cli.main(["run", "--out", str(rewritten)]) == 0
+    assert cli.main(["run", "--out", str(fresh)]) == 0
+    capsys.readouterr()
+    assert rewritten.read_bytes() == fresh.read_bytes()
+    assert len(fresh.read_bytes()) < longer
+
+
+def test_a_new_out_file_has_the_mode_that_open_gives(tmp_path, capsys):
+    made, opened = tmp_path / "made.csv", tmp_path / "opened.csv"
+    umask = os.umask(0o027)
+    try:
+        assert cli.main(["run", "--out", str(made)]) == 0
+        with open(opened, "w"):
+            pass
+    finally:
+        os.umask(umask)
+    capsys.readouterr()
+    assert made.stat().st_mode == opened.stat().st_mode == stat.S_IFREG | 0o640
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_out_may_name_a_file_that_is_not_regular(command, capsys):
+    assert cli.main([command, "--out", os.devnull]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_out_naming_a_directory_exits_2(tmp_path, capsys):
+    assert cli.main(["run", "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+
+
+
+def test_a_write_that_fails_half_way_leaves_the_file_ending_where_it_stopped(monkeypatch, tmp_path, capsys):
+    # the file held a longer sweep: none of its bytes may stay past the end
+    # of what the failed write wrote
+    out = tmp_path / "out.csv"
+    assert cli.main(["sweep", "--out", str(out)]) == 0
+    assert cli.main(["run", "--out", str(tmp_path / "run.csv")]) == 0
+    capsys.readouterr()
+    write = os.write
+    calls = []
+
+    def half_then_full_disk(fd, data):
+        # a short write, then no space for the rest
+        calls.append(len(data))
+        if len(calls) > 1:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return write(fd, data[: len(data) // 2])
+
+    monkeypatch.setattr(os, "write", half_then_full_disk)
+    assert cli.main(["run", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+    text = (tmp_path / "run.csv").read_bytes()
+    assert calls == [len(text), len(text) - len(text) // 2]
+    assert out.read_bytes() == text[: len(text) // 2]

@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -335,6 +337,24 @@ def test_step_sizes_whose_product_with_beta_overflows_are_rejected():
     # a product that stays finite is still a point
     assert theoretical_rate(1.0, 1e307, 1.0, 10.0) == 1.0
     assert classify_tightness(5.0, 1e307, 1.0, 10.0) is TightnessCase.INFEASIBLE
+
+
+def test_points_whose_rate_bound_overflows_are_rejected():
+    # |1 - alpha| + alpha * term overflowed to inf, with numpy's "overflow
+    # encountered in add" warning; the message names the first such point
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call, point in (
+            (lambda: theoretical_rate(1e308, 1e-300, 1.0, 10.0), "alpha=1e+308, gamma=1e-300"),
+            (lambda: theoretical_rate(np.array([1.0, 1e308, 9e307]), 1e-300, 1.0, 10.0), "alpha=1e+308, gamma=1e-300"),
+            (lambda: theoretical_rate(9e307, np.array([0.3, 1e-300]), 1.0, 10.0), "alpha=9e+307, gamma=1e-300"),
+        ):
+            with pytest.raises(ValueError, match=re.escape(f"the rate bound must be finite, got an overflow at {point}") + "$"):
+                call()
+        # a sum that stays finite is still a point: at the optimal step size
+        # the term is 0.52, and at a large one it is near 1
+        assert theoretical_rate(1e308, 10**-0.5, 1.0, 10.0) == pytest.approx(1.519e308, rel=1e-3)
+        assert np.isfinite(theoretical_rate(8e307, 1e-300, 1.0, 10.0))
 
 
 #: each caller of the shared positive-and-finite validator, with the name it

@@ -172,6 +172,23 @@ def test_an_admm_block_drops_its_start_rows_once_its_engine_is_built(monkeypatch
     assert peak <= engine_bytes + row + 8 * splitting.COLUMN_BLOCK + SMALL, (peak / row, engine_bytes / row)
 
 
+@pytest.mark.parametrize("mode, alphas, gamma", [("primal-dr", [0.6, ALPHA, 1.0, 1.1], GAMMA), ("admm", [ALPHA, 1.0], 1.0)])
+def test_a_run_with_no_step_limit_holds_only_the_steps_it_takes(mode, alphas, gamma):
+    # max_iter has no upper bound: a run whose rows stop within 100 steps
+    # returns then, and holds each step's distances and nothing made at the
+    # length of max_iter (one float a step would be 8 GB)
+    problem, start = _case(mode, 8)
+    starts = lambda rows: np.tile(start.coeffs, (len(alphas), 1))
+    run = lambda: run_rows(problem, mode, alphas, [gamma] * len(alphas), starts, max_iter=10**9, tol=1e-6)
+    runs, _, peak = _traced(run)
+    steps = runs.steps.max()
+    assert runs.converged.all() and 0 < steps < 100
+    assert runs.distances.shape == (len(alphas), steps + 1)
+    # per step: one (rows,) distance array, its list entry and the step's
+    # temporaries, a few hundred bytes
+    assert peak <= 4096 + 1024 * steps, peak
+
+
 def _long_engines(dim, rows):
     """Engines of every mode, each from ``rows`` seeded start rows of
     ``dim`` elements whose magnitudes span many binades, at a relaxation and

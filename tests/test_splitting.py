@@ -1525,3 +1525,16 @@ def test_small_blocks_give_the_same_sweep_bytes(tmp_path, monkeypatch, mode, sta
     monkeypatch.setattr(splitting, "BLOCK_ELEMENTS", 24)
     assert cli.main(flags + ["--out", str(blocked)]) == 0
     assert blocked.read_bytes() == whole.read_bytes()
+
+
+def test_one_block_and_many_record_the_same_distances_in_fortran_order(monkeypatch, primal):
+    # the rows stop at different steps, so the record ends each in NaN
+    alphas, gammas = [0.5, 1.0, 1.9], [GAMMA_STAR] * 3
+    starts = lambda rows: np.ones((rows.stop - rows.start, primal.dim))
+    whole = run_rows(primal, "primal-dr", alphas, gammas, starts)
+    # one row a block
+    monkeypatch.setattr(splitting, "BLOCK_ELEMENTS", 1)
+    blocked = run_rows(primal, "primal-dr", alphas, gammas, starts)
+    assert np.isnan(whole.distances).any()
+    assert whole.distances.flags.f_contiguous and blocked.distances.flags.f_contiguous
+    np.testing.assert_array_equal(blocked.distances, whole.distances)

@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitrate.functions import CompositeProblem, GFunction, dual_function
+from splitrate import worstcase
+from splitrate.functions import CompositeProblem, DiagQuadratic, GFunction, dual_function
 from splitrate.hilbert import Vec, basis_rows
 from splitrate.rates import (
     TIGHT_CASES,
@@ -119,6 +121,35 @@ def test_worst_coordinates_reject_a_step_size_whose_product_with_beta_overflows(
             worst_coordinates(quad, 1.0, gamma)
     # a product that stays finite is still a point
     assert worst_coordinates(quad, 1.0, 1e307) in (0, 4)
+
+
+# curvatures with repeats, from the least positive float to near the largest
+CURVATURES = st.sampled_from([5e-324, 1e-300, 0.5, 1.0, 1.0 + 2**-52, 10.0, 1e308]) | st.floats(
+    min_value=5e-324, max_value=1e308
+)
+
+
+@given(st.lists(CURVATURES, min_size=1, max_size=12))
+def test_band_coordinates_are_the_first_nearest_curvatures(weights):
+    # the rule before the exact match: the first weight nearest each extreme
+    quad = DiagQuadratic(np.array(weights))
+    nearest = tuple(int(np.argmin(np.abs(quad.weights - target))) for target in (quad.sigma, quad.beta))
+    assert worstcase._band_coordinates(quad) == nearest
+
+
+def test_worst_coordinates_hold_one_byte_per_curvature():
+    # the nearest-weight rule held two float rows at once, 16 bytes a weight
+    dim = 1 << 18
+    quad = make_primal_instance(SIGMA, BETA, dim, range(dim // 2, dim)).f
+    quad.sigma, quad.beta  # each extreme is read once, before tracing
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert worst_coordinates(quad, 1.0, 0.01) == dim // 2
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= dim + (1 << 12)
 
 
 def test_worst_coordinates_pick_the_worst_start_vectors():
