@@ -21,7 +21,7 @@ import os
 import stat
 import sys
 from dataclasses import dataclass, field, fields
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -65,12 +65,14 @@ REPORT_HEADER = "alpha,gamma,theoretical,empirical,case,gap,verdict"
 #: one report row: "%.17g" % x writes what f"{x:.17g}" writes, and the grid
 #: values come formatted (see :func:`_distinct_texts`)
 REPORT_ROW = "%s,%s,%.17g,%.17g,%s,%.17g,%s"
-#: most report rows formatted by one ``%`` call, so that a grid at the cap
-#: does not build one argument tuple of seven items a point
+#: most CSV rows formatted by one ``%`` call, so that a grid at the cap or a
+#: long trace does not build one argument tuple of all its fields
 REPORT_CHUNK = 4096
 #: every verdict a report row can carry, in the order the sweep footer counts them
 VERDICTS = ("tight", "bounded", "infeasible-diverged")
 TRACE_HEADER = "k,dist,ratio"
+#: one trace row, as :data:`REPORT_ROW` formats a report row
+TRACE_ROW = "%d,%.17g,%.17g"
 
 #: a measured |theoretical - empirical| at or below this counts as tight
 TIGHT_GAP = 1e-9
@@ -331,6 +333,19 @@ def _distinct_texts(values) -> list:
     return np.array(["%.17g" % x for x in distinct.view(float).tolist()], dtype=object)[where].tolist()
 
 
+def _csv_text(header: str, row: str, fields, count: int) -> str:
+    """``header`` and ``row % f`` for each of the ``count`` field tuples
+    ``f`` that the iterator ``fields`` gives, joined by newlines, with no
+    newline at the end. One format call per chunk of up to ``REPORT_CHUNK``
+    rows, not per row: each field is formatted as before, with no per-row
+    call around it."""
+    chunks = [header]
+    for lo in range(0, count, REPORT_CHUNK):
+        n = min(REPORT_CHUNK, count - lo)
+        chunks.append("\n".join([row] * n) % tuple(chain.from_iterable(islice(fields, n))))
+    return "\n".join(chunks)
+
+
 def _report_text(columns: tuple) -> str:
     """The header and one CSV row per point of the report columns, joined by
     newlines, with no newline at the end."""
@@ -344,13 +359,7 @@ def _report_text(columns: tuple) -> str:
         np.asarray(gap).tolist(),
         np.asarray(verdicts).tolist(),
     )
-    # one format call per chunk of rows, not per row: each field is
-    # formatted as before, with no per-row call around it
-    chunks = [REPORT_HEADER]
-    for lo in range(0, len(alphas), REPORT_CHUNK):
-        count = min(REPORT_CHUNK, len(alphas) - lo)
-        chunks.append("\n".join([REPORT_ROW] * count) % tuple(chain.from_iterable(islice(rows, count))))
-    return "\n".join(chunks)
+    return _csv_text(REPORT_HEADER, REPORT_ROW, rows, len(alphas))
 
 
 def render_sweep_csv(columns: tuple) -> str:
@@ -366,12 +375,11 @@ def render_sweep_csv(columns: tuple) -> str:
 
 
 def render_trace_csv(distances: np.ndarray, step_ratios: np.ndarray) -> str:
-    """CSV of a distance trace: one row per iterate."""
-    lines = [TRACE_HEADER]
-    for k, dist in enumerate(distances):
-        ratio = step_ratios[k] if k < step_ratios.size else math.nan
-        lines.append(f"{k},{dist:.17g},{ratio:.17g}")
-    return "\n".join(lines) + "\n"
+    """CSV of a distance trace: one row per iterate, with the ratio of its
+    step, or NaN past the last ratio."""
+    distances = np.asarray(distances).tolist()
+    ratios = chain(np.ravel(step_ratios).tolist(), repeat(math.nan))
+    return _csv_text(TRACE_HEADER, TRACE_ROW, zip(range(len(distances)), distances, ratios), len(distances)) + "\n"
 
 
 def _write_text(path: str | None, text: str) -> None:

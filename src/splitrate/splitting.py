@@ -176,7 +176,12 @@ def _norms(z: np.ndarray) -> np.ndarray:
     the dots of its consecutive ``NORM_CHUNK``-element chunks and of its
     shorter tail (see :func:`_chunked`): BLAS may split one dot that long
     over threads, and its last bit would then depend on the thread count.
+    One-column rows are normed with no dot: a one-element dot is one
+    rounded product, on any BLAS, so ``sqrt(z*z)`` gives the same bits with
+    no BLAS call per row.
     """
+    if z.shape[1] == 1:
+        return np.sqrt(np.square(z[:, 0]))
     if z.shape[1] <= NORM_CHUNK:
         return np.sqrt(np.vecdot(z, z))
     chunks, tail = _chunked(z)
@@ -343,6 +348,25 @@ def _unchanged(before: np.ndarray, after: np.ndarray, moved: Callable | None = N
         if moved is not None and np.count_nonzero(same):
             same &= ~np.any(moved(cols), axis=1)
     return same
+
+
+def _unit_columns(z: np.ndarray) -> np.ndarray | None:
+    """The column of each row's one nonzero entry (0 for a row of zeros),
+    or None if some row of ``z`` holds two; NaN and infinities count as
+    nonzero. Tested ``COLUMN_BLOCK`` columns at a time, as :func:`_unchanged`
+    does, so that no row-sized temporary is made, and given up at the first
+    block where some row has a second nonzero entry."""
+    at = np.zeros(len(z), dtype=np.intp)
+    count = np.zeros(len(z), dtype=np.intp)
+    for lo in range(0, z.shape[1], COLUMN_BLOCK):
+        nonzero = z[:, lo : lo + COLUMN_BLOCK] != 0.0
+        here = np.count_nonzero(nonzero, axis=1)
+        count += here
+        if np.count_nonzero(count > 1):
+            return None
+        # `here` is 0 or 1: only the block holding a row's entry adds to it
+        at += (lo + np.argmax(nonzero, axis=1)) * here
+    return at
 
 
 class _Engine(NamedTuple):
@@ -525,7 +549,7 @@ def _run_one(problem: CompositeProblem, mode: str, alpha, gamma, v: Vec, max_ite
     :class:`IterateTrace`: a one-row batch of :func:`_run_blocks`, whose
     engine :class:`_Replay` builds again when the trace is read."""
     builder = _engine(problem, mode, gamma, alpha=alpha)
-    build = lambda alphas, gammas, rows: builder(alphas, gammas, rows, mode == "admm")
+    build = lambda alphas, gammas, rows, at=None: builder(alphas, gammas, rows, mode == "admm", at)
     alphas, gammas, rows = np.array([alpha], dtype=float), np.array([gamma], dtype=float), v.coeffs[None]
     runs = _run_blocks(build, problem.dim, alphas, gammas, lambda part: rows, max_iter, tol)
     trace = IterateTrace(
@@ -653,10 +677,13 @@ def _engine(
 ) -> Callable:
     """The engine ``mode`` runs on ``problem``, at step sizes from ``least``
     (``gamma`` if None) up to ``gamma``, as a builder: ``build(alpha,
-    gamma, rows, rows_are_u=False)`` returns the :class:`_Engine` for
-    :func:`_iterate` from the start rows ``rows``, with ``alpha`` and
+    gamma, rows, rows_are_u=False, at=None)`` returns the :class:`_Engine`
+    for :func:`_iterate` from the start rows ``rows``, with ``alpha`` and
     ``gamma`` bound into its maps; the norms of its ``record`` of the first
-    state are the starting distances of :func:`_iterate`.
+    state are the starting distances of :func:`_iterate`. With ``at``, the
+    rows are ``(rows, 1)`` columns, each row's coordinate ``at[r]`` of a
+    unit start (see :func:`_run_blocks`), and the engine takes the
+    curvatures and gains of those coordinates alone.
 
     The one place that checks the mode and the problem it needs, once for
     every engine it builds; the dual curvatures, which do not depend on the
@@ -676,6 +703,8 @@ def _engine(
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    # per-coordinate curvatures or gains, or those of the coordinates `at` as a column
+    own = lambda w, at: w if at is None else w[at, None]
     if mode == "primal-dr":
         if problem.a is not None:
             raise ValueError("primal DR requires the identity coupling (problem.a must be None)")
@@ -699,12 +728,14 @@ def _engine(
         if not math.isfinite(2.0 * alpha):
             raise ValueError(f"2 * alpha must be finite (ADMM's over-relaxation), got an overflow at alpha={alpha!r}")
 
-        return lambda alpha, gamma, rows, rows_are_u=False: _admm_engine(
-            f_weights, nu, alpha, gamma, rows, rows_are_u
+        return lambda alpha, gamma, rows, rows_are_u=False, at=None: _admm_engine(
+            own(f_weights, at), own(nu, at), alpha, gamma, rows, rows_are_u
         )
     _check_finite_product(gamma, quad.beta, "beta")
     weights = quad.weights
-    return lambda alpha, gamma, rows, rows_are_u=False: _relaxed_engine(alpha, _reflection(weights, g, gamma), rows)
+    return lambda alpha, gamma, rows, rows_are_u=False, at=None: _relaxed_engine(
+        alpha, _reflection(own(weights, at), g, gamma), rows
+    )
 
 
 def run_dr(
@@ -856,8 +887,17 @@ def _start_norms(engine: _Engine, lo: int) -> np.ndarray:
 
 def _run_blocks(build: Callable, dim: int, alphas, gammas, starts, max_iter: int, tol: float) -> RowRuns:
     """The block loop of every run, as :func:`run_rows` describes it: each block
-    of rows is built by ``build(alphas, gammas, rows)`` (see
-    :func:`_engine`) and run through :func:`_iterate`."""
+    of rows is built by ``build(alphas, gammas, rows, at=at)`` (see
+    :func:`_engine`) and run through :func:`_iterate`.
+
+    A block whose start rows each hold at most one nonzero entry (see
+    :func:`_unit_columns`), as every worst or zero start does, runs as
+    ``(rows, 1)`` rows, each its row's own coordinate, with the same bits.
+    Every step map is diagonal with finite parameters, so a zero coordinate
+    stays a signed zero for the whole run: its square adds an exact zero to
+    every dot, whatever the order of the sum and with or without FMA, and
+    :func:`_unchanged` and ADMM's x-test read it as unchanged. Blocks are
+    still sized by the full ``dim``, the width of what ``starts`` returns."""
     rows = alphas.size
     block = max(1, BLOCK_ELEMENTS // dim)
     steps = np.zeros(rows, dtype=int)
@@ -869,7 +909,10 @@ def _run_blocks(build: Callable, dim: int, alphas, gammas, starts, max_iter: int
         z = np.asarray(starts(part), dtype=float)
         if z.shape != (part.stop - part.start, dim):
             raise ValueError(f"start rows have shape {z.shape}, expected {(part.stop - part.start, dim)}")
-        engine = build(alphas[part, None], gammas[part, None], z)
+        at = _unit_columns(z) if dim > 1 else None
+        if at is not None:
+            z = np.take_along_axis(z, at[:, None], axis=1)
+        engine = build(alphas[part, None], gammas[part, None], z, at=at)
         # an ADMM engine steps its own u = z / gamma: the start rows go
         # before the first step
         del z

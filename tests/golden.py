@@ -27,6 +27,8 @@ WORST = json.loads((Path(__file__).parents[1] / "perfbench" / "reference.json").
 ENTRIES = [
     *_modes("sweep-worst", "sweep --start worst", *WORST.values()),
     *(e for k in (9, 16, 64, 65, 128) for e in _modes(f"sweep-worst-K{k}", f"sweep --start worst --K {k}", *WORST.values())),
+    # unit starts run as one-column rows, so a dim-1e6 sweep is as quick as the default
+    *_modes("sweep-worst-K1000000", "sweep --start worst --K 1000000", *WORST.values(), size="large"),
     *_modes("sweep-random-seed7", "sweep --start random --seed 7",
             "da9537c41d639e5ba39ac1fd3f2069404d6f33a969b190afb37e95ffc04252ba",
             "7a9f7b5e815e34a462b06c36f4e0085ac775a4db89502778ee28e3678abb12e4",

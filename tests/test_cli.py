@@ -631,6 +631,40 @@ def test_a_report_of_many_chunks_is_the_text_of_one_row_at_a_time(columns, chunk
         assert cli._report_text(columns) == "\n".join(_one_format_per_row(columns))
 
 
+def _trace_one_row_at_a_time(distances, step_ratios):
+    """The trace CSV formatted one f-string per row over numpy scalars."""
+    lines = [cli.TRACE_HEADER]
+    for k, dist in enumerate(distances):
+        ratio = step_ratios[k] if k < step_ratios.size else math.nan
+        lines.append(f"{k},{dist:.17g},{ratio:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+#: trace entries: any float, NaN and infinities included, signed zeros and subnormals
+trace_values = st.floats() | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, math.nan, -math.inf])
+
+
+@given(st.lists(trace_values, max_size=30), st.integers(0, 3), st.integers(1, 8))
+def test_a_trace_of_many_chunks_is_the_text_of_one_row_at_a_time(values, missing, chunk):
+    # one ratio per step, or fewer (NaN stands in for the missing ones), in
+    # chunks of 1 to 8 rows
+    distances = np.array(values, dtype=float)
+    ratios = distances[::-1][: max(len(values) - 1 - missing, 0)]
+    with mock.patch.object(cli, "REPORT_CHUNK", chunk):
+        assert cli.render_trace_csv(distances, ratios) == _trace_one_row_at_a_time(distances, ratios)
+
+
+def test_a_long_trace_is_the_text_of_one_row_at_a_time():
+    # 10,001 rows, more than two chunks of REPORT_CHUNK rows
+    distances = np.geomspace(1.0, 1e-320, 10_001)
+    distances[[5, 4100, 9000]] = [np.nan, np.inf, -0.0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = distances[1:] / distances[:-1]
+    text = cli.render_trace_csv(distances, ratios)
+    assert text == _trace_one_row_at_a_time(distances, ratios)
+    assert text.count("\n") == 10_002 and text.endswith("\n10000,9.9998886718268301e-321,nan\n")
+
+
 def _cli_subprocess(args, **env):
     """``python -m splitrate`` with ``args`` in a fresh interpreter that
     imports this checkout's package, with extra environment variables."""

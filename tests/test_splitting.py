@@ -6,6 +6,7 @@ at dim 1e6 outside the test suite::
         print(t.check_one_row_is_its_batch_row('admm', 10**6))"
 """
 
+import contextlib
 import itertools
 import math
 import re
@@ -14,6 +15,7 @@ import sys
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -554,6 +556,16 @@ def test_row_norms_equal_the_dot_product_norm_bitwise(dim, log_scale, seed):
         assert n == math.sqrt(float(np.dot(row, row))) == float(np.linalg.norm(row))
 
 
+def test_one_column_norms_equal_the_dot_product_norm_bitwise():
+    # a one-element dot is one rounded product: the same bits at signed
+    # zeros, subnormals, squares that underflow or overflow, infinities and NaN
+    values = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e-160, -1e-170, 1.5, -3.0, 1e154, 1e200, -1e300]
+    z = np.array(values + [np.inf, -np.inf, np.nan, -np.nan])[:, None]
+    with np.errstate(over="ignore"):
+        expected = np.sqrt(np.vecdot(z, z))
+        assert splitting._norms(z).tobytes() == expected.tobytes()
+
+
 def _reference_long_norm(row, chunk):
     """The chunked norm written out as a loop over the chunks of one row."""
     full = row.size // chunk
@@ -681,6 +693,168 @@ def test_batch_rows_equal_their_single_runs_bitwise(case):
         except ValueError:
             single_fit = math.nan
         assert np.array_equal(fits[i], single_fit, equal_nan=True)
+
+
+#: entries of unit start rows: signed zeros, subnormals, values whose
+#: square overflows and ordinary values
+UNIT_VALUES = (0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310, 1e200, -1e300, 1.0, -0.75, 3.0)
+
+
+@st.composite
+def unit_batches(draw):
+    """A two-band instance and an engine, as :func:`row_batches` draws them,
+    and rows that each hold at most one nonzero entry, some all zero, at
+    relaxations inside and past alpha_upper_bound. ``long`` batches have
+    rows past a ``COLUMN_BLOCK`` of 32 columns (see :func:`_long_rows`)."""
+    long = draw(st.booleans())
+    dim = draw(st.integers(65, 100) if long else st.integers(2, 70))
+    sigma = 10.0 ** draw(st.floats(-3.0, 3.0))
+    beta = sigma * 10.0 ** draw(st.floats(0.0, 8.0))
+    idx_sigma = draw(st.sets(st.integers(0, dim - 1), min_size=1, max_size=dim - 1))
+    mode = draw(st.sampled_from(splitting.MODES))
+    if mode == "primal-dr":
+        g = draw(st.sampled_from([GFunction.ZERO, GFunction.ZERO_INDICATOR]))
+        problem = CompositeProblem(f=make_primal_instance(sigma, beta, dim, idx_sigma).f, g=g)
+        curvatures = problem.f
+    else:
+        problem = make_dual_instance(sigma, beta, 1.0, 3.0, dim, idx_sigma, draw(st.sampled_from(["aligned", "crossed"])))
+        curvatures = dual_function(problem)
+    rows = draw(st.integers(1, 6))
+    starts = np.zeros((rows, dim))
+    alphas, gammas = np.empty(rows), np.empty(rows)
+    for r in range(rows):
+        starts[r, draw(st.integers(0, dim - 1))] = draw(st.sampled_from(UNIT_VALUES) | st.floats(-10.0, 10.0))
+        gammas[r] = 10.0 ** draw(st.floats(-2.0, 2.0)) / math.sqrt(curvatures.sigma * curvatures.beta)
+        upper = alpha_upper_bound(gammas[r], curvatures.sigma, curvatures.beta)
+        alphas[r] = upper * draw(st.sampled_from([st.floats(0.01, 0.99), st.floats(1.05, 1.9)]).flatmap(lambda s: s))
+    return long, problem, mode, alphas, gammas, starts, draw(st.integers(0, 60)), draw(st.sampled_from([0.0, 1e-9, 1e-3]))
+
+
+def _long_rows(long):
+    """With ``long``, rows of more than 32 elements (and 64, past which
+    :meth:`splitting._ColumnBlocks.shaped` copies no operand) are walked in
+    column blocks of 32, in chunks of 8, by two threads; else nothing
+    changes."""
+    if not long:
+        return contextlib.nullcontext()
+    return mock.patch.multiple(splitting, NORM_CHUNK=8, COLUMN_BLOCK=32, RUN_ELEMENTS=32, WORKERS=2)
+
+
+def _batch(problem, mode, alphas, gammas, starts, max_iter, tol):
+    """:func:`run_rows` over ``starts``, or the message of the ValueError it raises."""
+    try:
+        return run_rows(problem, mode, alphas, gammas, lambda rows: starts[rows], max_iter=max_iter, tol=tol)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _same_row(runs, i, steps, diverged, distances):
+    """Row ``i`` of ``runs`` took ``steps`` steps to ``distances`` (NaN after)."""
+    assert (runs.steps[i], runs.diverged[i]) == (steps, diverged)
+    assert runs.distances[i, : steps + 1].tobytes() == distances.tobytes()
+    assert np.all(np.isnan(runs.distances[i, steps + 1 :]))
+
+
+@settings(deadline=None, max_examples=80)
+@given(unit_batches())
+def test_unit_start_rows_are_bit_for_bit_their_full_width_runs(case):
+    # unit rows run as one-column rows; one appended dense row keeps the
+    # block at full width, and a one-row run is a one-column row of its own
+    long, problem, mode, alphas, gammas, starts, max_iter, tol = case
+    dense = np.random.default_rng(len(alphas)).uniform(-1.0, 1.0, (1, problem.dim))
+    wide = (np.append(alphas, alphas[0]), np.append(gammas, gammas[0]), np.vstack([starts, dense]))
+    # starts whose squares overflow make inf and NaN distances, as the command line lets them
+    with _long_rows(long), np.errstate(over="ignore", invalid="ignore"):
+        runs = _batch(problem, mode, alphas, gammas, starts, max_iter, tol)
+        full = _batch(problem, mode, *wide, max_iter, tol)
+        if isinstance(runs, str):
+            # a recorded start that is not finite, named by its row
+            assert runs == full and "row" in runs
+            return
+        for i in range(len(alphas)):
+            _same_row(full, i, runs.steps[i], runs.diverged[i], runs.distances[i, : runs.steps[i] + 1])
+            assert full.converged[i] == runs.converged[i]
+            trace, diverged = _single_run(problem, mode, alphas[i], gammas[i], starts[i], max_iter, tol)
+            _same_row(runs, i, trace.n_steps, diverged, trace.distances)
+
+
+def _engine_shapes(monkeypatch):
+    """The state shapes of the engines that runs build, as each block's
+    start is checked, before :func:`splitting._iterate` runs the engine or
+    a start that is not finite raises."""
+    shapes = []
+    start_norms = splitting._start_norms
+
+    def spy(engine, lo):
+        shapes.append(engine.state.shape)
+        return start_norms(engine, lo)
+
+    monkeypatch.setattr(splitting, "_start_norms", spy)
+    return shapes
+
+
+@pytest.mark.parametrize("mode", splitting.MODES)
+def test_only_rows_of_at_most_one_nonzero_entry_run_as_one_column(monkeypatch, mode):
+    shapes = _engine_shapes(monkeypatch)
+    problem = default_primal_instance() if mode == "primal-dr" else default_dual_instance()
+    run = lambda starts: run_rows(problem, mode, [0.9] * 3, [0.3] * 3, lambda rows: starts[rows], max_iter=20)
+    unit = np.zeros((3, 8))
+    unit[0, 6], unit[1, 1] = 1.0, -2.0  # and a row of zeros
+    run(unit)
+    second = unit.copy()
+    second[2, [3, 7]] = 1.0
+    run(second)
+    beside = unit.copy()
+    beside[0, 7] = np.nan
+    with pytest.raises(ValueError, match="row 0 is not"):
+        run(beside)
+    assert shapes == [(3, 1), (3, 8), (3, 8)]
+    # one-row runs too, whose replayed iterates are full rows
+    trace = run_dr(default_primal_instance(), SplitParams(0.9, 0.3), Vec(unit[1]), max_iter=5)
+    assert shapes[-1] == (1, 1) and trace.iterates[3].coeffs.shape == (8,)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("mode", splitting.MODES)
+def test_a_start_whose_one_entry_is_not_finite_is_reported_by_its_row(monkeypatch, mode, value):
+    shapes = _engine_shapes(monkeypatch)
+    problem = default_primal_instance() if mode == "primal-dr" else default_dual_instance()
+    starts = np.zeros((4, 8))
+    starts[0, 2], starts[1, 5], starts[3, 0] = 1.0, value, 0.5
+    messages = []
+    for rows in (starts, np.vstack([starts, np.ones((1, 8))])):
+        with pytest.raises(ValueError, match="row 1 is not") as raised:
+            run_rows(problem, mode, [0.9] * len(rows), [0.3] * len(rows), lambda part: rows[part])
+        messages.append(str(raised.value))
+    assert messages[0] == messages[1]
+    assert shapes == [(4, 1), (5, 8)]
+
+
+class _Reads(np.ndarray):
+    """An array that logs each index it is read at."""
+
+    log: list = []
+
+    def __getitem__(self, key):
+        _Reads.log.append(key)
+        return super().__getitem__(key)
+
+
+def test_unit_columns_are_found_a_column_block_at_a_time(monkeypatch):
+    monkeypatch.setattr(splitting, "COLUMN_BLOCK", 16)
+    monkeypatch.setattr(_Reads, "log", [])
+    z = np.zeros((3, 50))
+    z[0, 40], z[1, 3] = 1.0, -np.inf
+    assert splitting._unit_columns(z.view(_Reads)).tolist() == [40, 3, 0]
+    assert len(_Reads.log) == 4
+    # a second nonzero entry ends the test at its column block
+    z[2, 20] = z[2, 33] = 0.5
+    _Reads.log.clear()
+    assert splitting._unit_columns(z.view(_Reads)) is None
+    assert len(_Reads.log) == 3
+    _Reads.log.clear()
+    assert splitting._unit_columns(np.ones((1, 50)).view(_Reads)) is None
+    assert len(_Reads.log) == 1
 
 
 def test_batch_rows_stop_for_each_reason_in_one_batch(primal):
