@@ -158,8 +158,7 @@ def _worst_start_runs(problem, mode: str, alphas, gammas, max_iter: int):
     as one batch; NaN where a run diverged or was too short to fit."""
     quad = problem.f if mode == "primal-dr" else dual_function(problem)
     index = worst_coordinates(quad, alphas, gammas)
-    starts = lambda rows: basis_rows(problem.dim, index[rows])
-    runs = run_rows(problem, mode, alphas, gammas, starts, max_iter=max_iter, tol=0.0)
+    runs = run_rows(problem, mode, alphas, gammas, (index, np.ones(index.shape)), max_iter=max_iter, tol=0.0)
     return np.where(runs.diverged, np.nan, fit_rates(runs.step_ratios))
 
 

@@ -26,7 +26,6 @@ from itertools import chain, islice, repeat
 import numpy as np
 
 from .functions import dual_function
-from .hilbert import basis_rows
 from .rates import (
     TIGHT_CASES,
     alpha_upper_bound,
@@ -268,21 +267,20 @@ def _instance(cfg: SweepConfig) -> tuple:
 
 
 def _start_rows(cfg: SweepConfig, problem, alphas: np.ndarray, gammas: np.ndarray):
-    """Start rows for :func:`run_rows`, one per grid point: random rows come
-    from one generator seeded with ``cfg.seed``, drawn in grid order; worst
-    starts are unit rows along the coordinates that
-    :func:`worst_coordinates` picks for the whole grid at once, from the
-    curvatures of ``problem``'s quadratic or, in the dual modes, of its
-    dual, which is made for that alone and goes once they are picked (the
-    engine makes its own)."""
+    """Starts for :func:`run_rows`, one per grid point: random rows come
+    from one generator seeded with ``cfg.seed``, drawn in grid order; zero
+    starts, and worst starts along the coordinates that
+    :func:`worst_coordinates` picks for the whole grid at once, are
+    ``(at, values)`` pairs. Those come from the curvatures of ``problem``'s
+    quadratic or, in the dual modes, of its dual, which is made for that
+    alone and goes once they are picked (the engine makes its own)."""
     if cfg.start == "random":
         rng = np.random.default_rng(cfg.seed)
         return lambda rows: rng.uniform(-1.0, 1.0, (rows.stop - rows.start, cfg.dim))
     if cfg.start == "zero":
-        return lambda rows: np.zeros((rows.stop - rows.start, cfg.dim))
+        return np.zeros(alphas.size, dtype=int), np.zeros(alphas.size)
     quad = problem.f if cfg.mode == "primal-dr" else dual_function(problem)
-    coordinates = worst_coordinates(quad, alphas, gammas)
-    return lambda rows: basis_rows(cfg.dim, coordinates[rows])
+    return worst_coordinates(quad, alphas, gammas), np.ones(alphas.size)
 
 
 def evaluate_points(alphas, gammas, sigma: float, beta: float, theoretical, empirical, diverged) -> tuple:

@@ -3,8 +3,10 @@
 Everything in this package is diagonal in one fixed orthonormal basis, so a
 vector is its array of coefficients. :class:`Vec` wraps one such array as
 the start and the iterates of the one-row runs (:func:`splitrate.run_dr`,
-:func:`splitrate.run_admm`); everything else works on plain arrays, with
-:func:`basis_rows` for unit starts. A seeded random orthogonal matrix
+:func:`splitrate.run_admm`); everything else works on plain arrays.
+:func:`splitrate.run_rows` takes unit starts as coordinates, with no row
+made; :func:`basis_rows` makes them as full rows, for a caller that needs
+those. A seeded random orthogonal matrix
 (:func:`random_basis_map`) lets the battery run the same problem in a
 rotated basis, where nothing is diagonal, and confirm that no rate depends
 on the representation.

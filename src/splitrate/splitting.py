@@ -265,8 +265,9 @@ class _ColumnBlocks:
         """The operands of an update, each a scalar or an array that
         broadcasts to the state. numpy runs an operation of a ``(rows, dim)``
         array and a ``(rows, 1)`` column or a ``(dim,)`` row as one loop per
-        row: for several rows of at most 64 elements, each such operand is
-        copied to the state's shape. Sweeps measured on a 2-core host gain
+        row: for several rows of at most 64 elements, not walked in column
+        blocks (:meth:`run` slices no copy), each such operand is copied to
+        the state's shape. Sweeps measured on a 2-core host gain
         5-15% up to dim 64, in every mode, and nothing from dim 128 on,
         where the copies add to the memory each step reads. Scalars and
         longer rows are kept as they are; a single row's ``(1, 1)`` columns
@@ -274,7 +275,7 @@ class _ColumnBlocks:
         set up per call (3-5% of a one-row DR step at dim 1e6)."""
         if self.shape[0] == 1:
             return tuple(a.item() if np.shape(a) == (1, 1) else a for a in operands)
-        if self.dim > 64:
+        if self.dim > min(64, COLUMN_BLOCK):
             return operands
         same = lambda a: np.ndim(a) == 0 or np.shape(a) == self.shape
         return tuple(a if same(a) else np.full(self.shape, a, dtype=float) for a in operands)
@@ -348,25 +349,6 @@ def _unchanged(before: np.ndarray, after: np.ndarray, moved: Callable | None = N
         if moved is not None and np.count_nonzero(same):
             same &= ~np.any(moved(cols), axis=1)
     return same
-
-
-def _unit_columns(z: np.ndarray) -> np.ndarray | None:
-    """The column of each row's one nonzero entry (0 for a row of zeros),
-    or None if some row of ``z`` holds two; NaN and infinities count as
-    nonzero. Tested ``COLUMN_BLOCK`` columns at a time, as :func:`_unchanged`
-    does, so that no row-sized temporary is made, and given up at the first
-    block where some row has a second nonzero entry."""
-    at = np.zeros(len(z), dtype=np.intp)
-    count = np.zeros(len(z), dtype=np.intp)
-    for lo in range(0, z.shape[1], COLUMN_BLOCK):
-        nonzero = z[:, lo : lo + COLUMN_BLOCK] != 0.0
-        here = np.count_nonzero(nonzero, axis=1)
-        count += here
-        if np.count_nonzero(count > 1):
-            return None
-        # `here` is 0 or 1: only the block holding a row's entry adds to it
-        at += (lo + np.argmax(nonzero, axis=1)) * here
-    return at
 
 
 class _Engine(NamedTuple):
@@ -812,7 +794,7 @@ def run_rows(
     mode: str,
     alphas,
     gammas,
-    starts: Callable[[slice], np.ndarray],
+    starts: Callable[[slice], np.ndarray] | tuple,
     max_iter: int = 200,
     tol: float = 1e-13,
 ) -> RowRuns:
@@ -830,9 +812,13 @@ def run_rows(
     ``starts(rows)`` returns the start rows for the row slice ``rows`` as a
     ``(rows, dim)`` array. Rows run in blocks of at most
     ``BLOCK_ELEMENTS // dim`` rows (at least one), and ``starts`` is called
-    once per block, in order, so starts can be drawn as they are needed. A
-    block raises ValueError before any step if a recorded start row (ADMM's
-    ``gammas[i] * u0``) holds a NaN or an infinity.
+    once per block, in order, so starts can be drawn as they are needed.
+    Unit starts may come as a pair ``(at, values)`` instead, with no row
+    made (see :func:`_run_blocks`): row i starts at ``values[i]`` along the
+    coordinate ``at[i]``, an integer in ``[0, dim)``, or ValueError is
+    raised before any block runs. A block raises ValueError before any step
+    if a recorded start row (ADMM's ``gammas[i] * u0``) holds a NaN or an
+    infinity.
     """
     alphas, gammas = _positive_rows(alphas=alphas, gammas=gammas)
     if alphas.ndim != 1 or alphas.shape != gammas.shape:
@@ -843,6 +829,13 @@ def run_rows(
     # fails here, before any block runs, even for no rows
     top, least = float(gammas.max(initial=1.0)), float(gammas.min(initial=1.0))
     build = _engine(problem, mode, top, least, float(alphas.max(initial=1.0)))
+    if not callable(starts):
+        at, values = np.asarray(starts[0]), np.array(starts[1], dtype=float)
+        # an empty list is a float array
+        ok = at.shape == values.shape == alphas.shape and (at.dtype.kind in "iu" or not at.size)
+        if not (ok and np.all((0 <= at) & (at < problem.dim))):
+            raise ValueError(f"unit starts need one integer coordinate in [0, {problem.dim}) and one value per row")
+        starts = at, values
     return _run_blocks(build, problem.dim, alphas, gammas, starts, max_iter, tol)
 
 
@@ -890,28 +883,30 @@ def _run_blocks(build: Callable, dim: int, alphas, gammas, starts, max_iter: int
     of rows is built by ``build(alphas, gammas, rows, at=at)`` (see
     :func:`_engine`) and run through :func:`_iterate`.
 
-    A block whose start rows each hold at most one nonzero entry (see
-    :func:`_unit_columns`), as every worst or zero start does, runs as
-    ``(rows, 1)`` rows, each its row's own coordinate, with the same bits.
-    Every step map is diagonal with finite parameters, so a zero coordinate
-    stays a signed zero for the whole run: its square adds an exact zero to
-    every dot, whatever the order of the sum and with or without FMA, and
-    :func:`_unchanged` and ADMM's x-test read it as unchanged. Blocks are
-    still sized by the full ``dim``, the width of what ``starts`` returns."""
+    Unit starts, a checked pair ``(at, values)`` (see :func:`run_rows`),
+    run as ``(rows, 1)`` rows, each its row's own coordinate ``at[i]``
+    holding ``values[i]``, with the bits of their full-width runs. Every
+    step map is diagonal with finite parameters, so the other coordinates
+    would stay signed zeros for the whole run: their squares add exact
+    zeros to every dot, whatever the order of the sum and with or without
+    FMA, and :func:`_unchanged` and ADMM's x-test would read them as
+    unchanged. Blocks are sized by the width stepped: 1 for unit starts,
+    else ``dim``, the width of what ``starts`` returns."""
     rows = alphas.size
-    block = max(1, BLOCK_ELEMENTS // dim)
+    unit = not callable(starts)
+    block = max(1, BLOCK_ELEMENTS // (1 if unit else dim))
     steps = np.zeros(rows, dtype=int)
     converged = np.zeros(rows, dtype=bool)
     diverged = np.zeros(rows, dtype=bool)
     blocks = []
     for lo in range(0, rows, block):
         part = slice(lo, min(lo + block, rows))
-        z = np.asarray(starts(part), dtype=float)
-        if z.shape != (part.stop - part.start, dim):
-            raise ValueError(f"start rows have shape {z.shape}, expected {(part.stop - part.start, dim)}")
-        at = _unit_columns(z) if dim > 1 else None
-        if at is not None:
-            z = np.take_along_axis(z, at[:, None], axis=1)
+        if unit:
+            at, z = starts[0][part], starts[1][part, None]
+        else:
+            at, z = None, np.asarray(starts(part), dtype=float)
+            if z.shape != (part.stop - part.start, dim):
+                raise ValueError(f"start rows have shape {z.shape}, expected {(part.stop - part.start, dim)}")
         engine = build(alphas[part, None], gammas[part, None], z, at=at)
         # an ADMM engine steps its own u = z / gamma: the start rows go
         # before the first step

@@ -157,8 +157,9 @@ def worst_coordinates(quad: DiagQuadratic, alpha, gamma):
     each point ``(alpha, gamma)``: the first coordinate of the curvature band
     whose step factor is larger in magnitude. Ties (e.g. at gamma =
     1/sqrt(sigma*beta), where the two factors agree up to rounding) go to the
-    sigma band. Many points give one coordinate each, for
-    :func:`splitrate.hilbert.basis_rows`. Raises ValueError where
+    sigma band. Many points give one coordinate each: with a value of 1
+    each, the unit starts that :func:`splitrate.run_rows` takes as
+    ``(coordinates, values)``. Raises ValueError where
     ``gamma * beta`` overflows, as the rate formulas do."""
     alpha, gamma = _positive_rows(alpha=alpha, gamma=gamma)
     c_sigma = _relaxed_factor(alpha, _psi(gamma * quad.sigma))

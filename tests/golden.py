@@ -22,12 +22,13 @@ def _modes(name: str, command: str, *digests: str, size: str = "small") -> list:
 
 
 # the default worst-start sweeps, as the benchmark pins them; the sweep is the
-# same at other dims, either side of the 64-element limit of _ColumnBlocks.shaped
+# same at other dims, whose worst coordinates are others
 WORST = json.loads((Path(__file__).parents[1] / "perfbench" / "reference.json").read_text())["sweep_worst_sha256"]
 ENTRIES = [
     *_modes("sweep-worst", "sweep --start worst", *WORST.values()),
     *(e for k in (9, 16, 64, 65, 128) for e in _modes(f"sweep-worst-K{k}", f"sweep --start worst --K {k}", *WORST.values())),
-    # unit starts run as one-column rows, so a dim-1e6 sweep is as quick as the default
+    # unit starts reach the engine as coordinates and run as one-column rows, so a
+    # dim-1e6 sweep is about as quick as the default
     *_modes("sweep-worst-K1000000", "sweep --start worst --K 1000000", *WORST.values(), size="large"),
     *_modes("sweep-random-seed7", "sweep --start random --seed 7",
             "da9537c41d639e5ba39ac1fd3f2069404d6f33a969b190afb37e95ffc04252ba",

@@ -3,8 +3,8 @@ engine's arrays and column blocks, one column block of its recorded start
 at a time and no other row-sized array (ADMM's recorded start ``rho *
 u0`` is normed a column block at a time, and a ``u`` that the engine makes
 from its start is written into its first state buffer), and its trace
-keeps no row; reading ADMM's final x adds that row.
-``check_one_row_memory`` is also run at dim 1e6 outside the test suite::
+keeps no row; reading ADMM's final x adds that row. A worst-start sweep
+makes no start row at any dim. ``check_one_row_memory`` is also run at dim 1e6 outside the test suite::
 
     python -c "import sys; sys.path.insert(0, 'tests'); import test_run_memory as t; \\
         print(t.check_one_row_memory('admm', 10**6))"
@@ -15,8 +15,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from splitrate import splitting
+from splitrate import cli, splitting
 from splitrate.hilbert import Vec
+from splitrate.rates import optimal_params
 from splitrate.splitting import RowRuns, SplitParams, run_admm, run_dr, run_rows
 from splitrate.worstcase import default_dual_instance, make_dual_instance, make_primal_instance
 
@@ -259,3 +260,41 @@ def test_an_overflowing_recorded_start_raises_before_any_step(monkeypatch):
     with np.errstate(over="ignore", invalid="ignore"):
         trace = run_admm(problem, rho=1.0, alpha=0.5, u0=Vec(np.full(8, 1e200)), max_iter=5, tol=0.0)
     assert trace.n_steps == 5 and np.isinf(trace.distances).all()
+
+
+def _worst_sweep(mode, dim):
+    """The default worst-start sweep of ``mode`` at ``dim``, as ``splitrate
+    sweep --K dim`` runs it: its config, with the default grids, and its
+    instance, built beforehand."""
+    cfg = cli.SweepConfig(dim=dim, mode=mode, start="worst")
+    instance = cli._instance(cfg)
+    _, gamma_star, _ = optimal_params(*instance[1:3])
+    cfg.alpha_grid = cli.parse_grid("linear:0.1:1.9:20")
+    cfg.gamma_grid = cli.parse_grid(f"log:{gamma_star / 20!r}:{gamma_star * 20!r}:20")
+    return cfg, instance
+
+
+@pytest.mark.parametrize("mode", splitting.MODES)
+def test_a_worst_sweep_at_dim_1e6_makes_no_start_row(monkeypatch, mode):
+    # worst starts reach the engine as coordinates: the 400 points run as
+    # one block of one-column rows, and the sweep peaks as it does at dim 8.
+    # The dual modes also make the dual curvatures, one row, to pick the
+    # worst starts. A sweep that made full start rows would peak a row
+    # higher in every mode, and run as 400 one-row blocks
+    blocks = []
+    iterate = splitting._iterate
+
+    def counted(*args):
+        blocks.append(1)
+        return iterate(*args)
+
+    monkeypatch.setattr(splitting, "_iterate", counted)
+    peaks = {}
+    for dim in (8, 10**6):
+        cfg, instance = _worst_sweep(mode, dim)
+        cli._sweep(cfg, instance)
+        blocks.clear()
+        (_, runs), _, peaks[dim] = _traced(lambda: cli._sweep(cfg, instance))
+        assert len(blocks) == 1 and runs.steps.size == 400
+    dual = 0 if mode == "primal-dr" else 8 * 10**6
+    assert peaks[10**6] <= peaks[8] + (1 << 20) + dual, peaks

@@ -695,19 +695,20 @@ def test_batch_rows_equal_their_single_runs_bitwise(case):
         assert np.array_equal(fits[i], single_fit, equal_nan=True)
 
 
-#: entries of unit start rows: signed zeros, subnormals, values whose
-#: square overflows and ordinary values
+#: entries of unit starts: signed zeros, subnormals, values whose square
+#: overflows and ordinary values
 UNIT_VALUES = (0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310, 1e200, -1e300, 1.0, -0.75, 3.0)
 
 
 @st.composite
 def unit_batches(draw):
     """A two-band instance and an engine, as :func:`row_batches` draws them,
-    and rows that each hold at most one nonzero entry, some all zero, at
-    relaxations inside and past alpha_upper_bound. ``long`` batches have
-    rows past a ``COLUMN_BLOCK`` of 32 columns (see :func:`_long_rows`)."""
+    and unit starts as ``(at, values)``, one coordinate and one value a row,
+    some of them zero, at relaxations inside and past alpha_upper_bound.
+    ``long`` batches have rows past a ``COLUMN_BLOCK`` of 32 columns (see
+    :func:`_long_rows`)."""
     long = draw(st.booleans())
-    dim = draw(st.integers(65, 100) if long else st.integers(2, 70))
+    dim = draw(st.integers(33, 100) if long else st.integers(2, 70))
     sigma = 10.0 ** draw(st.floats(-3.0, 3.0))
     beta = sigma * 10.0 ** draw(st.floats(0.0, 8.0))
     idx_sigma = draw(st.sets(st.integers(0, dim - 1), min_size=1, max_size=dim - 1))
@@ -720,30 +721,35 @@ def unit_batches(draw):
         problem = make_dual_instance(sigma, beta, 1.0, 3.0, dim, idx_sigma, draw(st.sampled_from(["aligned", "crossed"])))
         curvatures = dual_function(problem)
     rows = draw(st.integers(1, 6))
-    starts = np.zeros((rows, dim))
+    at = np.array([draw(st.integers(0, dim - 1)) for _ in range(rows)])
+    values = np.array([draw(st.sampled_from(UNIT_VALUES) | st.floats(-10.0, 10.0)) for _ in range(rows)])
     alphas, gammas = np.empty(rows), np.empty(rows)
     for r in range(rows):
-        starts[r, draw(st.integers(0, dim - 1))] = draw(st.sampled_from(UNIT_VALUES) | st.floats(-10.0, 10.0))
         gammas[r] = 10.0 ** draw(st.floats(-2.0, 2.0)) / math.sqrt(curvatures.sigma * curvatures.beta)
         upper = alpha_upper_bound(gammas[r], curvatures.sigma, curvatures.beta)
         alphas[r] = upper * draw(st.sampled_from([st.floats(0.01, 0.99), st.floats(1.05, 1.9)]).flatmap(lambda s: s))
-    return long, problem, mode, alphas, gammas, starts, draw(st.integers(0, 60)), draw(st.sampled_from([0.0, 1e-9, 1e-3]))
+    return long, problem, mode, alphas, gammas, (at, values), draw(st.integers(0, 60)), draw(st.sampled_from([0.0, 1e-9, 1e-3]))
 
 
 def _long_rows(long):
-    """With ``long``, rows of more than 32 elements (and 64, past which
-    :meth:`splitting._ColumnBlocks.shaped` copies no operand) are walked in
-    column blocks of 32, in chunks of 8, by two threads; else nothing
-    changes."""
+    """With ``long``, rows of more than 32 elements are walked in column
+    blocks of 32, in chunks of 8, by two threads; else nothing changes."""
     if not long:
         return contextlib.nullcontext()
     return mock.patch.multiple(splitting, NORM_CHUNK=8, COLUMN_BLOCK=32, RUN_ELEMENTS=32, WORKERS=2)
 
 
+def _starts(starts):
+    """``starts`` as :func:`run_rows` takes them: an ``(at, values)`` pair as
+    it is, an array as the callable that slices its rows."""
+    return (lambda rows: starts[rows]) if isinstance(starts, np.ndarray) else starts
+
+
 def _batch(problem, mode, alphas, gammas, starts, max_iter, tol):
-    """:func:`run_rows` over ``starts``, or the message of the ValueError it raises."""
+    """:func:`run_rows` from ``starts`` (see :func:`_starts`), or the message
+    of the ValueError it raises."""
     try:
-        return run_rows(problem, mode, alphas, gammas, lambda rows: starts[rows], max_iter=max_iter, tol=tol)
+        return run_rows(problem, mode, alphas, gammas, _starts(starts), max_iter=max_iter, tol=tol)
     except ValueError as exc:
         return str(exc)
 
@@ -755,18 +761,26 @@ def _same_row(runs, i, steps, diverged, distances):
     assert np.all(np.isnan(runs.distances[i, steps + 1 :]))
 
 
+def _unit_rows(dim, at, values):
+    """Unit starts as the full rows that ``(at, values)`` stands for: not
+    ``basis_rows(dim, at) * values[:, None]``, whose other entries a
+    negative value would make -0.0 and a non-finite one NaN."""
+    rows = np.zeros((len(at), dim))
+    rows[np.arange(len(at)), at] = values
+    return rows
+
+
 @settings(deadline=None, max_examples=80)
 @given(unit_batches())
 def test_unit_start_rows_are_bit_for_bit_their_full_width_runs(case):
-    # unit rows run as one-column rows; one appended dense row keeps the
-    # block at full width, and a one-row run is a one-column row of its own
-    long, problem, mode, alphas, gammas, starts, max_iter, tol = case
-    dense = np.random.default_rng(len(alphas)).uniform(-1.0, 1.0, (1, problem.dim))
-    wide = (np.append(alphas, alphas[0]), np.append(gammas, gammas[0]), np.vstack([starts, dense]))
+    # the same draws three ways: as coordinates, which run as one-column
+    # rows, as full rows, which run at full width, and as one-row runs
+    long, problem, mode, alphas, gammas, (at, values), max_iter, tol = case
+    starts = _unit_rows(problem.dim, at, values)
     # starts whose squares overflow make inf and NaN distances, as the command line lets them
     with _long_rows(long), np.errstate(over="ignore", invalid="ignore"):
-        runs = _batch(problem, mode, alphas, gammas, starts, max_iter, tol)
-        full = _batch(problem, mode, *wide, max_iter, tol)
+        runs = _batch(problem, mode, alphas, gammas, (at, values), max_iter, tol)
+        full = _batch(problem, mode, alphas, gammas, starts, max_iter, tol)
         if isinstance(runs, str):
             # a recorded start that is not finite, named by its row
             assert runs == full and "row" in runs
@@ -776,6 +790,7 @@ def test_unit_start_rows_are_bit_for_bit_their_full_width_runs(case):
             assert full.converged[i] == runs.converged[i]
             trace, diverged = _single_run(problem, mode, alphas[i], gammas[i], starts[i], max_iter, tol)
             _same_row(runs, i, trace.n_steps, diverged, trace.distances)
+            assert runs.converged[i] == trace.converged
 
 
 def _engine_shapes(monkeypatch):
@@ -795,66 +810,75 @@ def _engine_shapes(monkeypatch):
 
 @pytest.mark.parametrize("mode", splitting.MODES)
 def test_only_rows_of_at_most_one_nonzero_entry_run_as_one_column(monkeypatch, mode):
+    # unit starts given as coordinates step as (rows, 1); array starts step
+    # whole rows, even rows of one nonzero entry each
     shapes = _engine_shapes(monkeypatch)
     problem = default_primal_instance() if mode == "primal-dr" else default_dual_instance()
-    run = lambda starts: run_rows(problem, mode, [0.9] * 3, [0.3] * 3, lambda rows: starts[rows], max_iter=20)
-    unit = np.zeros((3, 8))
-    unit[0, 6], unit[1, 1] = 1.0, -2.0  # and a row of zeros
-    run(unit)
-    second = unit.copy()
-    second[2, [3, 7]] = 1.0
-    run(second)
-    beside = unit.copy()
-    beside[0, 7] = np.nan
-    with pytest.raises(ValueError, match="row 0 is not"):
-        run(beside)
-    assert shapes == [(3, 1), (3, 8), (3, 8)]
-    # one-row runs too, whose replayed iterates are full rows
-    trace = run_dr(default_primal_instance(), SplitParams(0.9, 0.3), Vec(unit[1]), max_iter=5)
-    assert shapes[-1] == (1, 1) and trace.iterates[3].coeffs.shape == (8,)
+    run = lambda starts: _batch(problem, mode, [0.9] * 3, [0.3] * 3, starts, 20, 1e-13)
+    at, values = np.array([6, 1, 0]), np.array([1.0, -2.0, 0.0])  # and a start of zero
+    coordinates, rows = run((at, values)), run(_unit_rows(8, at, values))
+    assert coordinates.distances.tobytes() == rows.distances.tobytes()
+    assert shapes == [(3, 1), (3, 8)]
+    # one-row runs from a unit Vec step whole rows too
+    trace = run_dr(default_primal_instance(), SplitParams(0.9, 0.3), _unit(8, 1), max_iter=5)
+    assert shapes[-1] == (1, 8) and trace.iterates[3].coeffs.shape == (8,)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("mode", splitting.MODES)
 def test_a_start_whose_one_entry_is_not_finite_is_reported_by_its_row(monkeypatch, mode, value):
+    # as coordinates and as full rows, the same message names the same row
     shapes = _engine_shapes(monkeypatch)
     problem = default_primal_instance() if mode == "primal-dr" else default_dual_instance()
-    starts = np.zeros((4, 8))
-    starts[0, 2], starts[1, 5], starts[3, 0] = 1.0, value, 0.5
+    at, values = np.array([2, 5, 0, 0]), np.array([1.0, value, 0.0, 0.5])
     messages = []
-    for rows in (starts, np.vstack([starts, np.ones((1, 8))])):
+    for starts in ((at, values), _unit_rows(8, at, values)):
         with pytest.raises(ValueError, match="row 1 is not") as raised:
-            run_rows(problem, mode, [0.9] * len(rows), [0.3] * len(rows), lambda part: rows[part])
+            run_rows(problem, mode, [0.9] * 4, [0.3] * 4, _starts(starts))
         messages.append(str(raised.value))
     assert messages[0] == messages[1]
-    assert shapes == [(4, 1), (5, 8)]
+    assert shapes == [(4, 1), (4, 8)]
 
 
-class _Reads(np.ndarray):
-    """An array that logs each index it is read at."""
+@pytest.mark.parametrize(
+    "at, values",
+    [
+        ([0, 8], [1.0, 1.0]),
+        ([-1, 0], [1.0, 1.0]),
+        ([0.0, 1.0], [1.0, 1.0]),
+        ([True, False], [1.0, 1.0]),
+        ([0, 1, 2], [1.0, 1.0]),
+        ([[0, 1]], [1.0, 1.0]),
+        ([0, 1], [1.0]),
+    ],
+    ids=["past-dim", "negative", "float", "bool", "long", "2-d", "short-values"],
+)
+def test_run_rows_rejects_bad_unit_starts_before_any_block(monkeypatch, primal, at, values):
+    def built(*args, **kwargs):
+        raise AssertionError("a block ran")
 
-    log: list = []
-
-    def __getitem__(self, key):
-        _Reads.log.append(key)
-        return super().__getitem__(key)
+    monkeypatch.setattr(splitting, "_run_blocks", built)
+    with pytest.raises(ValueError, match=r"one integer coordinate in \[0, 8\) and one value per row"):
+        run_rows(primal, "primal-dr", [1.0, 0.5], [0.3, 0.3], (at, values))
 
 
-def test_unit_columns_are_found_a_column_block_at_a_time(monkeypatch):
-    monkeypatch.setattr(splitting, "COLUMN_BLOCK", 16)
-    monkeypatch.setattr(_Reads, "log", [])
-    z = np.zeros((3, 50))
-    z[0, 40], z[1, 3] = 1.0, -np.inf
-    assert splitting._unit_columns(z.view(_Reads)).tolist() == [40, 3, 0]
-    assert len(_Reads.log) == 4
-    # a second nonzero entry ends the test at its column block
-    z[2, 20] = z[2, 33] = 0.5
-    _Reads.log.clear()
-    assert splitting._unit_columns(z.view(_Reads)) is None
-    assert len(_Reads.log) == 3
-    _Reads.log.clear()
-    assert splitting._unit_columns(np.ones((1, 50)).view(_Reads)) is None
-    assert len(_Reads.log) == 1
+@pytest.mark.parametrize("mode", splitting.MODES)
+def test_short_rows_walked_in_column_blocks_step_as_whole_rows(mode):
+    # rows of 40 elements in column blocks of 16, past which no operand of a
+    # step is copied to the state's shape, walked by two threads: the
+    # distances are those of the same rows stepped whole, chunk by chunk
+    if mode == "primal-dr":
+        problem = make_primal_instance(SIGMA, BETA, 40, range(20))
+    else:
+        problem = make_dual_instance(SIGMA, BETA, 1.0, 3.0, 40, range(20), pairing="crossed")
+    starts = np.random.default_rng(40).uniform(-1.0, 1.0, (3, 40))
+    run = lambda: run_rows(problem, mode, [0.6, 0.9, 1.2], [0.1, 0.3, 0.5], _starts(starts), max_iter=30, tol=0.0)
+    with mock.patch.multiple(splitting, NORM_CHUNK=8):
+        whole = run()
+    with mock.patch.multiple(splitting, NORM_CHUNK=8, COLUMN_BLOCK=16, RUN_ELEMENTS=16, WORKERS=2):
+        blocked = run()
+    assert blocked.steps.tolist() == [30] * 3
+    assert blocked.distances.tobytes() == whole.distances.tobytes()
 
 
 def test_batch_rows_stop_for_each_reason_in_one_batch(primal):
@@ -1695,7 +1719,9 @@ def test_small_blocks_give_the_same_sweep_bytes(tmp_path, monkeypatch, mode, sta
     flags = ["sweep", "--mode", mode, "--start", start, "--seed", "7", "--iters", "30"]
     whole, blocked = tmp_path / "whole.csv", tmp_path / "blocked.csv"
     assert cli.main(flags + ["--out", str(whole)]) == 0
-    # 3 rows of dim 8 per block: 134 blocks for the 400 grid points
+    # 24 state elements a block: for the 400 grid points, 134 blocks of 3
+    # rows of dim 8 from random starts, 17 blocks of 24 one-column rows from
+    # worst starts
     monkeypatch.setattr(splitting, "BLOCK_ELEMENTS", 24)
     assert cli.main(flags + ["--out", str(blocked)]) == 0
     assert blocked.read_bytes() == whole.read_bytes()
