@@ -159,33 +159,49 @@ class RowRuns:
         return np.divide(after, before, out=np.full(before.shape, np.nan), where=before >= RATIO_FLOOR)
 
 
-def _chunked(z: np.ndarray) -> tuple:
-    """Views of the consecutive ``NORM_CHUNK``-element chunks of each row of
-    a ``(rows, dim)`` array, as ``(rows, chunks, NORM_CHUNK)``, and of their
-    shorter tails; no copy."""
-    rows, dim = z.shape
-    full = dim - dim % NORM_CHUNK
-    return z[:, :full].reshape(rows, dim // NORM_CHUNK, NORM_CHUNK), z[:, full:]
+def _chunk_dots(block: np.ndarray, start: int, dots: np.ndarray, tails: np.ndarray | None) -> None:
+    """Write the dots of the consecutive ``NORM_CHUNK``-element chunks of a
+    block of columns of some rows, which starts at column ``start``, a chunk
+    boundary, into their columns of ``dots``, the ``(rows, dim //
+    NORM_CHUNK)`` chunk dots of the whole rows; with ``tails``, the block
+    ends the rows, and the dots of its shorter tail go there. The chunks
+    are views of the block: no copy is made."""
+    rows, width = block.shape
+    n, first = width // NORM_CHUNK, start // NORM_CHUNK
+    chunks = block[:, : n * NORM_CHUNK].reshape(rows, n, NORM_CHUNK)
+    np.vecdot(chunks, chunks, out=dots[:, first : first + n])
+    if tails is not None:
+        tail = block[:, n * NORM_CHUNK :]
+        np.vecdot(tail, tail, out=tails)
 
 
-def _norms(z: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of a ``(rows, dim)`` array.
+def _norms(z: np.ndarray, record: Callable = lambda z: z) -> np.ndarray:
+    """Euclidean norm of each row of ``record(z)``, for a ``(rows, dim)``
+    array ``z`` and a ``record`` that maps any block of its columns to an
+    array of that block's shape, column for column: the one routine that
+    norms rows, so the one order in which a row's dots are summed.
 
     Rows of up to :data:`NORM_CHUNK` elements give bit for bit
     ``sqrt(np.dot(row, row))``. A longer row is the sum, in a fixed order, of
     the dots of its consecutive ``NORM_CHUNK``-element chunks and of its
-    shorter tail (see :func:`_chunked`): BLAS may split one dot that long
+    shorter tail (see :func:`_chunk_dots`): BLAS may split one dot that long
     over threads, and its last bit would then depend on the thread count.
+    Such rows are recorded and dotted ``COLUMN_BLOCK`` columns at a time, so
+    that no row-sized record is made (ADMM's ``rho * u``).
     One-column rows are normed with no dot: a one-element dot is one
     rounded product, on any BLAS, so ``sqrt(z*z)`` gives the same bits with
     no BLAS call per row.
     """
-    if z.shape[1] == 1:
-        return np.sqrt(np.square(z[:, 0]))
-    if z.shape[1] <= NORM_CHUNK:
+    rows, dim = z.shape
+    if dim == 1:
+        return np.sqrt(np.square(record(z)[:, 0]))
+    if dim <= NORM_CHUNK:
+        z = record(z)
         return np.sqrt(np.vecdot(z, z))
-    chunks, tail = _chunked(z)
-    return np.sqrt(np.vecdot(chunks, chunks).sum(axis=1) + np.vecdot(tail, tail))
+    dots, tails = np.empty((rows, dim // NORM_CHUNK)), np.empty(rows)
+    for c in range(0, dim, COLUMN_BLOCK):
+        _chunk_dots(record(z[:, c : c + COLUMN_BLOCK]), c, dots, tails if c + COLUMN_BLOCK >= dim else None)
+    return np.sqrt(dots.sum(axis=1) + tails)
 
 
 def _executor(threads: int):
@@ -242,8 +258,8 @@ class _ColumnBlocks:
     read, so an engine may make its first state in ``pair[0]``. The blocks
     start on chunk boundaries, so each block writes the dots of its own
     chunks into its own columns of one array of every step's chunk dots,
-    and the last block writes the rows' tail dots; they are summed as in
-    :func:`_norms`.
+    and the last block writes the rows' tail dots, by :func:`_chunk_dots`,
+    as :func:`_norms` does; they are summed as it sums them.
     """
 
     def __init__(self, shape: tuple, temps: int):
@@ -311,15 +327,11 @@ class _ColumnBlocks:
                     spare, *block_temps = [t[:, : cols.stop - start] for t in temps]
                     fixed = [a[..., cols] for a in columns]
                     block = z[:, cols]
-                    first = start // NORM_CHUNK
                     for s in range(steps):
                         target = out[:, cols] if (steps - s) % 2 else spare
                         block, *made = update(block, *fixed, target, *block_temps)
                         for i, array in enumerate(made):
-                            chunks, tail = _chunked(array)
-                            np.vecdot(chunks, chunks, out=dots[i, s, :, first : first + chunks.shape[1]])
-                            if cols.stop == self.dim:
-                                np.vecdot(tail, tail, out=tails[i, s])
+                            _chunk_dots(array, start, dots[i, s], tails[i, s] if cols.stop == self.dim else None)
 
         futures = [self.pool.submit(walk, *run, temps) for run, temps in zip(self.runs[1:], self.temps[1:])]
         try:
@@ -842,36 +854,18 @@ def run_rows(
 def _start_norms(engine: _Engine, lo: int) -> np.ndarray:
     """The starting distances of a block of rows whose first row is row
     ``lo`` of its batch: the norms of the engine's record of its first
-    state, bit for bit ``_norms(engine.record(engine.state))``.
-
-    Rows longer than ``COLUMN_BLOCK`` are recorded a block of
-    ``COLUMN_BLOCK`` columns at a time, with one block alive at once, and
-    their chunk dots are summed as :func:`_norms` sums them, so that no
-    row-sized record is made (ADMM's ``rho * u``). Raises ValueError if a
-    recorded row holds a NaN or an infinity: only a row whose norm is not
-    finite is read again, by its least and greatest entries, so a finite
-    row whose squares overflow runs.
+    state, by :func:`_norms`, which makes no row-sized record of long rows.
+    Raises ValueError if a recorded row holds a NaN or an infinity: only a
+    row whose norm is not finite is read again, a column block at a time,
+    so a finite row whose squares overflow runs.
     """
     state, record = engine.state, engine.record
-    rows, dim = state.shape
-    width = min(dim, COLUMN_BLOCK)
-    # the record of the columns from c on, made when it is read
-    block = lambda c: record(state[:, c : c + width])
-    if dim <= COLUMN_BLOCK:
-        norms = _norms(record(state))
-    else:
-        dots = np.empty((rows, dim // NORM_CHUNK))
-        # the blocks start on chunk boundaries: only the last has a tail
-        for c in range(0, dim, width):
-            chunks, tail = _chunked(block(c))
-            np.vecdot(chunks, chunks, out=dots[:, c // NORM_CHUNK : c // NORM_CHUNK + chunks.shape[1]])
-            tails = np.vecdot(tail, tail)
-            del chunks, tail  # the block goes before the next is made
-        norms = np.sqrt(dots.sum(axis=1) + tails)
+    norms = _norms(state, record)
     bad = np.flatnonzero(~np.isfinite(norms))
     if bad.size:
-        extremes = lambda b: [[b[r].min(), b[r].max()] for r in bad]
-        finite = np.isfinite([extremes(block(c)) for c in range(0, dim, width)]).all(axis=(0, 2))
+        finite = np.ones(bad.size, dtype=bool)
+        for c in range(0, state.shape[1], COLUMN_BLOCK):
+            finite &= np.isfinite(record(state[:, c : c + COLUMN_BLOCK])[bad]).all(axis=1)
         if not finite.all():
             row = lo + bad[np.argmin(finite)]
             raise ValueError(f"recorded start rows must be finite (no NaN or Inf): row {row} is not")

@@ -24,12 +24,21 @@ def _modes(name: str, command: str, *digests: str, size: str = "small") -> list:
 # the default worst-start sweeps, as the benchmark pins them; the sweep is the
 # same at other dims, whose worst coordinates are others
 WORST = json.loads((Path(__file__).parents[1] / "perfbench" / "reference.json").read_text())["sweep_worst_sha256"]
+# the default zero-start sweeps, the same at every dim
+ZERO = (
+    "89db0580f2000af1e3cf11af3e24280c8c947537f6450c7b190c349a26d58de2",
+    "8eab291629393d07cb8b4e7302cec8cb9ee743e78ea9c98d1632f8ffec22b7ed",
+    "8eab291629393d07cb8b4e7302cec8cb9ee743e78ea9c98d1632f8ffec22b7ed",
+)
 ENTRIES = [
     *_modes("sweep-worst", "sweep --start worst", *WORST.values()),
     *(e for k in (9, 16, 64, 65, 128) for e in _modes(f"sweep-worst-K{k}", f"sweep --start worst --K {k}", *WORST.values())),
     # unit starts reach the engine as coordinates and run as one-column rows, so a
     # dim-1e6 sweep is about as quick as the default
     *_modes("sweep-worst-K1000000", "sweep --start worst --K 1000000", *WORST.values(), size="large"),
+    # zero starts are unit starts too, and every row stops at its first step, a fixed point
+    *_modes("sweep-zero", "sweep --start zero", *ZERO),
+    *_modes("sweep-zero-K1000000", "sweep --start zero --K 1000000", *ZERO, size="large"),
     *_modes("sweep-random-seed7", "sweep --start random --seed 7",
             "da9537c41d639e5ba39ac1fd3f2069404d6f33a969b190afb37e95ffc04252ba",
             "7a9f7b5e815e34a462b06c36f4e0085ac775a4db89502778ee28e3678abb12e4",

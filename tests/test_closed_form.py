@@ -143,13 +143,15 @@ def test_every_row_follows_the_closed_form(case):
 
 def _drop_the_last_tail(monkeypatch):
     # a block narrower than the row that ends it loses its tail's dots
-    chunked = splitting._chunked
+    chunk_dots = splitting._chunk_dots
 
-    def dropped(z):
-        chunks, tail = chunked(z)
-        return (chunks, tail[:, :0]) if z.shape[1] < FIXED_DIM else (chunks, tail)
+    def dropped(block, start, dots, tails):
+        width = block.shape[1]
+        if tails is not None and width < FIXED_DIM:
+            block = block[:, : width - width % splitting.NORM_CHUNK]
+        chunk_dots(block, start, dots, tails)
 
-    monkeypatch.setattr(splitting, "_chunked", dropped)
+    monkeypatch.setattr(splitting, "_chunk_dots", dropped)
 
 
 def _repeat_a_pass_step(monkeypatch):

@@ -574,8 +574,10 @@ def _reference_long_norm(row, chunk):
     return math.sqrt(float(dots.sum() + np.dot(tail, tail)))
 
 
-@pytest.mark.parametrize("dim", [8193, 16384, 20000, 3 * 8192 + 5])
+@pytest.mark.parametrize("dim", [8193, 16384, 20000, 3 * 8192 + 5, 4 * 8192 + 3, 9 * 8192])
 def test_long_row_norms_sum_fixed_chunks_in_order(dim):
+    # rows past a COLUMN_BLOCK are recorded and dotted a block at a time;
+    # the sum runs over every chunk of the row in order all the same
     rows = np.random.default_rng(dim).uniform(-1.0, 1.0, (3, dim))
     norms = splitting._norms(rows)
     for row, n in zip(rows, norms):
@@ -585,6 +587,11 @@ def test_long_row_norms_sum_fixed_chunks_in_order(dim):
     wide[:, ::2] = rows
     for row, n in zip(wide[:, ::2], splitting._norms(wide[:, ::2])):
         assert n == _reference_long_norm(row, splitting.NORM_CHUNK)
+    # a record that scales each row, as ADMM's rho * u, is normed as the
+    # scaled rows themselves
+    scale = np.array([[0.3], [7.0], [1e-5]])
+    for row, s, n in zip(rows, scale, splitting._norms(rows, lambda block: scale * block)):
+        assert n == _reference_long_norm(s * row, splitting.NORM_CHUNK)
 
 
 #: kinds of rows mixed into one batch: a feasible relaxation, one above
