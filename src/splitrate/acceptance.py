@@ -10,7 +10,6 @@ import marshal
 import os
 import sys
 import tempfile
-import threading
 import time
 from dataclasses import dataclass
 
@@ -579,11 +578,10 @@ def check_dual_admm_transfer() -> CriterionResult:
 
 def _workers(criteria: int) -> int:
     """How many workers run a battery of ``criteria``: one per usable core
-    and at most one per criterion, or one where a fork is not safe: off
-    Linux (the multiprocessing docs call ``fork`` unsafe on macOS), while
-    other threads run (a child has none of them, and Python 3.12 warns of
-    deadlock), or past 256 criteria (an index is one byte of the queue)."""
-    if sys.platform != "linux" or threading.active_count() != 1 or criteria > 256:
+    and at most one per criterion, or one where a fork is not safe (see
+    :func:`splitrate.splitting._forkable`, the long-row steps' rule too) or
+    past 256 criteria (an index is one byte of the queue)."""
+    if not splitting._forkable() or criteria > 256:
         return 1
     return min(splitting.WORKERS, criteria)
 

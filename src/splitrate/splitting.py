@@ -5,7 +5,12 @@ batch of independent rows."""
 from __future__ import annotations
 
 import math
+import mmap
 import os
+import struct
+import sys
+import threading
+import weakref
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -61,19 +66,28 @@ COLUMN_BLOCK = 4 * NORM_CHUNK
 #: column block takes them all while it is in cache
 PASS_STEPS = 4
 
-#: most threads that step one batch of long rows (see :class:`_ColumnBlocks`):
+#: most processes that step one batch of long rows (see :class:`_ColumnBlocks`):
 #: the cores this process may run on
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
-#: fewest ``rows x columns`` state elements per thread of a step: a run of
-#: 3 one-row blocks or fewer saved nothing on a 2-core host, where the
-#: hand-offs and the waits for the GIL between numpy calls cost as much as
-#: a thread's share of the step
+#: fewest ``rows x columns`` state elements per process of a step. The
+#: workers of an engine are forked at its first step and killed and reaped
+#: after its last, about 1.5 ms and 1.7 ms for a 100 MB process on a 2-core
+#: host, and the fork leaves the caller's heap copy-on-write: 6-10 ms an
+#: engine in all. So engines at this size pay for them only over many
+#: steps: 25-row sweeps of 4 rows an engine at dim 65,536, or one at
+#: 262,144, took 0.60-0.77x one process's time over 80 steps, and
+#: 1.03-1.16x over 10
 RUN_ELEMENTS = 4 * COLUMN_BLOCK
 
-# (pid, threads, executor) of the pool that steps long rows, made when the
-# first engine for them is built (see _executor)
-_pool: tuple | None = None
+#: numpy's floating-point error kinds, in the order of the bits of a
+#: worker's command, and the command: steps, input and the kinds to raise
+_KINDS = ("divide", "over", "under", "invalid")
+_COMMAND = struct.Struct("=qBB")
+
+# the bytes of the live shared mappings (see _shared), which tracemalloc
+# does not see
+_mapped = 0
 
 
 class DivergenceError(RuntimeError):
@@ -204,21 +218,50 @@ def _norms(z: np.ndarray, record: Callable = lambda z: z) -> np.ndarray:
     return np.sqrt(dots.sum(axis=1) + tails)
 
 
-def _executor(threads: int):
-    """The module's thread pool, with at least ``threads`` threads; made on
-    first use (with the import of ``concurrent.futures``), again when it is
-    too small, and again in a forked child, which has none of its threads.
+def _forkable() -> bool:
+    """Whether this process may fork workers: only on Linux (the
+    multiprocessing docs call ``fork`` unsafe on macOS), and only while no
+    other Python thread runs (a child has none of them). Threads that
+    Python does not run, as OpenBLAS's pool, are not counted: OpenBLAS
+    stops its pool before a fork and starts it again on its next call, and
+    Python 3.12's warning of such threads at a fork is cleared, not raised,
+    under ``-W error`` too. Counting them would keep every process with a
+    BLAS pool on one core. The battery (see
+    :func:`splitrate.acceptance.run_all`) and the long-row steps fork by
+    this one rule."""
+    return sys.platform == "linux" and threading.active_count() == 1
 
-    Two threads may each make a pool here at once; the one not kept is
-    collected once its work is done, and its threads exit, so no lock is
-    needed."""
-    global _pool
-    pool = _pool
-    if pool is None or pool[0] != os.getpid() or pool[1] < threads:
-        from concurrent.futures import ThreadPoolExecutor
 
-        pool = _pool = (os.getpid(), threads, ThreadPoolExecutor(threads, thread_name_prefix="splitrate-blocks"))
-    return pool[2]
+def _shared(shape: tuple) -> np.ndarray:
+    """An uninitialised float array of ``shape`` in an anonymous shared
+    mapping, so that a forked worker's writes into it are the caller's. The
+    mapping is unmapped when the last array on it goes, and its bytes are
+    counted in ``_mapped`` until then."""
+    global _mapped
+    mapping = mmap.mmap(-1, 8 * math.prod(shape))
+    # every view of flat keeps flat, whose base is not an array, alive
+    flat = np.frombuffer(mapping)
+    _mapped += len(mapping)
+    weakref.finalize(flat, _release, len(mapping))
+    return flat.reshape(shape)
+
+
+def _release(size: int) -> None:
+    """Count a mapping of ``size`` bytes that no array uses any more as gone."""
+    global _mapped
+    _mapped -= size
+
+
+def _reap(workers: dict) -> None:
+    """Kill and reap forked workers, ``{run: (pid, command pipe, reply
+    pipe)}``. Closing a worker's command pipe need not end it: a worker
+    forked after it, for this engine or another, may hold the pipe open."""
+    while workers:
+        pid, command, reply = workers.popitem()[1]
+        os.close(command)
+        reply.close()
+        os.kill(pid, 9)  # SIGKILL; the signal module need not be loaded
+        os.waitpid(pid, 0)
 
 
 class _ColumnBlocks:
@@ -246,20 +289,23 @@ class _ColumnBlocks:
     cache, and a block takes all its steps before the walk moves on: the
     map is diagonal, so no block's step needs another block. The steps of a
     block take turns between its columns of ``out`` and a spare block, so
-    that the last step writes ``out``. The blocks are split into runs of
-    consecutive blocks, at most ``WORKERS`` runs and at most one per
-    ``RUN_ELEMENTS`` elements of the rows: the calling thread walks the
-    first run and the threads of a module-level pool the others, at once,
-    since numpy releases the GIL in its loops. Each run has its own spare
-    block and block of per-engine temporaries, and each block writes only
-    its own columns of ``out``, so the results do not depend on how many
-    runs there are. ``out`` is one of a pair of per-engine buffers of the
-    state's shape, which take turns: a call writes the one it does not
-    read, so an engine may make its first state in ``pair[0]``. The blocks
-    start on chunk boundaries, so each block writes the dots of its own
-    chunks into its own columns of one array of every step's chunk dots,
-    and the last block writes the rows' tail dots, by :func:`_chunk_dots`,
-    as :func:`_norms` does; they are summed as it sums them.
+    that the last step writes ``out``. The columns are split into runs of
+    whole ``NORM_CHUNK`` chunks, as even as the chunks allow, at most
+    ``WORKERS`` runs and at most one per ``RUN_ELEMENTS`` elements of the
+    rows, and each run is walked in blocks from its first column: the
+    caller walks the first run and a forked worker process each other run,
+    at once (see :meth:`_fork`), with the same code, so every column takes
+    the same numpy operations in the same order. Each block writes only its
+    own columns of ``out``, so the results do not depend on how many runs
+    there are. ``out`` is one of a
+    pair of per-engine buffers of the state's shape, which take turns: a
+    call writes the one it does not read, so an engine may make its first
+    state in ``pair[0]``. With workers, the pair lives in one shared
+    mapping (see :func:`_shared`). The blocks start on chunk boundaries, so
+    each block writes the dots of its own chunks into its own columns of
+    one array of every step's chunk dots, and the last block writes the
+    rows' tail dots, by :func:`_chunk_dots`, as :func:`_norms` does; they
+    are summed as it sums them. :meth:`stop` stops and reaps the workers.
     """
 
     def __init__(self, shape: tuple, temps: int):
@@ -267,15 +313,18 @@ class _ColumnBlocks:
         rows, self.dim = shape
         # short rows have no buffers: numpy allocates their states
         self.pair = (None, None)
+        # {run: (pid, command pipe, reply pipe)} once forked (see _fork)
+        self.workers = None
         if self.dim > COLUMN_BLOCK:
-            self.pair = (np.empty(shape), np.empty(shape))
-            blocks = -(-self.dim // COLUMN_BLOCK)
-            runs = max(1, min(WORKERS, blocks, rows * self.dim // RUN_ELEMENTS))
-            edges = [COLUMN_BLOCK * (blocks * i // runs) for i in range(runs)] + [self.dim]
+            # runs of whole chunks, as even as chunks allow
+            chunks = -(-self.dim // NORM_CHUNK)
+            runs = max(1, min(WORKERS, chunks, rows * self.dim // RUN_ELEMENTS)) if _forkable() else 1
+            edges = [NORM_CHUNK * (chunks * i // runs) for i in range(runs)] + [self.dim]
             self.runs = list(zip(edges, edges[1:]))
-            # each run's spare block, then its temporaries
-            self.temps = [[np.empty((rows, COLUMN_BLOCK)) for _ in range(1 + temps)] for _ in self.runs]
-            self.pool = _executor(runs - 1) if runs > 1 else None
+            self.pair = tuple(_shared((2, *shape))) if runs > 1 else (np.empty(shape), np.empty(shape))
+            # the spare block, then the temporaries, of the runs the caller
+            # walks; a worker writes its own copies of them
+            self.temps = [np.empty((rows, COLUMN_BLOCK)) for _ in range(1 + temps)]
 
     def shaped(self, *operands) -> tuple:
         """The operands of an update, each a scalar or an array that
@@ -315,35 +364,138 @@ class _ColumnBlocks:
         # each step's chunk dots and tail dots of recorded and step
         dots = np.empty((2, steps, len(z), self.dim // NORM_CHUNK))
         tails = np.empty((2, steps, len(z)))
-
-        # numpy keeps its floating-point error handling per thread: every
-        # run takes the caller's
-        err = np.geterr()
-
-        def walk(lo: int, hi: int, temps: list) -> None:
-            with np.errstate(**err):
-                for start in range(lo, hi, COLUMN_BLOCK):
-                    cols = slice(start, min(start + COLUMN_BLOCK, hi))
-                    spare, *block_temps = [t[:, : cols.stop - start] for t in temps]
-                    fixed = [a[..., cols] for a in columns]
-                    block = z[:, cols]
-                    for s in range(steps):
-                        target = out[:, cols] if (steps - s) % 2 else spare
-                        block, *made = update(block, *fixed, target, *block_temps)
-                        for i, array in enumerate(made):
-                            _chunk_dots(array, start, dots[i, s], tails[i, s] if cols.stop == self.dim else None)
-
-        futures = [self.pool.submit(walk, *run, temps) for run, temps in zip(self.runs[1:], self.temps[1:])]
+        if self.workers is None:
+            self._fork(update, columns, z)
+        # a worker steps only an input it inherited, and raises each error
+        # the caller would not ignore, so that it is raised again here
+        seen = [i for i, a in enumerate(self.inherited) if a is z]
+        asked = []
+        if seen:
+            raising = sum(1 << i for i, kind in enumerate(_KINDS) if np.geterr()[kind] != "ignore")
+            command = _COMMAND.pack(steps, seen[0], raising)
+            asked = [run for run in list(self.workers) if self._send(run, command)]
+        done = set()
         try:
-            walk(*self.runs[0], self.temps[0])
+            self._walk(update, z, out, columns, steps, *self.runs[0], dots, tails)
         finally:
-            # every run ends before its buffers are read or written again
-            for future in futures:
-                future.exception()
-        for future in futures:
-            future.result()
+            # every worker ends its walk before the buffers are read or written again
+            done.update(run for run in asked if self._reply(run, dots, tails))
+        # the runs of the workers that failed, died or could not see z
+        for run, (lo, hi) in enumerate(self.runs[1:], 1):
+            if run not in done:
+                self._walk(update, z, out, columns, steps, lo, hi, dots, tails)
         norms = np.sqrt(dots.sum(axis=3) + tails)
         return out, *(norms if steps > 1 else norms[:, 0])
+
+    def _walk(self, update, z, out, columns, steps, lo, hi, dots, tails) -> None:
+        """Take ``steps`` steps on each block of the columns ``lo`` to ``hi``
+        of ``z`` in turn, writing ``out`` and the blocks' chunk and tail dots."""
+        for start in range(lo, hi, COLUMN_BLOCK):
+            cols = slice(start, min(start + COLUMN_BLOCK, hi))
+            spare, *block_temps = [t[:, : cols.stop - start] for t in self.temps]
+            fixed = [a[..., cols] for a in columns]
+            block = z[:, cols]
+            for s in range(steps):
+                target = out[:, cols] if (steps - s) % 2 else spare
+                block, *made = update(block, *fixed, target, *block_temps)
+                for i, array in enumerate(made):
+                    _chunk_dots(array, start, dots[i, s], tails[i, s] if cols.stop == self.dim else None)
+
+    def _fork(self, update: Callable, columns: tuple, first: np.ndarray) -> None:
+        """Fork a worker for each run but the first, if there are runs
+        besides it and this process may still fork (see :func:`_forkable`);
+        a run left with no worker is the caller's. A worker sees only what
+        it inherits: the update, its columns, ``first``, the input of the
+        walk that forks it, which no step writes, and the pair of state
+        buffers, whose writes are shared. The workers are reaped when the
+        engine stops, or else when it is collected."""
+        self.workers, self.inherited = {}, (first, *self.pair)
+        if len(self.runs) == 1 or not _forkable():
+            return
+        weakref.finalize(self, _reap, self.workers)
+        for run, (lo, hi) in enumerate(self.runs[1:], 1):
+            commands, command = os.pipe()
+            reply, replies = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException as error:
+                for fd in (commands, command, reply, replies):
+                    os.close(fd)
+                if not isinstance(error, OSError):
+                    raise
+                return  # no more processes: the caller walks the runs left
+            if pid == 0:
+                # so that the command pipe ends when the caller does
+                os.close(command)
+                os.close(reply)
+                self._serve(update, columns, lo, hi, commands, replies)
+            os.close(commands)
+            os.close(replies)
+            self.workers[run] = (pid, command, open(reply, "rb"))
+
+    def _serve(self, update, columns, lo, hi, commands: int, replies: int) -> None:
+        """A forked worker: walk the columns ``lo`` to ``hi`` on each command,
+        ``(steps, input, kinds to raise)``, and reply ``0`` with the chunk
+        dots of those columns, and the tail dots if they end the rows, or
+        ``1`` if the walk raised. It is killed when the engine stops (see
+        :func:`_reap`), and leaves by itself once its command pipe ends, as
+        when the caller dies, through ``os._exit``, so no ``atexit`` hook
+        runs and no stdio buffer it inherited is flushed a second time."""
+        code = 1
+        try:
+            while len(command := os.read(commands, _COMMAND.size)) == _COMMAND.size:
+                steps, index, raising = _COMMAND.unpack(command)
+                z = self.inherited[index]
+                dots = np.empty((2, steps, len(z), self.dim // NORM_CHUNK))
+                tails = np.empty((2, steps, len(z)))
+                how = {kind: "raise" if raising >> i & 1 else "ignore" for i, kind in enumerate(_KINDS)}
+                try:
+                    with np.errstate(**how):
+                        self._walk(update, z, self.pair[z is self.pair[0]], columns, steps, lo, hi, dots, tails)
+                except Exception:
+                    reply = b"\1"
+                else:
+                    reply = b"\0" + dots[..., lo // NORM_CHUNK : hi // NORM_CHUNK].tobytes()
+                    reply += tails.tobytes() if hi == self.dim else b""
+                while reply:
+                    reply = reply[os.write(replies, reply) :]
+            code = 0
+        finally:
+            os._exit(code)
+
+    def _send(self, run: int, command: bytes) -> bool:
+        """Send a command to the worker of ``run``; reap it if it is gone."""
+        try:
+            os.write(self.workers[run][1], command)
+        except OSError:
+            _reap({run: self.workers.pop(run)})
+            return False
+        return True
+
+    def _reply(self, run: int, dots: np.ndarray, tails: np.ndarray) -> bool:
+        """Read the reply of the worker of ``run`` into ``dots`` and
+        ``tails``: whether its walk was kept. A worker that is gone is reaped."""
+        lo, hi = self.runs[run]
+        part = dots[..., lo // NORM_CHUNK : hi // NORM_CHUNK]
+        size = part.nbytes + (tails.nbytes if hi == self.dim else 0)
+        pipe = self.workers[run][2]
+        status = pipe.read(1)
+        if status == b"\1":
+            return False
+        data = pipe.read(size) if status else b""
+        if len(data) < size or not status:
+            _reap({run: self.workers.pop(run)})
+            return False
+        part[...] = np.frombuffer(data, count=part.size).reshape(part.shape)
+        if hi == self.dim:
+            tails[...] = np.frombuffer(data, offset=part.nbytes).reshape(tails.shape)
+        return True
+
+    def stop(self) -> None:
+        """Kill and reap the workers, if any; a later walk forks them again."""
+        if self.workers:
+            _reap(self.workers)
+        self.workers = None
 
 
 def _unchanged(before: np.ndarray, after: np.ndarray, moved: Callable | None = None) -> np.ndarray:
@@ -367,13 +519,15 @@ class _Engine(NamedTuple):
     """An engine for :func:`_iterate`, as :func:`_engine` builds it, with its
     parameters bound: ``step(state, steps=1)`` steps a state, ``record(state)``
     gives its recorded rows, ``state`` is the first state, ``still(state,
-    next_state)`` tells which rows a step left exactly where they were, and
-    ADMM's ``x(u)`` is its x-update of the rows ``u``."""
+    next_state)`` tells which rows a step left exactly where they were,
+    ``stop()`` stops and reaps the workers of its steps, if any, and ADMM's
+    ``x(u)`` is its x-update of the rows ``u``."""
 
     step: Callable
     record: Callable
     state: np.ndarray
     still: Callable
+    stop: Callable
     x: Callable | None = None
 
 
@@ -489,11 +643,15 @@ def _stepped(engine: _Engine, steps: int):
     bit for bit those of the runs of its rows, whose ``record`` is their
     iterates, since a step is deterministic and never writes into the state
     it reads. A later step may write into a yielded array (long rows take
-    turns in a pair of buffers), so copy one to keep it."""
+    turns in a pair of buffers), so copy one to keep it. The engine's
+    workers are stopped once the steps end or the generator is closed."""
     state = engine.state
-    for _ in range(steps):
-        state = engine.step(state)[0]
-        yield state
+    try:
+        for _ in range(steps):
+            state = engine.step(state)[0]
+            yield state
+    finally:
+        engine.stop()
 
 
 class _Replay(Sequence):
@@ -592,7 +750,7 @@ def _relaxed_engine(alpha, refl, z: np.ndarray) -> _Engine:
         z_next += t
         return z_next, z_next, np.subtract(z_next, z, out=t)
 
-    return _Engine(blocks.bind(update, (refl,)), lambda state: state, z, _unchanged)
+    return _Engine(blocks.bind(update, (refl,)), lambda state: state, z, _unchanged, blocks.stop)
 
 
 def _admm_x(u: np.ndarray, scale, denom) -> np.ndarray:
@@ -663,7 +821,7 @@ def _admm_engine(f_weights: np.ndarray, nu: np.ndarray, alpha, rho, rows: np.nda
         # nonzero x when relax * nu * x is lost in the rounding of u
         return _unchanged(before, after, lambda cols: _admm_x(before[:, cols], scale[..., cols], denom[..., cols]))
 
-    return _Engine(step, lambda state: rho * state, u, still, lambda u: _admm_x(u, scale, denom))
+    return _Engine(step, lambda state: rho * state, u, still, blocks.stop, lambda u: _admm_x(u, scale, denom))
 
 
 def _engine(
@@ -905,8 +1063,11 @@ def _run_blocks(build: Callable, dim: int, alphas, gammas, starts, max_iter: int
         # an ADMM engine steps its own u = z / gamma: the start rows go
         # before the first step
         del z
-        first = _start_norms(engine, lo)
-        dist, steps[part], converged[part], diverged[part] = _iterate(engine, first, max_iter, tol)
+        try:
+            first = _start_norms(engine, lo)
+            dist, steps[part], converged[part], diverged[part] = _iterate(engine, first, max_iter, tol)
+        finally:
+            engine.stop()
         blocks.append(dist)
     if len(blocks) == 1:
         # a lone block's rows already end in NaN past their last steps

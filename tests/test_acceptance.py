@@ -21,7 +21,8 @@ import pytest
 import splitrate
 from splitrate import acceptance, cli, splitting
 from splitrate.functions import DiagQuadratic, dual_function
-from splitrate.worstcase import PAIRINGS, default_dual_instance
+from splitrate.hilbert import Vec
+from splitrate.worstcase import PAIRINGS, default_dual_instance, make_primal_instance
 
 #: each property sub-check also runs here on a stream of its own, apart from
 #: the one stream the battery shares between them
@@ -156,11 +157,7 @@ linux_only = pytest.mark.skipif(sys.platform != "linux", reason="run_all forks o
 @pytest.fixture
 def one_thread():
     """This process with its main thread alone, as ``run_all`` needs to fork:
-    the long-row pool's threads, if an earlier test made them, are stopped,
-    and the next long-row step makes a new pool."""
-    if splitting._pool is not None:
-        splitting._pool[2].shutdown(wait=True)
-        splitting._pool = None
+    long-row steps start no thread, so no earlier test left one."""
     assert threading.active_count() == 1, threading.enumerate()
 
 
@@ -253,6 +250,24 @@ def test_an_interrupt_kills_and_reaps_the_workers(monkeypatch, one_thread):
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert open_fds() == fds
+
+
+@linux_only
+def test_a_process_that_ran_long_rows_still_forks_its_battery(monkeypatch, one_thread):
+    # long rows fork their workers under the battery's fork rule and reap
+    # them when the run ends, leaving no thread: the battery forks as before
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(fork()) or forks[-1])
+    monkeypatch.setattr(splitting, "WORKERS", 2)
+    monkeypatch.setattr(splitting, "RUN_ELEMENTS", splitting.COLUMN_BLOCK)
+    dim = 200_000
+    problem = make_primal_instance(1.0, 10.0, dim, range(dim // 2))
+    start = Vec(np.random.default_rng(dim).uniform(-1.0, 1.0, dim))
+    assert splitting.run_dr(problem, splitting.SplitParams(0.9, 0.3), start, max_iter=5).n_steps == 5
+    assert len(forks) == 1
+    assert threading.active_count() == 1
+    assert acceptance._workers(9) == min(splitting.WORKERS, 9)
 
 
 def test_with_another_thread_verify_forks_nothing(monkeypatch, capsys):

@@ -7,7 +7,7 @@ from splitrate import cli, splitting
 @pytest.mark.parametrize("entry", [e for e in golden.ENTRIES if e.size == "small"], ids=lambda e: e.name)
 def test_pinned_output(monkeypatch, entry):
     # rows longer than a column block are walked in passes of 4 steps and of 1,
-    # by one thread and by two; shorter rows take neither setting
+    # by one process and by two; shorter rows take neither setting
     dim = int(getattr(cli.build_parser().parse_args(entry.command.split()), "K", None) or 0)
     monkeypatch.setattr(splitting, "RUN_ELEMENTS", splitting.COLUMN_BLOCK)
     for pass_steps, workers in [(4, 1), (4, 2), (1, 1), (1, 2)][: 4 if dim > splitting.COLUMN_BLOCK else 1]:

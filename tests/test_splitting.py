@@ -9,7 +9,10 @@ at dim 1e6 outside the test suite::
 import contextlib
 import itertools
 import math
+import mmap
+import os
 import re
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -675,7 +678,7 @@ def check_one_row_is_its_batch_row(mode, dim, steps=30):
 
 @pytest.mark.parametrize("mode", splitting.MODES)
 def test_a_one_row_run_is_its_batch_row(monkeypatch, mode):
-    # rows of three column blocks, walked by two threads
+    # rows of three column blocks, walked by two processes
     monkeypatch.setattr(splitting, "WORKERS", 2)
     monkeypatch.setattr(splitting, "RUN_ELEMENTS", splitting.COLUMN_BLOCK)
     assert check_one_row_is_its_batch_row(mode, 2 * splitting.COLUMN_BLOCK + 3) == 30
@@ -740,7 +743,7 @@ def unit_batches(draw):
 
 def _long_rows(long):
     """With ``long``, rows of more than 32 elements are walked in column
-    blocks of 32, in chunks of 8, by two threads; else nothing changes."""
+    blocks of 32, in chunks of 8, by two processes; else nothing changes."""
     if not long:
         return contextlib.nullcontext()
     return mock.patch.multiple(splitting, NORM_CHUNK=8, COLUMN_BLOCK=32, RUN_ELEMENTS=32, WORKERS=2)
@@ -872,7 +875,7 @@ def test_run_rows_rejects_bad_unit_starts_before_any_block(monkeypatch, primal, 
 @pytest.mark.parametrize("mode", splitting.MODES)
 def test_short_rows_walked_in_column_blocks_step_as_whole_rows(mode):
     # rows of 40 elements in column blocks of 16, past which no operand of a
-    # step is copied to the state's shape, walked by two threads: the
+    # step is copied to the state's shape, walked by two processes: the
     # distances are those of the same rows stepped whole, chunk by chunk
     if mode == "primal-dr":
         problem = make_primal_instance(SIGMA, BETA, 40, range(20))
@@ -1093,10 +1096,10 @@ def test_column_blocks_equal_the_unblocked_steps_bitwise(monkeypatch, mode, extr
     # blocks, the last of width 1, 3 or 5. The rows stop by tol, by the
     # guard, at a zero start and at the budget, so stopped rows are stepped
     # on as NaN rows until the run ends. The blocks run on 1, 2
-    # and 3 threads, in uneven runs (4 blocks on 3 threads run 1, 1 and 2),
-    # with the interpreter switching threads as often as it can, in passes
-    # of 1 to 4 steps, so that rows stop at every offset within a pass, and
-    # every worker count and pass length gives the same bits.
+    # and 3 processes, in uneven runs (4 blocks on 3 processes run 1, 1 and
+    # 2), in passes of 1 to 4 steps, so that rows stop at every offset
+    # within a pass, and every worker count and pass length gives the same
+    # bits.
     monkeypatch.setattr(splitting, "COLUMN_BLOCK", splitting.NORM_CHUNK)
     dim = splitting.NORM_CHUNK + extra
     half = range(dim // 2)
@@ -1129,39 +1132,51 @@ def test_column_blocks_equal_the_unblocked_steps_bitwise(monkeypatch, mode, extr
         distances = np.array([_chunked_norm(z) for z in iterates]).tobytes()
         references.append((len(iterates) - 1, diverged, distances, ref_x))
     monkeypatch.setattr(splitting, "RUN_ELEMENTS", 1)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for pass_steps, workers in itertools.product((1, 2, 3, 4), (1, 2, 3)):
-            monkeypatch.setattr(splitting, "PASS_STEPS", pass_steps)
-            monkeypatch.setattr(splitting, "WORKERS", workers)
-            runs = run_rows(problem, mode, alphas, gammas, lambda rows: starts[rows], max_iter=max_iter, tol=tol)
-            assert 0 < runs.steps[0] < max_iter and runs.diverged[1] and runs.steps[2] == 0
-            assert runs.steps[4] == max_iter
-            for i, (steps, diverged, distances, ref_x) in enumerate(references):
-                assert (runs.steps[i], runs.diverged[i]) == (steps, diverged)
-                assert runs.distances[i, : steps + 1].tobytes() == distances
-                if mode == "admm":
-                    u0 = Vec(starts[i] * (1.0 / gammas[i]))
-                    try:
-                        trace = run_admm(problem, gammas[i], alphas[i], u0=u0, max_iter=max_iter, tol=tol)
-                    except DivergenceError as exc:
-                        trace = exc.trace
-                    assert trace.final_x.coeffs.tobytes() == ref_x.tobytes()
-    finally:
-        sys.setswitchinterval(interval)
+    for pass_steps, workers in itertools.product((1, 2, 3, 4), (1, 2, 3)):
+        monkeypatch.setattr(splitting, "PASS_STEPS", pass_steps)
+        monkeypatch.setattr(splitting, "WORKERS", workers)
+        runs = run_rows(problem, mode, alphas, gammas, lambda rows: starts[rows], max_iter=max_iter, tol=tol)
+        assert 0 < runs.steps[0] < max_iter and runs.diverged[1] and runs.steps[2] == 0
+        assert runs.steps[4] == max_iter
+        for i, (steps, diverged, distances, ref_x) in enumerate(references):
+            assert (runs.steps[i], runs.diverged[i]) == (steps, diverged)
+            assert runs.distances[i, : steps + 1].tobytes() == distances
+            if mode == "admm":
+                u0 = Vec(starts[i] * (1.0 / gammas[i]))
+                try:
+                    trace = run_admm(problem, gammas[i], alphas[i], u0=u0, max_iter=max_iter, tol=tol)
+                except DivergenceError as exc:
+                    trace = exc.trace
+                assert trace.final_x.coeffs.tobytes() == ref_x.tobytes()
 
 
-def test_a_worker_raises_in_the_caller(monkeypatch):
-    # numpy's error handling is per thread: a worker steps under the
-    # caller's, and what it raises reaches the caller. Only the last of the
-    # three blocks, which a worker walks, holds an entry of 1e154, whose
-    # square is finite. The last coordinate has curvature BETA, so at
-    # alpha = gamma = 1 the step scales it by -9/11: the square of the
-    # step, 20/11 of it, overflows, and the distance's square does not
+def _forked_runs(monkeypatch):
+    """Rows of more than two ``NORM_CHUNK`` columns walked in blocks of that
+    many, in two runs, the second on a forked worker where this process may
+    fork; returns the list of the pids forked here from then on."""
     monkeypatch.setattr(splitting, "COLUMN_BLOCK", splitting.NORM_CHUNK)
     monkeypatch.setattr(splitting, "WORKERS", 2)
     monkeypatch.setattr(splitting, "RUN_ELEMENTS", 1)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(fork()) or forks[-1])
+    return forks
+
+
+#: long-row workers are forked only on Linux, and these tests read ``/proc/self/fd``
+linux_only = pytest.mark.skipif(sys.platform != "linux", reason="long rows fork workers only on Linux")
+
+
+def test_a_worker_raises_in_the_caller(monkeypatch):
+    # numpy's error handling is the caller's: a worker raises every error
+    # the caller would not ignore, and a walk that raised there is walked
+    # again in the caller, so what it warns or raises reaches the caller,
+    # under raise, warn and warnings made errors. Only the last of the
+    # three blocks, which the worker walks, holds an entry of 1e154, whose
+    # square is finite. The last coordinate has curvature BETA, so at
+    # alpha = gamma = 1 the step scales it by -9/11: the square of the
+    # step, 20/11 of it, overflows, and the distance's square does not
+    forks = _forked_runs(monkeypatch)
     dim = 2 * splitting.NORM_CHUNK + 3
     problem = make_primal_instance(SIGMA, BETA, dim, range(dim // 2))
     start = np.ones((1, dim))
@@ -1169,9 +1184,17 @@ def test_a_worker_raises_in_the_caller(monkeypatch):
     runs = lambda: run_rows(problem, "primal-dr", [1.0], [1.0], lambda rows: start, max_iter=2, tol=0.0)
     with np.errstate(all="raise"), pytest.raises(FloatingPointError, match="overflow"):
         runs()
+    with np.errstate(all="warn"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            runs()
+    with np.errstate(all="warn"), pytest.warns(RuntimeWarning, match="overflow"):
+        warned = runs()
     with np.errstate(over="ignore"):
         ignored = runs()
     assert ignored.steps[0] == 2 and np.isfinite(ignored.distances).all()
+    assert warned.distances.tobytes() == ignored.distances.tobytes()
+    assert len(forks) == (4 if sys.platform == "linux" else 0)
 
 
 @pytest.mark.parametrize(
@@ -1267,22 +1290,25 @@ def test_an_admm_run_stopping_inside_a_pass_keeps_its_last_x(monkeypatch):
     assert offsets == set(range(splitting.PASS_STEPS))
 
 
-def test_a_pass_reports_no_float_error_of_a_step_past_a_stop(monkeypatch):
-    # row 1 trips the guard at step 2, the first of a pass, from a start
-    # scaled so that the squares of the pass's later steps overflow. Only
-    # the steps the runs take may raise: none here, and the batch is the
-    # batch of one step per walk. Scaled 8x more, the row's norm overflows
-    # at step 2 itself, which raises as it does one step per walk
+def check_no_float_error_past_a_stop(monkeypatch, cols: slice):
+    """Row 1 trips the guard at step 2, the first of a pass, from a start
+    whose columns ``cols`` are scaled so that the squares of the pass's
+    later steps overflow. Only the steps the runs take may raise: none
+    here, and the batch is the batch of one step per walk. Scaled 8x more,
+    the row's norm overflows at step 2 itself, which raises, warns, or
+    raises its warning, as it does one step per walk."""
     monkeypatch.setattr(splitting, "COLUMN_BLOCK", splitting.NORM_CHUNK)
     dim = 2 * splitting.NORM_CHUNK + 3
     problem = make_primal_instance(SIGMA, BETA, dim, range(dim // 2))
     upper = alpha_upper_bound(GAMMA_STAR, SIGMA, BETA)
     alphas, gammas = np.array([0.3 * upper, 4.0, 0.7 * upper]), np.full(3, GAMMA_STAR)
     starts = np.random.default_rng(7).uniform(-1.0, 1.0, (3, dim))
-    engine = splitting._engine(problem, "primal-dr", GAMMA_STAR)(4.0, GAMMA_STAR, starts[1:2])
+    scaled = np.zeros((1, dim))
+    scaled[0, cols] = starts[1, cols]
+    engine = splitting._engine(problem, "primal-dr", GAMMA_STAR)(4.0, GAMMA_STAR, scaled)
     norms = [splitting._norms(z)[0] for z in splitting._stepped(engine, 4)]
-    assert norms[1] > 10.0 * splitting._norms(starts[1:2])[0] >= norms[0]
-    starts[1] *= 2.0 ** math.floor(math.log2(4e153 / norms[1]))
+    assert norms[1] > 10.0 * splitting._norms(scaled)[0] >= norms[0]
+    starts[1, cols] *= 2.0 ** math.floor(math.log2(4e153 / norms[1]))
     engine = splitting._engine(problem, "primal-dr", GAMMA_STAR)(4.0, GAMMA_STAR, starts[1:2])
     with np.errstate(over="ignore"):
         norms = [splitting._norms(z)[0] for z in splitting._stepped(engine, 4)]
@@ -1297,22 +1323,178 @@ def test_a_pass_reports_no_float_error_of_a_step_past_a_stop(monkeypatch):
         assert list(r.steps) == [12, 2, 12] and list(r.diverged) == [False, True, False]
         results.add(r.distances.tobytes())
     assert len(results) == 1
-    starts[1] *= 8.0
+    starts[1, cols] *= 8.0
     for pass_steps in (1, 4):
         monkeypatch.setattr(splitting, "PASS_STEPS", pass_steps)
         with np.errstate(all="raise"), pytest.raises(FloatingPointError, match="overflow"):
             runs()
+        with np.errstate(all="warn"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeWarning, match="overflow"):
+                runs()
+        with np.errstate(all="warn"), pytest.warns(RuntimeWarning, match="overflow"):
+            r = runs()
+        assert list(r.steps) == [12, 2, 12] and list(r.diverged) == [False, True, False]
+        results.add(r.distances.tobytes())
+    assert len(results) == 2
+
+
+def test_a_pass_reports_no_float_error_of_a_step_past_a_stop(monkeypatch):
+    check_no_float_error_past_a_stop(monkeypatch, slice(None))
+
+
+def test_a_forked_pass_reports_no_float_error_of_a_step_past_a_stop(monkeypatch):
+    # the same in two runs, with only the worker's columns scaled: it meets
+    # every overflow, and what it meets is raised or warned in the caller
+    forks = _forked_runs(monkeypatch)
+    check_no_float_error_past_a_stop(monkeypatch, slice(splitting.NORM_CHUNK, None))
+    assert forks or sys.platform != "linux"
+
+
+def _lifetime_runs():
+    """Calls that walk rows of ``2 * NORM_CHUNK + 3`` columns, each as its
+    own engine or engines: the one-row runs, a batch, the replays of a
+    trace's iterates and of ADMM's final x, and a batch that raises
+    partway, at the overflow of its first step."""
+    dim = 2 * splitting.NORM_CHUNK + 3
+    primal = make_primal_instance(SIGMA, BETA, dim, range(dim // 2))
+    dual = make_dual_instance(SIGMA, BETA, 1.0, 3.0, dim, range(dim // 2), pairing="crossed")
+    params = SplitParams(*optimal_params(SIGMA, BETA)[:2])
+    start = np.random.default_rng(dim).uniform(-1.0, 1.0, (3, dim))
+    overflowing = np.ones((1, dim))
+    overflowing[0, -1] = 1e154
+
+    def raises():
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            run_rows(primal, "primal-dr", [1.0], [1.0], lambda rows: overflowing, max_iter=2, tol=0.0)
+
+    return {
+        "run_dr": lambda: run_dr(primal, params, Vec(start[0]), max_iter=12, tol=0.0),
+        "run_admm": lambda: run_admm(dual, 0.3, 0.9, Vec(start[0]), max_iter=12, tol=0.0),
+        "run_rows": lambda: run_rows(primal, "primal-dr", [0.5, 0.9, 1.1], [0.3] * 3, lambda rows: start[rows], 12),
+        "iterates": lambda: run_dr(primal, params, Vec(start[0]), max_iter=12, tol=0.0).iterates[-1],
+        "final_x": lambda: run_admm(dual, 0.3, 0.9, Vec(start[0]), max_iter=12, tol=0.0).final_x,
+        "raises": raises,
+    }
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+@linux_only
+@pytest.mark.parametrize("call", ["run_dr", "run_admm", "run_rows", "iterates", "final_x", "raises"])
+def test_no_worker_outlives_its_run(monkeypatch, call):
+    # each engine's workers are stopped and reaped when its run, its replay
+    # or its walk that raised ends, while the engine itself is still held:
+    # no child is left and no pipe is open
+    forks = _forked_runs(monkeypatch)
+    engines = []
+    iterate, stepped = splitting._iterate, splitting._stepped
+    monkeypatch.setattr(splitting, "_iterate", lambda engine, *args: engines.append(engine) or iterate(engine, *args))
+    monkeypatch.setattr(splitting, "_stepped", lambda engine, steps: engines.append(engine) or stepped(engine, steps))
+    fds = _open_fds()
+    _lifetime_runs()[call]()
+    assert len(forks) == len(engines) == (2 if call in ("iterates", "final_x") else 1)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert _open_fds() == fds
+
+
+@linux_only
+@pytest.mark.parametrize("mode", ["dual-dr", "admm"])
+def test_a_worker_killed_mid_run_changes_no_distance(monkeypatch, mode):
+    # a worker killed by SIGKILL while the caller walks the first run of the
+    # third walk gives no reply: it is reaped, and the caller walks its run
+    # from then on, with the same bits as one process
+    dim = 2 * splitting.NORM_CHUNK + 3
+    problem = make_dual_instance(SIGMA, BETA, 1.0, 3.0, dim, range(dim // 2), pairing="crossed")
+    starts = np.random.default_rng(dim).uniform(-1.0, 1.0, (2, dim))
+    run = lambda: run_rows(problem, mode, [0.5, 0.9], [0.3, 0.3], lambda rows: starts[rows], max_iter=30, tol=0.0)
+    monkeypatch.setattr(splitting, "COLUMN_BLOCK", splitting.NORM_CHUNK)
+    monkeypatch.setattr(splitting, "WORKERS", 1)
+    alone = run()
+    forks = _forked_runs(monkeypatch)
+    parent, walks, killed = os.getpid(), [], []
+    walk = splitting._ColumnBlocks._walk
+
+    def killing(self, *args):
+        if os.getpid() == parent and self.workers and args[5] == 0:
+            walks.append(1)
+            if len(walks) == 3:
+                killed.append(os.kill(self.workers[1][0], signal.SIGKILL))
+        return walk(self, *args)
+
+    monkeypatch.setattr(splitting._ColumnBlocks, "_walk", killing)
+    fds = _open_fds()
+    forked = run()
+    assert len(forks) == len(killed) == 1 and len(walks) == 3
+    assert forked.distances.tobytes() == alone.distances.tobytes()
+    assert forked.steps.tolist() == alone.steps.tolist() == [30, 30]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert _open_fds() == fds
+
+
+@linux_only
+@pytest.mark.parametrize("error", [DeprecationWarning("multi-threaded"), KeyboardInterrupt()])
+def test_a_fork_that_raises_leaves_no_pipe(monkeypatch, error):
+    # an exception from os.fork other than OSError (a warning made an error,
+    # an interrupt) reaches the caller, with the worker's pipes closed
+    _forked_runs(monkeypatch)
+
+    def raising():
+        raise error
+
+    monkeypatch.setattr(os, "fork", raising)
+    fds = _open_fds()
+    with pytest.raises(type(error)):
+        _lifetime_runs()["run_dr"]()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert _open_fds() == fds
+
+
+@linux_only
+@pytest.mark.parametrize("mode", ["dual-dr", "admm"])
+def test_workers_fork_beside_a_thread_python_does_not_run(monkeypatch, mode):
+    # faulthandler's watchdog is an OS thread that the threading module does
+    # not count, as a BLAS pool's are: the steps still fork, and with
+    # warnings made errors, as Python 3.12's fork-with-threads warning would
+    # be, the runs keep their bits and leave no child and no pipe
+    import faulthandler
+
+    dim = 2 * splitting.NORM_CHUNK + 3
+    problem = make_dual_instance(SIGMA, BETA, 1.0, 3.0, dim, range(dim // 2), pairing="crossed")
+    starts = np.random.default_rng(dim).uniform(-1.0, 1.0, (2, dim))
+    run = lambda: run_rows(problem, mode, [0.5, 0.9], [0.3, 0.3], lambda rows: starts[rows], max_iter=12, tol=0.0)
+    alone = run()
+    forks = _forked_runs(monkeypatch)
+    fds = _open_fds()
+    faulthandler.dump_traceback_later(600)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            forked = run()
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+    assert len(forks) == 1
+    assert forked.distances.tobytes() == alone.distances.tobytes()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert _open_fds() == fds
 
 
 def test_a_wrong_sized_start_is_rejected_before_its_engine_is_built():
     # the start's dimension is checked before the engine's buffers are made,
-    # so a start of rows long enough for two workers starts no thread pool
+    # so a start of rows long enough for two workers forks and maps nothing
     code = (
-        "import sys, tracemalloc, numpy as np\n"
+        "import os, tracemalloc, numpy as np\n"
         "from splitrate import splitting\n"
         "from splitrate.hilbert import Vec\n"
         "from splitrate.worstcase import default_primal_instance\n"
         "splitting.WORKERS = 2\n"
+        "os.fork = None\n"
         "problem, v = default_primal_instance(), Vec(np.ones(10**6))\n"
         "tracemalloc.start()\n"
         "try:\n"
@@ -1322,29 +1504,27 @@ def test_a_wrong_sized_start_is_rejected_before_its_engine_is_built():
         "else:\n"
         "    raise AssertionError('a wrong-sized start ran')\n"
         "assert tracemalloc.get_traced_memory()[1] < 1 << 20, tracemalloc.get_traced_memory()\n"
-        "assert splitting._pool is None\n"
-        "assert 'concurrent.futures' not in sys.modules\n"
+        "assert splitting._mapped == 0\n"
     )
     src = str(Path(splitting.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
 
 
-def test_short_rows_import_no_thread_pool():
-    # the pool, and concurrent.futures, are for rows longer than
-    # COLUMN_BLOCK: the package, the battery's module and default sweeps
-    # never load them
-    code = (
-        "import contextlib, io, sys, splitrate, splitrate.acceptance\n"
-        "from splitrate import cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    codes = [cli.main(['sweep', '--mode', mode]) for mode in ('primal-dr', 'dual-dr', 'admm')]\n"
-        "assert codes == [0, 0, 0], codes\n"
-        "assert 'concurrent.futures' not in sys.modules\n"
-    )
-    src = str(Path(splitting.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+def test_short_rows_and_the_battery_fork_nothing_and_map_nothing(monkeypatch, capsys):
+    # workers, and the shared mappings of their state buffers, are for rows
+    # longer than COLUMN_BLOCK: default sweeps and the battery's criteria
+    # make neither, even where two workers may step long rows
+    def made(*args):
+        raise AssertionError("forked or mapped")
+
+    monkeypatch.setattr(splitting, "WORKERS", 2)
+    monkeypatch.setattr(os, "fork", made)
+    monkeypatch.setattr(mmap, "mmap", made)
+    assert [cli.main(["sweep", "--mode", mode]) for mode in splitting.MODES] == [0, 0, 0]
+    capsys.readouterr()
+    results = [acceptance.run_criterion(name) for name in acceptance.CRITERIA]
+    assert all(result.passed for result in results), [r.line() for r in results]
 
 
 @pytest.mark.parametrize("mode", ["primal-dr", "admm"])
@@ -1352,7 +1532,7 @@ def test_a_step_holds_no_row_sized_temporary(monkeypatch, mode):
     # a step's temporaries are column blocks: from the engine's build to
     # its twentieth step, the traced peak stays within a few blocks of the
     # buffers the engine holds, where one row is 1.6 MB. The blocks run on
-    # two threads, each with its own block of temporaries
+    # two processes, the worker with its own copy of the temporaries
     monkeypatch.setattr(splitting, "WORKERS", 2)
     monkeypatch.setattr(splitting, "RUN_ELEMENTS", splitting.COLUMN_BLOCK)
     dim = 200_000
