@@ -12,6 +12,7 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -594,22 +595,15 @@ def _taken(queue: int):
         yield index[0]
 
 
-def _child(queue: int, out: int, names: list) -> None:
-    """A forked worker: for each criterion it takes from ``queue``, write
-    ``(index, passed, detail, elapsed)`` to ``out`` once it has run. It
-    leaves through ``os._exit``, so no ``atexit`` hook runs and no stdio
-    buffer it inherited is flushed a second time: status 0 once the queue
-    is empty, 1 if anything escaped the loop."""
-    code = 1
-    try:
-        for index in _taken(queue):
-            result = run_criterion(names[index])
-            record = marshal.dumps((index, bool(result.passed), result.detail, result.elapsed))
-            while record:
-                record = record[os.write(out, record) :]
-        code = 0
-    finally:
-        os._exit(code)
+def _serve(names: list, queue: int, out: int) -> None:
+    """A forked worker (see :func:`splitrate.splitting._spawn`): for each
+    criterion it takes from ``queue``, write ``(index, passed, detail,
+    elapsed)`` to ``out`` once it has run."""
+    for index in _taken(queue):
+        result = run_criterion(names[index])
+        record = marshal.dumps((index, bool(result.passed), result.detail, result.elapsed))
+        while record:
+            record = record[os.write(out, record) :]
 
 
 def _records(data: bytes):
@@ -634,20 +628,22 @@ def run_all(verbose: bool = True) -> list:
     order, when verbose.
 
     The criteria run on ``min(splitting.WORKERS, len(CRITERIA))`` workers:
-    this process and forked children. Each worker takes the next criterion
-    index from one queue, a pipe that holds one byte per criterion, so each
-    criterion runs once; a child writes its results back on a pipe of its
-    own. A criterion that no worker reports fails, with the wait status of
-    each child that did not exit cleanly. Each ``elapsed``, and the runtime
-    a budget is checked against, is measured in the process that ran the
-    criterion. On one usable core, off Linux, or while this process runs
-    other threads, the same loop runs here alone and forks nothing.
+    this process and children forked and reaped as the long-row steps'
+    are (see :func:`splitrate.splitting._spawn`). Each worker takes the
+    next criterion index from one queue, a pipe that holds one byte per
+    criterion, so each criterion runs once; a child writes its results back
+    on a pipe of its own. A criterion that no worker reports fails, with
+    the wait status of each child that did not exit cleanly. Each
+    ``elapsed``, and the runtime a budget is checked against, is measured
+    in the process that ran the criterion. On one usable core, off Linux,
+    or while this process runs other threads, the same loop runs here
+    alone and forks nothing.
     """
     names = list(CRITERIA)
     results = [None] * len(names)
     workers = _workers(len(names))
     queue = None
-    children = {}  # pid -> the read end of its pipe
+    children = {}  # pid -> (pid, None, the read end of its pipe)
     statuses = []  # the wait status of each child reaped
     try:
         if workers > 1:
@@ -656,20 +652,13 @@ def run_all(verbose: bool = True) -> list:
             # closed before any fork, so that the queue ends once it is read
             os.close(fill)
             for _ in range(workers - 1):
-                read, write = os.pipe()
-                try:
-                    pid = os.fork()
-                except OSError:  # no more processes: the workers so far take the whole queue
-                    os.close(read)
-                    os.close(write)
+                child = splitting._spawn(partial(_serve, names), queue)
+                if child is None:  # no more processes: the workers so far take the whole queue
                     break
-                if pid == 0:
-                    _child(queue, write, names)
-                os.close(write)
-                children[pid] = open(read, "rb")
+                children[child[0]] = child
         for index in range(len(names)) if queue is None else _taken(queue):
             results[index] = run_criterion(names[index])
-        for pid, pipe in list(children.items()):
+        for pid, (_, _, pipe) in list(children.items()):
             data = pipe.read()
             pipe.close()
             statuses.append(os.waitpid(pid, 0)[1])
@@ -678,10 +667,7 @@ def run_all(verbose: bool = True) -> list:
                 results[index] = CriterionResult(names[index], *outcome)
     finally:
         # after an exception or an interrupt here: no child outlives the call
-        for pid, pipe in children.items():
-            pipe.close()
-            os.kill(pid, 9)  # SIGKILL; the signal module is not loaded
-            os.waitpid(pid, 0)
+        splitting._reap(children)
         if queue is not None:
             os.close(queue)
     # a criterion is unreported only when a child took it and ended first

@@ -13,7 +13,7 @@ import threading
 import weakref
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -252,13 +252,55 @@ def _release(size: int) -> None:
     _mapped -= size
 
 
+def _spawn(serve: Callable, commands: int | None = None) -> tuple | None:
+    """Fork a worker that runs ``serve(commands, replies)``, ``replies``
+    the write end of a new pipe and ``commands``, if None, the read end of
+    another: ``(pid, command pipe or None, reply pipe as a file)``, or None
+    if no process could be made. An exception from the fork closes the new
+    pipes and, but for an OSError, is raised. The worker leaves through
+    ``os._exit``, so no ``atexit`` hook runs and no stdio buffer it
+    inherited is flushed twice: status 0 once ``serve`` returns, else 1.
+    The battery (see :func:`splitrate.acceptance.run_all`) and the long-row
+    steps fork by this and reap by :func:`_reap`."""
+    fds = []  # reply, replies, then commands, command if made here
+    try:
+        fds += os.pipe()
+        if commands is None:
+            fds += os.pipe()
+        pid = os.fork()
+    except BaseException as error:
+        for fd in fds:
+            os.close(fd)
+        if not isinstance(error, OSError):
+            raise
+        return None
+    reply, replies, *own = fds
+    commands, command = own or (commands, None)
+    if pid == 0:
+        code = 1
+        try:
+            # so that the pipes end when the caller's ends close
+            os.close(reply)
+            if own:
+                os.close(command)
+            serve(commands, replies)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(replies)
+    if own:
+        os.close(commands)
+    return pid, command, open(reply, "rb")
+
+
 def _reap(workers: dict) -> None:
-    """Kill and reap forked workers, ``{run: (pid, command pipe, reply
-    pipe)}``. Closing a worker's command pipe need not end it: a worker
+    """Kill and reap forked workers, ``{key: worker}`` as :func:`_spawn`
+    gives them. Closing a worker's command pipe need not end it: a worker
     forked after it, for this engine or another, may hold the pipe open."""
     while workers:
         pid, command, reply = workers.popitem()[1]
-        os.close(command)
+        if command is not None:
+            os.close(command)
         reply.close()
         os.kill(pid, 9)  # SIGKILL; the signal module need not be loaded
         os.waitpid(pid, 0)
@@ -300,12 +342,13 @@ class _ColumnBlocks:
     there are. ``out`` is one of a
     pair of per-engine buffers of the state's shape, which take turns: a
     call writes the one it does not read, so an engine may make its first
-    state in ``pair[0]``. With workers, the pair lives in one shared
-    mapping (see :func:`_shared`). The blocks start on chunk boundaries, so
-    each block writes the dots of its own chunks into its own columns of
-    one array of every step's chunk dots, and the last block writes the
-    rows' tail dots, by :func:`_chunk_dots`, as :func:`_norms` does; they
-    are summed as it sums them. :meth:`stop` stops and reaps the workers.
+    state in ``pair[0]``. The blocks start on chunk boundaries, so each
+    block writes the dots of its own chunks into its own columns of
+    ``sums``, each step's chunk dots and, last, the rows' tail dots, which
+    the last block writes, by :func:`_chunk_dots`, as :func:`_norms` does;
+    they are summed as it sums them. With workers, the pair and ``sums`` live
+    in shared mappings (see :func:`_shared`), so a worker's writes are the
+    caller's. :meth:`stop` stops and reaps the workers.
     """
 
     def __init__(self, shape: tuple, temps: int):
@@ -322,6 +365,10 @@ class _ColumnBlocks:
             edges = [NORM_CHUNK * (chunks * i // runs) for i in range(runs)] + [self.dim]
             self.runs = list(zip(edges, edges[1:]))
             self.pair = tuple(_shared((2, *shape))) if runs > 1 else (np.empty(shape), np.empty(shape))
+            # the dots of recorded and step, for each step of the longest
+            # walk _iterate asks for
+            sums = (2, PASS_STEPS, rows, self.dim // NORM_CHUNK + 1)
+            self.sums = _shared(sums) if runs > 1 else np.empty(sums)
             # the spare block, then the temporaries, of the runs the caller
             # walks; a worker writes its own copies of them
             self.temps = [np.empty((rows, COLUMN_BLOCK)) for _ in range(1 + temps)]
@@ -361,9 +408,6 @@ class _ColumnBlocks:
 
     def run(self, update: Callable, z: np.ndarray, columns: tuple, steps: int = 1) -> tuple:
         out = self.pair[z is self.pair[0]]
-        # each step's chunk dots and tail dots of recorded and step
-        dots = np.empty((2, steps, len(z), self.dim // NORM_CHUNK))
-        tails = np.empty((2, steps, len(z)))
         if self.workers is None:
             self._fork(update, columns, z)
         # a worker steps only an input it inherited, and raises each error
@@ -376,20 +420,23 @@ class _ColumnBlocks:
             asked = [run for run in list(self.workers) if self._send(run, command)]
         done = set()
         try:
-            self._walk(update, z, out, columns, steps, *self.runs[0], dots, tails)
+            self._walk(update, z, out, columns, steps, *self.runs[0])
         finally:
             # every worker ends its walk before the buffers are read or written again
-            done.update(run for run in asked if self._reply(run, dots, tails))
+            done.update(run for run in asked if self._reply(run))
         # the runs of the workers that failed, died or could not see z
         for run, (lo, hi) in enumerate(self.runs[1:], 1):
             if run not in done:
-                self._walk(update, z, out, columns, steps, lo, hi, dots, tails)
-        norms = np.sqrt(dots.sum(axis=3) + tails)
+                self._walk(update, z, out, columns, steps, lo, hi)
+        sums = self.sums[:, :steps]
+        norms = np.sqrt(sums[..., :-1].sum(axis=3) + sums[..., -1])
         return out, *(norms if steps > 1 else norms[:, 0])
 
-    def _walk(self, update, z, out, columns, steps, lo, hi, dots, tails) -> None:
+    def _walk(self, update, z, out, columns, steps, lo, hi) -> None:
         """Take ``steps`` steps on each block of the columns ``lo`` to ``hi``
-        of ``z`` in turn, writing ``out`` and the blocks' chunk and tail dots."""
+        of ``z`` in turn, writing ``out`` and the blocks' chunk and tail
+        dots into ``sums``."""
+        dots, tails = self.sums[..., :-1], self.sums[..., -1]
         for start in range(lo, hi, COLUMN_BLOCK):
             cols = slice(start, min(start + COLUMN_BLOCK, hi))
             spare, *block_temps = [t[:, : cols.stop - start] for t in self.temps]
@@ -406,62 +453,37 @@ class _ColumnBlocks:
         besides it and this process may still fork (see :func:`_forkable`);
         a run left with no worker is the caller's. A worker sees only what
         it inherits: the update, its columns, ``first``, the input of the
-        walk that forks it, which no step writes, and the pair of state
-        buffers, whose writes are shared. The workers are reaped when the
+        walk that forks it, which no step writes, and the state buffers and
+        ``sums``, whose writes are shared. The workers are reaped when the
         engine stops, or else when it is collected."""
         self.workers, self.inherited = {}, (first, *self.pair)
         if len(self.runs) == 1 or not _forkable():
             return
         weakref.finalize(self, _reap, self.workers)
         for run, (lo, hi) in enumerate(self.runs[1:], 1):
-            commands, command = os.pipe()
-            reply, replies = os.pipe()
-            try:
-                pid = os.fork()
-            except BaseException as error:
-                for fd in (commands, command, reply, replies):
-                    os.close(fd)
-                if not isinstance(error, OSError):
-                    raise
+            worker = _spawn(partial(self._serve, update, columns, lo, hi))
+            if worker is None:
                 return  # no more processes: the caller walks the runs left
-            if pid == 0:
-                # so that the command pipe ends when the caller does
-                os.close(command)
-                os.close(reply)
-                self._serve(update, columns, lo, hi, commands, replies)
-            os.close(commands)
-            os.close(replies)
-            self.workers[run] = (pid, command, open(reply, "rb"))
+            self.workers[run] = worker
 
     def _serve(self, update, columns, lo, hi, commands: int, replies: int) -> None:
-        """A forked worker: walk the columns ``lo`` to ``hi`` on each command,
-        ``(steps, input, kinds to raise)``, and reply ``0`` with the chunk
-        dots of those columns, and the tail dots if they end the rows, or
-        ``1`` if the walk raised. It is killed when the engine stops (see
-        :func:`_reap`), and leaves by itself once its command pipe ends, as
-        when the caller dies, through ``os._exit``, so no ``atexit`` hook
-        runs and no stdio buffer it inherited is flushed a second time."""
-        code = 1
-        try:
-            while len(command := os.read(commands, _COMMAND.size)) == _COMMAND.size:
-                steps, index, raising = _COMMAND.unpack(command)
-                z = self.inherited[index]
-                dots = np.empty((2, steps, len(z), self.dim // NORM_CHUNK))
-                tails = np.empty((2, steps, len(z)))
-                how = {kind: "raise" if raising >> i & 1 else "ignore" for i, kind in enumerate(_KINDS)}
-                try:
-                    with np.errstate(**how):
-                        self._walk(update, z, self.pair[z is self.pair[0]], columns, steps, lo, hi, dots, tails)
-                except Exception:
-                    reply = b"\1"
-                else:
-                    reply = b"\0" + dots[..., lo // NORM_CHUNK : hi // NORM_CHUNK].tobytes()
-                    reply += tails.tobytes() if hi == self.dim else b""
-                while reply:
-                    reply = reply[os.write(replies, reply) :]
-            code = 0
-        finally:
-            os._exit(code)
+        """A forked worker (see :func:`_spawn`): walk the columns ``lo`` to
+        ``hi`` on each command, ``(steps, input, kinds to raise)``, which
+        writes their chunk dots, and the tail dots if they end the rows,
+        into ``sums``, and reply ``0``, or ``1`` if the walk raised. It is
+        killed when the engine stops (see :func:`_reap`), and returns once
+        its command pipe ends, as when the caller dies."""
+        while len(command := os.read(commands, _COMMAND.size)) == _COMMAND.size:
+            steps, index, raising = _COMMAND.unpack(command)
+            z = self.inherited[index]
+            how = {kind: "raise" if raising >> i & 1 else "ignore" for i, kind in enumerate(_KINDS)}
+            reply = b"\0"
+            try:
+                with np.errstate(**how):
+                    self._walk(update, z, self.pair[z is self.pair[0]], columns, steps, lo, hi)
+            except Exception:
+                reply = b"\1"
+            os.write(replies, reply)
 
     def _send(self, run: int, command: bytes) -> bool:
         """Send a command to the worker of ``run``; reap it if it is gone."""
@@ -472,24 +494,13 @@ class _ColumnBlocks:
             return False
         return True
 
-    def _reply(self, run: int, dots: np.ndarray, tails: np.ndarray) -> bool:
-        """Read the reply of the worker of ``run`` into ``dots`` and
-        ``tails``: whether its walk was kept. A worker that is gone is reaped."""
-        lo, hi = self.runs[run]
-        part = dots[..., lo // NORM_CHUNK : hi // NORM_CHUNK]
-        size = part.nbytes + (tails.nbytes if hi == self.dim else 0)
-        pipe = self.workers[run][2]
-        status = pipe.read(1)
-        if status == b"\1":
-            return False
-        data = pipe.read(size) if status else b""
-        if len(data) < size or not status:
+    def _reply(self, run: int) -> bool:
+        """Whether the worker of ``run`` kept its walk, which left its dots
+        in ``sums``: a reply of ``0``. A worker that is gone is reaped."""
+        status = self.workers[run][2].read(1)
+        if not status:
             _reap({run: self.workers.pop(run)})
-            return False
-        part[...] = np.frombuffer(data, count=part.size).reshape(part.shape)
-        if hi == self.dim:
-            tails[...] = np.frombuffer(data, offset=part.nbytes).reshape(tails.shape)
-        return True
+        return status == b"\0"
 
     def stop(self) -> None:
         """Kill and reap the workers, if any; a later walk forks them again."""

@@ -231,6 +231,52 @@ def test_a_worker_that_exits_inside_a_check_is_reported(monkeypatch, capsys, one
 
 
 @linux_only
+def test_a_worker_whose_result_cannot_be_sent_is_reported(monkeypatch, capsys, one_thread):
+    # in a child, the check gives a detail that marshal cannot dump, so the
+    # worker raises on its way out of the check and exits with status 1
+    parent = os.getpid()
+
+    def check():
+        if os.getpid() != parent:
+            return True, object()
+        time.sleep(0.05)  # time for the child to take a criterion
+        return True, "ran in the parent"
+
+    monkeypatch.setattr(acceptance, "CRITERIA", {name: (check, None) for name in "abcd"})
+    monkeypatch.setattr(splitting, "WORKERS", 2)
+    fds = open_fds()
+    code, lines = verify_lines(capsys)
+    assert code == 1
+    assert [line.split(" ")[1] for line in lines] == ["a:", "b:", "c:", "d:"]
+    failed = [line for line in lines if line.endswith(": not reported: a worker exited with status 1 ")]
+    passed = [line for line in lines if line.endswith(": ran in the parent ")]
+    assert len(failed) == 1 and len(passed) == 3
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert open_fds() == fds
+
+
+@linux_only
+@pytest.mark.parametrize("error", [DeprecationWarning("multi-threaded"), KeyboardInterrupt()])
+def test_a_fork_that_raises_leaves_no_pipe(monkeypatch, one_thread, error):
+    # an exception from os.fork other than OSError (a warning made an error,
+    # an interrupt) reaches the caller, with the worker's pipes and the
+    # queue closed, as it does for the long-row steps (tests/test_splitting.py)
+    def raising():
+        raise error
+
+    monkeypatch.setattr(acceptance, "CRITERIA", STAND_INS)
+    monkeypatch.setattr(splitting, "WORKERS", 2)
+    monkeypatch.setattr(os, "fork", raising)
+    fds = open_fds()
+    with pytest.raises(type(error)):
+        acceptance.run_all(verbose=False)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert open_fds() == fds
+
+
+@linux_only
 def test_an_interrupt_kills_and_reaps_the_workers(monkeypatch, one_thread):
     parent = os.getpid()
 

@@ -62,10 +62,11 @@ def _steps(result) -> int:
 def _traced(call):
     """``(result, held, peak)``: what ``call()`` returns, the bytes it left
     traced and the most it traced at once, each over what was traced
-    before the call. The shared mappings of long rows' state buffers (see
-    ``splitting._shared``), which tracemalloc does not see, count as traced
-    while they are live: the peak is taken over each stretch between the
-    mappings' creations and releases, where their bytes do not change."""
+    before the call. The shared mappings of long rows' state buffers and
+    step dots (see ``splitting._shared``), which tracemalloc does not see,
+    count as traced while they are live: the peak is taken over each
+    stretch between the mappings' creations and releases, where their
+    bytes do not change."""
     peaks = []
 
     def cut(change):
