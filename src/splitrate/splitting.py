@@ -63,8 +63,10 @@ NORM_CHUNK = 8192
 COLUMN_BLOCK = 4 * NORM_CHUNK
 
 #: most steps one walk over long rows takes (see :func:`_iterate`): each
-#: column block takes them all while it is in cache
-PASS_STEPS = 4
+#: column block takes them all while it is in cache, so the rows stream in
+#: from memory once a pass. A pass may run past a row's stop, and nothing
+#: past the stop is kept, so only the number of walks depends on it
+PASS_STEPS = 32
 
 #: most processes that step one batch of long rows (see :class:`_ColumnBlocks`):
 #: the cores this process may run on
@@ -80,8 +82,8 @@ WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 
 #: 1.03-1.16x over 10
 RUN_ELEMENTS = 4 * COLUMN_BLOCK
 
-#: numpy's floating-point error kinds, in the order of the bits of a
-#: worker's command, and the command: steps, input and the kinds to raise
+#: numpy's floating-point error kinds, in the order of their bits (see
+#: :func:`_raised`), and a worker's command: steps, input and the kinds to raise
 _KINDS = ("divide", "over", "under", "invalid")
 _COMMAND = struct.Struct("=qBB")
 
@@ -218,6 +220,20 @@ def _norms(z: np.ndarray, record: Callable = lambda z: z) -> np.ndarray:
     return np.sqrt(dots.sum(axis=1) + tails)
 
 
+def _raised() -> int:
+    """The floating-point error kinds that numpy's settings here do not
+    ignore, as bits in the order of ``_KINDS``: the errors a walk that may
+    step a row past its stop raises (see :func:`_iterate`), and a worker
+    raises for its caller (see :class:`_ColumnBlocks`)."""
+    return sum(1 << i for i, kind in enumerate(_KINDS) if np.geterr()[kind] != "ignore")
+
+
+def _raising(kinds: int) -> dict:
+    """``np.errstate`` settings that raise the errors of ``kinds``, bits as
+    :func:`_raised` gives them, and ignore the others."""
+    return {kind: "raise" if kinds >> i & 1 else "ignore" for i, kind in enumerate(_KINDS)}
+
+
 def _forkable() -> bool:
     """Whether this process may fork workers: only on Linux (the
     multiprocessing docs call ``fork`` unsafe on macOS), and only while no
@@ -306,6 +322,26 @@ def _reap(workers: dict) -> None:
         os.waitpid(pid, 0)
 
 
+def _staggered(rows: int, count: int) -> list:
+    """``count`` (at most 3) uninitialised ``(rows, COLUMN_BLOCK)`` float
+    arrays in one buffer, the i-th starting ``i + 1`` KiB into a page, so
+    that the low 12 bits of their addresses differ from one another's and
+    from those of the state's blocks, which start on a page. Where a step
+    stores into one array a few elements ahead of where it loads from
+    another at nearly the same offset within a page, the loads wait on the
+    stores (4K aliasing): with the spare block and the temporaries 16 bytes
+    into a page, where a fresh ``malloc`` block starts, a DR step at dim 1e6
+    took 1.6x as long as at these offsets on a 2-core Xeon host."""
+    size = rows * COLUMN_BLOCK * 8
+    # each array in a page-aligned span a page longer than it, which leaves
+    # room for its start to move 1-3 KiB in
+    span = -(-size // 4096) * 4096 + 4096
+    raw = np.empty(count * span + 4096, dtype=np.uint8)
+    first = -raw.ctypes.data % 4096
+    starts = [first + i * span + (i + 1) * 1024 for i in range(count)]
+    return [raw[at : at + size].view(float).reshape(rows, COLUMN_BLOCK) for at in starts]
+
+
 class _ColumnBlocks:
     """Runs the update of one or more engine steps on whole rows, or over
     column blocks for long rows, and norms what each step made; both
@@ -320,7 +356,9 @@ class _ColumnBlocks:
     step)``, and the step returns the state after the last step with the
     row norms of each step's ``recorded`` and ``step``, bit for bit what
     :func:`_norms` gives for the whole rows: ``(rows,)`` arrays for one
-    step, ``(steps, rows)`` for more.
+    step, ``(steps, rows)`` for more. Every step steps every row, a row of
+    NaN and a row past its stop alike: :func:`_iterate` keeps nothing of a
+    step past a row's stop.
 
     Rows of at most ``COLUMN_BLOCK`` elements take one step per call and
     are updated whole by ``update(z, *columns)``, which leaves ``out`` and
@@ -371,7 +409,7 @@ class _ColumnBlocks:
             self.sums = _shared(sums) if runs > 1 else np.empty(sums)
             # the spare block, then the temporaries, of the runs the caller
             # walks; a worker writes its own copies of them
-            self.temps = [np.empty((rows, COLUMN_BLOCK)) for _ in range(1 + temps)]
+            self.temps = _staggered(rows, 1 + temps)
 
     def shaped(self, *operands) -> tuple:
         """The operands of an update, each a scalar or an array that
@@ -415,8 +453,7 @@ class _ColumnBlocks:
         seen = [i for i, a in enumerate(self.inherited) if a is z]
         asked = []
         if seen:
-            raising = sum(1 << i for i, kind in enumerate(_KINDS) if np.geterr()[kind] != "ignore")
-            command = _COMMAND.pack(steps, seen[0], raising)
+            command = _COMMAND.pack(steps, seen[0], _raised())
             asked = [run for run in list(self.workers) if self._send(run, command)]
         done = set()
         try:
@@ -474,12 +511,11 @@ class _ColumnBlocks:
         killed when the engine stops (see :func:`_reap`), and returns once
         its command pipe ends, as when the caller dies."""
         while len(command := os.read(commands, _COMMAND.size)) == _COMMAND.size:
-            steps, index, raising = _COMMAND.unpack(command)
+            steps, index, kinds = _COMMAND.unpack(command)
             z = self.inherited[index]
-            how = {kind: "raise" if raising >> i & 1 else "ignore" for i, kind in enumerate(_KINDS)}
             reply = b"\0"
             try:
-                with np.errstate(**how):
+                with np.errstate(**_raising(kinds)):
                     self._walk(update, z, self.pair[z is self.pair[0]], columns, steps, lo, hi)
             except Exception:
                 reply = b"\1"
@@ -542,6 +578,27 @@ class _Engine(NamedTuple):
     x: Callable | None = None
 
 
+def _foreseen(distances: list, norms: tuple, live: np.ndarray, limit: np.ndarray, tol: float) -> float:
+    """How many more steps, at least one, until the earliest stop that the
+    ``live`` rows' last ratios foresee, or inf if they foresee none: a row
+    whose distance grew at its last step stops when, growing on at that
+    ratio, it passes its ``limit``, and a row whose step norm shrank stops
+    when, shrinking on at that ratio, it drops to ``tol``. ``distances``
+    lists the run's ``(rows,)`` distances so far and ``norms`` holds the
+    step norms of its last two steps, the first None after one step, when
+    a step norm's ratio is taken to be its distance's. It sets how long a
+    pass is (see :func:`_iterate`), and so how many walks a run takes but
+    no bit of its results; the last bits of ``log`` may depend on the CPU."""
+    d, s = distances[-1][live], norms[-1][live]
+    with np.errstate(all="ignore"):
+        grows = d / distances[-2][live]
+        shrinks = grows if norms[0] is None else s / norms[0][live]
+        ahead = np.log(limit[live] / d) / np.log(grows), np.log(tol / s) / np.log(shrinks)
+    # fmin passes over the NaN of a ratio of zeros or of infinities
+    ahead = np.fmin.reduce(np.concatenate([ahead[0][grows > 1.0], ahead[1][shrinks < 1.0]]), initial=np.inf)
+    return max(1.0, np.ceil(ahead))
+
+
 def _iterate(engine: _Engine, first: np.ndarray, max_iter: int, tol: float):
     """Run an engine (see :func:`_engine`) on its batch of rows: the loop of
     every engine.
@@ -559,18 +616,21 @@ def _iterate(engine: _Engine, first: np.ndarray, max_iter: int, tol: float):
     ``DIVERGENCE_FACTOR`` times its starting distance (diverged), or when
     its step norm drops to ``tol``.
 
-    Rows longer than ``COLUMN_BLOCK`` are stepped in passes of up to
-    ``PASS_STEPS`` steps, one walk over the rows each (see
-    :class:`_ColumnBlocks`); the first step, which the fixed-point test
-    needs alone, and a single step left at the end of the budget run
-    alone. A pass is kept only if no row stops at any of its steps, which
-    one test over all of its results tells, and if it raised no
-    floating-point error: it runs with every error that the caller would
-    see raised, since a step past some row's stop may have made one.
-    Otherwise the pass is thrown away and its steps run again one at a
-    time from its input, which it did not write, under the caller's error
-    handling. So no row is ever stepped past its stop, and only the steps
-    the runs take can warn or raise. Shorter rows take one step at a time.
+    Rows longer than ``COLUMN_BLOCK`` are stepped in passes, one walk over
+    the rows each (see :class:`_ColumnBlocks`). The first step, which the
+    fixed-point test needs alone, runs alone; each later pass takes the
+    fewest of ``PASS_STEPS`` steps, the steps left in the budget and the
+    steps to the earliest stop that the running rows' last ratios foresee
+    (see :func:`_foreseen`). A pass in which rows stop is kept, cut at each
+    row's first stop: the row's later distances are NaN, and its step count,
+    flags and state are what a run of one step a walk leaves. A pass runs
+    with every floating-point error that the caller would see raised, since
+    a step past some row's stop may have made one; a pass that raised is
+    thrown away and its steps run again one at a time from its input, which
+    it did not write, under the caller's error handling. So no step past a
+    row's stop is recorded, warns or raises, and no bit of the results
+    depends on how long the passes are. Shorter rows take one step at a
+    time.
 
     A stopped row stays in the batch until the run ends, as a row of NaN
     in the state. Each step map carries that NaN into the row's distance
@@ -587,6 +647,8 @@ def _iterate(engine: _Engine, first: np.ndarray, max_iter: int, tol: float):
     # each step's (rows,) distances, made one (steps + 1, rows) array at the
     # end: max_iter has no upper bound, so no record is made at its length
     distances = [first]
+    # the step norms of the last two steps, which foresee stops
+    norms = None, None
     # the guard needs a positive starting distance
     limit = np.where(first > 0.0, DIVERGENCE_FACTOR * first, np.inf)
     steps = np.full(rows, max_iter)
@@ -595,54 +657,55 @@ def _iterate(engine: _Engine, first: np.ndarray, max_iter: int, tol: float):
     diverged = np.zeros(rows, dtype=bool)
     live = rows  # how many rows still run
     step, state = engine.step, engine.state
-    # steps before `alone` run one at a time; `ready` steps have run
-    alone = 1 if dim > COLUMN_BLOCK and PASS_STEPS > 1 else max_iter
-    ready = 0
-    for k in range(max_iter):
-        if k < ready:
-            # a later step of a kept pass
-            continue
-        if alone <= k < max_iter - 1:
-            n = min(PASS_STEPS, max_iter - k)
-            raising = {kind: "raise" for kind, how in np.geterr().items() if how != "ignore"}
+    # steps before `alone` run one at a time; k steps have run
+    alone = 1 if dim > COLUMN_BLOCK else max_iter
+    k = 0
+    while k < max_iter:
+        n = 1 if k < alone else int(min(PASS_STEPS, max_iter - k, _foreseen(distances, norms, ~stopped, limit, tol)))
+        if n == 1:
+            before = state
+            state, dist, norm = step(before)
+            grew = dist > limit
+            done = grew | (norm <= tol)
+            if k == 0:
+                # a row that the first step leaves exactly where it was
+                # started at a fixed point: it stops there, after no step
+                fixed = engine.still(before, state)
+                dist[fixed] = np.nan
+                grew &= ~fixed
+                done |= fixed
+            distances.append(dist)
+            norms = norms[1], norm
+        else:
             try:
-                with np.errstate(**raising):
-                    passed, dists, norms = step(state, n)
+                with np.errstate(**_raising(_raised())):
+                    passed, dists, pass_norms = step(state, n)
             except FloatingPointError:
-                passed = None
-            # a stopped row's NaN meets neither test
-            if passed is None or np.count_nonzero((dists > limit) | (norms <= tol)):
                 alone = k + n
-            else:
-                distances.extend(dists)
-                state, ready = passed, k + n
                 continue
-        before = state
-        state, dist, step_norm = step(before)
-        grew = dist > limit
-        done = grew | (step_norm <= tol)
-        if k == 0:
-            # a row that the first step leaves exactly where it was
-            # started at a fixed point: it stops there, after no step
-            fixed = engine.still(before, state)
-            dist[fixed] = np.nan
-            grew &= ~fixed
-            done |= fixed
-        distances.append(dist)
+            state = passed
+            # a stopped row's NaN meets neither test
+            hits = (dists > limit) | (pass_norms <= tol)
+            # each row's first stop in the pass, after which nothing is kept
+            at, done = hits.argmax(axis=0), hits.any(axis=0)
+            grew = done & (dists[at, np.arange(rows)] > limit)
+            dists[np.arange(n)[:, None] > np.where(done, at, n)] = np.nan
+            distances.extend(dists)
+            norms = pass_norms[-2], pass_norms[-1]
         # count_nonzero, not any(): this test runs every step, and for the
         # few rows of a small batch any() costs about twice as much
         count = np.count_nonzero(done)
-        if not count:
-            continue
-        steps[done] = k + 1
-        if k == 0:
-            steps[fixed] = 0
-        stopped |= done
-        diverged |= grew
-        live -= count
-        if not live:
-            break
-        state[done] = np.nan
+        if count:
+            steps[done] = k + 1 if n == 1 else k + 1 + at[done]
+            if k == 0:
+                steps[fixed] = 0
+            stopped |= done
+            diverged |= grew
+            live -= count
+            if not live:
+                break
+            state[done] = np.nan
+        k += n
     # np.array then a transposed view: one copy, where np.stack(axis=1)
     # writes its rows one strided column at a time
     return np.array(distances[: steps.max(initial=0) + 1]).T, steps, stopped & ~diverged, diverged

@@ -90,14 +90,18 @@ def check_closed_form(mode, on_sigma, alpha, gamma, start, max_iter, tol):
 
 @pytest.mark.parametrize("mode", splitting.MODES)
 def test_long_rows_follow_the_closed_form(monkeypatch, mode):
-    # 9 column blocks in 2 runs, with a ragged last block; tol 0.1 stops
-    # each run at the second step of a pass (steps 2-5, 6-9, ... are
-    # passes): at step 15 in primal DR, at step 43 on the dual side
+    # 9 column blocks in 2 runs, with a ragged last block, in the default
+    # passes and in fixed passes of 4 steps (steps 2-5, 6-9, ...), in which
+    # tol 0.1 stops each run at the second step of a pass: at step 15 in
+    # primal DR, at step 43 on the dual side
     monkeypatch.setattr(splitting, "WORKERS", 2)
     case = default_case(mode, FIXED_DIM)
     assert check_closed_form(mode, *case, 30, 0.0)[1] == 30
-    _, steps = check_closed_form(mode, *case, 60, 0.1)
-    assert steps < 58 and (steps - 2) % splitting.PASS_STEPS == 1
+    stops = [check_closed_form(mode, *case, 60, 0.1)[1]]
+    monkeypatch.setattr(splitting, "PASS_STEPS", 4)
+    monkeypatch.setattr(splitting, "_foreseen", lambda *args: math.inf)
+    stops.append(check_closed_form(mode, *case, 60, 0.1)[1])
+    assert stops[0] == stops[1] < 58 and (stops[1] - 2) % 4 == 1
 
 
 def _sigma_band(draw, dim):
@@ -111,7 +115,8 @@ def _sigma_band(draw, dim):
 def closed_form_cases(draw):
     """A mode, a dim with several tiny column blocks, a band split, a
     relaxation up to 1.5x its limit, a step size, a start, a budget and a
-    tol; and the worker count and pass length to run them with."""
+    tol; and the worker count and pass length to run them with, and
+    whether passes end at foreseen stops or are cut by the budget alone."""
     mode = draw(st.sampled_from(splitting.MODES))
     dim = draw(st.integers(2, 120))
     on_sigma = _sigma_band(draw, dim)
@@ -121,8 +126,8 @@ def closed_form_cases(draw):
     start = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(dim)
     max_iter = draw(st.integers(0, 40))
     tol = draw(st.sampled_from([0.0, 1e-10, 1e-6, 1e-3, 1e-1]))
-    workers, pass_steps = draw(st.integers(1, 3)), draw(st.integers(1, 4))
-    return (mode, on_sigma, alpha, gamma, start, max_iter, tol), workers, pass_steps
+    workers, pass_steps, foresee = draw(st.integers(1, 3)), draw(st.sampled_from([1, 2, 3, 4, 32])), draw(st.booleans())
+    return (mode, on_sigma, alpha, gamma, start, max_iter, tol), workers, pass_steps, foresee
 
 
 @settings(deadline=None, max_examples=120)
@@ -130,7 +135,7 @@ def closed_form_cases(draw):
 def test_every_row_follows_the_closed_form(case):
     # 4-element chunks in blocks of 8 columns put dims up to 120 in up to 15
     # blocks, in as many runs as there are workers
-    args, workers, pass_steps = case
+    args, workers, pass_steps, foresee = case
     predicted, steps = predict(*args)
     # squares of distances this small are subnormal in the engine's norms
     assume(predicted[: steps + 1].min() > 1e-100)
@@ -138,6 +143,8 @@ def test_every_row_follows_the_closed_form(case):
     with pytest.MonkeyPatch.context() as patch:
         for name, value in sizes.items():
             patch.setattr(splitting, name, value)
+        if not foresee:
+            patch.setattr(splitting, "_foreseen", lambda *args: math.inf)
         check_closed_form(*args)
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 import golden
@@ -6,14 +8,16 @@ from splitrate import cli, splitting
 
 @pytest.mark.parametrize("entry", [e for e in golden.ENTRIES if e.size == "small"], ids=lambda e: e.name)
 def test_pinned_output(monkeypatch, entry):
-    # rows longer than a column block are walked in passes of 4 steps and of 1,
-    # by one process and by two; shorter rows take neither setting
+    # rows longer than a column block are walked under every pass policy, by
+    # one process and by two; shorter rows take neither setting
     dim = int(getattr(cli.build_parser().parse_args(entry.command.split()), "K", None) or 0)
     monkeypatch.setattr(splitting, "RUN_ELEMENTS", splitting.COLUMN_BLOCK)
-    for pass_steps, workers in [(4, 1), (4, 2), (1, 1), (1, 2)][: 4 if dim > splitting.COLUMN_BLOCK else 1]:
-        monkeypatch.setattr(splitting, "PASS_STEPS", pass_steps)
-        monkeypatch.setattr(splitting, "WORKERS", workers)
-        assert golden.mismatch(entry) is None, (pass_steps, workers)
+    runs = list(itertools.product(golden.POLICIES.items(), (1, 2)))
+    for (policy, settings), workers in runs if dim > splitting.COLUMN_BLOCK else runs[:1]:
+        with monkeypatch.context() as patch:
+            for name, value in {**settings, "WORKERS": workers}.items():
+                patch.setattr(splitting, name, value)
+            assert golden.mismatch(entry) is None, (policy, workers)
 
 
 def test_a_wrong_digest_is_reported_with_both_digests():

@@ -1088,6 +1088,18 @@ def _chunked_norm(v):
     return float(splitting._norms(v[None])[0])
 
 
+#: the default pass length and pass-length rule (see splitting._iterate)
+PASS_STEPS, FORESEEN = splitting.PASS_STEPS, splitting._foreseen
+
+
+def _passes(monkeypatch, steps=None):
+    """Walk long rows in passes of ``steps`` steps after the first, cut by
+    the budget alone, so that rows stop at every offset within a pass; with
+    None, in the default passes, which end at the stops the rows foresee."""
+    monkeypatch.setattr(splitting, "PASS_STEPS", steps or PASS_STEPS)
+    monkeypatch.setattr(splitting, "_foreseen", FORESEEN if steps is None else lambda *args: math.inf)
+
+
 @pytest.mark.parametrize("mode", splitting.MODES)
 @pytest.mark.parametrize("extra", [-1, 0, 1, splitting.NORM_CHUNK + 3, 2 * splitting.NORM_CHUNK + 5])
 def test_column_blocks_equal_the_unblocked_steps_bitwise(monkeypatch, mode, extra):
@@ -1097,9 +1109,9 @@ def test_column_blocks_equal_the_unblocked_steps_bitwise(monkeypatch, mode, extr
     # guard, at a zero start and at the budget, so stopped rows are stepped
     # on as NaN rows until the run ends. The blocks run on 1, 2
     # and 3 processes, in uneven runs (4 blocks on 3 processes run 1, 1 and
-    # 2), in passes of 1 to 4 steps, so that rows stop at every offset
-    # within a pass, and every worker count and pass length gives the same
-    # bits.
+    # 2), in fixed passes of 1 to 4 steps, so that rows stop at every
+    # offset within a pass, and in the default passes, and every worker
+    # count and pass length gives the same bits.
     monkeypatch.setattr(splitting, "COLUMN_BLOCK", splitting.NORM_CHUNK)
     dim = splitting.NORM_CHUNK + extra
     half = range(dim // 2)
@@ -1132,8 +1144,8 @@ def test_column_blocks_equal_the_unblocked_steps_bitwise(monkeypatch, mode, extr
         distances = np.array([_chunked_norm(z) for z in iterates]).tobytes()
         references.append((len(iterates) - 1, diverged, distances, ref_x))
     monkeypatch.setattr(splitting, "RUN_ELEMENTS", 1)
-    for pass_steps, workers in itertools.product((1, 2, 3, 4), (1, 2, 3)):
-        monkeypatch.setattr(splitting, "PASS_STEPS", pass_steps)
+    for pass_steps, workers in itertools.product((1, 2, 3, 4, None), (1, 2, 3)):
+        _passes(monkeypatch, pass_steps)
         monkeypatch.setattr(splitting, "WORKERS", workers)
         runs = run_rows(problem, mode, alphas, gammas, lambda rows: starts[rows], max_iter=max_iter, tol=tol)
         assert 0 < runs.steps[0] < max_iter and runs.diverged[1] and runs.steps[2] == 0
@@ -1198,14 +1210,18 @@ def test_a_worker_raises_in_the_caller(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "pass_steps, walks, steps", [(4, 9, 30), (1, 30, 30), (4, 16, 60)], ids=["4-9", "1-30", "4-16-60"]
+    "pass_steps, walks, steps",
+    [(4, 9, 30), (1, 30, 30), (4, 16, 60), (None, 2, 30)],
+    ids=["4-9", "1-30", "4-16-60", "default-2"],
 )
 def test_a_long_row_run_walks_its_row_once_per_pass(monkeypatch, pass_steps, walks, steps):
-    # 30 steps in passes of 4: the first step alone, 7 passes of 4, and the
-    # one step left alone. 60 steps: the first alone, 14 passes of 4, and a
-    # pass of the 3 steps left, which ends at the budget
+    # 30 steps in passes of 4: the first step alone, 7 passes of 4, and a
+    # pass of the one step left. 60 steps: the first alone, 14 passes of 4,
+    # and a pass of the 3 steps left, which ends at the budget. In the
+    # default passes of up to 32 steps, 30 steps are the first alone and
+    # one pass of 29: tol 0 foresees no stop, nor does a contracting row
     monkeypatch.setattr(splitting, "COLUMN_BLOCK", splitting.NORM_CHUNK)
-    monkeypatch.setattr(splitting, "PASS_STEPS", pass_steps)
+    _passes(monkeypatch, pass_steps)
     passes = []
     run = splitting._ColumnBlocks.run
     monkeypatch.setattr(splitting._ColumnBlocks, "run", lambda self, *a: passes.append(a[3]) or run(self, *a))
@@ -1216,12 +1232,15 @@ def test_a_long_row_run_walks_its_row_once_per_pass(monkeypatch, pass_steps, wal
     trace = run_dr(problem, SplitParams(alpha, gamma), z0, max_iter=steps, tol=0.0)
     assert trace.n_steps == steps
     assert (len(passes), sum(passes)) == (walks, steps)
+    if pass_steps is None:
+        assert passes == [1, 29]
 
 
-def test_a_pass_in_which_a_row_stops_is_walked_again_step_by_step(monkeypatch):
-    # tol is the row's own step norm at step 7, inside the pass of steps 6
-    # to 9: that pass is walked once and thrown away, and steps 6 and 7 are
-    # then walked one at a time, after step 1 alone and the pass of 2 to 5
+def test_a_pass_that_a_row_stops_in_is_kept_and_cut_at_the_stop(monkeypatch):
+    # tol is the row's own step norm at step 7, inside the fixed pass of
+    # steps 6 to 9: after step 1 alone and the pass of 2 to 5, that pass is
+    # walked once and kept, and the run ends at step 7 with the distances
+    # of its run of one step a walk
     monkeypatch.setattr(splitting, "COLUMN_BLOCK", splitting.NORM_CHUNK)
     dim = 2 * splitting.NORM_CHUNK + 3
     problem = make_primal_instance(SIGMA, BETA, dim, range(dim // 2))
@@ -1229,20 +1248,130 @@ def test_a_pass_in_which_a_row_stops_is_walked_again_step_by_step(monkeypatch):
     z0 = Vec(np.random.default_rng(31).uniform(-1.0, 1.0, dim))
     iterates = run_dr(problem, params, z0, max_iter=7, tol=0.0).iterates
     tol = _chunked_norm(iterates[7].coeffs - iterates[6].coeffs)
+    _passes(monkeypatch, 1)
+    alone = run_dr(problem, params, z0, max_iter=30, tol=tol)
+    _passes(monkeypatch, 4)
     walks = []
     run = splitting._ColumnBlocks.run
     monkeypatch.setattr(splitting._ColumnBlocks, "run", lambda self, *a: walks.append(a[3]) or run(self, *a))
     trace = run_dr(problem, params, z0, max_iter=30, tol=tol)
-    assert trace.n_steps == 7
-    assert walks == [1, 4, 4, 1, 1]
+    assert trace.n_steps == alone.n_steps == 7 and trace.converged
+    assert walks == [1, 4, 4]
+    assert trace.distances.tobytes() == alone.distances.tobytes()
+
+
+def test_a_foreseen_stop_ends_a_pass(monkeypatch):
+    # at the bound-minimizing parameters both bands shrink by the same
+    # factor, so the step norms do too: from its first step on, the run
+    # foresees its tol stop, halfway between two step norms, and walks its
+    # rows twice, with no step past the stop
+    monkeypatch.setattr(splitting, "COLUMN_BLOCK", splitting.NORM_CHUNK)
+    dim = 2 * splitting.NORM_CHUNK + 3
+    problem = make_primal_instance(SIGMA, BETA, dim, range(dim // 2))
+    params = SplitParams(*optimal_params(SIGMA, BETA)[:2])
+    z0 = Vec(np.random.default_rng(32).uniform(-1.0, 1.0, dim))
+    z = [v.coeffs for v in run_dr(problem, params, z0, max_iter=20, tol=0.0).iterates]
+    tol = math.sqrt(_chunked_norm(z[20] - z[19]) * _chunked_norm(z[19] - z[18]))
+    walks = []
+    run = splitting._ColumnBlocks.run
+    monkeypatch.setattr(splitting._ColumnBlocks, "run", lambda self, *a: walks.append(a[3]) or run(self, *a))
+    trace = run_dr(problem, params, z0, max_iter=60, tol=tol)
+    assert trace.n_steps == 20 and trace.converged
+    assert walks == [1, 19]
+
+
+def _one_row(problem, mode, alpha, gamma, start, max_iter, tol):
+    """The one-row run of ``mode`` from ``start``, as :func:`run_rows` runs
+    a row from it: ``(trace, diverged)``."""
+    if mode == "admm":
+        run = lambda: run_admm(problem, gamma, alpha, u0=Vec(start * (1.0 / gamma)), max_iter=max_iter, tol=tol)
+    else:
+        if mode == "dual-dr":
+            problem = CompositeProblem(dual_function(problem), GFunction.ZERO)
+        run = lambda: run_dr(problem, SplitParams(alpha, gamma), Vec(start), max_iter=max_iter, tol=tol)
+    try:
+        return run(), False
+    except DivergenceError as exc:
+        return exc.trace, True
+
+
+@pytest.mark.parametrize("mode", splitting.MODES)
+def test_a_pass_that_rows_stop_in_is_kept(monkeypatch, mode):
+    # ten rows stop by tol and ten by the guard (relaxations past their
+    # limit), at every offset within fixed passes of 4 steps (steps 2-5,
+    # 6-9, ...). The kept passes give the steps, flags and distances of one
+    # step a walk bit for bit, for the batch and for one-row runs at each
+    # kind of stop and offset, and ADMM's final x too
+    monkeypatch.setattr(splitting, "COLUMN_BLOCK", splitting.NORM_CHUNK)
+    dim = 2 * splitting.NORM_CHUNK + 3
+    half = range(dim // 2)
+    if mode == "primal-dr":
+        problem = make_primal_instance(SIGMA, BETA, dim, half)
+        curvatures = problem.f
+    else:
+        problem = make_dual_instance(SIGMA, BETA, 1.0, 3.0, dim, half, pairing="crossed")
+        curvatures = dual_function(problem)
+    gammas = np.full(20, 1.0 / math.sqrt(curvatures.sigma * curvatures.beta))
+    shares = np.concatenate([np.linspace(0.1, 0.9, 10), np.linspace(1.05, 2.0, 10)])
+    alphas = shares * alpha_upper_bound(gammas, curvatures.sigma, curvatures.beta)
+    starts = np.random.default_rng(40).uniform(-1.0, 1.0, (20, dim))
+    max_iter, tol = 60, 0.1
+    runs = lambda: run_rows(problem, mode, alphas, gammas, lambda rows: starts[rows], max_iter=max_iter, tol=tol)
+    _passes(monkeypatch, 1)
+    alone = runs()
+    _passes(monkeypatch, 4)
+    kept = runs()
+    for name in ("steps", "converged", "diverged", "distances"):
+        assert getattr(kept, name).tobytes() == getattr(alone, name).tobytes(), name
+    inside = (alone.steps > 1) & (alone.steps < max_iter)
+    # the first row of each kind of stop at each offset
+    picks = {}
+    for i in np.flatnonzero(inside):
+        picks.setdefault((bool(alone.diverged[i]), (alone.steps[i] - 2) % 4), i)
+    assert set(picks) == set(itertools.product((False, True), range(4)))
+    for (diverged, _), i in sorted(picks.items()):
+        traces = []
+        for pass_steps in (1, 4):
+            _passes(monkeypatch, pass_steps)
+            trace, tripped = _one_row(problem, mode, alphas[i], gammas[i], starts[i], max_iter, tol)
+            assert (trace.n_steps, tripped, trace.converged) == (alone.steps[i], diverged, not diverged)
+            assert trace.distances.tobytes() == alone.distances[i, : trace.n_steps + 1].tobytes()
+            traces.append(trace)
+        if mode == "admm":
+            assert traces[0].final_x.coeffs.tobytes() == traces[1].final_x.coeffs.tobytes()
+
+
+def test_a_tol_stop_inside_a_pass_is_no_divergence_after_it(monkeypatch):
+    # at alpha 1.265 and gamma 1 the sigma band's factor is -0.265 and the
+    # beta band's -1.3: from a start ten times larger on the sigma band, the
+    # step norm shrinks, then grows, and the distance passes 10x its start
+    # at step 18. tol at step 2's norm stops the run there, inside a fixed
+    # pass of 32 steps that runs on past step 18: the run converged, as it
+    # does one step a walk
+    monkeypatch.setattr(splitting, "COLUMN_BLOCK", splitting.NORM_CHUNK)
+    dim = 2 * splitting.NORM_CHUNK + 3
+    problem = make_primal_instance(SIGMA, BETA, dim, range(dim // 2))
+    params = SplitParams(1.265, 1.0)
+    start = Vec(np.where(np.arange(dim) < dim // 2, 1.0, 0.1))
+    with pytest.raises(DivergenceError) as exc:
+        run_dr(problem, params, start, max_iter=40, tol=0.0)
+    z = [v.coeffs for v in exc.value.trace.iterates]
+    assert len(z) == 19
+    tol = _chunked_norm(z[2] - z[1])
+    traces = []
+    for pass_steps in (1, 32):
+        _passes(monkeypatch, pass_steps)
+        traces.append(run_dr(problem, params, start, max_iter=40, tol=tol))
+    assert [(t.n_steps, t.converged) for t in traces] == [(2, True)] * 2
+    assert traces[0].distances.tobytes() == traces[1].distances.tobytes()
 
 
 def test_a_row_stopping_inside_a_pass_stops_there(monkeypatch):
-    # row 0 stops by tol inside a pass while the two slow rows run on: the
-    # pass is walked again one step at a time, and row 0 is stepped on as a
-    # NaN row after its stop, so its steps and distances stay those of its
-    # single run
+    # row 0 stops by tol inside a fixed pass while the two slow rows run
+    # on: the pass is kept, cut at row 0's stop, and row 0 is stepped on as
+    # a NaN row, so its steps and distances stay those of its single run
     monkeypatch.setattr(splitting, "COLUMN_BLOCK", splitting.NORM_CHUNK)
+    _passes(monkeypatch, 4)
     dim = 2 * splitting.NORM_CHUNK + 3
     problem = make_primal_instance(SIGMA, BETA, dim, range(dim // 2))
     alpha, gamma, _ = optimal_params(SIGMA, BETA)
@@ -1256,16 +1385,17 @@ def test_a_row_stopping_inside_a_pass_stops_there(monkeypatch):
         assert list(runs.steps) == [trace.n_steps, 40, 40]
         assert runs.distances[0, : trace.n_steps + 1].tobytes() == trace.distances.tobytes()
         assert np.all(np.isnan(runs.distances[0, trace.n_steps + 1 :]))
-        offsets.add((trace.n_steps - 2) % splitting.PASS_STEPS)
-    assert offsets == set(range(splitting.PASS_STEPS))
+        offsets.add((trace.n_steps - 2) % 4)
+    assert offsets == set(range(4))
 
 
 def test_an_admm_run_stopping_inside_a_pass_keeps_its_last_x(monkeypatch):
-    # a one-row run that stops by tol inside a pass walks that pass again
-    # one step at a time, so its final step reads the state its final x
-    # comes from: at every offset within a pass, its distances and final x
-    # are the reference loop's
+    # a one-row run that stops by tol inside a fixed pass keeps the pass,
+    # and its final x is replayed from the state its final step read: at
+    # every offset within a pass, its distances and final x are the
+    # reference loop's
     monkeypatch.setattr(splitting, "COLUMN_BLOCK", splitting.NORM_CHUNK)
+    _passes(monkeypatch, 4)
     dim = 2 * splitting.NORM_CHUNK + 5
     problem = make_dual_instance(SIGMA, BETA, 1.0, 3.0, dim, range(dim // 2), pairing="crossed")
     curvatures = dual_function(problem)
@@ -1286,17 +1416,19 @@ def test_an_admm_run_stopping_inside_a_pass_keeps_its_last_x(monkeypatch):
         assert trace.distances.tobytes() == np.array([_chunked_norm(z) for z in iterates]).tobytes()
         assert trace.final_x.coeffs.tobytes() == ref_x.tobytes()
         # steps 2 to 5 are the first pass
-        offsets.add((trace.n_steps - 2) % splitting.PASS_STEPS)
-    assert offsets == set(range(splitting.PASS_STEPS))
+        offsets.add((trace.n_steps - 2) % 4)
+    assert offsets == set(range(4))
 
 
 def check_no_float_error_past_a_stop(monkeypatch, cols: slice):
     """Row 1 trips the guard at step 2, the first of a pass, from a start
-    whose columns ``cols`` are scaled so that the squares of the pass's
-    later steps overflow. Only the steps the runs take may raise: none
-    here, and the batch is the batch of one step per walk. Scaled 8x more,
-    the row's norm overflows at step 2 itself, which raises, warns, or
-    raises its warning, as it does one step per walk."""
+    whose columns ``cols`` are scaled so that the squares of its later
+    steps overflow. Only the steps the runs take may raise: none here, and
+    the batch is the batch of one step per walk, in fixed passes of 4 and
+    of 32 steps, whose first pass raises and is walked again one step at a
+    time, and in the default passes. Scaled 8x more, the row's norm
+    overflows at step 2 itself, which raises, warns, or raises its
+    warning, as it does one step per walk."""
     monkeypatch.setattr(splitting, "COLUMN_BLOCK", splitting.NORM_CHUNK)
     dim = 2 * splitting.NORM_CHUNK + 3
     problem = make_primal_instance(SIGMA, BETA, dim, range(dim // 2))
@@ -1313,19 +1445,26 @@ def check_no_float_error_past_a_stop(monkeypatch, cols: slice):
     with np.errstate(over="ignore"):
         norms = [splitting._norms(z)[0] for z in splitting._stepped(engine, 4)]
     assert math.isfinite(norms[1]) and math.isinf(norms[3])
-    runs = lambda: run_rows(problem, "primal-dr", alphas, gammas, lambda rows: starts[rows], max_iter=12, tol=0.0)
+    runs = lambda: run_rows(problem, "primal-dr", alphas, gammas, lambda rows: starts[rows], max_iter=40, tol=0.0)
+    walks = []
+    run = splitting._ColumnBlocks.run
+    monkeypatch.setattr(splitting._ColumnBlocks, "run", lambda self, *a: walks.append(a[3]) or run(self, *a))
     results = set()
-    for pass_steps, how in itertools.product((1, 4), ("raise", "warn")):
-        monkeypatch.setattr(splitting, "PASS_STEPS", pass_steps)
+    for pass_steps, how in itertools.product((1, 4, 32, None), ("raise", "warn")):
+        _passes(monkeypatch, pass_steps)
+        walks.clear()
         with np.errstate(all=how), warnings.catch_warnings():
             warnings.simplefilter("error")
             r = runs()
-        assert list(r.steps) == [12, 2, 12] and list(r.diverged) == [False, True, False]
+        assert list(r.steps) == [40, 2, 40] and list(r.diverged) == [False, True, False]
+        if pass_steps == 32:
+            # the pass of steps 2 to 33 raised, and its steps were walked again
+            assert walks[:3] == [1, 32, 1] and sum(walks) == 72
         results.add(r.distances.tobytes())
     assert len(results) == 1
     starts[1, cols] *= 8.0
-    for pass_steps in (1, 4):
-        monkeypatch.setattr(splitting, "PASS_STEPS", pass_steps)
+    for pass_steps in (1, 4, 32, None):
+        _passes(monkeypatch, pass_steps)
         with np.errstate(all="raise"), pytest.raises(FloatingPointError, match="overflow"):
             runs()
         with np.errstate(all="warn"), warnings.catch_warnings():
@@ -1334,7 +1473,7 @@ def check_no_float_error_past_a_stop(monkeypatch, cols: slice):
                 runs()
         with np.errstate(all="warn"), pytest.warns(RuntimeWarning, match="overflow"):
             r = runs()
-        assert list(r.steps) == [12, 2, 12] and list(r.diverged) == [False, True, False]
+        assert list(r.steps) == [40, 2, 40] and list(r.diverged) == [False, True, False]
         results.add(r.distances.tobytes())
     assert len(results) == 2
 
@@ -1404,33 +1543,41 @@ def test_no_worker_outlives_its_run(monkeypatch, call):
 @linux_only
 @pytest.mark.parametrize("mode", ["dual-dr", "admm"])
 def test_a_worker_killed_mid_run_changes_no_distance(monkeypatch, mode):
-    # a worker killed by SIGKILL while the caller walks the first run of the
-    # third walk gives no reply: it is reaped, and the caller walks its run
-    # from then on, with the same bits as one process
+    # a worker killed by SIGKILL at the start of its third walk gives no
+    # reply: it is reaped, and the caller walks its run from then on, with
+    # the same bits as one process. 70 steps are walked as the first step
+    # alone, two passes of up to PASS_STEPS and the rest. The worker kills
+    # itself: killed from the caller, it may have replied already, since it
+    # can take its whole walk while the caller waits for a core
     dim = 2 * splitting.NORM_CHUNK + 3
     problem = make_dual_instance(SIGMA, BETA, 1.0, 3.0, dim, range(dim // 2), pairing="crossed")
     starts = np.random.default_rng(dim).uniform(-1.0, 1.0, (2, dim))
-    run = lambda: run_rows(problem, mode, [0.5, 0.9], [0.3, 0.3], lambda rows: starts[rows], max_iter=30, tol=0.0)
+    run = lambda: run_rows(problem, mode, [0.5, 0.9], [0.3, 0.3], lambda rows: starts[rows], max_iter=70, tol=0.0)
     monkeypatch.setattr(splitting, "COLUMN_BLOCK", splitting.NORM_CHUNK)
     monkeypatch.setattr(splitting, "WORKERS", 1)
     alone = run()
     forks = _forked_runs(monkeypatch)
-    parent, walks, killed = os.getpid(), [], []
+    # each walk's steps: the caller's of the first run, and its own of the
+    # worker's run; a worker counts its own walks in its copy of the list
+    parent, walks, taken = os.getpid(), [], []
     walk = splitting._ColumnBlocks._walk
 
     def killing(self, *args):
-        if os.getpid() == parent and self.workers and args[5] == 0:
-            walks.append(1)
+        if os.getpid() != parent:
+            walks.append(args[4])
             if len(walks) == 3:
-                killed.append(os.kill(self.workers[1][0], signal.SIGKILL))
+                os.kill(os.getpid(), signal.SIGKILL)
+        (walks if args[5] == 0 else taken).append(args[4])
         return walk(self, *args)
 
     monkeypatch.setattr(splitting._ColumnBlocks, "_walk", killing)
     fds = _open_fds()
     forked = run()
-    assert len(forks) == len(killed) == 1 and len(walks) == 3
+    # the caller took the worker's run over from the third walk, a pass of
+    # several steps, on
+    assert len(forks) == 1 and len(walks) > 2 and walks[2] > 1 and taken == walks[2:]
     assert forked.distances.tobytes() == alone.distances.tobytes()
-    assert forked.steps.tolist() == alone.steps.tolist() == [30, 30]
+    assert forked.steps.tolist() == alone.steps.tolist() == [70, 70]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert _open_fds() == fds
