@@ -323,22 +323,23 @@ def _reap(workers: dict) -> None:
 
 
 def _staggered(rows: int, count: int) -> list:
-    """``count`` (at most 3) uninitialised ``(rows, COLUMN_BLOCK)`` float
-    arrays in one buffer, the i-th starting ``i + 1`` KiB into a page, so
-    that the low 12 bits of their addresses differ from one another's and
-    from those of the state's blocks, which start on a page. Where a step
-    stores into one array a few elements ahead of where it loads from
-    another at nearly the same offset within a page, the loads wait on the
-    stores (4K aliasing): with the spare block and the temporaries 16 bytes
-    into a page, where a fresh ``malloc`` block starts, a DR step at dim 1e6
-    took 1.6x as long as at these offsets on a 2-core Xeon host."""
+    """``count`` (at most 7) uninitialised ``(rows, COLUMN_BLOCK)`` float
+    arrays in one buffer, the i-th starting ``(i + 1) * 512`` bytes into a
+    page, so that the low 12 bits of their addresses differ from one
+    another's and from those of the state's blocks, which start on a page.
+    Where a step stores into one array a few elements ahead of where it
+    loads from another at nearly the same offset within a page, the loads
+    wait on the stores (4K aliasing): with the spare block and the
+    temporaries 16 bytes into a page, where a fresh ``malloc`` block starts,
+    a DR step at dim 1e6 took 1.6x as long as at offsets 1-3 KiB apart on a
+    2-core Xeon host."""
     size = rows * COLUMN_BLOCK * 8
     # each array in a page-aligned span a page longer than it, which leaves
-    # room for its start to move 1-3 KiB in
+    # room for its start to move up to 3.5 KiB in
     span = -(-size // 4096) * 4096 + 4096
     raw = np.empty(count * span + 4096, dtype=np.uint8)
     first = -raw.ctypes.data % 4096
-    starts = [first + i * span + (i + 1) * 1024 for i in range(count)]
+    starts = [first + i * span + (i + 1) * 512 for i in range(count)]
     return [raw[at : at + size].view(float).reshape(rows, COLUMN_BLOCK) for at in starts]
 
 
@@ -347,16 +348,22 @@ class _ColumnBlocks:
     column blocks for long rows, and norms what each step made; both
     engines share it.
 
-    ``bind(update, columns)`` gives the step ``step(z, steps=1)``, which
+    ``bind(update, form)`` gives the step ``step(z, steps=1)``, which
     calls ``update(z, *columns, out, *temps)`` once per step, where ``z``
     is the engine's state or what the step before made of it, ``columns``
-    are the other arrays the update reads whose last axis runs over the
-    coordinates, ``out`` receives the next state and ``temps`` hold the
-    update's temporaries. ``update`` returns ``(next_state, recorded,
-    step)``, and the step returns the state after the last step with the
-    row norms of each step's ``recorded`` and ``step``, bit for bit what
-    :func:`_norms` gives for the whole rows: ``(rows,)`` arrays for one
-    step, ``(steps, rows)`` for more. Every step steps every row, a row of
+    are the update's parameters, as ``form`` gives them, whose last axis
+    runs over the coordinates, ``out`` receives the next state and
+    ``temps`` hold the update's temporaries. ``form(cols, *blocks)`` gives
+    the parameters of the columns ``cols``: short rows call it once, on the
+    whole rows with no blocks, so that it allocates them; long rows call it
+    once per column block per walk, with the block's parameter buffers and
+    then its temporaries, which it may use as scratch, so that a walk reads
+    the rows the parameters come from, holds no parameter row and allocates
+    nothing. ``update`` returns ``(next_state, recorded, step)``, and the
+    step returns the state after the last step with the row norms of each
+    step's ``recorded`` and ``step``, bit for bit what :func:`_norms` gives
+    for the whole rows: ``(rows,)`` arrays for one step, ``(steps, rows)``
+    for more. Every step steps every row, a row of
     NaN and a row past its stop alike: :func:`_iterate` keeps nothing of a
     step past a row's stop.
 
@@ -364,32 +371,34 @@ class _ColumnBlocks:
     are updated whole by ``update(z, *columns)``, which leaves ``out`` and
     every temporary None, so that numpy allocates them, as for any small
     array (see :meth:`shaped` for their parameters). Longer rows are
-    walked by :meth:`run` in blocks
-    of ``COLUMN_BLOCK`` columns, so that the arrays of a block stay in
-    cache, and a block takes all its steps before the walk moves on: the
-    map is diagonal, so no block's step needs another block. The steps of a
-    block take turns between its columns of ``out`` and a spare block, so
-    that the last step writes ``out``. The columns are split into runs of
-    whole ``NORM_CHUNK`` chunks, as even as the chunks allow, at most
-    ``WORKERS`` runs and at most one per ``RUN_ELEMENTS`` elements of the
-    rows, and each run is walked in blocks from its first column: the
-    caller walks the first run and a forked worker process each other run,
-    at once (see :meth:`_fork`), with the same code, so every column takes
-    the same numpy operations in the same order. Each block writes only its
-    own columns of ``out``, so the results do not depend on how many runs
-    there are. ``out`` is one of a
-    pair of per-engine buffers of the state's shape, which take turns: a
-    call writes the one it does not read, so an engine may make its first
-    state in ``pair[0]``. The blocks start on chunk boundaries, so each
-    block writes the dots of its own chunks into its own columns of
-    ``sums``, each step's chunk dots and, last, the rows' tail dots, which
-    the last block writes, by :func:`_chunk_dots`, as :func:`_norms` does;
-    they are summed as it sums them. With workers, the pair and ``sums`` live
+    walked by :meth:`run` in blocks of ``COLUMN_BLOCK`` columns, so that
+    the arrays of a block stay in cache, and a block forms its parameters,
+    then takes all its steps, before the walk moves on: the map is
+    diagonal, so no block's step needs another block. The steps of a block
+    take turns between its columns of ``out`` and a spare block, so that
+    the last step writes ``out``. The spare block, the temporaries and the
+    parameter blocks are one block wide each (see :func:`_staggered`). The
+    columns are split into runs of whole ``NORM_CHUNK`` chunks, as even as
+    the chunks allow, at most ``WORKERS`` runs and at most one per
+    ``RUN_ELEMENTS`` elements of the rows, and each run is walked in blocks
+    from its first column: the caller walks the first run and a forked
+    worker process each other run, at once (see :meth:`_fork`), with the
+    same code and its own copies of those blocks, so every column takes the
+    same numpy operations in the same order. Each block writes only its own
+    columns of ``out``, so the results do not depend on how many runs there
+    are. ``out`` is one of a pair of per-engine buffers of the state's
+    shape, which take turns: a call writes the one it does not read, so an
+    engine may make its first state in ``pair[0]``. The blocks start on
+    chunk boundaries, so each block writes the dots of its own chunks into
+    its own columns of ``sums``, each step's chunk dots and, last, the rows'
+    tail dots, which the last block writes, by :func:`_chunk_dots`, as
+    :func:`_norms` does; they are summed as it sums them. With workers, the pair and ``sums`` live
     in shared mappings (see :func:`_shared`), so a worker's writes are the
-    caller's. :meth:`stop` stops and reaps the workers.
+    caller's. :meth:`formed` gives the parameters to their other readers.
+    :meth:`stop` stops and reaps the workers.
     """
 
-    def __init__(self, shape: tuple, temps: int):
+    def __init__(self, shape: tuple, temps: int, params: int):
         self.shape = shape
         rows, self.dim = shape
         # short rows have no buffers: numpy allocates their states
@@ -407,9 +416,10 @@ class _ColumnBlocks:
             # walk _iterate asks for
             sums = (2, PASS_STEPS, rows, self.dim // NORM_CHUNK + 1)
             self.sums = _shared(sums) if runs > 1 else np.empty(sums)
-            # the spare block, then the temporaries, of the runs the caller
-            # walks; a worker writes its own copies of them
-            self.temps = _staggered(rows, 1 + temps)
+            # the spare block, the temporaries and the parameter blocks of
+            # the runs the caller walks; a worker writes its own copies of them
+            self.temps = temps
+            self.blocks = _staggered(rows, 1 + temps + params)
 
     def shaped(self, *operands) -> tuple:
         """The operands of an update, each a scalar or an array that
@@ -430,13 +440,15 @@ class _ColumnBlocks:
         same = lambda a: np.ndim(a) == 0 or np.shape(a) == self.shape
         return tuple(a if same(a) else np.full(self.shape, a, dtype=float) for a in operands)
 
-    def bind(self, update: Callable, columns: tuple) -> Callable:
-        """The step of ``update`` over ``columns``, bound once per engine:
-        :meth:`run` for long rows; short rows call ``update`` with no layer
-        between, since a default sweep takes 80 steps of 400 rows of 8,
-        where Python calls cost a few percent of a step."""
+    def bind(self, update: Callable, form: Callable) -> Callable:
+        """The step of ``update`` over the parameters of ``form``, bound once
+        per engine: :meth:`run` for long rows; short rows form their
+        parameters here and call ``update`` with no layer between, since a
+        default sweep takes 80 steps of 400 rows of 8, where Python calls
+        cost a few percent of a step."""
         if self.dim > COLUMN_BLOCK:
-            return lambda z, steps=1: self.run(update, z, columns, steps)
+            return lambda z, steps=1: self.run(update, z, form, steps)
+        columns = self.columns = self.shaped(*form(slice(None)))
 
         def step(z, steps=1):
             z, recorded, diff = update(z, *columns)
@@ -444,10 +456,31 @@ class _ColumnBlocks:
 
         return step
 
-    def run(self, update: Callable, z: np.ndarray, columns: tuple, steps: int = 1) -> tuple:
+    def formed(self, form: Callable, cols: slice) -> tuple:
+        """``(columns, scratch)`` for a reader of the parameters besides the
+        steps: the parameters of ``form`` over the columns ``cols``, one
+        block's at most, and a block of their width to write into. Long rows
+        form them, as a walk does, into the caller's parameter blocks and
+        give its spare block, which the next call or walk overwrites; short
+        rows, whose ``cols`` span them whole, give the parameters formed
+        when the step was bound, and None, so that numpy allocates."""
+        if self.dim <= COLUMN_BLOCK:
+            return self.columns, None
+        spare, _, columns = self._block(form, cols)
+        return columns, spare
+
+    def _block(self, form: Callable, cols: slice) -> tuple:
+        """``(spare, temps, columns)`` for the columns ``cols``, one block's
+        at most: this process's spare block and temporaries, cut to their
+        width, and their parameters formed into its parameter blocks."""
+        spare, *blocks = [b[:, : cols.stop - cols.start] for b in self.blocks]
+        temps = blocks[: self.temps]
+        return spare, temps, form(cols, *blocks[self.temps :], *temps)
+
+    def run(self, update: Callable, z: np.ndarray, form: Callable, steps: int = 1) -> tuple:
         out = self.pair[z is self.pair[0]]
         if self.workers is None:
-            self._fork(update, columns, z)
+            self._fork(update, form, z)
         # a worker steps only an input it inherited, and raises each error
         # the caller would not ignore, so that it is raised again here
         seen = [i for i, a in enumerate(self.inherited) if a is z]
@@ -457,27 +490,26 @@ class _ColumnBlocks:
             asked = [run for run in list(self.workers) if self._send(run, command)]
         done = set()
         try:
-            self._walk(update, z, out, columns, steps, *self.runs[0])
+            self._walk(update, z, out, form, steps, *self.runs[0])
         finally:
             # every worker ends its walk before the buffers are read or written again
             done.update(run for run in asked if self._reply(run))
         # the runs of the workers that failed, died or could not see z
         for run, (lo, hi) in enumerate(self.runs[1:], 1):
             if run not in done:
-                self._walk(update, z, out, columns, steps, lo, hi)
+                self._walk(update, z, out, form, steps, lo, hi)
         sums = self.sums[:, :steps]
         norms = np.sqrt(sums[..., :-1].sum(axis=3) + sums[..., -1])
         return out, *(norms if steps > 1 else norms[:, 0])
 
-    def _walk(self, update, z, out, columns, steps, lo, hi) -> None:
-        """Take ``steps`` steps on each block of the columns ``lo`` to ``hi``
-        of ``z`` in turn, writing ``out`` and the blocks' chunk and tail
-        dots into ``sums``."""
+    def _walk(self, update, z, out, form, steps, lo, hi) -> None:
+        """Form the parameters of each block of the columns ``lo`` to ``hi``
+        of ``z`` in turn and take ``steps`` steps on it, writing ``out`` and
+        the blocks' chunk and tail dots into ``sums``."""
         dots, tails = self.sums[..., :-1], self.sums[..., -1]
         for start in range(lo, hi, COLUMN_BLOCK):
             cols = slice(start, min(start + COLUMN_BLOCK, hi))
-            spare, *block_temps = [t[:, : cols.stop - start] for t in self.temps]
-            fixed = [a[..., cols] for a in columns]
+            spare, block_temps, fixed = self._block(form, cols)
             block = z[:, cols]
             for s in range(steps):
                 target = out[:, cols] if (steps - s) % 2 else spare
@@ -485,25 +517,25 @@ class _ColumnBlocks:
                 for i, array in enumerate(made):
                     _chunk_dots(array, start, dots[i, s], tails[i, s] if cols.stop == self.dim else None)
 
-    def _fork(self, update: Callable, columns: tuple, first: np.ndarray) -> None:
+    def _fork(self, update: Callable, form: Callable, first: np.ndarray) -> None:
         """Fork a worker for each run but the first, if there are runs
         besides it and this process may still fork (see :func:`_forkable`);
         a run left with no worker is the caller's. A worker sees only what
-        it inherits: the update, its columns, ``first``, the input of the
-        walk that forks it, which no step writes, and the state buffers and
-        ``sums``, whose writes are shared. The workers are reaped when the
+        it inherits: the update, ``form`` and the rows it reads, ``first``,
+        the input of the walk that forks it, which no step writes, and the
+        state buffers and ``sums``, whose writes are shared. The workers are reaped when the
         engine stops, or else when it is collected."""
         self.workers, self.inherited = {}, (first, *self.pair)
         if len(self.runs) == 1 or not _forkable():
             return
         weakref.finalize(self, _reap, self.workers)
         for run, (lo, hi) in enumerate(self.runs[1:], 1):
-            worker = _spawn(partial(self._serve, update, columns, lo, hi))
+            worker = _spawn(partial(self._serve, update, form, lo, hi))
             if worker is None:
                 return  # no more processes: the caller walks the runs left
             self.workers[run] = worker
 
-    def _serve(self, update, columns, lo, hi, commands: int, replies: int) -> None:
+    def _serve(self, update, form, lo, hi, commands: int, replies: int) -> None:
         """A forked worker (see :func:`_spawn`): walk the columns ``lo`` to
         ``hi`` on each command, ``(steps, input, kinds to raise)``, which
         writes their chunk dots, and the tail dots if they end the rows,
@@ -516,7 +548,7 @@ class _ColumnBlocks:
             reply = b"\0"
             try:
                 with np.errstate(**_raising(kinds)):
-                    self._walk(update, z, self.pair[z is self.pair[0]], columns, steps, lo, hi)
+                    self._walk(update, z, self.pair[z is self.pair[0]], form, steps, lo, hi)
             except Exception:
                 reply = b"\1"
             os.write(replies, reply)
@@ -555,7 +587,7 @@ def _unchanged(before: np.ndarray, after: np.ndarray, moved: Callable | None = N
     for lo in range(0, before.shape[1], COLUMN_BLOCK):
         if not np.count_nonzero(same):
             break
-        cols = slice(lo, lo + COLUMN_BLOCK)
+        cols = slice(lo, min(lo + COLUMN_BLOCK, before.shape[1]))
         same &= np.all(before[:, cols] == after[:, cols], axis=1)
         if moved is not None and np.count_nonzero(same):
             same &= ~np.any(moved(cols), axis=1)
@@ -794,28 +826,29 @@ def _run_one(problem: CompositeProblem, mode: str, alpha, gamma, v: Vec, max_ite
     return trace
 
 
-def _reflection(weights: np.ndarray, g: GFunction, gamma) -> np.ndarray:
+def _reflection(weights: np.ndarray, g: GFunction, gamma, refl=None, gw=None) -> np.ndarray:
     """Per-coordinate factor of ``R_g(R_f(z))`` at step size ``gamma`` (a
-    scalar, or one per row as a column).
+    scalar, or one per row as a column), into ``refl`` with ``gw`` as
+    scratch if given (a column block's, see :class:`_ColumnBlocks`).
 
     Both reflected proximal maps are diagonal: ``R_f`` scales coordinate i by
     ``(1 - gamma*w_i) / (1 + gamma*w_i)`` and ``R_g`` is the identity or a
-    negation. The factor is formed in two arrays, the second in place of
-    ``1 + gamma*w_i``: at dim 1e6 each new array costs its page faults.
+    negation.
     """
-    gw = gamma * weights
-    refl = 1.0 - gw
+    gw = np.multiply(gamma, weights, out=gw)
+    refl = np.subtract(1.0, gw, out=refl)
     gw += 1.0
     refl /= gw
     return np.negative(refl, out=refl) if g is GFunction.ZERO_INDICATOR else refl
 
 
-def _relaxed_engine(alpha, refl, z: np.ndarray) -> _Engine:
+def _relaxed_engine(alpha, weights: np.ndarray, g: GFunction, gamma, z: np.ndarray) -> _Engine:
     """Engine (see :func:`_engine`) of relaxed DR from the rows ``z``: one
     step is ``(1 - alpha) z + alpha * refl * z``, with ``refl`` the factor of
-    :func:`_reflection`, and records ``z``."""
-    blocks = _ColumnBlocks(z.shape, temps=1)
-    keep, alpha, refl = blocks.shaped(1.0 - alpha, alpha, refl)
+    :func:`_reflection` at ``gamma`` from the curvatures ``weights``, and
+    records ``z``."""
+    blocks = _ColumnBlocks(z.shape, temps=1, params=1)
+    keep, alpha = blocks.shaped(1.0 - alpha, alpha)
 
     def update(z, refl, z_next=None, t=None):
         z_next = np.multiply(z, keep, out=z_next)
@@ -824,13 +857,26 @@ def _relaxed_engine(alpha, refl, z: np.ndarray) -> _Engine:
         z_next += t
         return z_next, z_next, np.subtract(z_next, z, out=t)
 
-    return _Engine(blocks.bind(update, (refl,)), lambda state: state, z, _unchanged, blocks.stop)
+    # refl of the columns cols, formed into its block with the temporary as scratch
+    form = lambda cols, *out: (_reflection(weights[..., cols], g, gamma, *out),)
+    return _Engine(blocks.bind(update, form), lambda state: state, z, _unchanged, blocks.stop)
 
 
-def _admm_x(u: np.ndarray, scale, denom) -> np.ndarray:
+def _admm_scaling(f_weights: np.ndarray, nu: np.ndarray, rho, scale=None, denom=None) -> tuple:
+    """The x-update's scale ``rho * nu`` and denominator ``f_weights + rho *
+    nu**2`` (see :func:`_admm_engine`) at penalty ``rho`` (a scalar, or one
+    per row as a column), into ``scale`` and ``denom`` if given (a column
+    block's, see :class:`_ColumnBlocks`)."""
+    denom = np.multiply(rho, np.multiply(nu, nu, out=denom), out=denom)
+    denom += f_weights
+    return np.multiply(rho, nu, out=scale), denom
+
+
+def _admm_x(u: np.ndarray, scale, denom, x=None) -> np.ndarray:
     """The x-update of :func:`run_admm` from ``u`` with ``w`` at the origin,
-    ``(w - u) * scale / denom`` (see :func:`_admm_engine`)."""
-    x = 0.0 - u
+    ``(w - u) * scale / denom`` (see :func:`_admm_engine`), into ``x`` if
+    given."""
+    x = np.subtract(0.0, u, out=x)
     x *= scale
     x /= denom
     return x
@@ -854,24 +900,18 @@ def _admm_engine(f_weights: np.ndarray, nu: np.ndarray, alpha, rho, rows: np.nda
     negation and IEEE defines ``a + (-b)`` as ``a - b`` (the parameters are
     positive; a zero ``u`` or a product that underflows gives ``+0.0``
     both ways); that is one pass over the rows fewer than forming ``0.0 -
-    u`` first."""
-    # the x-update's denominator f_weights + rho * nu**2, formed in place.
-    # The parameter rows are made before the state buffers, as DR's factor
-    # is: at dim 1e6 the other order left the allocator a one-row hole, and
-    # the large-dim benchmark's process peaked 6 MB higher
-    denom = rho * (nu * nu)
-    denom += f_weights
-    scale, rho_rows = rho * nu, np.ravel(rho)
-    blocks = _ColumnBlocks(rows.shape, temps=2)
+    u`` first. ``scale`` and ``denom`` come from :func:`_admm_scaling`, for
+    the steps, the first step's x-test and ``x`` alike (see
+    :meth:`_ColumnBlocks.formed`)."""
+    blocks = _ColumnBlocks(rows.shape, temps=2, params=2)
     if rows_are_u:
         u = rows
     else:
         # a u that overflows is rejected by _run_blocks' check
         with np.errstate(over="ignore", invalid="ignore"):
             u = np.multiply(rows, 1.0 / rho, out=blocks.pair[0])
-    # still and x read scale and denom as they are: at the state's shape,
-    # x of a one-row run's row would be a (1, dim) array
-    relax, rho_step, *columns = blocks.shaped(2.0 * alpha, rho, scale, denom, nu)
+    relax, rho_step = blocks.shaped(2.0 * alpha, rho)
+    rho_rows = np.ravel(rho)
 
     def update(u, scale, denom, nu, u_new=None, t=None, diff=None):
         # t holds -x, then -v = relax * (nu * -x), then the recorded rho * u
@@ -882,20 +922,34 @@ def _admm_engine(f_weights: np.ndarray, nu: np.ndarray, alpha, rho, rows: np.nda
         u_new = np.subtract(u, t, out=u_new)
         return u_new, np.multiply(rho_step, u_new, out=t), np.subtract(u_new, u, out=diff)
 
-    walk = blocks.bind(update, columns)
+    # scale and denom of the columns cols, formed into their blocks, and the gains
+    form = lambda cols, *out: (*_admm_scaling(f_weights[..., cols], nu[..., cols], rho, *out[:2]), nu[..., cols])
+    walk = blocks.bind(update, form)
 
     def step(state, steps=1):
         next_state, dist, step_norm = walk(state, steps)
         step_norm *= rho_rows
         return next_state, dist, step_norm
 
+    def x_block(u, cols, x=None):
+        # the x-update of the columns cols of u, into x or the scratch block
+        (scale, denom, _), scratch = blocks.formed(form, cols)
+        return _admm_x(u[:, cols], scale, denom, scratch if x is None else x)
+
     def still(before: np.ndarray, after: np.ndarray) -> np.ndarray:
         # a row stays where it was only if the first step leaves u unchanged
         # and x at the origin, where it started: u can stay put under a
         # nonzero x when relax * nu * x is lost in the rounding of u
-        return _unchanged(before, after, lambda cols: _admm_x(before[:, cols], scale[..., cols], denom[..., cols]))
+        return _unchanged(before, after, lambda cols: x_block(before, cols))
 
-    return _Engine(step, lambda state: rho * state, u, still, blocks.stop, lambda u: _admm_x(u, scale, denom))
+    def x(u):
+        x = np.empty(u.shape)
+        for lo in range(0, u.shape[1], COLUMN_BLOCK):
+            cols = slice(lo, min(lo + COLUMN_BLOCK, u.shape[1]))
+            x_block(u, cols, x[:, cols])
+        return x
+
+    return _Engine(step, lambda state: rho * state, u, still, blocks.stop, x)
 
 
 def _engine(
@@ -960,7 +1014,7 @@ def _engine(
     _check_finite_product(gamma, quad.beta, "beta")
     weights = quad.weights
     return lambda alpha, gamma, rows, rows_are_u=False, at=None: _relaxed_engine(
-        alpha, _reflection(own(weights, at), g, gamma), rows
+        alpha, own(weights, at), g, gamma, rows
     )
 
 

@@ -1,13 +1,16 @@
-"""Memory of one-row runs, traced from call to return: a run holds its
-engine's arrays and column blocks, one column block of its recorded start
-at a time and no other row-sized array (ADMM's recorded start ``rho *
-u0`` is normed a column block at a time, and a ``u`` that the engine makes
-from its start is written into its first state buffer), and its trace
-keeps no row; reading ADMM's final x adds that row. A worst-start sweep
-makes no start row at any dim. ``check_one_row_memory`` is also run at dim 1e6 outside the test suite::
+"""Memory of runs of long rows, traced from call to return: a run holds its
+engine's arrays, one column block of its recorded start at a time and no
+other row-sized array (ADMM's recorded start ``rho * u0`` is normed a
+column block at a time, and a ``u`` that the engine makes from its start is
+written into its first state buffer), and its trace keeps no row; reading
+ADMM's final x adds that row. An engine of long rows holds its pair of
+state buffers and its column blocks, and no parameter row: DR's reflection
+factor and ADMM's scale and denominator are formed a column block at a
+time. A worst-start sweep makes no start row at any dim.
+``check_run_memory`` is also run at dim 1e6 outside the test suite::
 
     python -c "import sys; sys.path.insert(0, 'tests'); import test_run_memory as t; \\
-        print(t.check_one_row_memory('admm', 10**6))"
+        print(t.check_run_memory('admm', 10**6))"
 """
 
 import tracemalloc
@@ -28,24 +31,35 @@ ALPHA, GAMMA = 0.9, 0.5
 #: a few small arrays: distances, ratios, chunk dots
 SMALL = 1 << 16
 
+#: the column blocks of each mode's engine of long rows, each as wide as
+#: the state's rows: the spare block, the update's temporaries and the
+#: blocks its parameters are formed in (DR: the reflection factor; ADMM: the
+#: scale and the denominator)
+BLOCKS = {"primal-dr": 1 + 1 + 1, "dual-dr": 1 + 1 + 1, "admm": 1 + 2 + 2}
 
-def _case(mode, dim, seed=1):
+
+def _case(mode, dim, seed=1, rows=None):
     """The two-band instance ``mode`` runs on, with the first half of the
     coordinates as the sigma band (crossed gains on the dual side), and a
-    seeded uniform start."""
+    seeded uniform start, or ``rows`` of them as a ``(rows, dim)`` array."""
     half = range(dim // 2)
     if mode == "primal-dr":
         problem = make_primal_instance(SIGMA, BETA, dim, half)
     else:
         problem = make_dual_instance(SIGMA, BETA, THETA, ZETA, dim, half, pairing="crossed")
-    return problem, Vec(np.random.default_rng(seed).uniform(-1.0, 1.0, dim))
+    starts = np.random.default_rng(seed).uniform(-1.0, 1.0, (rows or 1, dim))
+    return problem, (Vec(starts[0]) if rows is None else starts)
 
 
 def _run(mode, problem, start, steps, batch=False):
     """One run of ``mode`` from ``start``: through ``run_dr`` or ``run_admm``,
     or, with ``batch`` and for dual DR, which has no one-row API, as a
     one-row batch of ``run_rows`` whose start row is ``start`` itself, as
-    the command line runs it (ADMM's engine then makes its own ``u``)."""
+    the command line runs it (ADMM's engine then makes its own ``u``). A
+    ``(rows, dim)`` array ``start`` runs as a batch of those rows."""
+    if isinstance(start, np.ndarray):
+        count = len(start)
+        return run_rows(problem, mode, [ALPHA] * count, [GAMMA] * count, lambda rows: start[rows], steps, 0.0)
     if batch or mode == "dual-dr":
         starts = lambda rows: start.coeffs[None]
         return run_rows(problem, mode, [ALPHA], [GAMMA], starts, max_iter=steps, tol=0.0)
@@ -55,8 +69,8 @@ def _run(mode, problem, start, steps, batch=False):
 
 
 def _steps(result) -> int:
-    """The steps a run of :func:`_run` took."""
-    return int(result.steps[0]) if isinstance(result, RowRuns) else result.n_steps
+    """The fewest steps a row of a run of :func:`_run` took."""
+    return int(result.steps.min()) if isinstance(result, RowRuns) else result.n_steps
 
 
 def _traced(call):
@@ -90,31 +104,51 @@ def _traced(call):
 
 
 def _engine_bytes(mode, problem, start):
-    """The bytes one build of the engine of a one-row run holds, column
-    blocks and its builder's arrays (dual DR's curvatures) included."""
+    """The bytes one build of the engine of a run from ``start`` (see
+    :func:`_run`) holds, column blocks and its builder's arrays (dual DR's
+    curvatures) included."""
+    rows = start if isinstance(start, np.ndarray) else start.coeffs[None]
 
     def build():
         builder = splitting._engine(problem, mode, GAMMA)
-        return builder, builder(ALPHA, GAMMA, start.coeffs[None], rows_are_u=True)
+        return builder, builder(ALPHA, GAMMA, rows, rows_are_u=True)
 
     return _traced(build)[1]
 
 
-def check_one_row_memory(mode, dim, steps=30, batch=False):
-    """Run ``mode`` on one row of ``dim`` elements (see :func:`_run`) and
-    assert that, from call to return, the run peaks at no more than the
-    arrays of its engine (column blocks and its builder's arrays included,
-    as one build of it holds them) and one column block of its recorded
-    start; returns ``(peak, bound)`` in rows of ``8 * dim`` bytes."""
-    problem, start = _case(mode, dim)
+def _engine_cap(mode, rows, dim):
+    """The most one build of an engine of ``rows`` rows of ``dim`` elements,
+    longer than ``COLUMN_BLOCK``, may hold, whatever ``dim``: its pair of
+    state buffers, its column blocks (see ``BLOCKS``; each in a span a page
+    longer, see ``splitting._staggered``), its step dots (one float per
+    ``NORM_CHUNK`` elements of a row, for each step of a walk), dual DR's
+    curvature row and ``SMALL``. An engine that held a parameter row would
+    exceed it by that row."""
+    blocks = BLOCKS[mode] * (8 * rows * splitting.COLUMN_BLOCK + 4096)
+    dots = 8 * 2 * splitting.PASS_STEPS * rows * (dim // splitting.NORM_CHUNK + 1)
+    curvatures = 8 * dim if mode == "dual-dr" else 0
+    return 2 * 8 * rows * dim + blocks + dots + curvatures + SMALL
+
+
+def check_run_memory(mode, dim, steps=30, batch=False, rows=None):
+    """Run ``mode`` on one row of ``dim`` elements, or on a batch of ``rows``
+    of them (see :func:`_run`), and assert that, from call to return, the
+    run peaks at no more than the arrays of its engine (column blocks and
+    its builder's arrays included, as one build of it holds them) and one
+    column block of its recorded start, and that its engine holds no more
+    than :func:`_engine_cap`; returns ``(peak, bound, cap)`` in rows of ``8
+    * dim`` bytes."""
+    problem, start = _case(mode, dim, rows=rows)
     _run(mode, problem, start, steps, batch)  # as every later run, the measured one finds a spare mapping
     engine_bytes = _engine_bytes(mode, problem, start)
     result, _, peak = _traced(lambda: _run(mode, problem, start, steps, batch))
     assert _steps(result) == steps
-    row = 8 * dim
-    bound = engine_bytes + 8 * splitting.COLUMN_BLOCK + SMALL
+    row, count = 8 * dim, rows or 1
+    bound = engine_bytes + 8 * count * splitting.COLUMN_BLOCK + SMALL
+    cap = _engine_cap(mode, count, dim)
     assert peak <= bound, (peak / row, bound / row)
-    return round(peak / row, 3), round(bound / row, 3)
+    assert engine_bytes <= cap, (engine_bytes / row, cap / row)
+    return round(peak / row, 3), round(bound / row, 3), round(cap / row, 3)
 
 
 @pytest.mark.parametrize(
@@ -130,7 +164,7 @@ def test_a_one_row_run_holds_only_its_engines_arrays(monkeypatch, mode, batch):
     # in its first state buffer) would peak a row higher
     monkeypatch.setattr(splitting, "WORKERS", 2)
     monkeypatch.setattr(splitting, "RUN_ELEMENTS", splitting.COLUMN_BLOCK)
-    check_one_row_memory(mode, 200_000, batch=batch)
+    check_run_memory(mode, 200_000, batch=batch)
 
 
 @pytest.mark.parametrize("mode", ["primal-dr", "admm"])

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from splitrate.functions import CompositeProblem, DiagQuadratic, GFunction, dual_function
+from splitrate.functions import CompositeProblem, DiagOperator, DiagQuadratic, GFunction, dual_function
 from splitrate.hilbert import Vec, basis_rows, random_basis_map
 from splitrate.rates import alpha_upper_bound, optimal_params, theoretical_rate
 from splitrate import acceptance, cli, splitting
@@ -1708,15 +1708,18 @@ def test_a_step_holds_no_row_sized_temporary(monkeypatch, mode):
 @pytest.mark.parametrize("mode", splitting.MODES)
 def test_only_short_rows_hold_their_parameters_at_the_state_shape(monkeypatch, mode):
     # engines built as run_rows builds them, from (rows, 1) parameter
-    # columns. Every engine holds its own state-sized arrays: DR its
+    # columns. Short rows' engines hold their own state-sized arrays: DR its
     # reflection factor, ADMM its u, scale and denominator. Rows of at most
     # 64 elements add one state-sized copy of each operand that the update
     # broadcasts (DR: alpha and 1 - alpha; ADMM: 2 alpha, rho and nu); longer
-    # rows add no row-sized copy of a parameter, and long rows only their
-    # pair of state buffers and one run's blocks
+    # rows add no row-sized copy of a parameter. Long rows hold no parameter
+    # row, only their pair of state buffers (ADMM's u is written into the
+    # first) and one run's column blocks: the spare, the update's
+    # temporaries and the blocks their parameters are formed in
     monkeypatch.setattr(splitting, "WORKERS", 1)
-    own, broadcast, temps = (3, 3, 2) if mode == "admm" else (1, 2, 1)
-    for dim, count in ((64, 1024), (splitting.COLUMN_BLOCK, 2), (200_000, 2)):
+    own, broadcast, temps, params = (3, 3, 2, 2) if mode == "admm" else (1, 2, 1, 1)
+    cases = ((64, 1024), (splitting.COLUMN_BLOCK, 2), (2 * splitting.COLUMN_BLOCK, 4), (200_000, 2))
+    for dim, count in cases:
         half = range(dim // 2)
         if mode == "primal-dr":
             problem = make_primal_instance(SIGMA, BETA, dim, half)
@@ -1733,15 +1736,108 @@ def test_only_short_rows_hold_their_parameters_at_the_state_shape(monkeypatch, m
             tracemalloc.stop()
         state = rows.nbytes
         if dim > splitting.COLUMN_BLOCK:
-            # the pair of state buffers, and the one run's spare block and
-            # the update's temporaries
-            least, added = own * state, 2 * state + (1 + temps) * count * splitting.COLUMN_BLOCK * 8
+            least, added = 2 * state, (1 + temps + params) * count * splitting.COLUMN_BLOCK * 8
         elif dim > 64:
             least, added = own * state, 0
         else:
             least, added = (own + broadcast) * state, 0
         assert least <= held < least + added + (1 << 16), (dim, held / state)
         assert engine.state.shape == rows.shape
+
+
+def _parameter_blocks(self) -> int:
+    """How many parameter blocks a ``_ColumnBlocks`` of long rows holds
+    besides its spare block and temporaries."""
+    return len(self.blocks) - 1 - self.temps
+
+
+@linux_only
+@pytest.mark.parametrize("mode", ["primal-dr", "admm"])
+def test_every_block_buffer_starts_at_its_own_offset_in_a_page(monkeypatch, mode):
+    # the spare block, the temporaries and the parameter blocks that a walk
+    # passes to the update start at low 12 address bits that differ from
+    # one another's and from 0, the offset of the state's blocks in their
+    # shared mappings, in the caller and in a forked worker alike: where a
+    # step stores into one array a few elements ahead of where it loads
+    # from another at the same offset within a page, the loads wait on the
+    # stores (4K aliasing)
+    forks = _forked_runs(monkeypatch)
+    dim = 2 * splitting.NORM_CHUNK + 3
+    problem = make_dual_instance(SIGMA, BETA, 1.0, 3.0, dim, range(dim // 2), pairing="crossed")
+    if mode == "primal-dr":
+        problem = make_primal_instance(SIGMA, BETA, dim, range(dim // 2))
+    # the offsets of each run's blocks: the caller's run first, the worker's second
+    seen = np.frombuffer(mmap.mmap(-1, 2 * 8 * 8), dtype=np.int64).reshape(2, 8)
+    block = splitting._ColumnBlocks._block
+
+    def recorded(self, form, cols):
+        spare, temps, columns = block(self, form, cols)
+        offsets = [a.ctypes.data % 4096 for a in (spare, *temps, *columns[: _parameter_blocks(self)])]
+        seen[int(cols.start > 0), : len(offsets)] = offsets
+        return spare, temps, columns
+
+    monkeypatch.setattr(splitting._ColumnBlocks, "_block", recorded)
+    starts = np.random.default_rng(dim).uniform(-1.0, 1.0, (2, dim))
+    runs = run_rows(problem, mode, [0.5, 0.9], [0.3, 0.3], lambda rows: starts[rows], max_iter=3, tol=0.0)
+    assert runs.steps.tolist() == [3, 3] and len(forks) == 1
+    count = 5 if mode == "admm" else 3
+    for offsets in seen.tolist():
+        assert len(set(offsets[:count])) == count and 0 not in offsets[:count], offsets
+    assert seen[0].tolist() == seen[1].tolist()
+
+
+@linux_only
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("per_row", [False, True], ids=["scalar", "column"])
+def test_parameters_formed_by_the_block_are_the_whole_row_forms_bitwise(monkeypatch, workers, per_row):
+    # long rows form DR's factor and ADMM's scale and denominator one column
+    # block per walk, in the caller and in a forked worker, and ADMM's x one
+    # block at a time: each element has the bits of the whole-row forms,
+    # written out here, at a scalar step size and at one per row, for the
+    # factor that g the origin indicator negates, and over a last block of
+    # 5 columns. The curvatures span six decades
+    forks = _forked_runs(monkeypatch)
+    monkeypatch.setattr(splitting, "WORKERS", workers)
+    rows, dim = 3, 3 * splitting.NORM_CHUNK + 5
+    rng = np.random.default_rng(41)
+    f = DiagQuadratic(10.0 ** rng.uniform(-3.0, 3.0, dim))
+    coupled = CompositeProblem(f, GFunction.ZERO_INDICATOR, DiagOperator(rng.choice([1.0, 3.0], dim), 1.0, 3.0))
+    cases = [
+        ("primal-dr", CompositeProblem(f, GFunction.ZERO)),
+        ("primal-dr", CompositeProblem(f, GFunction.ZERO_INDICATOR)),
+        ("dual-dr", coupled),
+        ("admm", coupled),
+    ]
+    gamma = np.geomspace(0.05, 3.0, rows)[:, None] if per_row else 0.7
+    u = rng.uniform(-1.0, 1.0, (rows, dim)) * np.exp2(rng.integers(-40, 40, (rows, dim)))
+    # each parameter as the walks formed it, the worker's columns included
+    seen = np.frombuffer(mmap.mmap(-1, 2 * 8 * rows * dim)).reshape(2, rows, dim)
+    block = splitting._ColumnBlocks._block
+
+    def recorded(self, form, cols):
+        spare, temps, columns = block(self, form, cols)
+        for record, column in zip(seen, columns[: _parameter_blocks(self)]):
+            record[:, cols] = column
+        return spare, temps, columns
+
+    monkeypatch.setattr(splitting._ColumnBlocks, "_block", recorded)
+    for mode, problem in cases:
+        seen.fill(np.nan)
+        engine = splitting._engine(problem, mode, 3.0)(0.9, gamma, u)
+        state = engine.step(engine.state)[0]
+        if mode == "admm":
+            nu = problem.a.weights
+            whole = [gamma * nu, gamma * (nu * nu) + f.weights]
+        else:
+            w = f.weights if mode == "primal-dr" else dual_function(problem).weights
+            refl = (1.0 - gamma * w) / (1.0 + gamma * w)
+            whole = [-refl if problem.g is GFunction.ZERO_INDICATOR and mode == "primal-dr" else refl]
+        for record, form in zip(seen, whole):
+            assert record.tobytes() == np.broadcast_to(form, (rows, dim)).tobytes(), mode
+        if mode == "admm":
+            assert engine.x(state).tobytes() == ((0.0 - state) * whole[0] / whole[1]).tobytes()
+        engine.stop()
+    assert len(forks) == (len(cases) if workers == 2 else 0)
 
 
 def _signed_zeros(rng, dim, share):
