@@ -1679,7 +1679,9 @@ def test_a_step_holds_no_row_sized_temporary(monkeypatch, mode):
     # a step's temporaries are column blocks: from the engine's build to
     # its twentieth step, the traced peak stays within a few blocks of the
     # buffers the engine holds, where one row is 1.6 MB. The blocks run on
-    # two processes, the worker with its own copy of the temporaries
+    # two processes, the worker with its own copy of the temporaries. A
+    # start at the fixed point stays unchanged, so the first step's test
+    # reads every column block, ADMM's x-test included, and stops it there
     monkeypatch.setattr(splitting, "WORKERS", 2)
     monkeypatch.setattr(splitting, "RUN_ELEMENTS", splitting.COLUMN_BLOCK)
     dim = 200_000
@@ -1689,20 +1691,21 @@ def test_a_step_holds_no_row_sized_temporary(monkeypatch, mode):
         problem = make_dual_instance(SIGMA, BETA, 1.0, 3.0, dim, half, pairing="crossed")
     else:
         problem = make_primal_instance(SIGMA, BETA, dim, half)
-    tracemalloc.start()
-    try:
-        engine = splitting._engine(problem, mode, 0.5)(0.9, 0.5, rows)
-        first = splitting._norms(engine.record(engine.state))
-        held = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        _, steps, _, diverged = splitting._iterate(engine, first, 20, 0.0)
-        peak = tracemalloc.get_traced_memory()[1] - held
-    finally:
-        tracemalloc.stop()
-    assert steps[0] == 20 and not diverged[0]
-    # two column blocks of booleans: the first step's fixed-point test
-    # compares one block of columns at a time
-    assert peak < 2 * splitting.COLUMN_BLOCK
+    for start, taken in ((rows, 20), (np.zeros_like(rows), 0)):
+        tracemalloc.start()
+        try:
+            engine = splitting._engine(problem, mode, 0.5)(0.9, 0.5, start)
+            first = splitting._norms(engine.record(engine.state))
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            _, steps, _, diverged = splitting._iterate(engine, first, 20, 0.0)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert steps[0] == taken and not diverged[0]
+        # two column blocks of booleans: the first step's fixed-point test
+        # compares one block of columns at a time
+        assert peak < 2 * splitting.COLUMN_BLOCK
 
 
 @pytest.mark.parametrize("mode", splitting.MODES)
