@@ -8,7 +8,6 @@ from __future__ import annotations
 import io
 import marshal
 import os
-import sys
 import tempfile
 import time
 from dataclasses import dataclass

@@ -109,6 +109,9 @@ def parse_grid(text: str) -> tuple:
             raise ConfigError(f"grid count must be at most {MAX_GRID_POINTS}, got {count}")
         if count == 1:
             return (lo,)
+        # linspace and geomspace would warn and make NaN points
+        if not math.isfinite(hi - lo):
+            raise ConfigError(f"grid endpoints and their span must be finite, got {text!r}")
         if kind == "linear":
             values = np.linspace(lo, hi, count)
         else:

@@ -481,20 +481,21 @@ class _ColumnBlocks:
         out = self.pair[z is self.pair[0]]
         if self.workers is None:
             self._fork(update, form, z)
-        # a worker steps only an input it inherited, and raises each error
-        # the caller would not ignore, so that it is raised again here
-        seen = [i for i, a in enumerate(self.inherited) if a is z]
-        asked = []
-        if seen:
-            command = _COMMAND.pack(steps, seen[0], _raised())
-            asked = [run for run in list(self.workers) if self._send(run, command)]
+        # a worker steps only an input it inherited: every input is that of
+        # the walk that forked it (a walk after stop() forks again) or one of
+        # the pair, since each walk writes the one it does not read. It
+        # raises each error the caller would not ignore, so that it is
+        # raised again here
+        seen = next(i for i, a in enumerate(self.inherited) if a is z)
+        command = _COMMAND.pack(steps, seen, _raised())
+        asked = [run for run in list(self.workers) if self._send(run, command)]
         done = set()
         try:
             self._walk(update, z, out, form, steps, *self.runs[0])
         finally:
             # every worker ends its walk before the buffers are read or written again
             done.update(run for run in asked if self._reply(run))
-        # the runs of the workers that failed, died or could not see z
+        # the runs of the workers that failed or died, and of runs with no worker
         for run, (lo, hi) in enumerate(self.runs[1:], 1):
             if run not in done:
                 self._walk(update, z, out, form, steps, lo, hi)
@@ -839,7 +840,12 @@ def _reflection(weights: np.ndarray, g: GFunction, gamma, refl=None, gw=None) ->
     refl = np.subtract(1.0, gw, out=refl)
     gw += 1.0
     refl /= gw
-    return np.negative(refl, out=refl) if g is GFunction.ZERO_INDICATOR else refl
+    if g is GFunction.ZERO_INDICATOR:
+        # the same bits as np.negative, whose float64 loop in numpy 2.4.6 on
+        # an AVX-512 CPU gives wrong values for elements 64 bytes apart, as
+        # in a one-column block of a buffer eight columns wide
+        refl *= -1.0
+    return refl
 
 
 def _relaxed_engine(alpha, weights: np.ndarray, g: GFunction, gamma, z: np.ndarray) -> _Engine:

@@ -570,6 +570,20 @@ def test_parse_grid_forms():
         cli.parse_grid("")
     with pytest.raises(cli.ConfigError):
         cli.parse_grid("linear:1:2:0")
+    # a multi-point spec needs finite endpoints and a finite span; one point is the endpoint as given
+    for spec in ("log:1:inf:3", "linear:-inf:1:3", "linear:0:nan:2", "linear:1e308:-1e308:3"):
+        with pytest.raises(cli.ConfigError, match="must be finite"):
+            cli.parse_grid(spec)
+    assert cli.parse_grid("log:1:inf:1") == (1.0,)
+
+
+@pytest.mark.parametrize("flag, spec", [("--gamma", "log:1:inf:3"), ("--alpha", "linear:1e308:-1e308:3")])
+def test_a_grid_spec_that_is_not_finite_exits_2(capsys, flag, spec):
+    # linspace and geomspace warned of it, which the suite makes an error
+    grids = {"--alpha": "1.0", "--gamma": "1.0", flag: spec}
+    assert cli.main(["sweep", *(arg for item in grids.items() for arg in item)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "must be finite" in captured.err
 
 
 def test_report_float_format_is_full_precision():

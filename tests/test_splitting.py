@@ -1,9 +1,9 @@
 """The splitting engines, their one-row and batch runs, the replayed
-iterates and the rate fits. ``check_one_row_is_its_batch_row`` is also run
-at dim 1e6 outside the test suite::
+iterates and the rate fits. ``check_scheduler`` is also run at dim 1e6, with
+the module's own settings, outside the test suite::
 
     python -c "import sys; sys.path.insert(0, 'tests'); import test_splitting as t; \\
-        print(t.check_one_row_is_its_batch_row('admm', 10**6))"
+        print(t.check_scheduler(t.scheduler_case('admm', 10**6)).steps)"
 """
 
 import contextlib
@@ -17,7 +17,9 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from collections.abc import Callable
 from pathlib import Path
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -32,6 +34,7 @@ from splitrate import acceptance, cli, splitting
 from splitrate.splitting import (
     DivergenceError,
     IterateTrace,
+    RowRuns,
     SplitParams,
     fit_rate,
     fit_rates,
@@ -597,158 +600,6 @@ def test_long_row_norms_sum_fixed_chunks_in_order(dim):
         assert n == _reference_long_norm(s * row, splitting.NORM_CHUNK)
 
 
-#: kinds of rows mixed into one batch: a feasible relaxation, one above
-#: alpha_upper_bound (stopped by the 10x guard when it grows fast enough), and
-#: a zero start (stopped at the first step as a fixed point)
-ROW_KINDS = ("feasible", "above-bound", "zero-start")
-
-
-@st.composite
-def row_batches(draw):
-    """A two-band instance (condition number up to 1e8, dim 2..64, random band
-    split), an engine and its problem, and a batch of rows of mixed kinds."""
-    sigma = 10.0 ** draw(st.floats(-3.0, 3.0))
-    beta = sigma * 10.0 ** draw(st.floats(0.0, 8.0))
-    dim = draw(st.integers(2, 64))
-    idx_sigma = draw(st.sets(st.integers(0, dim - 1), min_size=1, max_size=dim - 1))
-    mode = draw(st.sampled_from(splitting.MODES))
-    if mode == "primal-dr":
-        g = draw(st.sampled_from([GFunction.ZERO, GFunction.ZERO_INDICATOR]))
-        problem = CompositeProblem(f=make_primal_instance(sigma, beta, dim, idx_sigma).f, g=g)
-        curvatures = problem.f
-    else:
-        theta = 10.0 ** draw(st.floats(-1.0, 1.0))
-        zeta = theta * 10.0 ** draw(st.floats(0.01, 1.0))
-        pairing = draw(st.sampled_from(["aligned", "crossed"]))
-        problem = make_dual_instance(sigma, beta, theta, zeta, dim, idx_sigma, pairing)
-        curvatures = dual_function(problem)
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    alphas, gammas, starts = [], [], []
-    for kind in draw(st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=8)):
-        gamma = 10.0 ** draw(st.floats(-2.0, 2.0)) / math.sqrt(curvatures.sigma * curvatures.beta)
-        upper = alpha_upper_bound(gamma, curvatures.sigma, curvatures.beta)
-        if kind == "above-bound":
-            alpha = upper * draw(st.floats(1.05, 1.9))
-        else:
-            alpha = upper * draw(st.floats(0.01, 0.99))
-        alphas.append(alpha)
-        gammas.append(gamma)
-        starts.append(np.zeros(dim) if kind == "zero-start" else rng.uniform(-1.0, 1.0, dim))
-    max_iter = draw(st.integers(0, 80))
-    tol = draw(st.sampled_from([0.0, 1e-9, 1e-4, 1e-2, 0.3]))
-    return problem, mode, np.array(alphas), np.array(gammas), np.array(starts), max_iter, tol
-
-
-def _single_run(problem, mode, alpha, gamma, start, max_iter, tol):
-    """The one-row engine run for a batch row: (trace, diverged)."""
-    try:
-        if mode == "admm":
-            u0 = Vec(start * (1.0 / gamma))
-            trace = run_admm(problem, rho=gamma, alpha=alpha, u0=u0, max_iter=max_iter, tol=tol)
-        else:
-            if mode == "dual-dr":
-                problem = CompositeProblem(dual_function(problem), GFunction.ZERO)
-            trace = run_dr(problem, SplitParams(alpha, gamma), Vec(start), max_iter=max_iter, tol=tol)
-    except DivergenceError as exc:
-        return exc.trace, True
-    return trace, False
-
-
-def check_one_row_is_its_batch_row(mode, dim, steps=30):
-    """Run ``mode`` on one row of ``dim`` elements, on a two-band instance
-    from a seeded random start, through :func:`run_dr` or :func:`run_admm`
-    and through :func:`run_rows`, and assert that both take the same steps
-    with bit-equal distances; returns the steps. The ADMM run starts from
-    ``u0 = start * (1 / rho)``, as :func:`_single_run` does."""
-    half = range(dim // 2)
-    if mode == "primal-dr":
-        problem = make_primal_instance(SIGMA, BETA, dim, half)
-        curvatures = problem.f
-    else:
-        problem = make_dual_instance(SIGMA, BETA, 1.0, 3.0, dim, half, pairing="crossed")
-        curvatures = dual_function(problem)
-    alpha, gamma, _ = optimal_params(curvatures.sigma, curvatures.beta)
-    start = np.random.default_rng(dim).uniform(-1.0, 1.0, dim)
-    trace, diverged = _single_run(problem, mode, alpha, gamma, start, steps, 0.0)
-    runs = run_rows(problem, mode, [alpha], [gamma], lambda rows: start[None], max_iter=steps, tol=0.0)
-    assert (runs.steps[0], runs.diverged[0]) == (trace.n_steps, diverged)
-    assert runs.distances[0].tobytes() == trace.distances.tobytes()
-    return trace.n_steps
-
-
-@pytest.mark.parametrize("mode", splitting.MODES)
-def test_a_one_row_run_is_its_batch_row(monkeypatch, mode):
-    # rows of three column blocks, walked by two processes
-    monkeypatch.setattr(splitting, "WORKERS", 2)
-    monkeypatch.setattr(splitting, "RUN_ELEMENTS", splitting.COLUMN_BLOCK)
-    assert check_one_row_is_its_batch_row(mode, 2 * splitting.COLUMN_BLOCK + 3) == 30
-
-
-@settings(deadline=None, max_examples=80)
-@given(row_batches())
-def test_batch_rows_equal_their_single_runs_bitwise(case):
-    problem, mode, alphas, gammas, starts, max_iter, tol = case
-    runs = run_rows(problem, mode, alphas, gammas, lambda rows: starts[rows], max_iter=max_iter, tol=tol)
-    fits = fit_rates(runs.step_ratios)
-    assert runs.distances.shape[0] == len(alphas)
-    for i in range(len(alphas)):
-        trace, diverged = _single_run(problem, mode, alphas[i], gammas[i], starts[i], max_iter, tol)
-        steps = trace.n_steps
-        assert runs.steps[i] == steps
-        assert runs.diverged[i] == diverged
-        assert runs.distances[i, : steps + 1].tobytes() == trace.distances.tobytes()
-        assert np.all(np.isnan(runs.distances[i, steps + 1 :]))
-        try:
-            single_fit = fit_rate(trace)
-        except ValueError:
-            single_fit = math.nan
-        assert np.array_equal(fits[i], single_fit, equal_nan=True)
-
-
-#: entries of unit starts: signed zeros, subnormals, values whose square
-#: overflows and ordinary values
-UNIT_VALUES = (0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310, 1e200, -1e300, 1.0, -0.75, 3.0)
-
-
-@st.composite
-def unit_batches(draw):
-    """A two-band instance and an engine, as :func:`row_batches` draws them,
-    and unit starts as ``(at, values)``, one coordinate and one value a row,
-    some of them zero, at relaxations inside and past alpha_upper_bound.
-    ``long`` batches have rows past a ``COLUMN_BLOCK`` of 32 columns (see
-    :func:`_long_rows`)."""
-    long = draw(st.booleans())
-    dim = draw(st.integers(33, 100) if long else st.integers(2, 70))
-    sigma = 10.0 ** draw(st.floats(-3.0, 3.0))
-    beta = sigma * 10.0 ** draw(st.floats(0.0, 8.0))
-    idx_sigma = draw(st.sets(st.integers(0, dim - 1), min_size=1, max_size=dim - 1))
-    mode = draw(st.sampled_from(splitting.MODES))
-    if mode == "primal-dr":
-        g = draw(st.sampled_from([GFunction.ZERO, GFunction.ZERO_INDICATOR]))
-        problem = CompositeProblem(f=make_primal_instance(sigma, beta, dim, idx_sigma).f, g=g)
-        curvatures = problem.f
-    else:
-        problem = make_dual_instance(sigma, beta, 1.0, 3.0, dim, idx_sigma, draw(st.sampled_from(["aligned", "crossed"])))
-        curvatures = dual_function(problem)
-    rows = draw(st.integers(1, 6))
-    at = np.array([draw(st.integers(0, dim - 1)) for _ in range(rows)])
-    values = np.array([draw(st.sampled_from(UNIT_VALUES) | st.floats(-10.0, 10.0)) for _ in range(rows)])
-    alphas, gammas = np.empty(rows), np.empty(rows)
-    for r in range(rows):
-        gammas[r] = 10.0 ** draw(st.floats(-2.0, 2.0)) / math.sqrt(curvatures.sigma * curvatures.beta)
-        upper = alpha_upper_bound(gammas[r], curvatures.sigma, curvatures.beta)
-        alphas[r] = upper * draw(st.sampled_from([st.floats(0.01, 0.99), st.floats(1.05, 1.9)]).flatmap(lambda s: s))
-    return long, problem, mode, alphas, gammas, (at, values), draw(st.integers(0, 60)), draw(st.sampled_from([0.0, 1e-9, 1e-3]))
-
-
-def _long_rows(long):
-    """With ``long``, rows of more than 32 elements are walked in column
-    blocks of 32, in chunks of 8, by two processes; else nothing changes."""
-    if not long:
-        return contextlib.nullcontext()
-    return mock.patch.multiple(splitting, NORM_CHUNK=8, COLUMN_BLOCK=32, RUN_ELEMENTS=32, WORKERS=2)
-
-
 def _starts(starts):
     """``starts`` as :func:`run_rows` takes them: an ``(at, values)`` pair as
     it is, an array as the callable that slices its rows."""
@@ -764,13 +615,6 @@ def _batch(problem, mode, alphas, gammas, starts, max_iter, tol):
         return str(exc)
 
 
-def _same_row(runs, i, steps, diverged, distances):
-    """Row ``i`` of ``runs`` took ``steps`` steps to ``distances`` (NaN after)."""
-    assert (runs.steps[i], runs.diverged[i]) == (steps, diverged)
-    assert runs.distances[i, : steps + 1].tobytes() == distances.tobytes()
-    assert np.all(np.isnan(runs.distances[i, steps + 1 :]))
-
-
 def _unit_rows(dim, at, values):
     """Unit starts as the full rows that ``(at, values)`` stands for: not
     ``basis_rows(dim, at) * values[:, None]``, whose other entries a
@@ -778,29 +622,6 @@ def _unit_rows(dim, at, values):
     rows = np.zeros((len(at), dim))
     rows[np.arange(len(at)), at] = values
     return rows
-
-
-@settings(deadline=None, max_examples=80)
-@given(unit_batches())
-def test_unit_start_rows_are_bit_for_bit_their_full_width_runs(case):
-    # the same draws three ways: as coordinates, which run as one-column
-    # rows, as full rows, which run at full width, and as one-row runs
-    long, problem, mode, alphas, gammas, (at, values), max_iter, tol = case
-    starts = _unit_rows(problem.dim, at, values)
-    # starts whose squares overflow make inf and NaN distances, as the command line lets them
-    with _long_rows(long), np.errstate(over="ignore", invalid="ignore"):
-        runs = _batch(problem, mode, alphas, gammas, (at, values), max_iter, tol)
-        full = _batch(problem, mode, alphas, gammas, starts, max_iter, tol)
-        if isinstance(runs, str):
-            # a recorded start that is not finite, named by its row
-            assert runs == full and "row" in runs
-            return
-        for i in range(len(alphas)):
-            _same_row(full, i, runs.steps[i], runs.diverged[i], runs.distances[i, : runs.steps[i] + 1])
-            assert full.converged[i] == runs.converged[i]
-            trace, diverged = _single_run(problem, mode, alphas[i], gammas[i], starts[i], max_iter, tol)
-            _same_row(runs, i, trace.n_steps, diverged, trace.distances)
-            assert runs.converged[i] == trace.converged
 
 
 def _engine_shapes(monkeypatch):
@@ -872,42 +693,6 @@ def test_run_rows_rejects_bad_unit_starts_before_any_block(monkeypatch, primal, 
         run_rows(primal, "primal-dr", [1.0, 0.5], [0.3, 0.3], (at, values))
 
 
-@pytest.mark.parametrize("mode", splitting.MODES)
-def test_short_rows_walked_in_column_blocks_step_as_whole_rows(mode):
-    # rows of 40 elements in column blocks of 16, past which no operand of a
-    # step is copied to the state's shape, walked by two processes: the
-    # distances are those of the same rows stepped whole, chunk by chunk
-    if mode == "primal-dr":
-        problem = make_primal_instance(SIGMA, BETA, 40, range(20))
-    else:
-        problem = make_dual_instance(SIGMA, BETA, 1.0, 3.0, 40, range(20), pairing="crossed")
-    starts = np.random.default_rng(40).uniform(-1.0, 1.0, (3, 40))
-    run = lambda: run_rows(problem, mode, [0.6, 0.9, 1.2], [0.1, 0.3, 0.5], _starts(starts), max_iter=30, tol=0.0)
-    with mock.patch.multiple(splitting, NORM_CHUNK=8):
-        whole = run()
-    with mock.patch.multiple(splitting, NORM_CHUNK=8, COLUMN_BLOCK=16, RUN_ELEMENTS=16, WORKERS=2):
-        blocked = run()
-    assert blocked.steps.tolist() == [30] * 3
-    assert blocked.distances.tobytes() == whole.distances.tobytes()
-
-
-def test_batch_rows_stop_for_each_reason_in_one_batch(primal):
-    # one row per stop reason: tol, the 10x guard, a fixed-point start, and
-    # the iteration budget
-    gamma = GAMMA_STAR
-    upper = alpha_upper_bound(gamma, SIGMA, BETA)
-    alphas = np.array([1.0, 1.9 * upper, 0.5, 0.05])
-    starts = np.array([np.ones(8), np.ones(8), np.zeros(8), np.ones(8)])
-    runs = run_rows(primal, "primal-dr", alphas, np.full(4, gamma), lambda rows: starts[rows], max_iter=40, tol=1e-3)
-    assert list(runs.diverged) == [False, True, False, False]
-    assert runs.steps[2] == 0 and runs.steps[3] == 40
-    assert 0 < runs.steps[0] < 40 and 0 < runs.steps[1] < 40
-    for i in range(4):
-        trace, diverged = _single_run(primal, "primal-dr", alphas[i], gamma, starts[i], 40, 1e-3)
-        assert (trace.n_steps, diverged) == (runs.steps[i], runs.diverged[i])
-        assert runs.distances[i, : trace.n_steps + 1].tobytes() == trace.distances.tobytes()
-
-
 def _mostly_stopped(problem, curvatures):
     """Four rows of which all but one stop within 3 steps, over a budget of
     40 steps at tol 0: a zero start stops at step 0, two rows far above
@@ -921,49 +706,12 @@ def _mostly_stopped(problem, curvatures):
 
 
 @pytest.mark.parametrize("mode", splitting.MODES)
-def test_batch_rows_stopping_at_many_steps_equal_their_single_runs(mode):
-    # 48 rows that stop by tol, by the guard, at a zero start, or at the
-    # budget, at many distinct steps, and a batch in which all rows but one
-    # stop within 3 steps: stopped rows are stepped on as NaN rows until the
-    # run ends, and no live row may notice
-    problem = default_primal_instance() if mode == "primal-dr" else default_dual_instance("crossed")
-    curvatures = problem.f if mode == "primal-dr" else dual_function(problem)
-    rng = np.random.default_rng(29)
-    n = 48
-    gammas = 10.0 ** rng.uniform(-1.5, 1.5, n) / math.sqrt(curvatures.sigma * curvatures.beta)
-    upper = alpha_upper_bound(gammas, curvatures.sigma, curvatures.beta)
-    kinds = rng.choice(3, n, p=[0.7, 0.2, 0.1])
-    alphas = upper * np.where(kinds == 1, rng.uniform(1.05, 1.9, n), rng.uniform(0.05, 0.99, n))
-    starts = rng.uniform(-1.0, 1.0, (n, problem.dim))
-    starts[kinds == 2] = 0.0
-    batches = [(alphas, gammas, starts, 60, 1e-6), (*_mostly_stopped(problem, curvatures), 40, 0.0)]
-    many, mostly = [
-        run_rows(problem, mode, a, g, lambda rows, s=s: s[rows], max_iter=m, tol=t) for a, g, s, m, t in batches
-    ]
-    assert len(set(many.steps.tolist())) >= 15
-    assert many.diverged.any() and (many.steps == 0).any() and (many.steps == 60).any()
-    assert mostly.steps.tolist() == [0, 1, 2, 40]
-    for runs, (alphas, gammas, starts, max_iter, tol) in zip((many, mostly), batches):
-        for i in range(len(alphas)):
-            trace, diverged = _single_run(problem, mode, alphas[i], gammas[i], starts[i], max_iter, tol)
-            assert (trace.n_steps, diverged) == (runs.steps[i], runs.diverged[i])
-            assert runs.distances[i, : trace.n_steps + 1].tobytes() == trace.distances.tobytes()
-            assert np.all(np.isnan(runs.distances[i, trace.n_steps + 1 :]))
-
-
-@pytest.mark.parametrize("mode", splitting.MODES)
 @pytest.mark.parametrize("dim", [8, 2 * splitting.NORM_CHUNK + 3])
 def test_a_batch_keeps_its_shape_while_its_rows_stop(monkeypatch, mode, dim):
     # all rows but one stop within 3 steps; every step, and every pass over
     # long rows, still reads the whole batch, with the stopped rows as NaN
     monkeypatch.setattr(splitting, "COLUMN_BLOCK", splitting.NORM_CHUNK)
-    half = range(dim // 2)
-    if mode == "primal-dr":
-        problem = make_primal_instance(SIGMA, BETA, dim, half)
-        curvatures = problem.f
-    else:
-        problem = make_dual_instance(SIGMA, BETA, 1.0, 3.0, dim, half, pairing="crossed")
-        curvatures = dual_function(problem)
+    problem, curvatures = _instance(mode, SIGMA, BETA, dim, range(dim // 2))
     alphas, gammas, starts = _mostly_stopped(problem, curvatures)
     calls = []
     iterate = splitting._iterate
@@ -1003,93 +751,95 @@ def test_stopped_rows_stepped_on_raise_no_float_warnings(mode):
     assert np.all(np.isnan(runs.distances[0, runs.steps[0] + 1 :]))
 
 
-# -- replayed iterates ----------------------------------------------------------
+# -- the long-row scheduler against the plain loop -------------------------------
 
 
-def _norm(v):
-    return math.sqrt(float(np.dot(v, v)))
-
-
-def _reference_dr(weights, negate, alpha, gamma, z, max_iter, tol, norm=_norm):
+def _reference_dr(weights, negate, alpha, gamma, z, max_iter, tol):
     """One relaxed DR run written out as a loop that keeps every iterate,
     with the step's expressions before iterates were replayed and before
-    steps ran in column blocks, normed by ``norm``: (iterates, diverged)."""
+    steps ran in column blocks, normed as :func:`splitting._norms` norms a
+    row: ``(iterates, stop)``, ``stop`` one of "fixed", "guard", "tol" and
+    "budget"."""
     gw = gamma * weights
     refl = (1.0 - gw) / (1.0 + gw)
     if negate:
         refl = -refl
-    iterates, first = [z], norm(z)
+    iterates, first = [z], _chunked_norm(z)
     for k in range(max_iter):
         z_next = z * (1.0 - alpha) + refl * z * alpha
         if k == 0 and np.array_equal(z_next, z):
-            break
+            return iterates, "fixed"
         iterates.append(z_next)
-        if first > 0.0 and norm(z_next) > 10.0 * first:
-            return iterates, True
-        if norm(z_next - z) <= tol:
-            break
+        if first > 0.0 and _chunked_norm(z_next) > 10.0 * first:
+            return iterates, "guard"
+        if _chunked_norm(z_next - z) <= tol:
+            return iterates, "tol"
         z = z_next
-    return iterates, False
+    return iterates, "budget"
 
 
-def _reference_admm(lam, nu, alpha, rho, u, max_iter, tol, norm=_norm):
+def _reference_admm(lam, nu, alpha, rho, u, max_iter, tol):
     """One scaled ADMM run written out the same way, from ``x = w = 0``, with
-    the passes over ``w`` that the engine drops as identities: (iterates,
-    diverged, final x)."""
+    the passes over ``w`` that the engine drops as identities: ``(iterates,
+    stop, final x)``."""
     relax, scale, denom = 2.0 * alpha, rho * nu, lam + rho * nu**2
     x, w = np.zeros(u.shape), np.zeros(u.shape)
     iterates = [rho * u]
-    first = norm(iterates[0])
+    first = _chunked_norm(iterates[0])
     for k in range(max_iter):
         x_new = scale * (w - u) / denom
         v = relax * (nu * x_new) + (1.0 - relax) * w
         w_new = np.zeros(w.shape)
         u_new = u + v - w_new
         if k == 0 and all(map(np.array_equal, (x_new, w_new, u_new), (x, w, u))):
-            return iterates, False, x_new
+            # no step taken: x is the origin, even where x_new is -0.0
+            return iterates, "fixed", x
         x, w, u_prev, u = x_new, w_new, u, u_new
         iterates.append(rho * u)
-        if first > 0.0 and norm(iterates[-1]) > 10.0 * first:
-            return iterates, True, x
-        if rho * norm(u - u_prev) <= tol:
-            break
-    return iterates, False, x
-
-
-def _check_replay(problem, mode, alpha, gamma, start, max_iter, tol):
-    """Run one engine, read its replayed iterates (and ADMM's ``final_x``) and
-    compare them bit for bit with the reference loop; returns (steps,
-    diverged)."""
-    if mode == "admm":
-        u0 = start * (1.0 / gamma)
-        reference = _reference_admm(problem.f.weights, problem.a.weights, alpha, gamma, u0, max_iter, tol)
-        run = lambda: run_admm(problem, gamma, alpha, u0=Vec(u0), max_iter=max_iter, tol=tol)
-    else:
-        if mode == "dual-dr":
-            problem = CompositeProblem(dual_function(problem), GFunction.ZERO)
-        negate = problem.g is GFunction.ZERO_INDICATOR
-        reference = _reference_dr(problem.f.weights, negate, alpha, gamma, start, max_iter, tol) + (None,)
-        run = lambda: run_dr(problem, SplitParams(alpha, gamma), Vec(start), max_iter=max_iter, tol=tol)
-    try:
-        trace, diverged = run(), False
-    except DivergenceError as exc:
-        trace, diverged = exc.trace, True
-    iterates, ref_diverged, ref_x = reference
-    assert diverged == ref_diverged
-    assert len(trace.iterates) == trace.n_steps + 1 == len(iterates)
-    assert [v.coeffs.tobytes() for v in trace.iterates] == [z.tobytes() for z in iterates]
-    assert trace.distances.tobytes() == np.array([_norm(z) for z in iterates]).tobytes()
-    if mode == "admm":
-        assert trace.final_x.coeffs.tobytes() == ref_x.tobytes()
-    return trace.n_steps, diverged
+        if first > 0.0 and _chunked_norm(iterates[-1]) > 10.0 * first:
+            return iterates, "guard", x
+        if rho * _chunked_norm(u - u_prev) <= tol:
+            return iterates, "tol", x
+    return iterates, "budget", x
 
 
 def _chunked_norm(v):
     return float(splitting._norms(v[None])[0])
 
 
-#: the default pass length and pass-length rule (see splitting._iterate)
+def _reference(problem, mode, alpha, gamma, start, max_iter, tol):
+    """The reference loop of ``mode`` for one row from ``start`` (ADMM's
+    ``u0 = start * (1 / gamma)``, as :func:`run_rows` takes it):
+    ``(iterates, stop, final x or None)``."""
+    if mode == "admm":
+        u0 = start * (1.0 / gamma)
+        return _reference_admm(problem.f.weights, problem.a.weights, alpha, gamma, u0, max_iter, tol)
+    if mode == "dual-dr":
+        weights, negate = dual_function(problem).weights, False
+    else:
+        weights, negate = problem.f.weights, problem.g is GFunction.ZERO_INDICATOR
+    return *_reference_dr(weights, negate, alpha, gamma, start, max_iter, tol), None
+
+
+def _one_row(problem, mode, alpha, gamma, start, max_iter, tol):
+    """The one-row run of ``mode`` from ``start``, as :func:`run_rows` runs
+    a row from it: ``(trace, diverged)``."""
+    if mode == "admm":
+        run = lambda: run_admm(problem, gamma, alpha, u0=Vec(start * (1.0 / gamma)), max_iter=max_iter, tol=tol)
+    else:
+        if mode == "dual-dr":
+            problem = CompositeProblem(dual_function(problem), GFunction.ZERO)
+        run = lambda: run_dr(problem, SplitParams(alpha, gamma), Vec(start), max_iter=max_iter, tol=tol)
+    try:
+        return run(), False
+    except DivergenceError as exc:
+        return exc.trace, True
+
+
+#: the default pass length and pass-length rule (see splitting._iterate), and
+#: the rule that foresees no stop, so that passes are cut by the budget alone
 PASS_STEPS, FORESEEN = splitting.PASS_STEPS, splitting._foreseen
+NEVER = lambda *args: math.inf
 
 
 def _passes(monkeypatch, steps=None):
@@ -1097,69 +847,288 @@ def _passes(monkeypatch, steps=None):
     the budget alone, so that rows stop at every offset within a pass; with
     None, in the default passes, which end at the stops the rows foresee."""
     monkeypatch.setattr(splitting, "PASS_STEPS", steps or PASS_STEPS)
-    monkeypatch.setattr(splitting, "_foreseen", FORESEEN if steps is None else lambda *args: math.inf)
+    monkeypatch.setattr(splitting, "_foreseen", FORESEEN if steps is None else NEVER)
 
 
-@pytest.mark.parametrize("mode", splitting.MODES)
-@pytest.mark.parametrize("extra", [-1, 0, 1, splitting.NORM_CHUNK + 3, 2 * splitting.NORM_CHUNK + 5])
-def test_column_blocks_equal_the_unblocked_steps_bitwise(monkeypatch, mode, extra):
-    # one chunk per column block keeps the dims small: a row of NORM_CHUNK
-    # + extra elements is one block (extra <= 0), or two, three or four
-    # blocks, the last of width 1, 3 or 5. The rows stop by tol, by the
-    # guard, at a zero start and at the budget, so stopped rows are stepped
-    # on as NaN rows until the run ends. The blocks run on 1, 2
-    # and 3 processes, in uneven runs (4 blocks on 3 processes run 1, 1 and
-    # 2), in fixed passes of 1 to 4 steps, so that rows stop at every
-    # offset within a pass, and in the default passes, and every worker
-    # count and pass length gives the same bits.
-    monkeypatch.setattr(splitting, "COLUMN_BLOCK", splitting.NORM_CHUNK)
-    dim = splitting.NORM_CHUNK + extra
-    half = range(dim // 2)
+class SchedulerCase(NamedTuple):
+    """A :func:`run_rows` call and the module settings it runs under
+    (``knobs``, names of :mod:`splitrate.splitting`; the others keep their
+    values), the rows also run alone, and, for a hand-built case, a test of
+    the runs that it was built to make."""
+
+    problem: CompositeProblem
+    mode: str
+    alphas: np.ndarray
+    gammas: np.ndarray
+    #: a (rows, dim) array, or unit starts (at, values)
+    starts: object
+    max_iter: int
+    tol: float
+    knobs: dict
+    alone: tuple = (0,)
+    expect: Callable | None = None
+
+
+def _instance(mode, sigma, beta, dim, idx_sigma, g=GFunction.ZERO, theta=1.0, zeta=3.0, pairing="crossed"):
+    """A two-band instance for ``mode`` and the curvatures its engine runs on."""
     if mode == "primal-dr":
-        problem = make_primal_instance(SIGMA, BETA, dim, half)
-        curvatures = problem.f
+        problem = CompositeProblem(f=make_primal_instance(sigma, beta, dim, idx_sigma).f, g=g)
+        return problem, problem.f
+    problem = make_dual_instance(sigma, beta, theta, zeta, dim, idx_sigma, pairing)
+    return problem, dual_function(problem)
+
+
+def _signed_zeros(rng, dim, share):
+    """A uniform(-1, 1) vector with about ``share`` of its coordinates set to
+    +0.0 or -0.0."""
+    v = rng.uniform(-1.0, 1.0, dim)
+    hit = rng.random(dim) < share
+    v[hit] = np.copysign(0.0, rng.uniform(-1.0, 1.0, hit.sum()))
+    return v
+
+
+#: entries of unit starts: signed zeros, subnormals, values whose square
+#: overflows and ordinary values
+UNIT_VALUES = (0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310, 1e200, -1e300, 1.0, -0.75, 3.0)
+
+
+@st.composite
+def scheduler_cases(draw):
+    """A :class:`SchedulerCase` of every knob: a two-band instance
+    (condition number up to 1e8, random band split) of 1 to 4 column blocks
+    of a patched ``COLUMN_BLOCK``, 1, 2 or 4 chunks of a patched
+    ``NORM_CHUNK`` each, in each mode; 1 to 5 rows at relaxations inside
+    and past alpha_upper_bound, from array starts with signed zeros, some
+    of them zero rows, or from unit starts; row blocks of 1 to 3 rows or of
+    the default size; budgets and tols that stop rows for every reason; and
+    passes of 1 to 4 steps or the default, with or without foreseen stops,
+    on 1 to 3 processes in runs of any size."""
+    chunk = draw(st.sampled_from([4, 8, 32]))
+    block = chunk * draw(st.sampled_from([1, 2, 4]))
+    dim = draw(st.integers(2, 4 * block))
+    mode = draw(st.sampled_from(splitting.MODES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sigma = 10.0 ** draw(st.floats(-3.0, 3.0))
+    beta = sigma * 10.0 ** draw(st.floats(0.0, 8.0))
+    idx_sigma = rng.permutation(dim)[: draw(st.integers(1, dim - 1))]
+    if mode == "primal-dr":
+        shape = dict(g=draw(st.sampled_from([GFunction.ZERO, GFunction.ZERO_INDICATOR])))
     else:
-        problem = make_dual_instance(SIGMA, BETA, 1.0, 3.0, dim, half, pairing="crossed")
-        curvatures = dual_function(problem)
-    rng = np.random.default_rng(dim)
+        theta = 10.0 ** draw(st.floats(-1.0, 1.0))
+        shape = dict(theta=theta, zeta=theta * 10.0 ** draw(st.floats(0.01, 1.0)))
+        shape["pairing"] = draw(st.sampled_from(["aligned", "crossed"]))
+    problem, curvatures = _instance(mode, sigma, beta, dim, idx_sigma, **shape)
+    rows = draw(st.integers(1, 5))
+    gammas = 10.0 ** np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=rows, max_size=rows)))
+    gammas /= math.sqrt(curvatures.sigma * curvatures.beta)
+    shares = draw(st.lists(st.floats(0.01, 0.99) | st.floats(1.05, 1.9), min_size=rows, max_size=rows))
+    alphas = alpha_upper_bound(gammas, curvatures.sigma, curvatures.beta) * np.array(shares)
+    if draw(st.integers(0, 3)) == 0:
+        at = np.array(draw(st.lists(st.integers(0, dim - 1), min_size=rows, max_size=rows)))
+        values = draw(st.lists(st.sampled_from(UNIT_VALUES) | st.floats(-10.0, 10.0), min_size=rows, max_size=rows))
+        starts, width = (at, np.array(values)), 1
+    else:
+        zeros = draw(st.lists(st.sampled_from([0.0, 0.0, 0.3, 1.0]), min_size=rows, max_size=rows))
+        starts, width = np.array([_signed_zeros(rng, dim, share) for share in zeros]), dim
+    knobs = dict(
+        NORM_CHUNK=chunk,
+        COLUMN_BLOCK=block,
+        BLOCK_ELEMENTS=draw(st.sampled_from([width, 2 * width, 3 * width, splitting.BLOCK_ELEMENTS])),
+        PASS_STEPS=draw(st.sampled_from([1, 2, 3, 4, PASS_STEPS])),
+        _foreseen=draw(st.sampled_from([FORESEEN, NEVER])),
+        WORKERS=draw(st.integers(1, 3)),
+        RUN_ELEMENTS=draw(st.sampled_from([1, block, splitting.RUN_ELEMENTS])),
+    )
+    max_iter, tol = draw(st.integers(0, 60)), draw(st.sampled_from([0.0, 1e-9, 1e-4, 1e-2, 0.3]))
+    return SchedulerCase(problem, mode, alphas, gammas, starts, max_iter, tol, knobs, (draw(st.integers(0, rows - 1)),))
+
+
+def check_scheduler(case: SchedulerCase) -> RowRuns | None:
+    """Run ``case`` under its knobs through :func:`run_rows` and each row
+    through the reference loop, normed by :func:`_chunked_norm`, and assert
+    that they agree bit for bit: steps, ``converged``, ``diverged`` and
+    distances, NaN past each row's stop, in Fortran order, and each row's
+    fit. The rows of ``case.alone`` also run alone, through :func:`run_dr`
+    or :func:`run_admm`, whose trace, replayed iterates and ADMM's final x
+    must be the reference's. A batch with a recorded start that is not
+    finite must raise, naming the first such row. Returns the runs (None
+    for a batch that raised)."""
+    problem, mode, alphas, gammas, starts, max_iter, tol, knobs, alone, expect = case
+    full = starts if isinstance(starts, np.ndarray) else _unit_rows(problem.dim, *starts)
+    # starts whose squares overflow make inf and NaN distances, as the command line lets them
+    quiet = dict(over="ignore", invalid="ignore") if np.abs(full).max(initial=0.0) > 1e150 else {}
+    patched = mock.patch.multiple(splitting, **knobs) if knobs else contextlib.nullcontext()
+    with patched, np.errstate(**quiet):
+        references = [_reference(problem, mode, *row, max_iter, tol) for row in zip(alphas, gammas, full)]
+        bad = [i for i, (iterates, _, _) in enumerate(references) if not np.isfinite(iterates[0]).all()]
+        if bad:
+            with pytest.raises(ValueError, match=f"row {bad[0]} is not"):
+                run_rows(problem, mode, alphas, gammas, _starts(starts), max_iter=max_iter, tol=tol)
+            return None
+        runs = run_rows(problem, mode, alphas, gammas, _starts(starts), max_iter=max_iter, tol=tol)
+        assert runs.distances.flags.f_contiguous
+        assert runs.distances.shape == (len(alphas), runs.steps.max(initial=0) + 1)
+        fits = fit_rates(runs.step_ratios)
+        for i, (iterates, stop, _) in enumerate(references):
+            steps = len(iterates) - 1
+            flags = (stop in ("fixed", "tol"), stop == "guard")
+            assert (runs.steps[i], runs.converged[i], runs.diverged[i]) == (steps, *flags), i
+            distances = np.array([_chunked_norm(z) for z in iterates])
+            assert runs.distances[i, : steps + 1].tobytes() == distances.tobytes(), i
+            assert np.isnan(runs.distances[i, steps + 1 :]).all(), i
+        for i in alone:
+            iterates, _, x = references[i]
+            trace, diverged = _one_row(problem, mode, alphas[i], gammas[i], full[i], max_iter, tol)
+            assert (trace.n_steps, trace.converged, diverged) == (runs.steps[i], runs.converged[i], runs.diverged[i])
+            assert trace.distances.tobytes() == runs.distances[i, : trace.n_steps + 1].tobytes()
+            try:
+                fit = fit_rate(trace)
+            except ValueError:
+                fit = math.nan
+            assert np.array_equal(fits[i], fit, equal_nan=True)
+            assert len(trace.iterates) == len(iterates)
+            # a replayed iterate is a Vec, whose entries are finite: a row whose
+            # start's squares overflow may step to an infinity, and is not replayed
+            if not all(np.isfinite(z).all() for z in (*iterates, *([] if x is None else [x]))):
+                continue
+            for k, (v, z) in enumerate(zip(trace.iterates, iterates)):
+                assert v.coeffs.tobytes() == z.tobytes(), k
+            if mode == "admm":
+                assert trace.final_x.coeffs.tobytes() == x.tobytes()
+    assert expect is None or expect(runs)
+    return runs
+
+
+def scheduler_case(mode, dim, steps=30) -> SchedulerCase:
+    """One row of ``dim`` elements on a two-band instance, from a seeded
+    random start at the bound-minimizing parameters, over ``steps`` steps
+    at tol 0, with the module's own settings: the case that
+    :func:`check_scheduler` is run on at dim 1e6."""
+    problem, curvatures = _instance(mode, SIGMA, BETA, dim, range(dim // 2))
+    alpha, gamma, _ = optimal_params(curvatures.sigma, curvatures.beta)
+    start = np.random.default_rng(dim).uniform(-1.0, 1.0, (1, dim))
+    return SchedulerCase(problem, mode, np.array([alpha]), np.array([gamma]), start, steps, 0.0, {})
+
+
+#: hand-built cases walk rows of a few column blocks of one 8-element chunk each
+SMALL_BLOCKS = dict(NORM_CHUNK=8, COLUMN_BLOCK=8)
+
+
+def _tol_stop_before_divergence():
+    """At alpha 1.265 and gamma 1 the sigma band's factor is -0.265 and the
+    beta band's -1.3: from a start ten times larger on the sigma band, the
+    step norm shrinks, then grows, and the distance passes 10x its start at
+    step 18. A tol between the first two step norms stops the row at step
+    2, inside a fixed pass of 32 steps that runs on past step 18: the row
+    converged, as it does one step a walk."""
+    dim = 2 * 8 + 3
+    problem, _ = _instance("primal-dr", SIGMA, BETA, dim, range(dim // 2))
+    start = np.where(np.arange(dim) < dim // 2, 1.0, 0.1)
+    z, _ = _reference_dr(problem.f.weights, False, 1.265, 1.0, start, 2, 0.0)
+    tol = math.sqrt(_chunked_norm(z[1] - z[0]) * _chunked_norm(z[2] - z[1]))
+    knobs = dict(SMALL_BLOCKS, PASS_STEPS=32, _foreseen=NEVER)
+    expect = lambda runs: (runs.steps.tolist(), runs.converged.tolist()) == ([2], [True])
+    return SchedulerCase(problem, "primal-dr", np.array([1.265]), np.array([1.0]), start[None], 40, tol, knobs, (0,), expect)
+
+
+def _stops_at_every_offset(mode):
+    """Ten feasible rows and ten past their limit stop by tol and by the
+    guard at every offset within fixed passes of 4 steps (steps 2-5, 6-9,
+    ...), while other rows run on."""
+    dim = 2 * 8 + 3
+    problem, curvatures = _instance(mode, SIGMA, BETA, dim, range(dim // 2))
+    gammas = np.full(20, 1.0 / math.sqrt(curvatures.sigma * curvatures.beta))
+    shares = np.concatenate([np.linspace(0.1, 0.9, 10), np.linspace(1.05, 2.0, 10)])
+    alphas = shares * alpha_upper_bound(gammas, curvatures.sigma, curvatures.beta)
+    starts = np.random.default_rng(40).uniform(-1.0, 1.0, (20, dim))
+
+    def expect(runs):
+        inside = (runs.steps > 1) & (runs.steps < 60)
+        offsets = set(zip(runs.diverged[inside].tolist(), ((runs.steps[inside] - 2) % 4).tolist()))
+        return offsets == set(itertools.product((False, True), range(4)))
+
+    knobs = dict(SMALL_BLOCKS, PASS_STEPS=4, _foreseen=NEVER)
+    return SchedulerCase(problem, mode, alphas, gammas, starts, 60, 0.03, knobs, tuple(range(20)), expect)
+
+
+def _mostly_stopped_case(mode):
+    """A batch of rows of three column blocks, walked by two processes, in
+    which all rows but one stop within 3 steps (see :func:`_mostly_stopped`)."""
+    dim = 2 * 8 + 3
+    problem, curvatures = _instance(mode, SIGMA, BETA, dim, range(dim // 2))
+    knobs = dict(SMALL_BLOCKS, WORKERS=2, RUN_ELEMENTS=1)
+    expect = lambda runs: runs.steps.tolist() == [0, 1, 2, 40]
+    return SchedulerCase(problem, mode, *_mostly_stopped(problem, curvatures), 40, 0.0, knobs, (0, 1, 2, 3), expect)
+
+
+def _each_stop_reason():
+    """Short rows, one per stop: by tol, by the guard, at a zero start and
+    at the budget."""
+    upper = alpha_upper_bound(GAMMA_STAR, SIGMA, BETA)
+    alphas = np.array([1.0, 1.9 * upper, 0.5, 0.05])
+    starts = np.array([np.ones(8), np.ones(8), np.zeros(8), np.ones(8)])
+
+    def expect(runs):
+        flags = runs.converged.tolist(), runs.diverged.tolist()
+        return flags == ([True, False, True, False], [False, True, False, False]) and runs.steps[3] == 40
+
+    problem = default_primal_instance()
+    return SchedulerCase(problem, "primal-dr", alphas, np.full(4, GAMMA_STAR), starts, 40, 1e-3, {}, (0, 1, 2, 3), expect)
+
+
+def _four_blocks_on_three_processes(mode):
+    """Rows of four column blocks, the last of width 5, on three processes,
+    which walk 1, 1 and 2 of them, in passes of up to 3 steps: the rows stop
+    by tol, by the guard, at a zero start and at the budget."""
+    dim = 3 * 8 + 5
+    problem, curvatures = _instance(mode, SIGMA, BETA, dim, range(dim // 2))
     gammas = np.array([1.0, 1.0, 1.0, 0.5, 1.0]) / math.sqrt(curvatures.sigma * curvatures.beta)
     upper = alpha_upper_bound(gammas, curvatures.sigma, curvatures.beta)
     alphas = np.array([1.0, 1.9 * upper[1], 0.5 * upper[2], 0.6 * upper[3], 0.05 * upper[4]])
-    starts = rng.uniform(-1.0, 1.0, (5, dim))
+    starts = np.random.default_rng(dim).uniform(-1.0, 1.0, (5, dim))
     starts[2] = 0.0
-    max_iter, tol = 60, 1e-2
-    references = []
-    for i in range(5):
-        if mode == "admm":
-            u0 = starts[i] * (1.0 / gammas[i])
-            iterates, diverged, ref_x = _reference_admm(
-                problem.f.weights, problem.a.weights, alphas[i], gammas[i], u0, max_iter, tol, _chunked_norm
-            )
-        else:
-            weights = problem.f.weights if mode == "primal-dr" else curvatures.weights
-            iterates, diverged = _reference_dr(
-                weights, False, alphas[i], gammas[i], starts[i], max_iter, tol, _chunked_norm
-            )
-            ref_x = None
-        distances = np.array([_chunked_norm(z) for z in iterates]).tobytes()
-        references.append((len(iterates) - 1, diverged, distances, ref_x))
-    monkeypatch.setattr(splitting, "RUN_ELEMENTS", 1)
-    for pass_steps, workers in itertools.product((1, 2, 3, 4, None), (1, 2, 3)):
-        _passes(monkeypatch, pass_steps)
-        monkeypatch.setattr(splitting, "WORKERS", workers)
-        runs = run_rows(problem, mode, alphas, gammas, lambda rows: starts[rows], max_iter=max_iter, tol=tol)
-        assert 0 < runs.steps[0] < max_iter and runs.diverged[1] and runs.steps[2] == 0
-        assert runs.steps[4] == max_iter
-        for i, (steps, diverged, distances, ref_x) in enumerate(references):
-            assert (runs.steps[i], runs.diverged[i]) == (steps, diverged)
-            assert runs.distances[i, : steps + 1].tobytes() == distances
-            if mode == "admm":
-                u0 = Vec(starts[i] * (1.0 / gammas[i]))
-                try:
-                    trace = run_admm(problem, gammas[i], alphas[i], u0=u0, max_iter=max_iter, tol=tol)
-                except DivergenceError as exc:
-                    trace = exc.trace
-                assert trace.final_x.coeffs.tobytes() == ref_x.tobytes()
+    expect = lambda runs: 0 < runs.steps[0] < 60 and runs.diverged[1] and runs.steps[2] == 0 and runs.steps[4] == 60
+    knobs = dict(SMALL_BLOCKS, PASS_STEPS=3, WORKERS=3, RUN_ELEMENTS=1)
+    return SchedulerCase(problem, mode, alphas, gammas, starts, 60, 1e-3, knobs, tuple(range(5)), expect)
+
+
+def _one_column_last_block():
+    """Rows of the origin indicator's negated reflection in column blocks
+    of 8, the last one column wide, so that its rows are 64 bytes apart in
+    the block buffers: two rows at different step sizes."""
+    dim = 2 * 8 + 1
+    problem, curvatures = _instance("primal-dr", SIGMA, BETA, dim, range(dim // 2), g=GFunction.ZERO_INDICATOR)
+    gammas = np.array([1.0, 10.0]) / math.sqrt(curvatures.sigma * curvatures.beta)
+    alphas = 0.5 * alpha_upper_bound(gammas, curvatures.sigma, curvatures.beta)
+    starts = np.random.default_rng(dim).uniform(-1.0, 1.0, (2, dim))
+    return SchedulerCase(problem, "primal-dr", alphas, gammas, starts, 20, 0.0, dict(SMALL_BLOCKS, WORKERS=1), (0, 1))
+
+
+def _overflowing_unit_start():
+    """An ADMM unit start whose ``u0 = start / gamma`` overflows: the batch
+    raises, naming its row."""
+    at, values = np.array([0, 3]), np.array([1.0, -1e300])
+    problem = default_dual_instance("crossed")
+    return SchedulerCase(problem, "admm", np.full(2, 0.5), np.array([0.3, 1e-10]), (at, values), 40, 0.0, {})
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(scheduler_cases())
+@example(_tol_stop_before_divergence())
+@example(_each_stop_reason())
+@example(_overflowing_unit_start())
+@example(_one_column_last_block())
+@example(_stops_at_every_offset("primal-dr"))
+@example(_stops_at_every_offset("dual-dr"))
+@example(_stops_at_every_offset("admm"))
+@example(_mostly_stopped_case("primal-dr"))
+@example(_mostly_stopped_case("dual-dr"))
+@example(_mostly_stopped_case("admm"))
+@example(_four_blocks_on_three_processes("primal-dr"))
+@example(_four_blocks_on_three_processes("dual-dr"))
+@example(_four_blocks_on_three_processes("admm"))
+def test_run_rows_is_the_plain_loop_over_every_knob(case):
+    check_scheduler(case)
 
 
 def _forked_runs(monkeypatch):
@@ -1278,146 +1247,6 @@ def test_a_foreseen_stop_ends_a_pass(monkeypatch):
     trace = run_dr(problem, params, z0, max_iter=60, tol=tol)
     assert trace.n_steps == 20 and trace.converged
     assert walks == [1, 19]
-
-
-def _one_row(problem, mode, alpha, gamma, start, max_iter, tol):
-    """The one-row run of ``mode`` from ``start``, as :func:`run_rows` runs
-    a row from it: ``(trace, diverged)``."""
-    if mode == "admm":
-        run = lambda: run_admm(problem, gamma, alpha, u0=Vec(start * (1.0 / gamma)), max_iter=max_iter, tol=tol)
-    else:
-        if mode == "dual-dr":
-            problem = CompositeProblem(dual_function(problem), GFunction.ZERO)
-        run = lambda: run_dr(problem, SplitParams(alpha, gamma), Vec(start), max_iter=max_iter, tol=tol)
-    try:
-        return run(), False
-    except DivergenceError as exc:
-        return exc.trace, True
-
-
-@pytest.mark.parametrize("mode", splitting.MODES)
-def test_a_pass_that_rows_stop_in_is_kept(monkeypatch, mode):
-    # ten rows stop by tol and ten by the guard (relaxations past their
-    # limit), at every offset within fixed passes of 4 steps (steps 2-5,
-    # 6-9, ...). The kept passes give the steps, flags and distances of one
-    # step a walk bit for bit, for the batch and for one-row runs at each
-    # kind of stop and offset, and ADMM's final x too
-    monkeypatch.setattr(splitting, "COLUMN_BLOCK", splitting.NORM_CHUNK)
-    dim = 2 * splitting.NORM_CHUNK + 3
-    half = range(dim // 2)
-    if mode == "primal-dr":
-        problem = make_primal_instance(SIGMA, BETA, dim, half)
-        curvatures = problem.f
-    else:
-        problem = make_dual_instance(SIGMA, BETA, 1.0, 3.0, dim, half, pairing="crossed")
-        curvatures = dual_function(problem)
-    gammas = np.full(20, 1.0 / math.sqrt(curvatures.sigma * curvatures.beta))
-    shares = np.concatenate([np.linspace(0.1, 0.9, 10), np.linspace(1.05, 2.0, 10)])
-    alphas = shares * alpha_upper_bound(gammas, curvatures.sigma, curvatures.beta)
-    starts = np.random.default_rng(40).uniform(-1.0, 1.0, (20, dim))
-    max_iter, tol = 60, 0.1
-    runs = lambda: run_rows(problem, mode, alphas, gammas, lambda rows: starts[rows], max_iter=max_iter, tol=tol)
-    _passes(monkeypatch, 1)
-    alone = runs()
-    _passes(monkeypatch, 4)
-    kept = runs()
-    for name in ("steps", "converged", "diverged", "distances"):
-        assert getattr(kept, name).tobytes() == getattr(alone, name).tobytes(), name
-    inside = (alone.steps > 1) & (alone.steps < max_iter)
-    # the first row of each kind of stop at each offset
-    picks = {}
-    for i in np.flatnonzero(inside):
-        picks.setdefault((bool(alone.diverged[i]), (alone.steps[i] - 2) % 4), i)
-    assert set(picks) == set(itertools.product((False, True), range(4)))
-    for (diverged, _), i in sorted(picks.items()):
-        traces = []
-        for pass_steps in (1, 4):
-            _passes(monkeypatch, pass_steps)
-            trace, tripped = _one_row(problem, mode, alphas[i], gammas[i], starts[i], max_iter, tol)
-            assert (trace.n_steps, tripped, trace.converged) == (alone.steps[i], diverged, not diverged)
-            assert trace.distances.tobytes() == alone.distances[i, : trace.n_steps + 1].tobytes()
-            traces.append(trace)
-        if mode == "admm":
-            assert traces[0].final_x.coeffs.tobytes() == traces[1].final_x.coeffs.tobytes()
-
-
-def test_a_tol_stop_inside_a_pass_is_no_divergence_after_it(monkeypatch):
-    # at alpha 1.265 and gamma 1 the sigma band's factor is -0.265 and the
-    # beta band's -1.3: from a start ten times larger on the sigma band, the
-    # step norm shrinks, then grows, and the distance passes 10x its start
-    # at step 18. tol at step 2's norm stops the run there, inside a fixed
-    # pass of 32 steps that runs on past step 18: the run converged, as it
-    # does one step a walk
-    monkeypatch.setattr(splitting, "COLUMN_BLOCK", splitting.NORM_CHUNK)
-    dim = 2 * splitting.NORM_CHUNK + 3
-    problem = make_primal_instance(SIGMA, BETA, dim, range(dim // 2))
-    params = SplitParams(1.265, 1.0)
-    start = Vec(np.where(np.arange(dim) < dim // 2, 1.0, 0.1))
-    with pytest.raises(DivergenceError) as exc:
-        run_dr(problem, params, start, max_iter=40, tol=0.0)
-    z = [v.coeffs for v in exc.value.trace.iterates]
-    assert len(z) == 19
-    tol = _chunked_norm(z[2] - z[1])
-    traces = []
-    for pass_steps in (1, 32):
-        _passes(monkeypatch, pass_steps)
-        traces.append(run_dr(problem, params, start, max_iter=40, tol=tol))
-    assert [(t.n_steps, t.converged) for t in traces] == [(2, True)] * 2
-    assert traces[0].distances.tobytes() == traces[1].distances.tobytes()
-
-
-def test_a_row_stopping_inside_a_pass_stops_there(monkeypatch):
-    # row 0 stops by tol inside a fixed pass while the two slow rows run
-    # on: the pass is kept, cut at row 0's stop, and row 0 is stepped on as
-    # a NaN row, so its steps and distances stay those of its single run
-    monkeypatch.setattr(splitting, "COLUMN_BLOCK", splitting.NORM_CHUNK)
-    _passes(monkeypatch, 4)
-    dim = 2 * splitting.NORM_CHUNK + 3
-    problem = make_primal_instance(SIGMA, BETA, dim, range(dim // 2))
-    alpha, gamma, _ = optimal_params(SIGMA, BETA)
-    slow = 0.05 * alpha_upper_bound(gamma, SIGMA, BETA)
-    alphas, gammas = np.array([alpha, slow, slow]), np.full(3, gamma)
-    starts = np.random.default_rng(11).uniform(-1.0, 1.0, (3, dim))
-    offsets = set()
-    for tol in 10.0 ** -np.arange(1.0, 9.0):
-        runs = run_rows(problem, "primal-dr", alphas, gammas, lambda rows: starts[rows], max_iter=40, tol=tol)
-        trace = run_dr(problem, SplitParams(alpha, gamma), Vec(starts[0]), max_iter=40, tol=tol)
-        assert list(runs.steps) == [trace.n_steps, 40, 40]
-        assert runs.distances[0, : trace.n_steps + 1].tobytes() == trace.distances.tobytes()
-        assert np.all(np.isnan(runs.distances[0, trace.n_steps + 1 :]))
-        offsets.add((trace.n_steps - 2) % 4)
-    assert offsets == set(range(4))
-
-
-def test_an_admm_run_stopping_inside_a_pass_keeps_its_last_x(monkeypatch):
-    # a one-row run that stops by tol inside a fixed pass keeps the pass,
-    # and its final x is replayed from the state its final step read: at
-    # every offset within a pass, its distances and final x are the
-    # reference loop's
-    monkeypatch.setattr(splitting, "COLUMN_BLOCK", splitting.NORM_CHUNK)
-    _passes(monkeypatch, 4)
-    dim = 2 * splitting.NORM_CHUNK + 5
-    problem = make_dual_instance(SIGMA, BETA, 1.0, 3.0, dim, range(dim // 2), pairing="crossed")
-    curvatures = dual_function(problem)
-    rho = 0.5 / math.sqrt(curvatures.sigma * curvatures.beta)
-    alpha = 0.6 * alpha_upper_bound(rho, curvatures.sigma, curvatures.beta)
-    lam, nu = problem.f.weights, problem.a.weights
-    u0 = np.random.default_rng(5).uniform(-1.0, 1.0, dim) * (1.0 / rho)
-    # the norms the reference takes: the start's, then each step's distance
-    # and step norm
-    seen = []
-    _reference_admm(lam, nu, alpha, rho, u0, 12, 0.0, lambda v: seen.append(_chunked_norm(v)) or seen[-1])
-    offsets = set()
-    for step_norm in seen[2::2]:
-        tol = rho * step_norm
-        iterates, _, ref_x = _reference_admm(lam, nu, alpha, rho, u0, 40, tol, _chunked_norm)
-        trace = run_admm(problem, rho, alpha, u0=Vec(u0), max_iter=40, tol=tol)
-        assert trace.n_steps == len(iterates) - 1
-        assert trace.distances.tobytes() == np.array([_chunked_norm(z) for z in iterates]).tobytes()
-        assert trace.final_x.coeffs.tobytes() == ref_x.tobytes()
-        # steps 2 to 5 are the first pass
-        offsets.add((trace.n_steps - 2) % 4)
-    assert offsets == set(range(4))
 
 
 def check_no_float_error_past_a_stop(monkeypatch, cols: slice):
@@ -1843,70 +1672,6 @@ def test_parameters_formed_by_the_block_are_the_whole_row_forms_bitwise(monkeypa
     assert len(forks) == (len(cases) if workers == 2 else 0)
 
 
-def _signed_zeros(rng, dim, share):
-    """A uniform(-1, 1) vector with about ``share`` of its coordinates set to
-    +0.0 or -0.0."""
-    v = rng.uniform(-1.0, 1.0, dim)
-    hit = rng.random(dim) < share
-    v[hit] = np.copysign(0.0, rng.uniform(-1.0, 1.0, hit.sum()))
-    return v
-
-
-@st.composite
-def replay_cases(draw):
-    """An instance of the :func:`dr_cases` family run by one engine (the dual
-    side couples the same bands), a relaxation below or above
-    alpha_upper_bound, and starts with signed zeros in them, sometimes all
-    zero. The budgets and tols let runs stop for every reason."""
-    sigma, beta, dim, idx_sigma = draw(two_bands())
-    mode = draw(st.sampled_from(splitting.MODES))
-    if mode == "primal-dr":
-        g = draw(st.sampled_from([GFunction.ZERO, GFunction.ZERO_INDICATOR]))
-        problem = CompositeProblem(f=make_primal_instance(sigma, beta, dim, idx_sigma).f, g=g)
-        curvatures = problem.f
-    else:
-        theta = 10.0 ** draw(st.floats(-1.0, 1.0))
-        zeta = theta * 10.0 ** draw(st.floats(0.01, 1.0))
-        pairing = draw(st.sampled_from(["aligned", "crossed"]))
-        problem = make_dual_instance(sigma, beta, theta, zeta, dim, idx_sigma, pairing)
-        curvatures = dual_function(problem)
-    gamma = 10.0 ** draw(st.floats(-2.0, 2.0)) / math.sqrt(curvatures.sigma * curvatures.beta)
-    alpha = alpha_upper_bound(gamma, curvatures.sigma, curvatures.beta) * draw(
-        st.floats(0.01, 0.99) | st.floats(1.05, 1.9)
-    )
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    start = _signed_zeros(rng, dim, draw(st.sampled_from([0.0, 0.3, 1.0])))
-    max_iter = draw(st.integers(0, 60))
-    tol = draw(st.sampled_from([0.0, 1e-9, 1e-4, 1e-2, 0.3]))
-    return problem, mode, alpha, gamma, start, max_iter, tol
-
-
-@settings(deadline=None, max_examples=120)
-@given(replay_cases())
-def test_replayed_iterates_equal_the_reference_loop_bitwise(case):
-    _check_replay(*case)
-
-
-@pytest.mark.parametrize("mode", splitting.MODES)
-@pytest.mark.parametrize("reason", ["tol", "guard", "zero-start", "budget"])
-def test_replay_for_each_stop_reason(mode, reason):
-    problem = default_primal_instance() if mode == "primal-dr" else default_dual_instance("crossed")
-    curvatures = problem.f if mode == "primal-dr" else dual_function(problem)
-    gamma = 1.0 / math.sqrt(curvatures.sigma * curvatures.beta)
-    upper = alpha_upper_bound(gamma, curvatures.sigma, curvatures.beta)
-    alpha = 1.9 * upper if reason == "guard" else 0.5 * upper
-    start = _signed_zeros(np.random.default_rng(26), 8, 1.0 if reason == "zero-start" else 0.3)
-    max_iter, tol = (25, 0.0) if reason == "budget" else (500, 1e-6)
-    steps, diverged = _check_replay(problem, mode, alpha, gamma, start, max_iter, tol)
-    assert diverged == (reason == "guard")
-    if reason == "zero-start":
-        assert steps == 0
-    elif reason == "budget":
-        assert steps == 25
-    else:
-        assert 0 < steps < max_iter
-
-
 @st.composite
 def admm_cases(draw):
     """A coupled instance (condition number up to 1e8, theta < zeta, dim
@@ -2146,28 +1911,3 @@ def test_run_rows_rejects_an_admm_relaxation_whose_double_overflows():
         assert run_rows(coupled, "dual-dr", [9e307], [0.3], lambda rows: np.ones((1, 8))).diverged.all()
 
 
-@pytest.mark.parametrize("mode", splitting.MODES)
-@pytest.mark.parametrize("start", ["worst", "random"])
-def test_small_blocks_give_the_same_sweep_bytes(tmp_path, monkeypatch, mode, start):
-    flags = ["sweep", "--mode", mode, "--start", start, "--seed", "7", "--iters", "30"]
-    whole, blocked = tmp_path / "whole.csv", tmp_path / "blocked.csv"
-    assert cli.main(flags + ["--out", str(whole)]) == 0
-    # 24 state elements a block: for the 400 grid points, 134 blocks of 3
-    # rows of dim 8 from random starts, 17 blocks of 24 one-column rows from
-    # worst starts
-    monkeypatch.setattr(splitting, "BLOCK_ELEMENTS", 24)
-    assert cli.main(flags + ["--out", str(blocked)]) == 0
-    assert blocked.read_bytes() == whole.read_bytes()
-
-
-def test_one_block_and_many_record_the_same_distances_in_fortran_order(monkeypatch, primal):
-    # the rows stop at different steps, so the record ends each in NaN
-    alphas, gammas = [0.5, 1.0, 1.9], [GAMMA_STAR] * 3
-    starts = lambda rows: np.ones((rows.stop - rows.start, primal.dim))
-    whole = run_rows(primal, "primal-dr", alphas, gammas, starts)
-    # one row a block
-    monkeypatch.setattr(splitting, "BLOCK_ELEMENTS", 1)
-    blocked = run_rows(primal, "primal-dr", alphas, gammas, starts)
-    assert np.isnan(whole.distances).any()
-    assert whole.distances.flags.f_contiguous and blocked.distances.flags.f_contiguous
-    np.testing.assert_array_equal(blocked.distances, whole.distances)
