@@ -754,6 +754,10 @@ def test_stopped_rows_stepped_on_raise_no_float_warnings(mode):
 # -- the long-row scheduler against the plain loop -------------------------------
 
 
+def _chunked_norm(v):
+    return float(splitting._norms(v[None])[0])
+
+
 def _reference_dr(weights, negate, alpha, gamma, z, max_iter, tol):
     """One relaxed DR run written out as a loop that keeps every iterate,
     with the step's expressions before iterates were replayed and before
@@ -778,14 +782,14 @@ def _reference_dr(weights, negate, alpha, gamma, z, max_iter, tol):
     return iterates, "budget"
 
 
-def _reference_admm(lam, nu, alpha, rho, u, max_iter, tol):
+def _reference_admm(lam, nu, alpha, rho, u, max_iter, tol, norm=_chunked_norm):
     """One scaled ADMM run written out the same way, from ``x = w = 0``, with
-    the passes over ``w`` that the engine drops as identities: ``(iterates,
-    stop, final x)``."""
+    the passes over ``w`` that the engine drops as identities, normed by
+    ``norm``: ``(iterates, stop, final x)``."""
     relax, scale, denom = 2.0 * alpha, rho * nu, lam + rho * nu**2
     x, w = np.zeros(u.shape), np.zeros(u.shape)
     iterates = [rho * u]
-    first = _chunked_norm(iterates[0])
+    first = norm(iterates[0])
     for k in range(max_iter):
         x_new = scale * (w - u) / denom
         v = relax * (nu * x_new) + (1.0 - relax) * w
@@ -796,15 +800,11 @@ def _reference_admm(lam, nu, alpha, rho, u, max_iter, tol):
             return iterates, "fixed", x
         x, w, u_prev, u = x_new, w_new, u, u_new
         iterates.append(rho * u)
-        if first > 0.0 and _chunked_norm(iterates[-1]) > 10.0 * first:
+        if first > 0.0 and norm(iterates[-1]) > 10.0 * first:
             return iterates, "guard", x
-        if rho * _chunked_norm(u - u_prev) <= tol:
+        if rho * norm(u - u_prev) <= tol:
             return iterates, "tol", x
     return iterates, "budget", x
-
-
-def _chunked_norm(v):
-    return float(splitting._norms(v[None])[0])
 
 
 def _reference(problem, mode, alpha, gamma, start, max_iter, tol):
@@ -1129,6 +1129,458 @@ def _overflowing_unit_start():
 @example(_four_blocks_on_three_processes("admm"))
 def test_run_rows_is_the_plain_loop_over_every_knob(case):
     check_scheduler(case)
+
+
+# -- the scheduler's knobs one by one --------------------------------------------
+
+
+#: kinds of rows mixed into one batch: a feasible relaxation, one above
+#: alpha_upper_bound (stopped by the 10x guard when it grows fast enough), and
+#: a zero start (stopped at the first step as a fixed point)
+ROW_KINDS = ("feasible", "above-bound", "zero-start")
+
+
+@st.composite
+def row_batches(draw):
+    """A two-band instance (condition number up to 1e8, dim 2..64, random band
+    split), an engine and its problem, and a batch of rows of mixed kinds."""
+    sigma = 10.0 ** draw(st.floats(-3.0, 3.0))
+    beta = sigma * 10.0 ** draw(st.floats(0.0, 8.0))
+    dim = draw(st.integers(2, 64))
+    idx_sigma = draw(st.sets(st.integers(0, dim - 1), min_size=1, max_size=dim - 1))
+    mode = draw(st.sampled_from(splitting.MODES))
+    if mode == "primal-dr":
+        g = draw(st.sampled_from([GFunction.ZERO, GFunction.ZERO_INDICATOR]))
+        problem, curvatures = _instance(mode, sigma, beta, dim, idx_sigma, g=g)
+    else:
+        theta = 10.0 ** draw(st.floats(-1.0, 1.0))
+        zeta = theta * 10.0 ** draw(st.floats(0.01, 1.0))
+        pairing = draw(st.sampled_from(["aligned", "crossed"]))
+        problem, curvatures = _instance(mode, sigma, beta, dim, idx_sigma, theta=theta, zeta=zeta, pairing=pairing)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    alphas, gammas, starts = [], [], []
+    for kind in draw(st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=8)):
+        gamma = 10.0 ** draw(st.floats(-2.0, 2.0)) / math.sqrt(curvatures.sigma * curvatures.beta)
+        upper = alpha_upper_bound(gamma, curvatures.sigma, curvatures.beta)
+        if kind == "above-bound":
+            alpha = upper * draw(st.floats(1.05, 1.9))
+        else:
+            alpha = upper * draw(st.floats(0.01, 0.99))
+        alphas.append(alpha)
+        gammas.append(gamma)
+        starts.append(np.zeros(dim) if kind == "zero-start" else rng.uniform(-1.0, 1.0, dim))
+    max_iter = draw(st.integers(0, 80))
+    tol = draw(st.sampled_from([0.0, 1e-9, 1e-4, 1e-2, 0.3]))
+    return problem, mode, np.array(alphas), np.array(gammas), np.array(starts), max_iter, tol
+
+
+@pytest.mark.parametrize("mode", splitting.MODES)
+def test_a_one_row_run_is_its_batch_row(monkeypatch, mode):
+    # rows of three column blocks, walked by two processes
+    monkeypatch.setattr(splitting, "WORKERS", 2)
+    monkeypatch.setattr(splitting, "RUN_ELEMENTS", splitting.COLUMN_BLOCK)
+    assert check_scheduler(scheduler_case(mode, 2 * splitting.COLUMN_BLOCK + 3)).steps.tolist() == [30]
+
+
+@settings(deadline=None, max_examples=80)
+@given(row_batches())
+def test_batch_rows_equal_their_single_runs_bitwise(case):
+    problem, mode, alphas, gammas, starts, max_iter, tol = case
+    runs = run_rows(problem, mode, alphas, gammas, lambda rows: starts[rows], max_iter=max_iter, tol=tol)
+    fits = fit_rates(runs.step_ratios)
+    assert runs.distances.shape[0] == len(alphas)
+    for i in range(len(alphas)):
+        trace, diverged = _one_row(problem, mode, alphas[i], gammas[i], starts[i], max_iter, tol)
+        _same_row(runs, i, trace.n_steps, diverged, trace.distances)
+        try:
+            single_fit = fit_rate(trace)
+        except ValueError:
+            single_fit = math.nan
+        assert np.array_equal(fits[i], single_fit, equal_nan=True)
+
+
+@st.composite
+def unit_batches(draw):
+    """A two-band instance and an engine, as :func:`row_batches` draws them,
+    and unit starts as ``(at, values)``, one coordinate and one value a row,
+    some of them zero, at relaxations inside and past alpha_upper_bound.
+    ``long`` batches have rows past a ``COLUMN_BLOCK`` of 32 columns (see
+    :func:`_long_rows`)."""
+    long = draw(st.booleans())
+    dim = draw(st.integers(33, 100) if long else st.integers(2, 70))
+    sigma = 10.0 ** draw(st.floats(-3.0, 3.0))
+    beta = sigma * 10.0 ** draw(st.floats(0.0, 8.0))
+    idx_sigma = draw(st.sets(st.integers(0, dim - 1), min_size=1, max_size=dim - 1))
+    mode = draw(st.sampled_from(splitting.MODES))
+    if mode == "primal-dr":
+        g = draw(st.sampled_from([GFunction.ZERO, GFunction.ZERO_INDICATOR]))
+        problem, curvatures = _instance(mode, sigma, beta, dim, idx_sigma, g=g)
+    else:
+        pairing = draw(st.sampled_from(["aligned", "crossed"]))
+        problem, curvatures = _instance(mode, sigma, beta, dim, idx_sigma, pairing=pairing)
+    rows = draw(st.integers(1, 6))
+    at = np.array([draw(st.integers(0, dim - 1)) for _ in range(rows)])
+    values = np.array([draw(st.sampled_from(UNIT_VALUES) | st.floats(-10.0, 10.0)) for _ in range(rows)])
+    alphas, gammas = np.empty(rows), np.empty(rows)
+    for r in range(rows):
+        gammas[r] = 10.0 ** draw(st.floats(-2.0, 2.0)) / math.sqrt(curvatures.sigma * curvatures.beta)
+        upper = alpha_upper_bound(gammas[r], curvatures.sigma, curvatures.beta)
+        alphas[r] = upper * draw(st.sampled_from([st.floats(0.01, 0.99), st.floats(1.05, 1.9)]).flatmap(lambda s: s))
+    return long, problem, mode, alphas, gammas, (at, values), draw(st.integers(0, 60)), draw(st.sampled_from([0.0, 1e-9, 1e-3]))
+
+
+def _long_rows(long):
+    """With ``long``, rows of more than 32 elements are walked in column
+    blocks of 32, in chunks of 8, by two processes; else nothing changes."""
+    if not long:
+        return contextlib.nullcontext()
+    return mock.patch.multiple(splitting, NORM_CHUNK=8, COLUMN_BLOCK=32, RUN_ELEMENTS=32, WORKERS=2)
+
+
+def _same_row(runs, i, steps, diverged, distances):
+    """Row ``i`` of ``runs`` took ``steps`` steps to ``distances`` (NaN after)."""
+    assert (runs.steps[i], runs.diverged[i]) == (steps, diverged)
+    assert runs.distances[i, : steps + 1].tobytes() == distances.tobytes()
+    assert np.all(np.isnan(runs.distances[i, steps + 1 :]))
+
+
+@settings(deadline=None, max_examples=80)
+@given(unit_batches())
+def test_unit_start_rows_are_bit_for_bit_their_full_width_runs(case):
+    # the same draws three ways: as coordinates, which run as one-column
+    # rows, as full rows, which run at full width, and as one-row runs
+    long, problem, mode, alphas, gammas, (at, values), max_iter, tol = case
+    starts = _unit_rows(problem.dim, at, values)
+    # starts whose squares overflow make inf and NaN distances, as the command line lets them
+    with _long_rows(long), np.errstate(over="ignore", invalid="ignore"):
+        runs = _batch(problem, mode, alphas, gammas, (at, values), max_iter, tol)
+        full = _batch(problem, mode, alphas, gammas, starts, max_iter, tol)
+        if isinstance(runs, str):
+            # a recorded start that is not finite, named by its row
+            assert runs == full and "row" in runs
+            return
+        for i in range(len(alphas)):
+            _same_row(full, i, runs.steps[i], runs.diverged[i], runs.distances[i, : runs.steps[i] + 1])
+            assert full.converged[i] == runs.converged[i]
+            trace, diverged = _one_row(problem, mode, alphas[i], gammas[i], starts[i], max_iter, tol)
+            _same_row(runs, i, trace.n_steps, diverged, trace.distances)
+            assert runs.converged[i] == trace.converged
+
+
+@pytest.mark.parametrize("mode", splitting.MODES)
+def test_short_rows_walked_in_column_blocks_step_as_whole_rows(mode):
+    # rows of 40 elements in column blocks of 16, past which no operand of a
+    # step is copied to the state's shape, walked by two processes: the
+    # distances are those of the same rows stepped whole, chunk by chunk
+    problem, _ = _instance(mode, SIGMA, BETA, 40, range(20))
+    starts = np.random.default_rng(40).uniform(-1.0, 1.0, (3, 40))
+    run = lambda: run_rows(problem, mode, [0.6, 0.9, 1.2], [0.1, 0.3, 0.5], _starts(starts), max_iter=30, tol=0.0)
+    with mock.patch.multiple(splitting, NORM_CHUNK=8):
+        whole = run()
+    with mock.patch.multiple(splitting, NORM_CHUNK=8, COLUMN_BLOCK=16, RUN_ELEMENTS=16, WORKERS=2):
+        blocked = run()
+    assert blocked.steps.tolist() == [30] * 3
+    assert blocked.distances.tobytes() == whole.distances.tobytes()
+
+
+def test_batch_rows_stop_for_each_reason_in_one_batch(primal):
+    # one row per stop reason: tol, the 10x guard, a fixed-point start, and
+    # the iteration budget
+    gamma = GAMMA_STAR
+    upper = alpha_upper_bound(gamma, SIGMA, BETA)
+    alphas = np.array([1.0, 1.9 * upper, 0.5, 0.05])
+    starts = np.array([np.ones(8), np.ones(8), np.zeros(8), np.ones(8)])
+    runs = run_rows(primal, "primal-dr", alphas, np.full(4, gamma), lambda rows: starts[rows], max_iter=40, tol=1e-3)
+    assert list(runs.diverged) == [False, True, False, False]
+    assert runs.steps[2] == 0 and runs.steps[3] == 40
+    assert 0 < runs.steps[0] < 40 and 0 < runs.steps[1] < 40
+    for i in range(4):
+        trace, diverged = _one_row(primal, "primal-dr", alphas[i], gamma, starts[i], 40, 1e-3)
+        assert (trace.n_steps, diverged) == (runs.steps[i], runs.diverged[i])
+        assert runs.distances[i, : trace.n_steps + 1].tobytes() == trace.distances.tobytes()
+
+
+@pytest.mark.parametrize("mode", splitting.MODES)
+def test_batch_rows_stopping_at_many_steps_equal_their_single_runs(mode):
+    # 48 rows that stop by tol, by the guard, at a zero start, or at the
+    # budget, at many distinct steps, and a batch in which all rows but one
+    # stop within 3 steps: stopped rows are stepped on as NaN rows until the
+    # run ends, and no live row may notice
+    problem = default_primal_instance() if mode == "primal-dr" else default_dual_instance("crossed")
+    curvatures = problem.f if mode == "primal-dr" else dual_function(problem)
+    rng = np.random.default_rng(29)
+    n = 48
+    gammas = 10.0 ** rng.uniform(-1.5, 1.5, n) / math.sqrt(curvatures.sigma * curvatures.beta)
+    upper = alpha_upper_bound(gammas, curvatures.sigma, curvatures.beta)
+    kinds = rng.choice(3, n, p=[0.7, 0.2, 0.1])
+    alphas = upper * np.where(kinds == 1, rng.uniform(1.05, 1.9, n), rng.uniform(0.05, 0.99, n))
+    starts = rng.uniform(-1.0, 1.0, (n, problem.dim))
+    starts[kinds == 2] = 0.0
+    batches = [(alphas, gammas, starts, 60, 1e-6), (*_mostly_stopped(problem, curvatures), 40, 0.0)]
+    many, mostly = [
+        run_rows(problem, mode, a, g, lambda rows, s=s: s[rows], max_iter=m, tol=t) for a, g, s, m, t in batches
+    ]
+    assert len(set(many.steps.tolist())) >= 15
+    assert many.diverged.any() and (many.steps == 0).any() and (many.steps == 60).any()
+    assert mostly.steps.tolist() == [0, 1, 2, 40]
+    for runs, (alphas, gammas, starts, max_iter, tol) in zip((many, mostly), batches):
+        for i in range(len(alphas)):
+            trace, diverged = _one_row(problem, mode, alphas[i], gammas[i], starts[i], max_iter, tol)
+            _same_row(runs, i, trace.n_steps, diverged, trace.distances)
+
+
+@pytest.mark.parametrize("mode", splitting.MODES)
+@pytest.mark.parametrize("extra", [-1, 0, 1, splitting.NORM_CHUNK + 3, 2 * splitting.NORM_CHUNK + 5])
+def test_column_blocks_equal_the_unblocked_steps_bitwise(monkeypatch, mode, extra):
+    # one chunk per column block keeps the dims small: a row of NORM_CHUNK
+    # + extra elements is one block (extra <= 0), or two, three or four
+    # blocks, the last of width 1, 3 or 5. The rows stop by tol, by the
+    # guard, at a zero start and at the budget, so stopped rows are stepped
+    # on as NaN rows until the run ends. The blocks run on 1, 2
+    # and 3 processes, in uneven runs (4 blocks on 3 processes run 1, 1 and
+    # 2), in fixed passes of 1 to 4 steps, so that rows stop at every
+    # offset within a pass, and in the default passes, and every worker
+    # count and pass length gives the same bits.
+    monkeypatch.setattr(splitting, "COLUMN_BLOCK", splitting.NORM_CHUNK)
+    dim = splitting.NORM_CHUNK + extra
+    problem, curvatures = _instance(mode, SIGMA, BETA, dim, range(dim // 2))
+    rng = np.random.default_rng(dim)
+    gammas = np.array([1.0, 1.0, 1.0, 0.5, 1.0]) / math.sqrt(curvatures.sigma * curvatures.beta)
+    upper = alpha_upper_bound(gammas, curvatures.sigma, curvatures.beta)
+    alphas = np.array([1.0, 1.9 * upper[1], 0.5 * upper[2], 0.6 * upper[3], 0.05 * upper[4]])
+    starts = rng.uniform(-1.0, 1.0, (5, dim))
+    starts[2] = 0.0
+    max_iter, tol = 60, 1e-2
+    references = []
+    for i in range(5):
+        iterates, stop, ref_x = _reference(problem, mode, alphas[i], gammas[i], starts[i], max_iter, tol)
+        distances = np.array([_chunked_norm(z) for z in iterates])
+        references.append((len(iterates) - 1, stop == "guard", distances, ref_x))
+    monkeypatch.setattr(splitting, "RUN_ELEMENTS", 1)
+    for pass_steps, workers in itertools.product((1, 2, 3, 4, None), (1, 2, 3)):
+        _passes(monkeypatch, pass_steps)
+        monkeypatch.setattr(splitting, "WORKERS", workers)
+        runs = run_rows(problem, mode, alphas, gammas, lambda rows: starts[rows], max_iter=max_iter, tol=tol)
+        assert 0 < runs.steps[0] < max_iter and runs.diverged[1] and runs.steps[2] == 0
+        assert runs.steps[4] == max_iter
+        for i, (steps, diverged, distances, ref_x) in enumerate(references):
+            _same_row(runs, i, steps, diverged, distances)
+            if mode == "admm":
+                trace, _ = _one_row(problem, mode, alphas[i], gammas[i], starts[i], max_iter, tol)
+                assert trace.final_x.coeffs.tobytes() == ref_x.tobytes()
+
+
+@pytest.mark.parametrize("mode", splitting.MODES)
+def test_a_pass_that_rows_stop_in_is_kept(monkeypatch, mode):
+    # ten rows stop by tol and ten by the guard (relaxations past their
+    # limit), at every offset within fixed passes of 4 steps (steps 2-5,
+    # 6-9, ...). The kept passes give the steps, flags and distances of one
+    # step a walk bit for bit, for the batch and for one-row runs at each
+    # kind of stop and offset, and ADMM's final x too
+    monkeypatch.setattr(splitting, "COLUMN_BLOCK", splitting.NORM_CHUNK)
+    dim = 2 * splitting.NORM_CHUNK + 3
+    problem, curvatures = _instance(mode, SIGMA, BETA, dim, range(dim // 2))
+    gammas = np.full(20, 1.0 / math.sqrt(curvatures.sigma * curvatures.beta))
+    shares = np.concatenate([np.linspace(0.1, 0.9, 10), np.linspace(1.05, 2.0, 10)])
+    alphas = shares * alpha_upper_bound(gammas, curvatures.sigma, curvatures.beta)
+    starts = np.random.default_rng(40).uniform(-1.0, 1.0, (20, dim))
+    max_iter, tol = 60, 0.1
+    runs = lambda: run_rows(problem, mode, alphas, gammas, lambda rows: starts[rows], max_iter=max_iter, tol=tol)
+    _passes(monkeypatch, 1)
+    alone = runs()
+    _passes(monkeypatch, 4)
+    kept = runs()
+    for name in ("steps", "converged", "diverged", "distances"):
+        assert getattr(kept, name).tobytes() == getattr(alone, name).tobytes(), name
+    inside = (alone.steps > 1) & (alone.steps < max_iter)
+    # the first row of each kind of stop at each offset
+    picks = {}
+    for i in np.flatnonzero(inside):
+        picks.setdefault((bool(alone.diverged[i]), (alone.steps[i] - 2) % 4), i)
+    assert set(picks) == set(itertools.product((False, True), range(4)))
+    for (diverged, _), i in sorted(picks.items()):
+        traces = []
+        for pass_steps in (1, 4):
+            _passes(monkeypatch, pass_steps)
+            trace, tripped = _one_row(problem, mode, alphas[i], gammas[i], starts[i], max_iter, tol)
+            assert (trace.n_steps, tripped, trace.converged) == (alone.steps[i], diverged, not diverged)
+            assert trace.distances.tobytes() == alone.distances[i, : trace.n_steps + 1].tobytes()
+            traces.append(trace)
+        if mode == "admm":
+            assert traces[0].final_x.coeffs.tobytes() == traces[1].final_x.coeffs.tobytes()
+
+
+def test_a_tol_stop_inside_a_pass_is_no_divergence_after_it(monkeypatch):
+    # at alpha 1.265 and gamma 1 the sigma band's factor is -0.265 and the
+    # beta band's -1.3: from a start ten times larger on the sigma band, the
+    # step norm shrinks, then grows, and the distance passes 10x its start
+    # at step 18. tol at step 2's norm stops the run there, inside a fixed
+    # pass of 32 steps that runs on past step 18: the run converged, as it
+    # does one step a walk
+    monkeypatch.setattr(splitting, "COLUMN_BLOCK", splitting.NORM_CHUNK)
+    dim = 2 * splitting.NORM_CHUNK + 3
+    problem = make_primal_instance(SIGMA, BETA, dim, range(dim // 2))
+    params = SplitParams(1.265, 1.0)
+    start = Vec(np.where(np.arange(dim) < dim // 2, 1.0, 0.1))
+    with pytest.raises(DivergenceError) as exc:
+        run_dr(problem, params, start, max_iter=40, tol=0.0)
+    z = [v.coeffs for v in exc.value.trace.iterates]
+    assert len(z) == 19
+    tol = _chunked_norm(z[2] - z[1])
+    traces = []
+    for pass_steps in (1, 32):
+        _passes(monkeypatch, pass_steps)
+        traces.append(run_dr(problem, params, start, max_iter=40, tol=tol))
+    assert [(t.n_steps, t.converged) for t in traces] == [(2, True)] * 2
+    assert traces[0].distances.tobytes() == traces[1].distances.tobytes()
+
+
+def test_a_row_stopping_inside_a_pass_stops_there(monkeypatch):
+    # row 0 stops by tol inside a fixed pass while the two slow rows run
+    # on: the pass is kept, cut at row 0's stop, and row 0 is stepped on as
+    # a NaN row, so its steps and distances stay those of its single run
+    monkeypatch.setattr(splitting, "COLUMN_BLOCK", splitting.NORM_CHUNK)
+    _passes(monkeypatch, 4)
+    dim = 2 * splitting.NORM_CHUNK + 3
+    problem = make_primal_instance(SIGMA, BETA, dim, range(dim // 2))
+    alpha, gamma, _ = optimal_params(SIGMA, BETA)
+    slow = 0.05 * alpha_upper_bound(gamma, SIGMA, BETA)
+    alphas, gammas = np.array([alpha, slow, slow]), np.full(3, gamma)
+    starts = np.random.default_rng(11).uniform(-1.0, 1.0, (3, dim))
+    offsets = set()
+    for tol in 10.0 ** -np.arange(1.0, 9.0):
+        runs = run_rows(problem, "primal-dr", alphas, gammas, lambda rows: starts[rows], max_iter=40, tol=tol)
+        trace = run_dr(problem, SplitParams(alpha, gamma), Vec(starts[0]), max_iter=40, tol=tol)
+        assert list(runs.steps) == [trace.n_steps, 40, 40]
+        _same_row(runs, 0, trace.n_steps, False, trace.distances)
+        offsets.add((trace.n_steps - 2) % 4)
+    assert offsets == set(range(4))
+
+
+def test_an_admm_run_stopping_inside_a_pass_keeps_its_last_x(monkeypatch):
+    # a one-row run that stops by tol inside a fixed pass keeps the pass,
+    # and its final x is replayed from the state its final step read: at
+    # every offset within a pass, its distances and final x are the
+    # reference loop's
+    monkeypatch.setattr(splitting, "COLUMN_BLOCK", splitting.NORM_CHUNK)
+    _passes(monkeypatch, 4)
+    dim = 2 * splitting.NORM_CHUNK + 5
+    problem = make_dual_instance(SIGMA, BETA, 1.0, 3.0, dim, range(dim // 2), pairing="crossed")
+    curvatures = dual_function(problem)
+    rho = 0.5 / math.sqrt(curvatures.sigma * curvatures.beta)
+    alpha = 0.6 * alpha_upper_bound(rho, curvatures.sigma, curvatures.beta)
+    lam, nu = problem.f.weights, problem.a.weights
+    u0 = np.random.default_rng(5).uniform(-1.0, 1.0, dim) * (1.0 / rho)
+    # the norms the reference takes: the start's, then each step's distance
+    # and step norm
+    seen = []
+    _reference_admm(lam, nu, alpha, rho, u0, 12, 0.0, lambda v: seen.append(_chunked_norm(v)) or seen[-1])
+    offsets = set()
+    for step_norm in seen[2::2]:
+        tol = rho * step_norm
+        iterates, _, ref_x = _reference_admm(lam, nu, alpha, rho, u0, 40, tol)
+        trace = run_admm(problem, rho, alpha, u0=Vec(u0), max_iter=40, tol=tol)
+        assert trace.n_steps == len(iterates) - 1
+        assert trace.distances.tobytes() == np.array([_chunked_norm(z) for z in iterates]).tobytes()
+        assert trace.final_x.coeffs.tobytes() == ref_x.tobytes()
+        # steps 2 to 5 are the first pass
+        offsets.add((trace.n_steps - 2) % 4)
+    assert offsets == set(range(4))
+
+
+@st.composite
+def replay_cases(draw):
+    """An instance of the :func:`dr_cases` family run by one engine (the dual
+    side couples the same bands), a relaxation below or above
+    alpha_upper_bound, and starts with signed zeros in them, sometimes all
+    zero. The budgets and tols let runs stop for every reason."""
+    sigma, beta, dim, idx_sigma = draw(two_bands())
+    mode = draw(st.sampled_from(splitting.MODES))
+    if mode == "primal-dr":
+        g = draw(st.sampled_from([GFunction.ZERO, GFunction.ZERO_INDICATOR]))
+        problem, curvatures = _instance(mode, sigma, beta, dim, idx_sigma, g=g)
+    else:
+        theta = 10.0 ** draw(st.floats(-1.0, 1.0))
+        zeta = theta * 10.0 ** draw(st.floats(0.01, 1.0))
+        pairing = draw(st.sampled_from(["aligned", "crossed"]))
+        problem, curvatures = _instance(mode, sigma, beta, dim, idx_sigma, theta=theta, zeta=zeta, pairing=pairing)
+    gamma = 10.0 ** draw(st.floats(-2.0, 2.0)) / math.sqrt(curvatures.sigma * curvatures.beta)
+    alpha = alpha_upper_bound(gamma, curvatures.sigma, curvatures.beta) * draw(
+        st.floats(0.01, 0.99) | st.floats(1.05, 1.9)
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    start = _signed_zeros(rng, dim, draw(st.sampled_from([0.0, 0.3, 1.0])))
+    max_iter = draw(st.integers(0, 60))
+    tol = draw(st.sampled_from([0.0, 1e-9, 1e-4, 1e-2, 0.3]))
+    return problem, mode, alpha, gamma, start, max_iter, tol
+
+
+def _check_replay(problem, mode, alpha, gamma, start, max_iter, tol):
+    """Run one engine, read its replayed iterates (and ADMM's ``final_x``) and
+    compare them bit for bit with the reference loop; returns (steps,
+    diverged)."""
+    iterates, stop, ref_x = _reference(problem, mode, alpha, gamma, start, max_iter, tol)
+    trace, diverged = _one_row(problem, mode, alpha, gamma, start, max_iter, tol)
+    assert diverged == (stop == "guard")
+    assert len(trace.iterates) == trace.n_steps + 1 == len(iterates)
+    assert [v.coeffs.tobytes() for v in trace.iterates] == [z.tobytes() for z in iterates]
+    assert trace.distances.tobytes() == np.array([_chunked_norm(z) for z in iterates]).tobytes()
+    if mode == "admm":
+        assert trace.final_x.coeffs.tobytes() == ref_x.tobytes()
+    return trace.n_steps, diverged
+
+
+@settings(deadline=None, max_examples=120)
+@given(replay_cases())
+def test_replayed_iterates_equal_the_reference_loop_bitwise(case):
+    _check_replay(*case)
+
+
+@pytest.mark.parametrize("mode", splitting.MODES)
+@pytest.mark.parametrize("reason", ["tol", "guard", "zero-start", "budget"])
+def test_replay_for_each_stop_reason(mode, reason):
+    problem = default_primal_instance() if mode == "primal-dr" else default_dual_instance("crossed")
+    curvatures = problem.f if mode == "primal-dr" else dual_function(problem)
+    gamma = 1.0 / math.sqrt(curvatures.sigma * curvatures.beta)
+    upper = alpha_upper_bound(gamma, curvatures.sigma, curvatures.beta)
+    alpha = 1.9 * upper if reason == "guard" else 0.5 * upper
+    start = _signed_zeros(np.random.default_rng(26), 8, 1.0 if reason == "zero-start" else 0.3)
+    max_iter, tol = (25, 0.0) if reason == "budget" else (500, 1e-6)
+    steps, diverged = _check_replay(problem, mode, alpha, gamma, start, max_iter, tol)
+    assert diverged == (reason == "guard")
+    if reason == "zero-start":
+        assert steps == 0
+    elif reason == "budget":
+        assert steps == 25
+    else:
+        assert 0 < steps < max_iter
+
+
+@pytest.mark.parametrize("mode", splitting.MODES)
+@pytest.mark.parametrize("start", ["worst", "random"])
+def test_small_blocks_give_the_same_sweep_bytes(tmp_path, monkeypatch, mode, start):
+    flags = ["sweep", "--mode", mode, "--start", start, "--seed", "7", "--iters", "30"]
+    whole, blocked = tmp_path / "whole.csv", tmp_path / "blocked.csv"
+    assert cli.main(flags + ["--out", str(whole)]) == 0
+    # 24 state elements a block: for the 400 grid points, 134 blocks of 3
+    # rows of dim 8 from random starts, 17 blocks of 24 one-column rows from
+    # worst starts
+    monkeypatch.setattr(splitting, "BLOCK_ELEMENTS", 24)
+    assert cli.main(flags + ["--out", str(blocked)]) == 0
+    assert blocked.read_bytes() == whole.read_bytes()
+
+
+def test_one_block_and_many_record_the_same_distances_in_fortran_order(monkeypatch, primal):
+    # the rows stop at different steps, so the record ends each in NaN
+    alphas, gammas = [0.5, 1.0, 1.9], [GAMMA_STAR] * 3
+    starts = lambda rows: np.ones((rows.stop - rows.start, primal.dim))
+    whole = run_rows(primal, "primal-dr", alphas, gammas, starts)
+    # one row a block
+    monkeypatch.setattr(splitting, "BLOCK_ELEMENTS", 1)
+    blocked = run_rows(primal, "primal-dr", alphas, gammas, starts)
+    assert np.isnan(whole.distances).any()
+    assert whole.distances.flags.f_contiguous and blocked.distances.flags.f_contiguous
+    np.testing.assert_array_equal(blocked.distances, whole.distances)
 
 
 def _forked_runs(monkeypatch):
