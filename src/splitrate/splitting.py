@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 import mmap
+import operator
 import os
 import struct
 import sys
@@ -135,6 +136,13 @@ class IterateTrace:
     rebuilt, bit for bit, when first read (see :class:`_Replay`), so a run
     holds O(dim) memory, not O(steps x dim), and a finished trace holds no
     row. ``len(iterates)`` and :attr:`n_steps` recompute nothing.
+
+    Iterates that are not finite cannot be read, since a :class:`Vec`
+    holds finite entries: from a finite start whose squared norm overflows,
+    the starting distance is inf, so the divergence guard never trips and
+    the run may step to an infinity or a NaN. Reading ``iterates`` then
+    raises ValueError, as does reading ADMM's ``final_x`` where that x is
+    not finite; the distances and flags are recorded all the same.
     """
 
     iterates: Sequence[Vec]
@@ -674,8 +682,6 @@ def _iterate(engine: _Engine, first: np.ndarray, max_iter: int, tol: float):
     Returns ``(distances, steps, converged, diverged)``, the arrays of
     :class:`RowRuns`.
     """
-    if max_iter < 0:
-        raise ValueError("max_iter must be non-negative")
     rows, dim = engine.state.shape
     # each step's (rows,) distances, made one (steps + 1, rows) array at the
     # end: max_iter has no upper bound, so no record is made at its length
@@ -1177,7 +1183,12 @@ def _run_blocks(build: Callable, dim: int, alphas, gammas, starts, max_iter: int
     zeros to every dot, whatever the order of the sum and with or without
     FMA, and :func:`_unchanged` and ADMM's x-test would read them as
     unchanged. Blocks are sized by the width stepped: 1 for unit starts,
-    else ``dim``, the width of what ``starts`` returns."""
+    else ``dim``, the width of what ``starts`` returns. ``max_iter`` is
+    checked here, before any block is built: an integer (a float raises
+    TypeError) that is not negative (ValueError)."""
+    max_iter = operator.index(max_iter)
+    if max_iter < 0:
+        raise ValueError("max_iter must be non-negative")
     rows = alphas.size
     unit = not callable(starts)
     block = max(1, BLOCK_ELEMENTS // (1 if unit else dim))

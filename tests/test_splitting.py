@@ -1,6 +1,8 @@
 """The splitting engines, their one-row and batch runs, the replayed
-iterates and the rate fits. ``check_scheduler`` is also run at dim 1e6, with
-the module's own settings, outside the test suite::
+iterates and the rate fits. One check, ``check_scheduler``, holds the
+long-row scheduler to the plain loop: a property runs it on drawn cases, and
+named tests on cases built for one scenario each. It is also run at dim 1e6,
+with the module's own settings, outside the test suite::
 
     python -c "import sys; sys.path.insert(0, 'tests'); import test_splitting as t; \\
         print(t.check_scheduler(t.scheduler_case('admm', 10**6)).steps)"
@@ -606,15 +608,6 @@ def _starts(starts):
     return (lambda rows: starts[rows]) if isinstance(starts, np.ndarray) else starts
 
 
-def _batch(problem, mode, alphas, gammas, starts, max_iter, tol):
-    """:func:`run_rows` from ``starts`` (see :func:`_starts`), or the message
-    of the ValueError it raises."""
-    try:
-        return run_rows(problem, mode, alphas, gammas, _starts(starts), max_iter=max_iter, tol=tol)
-    except ValueError as exc:
-        return str(exc)
-
-
 def _unit_rows(dim, at, values):
     """Unit starts as the full rows that ``(at, values)`` stands for: not
     ``basis_rows(dim, at) * values[:, None]``, whose other entries a
@@ -645,7 +638,7 @@ def test_only_rows_of_at_most_one_nonzero_entry_run_as_one_column(monkeypatch, m
     # whole rows, even rows of one nonzero entry each
     shapes = _engine_shapes(monkeypatch)
     problem = default_primal_instance() if mode == "primal-dr" else default_dual_instance()
-    run = lambda starts: _batch(problem, mode, [0.9] * 3, [0.3] * 3, starts, 20, 1e-13)
+    run = lambda starts: run_rows(problem, mode, [0.9] * 3, [0.3] * 3, _starts(starts), max_iter=20, tol=1e-13)
     at, values = np.array([6, 1, 0]), np.array([1.0, -2.0, 0.0])  # and a start of zero
     coordinates, rows = run((at, values)), run(_unit_rows(8, at, values))
     assert coordinates.distances.tobytes() == rows.distances.tobytes()
@@ -782,14 +775,14 @@ def _reference_dr(weights, negate, alpha, gamma, z, max_iter, tol):
     return iterates, "budget"
 
 
-def _reference_admm(lam, nu, alpha, rho, u, max_iter, tol, norm=_chunked_norm):
+def _reference_admm(lam, nu, alpha, rho, u, max_iter, tol):
     """One scaled ADMM run written out the same way, from ``x = w = 0``, with
-    the passes over ``w`` that the engine drops as identities, normed by
-    ``norm``: ``(iterates, stop, final x)``."""
+    the passes over ``w`` that the engine drops as identities:
+    ``(iterates, stop, final x)``."""
     relax, scale, denom = 2.0 * alpha, rho * nu, lam + rho * nu**2
     x, w = np.zeros(u.shape), np.zeros(u.shape)
     iterates = [rho * u]
-    first = norm(iterates[0])
+    first = _chunked_norm(iterates[0])
     for k in range(max_iter):
         x_new = scale * (w - u) / denom
         v = relax * (nu * x_new) + (1.0 - relax) * w
@@ -800,9 +793,9 @@ def _reference_admm(lam, nu, alpha, rho, u, max_iter, tol, norm=_chunked_norm):
             return iterates, "fixed", x
         x, w, u_prev, u = x_new, w_new, u, u_new
         iterates.append(rho * u)
-        if first > 0.0 and norm(iterates[-1]) > 10.0 * first:
+        if first > 0.0 and _chunked_norm(iterates[-1]) > 10.0 * first:
             return iterates, "guard", x
-        if rho * norm(u - u_prev) <= tol:
+        if rho * _chunked_norm(u - u_prev) <= tol:
             return iterates, "tol", x
     return iterates, "budget", x
 
@@ -842,19 +835,25 @@ PASS_STEPS, FORESEEN = splitting.PASS_STEPS, splitting._foreseen
 NEVER = lambda *args: math.inf
 
 
+def _pass_knobs(steps=None):
+    """The knobs that walk long rows in passes of ``steps`` steps after the
+    first, cut by the budget alone, so that rows stop at every offset
+    within a pass; with None, in the default passes, which end at the stops
+    the rows foresee."""
+    return dict(PASS_STEPS=steps or PASS_STEPS, _foreseen=FORESEEN if steps is None else NEVER)
+
+
 def _passes(monkeypatch, steps=None):
-    """Walk long rows in passes of ``steps`` steps after the first, cut by
-    the budget alone, so that rows stop at every offset within a pass; with
-    None, in the default passes, which end at the stops the rows foresee."""
-    monkeypatch.setattr(splitting, "PASS_STEPS", steps or PASS_STEPS)
-    monkeypatch.setattr(splitting, "_foreseen", FORESEEN if steps is None else NEVER)
+    """Patch the knobs of :func:`_pass_knobs` into the module."""
+    for name, value in _pass_knobs(steps).items():
+        monkeypatch.setattr(splitting, name, value)
 
 
 class SchedulerCase(NamedTuple):
     """A :func:`run_rows` call and the module settings it runs under
     (``knobs``, names of :mod:`splitrate.splitting`; the others keep their
     values), the rows also run alone, and, for a hand-built case, a test of
-    the runs that it was built to make."""
+    the runs that it was built to make, run under the same settings."""
 
     problem: CompositeProblem
     mode: str
@@ -893,16 +892,17 @@ UNIT_VALUES = (0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310, 1e200, -1e300, 1
 
 
 @st.composite
-def scheduler_cases(draw):
+def scheduler_cases(draw, unit=None, max_rows=5):
     """A :class:`SchedulerCase` of every knob: a two-band instance
     (condition number up to 1e8, random band split) of 1 to 4 column blocks
     of a patched ``COLUMN_BLOCK``, 1, 2 or 4 chunks of a patched
-    ``NORM_CHUNK`` each, in each mode; 1 to 5 rows at relaxations inside
-    and past alpha_upper_bound, from array starts with signed zeros, some
-    of them zero rows, or from unit starts; row blocks of 1 to 3 rows or of
-    the default size; budgets and tols that stop rows for every reason; and
-    passes of 1 to 4 steps or the default, with or without foreseen stops,
-    on 1 to 3 processes in runs of any size."""
+    ``NORM_CHUNK`` each, in each mode; 1 to ``max_rows`` rows at relaxations
+    inside and past alpha_upper_bound, from array starts with signed zeros,
+    some of them zero rows, or from unit starts (always with ``unit``,
+    never with False, a quarter of the time with None); row blocks of 1 to
+    3 rows or of the default size; budgets and tols that stop rows for
+    every reason; and passes of 1 to 4 steps or the default, with or
+    without foreseen stops, on 1 to 3 processes in runs of any size."""
     chunk = draw(st.sampled_from([4, 8, 32]))
     block = chunk * draw(st.sampled_from([1, 2, 4]))
     dim = draw(st.integers(2, 4 * block))
@@ -918,12 +918,12 @@ def scheduler_cases(draw):
         shape = dict(theta=theta, zeta=theta * 10.0 ** draw(st.floats(0.01, 1.0)))
         shape["pairing"] = draw(st.sampled_from(["aligned", "crossed"]))
     problem, curvatures = _instance(mode, sigma, beta, dim, idx_sigma, **shape)
-    rows = draw(st.integers(1, 5))
+    rows = draw(st.integers(1, max_rows))
     gammas = 10.0 ** np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=rows, max_size=rows)))
     gammas /= math.sqrt(curvatures.sigma * curvatures.beta)
     shares = draw(st.lists(st.floats(0.01, 0.99) | st.floats(1.05, 1.9), min_size=rows, max_size=rows))
     alphas = alpha_upper_bound(gammas, curvatures.sigma, curvatures.beta) * np.array(shares)
-    if draw(st.integers(0, 3)) == 0:
+    if draw(st.integers(0, 3)) == 0 if unit is None else unit:
         at = np.array(draw(st.lists(st.integers(0, dim - 1), min_size=rows, max_size=rows)))
         values = draw(st.lists(st.sampled_from(UNIT_VALUES) | st.floats(-10.0, 10.0), min_size=rows, max_size=rows))
         starts, width = (at, np.array(values)), 1
@@ -950,9 +950,10 @@ def check_scheduler(case: SchedulerCase) -> RowRuns | None:
     distances, NaN past each row's stop, in Fortran order, and each row's
     fit. The rows of ``case.alone`` also run alone, through :func:`run_dr`
     or :func:`run_admm`, whose trace, replayed iterates and ADMM's final x
-    must be the reference's. A batch with a recorded start that is not
-    finite must raise, naming the first such row. Returns the runs (None
-    for a batch that raised)."""
+    must be the reference's; iterates or an x that are not finite must
+    raise when read. A batch with a recorded start that is not finite must
+    raise, naming the first such row. Then ``case.expect``, if any, must
+    hold for the runs. Returns the runs (None for a batch that raised)."""
     problem, mode, alphas, gammas, starts, max_iter, tol, knobs, alone, expect = case
     full = starts if isinstance(starts, np.ndarray) else _unit_rows(problem.dim, *starts)
     # starts whose squares overflow make inf and NaN distances, as the command line lets them
@@ -988,14 +989,19 @@ def check_scheduler(case: SchedulerCase) -> RowRuns | None:
             assert np.array_equal(fits[i], fit, equal_nan=True)
             assert len(trace.iterates) == len(iterates)
             # a replayed iterate is a Vec, whose entries are finite: a row whose
-            # start's squares overflow may step to an infinity, and is not replayed
-            if not all(np.isfinite(z).all() for z in (*iterates, *([] if x is None else [x]))):
-                continue
-            for k, (v, z) in enumerate(zip(trace.iterates, iterates)):
-                assert v.coeffs.tobytes() == z.tobytes(), k
-            if mode == "admm":
+            # start's squares overflow may step to an infinity (see IterateTrace)
+            if all(np.isfinite(z).all() for z in iterates):
+                for k, (v, z) in enumerate(zip(trace.iterates, iterates)):
+                    assert v.coeffs.tobytes() == z.tobytes(), k
+            else:
+                with pytest.raises(ValueError, match="must be finite"):
+                    trace.iterates[0]
+            if mode == "admm" and np.isfinite(x).all():
                 assert trace.final_x.coeffs.tobytes() == x.tobytes()
-    assert expect is None or expect(runs)
+            elif mode == "admm":
+                with pytest.raises(ValueError, match="must be finite"):
+                    trace.final_x
+        assert expect is None or expect(runs)
     return runs
 
 
@@ -1010,31 +1016,171 @@ def scheduler_case(mode, dim, steps=30) -> SchedulerCase:
     return SchedulerCase(problem, mode, np.array([alpha]), np.array([gamma]), start, steps, 0.0, {})
 
 
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(scheduler_cases())
+def test_run_rows_is_the_plain_loop_over_every_knob(case):
+    check_scheduler(case)
+
+
+# -- hand-built scheduler cases: check_scheduler, with the outcome each was built for
+
 #: hand-built cases walk rows of a few column blocks of one 8-element chunk each
 SMALL_BLOCKS = dict(NORM_CHUNK=8, COLUMN_BLOCK=8)
 
 
-def _tol_stop_before_divergence():
-    """At alpha 1.265 and gamma 1 the sigma band's factor is -0.265 and the
-    beta band's -1.3: from a start ten times larger on the sigma band, the
-    step norm shrinks, then grows, and the distance passes 10x its start at
-    step 18. A tol between the first two step norms stops the row at step
-    2, inside a fixed pass of 32 steps that runs on past step 18: the row
-    converged, as it does one step a walk."""
-    dim = 2 * 8 + 3
-    problem, _ = _instance("primal-dr", SIGMA, BETA, dim, range(dim // 2))
-    start = np.where(np.arange(dim) < dim // 2, 1.0, 0.1)
-    z, _ = _reference_dr(problem.f.weights, False, 1.265, 1.0, start, 2, 0.0)
-    tol = math.sqrt(_chunked_norm(z[1] - z[0]) * _chunked_norm(z[2] - z[1]))
-    knobs = dict(SMALL_BLOCKS, PASS_STEPS=32, _foreseen=NEVER)
-    expect = lambda runs: (runs.steps.tolist(), runs.converged.tolist()) == ([2], [True])
-    return SchedulerCase(problem, "primal-dr", np.array([1.265]), np.array([1.0]), start[None], 40, tol, knobs, (0,), expect)
+@pytest.mark.parametrize("mode", splitting.MODES)
+def test_a_one_row_run_is_its_batch_row(mode):
+    # rows of three column blocks, walked by two processes
+    knobs = dict(WORKERS=2, RUN_ELEMENTS=splitting.COLUMN_BLOCK)
+    case = scheduler_case(mode, 2 * splitting.COLUMN_BLOCK + 3)
+    check_scheduler(case._replace(knobs=knobs, expect=lambda runs: runs.steps.tolist() == [30]))
 
 
-def _stops_at_every_offset(mode):
-    """Ten feasible rows and ten past their limit stop by tol and by the
-    guard at every offset within fixed passes of 4 steps (steps 2-5, 6-9,
-    ...), while other rows run on."""
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(scheduler_cases())
+def test_batch_rows_equal_their_single_runs_bitwise(case):
+    # every row of the batch also runs alone, fit included
+    check_scheduler(case._replace(alone=tuple(range(len(case.alphas)))))
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(scheduler_cases(unit=True))
+@example(
+    SchedulerCase(
+        default_dual_instance("crossed"), "admm", np.full(2, 0.5), np.array([0.3, 1e-10]),
+        (np.array([0, 3]), np.array([1.0, -1e300])), 40, 0.0, {},
+    )
+)
+@example(
+    SchedulerCase(
+        default_dual_instance("crossed"), "admm", np.array([2.5, 0.5]), np.ones(2),
+        (np.array([0, 0]), np.array([-1e300, 1.0])), 40, 0.0, {},
+    )
+)
+def test_unit_start_rows_are_bit_for_bit_their_full_width_runs(case):
+    # the same rows three ways: as coordinates, which run as one-column
+    # rows, as the full rows they stand for, which run at full width, and
+    # alone, as one-row runs of the full rows. In the first example an ADMM
+    # unit start's u0 = start / gamma overflows: the batch raises, naming
+    # its row. In the second a start's square overflows, so the guard never
+    # trips, and the row steps to infinities: its iterates and final x
+    # raise when read
+    check_scheduler(case._replace(alone=tuple(range(len(case.alphas)))))
+    check_scheduler(case._replace(starts=_unit_rows(case.problem.dim, *case.starts), alone=()))
+
+
+@pytest.mark.parametrize("mode", splitting.MODES)
+def test_short_rows_walked_in_column_blocks_step_as_whole_rows(mode):
+    # rows of 40 elements in column blocks of 16, past which no operand of a
+    # step is copied to the state's shape, walked by two processes
+    problem, _ = _instance(mode, SIGMA, BETA, 40, range(20))
+    starts = np.random.default_rng(40).uniform(-1.0, 1.0, (3, 40))
+    knobs = dict(NORM_CHUNK=8, COLUMN_BLOCK=16, RUN_ELEMENTS=16, WORKERS=2)
+    expect = lambda runs: runs.steps.tolist() == [30] * 3
+    alphas, gammas = np.array([0.6, 0.9, 1.2]), np.array([0.1, 0.3, 0.5])
+    check_scheduler(SchedulerCase(problem, mode, alphas, gammas, starts, 30, 0.0, knobs, expect=expect))
+
+
+def test_batch_rows_stop_for_each_reason_in_one_batch():
+    # short rows, one per stop: by tol, by the 10x guard, at a zero start
+    # (a fixed point) and at the budget
+    upper = alpha_upper_bound(GAMMA_STAR, SIGMA, BETA)
+    alphas = np.array([1.0, 1.9 * upper, 0.5, 0.05])
+    starts = np.array([np.ones(8), np.ones(8), np.zeros(8), np.ones(8)])
+
+    def expect(runs):
+        flags = runs.converged.tolist(), runs.diverged.tolist()
+        steps = 0 < runs.steps[0] < 40 and 0 < runs.steps[1] < 40 and runs.steps[2:].tolist() == [0, 40]
+        return flags == ([True, False, True, False], [False, True, False, False]) and steps
+
+    problem, gammas = default_primal_instance(), np.full(4, GAMMA_STAR)
+    check_scheduler(SchedulerCase(problem, "primal-dr", alphas, gammas, starts, 40, 1e-3, {}, (0, 1, 2, 3), expect))
+
+
+@pytest.mark.parametrize("mode", splitting.MODES)
+def test_batch_rows_stopping_at_many_steps_equal_their_single_runs(mode):
+    # 48 short rows that stop by tol, by the guard, at a zero start, or at
+    # the budget, at many distinct steps, and a batch of rows of three
+    # column blocks, walked by two processes, in which all rows but one stop
+    # within 3 steps (see _mostly_stopped): stopped rows are stepped on as
+    # NaN rows until the run ends, and no live row may notice
+    problem, curvatures = _instance(mode, SIGMA, BETA, 8, range(4))
+    rng = np.random.default_rng(29)
+    n = 48
+    gammas = 10.0 ** rng.uniform(-1.5, 1.5, n) / math.sqrt(curvatures.sigma * curvatures.beta)
+    upper = alpha_upper_bound(gammas, curvatures.sigma, curvatures.beta)
+    kinds = rng.choice(3, n, p=[0.7, 0.2, 0.1])
+    alphas = upper * np.where(kinds == 1, rng.uniform(1.05, 1.9, n), rng.uniform(0.05, 0.99, n))
+    starts = rng.uniform(-1.0, 1.0, (n, problem.dim))
+    starts[kinds == 2] = 0.0
+
+    def expect(runs):
+        ends = (runs.steps == 0).any() and (runs.steps == 60).any()
+        return len(set(runs.steps.tolist())) >= 15 and runs.diverged.any() and ends
+
+    check_scheduler(SchedulerCase(problem, mode, alphas, gammas, starts, 60, 1e-6, {}, tuple(range(n)), expect))
+    problem, curvatures = _instance(mode, SIGMA, BETA, 2 * 8 + 3, range(9))
+    knobs, expect = dict(SMALL_BLOCKS, WORKERS=2, RUN_ELEMENTS=1), lambda runs: runs.steps.tolist() == [0, 1, 2, 40]
+    mostly = _mostly_stopped(problem, curvatures)
+    check_scheduler(SchedulerCase(problem, mode, *mostly, 40, 0.0, knobs, (0, 1, 2, 3), expect))
+
+
+def _stop_kinds(mode, dim, knobs, tol=1e-2):
+    """Five rows of ``dim`` elements that stop by ``tol``, by the guard, at a
+    zero start and at the budget (and one more), each also run alone."""
+    problem, curvatures = _instance(mode, SIGMA, BETA, dim, range(dim // 2))
+    gammas = np.array([1.0, 1.0, 1.0, 0.5, 1.0]) / math.sqrt(curvatures.sigma * curvatures.beta)
+    upper = alpha_upper_bound(gammas, curvatures.sigma, curvatures.beta)
+    alphas = np.array([1.0, 1.9 * upper[1], 0.5 * upper[2], 0.6 * upper[3], 0.05 * upper[4]])
+    starts = np.random.default_rng(dim).uniform(-1.0, 1.0, (5, dim))
+    starts[2] = 0.0
+    expect = lambda runs: 0 < runs.steps[0] < 60 and runs.diverged[1] and runs.steps[2] == 0 and runs.steps[4] == 60
+    return SchedulerCase(problem, mode, alphas, gammas, starts, 60, tol, knobs, tuple(range(5)), expect)
+
+
+@pytest.mark.parametrize("mode", splitting.MODES)
+@pytest.mark.parametrize("extra", [-1, 0, 1, splitting.NORM_CHUNK + 3, 2 * splitting.NORM_CHUNK + 5])
+def test_column_blocks_equal_the_unblocked_steps_bitwise(mode, extra):
+    # the real chunk size, one chunk per column block: a row of NORM_CHUNK
+    # + extra elements is one block (extra <= 0), or 2, 3 or 4 blocks, the
+    # last of width 1, 3 or 5, in uneven runs (4 blocks on 3 processes run
+    # 1, 1 and 2). Long rows take fixed passes of 1 to 4 steps and the
+    # default passes (None) on 1 to 3 processes: mode m takes pass length i
+    # on (m - i) % 3 + 1, so the modes take all fifteen pairs, over their
+    # long-row ids; ADMM's rows run alone under an id's first pair, for
+    # their final x. Rows of four blocks of 8 also run on three processes,
+    # and rows whose last block of 8 is one column wide are also negated
+    knobs = dict(COLUMN_BLOCK=splitting.NORM_CHUNK, RUN_ELEMENTS=1)
+    dim = splitting.NORM_CHUNK + extra
+    if extra <= 0:
+        check_scheduler(_stop_kinds(mode, dim, knobs))
+        return
+    m, j = splitting.MODES.index(mode), (extra - 1) // splitting.NORM_CHUNK
+    pairs = [(passes, (m - i) % 3 + 1) for i, passes in enumerate((1, 2, 3, 4, None))]
+    for n, (passes, workers) in enumerate(pairs[j::3]):
+        case = _stop_kinds(mode, dim, dict(knobs, **_pass_knobs(passes), WORKERS=workers))
+        check_scheduler(case._replace(alone=case.alone if n == 0 and mode == "admm" else ()))
+    if j == 2:
+        knobs = dict(SMALL_BLOCKS, PASS_STEPS=3, WORKERS=3, RUN_ELEMENTS=1)
+        check_scheduler(_stop_kinds(mode, 3 * 8 + 5, knobs, tol=1e-3))
+    elif j == 0 and mode == "primal-dr":
+        # the origin indicator's negated reflection, its rows 64 bytes apart
+        # in the block buffers of a last block one column wide
+        problem, curvatures = _instance(mode, SIGMA, BETA, 17, range(8), g=GFunction.ZERO_INDICATOR)
+        gammas = np.array([1.0, 10.0]) / math.sqrt(curvatures.sigma * curvatures.beta)
+        alphas = 0.5 * alpha_upper_bound(gammas, curvatures.sigma, curvatures.beta)
+        starts = np.random.default_rng(17).uniform(-1.0, 1.0, (2, 17))
+        knobs = dict(SMALL_BLOCKS, WORKERS=1)
+        check_scheduler(SchedulerCase(problem, mode, alphas, gammas, starts, 20, 0.0, knobs, (0, 1)))
+
+
+@pytest.mark.parametrize("mode", splitting.MODES)
+def test_a_pass_that_rows_stop_in_is_kept(mode):
+    # ten feasible rows and ten past their limit stop by tol and by the
+    # guard at every offset within fixed passes of 4 steps (steps 2-5, 6-9,
+    # ...), while other rows run on. The kept passes give the steps, flags
+    # and distances of one step a walk, for the batch and for one-row runs,
+    # and ADMM's final x too
     dim = 2 * 8 + 3
     problem, curvatures = _instance(mode, SIGMA, BETA, dim, range(dim // 2))
     gammas = np.full(20, 1.0 / math.sqrt(curvatures.sigma * curvatures.beta))
@@ -1047,540 +1193,122 @@ def _stops_at_every_offset(mode):
         offsets = set(zip(runs.diverged[inside].tolist(), ((runs.steps[inside] - 2) % 4).tolist()))
         return offsets == set(itertools.product((False, True), range(4)))
 
-    knobs = dict(SMALL_BLOCKS, PASS_STEPS=4, _foreseen=NEVER)
-    return SchedulerCase(problem, mode, alphas, gammas, starts, 60, 0.03, knobs, tuple(range(20)), expect)
+    knobs = dict(SMALL_BLOCKS, **_pass_knobs(4))
+    check_scheduler(SchedulerCase(problem, mode, alphas, gammas, starts, 60, 0.03, knobs, tuple(range(20)), expect))
 
 
-def _mostly_stopped_case(mode):
-    """A batch of rows of three column blocks, walked by two processes, in
-    which all rows but one stop within 3 steps (see :func:`_mostly_stopped`)."""
-    dim = 2 * 8 + 3
-    problem, curvatures = _instance(mode, SIGMA, BETA, dim, range(dim // 2))
-    knobs = dict(SMALL_BLOCKS, WORKERS=2, RUN_ELEMENTS=1)
-    expect = lambda runs: runs.steps.tolist() == [0, 1, 2, 40]
-    return SchedulerCase(problem, mode, *_mostly_stopped(problem, curvatures), 40, 0.0, knobs, (0, 1, 2, 3), expect)
-
-
-def _each_stop_reason():
-    """Short rows, one per stop: by tol, by the guard, at a zero start and
-    at the budget."""
-    upper = alpha_upper_bound(GAMMA_STAR, SIGMA, BETA)
-    alphas = np.array([1.0, 1.9 * upper, 0.5, 0.05])
-    starts = np.array([np.ones(8), np.ones(8), np.zeros(8), np.ones(8)])
-
-    def expect(runs):
-        flags = runs.converged.tolist(), runs.diverged.tolist()
-        return flags == ([True, False, True, False], [False, True, False, False]) and runs.steps[3] == 40
-
-    problem = default_primal_instance()
-    return SchedulerCase(problem, "primal-dr", alphas, np.full(4, GAMMA_STAR), starts, 40, 1e-3, {}, (0, 1, 2, 3), expect)
-
-
-def _four_blocks_on_three_processes(mode):
-    """Rows of four column blocks, the last of width 5, on three processes,
-    which walk 1, 1 and 2 of them, in passes of up to 3 steps: the rows stop
-    by tol, by the guard, at a zero start and at the budget."""
-    dim = 3 * 8 + 5
-    problem, curvatures = _instance(mode, SIGMA, BETA, dim, range(dim // 2))
-    gammas = np.array([1.0, 1.0, 1.0, 0.5, 1.0]) / math.sqrt(curvatures.sigma * curvatures.beta)
-    upper = alpha_upper_bound(gammas, curvatures.sigma, curvatures.beta)
-    alphas = np.array([1.0, 1.9 * upper[1], 0.5 * upper[2], 0.6 * upper[3], 0.05 * upper[4]])
-    starts = np.random.default_rng(dim).uniform(-1.0, 1.0, (5, dim))
-    starts[2] = 0.0
-    expect = lambda runs: 0 < runs.steps[0] < 60 and runs.diverged[1] and runs.steps[2] == 0 and runs.steps[4] == 60
-    knobs = dict(SMALL_BLOCKS, PASS_STEPS=3, WORKERS=3, RUN_ELEMENTS=1)
-    return SchedulerCase(problem, mode, alphas, gammas, starts, 60, 1e-3, knobs, tuple(range(5)), expect)
-
-
-def _one_column_last_block():
-    """Rows of the origin indicator's negated reflection in column blocks
-    of 8, the last one column wide, so that its rows are 64 bytes apart in
-    the block buffers: two rows at different step sizes."""
-    dim = 2 * 8 + 1
-    problem, curvatures = _instance("primal-dr", SIGMA, BETA, dim, range(dim // 2), g=GFunction.ZERO_INDICATOR)
-    gammas = np.array([1.0, 10.0]) / math.sqrt(curvatures.sigma * curvatures.beta)
-    alphas = 0.5 * alpha_upper_bound(gammas, curvatures.sigma, curvatures.beta)
-    starts = np.random.default_rng(dim).uniform(-1.0, 1.0, (2, dim))
-    return SchedulerCase(problem, "primal-dr", alphas, gammas, starts, 20, 0.0, dict(SMALL_BLOCKS, WORKERS=1), (0, 1))
-
-
-def _overflowing_unit_start():
-    """An ADMM unit start whose ``u0 = start / gamma`` overflows: the batch
-    raises, naming its row."""
-    at, values = np.array([0, 3]), np.array([1.0, -1e300])
-    problem = default_dual_instance("crossed")
-    return SchedulerCase(problem, "admm", np.full(2, 0.5), np.array([0.3, 1e-10]), (at, values), 40, 0.0, {})
-
-
-@settings(derandomize=True, max_examples=100, deadline=None)
-@given(scheduler_cases())
-@example(_tol_stop_before_divergence())
-@example(_each_stop_reason())
-@example(_overflowing_unit_start())
-@example(_one_column_last_block())
-@example(_stops_at_every_offset("primal-dr"))
-@example(_stops_at_every_offset("dual-dr"))
-@example(_stops_at_every_offset("admm"))
-@example(_mostly_stopped_case("primal-dr"))
-@example(_mostly_stopped_case("dual-dr"))
-@example(_mostly_stopped_case("admm"))
-@example(_four_blocks_on_three_processes("primal-dr"))
-@example(_four_blocks_on_three_processes("dual-dr"))
-@example(_four_blocks_on_three_processes("admm"))
-def test_run_rows_is_the_plain_loop_over_every_knob(case):
-    check_scheduler(case)
-
-
-# -- the scheduler's knobs one by one --------------------------------------------
-
-
-#: kinds of rows mixed into one batch: a feasible relaxation, one above
-#: alpha_upper_bound (stopped by the 10x guard when it grows fast enough), and
-#: a zero start (stopped at the first step as a fixed point)
-ROW_KINDS = ("feasible", "above-bound", "zero-start")
-
-
-@st.composite
-def row_batches(draw):
-    """A two-band instance (condition number up to 1e8, dim 2..64, random band
-    split), an engine and its problem, and a batch of rows of mixed kinds."""
-    sigma = 10.0 ** draw(st.floats(-3.0, 3.0))
-    beta = sigma * 10.0 ** draw(st.floats(0.0, 8.0))
-    dim = draw(st.integers(2, 64))
-    idx_sigma = draw(st.sets(st.integers(0, dim - 1), min_size=1, max_size=dim - 1))
-    mode = draw(st.sampled_from(splitting.MODES))
-    if mode == "primal-dr":
-        g = draw(st.sampled_from([GFunction.ZERO, GFunction.ZERO_INDICATOR]))
-        problem, curvatures = _instance(mode, sigma, beta, dim, idx_sigma, g=g)
-    else:
-        theta = 10.0 ** draw(st.floats(-1.0, 1.0))
-        zeta = theta * 10.0 ** draw(st.floats(0.01, 1.0))
-        pairing = draw(st.sampled_from(["aligned", "crossed"]))
-        problem, curvatures = _instance(mode, sigma, beta, dim, idx_sigma, theta=theta, zeta=zeta, pairing=pairing)
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    alphas, gammas, starts = [], [], []
-    for kind in draw(st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=8)):
-        gamma = 10.0 ** draw(st.floats(-2.0, 2.0)) / math.sqrt(curvatures.sigma * curvatures.beta)
-        upper = alpha_upper_bound(gamma, curvatures.sigma, curvatures.beta)
-        if kind == "above-bound":
-            alpha = upper * draw(st.floats(1.05, 1.9))
-        else:
-            alpha = upper * draw(st.floats(0.01, 0.99))
-        alphas.append(alpha)
-        gammas.append(gamma)
-        starts.append(np.zeros(dim) if kind == "zero-start" else rng.uniform(-1.0, 1.0, dim))
-    max_iter = draw(st.integers(0, 80))
-    tol = draw(st.sampled_from([0.0, 1e-9, 1e-4, 1e-2, 0.3]))
-    return problem, mode, np.array(alphas), np.array(gammas), np.array(starts), max_iter, tol
-
-
-@pytest.mark.parametrize("mode", splitting.MODES)
-def test_a_one_row_run_is_its_batch_row(monkeypatch, mode):
-    # rows of three column blocks, walked by two processes
-    monkeypatch.setattr(splitting, "WORKERS", 2)
-    monkeypatch.setattr(splitting, "RUN_ELEMENTS", splitting.COLUMN_BLOCK)
-    assert check_scheduler(scheduler_case(mode, 2 * splitting.COLUMN_BLOCK + 3)).steps.tolist() == [30]
-
-
-@settings(deadline=None, max_examples=80)
-@given(row_batches())
-def test_batch_rows_equal_their_single_runs_bitwise(case):
-    problem, mode, alphas, gammas, starts, max_iter, tol = case
-    runs = run_rows(problem, mode, alphas, gammas, lambda rows: starts[rows], max_iter=max_iter, tol=tol)
-    fits = fit_rates(runs.step_ratios)
-    assert runs.distances.shape[0] == len(alphas)
-    for i in range(len(alphas)):
-        trace, diverged = _one_row(problem, mode, alphas[i], gammas[i], starts[i], max_iter, tol)
-        _same_row(runs, i, trace.n_steps, diverged, trace.distances)
-        try:
-            single_fit = fit_rate(trace)
-        except ValueError:
-            single_fit = math.nan
-        assert np.array_equal(fits[i], single_fit, equal_nan=True)
-
-
-@st.composite
-def unit_batches(draw):
-    """A two-band instance and an engine, as :func:`row_batches` draws them,
-    and unit starts as ``(at, values)``, one coordinate and one value a row,
-    some of them zero, at relaxations inside and past alpha_upper_bound.
-    ``long`` batches have rows past a ``COLUMN_BLOCK`` of 32 columns (see
-    :func:`_long_rows`)."""
-    long = draw(st.booleans())
-    dim = draw(st.integers(33, 100) if long else st.integers(2, 70))
-    sigma = 10.0 ** draw(st.floats(-3.0, 3.0))
-    beta = sigma * 10.0 ** draw(st.floats(0.0, 8.0))
-    idx_sigma = draw(st.sets(st.integers(0, dim - 1), min_size=1, max_size=dim - 1))
-    mode = draw(st.sampled_from(splitting.MODES))
-    if mode == "primal-dr":
-        g = draw(st.sampled_from([GFunction.ZERO, GFunction.ZERO_INDICATOR]))
-        problem, curvatures = _instance(mode, sigma, beta, dim, idx_sigma, g=g)
-    else:
-        pairing = draw(st.sampled_from(["aligned", "crossed"]))
-        problem, curvatures = _instance(mode, sigma, beta, dim, idx_sigma, pairing=pairing)
-    rows = draw(st.integers(1, 6))
-    at = np.array([draw(st.integers(0, dim - 1)) for _ in range(rows)])
-    values = np.array([draw(st.sampled_from(UNIT_VALUES) | st.floats(-10.0, 10.0)) for _ in range(rows)])
-    alphas, gammas = np.empty(rows), np.empty(rows)
-    for r in range(rows):
-        gammas[r] = 10.0 ** draw(st.floats(-2.0, 2.0)) / math.sqrt(curvatures.sigma * curvatures.beta)
-        upper = alpha_upper_bound(gammas[r], curvatures.sigma, curvatures.beta)
-        alphas[r] = upper * draw(st.sampled_from([st.floats(0.01, 0.99), st.floats(1.05, 1.9)]).flatmap(lambda s: s))
-    return long, problem, mode, alphas, gammas, (at, values), draw(st.integers(0, 60)), draw(st.sampled_from([0.0, 1e-9, 1e-3]))
-
-
-def _long_rows(long):
-    """With ``long``, rows of more than 32 elements are walked in column
-    blocks of 32, in chunks of 8, by two processes; else nothing changes."""
-    if not long:
-        return contextlib.nullcontext()
-    return mock.patch.multiple(splitting, NORM_CHUNK=8, COLUMN_BLOCK=32, RUN_ELEMENTS=32, WORKERS=2)
-
-
-def _same_row(runs, i, steps, diverged, distances):
-    """Row ``i`` of ``runs`` took ``steps`` steps to ``distances`` (NaN after)."""
-    assert (runs.steps[i], runs.diverged[i]) == (steps, diverged)
-    assert runs.distances[i, : steps + 1].tobytes() == distances.tobytes()
-    assert np.all(np.isnan(runs.distances[i, steps + 1 :]))
-
-
-@settings(deadline=None, max_examples=80)
-@given(unit_batches())
-def test_unit_start_rows_are_bit_for_bit_their_full_width_runs(case):
-    # the same draws three ways: as coordinates, which run as one-column
-    # rows, as full rows, which run at full width, and as one-row runs
-    long, problem, mode, alphas, gammas, (at, values), max_iter, tol = case
-    starts = _unit_rows(problem.dim, at, values)
-    # starts whose squares overflow make inf and NaN distances, as the command line lets them
-    with _long_rows(long), np.errstate(over="ignore", invalid="ignore"):
-        runs = _batch(problem, mode, alphas, gammas, (at, values), max_iter, tol)
-        full = _batch(problem, mode, alphas, gammas, starts, max_iter, tol)
-        if isinstance(runs, str):
-            # a recorded start that is not finite, named by its row
-            assert runs == full and "row" in runs
-            return
-        for i in range(len(alphas)):
-            _same_row(full, i, runs.steps[i], runs.diverged[i], runs.distances[i, : runs.steps[i] + 1])
-            assert full.converged[i] == runs.converged[i]
-            trace, diverged = _one_row(problem, mode, alphas[i], gammas[i], starts[i], max_iter, tol)
-            _same_row(runs, i, trace.n_steps, diverged, trace.distances)
-            assert runs.converged[i] == trace.converged
-
-
-@pytest.mark.parametrize("mode", splitting.MODES)
-def test_short_rows_walked_in_column_blocks_step_as_whole_rows(mode):
-    # rows of 40 elements in column blocks of 16, past which no operand of a
-    # step is copied to the state's shape, walked by two processes: the
-    # distances are those of the same rows stepped whole, chunk by chunk
-    problem, _ = _instance(mode, SIGMA, BETA, 40, range(20))
-    starts = np.random.default_rng(40).uniform(-1.0, 1.0, (3, 40))
-    run = lambda: run_rows(problem, mode, [0.6, 0.9, 1.2], [0.1, 0.3, 0.5], _starts(starts), max_iter=30, tol=0.0)
-    with mock.patch.multiple(splitting, NORM_CHUNK=8):
-        whole = run()
-    with mock.patch.multiple(splitting, NORM_CHUNK=8, COLUMN_BLOCK=16, RUN_ELEMENTS=16, WORKERS=2):
-        blocked = run()
-    assert blocked.steps.tolist() == [30] * 3
-    assert blocked.distances.tobytes() == whole.distances.tobytes()
-
-
-def test_batch_rows_stop_for_each_reason_in_one_batch(primal):
-    # one row per stop reason: tol, the 10x guard, a fixed-point start, and
-    # the iteration budget
-    gamma = GAMMA_STAR
-    upper = alpha_upper_bound(gamma, SIGMA, BETA)
-    alphas = np.array([1.0, 1.9 * upper, 0.5, 0.05])
-    starts = np.array([np.ones(8), np.ones(8), np.zeros(8), np.ones(8)])
-    runs = run_rows(primal, "primal-dr", alphas, np.full(4, gamma), lambda rows: starts[rows], max_iter=40, tol=1e-3)
-    assert list(runs.diverged) == [False, True, False, False]
-    assert runs.steps[2] == 0 and runs.steps[3] == 40
-    assert 0 < runs.steps[0] < 40 and 0 < runs.steps[1] < 40
-    for i in range(4):
-        trace, diverged = _one_row(primal, "primal-dr", alphas[i], gamma, starts[i], 40, 1e-3)
-        assert (trace.n_steps, diverged) == (runs.steps[i], runs.diverged[i])
-        assert runs.distances[i, : trace.n_steps + 1].tobytes() == trace.distances.tobytes()
-
-
-@pytest.mark.parametrize("mode", splitting.MODES)
-def test_batch_rows_stopping_at_many_steps_equal_their_single_runs(mode):
-    # 48 rows that stop by tol, by the guard, at a zero start, or at the
-    # budget, at many distinct steps, and a batch in which all rows but one
-    # stop within 3 steps: stopped rows are stepped on as NaN rows until the
-    # run ends, and no live row may notice
-    problem = default_primal_instance() if mode == "primal-dr" else default_dual_instance("crossed")
-    curvatures = problem.f if mode == "primal-dr" else dual_function(problem)
-    rng = np.random.default_rng(29)
-    n = 48
-    gammas = 10.0 ** rng.uniform(-1.5, 1.5, n) / math.sqrt(curvatures.sigma * curvatures.beta)
-    upper = alpha_upper_bound(gammas, curvatures.sigma, curvatures.beta)
-    kinds = rng.choice(3, n, p=[0.7, 0.2, 0.1])
-    alphas = upper * np.where(kinds == 1, rng.uniform(1.05, 1.9, n), rng.uniform(0.05, 0.99, n))
-    starts = rng.uniform(-1.0, 1.0, (n, problem.dim))
-    starts[kinds == 2] = 0.0
-    batches = [(alphas, gammas, starts, 60, 1e-6), (*_mostly_stopped(problem, curvatures), 40, 0.0)]
-    many, mostly = [
-        run_rows(problem, mode, a, g, lambda rows, s=s: s[rows], max_iter=m, tol=t) for a, g, s, m, t in batches
-    ]
-    assert len(set(many.steps.tolist())) >= 15
-    assert many.diverged.any() and (many.steps == 0).any() and (many.steps == 60).any()
-    assert mostly.steps.tolist() == [0, 1, 2, 40]
-    for runs, (alphas, gammas, starts, max_iter, tol) in zip((many, mostly), batches):
-        for i in range(len(alphas)):
-            trace, diverged = _one_row(problem, mode, alphas[i], gammas[i], starts[i], max_iter, tol)
-            _same_row(runs, i, trace.n_steps, diverged, trace.distances)
-
-
-@pytest.mark.parametrize("mode", splitting.MODES)
-@pytest.mark.parametrize("extra", [-1, 0, 1, splitting.NORM_CHUNK + 3, 2 * splitting.NORM_CHUNK + 5])
-def test_column_blocks_equal_the_unblocked_steps_bitwise(monkeypatch, mode, extra):
-    # one chunk per column block keeps the dims small: a row of NORM_CHUNK
-    # + extra elements is one block (extra <= 0), or two, three or four
-    # blocks, the last of width 1, 3 or 5. The rows stop by tol, by the
-    # guard, at a zero start and at the budget, so stopped rows are stepped
-    # on as NaN rows until the run ends. The blocks run on 1, 2
-    # and 3 processes, in uneven runs (4 blocks on 3 processes run 1, 1 and
-    # 2), in fixed passes of 1 to 4 steps, so that rows stop at every
-    # offset within a pass, and in the default passes, and every worker
-    # count and pass length gives the same bits.
-    monkeypatch.setattr(splitting, "COLUMN_BLOCK", splitting.NORM_CHUNK)
-    dim = splitting.NORM_CHUNK + extra
-    problem, curvatures = _instance(mode, SIGMA, BETA, dim, range(dim // 2))
-    rng = np.random.default_rng(dim)
-    gammas = np.array([1.0, 1.0, 1.0, 0.5, 1.0]) / math.sqrt(curvatures.sigma * curvatures.beta)
-    upper = alpha_upper_bound(gammas, curvatures.sigma, curvatures.beta)
-    alphas = np.array([1.0, 1.9 * upper[1], 0.5 * upper[2], 0.6 * upper[3], 0.05 * upper[4]])
-    starts = rng.uniform(-1.0, 1.0, (5, dim))
-    starts[2] = 0.0
-    max_iter, tol = 60, 1e-2
-    references = []
-    for i in range(5):
-        iterates, stop, ref_x = _reference(problem, mode, alphas[i], gammas[i], starts[i], max_iter, tol)
-        distances = np.array([_chunked_norm(z) for z in iterates])
-        references.append((len(iterates) - 1, stop == "guard", distances, ref_x))
-    monkeypatch.setattr(splitting, "RUN_ELEMENTS", 1)
-    for pass_steps, workers in itertools.product((1, 2, 3, 4, None), (1, 2, 3)):
-        _passes(monkeypatch, pass_steps)
-        monkeypatch.setattr(splitting, "WORKERS", workers)
-        runs = run_rows(problem, mode, alphas, gammas, lambda rows: starts[rows], max_iter=max_iter, tol=tol)
-        assert 0 < runs.steps[0] < max_iter and runs.diverged[1] and runs.steps[2] == 0
-        assert runs.steps[4] == max_iter
-        for i, (steps, diverged, distances, ref_x) in enumerate(references):
-            _same_row(runs, i, steps, diverged, distances)
-            if mode == "admm":
-                trace, _ = _one_row(problem, mode, alphas[i], gammas[i], starts[i], max_iter, tol)
-                assert trace.final_x.coeffs.tobytes() == ref_x.tobytes()
-
-
-@pytest.mark.parametrize("mode", splitting.MODES)
-def test_a_pass_that_rows_stop_in_is_kept(monkeypatch, mode):
-    # ten rows stop by tol and ten by the guard (relaxations past their
-    # limit), at every offset within fixed passes of 4 steps (steps 2-5,
-    # 6-9, ...). The kept passes give the steps, flags and distances of one
-    # step a walk bit for bit, for the batch and for one-row runs at each
-    # kind of stop and offset, and ADMM's final x too
-    monkeypatch.setattr(splitting, "COLUMN_BLOCK", splitting.NORM_CHUNK)
-    dim = 2 * splitting.NORM_CHUNK + 3
-    problem, curvatures = _instance(mode, SIGMA, BETA, dim, range(dim // 2))
-    gammas = np.full(20, 1.0 / math.sqrt(curvatures.sigma * curvatures.beta))
-    shares = np.concatenate([np.linspace(0.1, 0.9, 10), np.linspace(1.05, 2.0, 10)])
-    alphas = shares * alpha_upper_bound(gammas, curvatures.sigma, curvatures.beta)
-    starts = np.random.default_rng(40).uniform(-1.0, 1.0, (20, dim))
-    max_iter, tol = 60, 0.1
-    runs = lambda: run_rows(problem, mode, alphas, gammas, lambda rows: starts[rows], max_iter=max_iter, tol=tol)
-    _passes(monkeypatch, 1)
-    alone = runs()
-    _passes(monkeypatch, 4)
-    kept = runs()
-    for name in ("steps", "converged", "diverged", "distances"):
-        assert getattr(kept, name).tobytes() == getattr(alone, name).tobytes(), name
-    inside = (alone.steps > 1) & (alone.steps < max_iter)
-    # the first row of each kind of stop at each offset
-    picks = {}
-    for i in np.flatnonzero(inside):
-        picks.setdefault((bool(alone.diverged[i]), (alone.steps[i] - 2) % 4), i)
-    assert set(picks) == set(itertools.product((False, True), range(4)))
-    for (diverged, _), i in sorted(picks.items()):
-        traces = []
-        for pass_steps in (1, 4):
-            _passes(monkeypatch, pass_steps)
-            trace, tripped = _one_row(problem, mode, alphas[i], gammas[i], starts[i], max_iter, tol)
-            assert (trace.n_steps, tripped, trace.converged) == (alone.steps[i], diverged, not diverged)
-            assert trace.distances.tobytes() == alone.distances[i, : trace.n_steps + 1].tobytes()
-            traces.append(trace)
-        if mode == "admm":
-            assert traces[0].final_x.coeffs.tobytes() == traces[1].final_x.coeffs.tobytes()
-
-
-def test_a_tol_stop_inside_a_pass_is_no_divergence_after_it(monkeypatch):
+def test_a_tol_stop_inside_a_pass_is_no_divergence_after_it():
     # at alpha 1.265 and gamma 1 the sigma band's factor is -0.265 and the
     # beta band's -1.3: from a start ten times larger on the sigma band, the
     # step norm shrinks, then grows, and the distance passes 10x its start
-    # at step 18. tol at step 2's norm stops the run there, inside a fixed
-    # pass of 32 steps that runs on past step 18: the run converged, as it
-    # does one step a walk
-    monkeypatch.setattr(splitting, "COLUMN_BLOCK", splitting.NORM_CHUNK)
-    dim = 2 * splitting.NORM_CHUNK + 3
-    problem = make_primal_instance(SIGMA, BETA, dim, range(dim // 2))
-    params = SplitParams(1.265, 1.0)
-    start = Vec(np.where(np.arange(dim) < dim // 2, 1.0, 0.1))
-    with pytest.raises(DivergenceError) as exc:
-        run_dr(problem, params, start, max_iter=40, tol=0.0)
-    z = [v.coeffs for v in exc.value.trace.iterates]
-    assert len(z) == 19
-    tol = _chunked_norm(z[2] - z[1])
-    traces = []
-    for pass_steps in (1, 32):
-        _passes(monkeypatch, pass_steps)
-        traces.append(run_dr(problem, params, start, max_iter=40, tol=tol))
-    assert [(t.n_steps, t.converged) for t in traces] == [(2, True)] * 2
-    assert traces[0].distances.tobytes() == traces[1].distances.tobytes()
+    # at step 18. A tol between the first two step norms stops the row at
+    # step 2, inside a fixed pass of 32 steps that runs on past step 18:
+    # the row converged, as it does one step a walk
+    dim = 2 * 8 + 3
+    problem, _ = _instance("primal-dr", SIGMA, BETA, dim, range(dim // 2))
+    start = np.where(np.arange(dim) < dim // 2, 1.0, 0.1)
+    z, _ = _reference_dr(problem.f.weights, False, 1.265, 1.0, start, 2, 0.0)
+    tol = math.sqrt(_chunked_norm(z[1] - z[0]) * _chunked_norm(z[2] - z[1]))
+    knobs = dict(SMALL_BLOCKS, **_pass_knobs(32))
+    expect = lambda runs: (runs.steps.tolist(), runs.converged.tolist()) == ([2], [True])
+    alphas, gammas = np.array([1.265]), np.array([1.0])
+    check_scheduler(SchedulerCase(problem, "primal-dr", alphas, gammas, start[None], 40, tol, knobs, (0,), expect))
 
 
-def test_a_row_stopping_inside_a_pass_stops_there(monkeypatch):
-    # row 0 stops by tol inside a fixed pass while the two slow rows run
-    # on: the pass is kept, cut at row 0's stop, and row 0 is stepped on as
-    # a NaN row, so its steps and distances stay those of its single run
-    monkeypatch.setattr(splitting, "COLUMN_BLOCK", splitting.NORM_CHUNK)
-    _passes(monkeypatch, 4)
-    dim = 2 * splitting.NORM_CHUNK + 3
-    problem = make_primal_instance(SIGMA, BETA, dim, range(dim // 2))
+def test_a_row_stopping_inside_a_pass_stops_there():
+    # row 0 stops by tol inside a fixed pass of 4 steps while the two slow
+    # rows run on: the pass is kept, cut at row 0's stop, and row 0 is
+    # stepped on as a NaN row. Over tols of 1e-1 to 1e-8 it stops at every
+    # offset within a pass
+    dim = 2 * 8 + 3
+    problem, _ = _instance("primal-dr", SIGMA, BETA, dim, range(dim // 2))
     alpha, gamma, _ = optimal_params(SIGMA, BETA)
     slow = 0.05 * alpha_upper_bound(gamma, SIGMA, BETA)
+    # the slow rows start far enough out to step by more than tol to the budget
+    starts = np.random.default_rng(11).uniform(-1.0, 1.0, (3, dim)) * [[1.0], [1e3], [1e3]]
+    knobs = dict(SMALL_BLOCKS, **_pass_knobs(4))
     alphas, gammas = np.array([alpha, slow, slow]), np.full(3, gamma)
-    starts = np.random.default_rng(11).uniform(-1.0, 1.0, (3, dim))
-    offsets = set()
-    for tol in 10.0 ** -np.arange(1.0, 9.0):
-        runs = run_rows(problem, "primal-dr", alphas, gammas, lambda rows: starts[rows], max_iter=40, tol=tol)
-        trace = run_dr(problem, SplitParams(alpha, gamma), Vec(starts[0]), max_iter=40, tol=tol)
-        assert list(runs.steps) == [trace.n_steps, 40, 40]
-        _same_row(runs, 0, trace.n_steps, False, trace.distances)
-        offsets.add((trace.n_steps - 2) % 4)
+    expect = lambda runs: runs.steps[1:].tolist() == [40, 40]
+    case = SchedulerCase(problem, "primal-dr", alphas, gammas, starts, 40, 0.0, knobs, (0,), expect)
+    offsets = {(check_scheduler(case._replace(tol=tol)).steps[0] - 2) % 4 for tol in 10.0 ** -np.arange(1.0, 9.0)}
     assert offsets == set(range(4))
 
 
-def test_an_admm_run_stopping_inside_a_pass_keeps_its_last_x(monkeypatch):
-    # a one-row run that stops by tol inside a fixed pass keeps the pass,
-    # and its final x is replayed from the state its final step read: at
-    # every offset within a pass, its distances and final x are the
-    # reference loop's
-    monkeypatch.setattr(splitting, "COLUMN_BLOCK", splitting.NORM_CHUNK)
-    _passes(monkeypatch, 4)
-    dim = 2 * splitting.NORM_CHUNK + 5
-    problem = make_dual_instance(SIGMA, BETA, 1.0, 3.0, dim, range(dim // 2), pairing="crossed")
-    curvatures = dual_function(problem)
+def test_an_admm_run_stopping_inside_a_pass_keeps_its_last_x():
+    # a one-row run that stops by tol inside a fixed pass of 4 steps keeps
+    # the pass, and its final x is replayed from the state its final step
+    # read. A tol between the norms of steps k and k + 1, for k = 1 to 6,
+    # stops it at every offset within a pass (steps 2 to 5 are the first)
+    dim = 2 * 8 + 5
+    problem, curvatures = _instance("admm", SIGMA, BETA, dim, range(dim // 2))
     rho = 0.5 / math.sqrt(curvatures.sigma * curvatures.beta)
     alpha = 0.6 * alpha_upper_bound(rho, curvatures.sigma, curvatures.beta)
-    lam, nu = problem.f.weights, problem.a.weights
-    u0 = np.random.default_rng(5).uniform(-1.0, 1.0, dim) * (1.0 / rho)
-    # the norms the reference takes: the start's, then each step's distance
-    # and step norm
-    seen = []
-    _reference_admm(lam, nu, alpha, rho, u0, 12, 0.0, lambda v: seen.append(_chunked_norm(v)) or seen[-1])
-    offsets = set()
-    for step_norm in seen[2::2]:
-        tol = rho * step_norm
-        iterates, _, ref_x = _reference_admm(lam, nu, alpha, rho, u0, 40, tol)
-        trace = run_admm(problem, rho, alpha, u0=Vec(u0), max_iter=40, tol=tol)
-        assert trace.n_steps == len(iterates) - 1
-        assert trace.distances.tobytes() == np.array([_chunked_norm(z) for z in iterates]).tobytes()
-        assert trace.final_x.coeffs.tobytes() == ref_x.tobytes()
-        # steps 2 to 5 are the first pass
-        offsets.add((trace.n_steps - 2) % 4)
-    assert offsets == set(range(4))
+    start = np.random.default_rng(5).uniform(-1.0, 1.0, (1, dim))
+    z, _, _ = _reference(problem, "admm", alpha, rho, start[0], 7, 0.0)
+    norms = [_chunked_norm(b - a) for a, b in zip(z, z[1:])]
+    knobs = dict(SMALL_BLOCKS, **_pass_knobs(4))
+    case = SchedulerCase(problem, "admm", np.array([alpha]), np.array([rho]), start, 40, 0.0, knobs)
+    for k in range(1, 7):
+        expect = lambda runs, k=k: runs.steps.tolist() == [k + 1]
+        check_scheduler(case._replace(tol=math.sqrt(norms[k - 1] * norms[k]), expect=expect))
 
 
-@st.composite
-def replay_cases(draw):
-    """An instance of the :func:`dr_cases` family run by one engine (the dual
-    side couples the same bands), a relaxation below or above
-    alpha_upper_bound, and starts with signed zeros in them, sometimes all
-    zero. The budgets and tols let runs stop for every reason."""
-    sigma, beta, dim, idx_sigma = draw(two_bands())
-    mode = draw(st.sampled_from(splitting.MODES))
-    if mode == "primal-dr":
-        g = draw(st.sampled_from([GFunction.ZERO, GFunction.ZERO_INDICATOR]))
-        problem, curvatures = _instance(mode, sigma, beta, dim, idx_sigma, g=g)
-    else:
-        theta = 10.0 ** draw(st.floats(-1.0, 1.0))
-        zeta = theta * 10.0 ** draw(st.floats(0.01, 1.0))
-        pairing = draw(st.sampled_from(["aligned", "crossed"]))
-        problem, curvatures = _instance(mode, sigma, beta, dim, idx_sigma, theta=theta, zeta=zeta, pairing=pairing)
-    gamma = 10.0 ** draw(st.floats(-2.0, 2.0)) / math.sqrt(curvatures.sigma * curvatures.beta)
-    alpha = alpha_upper_bound(gamma, curvatures.sigma, curvatures.beta) * draw(
-        st.floats(0.01, 0.99) | st.floats(1.05, 1.9)
-    )
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    start = _signed_zeros(rng, dim, draw(st.sampled_from([0.0, 0.3, 1.0])))
-    max_iter = draw(st.integers(0, 60))
-    tol = draw(st.sampled_from([0.0, 1e-9, 1e-4, 1e-2, 0.3]))
-    return problem, mode, alpha, gamma, start, max_iter, tol
-
-
-def _check_replay(problem, mode, alpha, gamma, start, max_iter, tol):
-    """Run one engine, read its replayed iterates (and ADMM's ``final_x``) and
-    compare them bit for bit with the reference loop; returns (steps,
-    diverged)."""
-    iterates, stop, ref_x = _reference(problem, mode, alpha, gamma, start, max_iter, tol)
-    trace, diverged = _one_row(problem, mode, alpha, gamma, start, max_iter, tol)
-    assert diverged == (stop == "guard")
-    assert len(trace.iterates) == trace.n_steps + 1 == len(iterates)
-    assert [v.coeffs.tobytes() for v in trace.iterates] == [z.tobytes() for z in iterates]
-    assert trace.distances.tobytes() == np.array([_chunked_norm(z) for z in iterates]).tobytes()
-    if mode == "admm":
-        assert trace.final_x.coeffs.tobytes() == ref_x.tobytes()
-    return trace.n_steps, diverged
-
-
-@settings(deadline=None, max_examples=120)
-@given(replay_cases())
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(scheduler_cases(max_rows=1))
 def test_replayed_iterates_equal_the_reference_loop_bitwise(case):
-    _check_replay(*case)
+    # one row, run alone too: its replayed iterates and ADMM's final x
+    check_scheduler(case)
 
 
 @pytest.mark.parametrize("mode", splitting.MODES)
 @pytest.mark.parametrize("reason", ["tol", "guard", "zero-start", "budget"])
 def test_replay_for_each_stop_reason(mode, reason):
-    problem = default_primal_instance() if mode == "primal-dr" else default_dual_instance("crossed")
-    curvatures = problem.f if mode == "primal-dr" else dual_function(problem)
+    problem, curvatures = _instance(mode, SIGMA, BETA, 8, range(4))
     gamma = 1.0 / math.sqrt(curvatures.sigma * curvatures.beta)
     upper = alpha_upper_bound(gamma, curvatures.sigma, curvatures.beta)
     alpha = 1.9 * upper if reason == "guard" else 0.5 * upper
     start = _signed_zeros(np.random.default_rng(26), 8, 1.0 if reason == "zero-start" else 0.3)
     max_iter, tol = (25, 0.0) if reason == "budget" else (500, 1e-6)
-    steps, diverged = _check_replay(problem, mode, alpha, gamma, start, max_iter, tol)
-    assert diverged == (reason == "guard")
-    if reason == "zero-start":
-        assert steps == 0
-    elif reason == "budget":
-        assert steps == 25
-    else:
-        assert 0 < steps < max_iter
+    steps = {"zero-start": range(1), "budget": range(25, 26)}.get(reason, range(1, max_iter))
+    expect = lambda runs: runs.steps[0] in steps and runs.diverged[0] == (reason == "guard")
+    alphas, gammas = np.array([alpha]), np.array([gamma])
+    check_scheduler(SchedulerCase(problem, mode, alphas, gammas, start[None], max_iter, tol, {}, expect=expect))
 
 
 @pytest.mark.parametrize("mode", splitting.MODES)
 @pytest.mark.parametrize("start", ["worst", "random"])
-def test_small_blocks_give_the_same_sweep_bytes(tmp_path, monkeypatch, mode, start):
-    flags = ["sweep", "--mode", mode, "--start", start, "--seed", "7", "--iters", "30"]
-    whole, blocked = tmp_path / "whole.csv", tmp_path / "blocked.csv"
-    assert cli.main(flags + ["--out", str(whole)]) == 0
-    # 24 state elements a block: for the 400 grid points, 134 blocks of 3
-    # rows of dim 8 from random starts, 17 blocks of 24 one-column rows from
-    # worst starts
-    monkeypatch.setattr(splitting, "BLOCK_ELEMENTS", 24)
-    assert cli.main(flags + ["--out", str(blocked)]) == 0
-    assert blocked.read_bytes() == whole.read_bytes()
+def test_small_blocks_give_the_same_sweep_bytes(mode, start):
+    # the 400 points, starts, budget and tol of a default sweep with seed 7
+    # and 30 steps, in blocks of 24 state elements: 134 blocks of 3 rows of
+    # dim 8 from random starts, 17 blocks of 24 one-column rows from worst
+    # starts. The sweep as the command line runs it, drawing random starts
+    # block by block, gives the same runs
+    cfg = cli.SweepConfig(mode=mode, start=start, seed=7, iters=30)
+    instance = cli._instance(cfg)
+    cfg.alpha_grid = cli.parse_grid("linear:0.1:1.9:20")
+    _, gamma_star, _ = optimal_params(*instance[1:])
+    cfg.gamma_grid = cli.parse_grid(f"log:{gamma_star / 20!r}:{gamma_star * 20!r}:20")
+    alphas, gammas = (grid.ravel() for grid in np.meshgrid(cfg.alpha_grid, cfg.gamma_grid, indexing="ij"))
+    starts = cli._start_rows(cfg, instance[0], alphas, gammas)
+    if callable(starts):
+        starts = starts(slice(0, alphas.size))
+
+    def expect(runs):
+        swept = cli._sweep(cfg, instance)[1]
+        return swept.distances.tobytes() == runs.distances.tobytes() and swept.steps.tolist() == runs.steps.tolist()
+
+    knobs = dict(BLOCK_ELEMENTS=24)
+    check_scheduler(SchedulerCase(instance[0], mode, alphas, gammas, starts, 30, cfg.tol, knobs, expect=expect))
 
 
-def test_one_block_and_many_record_the_same_distances_in_fortran_order(monkeypatch, primal):
-    # the rows stop at different steps, so the record ends each in NaN
-    alphas, gammas = [0.5, 1.0, 1.9], [GAMMA_STAR] * 3
-    starts = lambda rows: np.ones((rows.stop - rows.start, primal.dim))
-    whole = run_rows(primal, "primal-dr", alphas, gammas, starts)
-    # one row a block
-    monkeypatch.setattr(splitting, "BLOCK_ELEMENTS", 1)
-    blocked = run_rows(primal, "primal-dr", alphas, gammas, starts)
-    assert np.isnan(whole.distances).any()
-    assert whole.distances.flags.f_contiguous and blocked.distances.flags.f_contiguous
-    np.testing.assert_array_equal(blocked.distances, whole.distances)
+def test_one_block_and_many_record_the_same_distances_in_fortran_order(primal):
+    # the rows stop at different steps, so the record ends each in NaN; in
+    # one block, and one row a block
+    alphas, gammas = np.array([0.5, 1.0, 1.9]), np.full(3, GAMMA_STAR)
+    expect = lambda runs: np.isnan(runs.distances).any()
+    case = SchedulerCase(primal, "primal-dr", alphas, gammas, np.ones((3, 8)), 200, 1e-13, {}, (0, 1, 2), expect)
+    check_scheduler(case)
+    check_scheduler(case._replace(knobs=dict(BLOCK_ELEMENTS=1)))
 
 
 def _forked_runs(monkeypatch):
@@ -2317,6 +2045,25 @@ def test_run_rows_rejects_bad_mode_and_start_shape(primal):
         run_rows(primal, "primal-dr", one, one, lambda part: np.ones((1, 3)))
     runs = run_rows(primal, "primal-dr", none, none, lambda part: np.ones((0, 8)))
     assert runs.distances.shape == (0, 1) and runs.steps.size == runs.diverged.size == 0
+
+
+@pytest.mark.parametrize("rows", [0, 1])
+@pytest.mark.parametrize(
+    "max_iter, error",
+    [(-1, ValueError), (2.5, TypeError), (30.0, TypeError)],
+    ids=["negative", "fraction", "whole-float"],
+)
+def test_run_rows_checks_max_iter_before_any_block(primal, rows, max_iter, error):
+    # the budget is checked once, at the run boundary, before any block
+    # draws its starts, for a batch of no rows too: an integer of any kind
+    # that is not negative
+    def starts(part):
+        raise AssertionError("a block drew its starts")
+
+    with pytest.raises(error, match="max_iter must be non-negative|cannot be interpreted as an integer"):
+        run_rows(primal, "primal-dr", [0.5] * rows, [0.3] * rows, starts, max_iter=max_iter)
+    runs = run_rows(primal, "primal-dr", [0.5], [0.3], lambda part: np.ones((1, 8)), max_iter=np.int64(3), tol=0.0)
+    assert runs.steps.tolist() == [3]
 
 
 @pytest.mark.parametrize("mode", splitting.MODES)
