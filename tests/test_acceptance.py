@@ -53,40 +53,6 @@ def test_a_crashed_or_slow_criterion_fails(monkeypatch):
     assert not slow.passed and "exceeded the 0s budget" in slow.detail
 
 
-def test_contraction_bound_grid_detail_is_unchanged():
-    passed, detail = acceptance._contraction_bound_grid()
-    assert passed
-    assert detail == "11200 runs over 224 feasible grid points, max(empirical - bound) = 1.110e-16 <= 1e-9"
-
-
-def test_closed_form_evolution_detail_is_unchanged():
-    passed, detail = acceptance._closed_form_evolution()
-    assert passed
-    assert detail == "25 parameter draws x 2 curvature bands x 30 steps, max coordinate error 9.992e-16 <= 1e-12"
-
-
-def test_property_suites_detail_is_unchanged():
-    passed, detail = acceptance._property_suites()
-    assert passed
-    assert detail == "all property suites passed (prox-oracle max error 3.038e-12)"
-
-
-def test_conjugate_oracle_detail_is_unchanged():
-    passed, detail = acceptance._conjugate_oracle_agreement()
-    assert passed
-    assert detail == "5 instances x 100 points, max |closed form - numeric conjugate| = 2.842e-14 <= 1e-8"
-
-
-def test_rotated_basis_reference_detail_is_unchanged():
-    passed, detail = acceptance._rotated_basis_reference()
-    assert passed
-    assert detail == (
-        "176 dense runs at dims 8 and 24 x 2 rotations: worst |dense - bound| = 4.441e-16 <= 1e-10 at 40 "
-        "Case I-III points, worst |dense - diagonal engine| = 4.441e-16 <= 1e-10 at all 44 feasible points "
-        "(4 not classified)"
-    )
-
-
 @pytest.mark.parametrize("name", acceptance._PROPERTY_CHECKS)
 def test_property_check(name):
     passed, note = acceptance._PROPERTY_CHECKS[name](np.random.default_rng(PROPERTY_SEEDS[name]))

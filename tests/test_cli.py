@@ -257,6 +257,7 @@ def test_a_step_size_whose_product_with_beta_overflows_exits_2(args, capsys):
         ["run", "--alpha", "1e308", "--gamma", "1e-300"],
         ["sweep", "--alpha", "1,1e308", "--gamma", "1e-300"],
         ["rate", "--alpha", "1e308", "--gamma", "1e-300"],
+        ["sweep", "--alpha", "1e308", "--gamma", "1e-300"],
     ],
 )
 def test_a_point_whose_rate_bound_overflows_exits_2(args, capsys):

@@ -6,10 +6,10 @@ step, so from any start the squared distance after k steps is
 ``S_s c_s**(2k) + S_b c_b**(2k)``: ``S`` is the start's squared norm on a
 band and ``c`` that band's factor. That is O(1) per step at any dim, so it
 checks the column blocks, the worker runs and the multi-step passes of long
-rows. ``check_closed_form`` is also run at dim 1e6 outside the test suite::
+rows. ``check_closed_form`` is also run at dim 1e6, in every mode, by a
+stage of ``tests/ci.py``::
 
-    python -c "import sys; sys.path.insert(0, 'tests'); import test_closed_form as t; \\
-        print(t.check_closed_form('admm', *t.default_case('admm', 10**6), 30, 0.0))"
+    python -m pytest -q tests/ci.py -k closed_form
 """
 
 import math

@@ -7,10 +7,10 @@ ADMM's final x adds that row. An engine of long rows holds its pair of
 state buffers and its column blocks, and no parameter row: DR's reflection
 factor and ADMM's scale and denominator are formed a column block at a
 time. A worst-start sweep makes no start row at any dim.
-``check_run_memory`` is also run at dim 1e6 outside the test suite::
+``check_run_memory`` is also run at dim 1e6, on every core and on one, by a
+stage of ``tests/ci.py``::
 
-    python -c "import sys; sys.path.insert(0, 'tests'); import test_run_memory as t; \\
-        print(t.check_run_memory('admm', 10**6))"
+    python -m pytest -q tests/ci.py -k run_memory
 """
 
 import tracemalloc

@@ -2,10 +2,10 @@
 iterates and the rate fits. One check, ``check_scheduler``, holds the
 long-row scheduler to the plain loop: a property runs it on drawn cases, and
 named tests on cases built for one scenario each. It is also run at dim 1e6,
-with the module's own settings, outside the test suite::
+with the module's own settings, on every core and on one, by a stage of
+``tests/ci.py``::
 
-    python -c "import sys; sys.path.insert(0, 'tests'); import test_splitting as t; \\
-        print(t.check_scheduler(t.scheduler_case('admm', 10**6)).steps)"
+    python -m pytest -q tests/ci.py -k "test_dim_1e6_checks and scheduler"
 """
 
 import contextlib
